@@ -157,7 +157,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run the acceptance suite")
     p.add_argument("--only", nargs="+", type=int, default=None,
                    help="criterion numbers to run (default: all)")
-    common(p)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("sweep", help="run a plan file")

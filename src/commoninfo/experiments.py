@@ -195,12 +195,14 @@ def _fmt(v) -> str:
 
 
 class _PlanContext:
-    """Caches per-source quantities (common information, exponent grids)."""
+    """Caches per-source quantities (common information, exponent grids) and
+    the exponent F(R) per (source, absolute rate)."""
 
     def __init__(self, plan: ExperimentPlan):
         self.plan = plan
         self._ci = {}
         self._omega = {}
+        self._f = {}
 
     def ci(self, label: str, pi: JointPmf, restarts: int = 16):
         if label not in self._ci:
@@ -215,10 +217,17 @@ class _PlanContext:
                 pi, restarts=2, seed=self.plan.seed, ci=sol)
         return self._omega[label]
 
+    def rate(self, label: str, pi: JointPmf, spec: RateSpec) -> float:
+        return spec.resolve(self.ci(label, pi).value if spec.needs_ci else 0.0)
+
     def f_rate(self, label: str, pi: JointPmf, r_abs: float) -> float:
-        sol = self.ci(label, pi)
-        return exponents.f_rate(pi, r_abs, omega_grid=self.omega_grid(label, pi),
-                                seed=self.plan.seed, ci=sol)
+        key = (label, r_abs)
+        if key not in self._f:
+            sol = self.ci(label, pi)
+            self._f[key] = exponents.f_rate(
+                pi, r_abs, omega_grid=self.omega_grid(label, pi),
+                seed=self.plan.seed, ci=sol)
+        return self._f[key]
 
 
 def _blank_row(cell_id: int, kind: str) -> dict:
@@ -247,8 +256,7 @@ def _run_exponent_cell(ctx: _PlanContext, cell_id: int, cell) -> dict:
     row["quantity"] = "f_rate"
     row["method"] = "exact"
     row["r_spec"] = cell["rate"].text
-    r_abs = cell["rate"].resolve(ctx.ci(label, pi).value
-                                 if cell["rate"].needs_ci else 0.0)
+    r_abs = ctx.rate(label, pi, cell["rate"])
     row["r_abs"] = r_abs
     row["value"] = ctx.f_rate(label, pi, r_abs)
     return row
@@ -266,8 +274,7 @@ def _run_simulate_cell(ctx: _PlanContext, cell_id: int, cell) -> dict:
     row["seed"] = cell["seed"]
     row["quantity"] = cell["measure"]
     row["r_spec"] = cell["rate"].text
-    r_abs = cell["rate"].resolve(ctx.ci(label, pi).value
-                                 if cell["rate"].needs_ci else 0.0)
+    r_abs = ctx.rate(label, pi, cell["rate"])
     row["r_abs"] = r_abs
     stream = np.random.SeedSequence([ctx.plan.seed, cell_id, cell["seed"]])
     cell_rng_seed = int(stream.generate_state(1)[0])
@@ -288,6 +295,14 @@ def _run_simulate_cell(ctx: _PlanContext, cell_id: int, cell) -> dict:
     return row
 
 
+def _prefetch_f_rate(ctx: _PlanContext, label: str, pi: JointPmf,
+                     spec: RateSpec) -> None:
+    try:
+        ctx.f_rate(label, pi, ctx.rate(label, pi, spec))
+    except (CommonInfoError, ValueError):
+        pass        # nothing is cached; the cell raises again and records it
+
+
 def run_plan(plan: ExperimentPlan, threads: int = 1) -> SweepResult:
     """Execute every cell; failures are recorded in-row and do not stop the run."""
     ctx = _PlanContext(plan)
@@ -297,14 +312,16 @@ def run_plan(plan: ExperimentPlan, threads: int = 1) -> SweepResult:
     runners = {"ci": _run_ci_cell, "exponent": _run_exponent_cell,
                "simulate": _run_simulate_cell}
 
-    # rate multiples and exponent grids are shared state: resolve them up
-    # front so parallel cells only read the caches
+    # rate multiples, exponent grids and F(R) values are shared state:
+    # resolve them up front so parallel cells only read the caches
     for kind, cell in tasks:
         if kind == "ci":
             ctx.ci(cell["source"], plan.sources[cell["source"]],
                    cell["restarts"])
         elif kind == "exponent":
-            ctx.omega_grid(cell["source"], plan.sources[cell["source"]])
+            pi = plan.sources[cell["source"]]
+            ctx.omega_grid(cell["source"], pi)
+            _prefetch_f_rate(ctx, cell["source"], pi, cell["rate"])
         elif kind == "simulate":
             base = plan.couplings[cell["coupling"]]
             pi = base.xy_marginal()
@@ -312,6 +329,7 @@ def run_plan(plan: ExperimentPlan, threads: int = 1) -> SweepResult:
                 ctx.ci(cell["coupling"], pi)
             if cell["measure"] == "tv":
                 ctx.omega_grid(cell["coupling"], pi)
+                _prefetch_f_rate(ctx, cell["coupling"], pi, cell["rate"])
 
     def run_one(item):
         idx, (kind, cell) = item

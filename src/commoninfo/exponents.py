@@ -26,7 +26,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.optimize import minimize
-from scipy.special import logsumexp, xlogy
 
 from .errors import ConfigError, DomainError
 from .probability import JointPmf
@@ -137,7 +136,7 @@ def big_omega_q(q: JointPmf, pi: JointPmf, pt: ExponentPoint) -> float:
     with np.errstate(divide="ignore"):
         log_terms = np.where(mask, np.log(np.where(mask, q_su, 1.0))
                              - pt.theta * np.where(mask, table, 0.0), -np.inf)
-    return float(-logsumexp(log_terms))
+    return -_log_normalize(log_terms)[0]
 
 
 def r_alpha_q(q: JointPmf, pi: JointPmf, alpha: float) -> float:
@@ -154,6 +153,15 @@ def r_alpha_q(q: JointPmf, pi: JointPmf, alpha: float) -> float:
 # ---------------------------------------------------------------------------
 # inner minimizations over the support-restricted polytope
 # ---------------------------------------------------------------------------
+
+def _log_normalize(log_t: np.ndarray):
+    """log sum exp(log_t) and the weights exp(log_t) / sum exp(log_t),
+    by a shift to the largest entry, which then contributes exp(0) = 1."""
+    m = log_t.max()
+    e = np.exp(log_t - m)
+    total = e.sum()
+    return float(m + math.log(total)), e / total
+
 
 def _softmax_flat(z: np.ndarray, shape) -> np.ndarray:
     z = z - z.max()
@@ -183,9 +191,8 @@ def _omega_objective(z, grid: _SupportGrid, alpha, theta):
              + a * np.log(np.maximum(q_xu, tiny))[grid.x_of_s]
              + a * np.log(np.maximum(q_yu, tiny))[grid.y_of_s]
              + (a + b) * grid.log_pi_s[:, None])
-    L = logsumexp(log_t)
-    f = -float(L)
-    t_norm = np.exp(log_t - L)                  # sums to 1
+    L, t_norm = _log_normalize(log_t)           # t_norm sums to 1
+    f = -L
     # u1 = Q * dG/dQ, assembled from bounded ratios Q/Q_marginal <= 1
     r_xy = q / np.maximum(q_xy, tiny)[:, None]
     r_u = q / np.maximum(q_u, tiny)[None, :]

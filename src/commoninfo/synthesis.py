@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import ConfigError, DomainError, ResourceBudgetError, SamplingError
 from .probability import FinitePmf, JointPmf, MarkovCoupling, induced_joint, marginal

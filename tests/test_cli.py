@@ -87,3 +87,10 @@ def test_verify_single_cheap_criterion(capsys):
     out = capsys.readouterr().out
     assert "[PASS] criterion  7" in out
     assert "1/1 criteria passed" in out
+
+
+def test_verify_rejects_options_it_does_not_use(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--seed", "1"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --seed" in capsys.readouterr().err

@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from commoninfo import exponents
 from commoninfo.errors import ConfigError
 from commoninfo.experiments import (RateSpec, parse_plan, render_summary,
                                     run_plan, to_csv, to_json)
@@ -121,3 +122,58 @@ def test_render_summary_slope():
     assert result.n_errors == 0
     summary = render_summary(result)
     assert "fitted slope" in summary
+
+
+MEMO_PLAN = """
+[plan]
+name = memo
+seed = 2
+
+[exponent]
+sources = dsbs01
+rates = 0.5C 0.9C
+
+[simulate]
+couplings = dsbs01
+rates = 0.5C
+n = 4
+measure = tv
+eps = 1.0
+eps_prime = 0.5
+samples = 64
+"""
+
+
+@pytest.fixture
+def coarse_omega_grid(monkeypatch):
+    tabulate = exponents.tabulate_omega
+    monkeypatch.setattr(exponents, "tabulate_omega",
+                        lambda pi, **kw: tabulate(pi, **kw, n_alpha=9,
+                                                  n_theta=17))
+
+
+def test_f_rate_runs_once_per_source_and_rate(monkeypatch, coarse_omega_grid):
+    calls = []
+    f_rate = exponents.f_rate
+
+    def counted(pi, r_abs, **kw):
+        calls.append(r_abs)
+        return f_rate(pi, r_abs, **kw)
+
+    monkeypatch.setattr(exponents, "f_rate", counted)
+    serial = run_plan(parse_plan(MEMO_PLAN), threads=1)
+    assert serial.n_errors == 0
+    assert len(calls) == len(set(calls)) == 2
+    f_half, tv = serial.rows[0], serial.rows[2]
+    assert tv["r_abs"] == f_half["r_abs"]
+    assert tv["bound"] == 1.0 - 4.0 * math.exp(-tv["n"] * f_half["value"])
+    threaded = run_plan(parse_plan(MEMO_PLAN), threads=2)
+    assert to_csv(threaded) == to_csv(serial)
+
+
+def test_failing_exponent_cell_fails_soft(coarse_omega_grid):
+    text = ("[plan]\nname = x\n[exponent]\nsources = product\n"
+            "rates = -0.1\n")
+    result = run_plan(parse_plan(text))
+    assert result.n_errors == 1
+    assert "rate must be nonnegative" in result.rows[0]["error"]

@@ -5,11 +5,13 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 
 from commoninfo import fixtures
 from commoninfo.errors import ConfigError, DomainError
 from commoninfo.exponents import (ExponentPoint, _SupportGrid,
-                                  _omega_objective, _r_alpha_objective,
+                                  _omega_objective, _q_marginals,
+                                  _r_alpha_objective, _softmax_flat,
                                   big_omega_min, big_omega_q, f_point, f_rate,
                                   omega, r_alpha_min, r_alpha_q, r_sh,
                                   tabulate_omega, theta_limit_check)
@@ -91,6 +93,55 @@ def test_objective_gradients_match_finite_differences(dsbs_pi):
             zm = z.copy(); zm[i] -= h
             fd = (fn(zp, *args)[0] - fn(zm, *args)[0]) / (2 * h)
             assert g[i] == pytest.approx(fd, abs=5e-6)
+
+
+def _omega_objective_reference(z, grid, alpha, theta):
+    """The Omega objective and its gradient as first written, normalized by
+    scipy's logsumexp, then the largest terms the value and the gradient are
+    summed from.  At small theta those terms cancel down to a value and a
+    gradient of order theta, so rounding is measured against them."""
+    q = _softmax_flat(z, (grid.n_supp, grid.nu))
+    a = theta * (1.0 - alpha)
+    b = theta * alpha
+    q_xy, q_u, q_xu, q_yu = _q_marginals(grid, q)
+    tiny = 1e-300
+    log_t = ((1.0 - a - b) * np.log(np.maximum(q, tiny))
+             - a * np.log(np.maximum(q_xy, tiny))[:, None]
+             + (b - a) * np.log(np.maximum(q_u, tiny))[None, :]
+             + a * np.log(np.maximum(q_xu, tiny))[grid.x_of_s]
+             + a * np.log(np.maximum(q_yu, tiny))[grid.y_of_s]
+             + (a + b) * grid.log_pi_s[:, None])
+    L = logsumexp(log_t)
+    t_norm = np.exp(log_t - L)
+    r_xy = q / np.maximum(q_xy, tiny)[:, None]
+    r_u = q / np.maximum(q_u, tiny)[None, :]
+    r_xu = q / np.maximum(q_xu, tiny)[grid.x_of_s]
+    r_yu = q / np.maximum(q_yu, tiny)[grid.y_of_s]
+    u1 = -((1.0 - a - b) * t_norm
+           - a * r_xy * t_norm.sum(axis=1, keepdims=True)
+           + (b - a) * r_u * t_norm.sum(axis=0, keepdims=True)
+           + a * r_xu * (grid.proj_x.T @ (grid.proj_x @ t_norm))
+           + a * r_yu * (grid.proj_y.T @ (grid.proj_y @ t_norm)))
+    return (-float(L), (u1 - q * u1.sum()).ravel(), abs(log_t.max()),
+            np.abs(u1).max())
+
+
+def test_omega_objective_matches_logsumexp_reference(dsbs_pi):
+    grid = _SupportGrid(dsbs_pi)
+    rng = np.random.default_rng(9)
+    k = grid.n_supp * grid.nu
+    logits = [rng.normal(size=k) for _ in range(4)]
+    # spread wide enough that some softmax cells underflow to exactly 0
+    wide = [30.0 * rng.normal(scale=10.0, size=k) for _ in range(4)]
+    assert any((_softmax_flat(z, (k,)) == 0.0).any() for z in wide)
+    for z in logits + wide:
+        for alpha in (0.0, 0.4, 1.0):
+            for theta in (1e-4, 0.6, 10.0):
+                f, g = _omega_objective(z, grid, alpha, theta)
+                f_ref, g_ref, f_scale, g_scale = _omega_objective_reference(
+                    z, grid, alpha, theta)
+                assert abs(f - f_ref) <= 1e-12 * max(abs(f_ref), f_scale)
+                assert np.max(np.abs(g - g_ref)) <= 1e-12 * g_scale
 
 
 def test_r_alpha_min_frozen_values(dsbs_pi, dsbs_ci):
