@@ -46,9 +46,10 @@ class RateSpec:
 
     def resolve(self, ci_value: float) -> float:
         t = self.text.strip()
-        if t.endswith(("C", "c")):
-            return float(t[:-1]) * ci_value
-        return float(t)
+        rate = float(t[:-1]) * ci_value if self.needs_ci else float(t)
+        if rate < 0:
+            raise ConfigError("rate must be nonnegative")
+        return rate
 
     @property
     def needs_ci(self) -> bool:
@@ -194,39 +195,64 @@ def _fmt(v) -> str:
     return str(v)
 
 
+#: joints of one shape whose cells all agree within this share plan caches
+_JOINT_ATOL = 1e-15
+
+
 class _PlanContext:
-    """Caches per-source quantities (common information, exponent grids) and
-    the exponent F(R) per (source, absolute rate)."""
+    """Caches per-joint quantities (common information per restart count,
+    exponent grids) and the exponent F(R) per (joint, absolute rate).
+
+    Caches are keyed by content, not by label, so a source and a coupling
+    that share a label do not share entries.  Every joint the plan names is
+    registered up front, so parallel cells only read the registry.  A joint
+    that matches an earlier one cell by cell (within _JOINT_ATOL) takes its
+    key, so a coupling's XY marginal shares the entries of the source it was
+    built for despite ulp-level differences."""
 
     def __init__(self, plan: ExperimentPlan):
         self.plan = plan
+        self._joints = []
+        for pi in [*plan.sources.values(),
+                   *(c.xy_marginal() for c in plan.couplings.values())]:
+            self._key(pi)
         self._ci = {}
         self._omega = {}
         self._f = {}
 
-    def ci(self, label: str, pi: JointPmf, restarts: int = 16):
-        if label not in self._ci:
-            self._ci[label] = wyner_ci(pi, restarts=restarts,
-                                       seed=self.plan.seed)
-        return self._ci[label]
+    def _key(self, pi: JointPmf) -> int:
+        """Index of the first registered joint that matches ``pi`` cell by
+        cell; an unmatched joint is registered."""
+        for i, mass in enumerate(self._joints):
+            if mass.shape == pi.mass.shape and np.all(
+                    np.abs(mass - pi.mass) <= _JOINT_ATOL):
+                return i
+        self._joints.append(pi.mass)
+        return len(self._joints) - 1
 
-    def omega_grid(self, label: str, pi: JointPmf):
-        if label not in self._omega:
-            sol = self.ci(label, pi)
-            self._omega[label] = exponents.tabulate_omega(
-                pi, restarts=2, seed=self.plan.seed, ci=sol)
-        return self._omega[label]
+    def ci(self, pi: JointPmf, restarts: int = 16):
+        key = (self._key(pi), restarts)
+        if key not in self._ci:
+            self._ci[key] = wyner_ci(pi, restarts=restarts,
+                                     seed=self.plan.seed)
+        return self._ci[key]
 
-    def rate(self, label: str, pi: JointPmf, spec: RateSpec) -> float:
-        return spec.resolve(self.ci(label, pi).value if spec.needs_ci else 0.0)
+    def omega_grid(self, pi: JointPmf):
+        key = self._key(pi)
+        if key not in self._omega:
+            self._omega[key] = exponents.tabulate_omega(
+                pi, restarts=2, seed=self.plan.seed, ci=self.ci(pi))
+        return self._omega[key]
 
-    def f_rate(self, label: str, pi: JointPmf, r_abs: float) -> float:
-        key = (label, r_abs)
+    def rate(self, pi: JointPmf, spec: RateSpec) -> float:
+        return spec.resolve(self.ci(pi).value if spec.needs_ci else 0.0)
+
+    def f_rate(self, pi: JointPmf, r_abs: float) -> float:
+        key = (self._key(pi), r_abs)
         if key not in self._f:
-            sol = self.ci(label, pi)
             self._f[key] = exponents.f_rate(
-                pi, r_abs, omega_grid=self.omega_grid(label, pi),
-                seed=self.plan.seed, ci=sol)
+                pi, r_abs, omega_grid=self.omega_grid(pi),
+                seed=self.plan.seed, ci=self.ci(pi))
         return self._f[key]
 
 
@@ -242,8 +268,7 @@ def _run_ci_cell(ctx: _PlanContext, cell_id: int, cell) -> dict:
     row["source"] = cell["source"]
     row["quantity"] = "wyner_ci"
     row["method"] = "exact"
-    sol = ctx.ci(cell["source"], ctx.plan.sources[cell["source"]],
-                 cell["restarts"])
+    sol = ctx.ci(ctx.plan.sources[cell["source"]], cell["restarts"])
     row["value"] = sol.value
     return row
 
@@ -256,9 +281,9 @@ def _run_exponent_cell(ctx: _PlanContext, cell_id: int, cell) -> dict:
     row["quantity"] = "f_rate"
     row["method"] = "exact"
     row["r_spec"] = cell["rate"].text
-    r_abs = ctx.rate(label, pi, cell["rate"])
+    r_abs = ctx.rate(pi, cell["rate"])
     row["r_abs"] = r_abs
-    row["value"] = ctx.f_rate(label, pi, r_abs)
+    row["value"] = ctx.f_rate(pi, r_abs)
     return row
 
 
@@ -274,7 +299,7 @@ def _run_simulate_cell(ctx: _PlanContext, cell_id: int, cell) -> dict:
     row["seed"] = cell["seed"]
     row["quantity"] = cell["measure"]
     row["r_spec"] = cell["rate"].text
-    r_abs = ctx.rate(label, pi, cell["rate"])
+    r_abs = ctx.rate(pi, cell["rate"])
     row["r_abs"] = r_abs
     stream = np.random.SeedSequence([ctx.plan.seed, cell_id, cell["seed"]])
     cell_rng_seed = int(stream.generate_state(1)[0])
@@ -283,7 +308,7 @@ def _run_simulate_cell(ctx: _PlanContext, cell_id: int, cell) -> dict:
     if cell["measure"] == "tv":
         est = synthesis.estimate_tv(code, samples=cell["samples"],
                                     seed=cell_rng_seed)
-        f_val = ctx.f_rate(label, pi, r_abs)
+        f_val = ctx.f_rate(pi, r_abs)
         row["bound"] = 1.0 - 4.0 * math.exp(-cell["n"] * f_val)
     else:
         est = synthesis.estimate_renyi(code, cell["s"],
@@ -295,10 +320,9 @@ def _run_simulate_cell(ctx: _PlanContext, cell_id: int, cell) -> dict:
     return row
 
 
-def _prefetch_f_rate(ctx: _PlanContext, label: str, pi: JointPmf,
-                     spec: RateSpec) -> None:
+def _prefetch_f_rate(ctx: _PlanContext, pi: JointPmf, spec: RateSpec) -> None:
     try:
-        ctx.f_rate(label, pi, ctx.rate(label, pi, spec))
+        ctx.f_rate(pi, ctx.rate(pi, spec))
     except (CommonInfoError, ValueError):
         pass        # nothing is cached; the cell raises again and records it
 
@@ -316,20 +340,15 @@ def run_plan(plan: ExperimentPlan, threads: int = 1) -> SweepResult:
     # resolve them up front so parallel cells only read the caches
     for kind, cell in tasks:
         if kind == "ci":
-            ctx.ci(cell["source"], plan.sources[cell["source"]],
-                   cell["restarts"])
+            ctx.ci(plan.sources[cell["source"]], cell["restarts"])
         elif kind == "exponent":
-            pi = plan.sources[cell["source"]]
-            ctx.omega_grid(cell["source"], pi)
-            _prefetch_f_rate(ctx, cell["source"], pi, cell["rate"])
+            _prefetch_f_rate(ctx, plan.sources[cell["source"]], cell["rate"])
         elif kind == "simulate":
-            base = plan.couplings[cell["coupling"]]
-            pi = base.xy_marginal()
+            pi = plan.couplings[cell["coupling"]].xy_marginal()
             if cell["rate"].needs_ci or cell["measure"] == "tv":
-                ctx.ci(cell["coupling"], pi)
+                ctx.ci(pi)
             if cell["measure"] == "tv":
-                ctx.omega_grid(cell["coupling"], pi)
-                _prefetch_f_rate(ctx, cell["coupling"], pi, cell["rate"])
+                _prefetch_f_rate(ctx, pi, cell["rate"])
 
     def run_one(item):
         idx, (kind, cell) = item

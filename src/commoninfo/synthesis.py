@@ -7,10 +7,12 @@ induced joints at tiny block lengths, Monte-Carlo estimators beyond, and
 verifiers for the one-shot achievability bound, the truncation domination
 chain, and the single-letter rate bound.
 
-All sampling is rejection sampling with exact membership tests; normalizers,
-where a computation needs them exactly, come from the typicality module's type
-enumeration.  Randomness uses counter-based Philox streams keyed by
-(seed, stream label) so results do not depend on scheduling.
+All sampling is rejection sampling with exact membership tests.  Exact and
+Monte-Carlo paths evaluate the truncated conditional law through one object,
+``_CondLaw``, built afresh for each call; its normalizers (the shell masses)
+come exactly from the typicality module's type enumeration, once per type of
+the conditioning W-sequence.  Randomness uses counter-based Philox streams
+keyed by (seed, stream label) so results do not depend on scheduling.
 """
 
 from __future__ import annotations
@@ -139,41 +141,49 @@ def _all_seqs(k: int, n: int) -> np.ndarray:
     return np.array(list(itertools.product(range(k), repeat=n)), dtype=int)
 
 
-def _cond_prob_vector(cond: np.ndarray, w_seq: np.ndarray,
-                      seqs: np.ndarray) -> np.ndarray:
-    """prod_i cond(seq_i | w_i) for every sequence in ``seqs``."""
-    return np.prod(cond[w_seq[None, :], seqs], axis=1)
+class _CondLaw:
+    """Q_{X|W}^n(. | w^n) (axis "X") or Q_{Y|W}^n(. | w^n) (axis "Y"),
+    truncated to the conditional eps-typical shell of w^n and renormalised;
+    ``eps=None`` leaves it untruncated.  The shell mass depends on w^n only
+    through its type, so it is computed exactly once per type and kept on the
+    object, which lives for one call."""
 
+    def __init__(self, base: MarkovCoupling, eps: float | None, axis: str):
+        self.cond = _axis_cond(base, axis)
+        self.q_w = base.q_w
+        self.eps = eps
+        self.axis = axis
+        self._z = {}
 
-def _cond_typical_mask(q_w: FinitePmf, cond: np.ndarray, w_seq: np.ndarray,
-                       seqs: np.ndarray, eps: float) -> np.ndarray:
-    n = w_seq.size
-    nw, nx = cond.shape
-    lo, hi = typ.cond_count_windows(q_w, cond, n, eps)
-    ok = np.ones(seqs.shape[0], dtype=bool)
-    for w in range(nw):
-        pos = w_seq == w
-        for x in range(nx):
-            c = (seqs[:, pos] == x).sum(axis=1)
-            ok &= (c >= lo[w, x]) & (c <= hi[w, x])
-    return ok
+    def normalizer(self, w_seq: np.ndarray) -> float:
+        """The shell mass Z(w^n); 1 when untruncated."""
+        if self.eps is None:
+            return 1.0
+        w_type = np.bincount(w_seq, minlength=self.cond.shape[0]).tobytes()
+        if w_type not in self._z:
+            self._z[w_type] = 1.0 - typ.cond_typical_defect_exact(
+                self.q_w, self.cond, w_seq, self.eps)
+        return self._z[w_type]
 
-
-def _truncated_cond_law(base: MarkovCoupling, w_seq: np.ndarray,
-                        seqs: np.ndarray, eps: float | None, axis: str) -> np.ndarray:
-    """Exact P(seq | w^n) vector over all sequences; raises if the shell is empty."""
-    cond = _axis_cond(base, axis)
-    p = _cond_prob_vector(cond, w_seq, seqs)
-    if eps is None:
-        return p / float(p.sum())
-    mask = _cond_typical_mask(base.q_w, cond, w_seq, seqs, eps)
-    z = float(p[mask].sum())
-    if z <= 0.0:
-        raise DomainError(
-            f"empty conditional typical shell for {axis} given codeword "
-            f"{w_seq.tolist()} (structural zero at this n)")
-    out = np.where(mask, p, 0.0) / z
-    return out
+    def density(self, w_seq: np.ndarray, seqs: np.ndarray) -> np.ndarray:
+        """The law at every row of ``seqs``; raises if the shell is empty."""
+        p = np.prod(self.cond[w_seq[None, :], seqs], axis=1)
+        if self.eps is None:
+            return p
+        z = self.normalizer(w_seq)
+        if z <= 0.0:
+            raise DomainError(
+                f"empty conditional typical shell for {self.axis} given "
+                f"codeword {w_seq.tolist()} (structural zero at this n)")
+        lo, hi = typ.cond_count_windows(self.q_w, self.cond, w_seq.size,
+                                        self.eps)
+        ok = np.ones(seqs.shape[0], dtype=bool)
+        for w in range(self.cond.shape[0]):
+            pos = w_seq == w
+            for x in range(self.cond.shape[1]):
+                c = (seqs[:, pos] == x).sum(axis=1)
+                ok &= (c >= lo[w, x]) & (c <= hi[w, x])
+        return np.where(ok, p, 0.0) / z
 
 
 def _pi_n_matrix(pi: JointPmf, seqs_x: np.ndarray, seqs_y: np.ndarray) -> np.ndarray:
@@ -212,10 +222,10 @@ def induced_joint_exact(code: SynthesisCode) -> InducedJointExact:
     _check_exact_budget(base, n, code.m_count)
     seqs_x = _all_seqs(base.nx, n)
     seqs_y = _all_seqs(base.ny, n)
-    px = np.stack([_truncated_cond_law(base, w, seqs_x, code.eps, "X")
-                   for w in code.codebook])
-    py = np.stack([_truncated_cond_law(base, w, seqs_y, code.eps, "Y")
-                   for w in code.codebook])
+    law_x = _CondLaw(base, code.eps, "X")
+    law_y = _CondLaw(base, code.eps, "Y")
+    px = np.stack([law_x.density(w, seqs_x) for w in code.codebook])
+    py = np.stack([law_y.density(w, seqs_y) for w in code.codebook])
     mass = px.T @ py / code.m_count
     return InducedJointExact(n=n, mass=mass, seqs_x=seqs_x, seqs_y=seqs_y,
                              cond_x=px, cond_y=py)
@@ -223,36 +233,23 @@ def induced_joint_exact(code: SynthesisCode) -> InducedJointExact:
 
 def _pointwise_p(code: SynthesisCode, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Induced P at sampled pairs (rows of x, y), in O(m * n) per point."""
-    base = code.base
+    law_x = _CondLaw(code.base, code.eps, "X")
+    law_y = _CondLaw(code.base, code.eps, "Y")
     vals = np.zeros(x.shape[0])
     for w in code.codebook:
-        px = _sample_cond_density(base, w, x, code.eps, "X")
-        py = _sample_cond_density(base, w, y, code.eps, "Y")
-        vals += px * py
+        vals += law_x.density(w, x) * law_y.density(w, y)
     return vals / code.m_count
 
 
-_COND_LAW_CACHE: dict = {}
-
-
-def _sample_cond_density(base: MarkovCoupling, w_seq: np.ndarray,
-                         seqs: np.ndarray, eps: float, axis: str) -> np.ndarray:
-    """Truncated conditional density at arbitrary sample sequences, with the
-    normalizer computed exactly per codeword via type enumeration."""
-    cond = _axis_cond(base, axis)
-    if eps is None:
-        return _cond_prob_vector(cond, w_seq, seqs)
-    key = (base.q_w.mass.tobytes(), cond.tobytes(),
-           w_seq.tobytes(), float(eps))
-    if key not in _COND_LAW_CACHE:
-        defect = typ.cond_typical_defect_exact(base.q_w, cond, w_seq, eps)
-        _COND_LAW_CACHE[key] = 1.0 - defect
-    z = _COND_LAW_CACHE[key]
-    if z <= 0.0:
-        raise DomainError("empty conditional typical shell (structural zero)")
-    p = _cond_prob_vector(cond, w_seq, seqs)
-    mask = _cond_typical_mask(base.q_w, cond, w_seq, seqs, eps)
-    return np.where(mask, p, 0.0) / z
+def _pi_n_draws(code: SynthesisCode, samples: int, rng):
+    """Draw ``samples`` pairs (x^n, y^n) from pi^n; return the induced P and
+    pi^n at them."""
+    pi = code.base.xy_marginal()
+    flat = pi.mass.ravel()
+    idx = rng.choice(flat.size, size=(samples, code.n), p=flat)
+    xs, ys = idx // pi.dims[1], idx % pi.dims[1]
+    return (_pointwise_p(code, xs, ys),
+            np.exp(np.log(pi.mass[xs, ys]).sum(axis=1)))
 
 
 # ---------------------------------------------------------------------------
@@ -272,12 +269,7 @@ def estimate_tv(code: SynthesisCode, samples: int = 4096,
         pin = _pi_n_matrix(pi, ex.seqs_x, ex.seqs_y)
         val = 0.5 * float(np.abs(ex.mass - pin).sum())
         return DivergenceEstimate(val, 0.0, "exact", 0, seed)
-    rng = _rng(seed, 1)
-    flat = pi.mass.ravel()
-    idx = rng.choice(flat.size, size=(samples, code.n), p=flat)
-    xs, ys = idx // pi.dims[1], idx % pi.dims[1]
-    p_vals = _pointwise_p(code, xs, ys)
-    pi_vals = np.exp(np.log(pi.mass[xs, ys]).sum(axis=1))
+    p_vals, pi_vals = _pi_n_draws(code, samples, _rng(seed, 1))
     g = np.maximum(1.0 - p_vals / pi_vals, 0.0)
     return DivergenceEstimate(float(g.mean()),
                               float(g.std(ddof=1) / math.sqrt(samples)),
@@ -329,11 +321,7 @@ def estimate_renyi(code: SynthesisCode, s: float, samples: int = 4096,
                                       seed, diagnostics={"off_pi_support": True})
         g = (p_vals / pi_vals) ** s
     else:
-        flat = pi.mass.ravel()
-        idx = rng.choice(flat.size, size=(samples, code.n), p=flat)
-        xs, ys = idx // pi.dims[1], idx % pi.dims[1]
-        p_vals = _pointwise_p(code, xs, ys)
-        pi_vals = np.exp(np.log(pi.mass[xs, ys]).sum(axis=1))
+        p_vals, pi_vals = _pi_n_draws(code, samples, rng)
         if s == -1.0:
             g = (p_vals > 0).astype(float)
         else:
@@ -446,13 +434,24 @@ def oneshot_bound_verify(p_w: FinitePmf, cond: np.ndarray, pi_x: FinitePmf,
 # truncation domination and the rate bound
 # ---------------------------------------------------------------------------
 
-def _typical_w_list(base: MarkovCoupling, n: int, eps_prime: float) -> np.ndarray:
-    seqs_w = _all_seqs(base.nw, n)
+def _typical_w_terms(base: MarkovCoupling, n: int, eps: float,
+                     eps_prime: float, seqs_x: np.ndarray, seqs_y: np.ndarray):
+    """Yield (P_W(w), P(. | w) on seqs_x, P(. | w) on seqs_y, Z_X(w), Z_Y(w))
+    for every eps'-typical w^n, where P_W is Q_W^n truncated to the
+    eps'-typical set and the conditionals are truncated to the eps-shells."""
     spec = typ.TypicalSpec(base.q_w, n, eps_prime)
     lo, hi = spec.count_windows()
+    seqs_w = _all_seqs(base.nw, n)
     counts = np.stack([(seqs_w == w).sum(axis=1) for w in range(base.nw)], axis=1)
-    ok = np.all((counts >= lo) & (counts <= hi), axis=1)
-    return seqs_w[ok]
+    w_list = seqs_w[np.all((counts >= lo) & (counts <= hi), axis=1)]
+    if w_list.shape[0] == 0:
+        raise DomainError("empty eps'-typical W set at this n")
+    z_w = typ.typical_prob_exact(spec)
+    law_x, law_y = _CondLaw(base, eps, "X"), _CondLaw(base, eps, "Y")
+    for w in w_list:
+        pw = math.exp(sum(math.log(base.q_w.mass[sym]) for sym in w)) / z_w
+        yield (pw, law_x.density(w, seqs_x), law_y.density(w, seqs_y),
+               law_x.normalizer(w), law_y.normalizer(w))
 
 
 @dataclass(frozen=True)
@@ -476,23 +475,15 @@ def truncation_check(base: MarkovCoupling, n: int, eps: float,
     if not 0.0 < s <= 1.0:
         raise ConfigError("s must lie in (0, 1]")
     _check_exact_budget(base, n, 1)
-    w_list = _typical_w_list(base, n, eps_prime)
-    if w_list.shape[0] == 0:
-        raise DomainError("empty eps'-typical W set at this n")
-    z_w = typ.typical_prob_exact(typ.TypicalSpec(base.q_w, n, eps_prime))
     seqs_x = _all_seqs(base.nx, n)
     seqs_y = _all_seqs(base.ny, n)
     mass = np.zeros((seqs_x.shape[0], seqs_y.shape[0]))
     z_x_min, z_y_min = 1.0, 1.0
-    for w in w_list:
-        pw = math.exp(sum(math.log(base.q_w.mass[sym]) for sym in w)) / z_w
-        px = _truncated_cond_law(base, w, seqs_x, eps, "X")
-        py = _truncated_cond_law(base, w, seqs_y, eps, "Y")
-        z_x_min = min(z_x_min, 1.0 - typ.cond_typical_defect_exact(
-            base.q_w, base.q_x_given_w, w, eps))
-        z_y_min = min(z_y_min, 1.0 - typ.cond_typical_defect_exact(
-            base.q_w, base.q_y_given_w, w, eps))
+    for pw, px, py, z_x, z_y in _typical_w_terms(base, n, eps, eps_prime,
+                                                 seqs_x, seqs_y):
+        z_x_min, z_y_min = min(z_x_min, z_x), min(z_y_min, z_y)
         mass += pw * np.outer(px, py)
+    z_w = typ.typical_prob_exact(typ.TypicalSpec(base.q_w, n, eps_prime))
     delta = 1.0 - z_w * z_x_min * z_y_min
     pin = _pi_n_matrix(base.xy_marginal(), seqs_x, seqs_y)
     cap = pin / (1.0 - delta)
@@ -529,10 +520,6 @@ def rate_bound_check(base: MarkovCoupling, n: int, eps: float,
     if not 0.0 < s <= 1.0:
         raise ConfigError("s must lie in (0, 1]")
     _check_exact_budget(base, n, 1)
-    w_list = _typical_w_list(base, n, eps_prime)
-    if w_list.shape[0] == 0:
-        raise DomainError("empty eps'-typical W set at this n")
-    z_w = typ.typical_prob_exact(typ.TypicalSpec(base.q_w, n, eps_prime))
     seqs_x = _all_seqs(base.nx, n)
     seqs_y = _all_seqs(base.ny, n)
     pin = _pi_n_matrix(base.xy_marginal(), seqs_x, seqs_y)
@@ -540,16 +527,11 @@ def rate_bound_check(base: MarkovCoupling, n: int, eps: float,
         pin_neg_s = np.where(pin > 0, pin ** (-s), 0.0)
     total = 0.0
     delta_1, delta_2 = 0.0, 0.0
-    for w in w_list:
-        pw = math.exp(sum(math.log(base.q_w.mass[sym]) for sym in w)) / z_w
-        px = _truncated_cond_law(base, w, seqs_x, eps, "X")
-        py = _truncated_cond_law(base, w, seqs_y, eps, "Y")
+    for pw, px, py, z_x, z_y in _typical_w_terms(base, n, eps, eps_prime,
+                                                 seqs_x, seqs_y):
         if np.any((px[:, None] * py[None, :] > 0) & (pin == 0)):
             raise DomainError("induced mass outside supp(pi^n)")
-        delta_1 = max(delta_1, typ.cond_typical_defect_exact(
-            base.q_w, base.q_x_given_w, w, eps))
-        delta_2 = max(delta_2, typ.cond_typical_defect_exact(
-            base.q_w, base.q_y_given_w, w, eps))
+        delta_1, delta_2 = max(delta_1, 1.0 - z_x), max(delta_2, 1.0 - z_y)
         total += pw * float(px ** (1.0 + s) @ pin_neg_s @ py ** (1.0 + s))
     lhs = math.log(total) / (n * s)
     q_wxy = induced_joint(base)

@@ -5,6 +5,7 @@ import math
 import pytest
 
 from commoninfo import exponents
+from commoninfo.ci_solver import wyner_ci
 from commoninfo.errors import ConfigError
 from commoninfo.experiments import (RateSpec, parse_plan, render_summary,
                                     run_plan, to_csv, to_json)
@@ -37,6 +38,8 @@ def test_rate_spec():
     assert RateSpec("0.5C").needs_ci
     assert RateSpec("0.5C").resolve(0.6) == pytest.approx(0.3)
     assert RateSpec("1.2c").resolve(0.5) == pytest.approx(0.6)
+    with pytest.raises(ConfigError, match="nonnegative"):
+        RateSpec("-0.1").resolve(0.0)
 
 
 def test_parse_plan_structure():
@@ -171,9 +174,38 @@ def test_f_rate_runs_once_per_source_and_rate(monkeypatch, coarse_omega_grid):
     assert to_csv(threaded) == to_csv(serial)
 
 
-def test_failing_exponent_cell_fails_soft(coarse_omega_grid):
+def test_failing_exponent_cell_fails_soft(monkeypatch):
+    # a negative rate is rejected before any Omega grid is built
+    def no_grid(pi, **kw):
+        raise AssertionError("an Omega grid was built")
+
+    monkeypatch.setattr(exponents, "tabulate_omega", no_grid)
     text = ("[plan]\nname = x\n[exponent]\nsources = product\n"
             "rates = -0.1\n")
     result = run_plan(parse_plan(text))
     assert result.n_errors == 1
     assert "rate must be nonnegative" in result.rows[0]["error"]
+
+
+def test_label_shared_by_source_and_coupling_keeps_them_apart():
+    # a source and a coupling may share a label; the coupling's 0.5C must be
+    # resolved against its own (product, zero) CI, not the source's (ln 2)
+    text = ("[plan]\nname = x\n[source.foo]\nfixture = copy\n"
+            "[coupling.foo]\nfixture = product\n[ci]\nsources = foo\n"
+            "restarts = 2\n[simulate]\ncouplings = foo\nrates = 0.5C\n"
+            "n = 3\nmeasure = renyi\neps = none\neps_prime = none\n")
+    result = run_plan(parse_plan(text))
+    assert result.n_errors == 0
+    ci_row, sim_row = result.rows
+    assert ci_row["value"] == pytest.approx(math.log(2.0), abs=1e-6)
+    assert abs(sim_row["r_abs"]) < 1e-6
+
+
+def test_ci_cells_keep_their_own_restarts():
+    text = ("[plan]\nname = x\nseed = 4\n[ci.few]\nsources = dsbs01\n"
+            "restarts = 1\n[ci.many]\nsources = dsbs01\nrestarts = 16\n")
+    plan = parse_plan(text)
+    few, many = run_plan(plan).rows
+    pi = plan.sources["dsbs01"]
+    assert few["value"] == wyner_ci(pi, restarts=1, seed=plan.seed).value
+    assert many["value"] == wyner_ci(pi, restarts=16, seed=plan.seed).value

@@ -242,3 +242,94 @@ def test_rate_bound_check_holds():
     assert rep.holds
     assert rep.slack > 0
     assert 0.0 <= rep.delta_1 < 1.0 and 0.0 <= rep.delta_2 < 1.0
+
+
+# ---------------------------------------------------------------------------
+# the truncated conditional law against brute force
+# ---------------------------------------------------------------------------
+
+def seeded_coupling_2x3():
+    """A seeded coupling with binary W, binary X and ternary Y.  At n = 6 and
+    eps = 0.6 its X-shells hold 8 or 9 sequences, and its Y-shells 36 or
+    none, depending on the type of w^n."""
+    rng = np.random.default_rng(2)
+    return MarkovCoupling(FinitePmf(rng.dirichlet([4.0, 4.0])),
+                          rng.dirichlet(np.full(2, 4.0), size=2),
+                          rng.dirichlet(np.full(3, 4.0), size=2))
+
+
+def brute_force_cond_law(base, cond, w, seqs, eps):
+    p = np.array([np.prod(cond[w, s]) for s in seqs])
+    inside = np.array([typ.is_cond_typical(s, w, base.q_w, cond, eps)
+                       for s in seqs])
+    return np.where(inside, p, 0.0), float(p[inside].sum())
+
+
+def typical_ws(base, n, eps_prime):
+    spec = typ.TypicalSpec(base.q_w, n, eps_prime)
+    return [np.array(w) for w in np.ndindex(*(base.nw,) * n)
+            if typ.is_typical(w, spec)]
+
+
+def test_cond_law_matches_brute_force():
+    base, n, eps = seeded_coupling_2x3(), 6, 0.6
+    sizes = set()
+    for axis, cond in (("X", base.q_x_given_w), ("Y", base.q_y_given_w)):
+        law = synthesis._CondLaw(base, eps, axis)
+        seqs = synthesis._all_seqs(cond.shape[1], n)
+        for w in typical_ws(base, n, 0.5):
+            ref, z = brute_force_cond_law(base, cond, w, seqs, eps)
+            sizes.add(int(np.count_nonzero(ref)))
+            assert law.normalizer(w) == pytest.approx(z, abs=1e-12)
+            if z == 0.0:
+                with pytest.raises(DomainError):
+                    law.density(w, seqs)
+                continue
+            assert np.allclose(law.density(w, seqs), ref / z,
+                               rtol=0.0, atol=1e-12)
+        untruncated = synthesis._CondLaw(base, None, axis)
+        w = typical_ws(base, n, 0.5)[0]
+        assert untruncated.normalizer(w) == 1.0
+        assert np.allclose(untruncated.density(w, seqs),
+                           [np.prod(cond[w, s]) for s in seqs],
+                           rtol=0.0, atol=1e-15)
+    assert {0, 8, 9, 36} <= sizes            # empty and nontrivial shells
+
+
+def test_pointwise_p_matches_induced_joint():
+    base, n, eps = seeded_coupling_2x3(), 6, 0.6
+    seqs_y = synthesis._all_seqs(base.ny, n)
+    book = [w for w in typical_ws(base, n, 0.5)
+            if brute_force_cond_law(base, base.q_y_given_w, w, seqs_y,
+                                    eps)[1] > 0][::4][:3]
+    code = SynthesisCode(n=n, rate=math.log(3) / n, m_count=3,
+                         codebook=np.stack(book), base=base, eps=eps,
+                         eps_prime=0.5, seed=0)
+    ex = induced_joint_exact(code)
+    assert ex.mass.sum() == pytest.approx(1.0, abs=1e-12)
+    rng = np.random.default_rng(0)
+    flat = ex.mass.ravel()
+    cells = np.concatenate([rng.choice(flat.size, 25, p=flat),
+                            rng.choice(flat.size, 25)])
+    ix, iy = np.divmod(cells, ex.mass.shape[1])
+    got = synthesis._pointwise_p(code, ex.seqs_x[ix], ex.seqs_y[iy])
+    assert np.count_nonzero(got) >= 25
+    assert np.allclose(got, ex.mass[ix, iy], rtol=0.0, atol=1e-12)
+
+
+def test_truncation_check_needs_one_normalizer_per_w_type(monkeypatch):
+    calls = []
+    defect = typ.cond_typical_defect_exact
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return defect(*args, **kwargs)
+
+    monkeypatch.setattr(typ, "cond_typical_defect_exact", counted)
+    base = fixtures.dsbs_optimal_coupling(0.1)
+    truncation_check(base, n=8, eps=1.0, eps_prime=0.5, s=1.0)
+    lo, hi = typ.TypicalSpec(base.q_w, 8, 0.5).count_windows()
+    n_types = sum(1 for k in range(9) if lo[0] <= k <= hi[0]
+                  and lo[1] <= 8 - k <= hi[1])
+    assert n_types == 5
+    assert len(calls) <= 2 * n_types
