@@ -9,10 +9,19 @@ chain, and the single-letter rate bound.
 
 All sampling is rejection sampling with exact membership tests.  Exact and
 Monte-Carlo paths evaluate the truncated conditional law through one object,
-``_CondLaw``, built afresh for each call; its normalizers (the shell masses)
-come exactly from the typicality module's type enumeration, once per type of
-the conditioning W-sequence.  Randomness uses counter-based Philox streams
-keyed by (seed, stream label) so results do not depend on scheduling.
+``_CondLaw``, built afresh for each call: it takes a whole block of codewords
+at once and reads both the product law and the shell test off the joint
+count matrices N_ab(w^n, x^n); its normalizers (the shell masses) come
+exactly from the typicality module's type enumeration, once per type of the
+conditioning W-sequence.  The dense induced joint is capped by
+``MAX_JOINT_CELLS``; the Monte-Carlo estimators work in sample chunks of at
+most about ``_CHUNK_CELLS`` (codeword, sample) cells.
+
+The truncation and rate-bound checks are exchangeable in (w^n, x^n, y^n), so
+they sum over the (w, x, y) joint types admitted by the windows, each
+weighted by its multinomial count; the number of joint types is capped by
+``typicality.MAX_TYPES``.  Randomness uses counter-based Philox streams keyed
+by (seed, stream label) so results do not depend on scheduling.
 """
 
 from __future__ import annotations
@@ -22,6 +31,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.special import gammaln, logsumexp
 
 from .errors import ConfigError, DomainError, ResourceBudgetError, SamplingError
 from .probability import FinitePmf, JointPmf, MarkovCoupling, induced_joint, marginal
@@ -141,19 +151,33 @@ def _all_seqs(k: int, n: int) -> np.ndarray:
     return np.array(list(itertools.product(range(k), repeat=n)), dtype=int)
 
 
+def _masked_log(p) -> np.ndarray:
+    """log p with log 0 read as 0.  Callers multiply it only by counts that
+    the typicality windows (or an explicit zero test) keep at 0 wherever
+    p = 0, so no 0 * (-inf) is ever formed."""
+    p = np.asarray(p, dtype=float)
+    return np.log(np.where(p > 0, p, 1.0))
+
+
 class _CondLaw:
     """Q_{X|W}^n(. | w^n) (axis "X") or Q_{Y|W}^n(. | w^n) (axis "Y"),
     truncated to the conditional eps-typical shell of w^n and renormalised;
-    ``eps=None`` leaves it untruncated.  The shell mass depends on w^n only
-    through its type, so it is computed exactly once per type and kept on the
-    object, which lives for one call."""
+    ``eps=None`` leaves it untruncated.
+
+    The law is evaluated for a whole block of codewords at once from the
+    joint counts N_ab(w^n, x^n), which give both log prod_i Q(x_i|w_i) and
+    the shell test.  The shell mass depends on w^n only through its type, so
+    it is computed exactly once per type; it and the count windows are kept
+    on the object, which lives for one call."""
 
     def __init__(self, base: MarkovCoupling, eps: float | None, axis: str):
         self.cond = _axis_cond(base, axis)
+        self.log_cond = _masked_log(self.cond)
         self.q_w = base.q_w
         self.eps = eps
         self.axis = axis
         self._z = {}
+        self._windows = {}
 
     def normalizer(self, w_seq: np.ndarray) -> float:
         """The shell mass Z(w^n); 1 when untruncated."""
@@ -165,25 +189,61 @@ class _CondLaw:
                 self.q_w, self.cond, w_seq, self.eps)
         return self._z[w_type]
 
-    def density(self, w_seq: np.ndarray, seqs: np.ndarray) -> np.ndarray:
-        """The law at every row of ``seqs``; raises if the shell is empty."""
-        p = np.prod(self.cond[w_seq[None, :], seqs], axis=1)
+    def _count_windows(self, n: int):
+        """Per-(w, x) count bounds [lo, hi]: the shell's windows, or when
+        untruncated only hi = 0 at structural zeros."""
+        if n not in self._windows:
+            if self.eps is None:
+                self._windows[n] = (np.zeros(self.cond.shape, dtype=int),
+                                    np.where(self.cond > 0, n, 0))
+            else:
+                self._windows[n] = typ.cond_count_windows(
+                    self.q_w, self.cond, n, self.eps)
+        return self._windows[n]
+
+    def _normalizers(self, ws: np.ndarray) -> np.ndarray:
+        """Z(w^n) of every row of ``ws``, one exact sum per W-type; raises if
+        some shell is empty."""
         if self.eps is None:
-            return p
-        z = self.normalizer(w_seq)
-        if z <= 0.0:
+            return np.ones(ws.shape[0])
+        nw = self.cond.shape[0]
+        counts = np.stack([(ws == a).sum(axis=1) for a in range(nw)], axis=1)
+        keys = counts @ (ws.shape[1] + 1) ** np.arange(nw)
+        _, first, inv = np.unique(keys, return_index=True, return_inverse=True)
+        z = np.array([self.normalizer(ws[j]) for j in first])[inv]
+        empty = np.flatnonzero(z <= 0.0)
+        if empty.size:
             raise DomainError(
                 f"empty conditional typical shell for {self.axis} given "
-                f"codeword {w_seq.tolist()} (structural zero at this n)")
-        lo, hi = typ.cond_count_windows(self.q_w, self.cond, w_seq.size,
-                                        self.eps)
-        ok = np.ones(seqs.shape[0], dtype=bool)
-        for w in range(self.cond.shape[0]):
-            pos = w_seq == w
-            for x in range(self.cond.shape[1]):
-                c = (seqs[:, pos] == x).sum(axis=1)
-                ok &= (c >= lo[w, x]) & (c <= hi[w, x])
-        return np.where(ok, p, 0.0) / z
+                f"codeword {ws[empty[0]].tolist()} (structural zero at this n)")
+        return z
+
+    def density(self, w_seqs: np.ndarray, seqs: np.ndarray) -> np.ndarray:
+        """The law at every row of ``seqs`` given every codeword of
+        ``w_seqs`` (one sequence or an (m, n) block), as an (m, S) matrix;
+        raises if the shell of some codeword is empty."""
+        ws = np.atleast_2d(w_seqs)
+        n = ws.shape[1]
+        nw, nx = self.cond.shape
+        z = self._normalizers(ws)
+        w_hot = [(ws == a).astype(float) for a in range(nw)]
+        # log prod_i Q(x_i | w_i): one product over (symbol a, position i)
+        log_p = np.hstack(w_hot) @ self.log_cond[:, seqs.T].reshape(nw * n, -1)
+        ok = np.ones(log_p.shape, dtype=bool)
+        lo, hi = self._count_windows(n)
+        for a in range(nw):
+            for b in range(nx):
+                if lo[a, b] <= 0 and hi[a, b] >= n:
+                    continue                     # every count N_ab passes
+                c = w_hot[a] @ (seqs == b).T     # N_ab for every pair
+                if lo[a, b] > 0:
+                    ok &= c >= lo[a, b]
+                if hi[a, b] < n:
+                    ok &= c <= hi[a, b]
+        p = np.exp(log_p, out=log_p)
+        p *= ok
+        p /= z[:, None]
+        return p
 
 
 def _pi_n_matrix(pi: JointPmf, seqs_x: np.ndarray, seqs_y: np.ndarray) -> np.ndarray:
@@ -224,20 +284,29 @@ def induced_joint_exact(code: SynthesisCode) -> InducedJointExact:
     seqs_y = _all_seqs(base.ny, n)
     law_x = _CondLaw(base, code.eps, "X")
     law_y = _CondLaw(base, code.eps, "Y")
-    px = np.stack([law_x.density(w, seqs_x) for w in code.codebook])
-    py = np.stack([law_y.density(w, seqs_y) for w in code.codebook])
+    px = law_x.density(code.codebook, seqs_x)
+    py = law_y.density(code.codebook, seqs_y)
     mass = px.T @ py / code.m_count
     return InducedJointExact(n=n, mass=mass, seqs_x=seqs_x, seqs_y=seqs_y,
                              cond_x=px, cond_y=py)
 
 
+#: cells of one (codewords x samples) block of conditional-law values
+_CHUNK_CELLS = 2 ** 20
+
+
 def _pointwise_p(code: SynthesisCode, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Induced P at sampled pairs (rows of x, y), in O(m * n) per point."""
+    """Induced P at sampled pairs (rows of x, y): both conditional laws as
+    (codeword x sample) matrices, in sample chunks of at most about
+    ``_CHUNK_CELLS`` cells so memory stays flat in m and the sample count."""
     law_x = _CondLaw(code.base, code.eps, "X")
     law_y = _CondLaw(code.base, code.eps, "Y")
-    vals = np.zeros(x.shape[0])
-    for w in code.codebook:
-        vals += law_x.density(w, x) * law_y.density(w, y)
+    step = max(1, _CHUNK_CELLS // code.m_count)
+    vals = np.empty(x.shape[0])
+    for i in range(0, x.shape[0], step):
+        p = law_x.density(code.codebook, x[i:i + step])
+        p *= law_y.density(code.codebook, y[i:i + step])
+        vals[i:i + step] = p.sum(axis=0)
     return vals / code.m_count
 
 
@@ -434,24 +503,100 @@ def oneshot_bound_verify(p_w: FinitePmf, cond: np.ndarray, pi_x: FinitePmf,
 # truncation domination and the rate bound
 # ---------------------------------------------------------------------------
 
-def _typical_w_terms(base: MarkovCoupling, n: int, eps: float,
-                     eps_prime: float, seqs_x: np.ndarray, seqs_y: np.ndarray):
-    """Yield (P_W(w), P(. | w) on seqs_x, P(. | w) on seqs_y, Z_X(w), Z_Y(w))
-    for every eps'-typical w^n, where P_W is Q_W^n truncated to the
-    eps'-typical set and the conditionals are truncated to the eps-shells."""
+def _compositions(total: int, parts: int) -> np.ndarray:
+    """Every vector of ``parts`` nonnegative integers summing to ``total``,
+    one per row (stars and bars)."""
+    bars = np.array(list(itertools.combinations(range(total + parts - 1),
+                                                parts - 1)), dtype=int)
+    bars = bars.reshape(math.comb(total + parts - 1, parts - 1), parts - 1)
+    ends = np.full((bars.shape[0], 1), total + parts - 1)
+    return np.diff(np.hstack([-np.ones_like(ends), bars, ends]), axis=1) - 1
+
+
+@dataclass(frozen=True)
+class _JointTypes:
+    """The (w, x, y) joint types J of length n that carry mass before
+    codebook sampling: W-counts in the eps'-window, (w, x) and (w, y) counts
+    in the conditional eps-windows.  Every log weight is that of one sequence
+    triple of its type; ``log_mult`` counts the triples."""
+
+    counts: np.ndarray                   # (T, |W|, |X|, |Y|)
+    log_mult: np.ndarray                 # log multinom(n; J)
+    log_p_w: np.ndarray                  # log P_W(w^n), truncated Q_W^n
+    log_p_x: np.ndarray                  # log P(x^n | w^n), truncated
+    log_p_y: np.ndarray                  # log P(y^n | w^n), truncated
+    z_w: float                           # Q_W^n of the eps'-typical set
+    z_x: np.ndarray                      # X-shell mass, one per W-type
+    z_y: np.ndarray                      # Y-shell mass, one per W-type
+
+    @property
+    def xy_counts(self) -> np.ndarray:
+        """The (x, y)-type of every joint type, as flat counts."""
+        return self.counts.sum(axis=1).reshape(self.counts.shape[0], -1)
+
+
+def _joint_types(base: MarkovCoupling, n: int, eps: float,
+                 eps_prime: float) -> _JointTypes:
+    """Enumerate the joint types W-type by W-type: for each eps'-typical
+    W-type k, the |X| x |Y| count tables of every W-symbol a that sum to
+    k_a and keep their margins in the conditional windows, crossed over a."""
     spec = typ.TypicalSpec(base.q_w, n, eps_prime)
+    nw, nx, ny = base.nw, base.nx, base.ny
+    n_types = math.comb(n + nw * nx * ny - 1, nw * nx * ny - 1)
+    if n_types > typ.MAX_TYPES:
+        raise ResourceBudgetError(
+            f"{n_types} (w, x, y) joint types at n = {n} exceed cap "
+            f"{typ.MAX_TYPES}")
     lo, hi = spec.count_windows()
-    seqs_w = _all_seqs(base.nw, n)
-    counts = np.stack([(seqs_w == w).sum(axis=1) for w in range(base.nw)], axis=1)
-    w_list = seqs_w[np.all((counts >= lo) & (counts <= hi), axis=1)]
-    if w_list.shape[0] == 0:
+    w_types = _compositions(n, nw)
+    w_types = w_types[np.all((w_types >= lo) & (w_types <= hi), axis=1)]
+    if w_types.shape[0] == 0:
         raise DomainError("empty eps'-typical W set at this n")
     z_w = typ.typical_prob_exact(spec)
-    law_x, law_y = _CondLaw(base, eps, "X"), _CondLaw(base, eps, "Y")
-    for w in w_list:
-        pw = math.exp(sum(math.log(base.q_w.mass[sym]) for sym in w)) / z_w
-        yield (pw, law_x.density(w, seqs_x), law_y.density(w, seqs_y),
-               law_x.normalizer(w), law_y.normalizer(w))
+    conds = (base.q_x_given_w, base.q_y_given_w)
+    windows = [typ.cond_count_windows(base.q_w, c, n, eps) for c in conds]
+    blocks, z = [], []
+    for k in w_types:
+        w_seq = np.repeat(np.arange(nw), k)
+        z.append([1.0 - typ.cond_typical_defect_exact(base.q_w, c, w_seq, eps)
+                  for c in conds])
+        for axis, z_axis in zip("XY", z[-1]):
+            if z_axis <= 0.0:
+                raise DomainError(
+                    f"empty conditional typical shell for {axis} given "
+                    f"W-type {k.tolist()} (structural zero at this n)")
+        tables = []
+        for a in range(nw):
+            cand = _compositions(int(k[a]), nx * ny).reshape(-1, nx, ny)
+            keep = np.ones(cand.shape[0], dtype=bool)
+            for margin, (c_lo, c_hi) in zip((cand.sum(axis=2),
+                                             cand.sum(axis=1)), windows):
+                keep &= np.all((margin >= c_lo[a]) & (margin <= c_hi[a]),
+                               axis=1)
+            tables.append(cand[keep])
+        pick = np.indices([t.shape[0] for t in tables]).reshape(nw, -1)
+        blocks.append(np.stack([t[i] for t, i in zip(tables, pick)], axis=1))
+    counts = np.concatenate(blocks)
+    owner = np.repeat(np.arange(len(blocks)), [b.shape[0] for b in blocks])
+    z_x, z_y = np.array(z).T
+    flat = counts.reshape(counts.shape[0], -1)
+    return _JointTypes(
+        counts=counts,
+        log_mult=gammaln(n + 1) - gammaln(flat + 1).sum(axis=1),
+        log_p_w=counts.sum(axis=(2, 3)) @ _masked_log(base.q_w.mass)
+        - math.log(z_w),
+        log_p_x=counts.sum(axis=3).reshape(flat.shape[0], -1)
+        @ _masked_log(base.q_x_given_w).ravel() - np.log(z_x)[owner],
+        log_p_y=counts.sum(axis=2).reshape(flat.shape[0], -1)
+        @ _masked_log(base.q_y_given_w).ravel() - np.log(z_y)[owner],
+        z_w=z_w, z_x=z_x, z_y=z_y)
+
+
+def _log_pi_n(xy_counts: np.ndarray, pi: JointPmf) -> np.ndarray:
+    """log pi^n of one sequence pair of each (x, y)-type (rows of flat
+    counts); -inf where the type uses a cell outside supp(pi)."""
+    off = np.any(xy_counts[:, pi.mass.ravel() == 0] > 0, axis=1)
+    return np.where(off, -np.inf, xy_counts @ _masked_log(pi.mass).ravel())
 
 
 @dataclass(frozen=True)
@@ -469,28 +614,31 @@ def truncation_check(base: MarkovCoupling, n: int, eps: float,
                      eps_prime: float, s: float) -> TruncationReport:
     """The W-marginalized construction before codebook sampling satisfies
     P(x^n, y^n) <= pi^n(x^n, y^n) / (1 - delta_n) pointwise, where delta_n is
-    one minus (Z_W * min_w Z_X(w) * min_w Z_Y(w)), all normalizers exact."""
+    one minus (Z_W * min_w Z_X(w) * min_w Z_Y(w)), all normalizers exact.
+
+    P is exchangeable, so it is constant on each (x, y)-type t: P(t) sums the
+    joint types J over t, each weighted by the multinom(n; J) / multinom(n; t)
+    W-sequences that complete one pair of type t."""
     if not 0.0 < eps_prime < eps <= 1.0:
         raise ConfigError("need 0 < eps_prime < eps <= 1")
     if not 0.0 < s <= 1.0:
         raise ConfigError("s must lie in (0, 1]")
-    _check_exact_budget(base, n, 1)
-    seqs_x = _all_seqs(base.nx, n)
-    seqs_y = _all_seqs(base.ny, n)
-    mass = np.zeros((seqs_x.shape[0], seqs_y.shape[0]))
-    z_x_min, z_y_min = 1.0, 1.0
-    for pw, px, py, z_x, z_y in _typical_w_terms(base, n, eps, eps_prime,
-                                                 seqs_x, seqs_y):
-        z_x_min, z_y_min = min(z_x_min, z_x), min(z_y_min, z_y)
-        mass += pw * np.outer(px, py)
-    z_w = typ.typical_prob_exact(typ.TypicalSpec(base.q_w, n, eps_prime))
-    delta = 1.0 - z_w * z_x_min * z_y_min
-    pin = _pi_n_matrix(base.xy_marginal(), seqs_x, seqs_y)
-    cap = pin / (1.0 - delta)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratios = np.where(mass > 0, mass / np.where(cap > 0, cap, np.inf), 0.0)
-    max_ratio = float(ratios.max())
-    div = renyi(mass.ravel(), pin.ravel(), s)
+    types = _joint_types(base, n, eps, eps_prime)
+    cells, group = np.unique(types.xy_counts, axis=0, return_inverse=True)
+    group = group.ravel()
+    log_w = types.log_mult + types.log_p_w + types.log_p_x + types.log_p_y
+    top = np.full(cells.shape[0], -np.inf)
+    np.maximum.at(top, group, log_w)
+    log_type_mass = top + np.log(np.bincount(
+        group, weights=np.exp(log_w - top[group]), minlength=cells.shape[0]))
+    log_pi_t = _log_pi_n(cells, base.xy_marginal())
+    log_cells = gammaln(n + 1) - gammaln(cells + 1).sum(axis=1)
+    delta = 1.0 - types.z_w * float(types.z_x.min() * types.z_y.min())
+    ratios = np.where(log_pi_t > -np.inf,
+                      np.exp(log_type_mass - log_cells - log_pi_t), 0.0)
+    max_ratio = float(ratios.max()) * (1.0 - delta)
+    # D_{1+s} is unchanged when each type is lumped into one cell
+    div = renyi(np.exp(log_type_mass), np.exp(log_cells + log_pi_t), s)
     div_cap = (1.0 + s) / s * math.log(1.0 / (1.0 - delta))
     return TruncationReport(n=n, delta_n=delta, max_ratio=max_ratio,
                             divergence=float(div), divergence_cap=float(div_cap),
@@ -519,21 +667,16 @@ def rate_bound_check(base: MarkovCoupling, n: int, eps: float,
     eps'-typical conditioning set."""
     if not 0.0 < s <= 1.0:
         raise ConfigError("s must lie in (0, 1]")
-    _check_exact_budget(base, n, 1)
-    seqs_x = _all_seqs(base.nx, n)
-    seqs_y = _all_seqs(base.ny, n)
-    pin = _pi_n_matrix(base.xy_marginal(), seqs_x, seqs_y)
-    with np.errstate(divide="ignore"):
-        pin_neg_s = np.where(pin > 0, pin ** (-s), 0.0)
-    total = 0.0
-    delta_1, delta_2 = 0.0, 0.0
-    for pw, px, py, z_x, z_y in _typical_w_terms(base, n, eps, eps_prime,
-                                                 seqs_x, seqs_y):
-        if np.any((px[:, None] * py[None, :] > 0) & (pin == 0)):
-            raise DomainError("induced mass outside supp(pi^n)")
-        delta_1, delta_2 = max(delta_1, 1.0 - z_x), max(delta_2, 1.0 - z_y)
-        total += pw * float(px ** (1.0 + s) @ pin_neg_s @ py ** (1.0 + s))
-    lhs = math.log(total) / (n * s)
+    types = _joint_types(base, n, eps, eps_prime)
+    log_pi = _log_pi_n(types.xy_counts, base.xy_marginal())
+    if np.any(log_pi == -np.inf):
+        raise DomainError("induced mass outside supp(pi^n)")
+    log_total = logsumexp(types.log_mult + types.log_p_w
+                          + (1.0 + s) * (types.log_p_x + types.log_p_y)
+                          - s * log_pi)
+    lhs = float(log_total) / (n * s)
+    delta_1 = 1.0 - float(types.z_x.min())
+    delta_2 = 1.0 - float(types.z_y.min())
     q_wxy = induced_joint(base)
     i_q = _coupling_mi(base)
     h_q = marginal(q_wxy, (1, 2)).entropy()

@@ -209,3 +209,22 @@ def test_ci_cells_keep_their_own_restarts():
     pi = plan.sources["dsbs01"]
     assert few["value"] == wyner_ci(pi, restarts=1, seed=plan.seed).value
     assert many["value"] == wyner_ci(pi, restarts=16, seed=plan.seed).value
+
+
+def test_exponent_restarts_reach_the_omega_grid(monkeypatch):
+    seen = []
+    tabulate = exponents.tabulate_omega
+
+    def recorded(pi, restarts, **kw):
+        seen.append(restarts)
+        return tabulate(pi, restarts=restarts, **kw, n_alpha=3, n_theta=5)
+
+    monkeypatch.setattr(exponents, "tabulate_omega", recorded)
+    text = ("[plan]\nname = x\n[exponent.three]\nsources = product\n"
+            "rates = 0.1\nrestarts = 3\n[exponent.default]\n"
+            "sources = product\nrates = 0.1\n")
+    plan = parse_plan(text)
+    assert [c["restarts"] for c in plan.exponent_cells] == [3, 2]
+    result = run_plan(plan)
+    assert result.n_errors == 0
+    assert seen == [3, 2]                 # one grid per restart count

@@ -2,12 +2,13 @@
 brute-force oracles, estimator agreement, and the finite-n bound checks."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from commoninfo import fixtures, synthesis
-from commoninfo.errors import ConfigError, DomainError
+from commoninfo.errors import ConfigError, DomainError, ResourceBudgetError
 from commoninfo.probability import FinitePmf, MarkovCoupling, log_product_mass
 from commoninfo.synthesis import (SynthesisCode, build_code,
                                   estimate_renyi, estimate_tv, gamma_oneshot,
@@ -259,9 +260,16 @@ def seeded_coupling_2x3():
 
 
 def brute_force_cond_law(base, cond, w, seqs, eps):
-    p = np.array([np.prod(cond[w, s]) for s in seqs])
-    inside = np.array([typ.is_cond_typical(s, w, base.q_w, cond, eps)
-                       for s in seqs])
+    """The product law of every row of ``seqs`` given w, zeroed outside the
+    conditional eps-shell (each row's joint type with w against the count
+    windows), and the shell mass as its plain sum."""
+    p = np.prod(cond[w, seqs], axis=1)
+    counts = np.array([[(seqs[:, w == a] == b).sum(axis=1)
+                        for b in range(cond.shape[1])]
+                       for a in range(cond.shape[0])])
+    lo, hi = typ.cond_count_windows(base.q_w, cond, len(w), eps)
+    inside = np.all((counts >= lo[..., None]) & (counts <= hi[..., None]),
+                    axis=(0, 1))
     return np.where(inside, p, 0.0), float(p[inside].sum())
 
 
@@ -296,25 +304,31 @@ def test_cond_law_matches_brute_force():
     assert {0, 8, 9, 36} <= sizes            # empty and nontrivial shells
 
 
-def test_pointwise_p_matches_induced_joint():
+def test_pointwise_p_matches_induced_joint(monkeypatch):
     base, n, eps = seeded_coupling_2x3(), 6, 0.6
     seqs_y = synthesis._all_seqs(base.ny, n)
     book = [w for w in typical_ws(base, n, 0.5)
             if brute_force_cond_law(base, base.q_y_given_w, w, seqs_y,
                                     eps)[1] > 0][::4][:3]
-    code = SynthesisCode(n=n, rate=math.log(3) / n, m_count=3,
-                         codebook=np.stack(book), base=base, eps=eps,
-                         eps_prime=0.5, seed=0)
-    ex = induced_joint_exact(code)
-    assert ex.mass.sum() == pytest.approx(1.0, abs=1e-12)
     rng = np.random.default_rng(0)
-    flat = ex.mass.ravel()
-    cells = np.concatenate([rng.choice(flat.size, 25, p=flat),
-                            rng.choice(flat.size, 25)])
-    ix, iy = np.divmod(cells, ex.mass.shape[1])
-    got = synthesis._pointwise_p(code, ex.seqs_x[ix], ex.seqs_y[iy])
-    assert np.count_nonzero(got) >= 25
-    assert np.allclose(got, ex.mass[ix, iy], rtol=0.0, atol=1e-12)
+    # truncated and untruncated codes; a chunk cap below m splits the 50
+    # samples into chunks of 2, so every chunk boundary is crossed
+    for code_eps, chunk_cells in ((eps, None), (None, None), (eps, 7),
+                                  (None, 7)):
+        if chunk_cells is not None:
+            monkeypatch.setattr(synthesis, "_CHUNK_CELLS", chunk_cells)
+        code = SynthesisCode(n=n, rate=math.log(3) / n, m_count=3,
+                             codebook=np.stack(book), base=base, eps=code_eps,
+                             eps_prime=0.5, seed=0)
+        ex = induced_joint_exact(code)
+        assert ex.mass.sum() == pytest.approx(1.0, abs=1e-12)
+        flat = ex.mass.ravel()
+        cells = np.concatenate([rng.choice(flat.size, 25, p=flat),
+                                rng.choice(flat.size, 25)])
+        ix, iy = np.divmod(cells, ex.mass.shape[1])
+        got = synthesis._pointwise_p(code, ex.seqs_x[ix], ex.seqs_y[iy])
+        assert np.count_nonzero(got) >= 25
+        assert np.allclose(got, ex.mass[ix, iy], rtol=0.0, atol=1e-12)
 
 
 def test_truncation_check_needs_one_normalizer_per_w_type(monkeypatch):
@@ -333,3 +347,145 @@ def test_truncation_check_needs_one_normalizer_per_w_type(monkeypatch):
                   and lo[1] <= 8 - k <= hi[1])
     assert n_types == 5
     assert len(calls) <= 2 * n_types
+
+
+# ---------------------------------------------------------------------------
+# the type-table checks against the dense enumeration
+# ---------------------------------------------------------------------------
+
+def seeded_binary_coupling():
+    """A seeded coupling on binary W, X, Y.  At eps = 0.7, eps' = 0.3 its
+    conditional shells hold a third or so of the conditional mass."""
+    rng = np.random.default_rng(5)
+    return MarkovCoupling(FinitePmf(rng.dirichlet([4.0, 4.0])),
+                          rng.dirichlet([4.0, 4.0], size=2),
+                          rng.dirichlet([4.0, 4.0], size=2))
+
+
+def dense_finite_n_checks(base, n, eps, eps_prime, s):
+    """The finite-n checks by dense enumeration: every eps'-typical w^n
+    against |X|^n x |Y|^n matrices, every normalizer a plain sum."""
+    seqs_x = synthesis._all_seqs(base.nx, n)
+    seqs_y = synthesis._all_seqs(base.ny, n)
+    pi = base.xy_marginal().mass
+    pin = np.prod(pi[seqs_x[:, None, :], seqs_y[None, :, :]], axis=2)
+    with np.errstate(divide="ignore"):
+        pin_neg_s = np.where(pin > 0, pin ** -s, 0.0)
+    ws = typical_ws(base, n, eps_prime)
+    q_w = np.array([np.prod(base.q_w.mass[w]) for w in ws])
+    z_w = q_w.sum()
+    mass, total, z_x, z_y = np.zeros_like(pin), 0.0, [], []
+    for w, q in zip(ws, q_w):
+        px, zx = brute_force_cond_law(base, base.q_x_given_w, w, seqs_x, eps)
+        py, zy = brute_force_cond_law(base, base.q_y_given_w, w, seqs_y, eps)
+        if zx == 0.0 or zy == 0.0:
+            raise DomainError("empty conditional typical shell")
+        px, py = px / zx, py / zy
+        mass += q / z_w * np.outer(px, py)
+        total += q / z_w * float(px ** (1 + s) @ pin_neg_s @ py ** (1 + s))
+        z_x.append(zx)
+        z_y.append(zy)
+    delta_n = 1.0 - z_w * min(z_x) * min(z_y)
+    on = mass > 0
+    assert np.all(pin[on] > 0)
+    return {"delta_n": delta_n,
+            "max_ratio": float((mass[on] / pin[on]).max()) * (1 - delta_n),
+            "divergence": max(math.log(float(
+                (mass[on] ** (1 + s) * pin[on] ** -s).sum())) / s, 0.0),
+            "lhs": math.log(total) / (n * s),
+            "delta_1": 1.0 - min(z_x), "delta_2": 1.0 - min(z_y)}
+
+
+def type_table_checks(base, n, eps, eps_prime, s):
+    tr = truncation_check(base, n, eps, eps_prime, s)
+    rb = rate_bound_check(base, n, eps, eps_prime, s)
+    return {"delta_n": tr.delta_n, "max_ratio": tr.max_ratio,
+            "divergence": tr.divergence, "lhs": rb.lhs,
+            "delta_1": rb.delta_1, "delta_2": rb.delta_2}
+
+
+@pytest.mark.parametrize("base, n, eps, eps_prime, s", [
+    (fixtures.dsbs_optimal_coupling(0.1), 6, 1.0, 0.5, 0.5),
+    (fixtures.dsbs_optimal_coupling(0.1), 8, 1.0, 0.5, 0.5),
+    (fixtures.dsbs_optimal_coupling(0.1), 8, 1.0, 0.5, 1.0),
+    (fixtures.copy_coupling_binary(), 8, 1.0, 0.5, 1.0),
+    (seeded_binary_coupling(), 6, 0.7, 0.3, 1.0),
+    (seeded_binary_coupling(), 8, 0.7, 0.3, 0.5),
+    (seeded_coupling_2x3(), 6, 1.0, 0.5, 1.0),
+    (trivial_coupling(), 6, 1.0, 0.5, 1.0),
+], ids=["dsbs01-n6-s0.5", "dsbs01-n8-s0.5", "dsbs01-n8-s1", "copy-n8",
+        "random-n6", "random-n8", "2x3-n6", "single-w-n6"])
+def test_type_table_checks_match_dense_enumeration(base, n, eps, eps_prime,
+                                                   s):
+    dense = dense_finite_n_checks(base, n, eps, eps_prime, s)
+    got = type_table_checks(base, n, eps, eps_prime, s)
+    for key, ref in dense.items():
+        assert got[key] == pytest.approx(ref, rel=1e-12, abs=0.0), key
+    if base.nx == 2 and eps < 1.0:
+        assert 0.0 < dense["delta_1"] < 1.0      # shells are not trivial
+
+
+def test_type_table_checks_raise_on_empty_shells():
+    base, n, eps = seeded_coupling_2x3(), 6, 0.6
+    with pytest.raises(DomainError):
+        dense_finite_n_checks(base, n, eps, 0.5, 1.0)
+    with pytest.raises(DomainError):
+        truncation_check(base, n, eps, 0.5, 1.0)
+    with pytest.raises(DomainError):
+        rate_bound_check(base, n, eps, 0.5, 1.0)
+
+
+def dsbs01_shell_mass(n, k, p=0.1):
+    """Z_X(w^n) for the DSBS(p) optimal coupling at eps = 1 and a W-type
+    (k, n - k): within each W-block the X-sequence may flip at most
+    floor(n a) symbols of w^n, a binomial window per block."""
+    a = (1.0 - math.sqrt(1.0 - 2.0 * p)) / 2.0
+    flips = math.floor(n * a + 1e-9)
+
+    def block(size):
+        return sum(math.comb(size, j) * a ** j * (1 - a) ** (size - j)
+                   for j in range(flips + 1))
+    return block(k) * block(n - k)
+
+
+@pytest.mark.parametrize("n", [12, 16, 18, 20])
+def test_checks_past_the_dense_wall_match_closed_forms(n):
+    p, eps, eps_prime = 0.1, 1.0, 0.5
+    a = (1.0 - math.sqrt(1.0 - 2.0 * p)) / 2.0
+    base = fixtures.dsbs_optimal_coupling(p)
+    lo, hi = math.ceil(n * 0.25 - 1e-9), math.floor(n * 0.75 + 1e-9)
+    ks = range(lo, hi + 1)
+    z_w = sum(math.comb(n, k) for k in ks) / 2.0 ** n
+    z_x = min(dsbs01_shell_mass(n, k, p) for k in ks)
+    tr = truncation_check(base, n, eps, eps_prime, 1.0)
+    rb = rate_bound_check(base, n, eps, eps_prime, 1.0)
+    assert tr.delta_n == pytest.approx(1.0 - z_w * z_x ** 2, abs=1e-9)
+    assert rb.delta_1 == pytest.approx(1.0 - z_x, abs=1e-9)
+    assert rb.delta_2 == pytest.approx(1.0 - z_x, abs=1e-9)
+    assert tr.holds_pointwise and tr.holds_divergence and rb.holds
+    if n * a < 1.0:
+        # no flip fits a shell: X^n = Y^n = W^n under the code
+        assert tr.delta_n == pytest.approx(
+            1.0 - z_w * (1.0 - a) ** (2 * n), abs=1e-9)
+        assert rb.lhs == pytest.approx(-math.log((1.0 - p) / 2.0), abs=1e-9)
+    else:
+        assert rb.lhs < -math.log((1.0 - p) / 2.0) - 0.1
+
+
+def test_type_table_is_capped_by_max_types(monkeypatch):
+    base = fixtures.dsbs_optimal_coupling(0.1)
+    monkeypatch.setattr(typ, "MAX_TYPES", math.comb(12 + 7, 7) - 1)
+    with pytest.raises(ResourceBudgetError):
+        truncation_check(base, 12, 1.0, 0.5, 1.0)
+    with pytest.raises(ResourceBudgetError):
+        rate_bound_check(base, 12, 1.0, 0.5, 1.0)
+    truncation_check(base, 11, 1.0, 0.5, 1.0)
+
+
+def test_checks_raise_no_warnings_on_structural_zeros():
+    base = fixtures.copy_coupling_binary()        # pi has zero cells
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        tr = truncation_check(base, 8, 1.0, 0.5, 1.0)
+        rb = rate_bound_check(base, 8, 1.0, 0.5, 1.0)
+    assert tr.holds_pointwise and rb.holds
