@@ -36,7 +36,7 @@ from . import synthesis
 CSV_COLUMNS = ["cell_id", "kind", "source", "coupling", "quantity", "s", "n",
                "seed", "r_spec", "r_abs", "value", "std_error", "method",
                "bound", "error"]
-#: multistart count of an Omega grid when an [exponent] section sets none
+#: multistart count of every Omega grid the plan runner builds
 OMEGA_RESTARTS = 2
 
 
@@ -150,7 +150,6 @@ def parse_plan(text: str, seed_override: int | None = None,
                 plan.exponent_cells.append({
                     "source": label,
                     "rate": RateSpec(r),
-                    "restarts": sec.getint("restarts", OMEGA_RESTARTS),
                 })
     for sec in sections_of("simulate"):
         eps = sec.get("eps", "1.0")
@@ -202,9 +201,8 @@ _JOINT_ATOL = 1e-15
 
 
 class _PlanContext:
-    """Caches per-joint quantities (common information and exponent grids,
-    each per restart count) and the exponent F(R) per (joint, absolute rate,
-    grid restart count).
+    """Caches per-joint quantities (common information per restart count,
+    exponent grids) and the exponent F(R) per (joint, absolute rate).
 
     Caches are keyed by content, not by label, so a source and a coupling
     that share a label do not share entries.  Every joint the plan names is
@@ -240,22 +238,22 @@ class _PlanContext:
                                      seed=self.plan.seed)
         return self._ci[key]
 
-    def omega_grid(self, pi: JointPmf, restarts: int):
-        key = (self._key(pi), restarts)
+    def omega_grid(self, pi: JointPmf):
+        key = self._key(pi)
         if key not in self._omega:
             self._omega[key] = exponents.tabulate_omega(
-                pi, restarts=restarts, seed=self.plan.seed, ci=self.ci(pi))
+                pi, restarts=OMEGA_RESTARTS, seed=self.plan.seed,
+                ci=self.ci(pi))
         return self._omega[key]
 
     def rate(self, pi: JointPmf, spec: RateSpec) -> float:
         return spec.resolve(self.ci(pi).value if spec.needs_ci else 0.0)
 
-    def f_rate(self, pi: JointPmf, r_abs: float,
-               restarts: int = OMEGA_RESTARTS) -> float:
-        key = (self._key(pi), r_abs, restarts)
+    def f_rate(self, pi: JointPmf, r_abs: float) -> float:
+        key = (self._key(pi), r_abs)
         if key not in self._f:
             self._f[key] = exponents.f_rate(
-                pi, r_abs, omega_grid=self.omega_grid(pi, restarts),
+                pi, r_abs, omega_grid=self.omega_grid(pi),
                 seed=self.plan.seed, ci=self.ci(pi))
         return self._f[key]
 
@@ -287,7 +285,7 @@ def _run_exponent_cell(ctx: _PlanContext, cell_id: int, cell) -> dict:
     row["r_spec"] = cell["rate"].text
     r_abs = ctx.rate(pi, cell["rate"])
     row["r_abs"] = r_abs
-    row["value"] = ctx.f_rate(pi, r_abs, cell["restarts"])
+    row["value"] = ctx.f_rate(pi, r_abs)
     return row
 
 
@@ -324,10 +322,9 @@ def _run_simulate_cell(ctx: _PlanContext, cell_id: int, cell) -> dict:
     return row
 
 
-def _prefetch_f_rate(ctx: _PlanContext, pi: JointPmf, spec: RateSpec,
-                     restarts: int = OMEGA_RESTARTS) -> None:
+def _prefetch_f_rate(ctx: _PlanContext, pi: JointPmf, spec: RateSpec) -> None:
     try:
-        ctx.f_rate(pi, ctx.rate(pi, spec), restarts)
+        ctx.f_rate(pi, ctx.rate(pi, spec))
     except (CommonInfoError, ValueError):
         pass        # nothing is cached; the cell raises again and records it
 
@@ -347,8 +344,7 @@ def run_plan(plan: ExperimentPlan, threads: int = 1) -> SweepResult:
         if kind == "ci":
             ctx.ci(plan.sources[cell["source"]], cell["restarts"])
         elif kind == "exponent":
-            _prefetch_f_rate(ctx, plan.sources[cell["source"]], cell["rate"],
-                             cell["restarts"])
+            _prefetch_f_rate(ctx, plan.sources[cell["source"]], cell["rate"])
         elif kind == "simulate":
             pi = plan.couplings[cell["coupling"]].xy_marginal()
             if cell["rate"].needs_ci or cell["measure"] == "tv":

@@ -19,8 +19,9 @@ most about ``_CHUNK_CELLS`` (codeword, sample) cells.
 
 The truncation and rate-bound checks are exchangeable in (w^n, x^n, y^n), so
 they sum over the (w, x, y) joint types admitted by the windows, each
-weighted by its multinomial count; the number of joint types is capped by
-``typicality.MAX_TYPES``.  Randomness uses counter-based Philox streams keyed
+weighted by its multinomial count; ``typicality.MAX_TYPES`` caps the number
+of joint types the windows keep and the candidate count tables of each
+W-symbol.  Randomness uses counter-based Philox streams keyed
 by (seed, stream label) so results do not depend on scheduling.
 """
 
@@ -215,7 +216,7 @@ class _CondLaw:
         if empty.size:
             raise DomainError(
                 f"empty conditional typical shell for {self.axis} given "
-                f"codeword {ws[empty[0]].tolist()} (structural zero at this n)")
+                f"w^n = {ws[empty[0]].tolist()} (structural zero at this n)")
         return z
 
     def density(self, w_seqs: np.ndarray, seqs: np.ndarray) -> np.ndarray:
@@ -535,50 +536,52 @@ class _JointTypes:
         return self.counts.sum(axis=1).reshape(self.counts.shape[0], -1)
 
 
+def _cell_tables(k_a: int, windows, a: int, nx: int, ny: int) -> np.ndarray:
+    """Every |X| x |Y| count table of W-symbol a that sums to k_a and keeps
+    its (w, x) and (w, y) margins in the conditional windows."""
+    n_cand = math.comb(k_a + nx * ny - 1, nx * ny - 1)
+    if n_cand > typ.MAX_TYPES:
+        raise ResourceBudgetError(
+            f"{n_cand} count tables of one W-symbol exceed cap {typ.MAX_TYPES}")
+    cand = _compositions(k_a, nx * ny).reshape(-1, nx, ny)
+    keep = np.ones(cand.shape[0], dtype=bool)
+    for margin, (c_lo, c_hi) in zip((cand.sum(axis=2), cand.sum(axis=1)),
+                                    windows):
+        keep &= np.all((margin >= c_lo[a]) & (margin <= c_hi[a]), axis=1)
+    return cand[keep]
+
+
 def _joint_types(base: MarkovCoupling, n: int, eps: float,
                  eps_prime: float) -> _JointTypes:
     """Enumerate the joint types W-type by W-type: for each eps'-typical
-    W-type k, the |X| x |Y| count tables of every W-symbol a that sum to
-    k_a and keep their margins in the conditional windows, crossed over a."""
+    W-type k, the count tables of every W-symbol a (``_cell_tables``),
+    crossed over a.  The kept joint types are counted before any is built,
+    and capped by ``typicality.MAX_TYPES``."""
     spec = typ.TypicalSpec(base.q_w, n, eps_prime)
     nw, nx, ny = base.nw, base.nx, base.ny
-    n_types = math.comb(n + nw * nx * ny - 1, nw * nx * ny - 1)
-    if n_types > typ.MAX_TYPES:
-        raise ResourceBudgetError(
-            f"{n_types} (w, x, y) joint types at n = {n} exceed cap "
-            f"{typ.MAX_TYPES}")
     lo, hi = spec.count_windows()
     w_types = _compositions(n, nw)
     w_types = w_types[np.all((w_types >= lo) & (w_types <= hi), axis=1)]
     if w_types.shape[0] == 0:
         raise DomainError("empty eps'-typical W set at this n")
-    z_w = typ.typical_prob_exact(spec)
-    conds = (base.q_x_given_w, base.q_y_given_w)
-    windows = [typ.cond_count_windows(base.q_w, c, n, eps) for c in conds]
-    blocks, z = [], []
-    for k in w_types:
-        w_seq = np.repeat(np.arange(nw), k)
-        z.append([1.0 - typ.cond_typical_defect_exact(base.q_w, c, w_seq, eps)
-                  for c in conds])
-        for axis, z_axis in zip("XY", z[-1]):
-            if z_axis <= 0.0:
-                raise DomainError(
-                    f"empty conditional typical shell for {axis} given "
-                    f"W-type {k.tolist()} (structural zero at this n)")
-        tables = []
-        for a in range(nw):
-            cand = _compositions(int(k[a]), nx * ny).reshape(-1, nx, ny)
-            keep = np.ones(cand.shape[0], dtype=bool)
-            for margin, (c_lo, c_hi) in zip((cand.sum(axis=2),
-                                             cand.sum(axis=1)), windows):
-                keep &= np.all((margin >= c_lo[a]) & (margin <= c_hi[a]),
-                               axis=1)
-            tables.append(cand[keep])
-        pick = np.indices([t.shape[0] for t in tables]).reshape(nw, -1)
-        blocks.append(np.stack([t[i] for t, i in zip(tables, pick)], axis=1))
+    laws = (_CondLaw(base, eps, "X"), _CondLaw(base, eps, "Y"))
+    windows = [law._count_windows(n) for law in laws]
+    tables = [[_cell_tables(int(k[a]), windows, a, nx, ny) for a in range(nw)]
+              for k in w_types]
+    sizes = [math.prod(t.shape[0] for t in per_a) for per_a in tables]
+    if sum(sizes) > typ.MAX_TYPES:
+        raise ResourceBudgetError(
+            f"{sum(sizes)} (w, x, y) joint types at n = {n} exceed cap "
+            f"{typ.MAX_TYPES}")
+    w_seqs = np.stack([np.repeat(np.arange(nw), k) for k in w_types])
+    z_x, z_y = (law._normalizers(w_seqs) for law in laws)
+    blocks = []
+    for per_a in tables:
+        pick = np.indices([t.shape[0] for t in per_a]).reshape(nw, -1)
+        blocks.append(np.stack([t[i] for t, i in zip(per_a, pick)], axis=1))
     counts = np.concatenate(blocks)
-    owner = np.repeat(np.arange(len(blocks)), [b.shape[0] for b in blocks])
-    z_x, z_y = np.array(z).T
+    owner = np.repeat(np.arange(len(blocks)), sizes)
+    z_w = typ.typical_prob_exact(spec)
     flat = counts.reshape(counts.shape[0], -1)
     return _JointTypes(
         counts=counts,
@@ -586,9 +589,9 @@ def _joint_types(base: MarkovCoupling, n: int, eps: float,
         log_p_w=counts.sum(axis=(2, 3)) @ _masked_log(base.q_w.mass)
         - math.log(z_w),
         log_p_x=counts.sum(axis=3).reshape(flat.shape[0], -1)
-        @ _masked_log(base.q_x_given_w).ravel() - np.log(z_x)[owner],
+        @ laws[0].log_cond.ravel() - np.log(z_x)[owner],
         log_p_y=counts.sum(axis=2).reshape(flat.shape[0], -1)
-        @ _masked_log(base.q_y_given_w).ravel() - np.log(z_y)[owner],
+        @ laws[1].log_cond.ravel() - np.log(z_y)[owner],
         z_w=z_w, z_x=z_x, z_y=z_y)
 
 

@@ -7,8 +7,8 @@ import pytest
 from commoninfo import exponents
 from commoninfo.ci_solver import wyner_ci
 from commoninfo.errors import ConfigError
-from commoninfo.experiments import (RateSpec, parse_plan, render_summary,
-                                    run_plan, to_csv, to_json)
+from commoninfo.experiments import (OMEGA_RESTARTS, RateSpec, parse_plan,
+                                    render_summary, run_plan, to_csv, to_json)
 
 TINY_PLAN = """
 [plan]
@@ -211,7 +211,7 @@ def test_ci_cells_keep_their_own_restarts():
     assert many["value"] == wyner_ci(pi, restarts=16, seed=plan.seed).value
 
 
-def test_exponent_restarts_reach_the_omega_grid(monkeypatch):
+def test_one_omega_grid_per_joint_at_the_fixed_restart_count(monkeypatch):
     seen = []
     tabulate = exponents.tabulate_omega
 
@@ -220,11 +220,9 @@ def test_exponent_restarts_reach_the_omega_grid(monkeypatch):
         return tabulate(pi, restarts=restarts, **kw, n_alpha=3, n_theta=5)
 
     monkeypatch.setattr(exponents, "tabulate_omega", recorded)
-    text = ("[plan]\nname = x\n[exponent.three]\nsources = product\n"
-            "rates = 0.1\nrestarts = 3\n[exponent.default]\n"
-            "sources = product\nrates = 0.1\n")
-    plan = parse_plan(text)
-    assert [c["restarts"] for c in plan.exponent_cells] == [3, 2]
-    result = run_plan(plan)
+    text = ("[plan]\nname = x\n[exponent.a]\nsources = product\n"
+            "rates = 0.1, 0.2\n[exponent.b]\nsources = product, copy\n"
+            "rates = 0.3\n")
+    result = run_plan(parse_plan(text))
     assert result.n_errors == 0
-    assert seen == [3, 2]                 # one grid per restart count
+    assert seen == [OMEGA_RESTARTS, OMEGA_RESTARTS]     # product, copy

@@ -362,6 +362,16 @@ def seeded_binary_coupling():
                           rng.dirichlet([4.0, 4.0], size=2))
 
 
+def seeded_quaternary_coupling():
+    """|W| = |X| = |Y| = 4, each conditional law near the identity (or its
+    reversal), so that short blocks have nonempty shells."""
+    rng = np.random.default_rng(0)
+    cond = 0.05 + 0.75 * np.eye(4) + 0.01 * rng.random((2, 4, 4))
+    cond /= cond.sum(axis=2, keepdims=True)
+    return MarkovCoupling(FinitePmf(np.full(4, 0.25)), cond[0],
+                          cond[1, ::-1].copy())
+
+
 def dense_finite_n_checks(base, n, eps, eps_prime, s):
     """The finite-n checks by dense enumeration: every eps'-typical w^n
     against |X|^n x |Y|^n matrices, every normalizer a plain sum."""
@@ -413,8 +423,10 @@ def type_table_checks(base, n, eps, eps_prime, s):
     (seeded_binary_coupling(), 8, 0.7, 0.3, 0.5),
     (seeded_coupling_2x3(), 6, 1.0, 0.5, 1.0),
     (trivial_coupling(), 6, 1.0, 0.5, 1.0),
+    # C(68, 5) = 10.4M count vectors over W x X x Y; the windows keep 4
+    (seeded_quaternary_coupling(), 5, 1.0, 0.9, 1.0),
 ], ids=["dsbs01-n6-s0.5", "dsbs01-n8-s0.5", "dsbs01-n8-s1", "copy-n8",
-        "random-n6", "random-n8", "2x3-n6", "single-w-n6"])
+        "random-n6", "random-n8", "2x3-n6", "single-w-n6", "4x4x4-n5"])
 def test_type_table_checks_match_dense_enumeration(base, n, eps, eps_prime,
                                                    s):
     dense = dense_finite_n_checks(base, n, eps, eps_prime, s)
@@ -473,13 +485,24 @@ def test_checks_past_the_dense_wall_match_closed_forms(n):
 
 
 def test_type_table_is_capped_by_max_types(monkeypatch):
-    base = fixtures.dsbs_optimal_coupling(0.1)
-    monkeypatch.setattr(typ, "MAX_TYPES", math.comb(12 + 7, 7) - 1)
+    # uniform W and conditional laws: at n = 6 the windows keep 780 of the
+    # C(13, 7) = 1716 joint types, and no W-symbol has more than C(7, 3) = 35
+    # candidate count tables, so the cap binds on the kept types
+    half = np.full((2, 2), 0.5)
+    base = MarkovCoupling(FinitePmf([0.5, 0.5]), half, half)
+    kept = synthesis._joint_types(base, 6, 1.0, 0.5).counts.shape[0]
+    assert kept == 780
+    monkeypatch.setattr(typ, "MAX_TYPES", kept - 1)
     with pytest.raises(ResourceBudgetError):
-        truncation_check(base, 12, 1.0, 0.5, 1.0)
+        truncation_check(base, 6, 1.0, 0.5, 1.0)
     with pytest.raises(ResourceBudgetError):
-        rate_bound_check(base, 12, 1.0, 0.5, 1.0)
-    truncation_check(base, 11, 1.0, 0.5, 1.0)
+        rate_bound_check(base, 6, 1.0, 0.5, 1.0)
+    monkeypatch.setattr(typ, "MAX_TYPES", kept)
+    truncation_check(base, 6, 1.0, 0.5, 1.0)
+    rate_bound_check(base, 6, 1.0, 0.5, 1.0)
+    monkeypatch.setattr(typ, "MAX_TYPES", 34)      # one W-symbol's candidates
+    with pytest.raises(ResourceBudgetError):
+        rate_bound_check(base, 6, 1.0, 0.5, 1.0)
 
 
 def test_checks_raise_no_warnings_on_structural_zeros():
