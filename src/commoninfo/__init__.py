@@ -10,7 +10,7 @@ from .probability import (FinitePmf, JointPmf, MarkovCoupling, SequenceType,
 from .divergences import (renyi, kl, tv, conditional_renyi, binary_renyi,
                           pinsker_lb, sason_inf, sason_closed_lb,
                           sason_basic_lb, ORDER_ABOVE_ONE, ORDER_BELOW_ONE)
-from .ci_solver import wyner_ci, wyner_ci_oracle, renyi_ci_upper, CiSolution
+from .ci_solver import wyner_ci, CiSolution
 from .exponents import (ExponentPoint, omega, big_omega_q, big_omega_min,
                         r_alpha_q, r_alpha_min, r_sh, f_point, f_rate,
                         tabulate_omega, theta_limit_check)

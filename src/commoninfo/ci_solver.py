@@ -1,8 +1,8 @@
 """Wyner common information solver.
 
 Computes C = min I(XY;W) over couplings (Q_W, Q_{X|W}, Q_{Y|W}) whose induced
-XY-marginal equals the target joint, together with a brute-force grid oracle
-for binary sources and the order-(1+s) divergence upper bound C_{1+s}.
+XY-marginal equals the target joint, with |W| = |X||Y|, which is sufficient
+for the minimum.
 
 The feasible set is non-convex in this parameterization, so the solver runs a
 deterministic multi-start quasi-Newton descent on an exact-penalty objective
@@ -16,13 +16,14 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import minimize
-from scipy.special import xlogy
 
 from .errors import ConfigError
 from .probability import (FinitePmf, JointPmf, MarkovCoupling, copy_coupling,
                           mutual_information)
 
 _PENALTY_SCHEDULE = (1e2, 1e4, 1e6)
+_FEAS_TOL = 1e-8                         # marginal residual of a feasible result
+_OBJ_TOL = 1e-9                          # L-BFGS-B relative objective tolerance
 _LOG_FLOOR = 1e-300
 
 
@@ -122,31 +123,23 @@ def _logits_for(qw, A, C):
     ])
 
 
-def wyner_ci(pi: JointPmf, nw: int | None = None, restarts: int = 64,
-             seed: int = 0, feas_tol: float = 1e-8,
-             obj_tol: float = 1e-9) -> CiSolution:
+def wyner_ci(pi: JointPmf, restarts: int = 64, seed: int = 0) -> CiSolution:
     """Multi-start constrained minimization of I(XY;W) subject to the induced
     XY-marginal matching ``pi`` and X, Y conditionally independent given W.
 
-    The default auxiliary cardinality |W| = |X||Y| is sufficient for the
-    minimum; a smaller ``nw`` trades optimality guarantees for speed.
+    The auxiliary alphabet has |W| = |X||Y| symbols.  The first start is the
+    copy coupling W = (X, Y); seeded random starts make up the rest of the
+    ``restarts``.
     """
     if pi.ndim != 2:
         raise ConfigError("wyner_ci needs a 2-axis target joint")
     nx, ny = pi.dims
-    if nw is None:
-        nw = nx * ny
-    elif nw < nx * ny:
-        import warnings
-        warnings.warn(f"|W|={nw} < |X||Y|={nx * ny}: minimum not guaranteed",
-                      stacklevel=2)
+    nw = nx * ny
     pi_mass = pi.mass
     rng = np.random.default_rng(np.random.SeedSequence([seed, nx, ny, nw]))
 
-    starts = []
-    if nw == nx * ny:
-        cc = copy_coupling(pi)
-        starts.append(_logits_for(cc.q_w.mass, cc.q_x_given_w, cc.q_y_given_w))
+    cc = copy_coupling(pi)
+    starts = [_logits_for(cc.q_w.mass, cc.q_x_given_w, cc.q_y_given_w)]
     while len(starts) < restarts:
         qw0 = rng.dirichlet(np.ones(nw))
         A0 = rng.dirichlet(np.ones(nx), size=nw)
@@ -160,20 +153,20 @@ def wyner_ci(pi: JointPmf, nw: int | None = None, restarts: int = 64,
         for lam in _PENALTY_SCHEDULE:
             res = minimize(_objective_and_grad, z, jac=True, method="L-BFGS-B",
                            args=(pi_mass, nw, nx, ny, lam),
-                           options={"maxiter": 500, "ftol": obj_tol})
+                           options={"maxiter": 500, "ftol": _OBJ_TOL})
             z = res.x
         qw, A, C = _unpack(z, nw, nx, ny)
         qw, A, C, residual = _restore_feasibility(qw, A, C, pi_mass)
-        if residual > feas_tol:
+        if residual > _FEAS_TOL:
             # one more polish from the restored point at a stiffer penalty
             z = _logits_for(qw, A, C)
             res = minimize(_objective_and_grad, z, jac=True, method="L-BFGS-B",
                            args=(pi_mass, nw, nx, ny, 1e8),
-                           options={"maxiter": 500, "ftol": obj_tol})
+                           options={"maxiter": 500, "ftol": _OBJ_TOL})
             qw, A, C = _unpack(res.x, nw, nx, ny)
             qw, A, C, residual = _restore_feasibility(qw, A, C, pi_mass)
         value = _coupling_value(qw, A, C)
-        feasible = residual <= feas_tol
+        feasible = residual <= _FEAS_TOL
         converged = converged or feasible
         key = (not feasible, value)  # feasible solutions first, then by value
         if best is None or key < best[0]:
@@ -185,169 +178,3 @@ def wyner_ci(pi: JointPmf, nw: int | None = None, restarts: int = 64,
                             C / C.sum(axis=1, keepdims=True))
     return CiSolution(value=value, argmin=argmin, constraint_residual=residual,
                       restarts_used=len(starts), converged=converged)
-
-
-# ---------------------------------------------------------------------------
-# Brute-force oracle for binary sources
-# ---------------------------------------------------------------------------
-
-def _binary_params_value(params, pi_cells, mu):
-    """I + mu * TV(Q_XY, pi)^2 for the 5-parameter binary |W|=2 family.
-
-    Scalar-math hot path: called tens of thousands of times by the
-    derivative-free polish.
-    """
-    import math
-
-    qw0, a0, a1, b0, b1 = (min(max(float(v), 0.0), 1.0) for v in params)
-    qw = (qw0, 1.0 - qw0)
-    ax = ((a0, 1.0 - a0), (a1, 1.0 - a1))    # ax[w][x] = P(X=x|w)
-    by = ((b0, 1.0 - b0), (b1, 1.0 - b1))
-    j = [[0.0] * 4, [0.0] * 4]
-    q = [0.0] * 4
-    for w in (0, 1):
-        pw = qw[w]
-        for x in (0, 1):
-            for y in (0, 1):
-                v = pw * ax[w][x] * by[w][y]
-                j[w][2 * x + y] = v
-                q[2 * x + y] += v
-    I = 0.0
-    tv_res = 0.0
-    for cell in range(4):
-        tv_res += abs(q[cell] - pi_cells[cell])
-        for w in (0, 1):
-            v = j[w][cell]
-            if v > 0.0:
-                I += v * math.log(v / (qw[w] * q[cell]))
-    tv_res *= 0.5
-    return I + mu * tv_res * tv_res, I, tv_res
-
-
-def wyner_ci_oracle(pi: JointPmf, grid: int = 21, top_k: int = 12,
-                    feas_tol: float = 1e-5) -> float:
-    """Exhaustive grid search over (Q_W, Q_{X|W}, Q_{Y|W}) for binary alphabets
-    with |W| = 2, followed by penalty-method polishing of the best grid cells.
-
-    |W| = 2 is sufficient for symmetric binary sources; for asymmetric targets
-    this is a documented restriction of the oracle, not of the main solver.
-    Deliberately independent of the solver path (raw probability grid plus
-    derivative-free polish rather than logit-space quasi-Newton descent).
-    """
-    if pi.dims != (2, 2):
-        raise ConfigError("wyner_ci_oracle supports 2x2 targets only")
-    pi_mass = pi.mass
-    pi_cells = tuple(pi_mass.ravel())
-
-    g = np.linspace(0.0, 1.0, grid)
-    qg = np.linspace(0.02, 0.98, grid)
-    scored = []
-    mu0 = 300.0
-    for qw0 in qg:
-        A0, A1, B0, B1 = np.meshgrid(g, g, g, g, indexing="ij")
-        qw1 = 1.0 - qw0
-        Q00 = qw0 * A0 * B0 + qw1 * A1 * B1
-        Q01 = qw0 * A0 * (1 - B0) + qw1 * A1 * (1 - B1)
-        Q10 = qw0 * (1 - A0) * B0 + qw1 * (1 - A1) * B1
-        Q11 = qw0 * (1 - A0) * (1 - B0) + qw1 * (1 - A1) * (1 - B1)
-        tv_res = 0.5 * (np.abs(Q00 - pi_mass[0, 0]) + np.abs(Q01 - pi_mass[0, 1])
-                        + np.abs(Q10 - pi_mass[1, 0]) + np.abs(Q11 - pi_mass[1, 1]))
-
-        def cell(qcell, pxw, pyw, w_prob):
-            # sum over the four (x, y) cells of qw * P(x|w)P(y|w) * log(... / Q)
-            contrib = np.zeros_like(qcell[0])
-            for (px, py, Qxy) in zip(pxw, pyw, qcell):
-                j = w_prob * px * py
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    r = np.where(j > 0, j / np.where(w_prob * Qxy > 0,
-                                                     w_prob * Qxy, 1.0), 1.0)
-                contrib += xlogy(j, r)
-            return contrib
-
-        cells = (Q00, Q01, Q10, Q11)
-        I = (cell(cells, (A0, A0, 1 - A0, 1 - A0), (B0, 1 - B0, B0, 1 - B0), qw0)
-             + cell(cells, (A1, A1, 1 - A1, 1 - A1), (B1, 1 - B1, B1, 1 - B1), qw1))
-        score = I + mu0 * tv_res * tv_res
-        flat = np.argpartition(score.ravel(), top_k)[:top_k]
-        for idx in flat:
-            i0, i1, i2, i3 = np.unravel_index(idx, score.shape)
-            scored.append((float(score.ravel()[idx]),
-                           (qw0, g[i0], g[i1], g[i2], g[i3])))
-
-    scored.sort(key=lambda t: t[0])
-    best_val = np.inf
-    for _, params in scored[:top_k]:
-        x = np.asarray(params)
-        for mu in (1e2, 1e4, 1e6, 1e8):
-            res = minimize(lambda p: _binary_params_value(p, pi_cells, mu)[0],
-                           x, method="Nelder-Mead",
-                           bounds=[(0, 1)] * 5,
-                           options={"xatol": 1e-9, "fatol": 1e-12,
-                                    "maxiter": 1500})
-            x = res.x
-        _, I, tv_res = _binary_params_value(x, pi_cells, 0.0)
-        if tv_res <= feas_tol and I < best_val:
-            best_val = I
-    return float(best_val)
-
-
-# ---------------------------------------------------------------------------
-# Renyi upper bound C_{1+s}
-# ---------------------------------------------------------------------------
-
-def _renyi_ci_objective(z, pi_mass, nw, nx, ny, s, lam):
-    qw, A, C = _unpack(z, nw, nx, ny)
-    prod = A[:, :, None] * C[:, None, :]           # (w, x, y)
-    pi_safe = np.maximum(pi_mass, 1e-12)[None]
-    with np.errstate(divide="ignore"):
-        log_terms = (1 + s) * np.log(np.maximum(prod, _LOG_FLOOR)) - s * np.log(pi_safe)
-    log_terms = np.where(prod > 0, log_terms, -np.inf)
-    m = log_terms.max(axis=(1, 2), keepdims=True)
-    d = (m.squeeze((1, 2))
-         + np.log(np.exp(log_terms - m).sum(axis=(1, 2)))) / s
-    Q = np.einsum("w,wxy->xy", qw, prod)
-    diff = Q - pi_mass
-    return float(qw @ d + lam * (diff * diff).sum())
-
-
-def renyi_ci_upper(pi: JointPmf, s: float, nw: int | None = None,
-                   restarts: int = 16, seed: int = 0) -> float:
-    """min over feasible couplings of sum_w Q_W(w) D_{1+s}(Q_{X|w} Q_{Y|w} || pi).
-
-    An upper bound on the synthesis rate that is at least the Wyner value and
-    in general strictly larger for s in (0, 1].
-    """
-    if not 0.0 < s <= 1.0:
-        raise ConfigError("renyi_ci_upper requires s in (0, 1]")
-    if pi.ndim != 2:
-        raise ConfigError("renyi_ci_upper needs a 2-axis target joint")
-    nx, ny = pi.dims
-    if nw is None:
-        nw = nx * ny
-    rng = np.random.default_rng(np.random.SeedSequence([seed, 7, nw]))
-    pi_mass = pi.mass
-
-    starts = []
-    if nw == nx * ny:
-        cc = copy_coupling(pi)
-        starts.append(_logits_for(cc.q_w.mass, cc.q_x_given_w, cc.q_y_given_w))
-    while len(starts) < restarts:
-        starts.append(_logits_for(rng.dirichlet(np.ones(nw)),
-                                  rng.dirichlet(np.ones(nx), size=nw),
-                                  rng.dirichlet(np.ones(ny), size=nw)))
-
-    best = np.inf
-    for z0 in starts:
-        z = z0
-        for lam in _PENALTY_SCHEDULE:
-            res = minimize(_renyi_ci_objective, z, method="L-BFGS-B",
-                           args=(pi_mass, nw, nx, ny, s, lam),
-                           options={"maxiter": 400})
-            z = res.x
-        qw, A, C = _unpack(z, nw, nx, ny)
-        qw, A, C, residual = _restore_feasibility(qw, A, C, pi_mass)
-        if residual > 1e-6:
-            continue
-        val = _renyi_ci_objective(_logits_for(qw, A, C), pi_mass, nw, nx, ny, s, 0.0)
-        best = min(best, val)
-    return float(best)

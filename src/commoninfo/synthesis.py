@@ -602,6 +602,14 @@ def _log_pi_n(xy_counts: np.ndarray, pi: JointPmf) -> np.ndarray:
     return np.where(off, -np.inf, xy_counts @ _masked_log(pi.mass).ravel())
 
 
+def _check_bound_args(eps: float, eps_prime: float, s: float):
+    """The ranges the finite-n checks are stated for, shared by both."""
+    if not 0.0 < eps_prime < eps <= 1.0:
+        raise ConfigError("need 0 < eps_prime < eps <= 1")
+    if not 0.0 < s <= 1.0:
+        raise ConfigError("s must lie in (0, 1]")
+
+
 @dataclass(frozen=True)
 class TruncationReport:
     n: int
@@ -622,10 +630,7 @@ def truncation_check(base: MarkovCoupling, n: int, eps: float,
     P is exchangeable, so it is constant on each (x, y)-type t: P(t) sums the
     joint types J over t, each weighted by the multinom(n; J) / multinom(n; t)
     W-sequences that complete one pair of type t."""
-    if not 0.0 < eps_prime < eps <= 1.0:
-        raise ConfigError("need 0 < eps_prime < eps <= 1")
-    if not 0.0 < s <= 1.0:
-        raise ConfigError("s must lie in (0, 1]")
+    _check_bound_args(eps, eps_prime, s)
     types = _joint_types(base, n, eps, eps_prime)
     cells, group = np.unique(types.xy_counts, axis=0, return_inverse=True)
     group = group.ravel()
@@ -668,8 +673,7 @@ def rate_bound_check(base: MarkovCoupling, n: int, eps: float,
         - (1/n) log (1-delta_1)(1-delta_2),
     with delta_i the largest exact conditional-typicality defects over the
     eps'-typical conditioning set."""
-    if not 0.0 < s <= 1.0:
-        raise ConfigError("s must lie in (0, 1]")
+    _check_bound_args(eps, eps_prime, s)
     types = _joint_types(base, n, eps, eps_prime)
     log_pi = _log_pi_n(types.xy_counts, base.xy_marginal())
     if np.any(log_pi == -np.inf):

@@ -1,5 +1,6 @@
-"""Common-information solver against analytic values and the independent
-parametric oracle."""
+"""Common-information solver against Wyner's closed form for the doubly
+symmetric binary source and the exact values of the product and copy
+sources."""
 
 import math
 
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 from commoninfo import fixtures
-from commoninfo.ci_solver import renyi_ci_upper, wyner_ci, wyner_ci_oracle
+from commoninfo.ci_solver import wyner_ci
 from commoninfo.probability import induced_joint, mutual_information, JointPmf
 
 # analytic value for DSBS with crossover 0.1: with a = (1 - sqrt(1-2p))/2,
@@ -19,17 +20,24 @@ def _h2(a):
     return -a * math.log(a) - (1 - a) * math.log(1 - a)
 
 
-def test_dsbs_analytic_constant_is_right():
-    # closed form log 2 + h2(p) - 2 h2(a), 1 - 2p = (1 - 2a)^2
-    a = (1.0 - math.sqrt(1.0 - 0.2)) / 2.0
-    assert math.log(2.0) + _h2(0.1) - 2.0 * _h2(a) == pytest.approx(
-        DSBS01_CI, abs=1e-12)
-    # cross-check via the optimal coupling's I(XY;W)
-    c = fixtures.dsbs_optimal_coupling(0.1)
-    joint = induced_joint(c)
-    w_xy = joint.mass.reshape(c.nw, c.nx * c.ny)
+def _dsbs_closed_form(p):
+    # log 2 + h2(p) - 2 h2(a), 1 - 2p = (1 - 2a)^2 (Wyner 1975)
+    a = (1.0 - math.sqrt(1.0 - 2.0 * p)) / 2.0
+    return math.log(2.0) + _h2(p) - 2.0 * _h2(a)
+
+
+@pytest.mark.parametrize("p", [0.02, 0.1, 0.2, 0.45])
+def test_dsbs_analytic_constant_is_right(p):
+    # the optimal coupling, criterion 2's reference, reproduces DSBS(p) and
+    # its I(XY;W) is the closed form
+    c = fixtures.dsbs_optimal_coupling(p)
+    assert np.allclose(c.xy_marginal().mass, fixtures.dsbs(p).mass,
+                       rtol=0.0, atol=1e-15)
+    w_xy = induced_joint(c).mass.reshape(c.nw, c.nx * c.ny)
     assert mutual_information(JointPmf(w_xy)) == pytest.approx(
-        DSBS01_CI, abs=1e-12)
+        _dsbs_closed_form(p), abs=1e-12)
+    if p == 0.1:
+        assert _dsbs_closed_form(p) == pytest.approx(DSBS01_CI, abs=1e-12)
 
 
 def test_wyner_ci_dsbs(dsbs_pi, dsbs_ci):
@@ -38,6 +46,9 @@ def test_wyner_ci_dsbs(dsbs_pi, dsbs_ci):
     # the reported coupling reproduces the source
     joint = induced_joint(dsbs_ci.argmin)
     assert np.allclose(joint.marginal((1, 2)).mass, dsbs_pi.mass, atol=1e-8)
+    # a second crossover, with its own solver seed
+    sol = wyner_ci(fixtures.dsbs(0.2), restarts=8, seed=3)
+    assert sol.value == pytest.approx(_dsbs_closed_form(0.2), abs=1e-6)
 
 
 def test_wyner_ci_product_is_zero():
@@ -49,27 +60,3 @@ def test_wyner_ci_copy_is_entropy():
     pi = fixtures.copy_source()
     sol = wyner_ci(pi, restarts=8, seed=2)
     assert sol.value == pytest.approx(pi.entropy(), abs=1e-4)
-
-
-def test_oracle_agrees_with_solver(dsbs_pi, dsbs_ci):
-    oracle = wyner_ci_oracle(dsbs_pi)
-    assert oracle == pytest.approx(DSBS01_CI, abs=1e-5)
-    assert abs(oracle - dsbs_ci.value) < 1e-5
-
-
-def test_oracle_on_second_symmetric_source():
-    pi = fixtures.dsbs(0.2)
-    sol = wyner_ci(pi, restarts=8, seed=3)
-    oracle = wyner_ci_oracle(pi)
-    assert abs(sol.value - oracle) < 1e-5
-    # analytic: log 2 + h2(p) - 2 h2(a) with 1 - 2p = (1 - 2a)^2
-    a = (1.0 - math.sqrt(1.0 - 0.4)) / 2.0
-    analytic = math.log(2.0) + _h2(0.2) - 2.0 * _h2(a)
-    assert sol.value == pytest.approx(analytic, abs=1e-6)
-
-
-def test_renyi_ci_upper_dominates_wyner(dsbs_pi, dsbs_ci):
-    for s in (0.25, 1.0):
-        up = renyi_ci_upper(dsbs_pi, s, restarts=4, seed=0)
-        assert up >= dsbs_ci.value - 1e-6
-        assert math.isfinite(up)

@@ -245,6 +245,21 @@ def test_rate_bound_check_holds():
     assert 0.0 <= rep.delta_1 < 1.0 and 0.0 <= rep.delta_2 < 1.0
 
 
+@pytest.mark.parametrize("check", [truncation_check, rate_bound_check])
+@pytest.mark.parametrize("eps, eps_prime, s", [
+    (2.0, 0.5, 1.0),                     # eps > 1
+    (0.5, 0.7, 1.0),                     # eps' > eps
+    (0.5, 0.5, 1.0),                     # eps' = eps
+    (1.0, 0.0, 1.0),                     # eps' = 0
+    (1.0, 0.5, 0.0),                     # s = 0
+    (1.0, 0.5, 1.5),                     # s > 1
+])
+def test_finite_n_checks_reject_bad_arguments(check, eps, eps_prime, s):
+    base = fixtures.dsbs_optimal_coupling(0.1)
+    with pytest.raises(ConfigError):
+        check(base, 6, eps, eps_prime, s)
+
+
 # ---------------------------------------------------------------------------
 # the truncated conditional law against brute force
 # ---------------------------------------------------------------------------
