@@ -46,7 +46,11 @@ def test_wyner_ci_dsbs(dsbs_pi, dsbs_ci):
     # the reported coupling reproduces the source
     joint = induced_joint(dsbs_ci.argmin)
     assert np.allclose(joint.marginal((1, 2)).mass, dsbs_pi.mass, atol=1e-8)
-    # a second crossover, with its own solver seed
+
+
+def test_oracle_on_second_symmetric_source():
+    # a second crossover, with its own solver seed, against the exact
+    # reference: Wyner's closed form
     sol = wyner_ci(fixtures.dsbs(0.2), restarts=8, seed=3)
     assert sol.value == pytest.approx(_dsbs_closed_form(0.2), abs=1e-6)
 
