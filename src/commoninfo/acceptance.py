@@ -173,16 +173,13 @@ def criterion_5_exponent_sign(seed: int = 0) -> CriterionReport:
     details = []
     for name, pi in (("dsbs01", dsbs(0.1)), ("copy", copy_source())):
         sol = wyner_ci(pi, restarts=8, seed=seed)
-        grid = exponents.tabulate_omega(pi, restarts=2, seed=seed, ci=sol)
         for mult in (1.0, 1.2, 2.0):
-            f = exponents.f_rate(pi, mult * sol.value, omega_grid=grid,
-                                 seed=seed, ci=sol)
+            f = exponents.f_rate(pi, mult * sol.value, seed=seed, ci=sol)
             if f > 1e-4:
                 return _report(5, "exponent sign", False,
                                f"{name}: F({mult}C) = {f:.3e} > 1e-4")
         for mult in (0.5, 0.9):
-            f = exponents.f_rate(pi, mult * sol.value, omega_grid=grid,
-                                 seed=seed, ci=sol)
+            f = exponents.f_rate(pi, mult * sol.value, seed=seed, ci=sol)
             if f < 1e-4:
                 return _report(5, "exponent sign", False,
                                f"{name}: F({mult}C) = {f:.3e} < 1e-4")
@@ -289,9 +286,8 @@ def criterion_10_strong_converse(seed: int = 0) -> CriterionReport:
     base = dsbs_optimal_coupling(0.1)
     pi = base.xy_marginal()
     sol = wyner_ci(pi, restarts=8, seed=seed)
-    grid = exponents.tabulate_omega(pi, restarts=2, seed=seed, ci=sol)
     r = 0.5 * sol.value
-    f = exponents.f_rate(pi, r, omega_grid=grid, seed=seed, ci=sol)
+    f = exponents.f_rate(pi, r, seed=seed, ci=sol)
     ns = (8, 12, 16)
     per_seed = {}
     for cell_seed in range(10):

@@ -13,6 +13,7 @@ both are special-cased branches rather than numerical limits.  Divergence is
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 from scipy.special import xlogy
@@ -45,7 +46,9 @@ def renyi(p, q, s: float) -> float:
     if s == -1:
         mass = qs.sum()
         return math.inf if mass == 0 else max(float(-math.log(mass)), 0.0)
-    if s == 0:
+    if abs(s) < sys.float_info.min:
+        # a subnormal s leaves s * log(p/q) too few digits; D_{1+s} is KL
+        # to within O(s) there
         if np.any(qs == 0):
             return math.inf
         return max(float(xlogy(ps, ps / qs).sum()), 0.0)

@@ -36,8 +36,6 @@ from . import synthesis
 CSV_COLUMNS = ["cell_id", "kind", "source", "coupling", "quantity", "s", "n",
                "seed", "r_spec", "r_abs", "value", "std_error", "method",
                "bound", "error"]
-#: multistart count of every Omega grid the plan runner builds
-OMEGA_RESTARTS = 2
 
 
 @dataclass(frozen=True)
@@ -201,8 +199,8 @@ _JOINT_ATOL = 1e-15
 
 
 class _PlanContext:
-    """Caches per-joint quantities (common information per restart count,
-    exponent grids) and the exponent F(R) per (joint, absolute rate).
+    """Caches the common information per (joint, restart count) and the
+    exponent F(R) per (joint, absolute rate).
 
     Caches are keyed by content, not by label, so a source and a coupling
     that share a label do not share entries.  Every joint the plan names is
@@ -218,7 +216,6 @@ class _PlanContext:
                    *(c.xy_marginal() for c in plan.couplings.values())]:
             self._key(pi)
         self._ci = {}
-        self._omega = {}
         self._f = {}
 
     def _key(self, pi: JointPmf) -> int:
@@ -238,23 +235,14 @@ class _PlanContext:
                                      seed=self.plan.seed)
         return self._ci[key]
 
-    def omega_grid(self, pi: JointPmf):
-        key = self._key(pi)
-        if key not in self._omega:
-            self._omega[key] = exponents.tabulate_omega(
-                pi, restarts=OMEGA_RESTARTS, seed=self.plan.seed,
-                ci=self.ci(pi))
-        return self._omega[key]
-
     def rate(self, pi: JointPmf, spec: RateSpec) -> float:
         return spec.resolve(self.ci(pi).value if spec.needs_ci else 0.0)
 
     def f_rate(self, pi: JointPmf, r_abs: float) -> float:
         key = (self._key(pi), r_abs)
         if key not in self._f:
-            self._f[key] = exponents.f_rate(
-                pi, r_abs, omega_grid=self.omega_grid(pi),
-                seed=self.plan.seed, ci=self.ci(pi))
+            self._f[key] = exponents.f_rate(pi, r_abs, seed=self.plan.seed,
+                                            ci=self.ci(pi))
         return self._f[key]
 
 
@@ -338,7 +326,7 @@ def run_plan(plan: ExperimentPlan, threads: int = 1) -> SweepResult:
     runners = {"ci": _run_ci_cell, "exponent": _run_exponent_cell,
                "simulate": _run_simulate_cell}
 
-    # rate multiples, exponent grids and F(R) values are shared state:
+    # rate multiples and F(R) values are shared state:
     # resolve them up front so parallel cells only read the caches
     for kind, cell in tasks:
         if kind == "ci":

@@ -12,20 +12,26 @@ the region where omega is undefined.
 
 The inner minimization is non-convex and attacked by deterministic multi-start
 quasi-Newton descent with analytic gradients; warm starts from the Wyner
-solver's argmin lifted into the polytope dominate in practice.  For fixed Q
-the map theta -> Omega_Q(theta) is concave with value 0 at theta = 0, so once
-the minimized Omega goes negative at some theta it stays negative for every
-larger theta; the F(R) grid sweep uses this to prune the large-theta region,
-where the unconstrained infimum diverges.
+solver's argmin lifted into the polytope dominate in practice.
+
+Omega is finite only on a polygon read off supp(pi): theta is at most
+`_SupportGrid.theta_wall`(alpha), and past that wall the infimum is -inf
+(`big_omega_min` returns -inf there without solving).  With beta =
+alpha*theta, Omega is jointly concave in (theta, beta) on the polygon, with
+value 0 at theta = 0, so F = (Omega - beta R) / (1 + 5 theta - 3 beta) is a
+concave-over-affine ratio there; `f_rate` maximizes it by a search over
+alpha of rays in theta, each placed by the sign of the Danskin slope.
+`tabulate_omega` keeps the former (alpha, theta) grid as a test reference.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import minimize
+from scipy.optimize import brentq, minimize, minimize_scalar
 
 from .errors import ConfigError, DomainError
 from .probability import JointPmf
@@ -37,6 +43,25 @@ _THETA_GRID_POINTS = 65
 _THETA_GRID_MIN = 1e-4
 #: prune threshold: minimized Omega below this certifies F < 0 at all larger theta
 _OMEGA_PRUNE = -1e-6
+#: theta of the first solve on each ray of f_rate, the smallest grid theta
+_THETA_MIN = _THETA_GRID_MIN
+#: restarts of each inner solve of f_rate: with its warm start, the lifted
+#: Wyner argmin and the product start, no random start is drawn
+_F_RESTARTS = 2
+#: rays f_rate solves before its search over alpha, which comes no closer to
+#: a kink or an end of [0, 1] than its tolerance: the kink at 1/2 of the
+#: wall with no mates and the edge alpha = 1.  The edge alpha = 0 is left
+#: out: there F = Omega / D <= 0 (U = X gives omega = 0), so a solve there
+#: can add only solver noise.
+_VERTEX_ALPHAS = (0.5, 1.0)
+#: f_rate's bounded Brent over alpha: its tolerance and its iteration cap
+_ALPHA_XTOL = 1e-5
+_ALPHA_MAXITER = 40
+#: f_rate's tolerance on F: a ray that cannot beat the best F so far by more
+#: than this is not solved past its first point (so a rise of solver noise
+#: at R = C costs one solve), and brentq places a ray's turning point
+#: close enough to keep F within it
+_F_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -77,6 +102,32 @@ class _SupportGrid:
         self.proj_x[self.x_of_s, np.arange(self.n_supp)] = 1.0
         self.proj_y = np.zeros((self.ny, self.n_supp))
         self.proj_y[self.y_of_s, np.arange(self.n_supp)] = 1.0
+        # does some support cell share its row, its column, or both, with
+        # another support cell?  That sets the wall of the domain of Omega.
+        row_mate = np.bincount(self.x_of_s, minlength=self.nx)[self.x_of_s] > 1
+        col_mate = np.bincount(self.y_of_s, minlength=self.ny)[self.y_of_s] > 1
+        self.both_mates = bool(np.any(row_mate & col_mate))
+        self.any_mate = bool(np.any(row_mate | col_mate))
+
+    def theta_wall(self, alpha: float) -> float:
+        """The largest theta at which Omega(alpha, theta) is finite; at most
+        2, so below DEFAULT_THETA_MAX.
+
+        Drive one cell Q(s, u) = eps to 0 in the product form of
+        `_omega_objective`.  Its term scales as eps^(1 - a - b) times the
+        powers of the marginals that shrink with it: Q_XY(s) always, Q_XU
+        unless another cell of row x holds mass at u, Q_YU unless another cell
+        of column y does, and Q_U as the term prefers.  The exponent is
+        1 - theta(2 - alpha) with mates in both directions, 1 - theta with
+        mates on one side only, and 1 - theta*max(alpha, 1 - alpha) with
+        none.  Past the first wall some term diverges, so Omega = -inf."""
+        if self.both_mates:
+            rate = 2.0 - alpha
+        elif self.any_mate:
+            rate = 1.0
+        else:
+            rate = max(alpha, 1.0 - alpha)
+        return 1.0 / rate
 
     def to_full(self, q_su: np.ndarray) -> JointPmf:
         m = np.zeros((self.nx, self.ny, self.nu))
@@ -169,35 +220,55 @@ def _softmax_flat(z: np.ndarray, shape) -> np.ndarray:
     return (e / e.sum()).reshape(shape)
 
 
+#: softmax cells can underflow to exact 0; the logs are clipped here
+_TINY = 1e-300
+
+
+def _clipped_logs(grid: _SupportGrid, q, q_xy, q_u, q_xu, q_yu):
+    """log Q and the logs of its XY, U, XU and YU marginals, each at every
+    (s, u) or broadcast to it, clipped at _TINY."""
+    return (np.log(np.maximum(q, _TINY)),
+            np.log(np.maximum(q_xy, _TINY))[:, None],
+            np.log(np.maximum(q_u, _TINY))[None, :],
+            np.log(np.maximum(q_xu, _TINY))[grid.x_of_s],
+            np.log(np.maximum(q_yu, _TINY))[grid.y_of_s])
+
+
+def _log_tilt(grid: _SupportGrid, logs, alpha, theta) -> np.ndarray:
+    """log of Q e^{-theta omega} at every (s, u), by the product form
+    Q^{1-theta} Q_XY^{-a} Q_U^{b-a} Q_XU^{a} Q_YU^{a} pi^{a+b}
+    with a = theta*(1-alpha), b = theta*alpha."""
+    log_q, log_qxy, log_qu, log_qxu, log_qyu = logs
+    a = theta * (1.0 - alpha)
+    b = theta * alpha
+    return ((1.0 - a - b) * log_q
+            - a * log_qxy
+            + (b - a) * log_qu
+            + a * log_qxu
+            + a * log_qyu
+            + (a + b) * grid.log_pi_s[:, None])
+
+
 def _omega_objective(z, grid: _SupportGrid, alpha, theta):
     """Omega_Q(alpha, theta) with analytic gradient in global softmax logits.
 
-    Uses the product form Q e^{-theta omega} =
-    Q^{1-theta} Q_XY^{-a} Q_U^{b-a} Q_XU^{a} Q_YU^{a} pi^{a+b}
-    with a = theta*(1-alpha), b = theta*alpha, and keeps all intermediate
-    ratios of the form Q/Q_marginal, which are bounded by 1.
+    Uses the product form of `_log_tilt` and keeps all intermediate ratios
+    of the form Q/Q_marginal, which are bounded by 1.
     """
     S, U = grid.n_supp, grid.nu
     q = _softmax_flat(z, (S, U))
     a = theta * (1.0 - alpha)
     b = theta * alpha
     q_xy, q_u, q_xu, q_yu = _q_marginals(grid, q)
-    # softmax cells can underflow to exact 0; clip inside the logs only
-    tiny = 1e-300
-    log_q = np.log(np.maximum(q, tiny))
-    log_t = ((1.0 - a - b) * log_q
-             - a * np.log(np.maximum(q_xy, tiny))[:, None]
-             + (b - a) * np.log(np.maximum(q_u, tiny))[None, :]
-             + a * np.log(np.maximum(q_xu, tiny))[grid.x_of_s]
-             + a * np.log(np.maximum(q_yu, tiny))[grid.y_of_s]
-             + (a + b) * grid.log_pi_s[:, None])
+    log_t = _log_tilt(grid, _clipped_logs(grid, q, q_xy, q_u, q_xu, q_yu),
+                      alpha, theta)
     L, t_norm = _log_normalize(log_t)           # t_norm sums to 1
     f = -L
     # u1 = Q * dG/dQ, assembled from bounded ratios Q/Q_marginal <= 1
-    r_xy = q / np.maximum(q_xy, tiny)[:, None]
-    r_u = q / np.maximum(q_u, tiny)[None, :]
-    r_xu = q / np.maximum(q_xu, tiny)[grid.x_of_s]
-    r_yu = q / np.maximum(q_yu, tiny)[grid.y_of_s]
+    r_xy = q / np.maximum(q_xy, _TINY)[:, None]
+    r_u = q / np.maximum(q_u, _TINY)[None, :]
+    r_xu = q / np.maximum(q_xu, _TINY)[grid.x_of_s]
+    r_yu = q / np.maximum(q_yu, _TINY)[grid.y_of_s]
     u1 = -((1.0 - a - b) * t_norm
            - a * r_xy * t_norm.sum(axis=1, keepdims=True)
            + (b - a) * r_u * t_norm.sum(axis=0, keepdims=True)
@@ -205,6 +276,22 @@ def _omega_objective(z, grid: _SupportGrid, alpha, theta):
            + a * r_yu * (grid.proj_y.T @ (grid.proj_y @ t_norm)))
     grad = (u1 - q * u1.sum()).ravel()
     return f, grad
+
+
+def _omega_ray_slope(z, grid: _SupportGrid, alpha, theta) -> float:
+    """d/dtheta of Omega_Q(alpha, theta) at fixed alpha and fixed Q: the mean
+    of omega under the tilted law Q e^{-theta omega} / E_Q[e^{-theta omega}].
+    At the inner minimizer this is the slope of Omega(alpha, .) itself
+    (Danskin's theorem)."""
+    q = _softmax_flat(z, (grid.n_supp, grid.nu))
+    logs = _clipped_logs(grid, q, *_q_marginals(grid, q))
+    _, t_norm = _log_normalize(_log_tilt(grid, logs, alpha, theta))
+    log_q, log_qxy, log_qu, log_qxu, log_qyu = logs
+    log_pi = grid.log_pi_s[:, None]
+    omega_su = ((1.0 - alpha) * (log_qxy - log_pi + log_q + log_qu
+                                 - log_qxu - log_qyu)
+                + alpha * (log_q - log_qu - log_pi))
+    return float((t_norm * omega_su).sum())
 
 
 def _r_alpha_objective(z, grid: _SupportGrid, alpha):
@@ -267,10 +354,13 @@ def _multistart_min(objective, args, grid: _SupportGrid, restarts, seed,
 def big_omega_min(pi: JointPmf, pt: ExponentPoint, restarts: int = 32,
                   seed: int = 0, warm_logits=(), ci: CiSolution | None = None,
                   grid: _SupportGrid | None = None) -> InnerMinResult:
-    """min over Q_XYU of Omega_Q(alpha, theta); exactly 0 at theta = 0."""
+    """min over Q_XYU of Omega_Q(alpha, theta); exactly 0 at theta = 0, and
+    exactly -inf, with no solve, past the wall of `_SupportGrid.theta_wall`."""
     grid = grid or _SupportGrid(pi)
     if pt.theta == 0.0:
         return InnerMinResult(0.0, _product_logits(grid), True)
+    if pt.theta > grid.theta_wall(pt.alpha):
+        return InnerMinResult(-math.inf, _product_logits(grid), True)
     extra = list(warm_logits)
     if ci is not None:
         extra.append(_ci_lift_logits(grid, ci))
@@ -331,8 +421,8 @@ def f_point(pi: JointPmf, R: float, pt: ExponentPoint, restarts: int = 32,
 class OmegaGrid:
     """Omega(alpha, theta) tabulated on the standard (alpha, theta) grid.
 
-    Independent of the rate R, so one table serves every F(R) query for a
-    given source.  Cells pruned by the concavity argument are -inf.
+    The reference `f_rate` is tested against; no program path builds one.
+    Cells pruned by the concavity argument are -inf.
     """
 
     alphas: np.ndarray
@@ -368,72 +458,101 @@ def tabulate_omega(pi: JointPmf, restarts: int = 4, seed: int = 0,
     return OmegaGrid(alphas, thetas, values, logits, theta_max)
 
 
-def _golden_refine(fun, lo, hi, tol):
-    phi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - phi * (b - a)
-    d = a + phi * (b - a)
-    fc, fd = fun(c), fun(d)
-    while b - a > tol:
-        if fc >= fd:                         # maximize
-            b, d, fd = d, c, fc
-            c = b - phi * (b - a)
-            fc = fun(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + phi * (b - a)
-            fd = fun(d)
-    xs = [(fc, c), (fd, d)]
-    return max(xs)
+class _RayPoint(NamedTuple):
+    """One solve of f_rate at (alpha, theta)."""
+
+    n: float                                 # Omega - theta*alpha*R
+    f: float                                 # F = N / D
+    h: float                                 # N' D - N D'; F' = h / D^2
+    logits: np.ndarray                       # the inner minimizer
 
 
-def f_rate(pi: JointPmf, R: float, omega_grid: OmegaGrid | None = None,
-           restarts: int = 4, seed: int = 0, ci: CiSolution | None = None,
-           refine: bool = True, refine_tol: float = 1e-6) -> float:
-    """F(R) = sup over (alpha, theta) of F^(alpha,theta)(R), clamped at 0.
+def f_rate(pi: JointPmf, R: float, seed: int = 0,
+           ci: CiSolution | None = None) -> float:
+    """F(R) = sup over (alpha, theta) of F^(alpha,theta)(R), and 0 when no
+    point has F > 0 (theta = 0 always gives 0).
 
-    theta = 0 is always admissible and yields 0, so a negative raw supremum
-    only reflects inner-minimization failure and is reported as 0.
+    Write beta = alpha*theta.  For fixed Q, omega is linear in alpha, so
+    Omega_Q = -log E_Q[exp(-theta A - beta B)] is jointly concave in
+    (theta, beta), and so is its minimum over Q, on the polygon
+    theta <= `_SupportGrid.theta_wall`(alpha).  F = N / D with
+    N = Omega - beta*R concave, N(0) = 0, and D = 1 + (5 - 3 alpha) theta
+    positive affine.  Along a ray of fixed alpha, h = N' D - N D' has
+    h' = N'' D <= 0, so F rises while h > 0 and falls after; N' is the
+    Danskin slope (`_omega_ray_slope`) at the inner minimizer.  A ray starts
+    with a solve at theta_min = `_THETA_MIN`:
+
+    - N(theta_min) <= 0: by concavity N <= 0, so F <= 0, on the rest of the
+      ray, which reports its slope N(theta_min) / theta_min in place of its
+      maximum 0;
+    - else N(theta) / theta <= N(theta_min) / theta_min bounds F by
+      N(theta_min) / (theta_min (5 - 3 alpha)); a ray that cannot beat the
+      best so far by `_F_TOL` reports that bound and stops;
+    - else h(theta_min) <= 0: the ray's maximum is at theta_min;
+    - else h >= 0 at the wall: the ray's maximum is on the wall;
+    - else `brentq` finds the root of h between theta_min and the wall.
+
+    The reported values are unimodal in alpha: the superlevel sets of F at
+    positive levels are convex, so the alphas they reach form an interval,
+    and the slope at theta_min is concave in alpha.  Bounded Brent maximizes
+    them, after the rays of `_VERTEX_ALPHAS`.  If no ray rises, F(R) = 0 by
+    concavity of N: certified, not clamped.  Every (alpha, theta) is solved
+    once and warm-starts from its nearest solved neighbour, so that repeated
+    evaluations agree, as brentq's bracket needs.
     """
     if R < 0:
         raise ConfigError("rate must be nonnegative")
-    if omega_grid is None:
-        omega_grid = tabulate_omega(pi, restarts=restarts, seed=seed, ci=ci)
-    A, T = np.meshgrid(omega_grid.alphas, omega_grid.thetas, indexing="ij")
-    with np.errstate(invalid="ignore"):
-        F = (omega_grid.values - T * A * R) / (1.0 + (5.0 - 3.0 * A) * T)
-    best = float(np.nanmax(F))
-    if best <= 0.0:
-        return 0.0
-    i, j = np.unravel_index(int(np.nanargmax(F)), F.shape)
-    if not refine:
-        return max(best, 0.0)
-
     grid = _SupportGrid(pi)
-    warm = [omega_grid.logits.get((i, j))]
+    solved: dict[tuple, _RayPoint] = {}
 
-    def f_at(alpha, theta):
-        pt = ExponentPoint(float(alpha), float(theta),
-                           theta_max=omega_grid.theta_max)
-        res = big_omega_min(pi, pt, restarts=2, seed=seed, ci=ci,
-                            warm_logits=warm, grid=grid)
-        warm.append(res.logits)
-        del warm[:-2]
-        return f_point(pi, R, pt, omega_value=res.value)
+    def point(alpha, theta) -> _RayPoint:
+        if (alpha, theta) not in solved:
+            near = min(solved, default=None, key=lambda k: (
+                abs(k[0] - alpha) + abs(math.log(k[1] / theta))))
+            res = big_omega_min(
+                pi, ExponentPoint(alpha, theta), restarts=_F_RESTARTS,
+                seed=seed, ci=ci, grid=grid,
+                warm_logits=[solved[near].logits] if near else [])
+            slope = _omega_ray_slope(res.logits, grid, alpha, theta)
+            d_slope = 5.0 - 3.0 * alpha
+            n = res.value - theta * alpha * R
+            d = 1.0 + d_slope * theta
+            solved[alpha, theta] = _RayPoint(
+                n, n / d, (slope - alpha * R) * d - n * d_slope, res.logits)
+        return solved[alpha, theta]
 
-    alphas, thetas = omega_grid.alphas, omega_grid.thetas
-    a_lo = alphas[max(i - 1, 0)]
-    a_hi = alphas[min(i + 1, len(alphas) - 1)]
-    t_lo = thetas[max(j - 1, 0)]
-    t_hi = thetas[min(j + 1, len(thetas) - 1)]
-    alpha_star, theta_star = alphas[i], thetas[j]
-    for _ in range(3):                       # coordinatewise ascent
-        fb, theta_star = _golden_refine(lambda t: f_at(alpha_star, t),
-                                        t_lo, t_hi, refine_tol)
-        fb2, alpha_star = _golden_refine(lambda a: f_at(a, theta_star),
-                                         a_lo, a_hi, refine_tol)
-        best = max(best, fb, fb2)
-    return max(best, 0.0)
+    best = 0.0
+
+    def ray(alpha):
+        nonlocal best
+        first = point(alpha, _THETA_MIN)
+        if first.n <= 0.0:
+            return first.n / _THETA_MIN
+        d_slope = 5.0 - 3.0 * alpha
+        ceiling = first.n / (_THETA_MIN * d_slope)
+        if ceiling <= best + _F_TOL:
+            return ceiling
+        f = first.f
+        if first.h > 0.0:
+            wall = grid.theta_wall(alpha)
+            on_wall = point(alpha, wall)
+            f = on_wall.f
+            if on_wall.h < 0.0:
+                # F' = h / D^2 <= h(theta_min) / D(theta_min)^2: a root this
+                # close leaves F within _F_TOL of the ray's maximum
+                d_min = 1.0 + d_slope * _THETA_MIN
+                theta = brentq(lambda t: point(alpha, t).h, _THETA_MIN, wall,
+                               xtol=_F_TOL * d_min ** 2 / first.h)
+                f = point(alpha, theta).f
+        best = max(best, f)
+        return f
+
+    for alpha in _VERTEX_ALPHAS:
+        ray(alpha)
+    minimize_scalar(lambda alpha: -ray(alpha), bounds=(0.0, 1.0),
+                    method="bounded",
+                    options={"xatol": _ALPHA_XTOL, "maxiter": _ALPHA_MAXITER})
+    return float(best)
 
 
 @dataclass(frozen=True)

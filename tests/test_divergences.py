@@ -75,6 +75,14 @@ def test_renyi_rejects_bad_order_and_shapes():
         renyi([0.5, 0.5], [1.0], 0.0)
 
 
+def test_renyi_at_subnormal_orders_is_kl():
+    # s * log(p/q) underflows to a subnormal here; it read 0.0 at s = 5e-324
+    p, q = [0.5, 0.5], [0.75, 0.25]
+    for s in (5e-324, -5e-324, 1e-322, 1e-310):
+        assert renyi(p, q, s) == pytest.approx(kl(p, q), rel=1e-14)
+    assert renyi([0.5, 0.5], [1.0, 0.0], -5e-324) == math.inf
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.floats(0.05, 0.95), st.floats(0.05, 0.95),
        st.floats(-0.99, 1.0), st.floats(-0.99, 1.0))

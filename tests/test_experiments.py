@@ -7,7 +7,7 @@ import pytest
 from commoninfo import exponents
 from commoninfo.ci_solver import wyner_ci
 from commoninfo.errors import ConfigError
-from commoninfo.experiments import (OMEGA_RESTARTS, RateSpec, parse_plan,
+from commoninfo.experiments import (RateSpec, parse_plan,
                                     render_summary, run_plan, to_csv, to_json)
 
 TINY_PLAN = """
@@ -147,15 +147,7 @@ samples = 64
 """
 
 
-@pytest.fixture
-def coarse_omega_grid(monkeypatch):
-    tabulate = exponents.tabulate_omega
-    monkeypatch.setattr(exponents, "tabulate_omega",
-                        lambda pi, **kw: tabulate(pi, **kw, n_alpha=9,
-                                                  n_theta=17))
-
-
-def test_f_rate_runs_once_per_source_and_rate(monkeypatch, coarse_omega_grid):
+def test_f_rate_runs_once_per_source_and_rate(monkeypatch):
     calls = []
     f_rate = exponents.f_rate
 
@@ -175,11 +167,11 @@ def test_f_rate_runs_once_per_source_and_rate(monkeypatch, coarse_omega_grid):
 
 
 def test_failing_exponent_cell_fails_soft(monkeypatch):
-    # a negative rate is rejected before any Omega grid is built
-    def no_grid(pi, **kw):
-        raise AssertionError("an Omega grid was built")
+    # a negative rate is rejected before any inner solve
+    def no_solve(pi, pt, **kw):
+        raise AssertionError("an inner solve ran")
 
-    monkeypatch.setattr(exponents, "tabulate_omega", no_grid)
+    monkeypatch.setattr(exponents, "big_omega_min", no_solve)
     text = ("[plan]\nname = x\n[exponent]\nsources = product\n"
             "rates = -0.1\n")
     result = run_plan(parse_plan(text))
@@ -211,18 +203,17 @@ def test_ci_cells_keep_their_own_restarts():
     assert many["value"] == wyner_ci(pi, restarts=16, seed=plan.seed).value
 
 
-def test_one_omega_grid_per_joint_at_the_fixed_restart_count(monkeypatch):
-    seen = []
-    tabulate = exponents.tabulate_omega
+def test_run_plan_builds_no_omega_grid(monkeypatch):
+    # F(R) comes from the ray search alone; the grid is a test reference
+    def no_grid(pi, **kw):
+        raise AssertionError("an Omega grid was built")
 
-    def recorded(pi, restarts, **kw):
-        seen.append(restarts)
-        return tabulate(pi, restarts=restarts, **kw, n_alpha=3, n_theta=5)
-
-    monkeypatch.setattr(exponents, "tabulate_omega", recorded)
+    monkeypatch.setattr(exponents, "tabulate_omega", no_grid)
     text = ("[plan]\nname = x\n[exponent.a]\nsources = product\n"
             "rates = 0.1, 0.2\n[exponent.b]\nsources = product, copy\n"
             "rates = 0.3\n")
     result = run_plan(parse_plan(text))
     assert result.n_errors == 0
-    assert seen == [OMEGA_RESTARTS, OMEGA_RESTARTS]     # product, copy
+    # product has C = 0, so F = 0 at every rate; copy has C = ln 2 > 0.3
+    *product, copy = [row["value"] for row in result.rows]
+    assert product == [0.0, 0.0, 0.0] and copy > 1e-3

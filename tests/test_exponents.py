@@ -7,14 +7,16 @@ import numpy as np
 import pytest
 from scipy.special import logsumexp
 
-from commoninfo import fixtures
+from commoninfo import exponents, fixtures
+from commoninfo.ci_solver import wyner_ci
 from commoninfo.errors import ConfigError, DomainError
 from commoninfo.exponents import (ExponentPoint, _SupportGrid,
-                                  _omega_objective, _q_marginals,
-                                  _r_alpha_objective, _softmax_flat,
-                                  big_omega_min, big_omega_q, f_point, f_rate,
-                                  omega, r_alpha_min, r_alpha_q, r_sh,
-                                  tabulate_omega, theta_limit_check)
+                                  _omega_objective, _omega_ray_slope,
+                                  _q_marginals, _r_alpha_objective,
+                                  _softmax_flat, big_omega_min, big_omega_q,
+                                  f_point, f_rate, omega, r_alpha_min,
+                                  r_alpha_q, r_sh, tabulate_omega,
+                                  theta_limit_check)
 from commoninfo.probability import JointPmf
 
 DSBS01_CI = 0.6049515261814264
@@ -164,13 +166,71 @@ def test_r_sh_matches_common_information(dsbs_pi, dsbs_ci):
     assert val <= dsbs_ci.value + 1e-6
 
 
+def _golden_max(fun, lo, hi, tol):
+    """Golden-section search for the maximum of ``fun`` on [lo, hi]."""
+    phi = (math.sqrt(5.0) - 1.0) / 2.0
+    a, b = lo, hi
+    c = b - phi * (b - a)
+    d = a + phi * (b - a)
+    fc, fd = fun(c), fun(d)
+    while b - a > tol:
+        if fc >= fd:
+            b, d, fd = d, c, fc
+            c = b - phi * (b - a)
+            fc = fun(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + phi * (b - a)
+            fd = fun(d)
+    return max([(fc, c), (fd, d)])
+
+
+def reference_f_rate(pi, R, omega_grid, seed=0, ci=None, refine=True,
+                     refine_tol=1e-6):
+    """F(R) as the grid path computed it: the best cell of an Omega grid,
+    then three rounds of coordinatewise golden-section search in theta and
+    alpha over the neighbouring cells, clamped at 0.  `big_omega_min` gives
+    -inf past the wall, so this is the domain-restricted grid path."""
+    A, T = np.meshgrid(omega_grid.alphas, omega_grid.thetas, indexing="ij")
+    with np.errstate(invalid="ignore"):
+        F = (omega_grid.values - T * A * R) / (1.0 + (5.0 - 3.0 * A) * T)
+    best = float(np.nanmax(F))
+    if best <= 0.0 or not refine:
+        return max(best, 0.0)
+    i, j = np.unravel_index(int(np.nanargmax(F)), F.shape)
+    grid = _SupportGrid(pi)
+    warm = [omega_grid.logits.get((i, j))]
+
+    def f_at(alpha, theta):
+        pt = ExponentPoint(float(alpha), float(theta),
+                           theta_max=omega_grid.theta_max)
+        res = big_omega_min(pi, pt, restarts=2, seed=seed, ci=ci,
+                            warm_logits=warm, grid=grid)
+        warm.append(res.logits)
+        del warm[:-2]
+        return f_point(pi, R, pt, omega_value=res.value)
+
+    alphas, thetas = omega_grid.alphas, omega_grid.thetas
+    a_lo, a_hi = alphas[max(i - 1, 0)], alphas[min(i + 1, len(alphas) - 1)]
+    t_lo, t_hi = thetas[max(j - 1, 0)], thetas[min(j + 1, len(thetas) - 1)]
+    alpha_star, theta_star = alphas[i], thetas[j]
+    for _ in range(3):
+        fb, theta_star = _golden_max(lambda t: f_at(alpha_star, t),
+                                     t_lo, t_hi, refine_tol)
+        fb2, alpha_star = _golden_max(lambda a: f_at(a, theta_star),
+                                      a_lo, a_hi, refine_tol)
+        best = max(best, fb, fb2)
+    return max(best, 0.0)
+
+
 def test_f_rate_signs_coarse(dsbs_pi, dsbs_ci):
+    # the grid path without refinement, on a coarse grid
     og = tabulate_omega(dsbs_pi, restarts=2, seed=0, ci=dsbs_ci,
                         n_alpha=9, n_theta=17)
-    f_lo = f_rate(dsbs_pi, 0.5 * dsbs_ci.value, omega_grid=og, ci=dsbs_ci,
-                  refine=False)
-    f_hi = f_rate(dsbs_pi, 1.5 * dsbs_ci.value, omega_grid=og, ci=dsbs_ci,
-                  refine=False)
+    f_lo = reference_f_rate(dsbs_pi, 0.5 * dsbs_ci.value, og, ci=dsbs_ci,
+                            refine=False)
+    f_hi = reference_f_rate(dsbs_pi, 1.5 * dsbs_ci.value, og, ci=dsbs_ci,
+                            refine=False)
     assert f_lo == pytest.approx(0.010347540578196373, abs=1e-6)
     assert f_lo > 1e-3
     assert 0.0 <= f_hi <= 1e-8
@@ -195,3 +255,149 @@ def test_theta_limit_gap_shrinks(dsbs_pi, dsbs_ci):
     # Omega/theta approaches min R^(alpha) from below as theta -> 0
     assert rep.final_gap < 1e-4
     assert abs(rep.gaps[-1]) <= abs(rep.gaps[0]) + 1e-12
+
+
+# ---------------------------------------------------------------------------
+# the domain of Omega and F(R) over it
+# ---------------------------------------------------------------------------
+
+def _dsbes(e):
+    # X a fair bit, Y = X erased with probability e (middle column)
+    return JointPmf(np.array([[(1 - e) / 2, e / 2, 0.0],
+                              [0.0, e / 2, (1 - e) / 2]]))
+
+
+def _q_family(pi, cells, eps):
+    """An augmented joint with mass eps at the first (x, y, u) of ``cells``
+    and equal shares of the rest at the others."""
+    mass = np.zeros(pi.dims + (pi.dims[0] * pi.dims[1],))
+    mass[cells[0]] = eps
+    for cell in cells[1:]:
+        mass[cell] = (1.0 - eps) / (len(cells) - 1)
+    return JointPmf(mass)
+
+
+# (name, joint, alpha, closed-form wall, cells of a diverging family): the
+# first cell shrinks; it keeps a row-mate and/or a column-mate at the same u
+# where it has one, and shares u with another cell or keeps it alone.
+DOMAIN_CASES = [
+    ("dsbs01, both mates", fixtures.dsbs(0.1), 0.5, 1.0 / 1.5,
+     [(0, 0, 0), (0, 1, 0), (1, 0, 0), (1, 1, 1)]),
+    ("dsbes03, both mates", _dsbes(0.3), 0.3, 1.0 / 1.7,
+     [(0, 1, 0), (0, 0, 0), (1, 1, 0), (1, 2, 1)]),
+    ("one-sided mates", JointPmf(np.array([[0.3, 0.3, 0.0],
+                                           [0.0, 0.0, 0.4]])), 0.5, 1.0,
+     [(0, 0, 0), (0, 1, 0), (1, 2, 1)]),
+    ("copy, shared u", fixtures.copy_source(), 0.8, 1.0 / 0.8,
+     [(0, 0, 0), (1, 1, 0)]),
+    ("copy, own u", fixtures.copy_source(), 0.2, 1.0 / 0.8,
+     [(0, 0, 0), (1, 1, 1)]),
+]
+
+
+@pytest.mark.parametrize("name, pi, alpha, wall, cells", DOMAIN_CASES,
+                         ids=[c[0] for c in DOMAIN_CASES])
+def test_omega_domain_walls(name, pi, alpha, wall, cells):
+    assert _SupportGrid(pi).theta_wall(alpha) == pytest.approx(wall,
+                                                               rel=1e-15)
+    epss = (1e-4, 1e-8, 1e-12, 1e-16)
+    past = [big_omega_q(_q_family(pi, cells, e), pi,
+                        ExponentPoint(alpha, 1.05 * wall)) for e in epss]
+    inside = [big_omega_q(_q_family(pi, cells, e), pi,
+                          ExponentPoint(alpha, 0.95 * wall)) for e in epss]
+    # past the wall the shrinking cell's term grows like eps^(-0.05): Omega
+    # falls by 0.05 ln(10^4) = 0.46 per four decades, without bound
+    assert all(b < a for a, b in zip(past, past[1:]))
+    assert past[-1] - past[1] < -0.4
+    # inside it the term shrinks like eps^0.05 and Omega rises to a limit
+    assert all(b >= a for a, b in zip(inside, inside[1:]))
+
+
+def test_omega_past_the_wall_at_large_theta():
+    # the point the grid read F(0.5C) on copy from: (alpha, theta) = (0.5, 10)
+    pi = fixtures.copy_source()
+    vals = [big_omega_q(_q_family(pi, [(0, 0, 0), (1, 1, 1)], e), pi,
+                        ExponentPoint(0.5, 10.0)) for e in (1e-4, 1e-8)]
+    assert vals[1] < -60 and vals[1] < vals[0]
+
+
+def test_no_solve_past_the_wall(dsbs_pi, monkeypatch):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("an inner solve ran past the wall")
+
+    wall = _SupportGrid(dsbs_pi).theta_wall(0.5)
+    monkeypatch.setattr(exponents, "_multistart_min", no_solve)
+    pt = ExponentPoint(0.5, wall * (1 + 1e-9))
+    assert big_omega_min(dsbs_pi, pt).value == -math.inf
+    assert f_point(dsbs_pi, 0.3, pt) == -math.inf
+    monkeypatch.undo()
+    on_wall = big_omega_min(dsbs_pi, ExponentPoint(0.5, wall), restarts=2)
+    assert math.isfinite(on_wall.value)
+
+
+def test_omega_ray_slope_is_the_theta_derivative(dsbs_pi):
+    grid = _SupportGrid(dsbs_pi)
+    rng = np.random.default_rng(10)
+    k = grid.n_supp * grid.nu
+    h = 1e-6
+    for z in [rng.normal(size=k) for _ in range(3)]:
+        for alpha in (0.0, 0.4, 1.0):
+            for theta in (1e-4, 0.3, 0.6):
+                slope = _omega_ray_slope(z, grid, alpha, theta)
+                fd = (_omega_objective(z, grid, alpha, theta + h)[0]
+                      - _omega_objective(z, grid, alpha, theta - h)[0]) / (2 * h)
+                assert slope == pytest.approx(fd, abs=1e-7)
+
+
+@pytest.fixture
+def omega_solves(monkeypatch):
+    calls = []
+    solve = exponents.big_omega_min
+
+    def counted(pi, pt, **kwargs):
+        calls.append(pt)
+        return solve(pi, pt, **kwargs)
+
+    monkeypatch.setattr(exponents, "big_omega_min", counted)
+    return calls
+
+
+def test_f_rate_above_c_is_a_certified_zero(dsbs_pi, dsbs_ci, omega_solves):
+    assert f_rate(dsbs_pi, 1.1 * dsbs_ci.value, ci=dsbs_ci) == 0.0
+    assert 0 < len(omega_solves) <= 80
+    # no solve past the wall, and none at theta = 0
+    grid = _SupportGrid(dsbs_pi)
+    assert all(0 < pt.theta <= grid.theta_wall(pt.alpha)
+               for pt in omega_solves)
+
+
+@pytest.mark.parametrize("pi", [fixtures.copy_source(), _dsbes(0.3)],
+                         ids=["copy", "dsbes03"])
+def test_f_rate_at_c_is_bounded_work(pi, omega_solves):
+    sol = wyner_ci(pi, restarts=8, seed=0)
+    assert 0.0 <= f_rate(pi, sol.value, ci=sol) <= 1e-8
+    assert len(omega_solves) <= 80
+
+
+REFERENCE_SOURCES = {"dsbs01": fixtures.dsbs(0.1),
+                     "copy": fixtures.copy_source(),
+                     "dsbes03": _dsbes(0.3)}
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE_SOURCES))
+def test_f_rate_matches_the_grid_reference(name):
+    # the domain-restricted 33 x 65 grid plus golden refinement: below C the
+    # new path may only be higher (it reaches the wall, the grid does not)
+    # and must agree to 2e-6; above C it is exactly 0, where the grid reads
+    # solver noise at alpha = 0
+    pi = REFERENCE_SOURCES[name]
+    sol = wyner_ci(pi, restarts=8, seed=0)
+    og = tabulate_omega(pi, restarts=2, seed=0, ci=sol)
+    for mult in (0.5, 0.9):
+        r = mult * sol.value
+        ref = reference_f_rate(pi, r, og, seed=0, ci=sol)
+        new = f_rate(pi, r, seed=0, ci=sol)
+        assert ref - 1e-9 <= new <= ref + 2e-6
+    r = 1.1 * sol.value
+    assert f_rate(pi, r, seed=0, ci=sol) == 0.0
+    assert reference_f_rate(pi, r, og, refine=False) <= 1e-8
