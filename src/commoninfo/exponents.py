@@ -490,7 +490,9 @@ def f_rate(pi: JointPmf, R: float, seed: int = 0,
       best so far by `_F_TOL` reports that bound and stops;
     - else h(theta_min) <= 0: the ray's maximum is at theta_min;
     - else h >= 0 at the wall: the ray's maximum is on the wall;
-    - else `brentq` finds the root of h between theta_min and the wall.
+    - else h >= 0 one brentq tolerance inside the wall: the maximum is
+      there or on the wall, to within `_F_TOL`;
+    - else `brentq` finds the root of h between theta_min and that point.
 
     The reported values are unimodal in alpha: the superlevel sets of F at
     positive levels are convex, so the alphas they reach form an interval,
@@ -538,12 +540,19 @@ def f_rate(pi: JointPmf, R: float, seed: int = 0,
             on_wall = point(alpha, wall)
             f = on_wall.f
             if on_wall.h < 0.0:
-                # F' = h / D^2 <= h(theta_min) / D(theta_min)^2: a root this
-                # close leaves F within _F_TOL of the ray's maximum
+                # F' = h / D^2 <= h(theta_min) / D(theta_min)^2, so F moves
+                # by at most _F_TOL over a step of xtol.  The slope at the
+                # wall itself can read negative while F still rises up to
+                # it; one solve a step inside tells that case apart.
                 d_min = 1.0 + d_slope * _THETA_MIN
-                theta = brentq(lambda t: point(alpha, t).h, _THETA_MIN, wall,
-                               xtol=_F_TOL * d_min ** 2 / first.h)
-                f = point(alpha, theta).f
+                xtol = _F_TOL * d_min ** 2 / first.h
+                inside = point(alpha, max(wall - xtol, _THETA_MIN))
+                if inside.h >= 0.0:
+                    f = max(f, inside.f)
+                else:
+                    theta = brentq(lambda t: point(alpha, t).h, _THETA_MIN,
+                                   wall - xtol, xtol=xtol)
+                    f = point(alpha, theta).f
         best = max(best, f)
         return f
 
