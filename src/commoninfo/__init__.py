@@ -18,7 +18,6 @@ from .typicality import (TypicalSpec, is_typical, is_cond_typical,
                          typical_prob_exact, cond_typical_defect_exact,
                          contyplem_bound)
 from .synthesis import (SynthesisCode, DivergenceEstimate, build_code,
-                        truncated_w_sampler, truncated_cond_sampler,
                         induced_joint_exact, estimate_tv, estimate_renyi,
                         gamma_oneshot, oneshot_bound_verify,
                         truncation_check, rate_bound_check)

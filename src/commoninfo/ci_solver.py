@@ -123,13 +123,27 @@ def _logits_for(qw, A, C):
     ])
 
 
+def _marginal_couplings(pi_mass: np.ndarray):
+    """W = X and W = Y as (Q_W, Q_{X|W}, Q_{Y|W}): exactly feasible, with
+    I(XY;W) = H(X) and H(Y).  Rows of a zero-mass W symbol are uniform."""
+    def given(rows, marg):
+        safe = np.where(marg > 0, marg, 1.0)[:, None]
+        return np.where(marg[:, None] > 0, rows / safe, 1.0 / rows.shape[1])
+
+    px, py = pi_mass.sum(axis=1), pi_mass.sum(axis=0)
+    yield px, np.eye(px.size), given(pi_mass, px)
+    yield py, given(pi_mass.T, py), np.eye(py.size)
+
+
 def wyner_ci(pi: JointPmf, restarts: int = 64, seed: int = 0) -> CiSolution:
     """Multi-start constrained minimization of I(XY;W) subject to the induced
     XY-marginal matching ``pi`` and X, Y conditionally independent given W.
 
     The auxiliary alphabet has |W| = |X||Y| symbols.  The first start is the
     copy coupling W = (X, Y); seeded random starts make up the rest of the
-    ``restarts``.
+    ``restarts``.  The couplings W = X and W = Y are scored, not optimised:
+    one replaces the optimizer's answer when it is lower by more than
+    ``_OBJ_TOL``, so the answer is never above min(H(X), H(Y)).
     """
     if pi.ndim != 2:
         raise ConfigError("wyner_ci needs a 2-axis target joint")
@@ -171,6 +185,13 @@ def wyner_ci(pi: JointPmf, restarts: int = 64, seed: int = 0) -> CiSolution:
         key = (not feasible, value)  # feasible solutions first, then by value
         if best is None or key < best[0]:
             best = (key, value, qw, A, C, residual)
+
+    for qw, A, C in _marginal_couplings(pi_mass):
+        value = _coupling_value(qw, A, C)
+        if value < best[1] - _OBJ_TOL:
+            J = np.einsum("w,wx,wy->xy", qw, A, C)
+            residual = 0.5 * np.abs(J - pi_mass).sum()
+            best = ((False, value), value, qw, A, C, residual)
 
     _, value, qw, A, C, residual = best
     argmin = MarkovCoupling(FinitePmf(qw / qw.sum()),

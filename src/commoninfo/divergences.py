@@ -22,6 +22,8 @@ from .errors import ConfigError
 from .probability import FinitePmf, JointPmf
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+#: width at which sason_inf's golden-section refinement stops
+_SASON_REFINE_TOL = 1e-10
 
 
 def _as_mass(p) -> np.ndarray:
@@ -191,8 +193,7 @@ def _binary_renyi_grid(p: np.ndarray, q: np.ndarray, s: float) -> np.ndarray:
     return np.maximum(np.nan_to_num(out, nan=np.inf, posinf=np.inf), 0.0)
 
 
-def sason_inf(eps: float, s: float, grid_points: int = 10_001,
-              refine_tol: float = 1e-10) -> float:
+def sason_inf(eps: float, s: float, grid_points: int = 10_001) -> float:
     """inf over q in [0, 1-eps] of binary_renyi(q+eps, q, s).
 
     This equals inf {D_{1+s}(P||Q) : |P-Q| >= eps} over all finite alphabets.
@@ -222,7 +223,7 @@ def sason_inf(eps: float, s: float, grid_points: int = 10_001,
     c = b - _GOLDEN * (b - a)
     d = a + _GOLDEN * (b - a)
     fc, fd = obj(c), obj(d)
-    while b - a > refine_tol:
+    while b - a > _SASON_REFINE_TOL:
         if fc <= fd:
             b, d, fd = d, c, fc
             c = b - _GOLDEN * (b - a)

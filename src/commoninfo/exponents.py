@@ -62,6 +62,11 @@ _ALPHA_MAXITER = 40
 #: at R = C costs one solve), and brentq places a ray's turning point
 #: close enough to keep F within it
 _F_TOL = 1e-8
+#: L-BFGS-B iteration cap and relative objective tolerance of every inner solve
+_INNER_MAXITER = 300
+_INNER_FTOL = 1e-14
+#: r_sh's alpha grid, swept upward with warm starts
+_R_SH_ALPHAS = np.geomspace(1e-3, 1.0, 25)
 
 
 @dataclass(frozen=True)
@@ -332,7 +337,7 @@ class InnerMinResult:
 
 
 def _multistart_min(objective, args, grid: _SupportGrid, restarts, seed,
-                    extra_starts=(), maxiter=300, ftol=1e-14):
+                    extra_starts=()):
     rng = np.random.default_rng(np.random.SeedSequence([seed, grid.n_supp, grid.nu]))
     starts = [s for s in extra_starts if s is not None]
     starts.append(_product_logits(grid))
@@ -343,7 +348,8 @@ def _multistart_min(objective, args, grid: _SupportGrid, restarts, seed,
     ok = False
     for z0 in starts:
         res = minimize(objective, z0, jac=True, method="L-BFGS-B", args=args,
-                       options={"maxiter": maxiter, "ftol": ftol, "gtol": 1e-12})
+                       options={"maxiter": _INNER_MAXITER, "ftol": _INNER_FTOL,
+                                "gtol": 1e-12})
         ok = ok or bool(res.success)
         if best is None or res.fun < best.value:
             best = InnerMinResult(float(res.fun), res.x, bool(res.success))
@@ -380,7 +386,7 @@ def r_alpha_min(pi: JointPmf, alpha: float, restarts: int = 32, seed: int = 0,
                            restarts, seed, extra)
 
 
-def r_sh(pi: JointPmf, alpha_grid=None, restarts: int = 16, seed: int = 0,
+def r_sh(pi: JointPmf, restarts: int = 16, seed: int = 0,
          ci: CiSolution | None = None) -> float:
     """sup over alpha in (0, 1] of (1/alpha) min_Q R^(alpha)(Q).
 
@@ -388,11 +394,9 @@ def r_sh(pi: JointPmf, alpha_grid=None, restarts: int = 16, seed: int = 0,
     alpha grid with warm-start continuation from small alpha upward.
     """
     grid = _SupportGrid(pi)
-    if alpha_grid is None:
-        alpha_grid = np.geomspace(1e-3, 1.0, 25)
     best = 0.0
     warm = []
-    for alpha in alpha_grid:
+    for alpha in _R_SH_ALPHAS:
         res = r_alpha_min(pi, float(alpha), restarts=restarts, seed=seed,
                           ci=ci, warm_logits=warm, grid=grid)
         warm = [res.logits]

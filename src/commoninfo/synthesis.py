@@ -7,15 +7,18 @@ induced joints at tiny block lengths, Monte-Carlo estimators beyond, and
 verifiers for the one-shot achievability bound, the truncation domination
 chain, and the single-letter rate bound.
 
-All sampling is rejection sampling with exact membership tests.  Exact and
-Monte-Carlo paths evaluate the truncated conditional law through one object,
-``_CondLaw``, built afresh for each call: it takes a whole block of codewords
-at once and reads both the product law and the shell test off the joint
-count matrices N_ab(w^n, x^n); its normalizers (the shell masses) come
-exactly from the typicality module's type enumeration, once per type of the
-conditioning W-sequence.  The dense induced joint is capped by
-``MAX_JOINT_CELLS``; the Monte-Carlo estimators work in sample chunks of at
-most about ``_CHUNK_CELLS`` (codeword, sample) cells.
+One object, ``_CondLaw``, is the truncated product law: the codeword law
+(Q_W^n truncated to the eps'-typical set, a one-row conditional given the
+constant sequence 0^n) and the conditional laws of X^n and Y^n given a
+codeword.  It is built afresh for each call.  It evaluates the law for a
+whole block of codewords at once, reading both the product law and the
+shell test off the joint count matrices N_ab(w^n, x^n); its normalizers
+(the shell masses) come exactly from the typicality module's type
+enumeration, once per type of the conditioning sequence.  It samples the
+law by rejection, in rounds that draw one candidate per pending row and
+test every candidate against the same count windows.  The dense induced
+joint is capped by ``MAX_JOINT_CELLS``; the Monte-Carlo estimators work in
+sample chunks of at most about ``_CHUNK_CELLS`` (codeword, sample) cells.
 
 The truncation and rate-bound checks are exchangeable in (w^n, x^n, y^n), so
 they sum over the (w, x, y) joint types admitted by the windows, each
@@ -83,74 +86,8 @@ class DivergenceEstimate:
 
 
 # ---------------------------------------------------------------------------
-# samplers
+# the truncated product law and the codebook
 # ---------------------------------------------------------------------------
-
-def truncated_w_sampler(base: MarkovCoupling, n: int, eps_prime: float | None,
-                        rng: np.random.Generator) -> np.ndarray:
-    """One draw of W^n from Q_W^n conditioned on eps'-typicality, by rejection.
-    ``eps_prime=None`` draws from the plain product law."""
-    if eps_prime is None:
-        return rng.choice(base.nw, size=n, p=base.q_w.mass)
-    spec = typ.TypicalSpec(base.q_w, n, eps_prime)
-    for _ in range(MAX_REJECTION_TRIES):
-        seq = rng.choice(base.nw, size=n, p=base.q_w.mass)
-        if typ.is_typical(seq, spec):
-            return seq
-    p = typ.typical_prob_exact(spec)
-    raise SamplingError(
-        f"no eps'-typical W^n in {MAX_REJECTION_TRIES} tries "
-        f"(exact typical probability {p:.3e})")
-
-
-def truncated_cond_sampler(base: MarkovCoupling, w_seq, eps: float | None,
-                           rng: np.random.Generator, axis: str = "X") -> np.ndarray:
-    """One draw of X^n (or Y^n) from the conditional product law truncated to
-    the conditional eps-typical shell of w^n.  ``eps=None`` skips truncation."""
-    cond = _axis_cond(base, axis)
-    w_seq = np.asarray(w_seq, dtype=int)
-    n = w_seq.size
-    for _ in range(MAX_REJECTION_TRIES):
-        u = rng.random(n)
-        seq = (u[:, None] > np.cumsum(cond[w_seq], axis=1)).sum(axis=1)
-        if eps is None or typ.is_cond_typical(seq, w_seq, base.q_w, cond, eps):
-            return seq
-    defect = typ.cond_typical_defect_exact(base.q_w, cond, w_seq, eps)
-    raise SamplingError(
-        f"no conditionally eps-typical {axis}^n in {MAX_REJECTION_TRIES} tries "
-        f"(exact acceptance probability {1.0 - defect:.3e})")
-
-
-def _axis_cond(base: MarkovCoupling, axis: str) -> np.ndarray:
-    if axis == "X":
-        return base.q_x_given_w
-    if axis == "Y":
-        return base.q_y_given_w
-    raise ConfigError("axis must be 'X' or 'Y'")
-
-
-def build_code(base: MarkovCoupling, n: int, R: float, eps: float | None,
-               eps_prime: float | None, seed: int) -> SynthesisCode:
-    """Sample ceil(e^{nR}) independent truncated-typical codewords."""
-    if R < 0:
-        raise ConfigError("rate must be nonnegative")
-    m = int(math.ceil(math.exp(n * R) - 1e-9))
-    if m > MAX_CODEWORDS:
-        raise ResourceBudgetError(f"m_count {m} exceeds cap {MAX_CODEWORDS}")
-    rng = _rng(seed, 0)
-    codebook = np.stack([truncated_w_sampler(base, n, eps_prime, rng)
-                         for _ in range(m)])
-    return SynthesisCode(n=n, rate=R, m_count=m, codebook=codebook, base=base,
-                         eps=eps, eps_prime=eps_prime, seed=seed)
-
-
-# ---------------------------------------------------------------------------
-# exact machinery
-# ---------------------------------------------------------------------------
-
-def _all_seqs(k: int, n: int) -> np.ndarray:
-    return np.array(list(itertools.product(range(k), repeat=n)), dtype=int)
-
 
 def _masked_log(p) -> np.ndarray:
     """log p with log 0 read as 0.  Callers multiply it only by counts that
@@ -163,7 +100,10 @@ def _masked_log(p) -> np.ndarray:
 class _CondLaw:
     """Q_{X|W}^n(. | w^n) (axis "X") or Q_{Y|W}^n(. | w^n) (axis "Y"),
     truncated to the conditional eps-typical shell of w^n and renormalised;
-    ``eps=None`` leaves it untruncated.
+    ``eps=None`` leaves it untruncated.  Axis "W" is the codeword law Q_W^n
+    truncated to the eps-typical set: a one-row conditional, Q_W given the
+    constant sequence 0^n, whose count windows are those of
+    ``typicality.TypicalSpec``.
 
     The law is evaluated for a whole block of codewords at once from the
     joint counts N_ab(w^n, x^n), which give both log prod_i Q(x_i|w_i) and
@@ -172,9 +112,18 @@ class _CondLaw:
     on the object, which lives for one call."""
 
     def __init__(self, base: MarkovCoupling, eps: float | None, axis: str):
-        self.cond = _axis_cond(base, axis)
+        if axis == "W":
+            self.q_w, self.cond = FinitePmf([1.0]), base.q_w.mass[None, :]
+        elif axis in ("X", "Y"):
+            self.q_w = base.q_w
+            self.cond = base.q_x_given_w if axis == "X" else base.q_y_given_w
+        else:
+            raise ConfigError("axis must be 'W', 'X' or 'Y'")
         self.log_cond = _masked_log(self.cond)
-        self.q_w = base.q_w
+        # the cdf Generator.choice draws from: normalised, so no symbol
+        # past the alphabet is drawn when a row sums to just below 1
+        self.cdf = self.cond.cumsum(axis=1)
+        self.cdf /= self.cdf[:, -1:]
         self.eps = eps
         self.axis = axis
         self._z = {}
@@ -245,6 +194,74 @@ class _CondLaw:
         p *= ok
         p /= z[:, None]
         return p
+
+    def sample(self, rng: np.random.Generator, w_seqs: np.ndarray) -> np.ndarray:
+        """One draw of the law given every row of ``w_seqs``, an (m, n)
+        block, by rejection.  Each round draws one candidate per pending row,
+        symbol by symbol as ``Generator.choice`` does, and tests it against
+        the count windows ``density`` uses.  The accepted candidates fill the
+        earliest pending rows that have the same conditioning sequence, in
+        draw order, so rows that share one (every codeword) are the first
+        accepted draws of one stream.  A row still pending after
+        ``MAX_REJECTION_TRIES`` rounds raises ``SamplingError``."""
+        ws = np.asarray(w_seqs, dtype=int)
+        n = ws.shape[1]
+        nw, nx = self.cond.shape
+        lo, hi = self._count_windows(n)
+        _, group = np.unique(ws, axis=0, return_inverse=True)
+        group = group.ravel()
+        out = np.empty_like(ws)
+        pending = np.arange(ws.shape[0])
+        for _ in range(MAX_REJECTION_TRIES):
+            if pending.size == 0:
+                break
+            w = ws[pending]
+            cand = (rng.random(w.shape)[..., None] >= self.cdf[w]).sum(axis=-1)
+            cells = (np.arange(pending.size)[:, None] * nw + w) * nx + cand
+            counts = np.bincount(cells.ravel(), minlength=pending.size * nw * nx)
+            counts = counts.reshape(-1, nw, nx)
+            ok = np.all((counts >= lo) & (counts <= hi), axis=(1, 2))
+            # pending rows by group, each group in draw order
+            order = np.argsort(group[pending], kind="stable")
+            g = group[pending][order]
+            rank = np.arange(g.size) - np.searchsorted(g, g)
+            fill = rank < np.bincount(g[ok[order]], minlength=g[-1] + 1)[g]
+            out[pending[order][fill]] = cand[order][ok[order]]
+            pending = np.sort(pending[order][~fill])
+        if pending.size:
+            z = self.normalizer(ws[pending[0]])
+            raise SamplingError(
+                f"row {pending[0]}: no {self.axis}^n in its shell after "
+                f"{MAX_REJECTION_TRIES} tries (exact acceptance probability "
+                f"{z:.3e})")
+        return out
+
+
+def build_code(base: MarkovCoupling, n: int, R: float, eps: float | None,
+               eps_prime: float | None, seed: int) -> SynthesisCode:
+    """Sample ceil(e^{nR}) independent codewords from Q_W^n truncated to the
+    eps'-typical set (``eps_prime=None``: untruncated)."""
+    if R < 0:
+        raise ConfigError("rate must be nonnegative")
+    if n < 1:
+        raise ConfigError("block length must be >= 1")
+    if eps_prime is not None and not eps_prime > 0:
+        raise ConfigError("eps_prime must be > 0")
+    m = int(math.ceil(math.exp(n * R) - 1e-9))
+    if m > MAX_CODEWORDS:
+        raise ResourceBudgetError(f"m_count {m} exceeds cap {MAX_CODEWORDS}")
+    codebook = _CondLaw(base, eps_prime, "W").sample(
+        _rng(seed, 0), np.zeros((m, n), dtype=int))
+    return SynthesisCode(n=n, rate=R, m_count=m, codebook=codebook, base=base,
+                         eps=eps, eps_prime=eps_prime, seed=seed)
+
+
+# ---------------------------------------------------------------------------
+# exact machinery
+# ---------------------------------------------------------------------------
+
+def _all_seqs(k: int, n: int) -> np.ndarray:
+    return np.array(list(itertools.product(range(k), repeat=n)), dtype=int)
 
 
 def _pi_n_matrix(pi: JointPmf, seqs_x: np.ndarray, seqs_y: np.ndarray) -> np.ndarray:
@@ -346,22 +363,10 @@ def estimate_tv(code: SynthesisCode, samples: int = 4096,
                               "monte_carlo", samples, seed)
 
 
-def _sample_from_code(code: SynthesisCode, samples: int, rng):
-    base = code.base
-    xs = np.empty((samples, code.n), dtype=int)
-    ys = np.empty((samples, code.n), dtype=int)
-    ms = rng.integers(0, code.m_count, size=samples)
-    for i, m in enumerate(ms):
-        w = code.codebook[m]
-        xs[i] = truncated_cond_sampler(base, w, code.eps, rng, "X")
-        ys[i] = truncated_cond_sampler(base, w, code.eps, rng, "Y")
-    return xs, ys
-
-
 def estimate_renyi(code: SynthesisCode, s: float, samples: int = 4096,
                    seed: int = 0) -> DivergenceEstimate:
     """D_{1+s}(P_{X^nY^n} || pi^n): exact within budget, else Monte-Carlo with
-    proposal P for s > 0 and pi^n for s < 0."""
+    proposal P for s >= 0 and pi^n for s < 0."""
     if not -1.0 <= s <= 1.0:
         raise ConfigError("s must lie in [-1, 1]")
     pi = code.base.xy_marginal()
@@ -382,14 +387,23 @@ def estimate_renyi(code: SynthesisCode, s: float, samples: int = 4096,
                                   per_symbol=float(val) / code.n,
                                   diagnostics=diag)
     rng = _rng(seed, 2)
-    if s > 0:
-        xs, ys = _sample_from_code(code, samples, rng)
+    if s >= 0:
+        ws = code.codebook[rng.integers(0, code.m_count, size=samples)]
+        xs = _CondLaw(code.base, code.eps, "X").sample(rng, ws)
+        ys = _CondLaw(code.base, code.eps, "Y").sample(rng, ws)
         p_vals = _pointwise_p(code, xs, ys)
-        pi_vals = np.exp(np.log(pi.mass[xs, ys]).sum(axis=1))
-        if np.any(pi_vals == 0):
+        log_pi = np.log(pi.mass[xs, ys]).sum(axis=1)
+        if np.any(log_pi == -np.inf):
             return DivergenceEstimate(math.inf, 0.0, "monte_carlo", samples,
                                       seed, diagnostics={"off_pi_support": True})
-        g = (p_vals / pi_vals) ** s
+        if s == 0:
+            # KL: the mean log-likelihood ratio under P
+            g = np.log(p_vals) - log_pi
+            val = float(g.mean())
+            return DivergenceEstimate(
+                val, float(g.std(ddof=1) / math.sqrt(samples)), "monte_carlo",
+                samples, seed, per_symbol=val / code.n)
+        g = (p_vals / np.exp(log_pi)) ** s
     else:
         p_vals, pi_vals = _pi_n_draws(code, samples, rng)
         if s == -1.0:
@@ -557,9 +571,9 @@ def _joint_types(base: MarkovCoupling, n: int, eps: float,
     W-type k, the count tables of every W-symbol a (``_cell_tables``),
     crossed over a.  The kept joint types are counted before any is built,
     and capped by ``typicality.MAX_TYPES``."""
-    spec = typ.TypicalSpec(base.q_w, n, eps_prime)
     nw, nx, ny = base.nw, base.nx, base.ny
-    lo, hi = spec.count_windows()
+    w_law = _CondLaw(base, eps_prime, "W")
+    lo, hi = (b[0] for b in w_law._count_windows(n))
     w_types = _compositions(n, nw)
     w_types = w_types[np.all((w_types >= lo) & (w_types <= hi), axis=1)]
     if w_types.shape[0] == 0:
@@ -581,7 +595,7 @@ def _joint_types(base: MarkovCoupling, n: int, eps: float,
         blocks.append(np.stack([t[i] for t, i in zip(per_a, pick)], axis=1))
     counts = np.concatenate(blocks)
     owner = np.repeat(np.arange(len(blocks)), sizes)
-    z_w = typ.typical_prob_exact(spec)
+    z_w = w_law.normalizer(np.zeros(n, dtype=int))
     flat = counts.reshape(counts.shape[0], -1)
     return _JointTypes(
         counts=counts,
@@ -602,8 +616,10 @@ def _log_pi_n(xy_counts: np.ndarray, pi: JointPmf) -> np.ndarray:
     return np.where(off, -np.inf, xy_counts @ _masked_log(pi.mass).ravel())
 
 
-def _check_bound_args(eps: float, eps_prime: float, s: float):
+def _check_bound_args(n: int, eps: float, eps_prime: float, s: float):
     """The ranges the finite-n checks are stated for, shared by both."""
+    if n < 1:
+        raise ConfigError("block length must be >= 1")
     if not 0.0 < eps_prime < eps <= 1.0:
         raise ConfigError("need 0 < eps_prime < eps <= 1")
     if not 0.0 < s <= 1.0:
@@ -630,7 +646,7 @@ def truncation_check(base: MarkovCoupling, n: int, eps: float,
     P is exchangeable, so it is constant on each (x, y)-type t: P(t) sums the
     joint types J over t, each weighted by the multinom(n; J) / multinom(n; t)
     W-sequences that complete one pair of type t."""
-    _check_bound_args(eps, eps_prime, s)
+    _check_bound_args(n, eps, eps_prime, s)
     types = _joint_types(base, n, eps, eps_prime)
     cells, group = np.unique(types.xy_counts, axis=0, return_inverse=True)
     group = group.ravel()
@@ -673,7 +689,7 @@ def rate_bound_check(base: MarkovCoupling, n: int, eps: float,
         - (1/n) log (1-delta_1)(1-delta_2),
     with delta_i the largest exact conditional-typicality defects over the
     eps'-typical conditioning set."""
-    _check_bound_args(eps, eps_prime, s)
+    _check_bound_args(n, eps, eps_prime, s)
     types = _joint_types(base, n, eps, eps_prime)
     log_pi = _log_pi_n(types.xy_counts, base.xy_marginal())
     if np.any(log_pi == -np.inf):

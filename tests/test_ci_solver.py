@@ -9,7 +9,8 @@ import pytest
 
 from commoninfo import fixtures
 from commoninfo.ci_solver import wyner_ci
-from commoninfo.probability import induced_joint, mutual_information, JointPmf
+from commoninfo.probability import (FinitePmf, JointPmf, induced_joint,
+                                    mutual_information)
 
 # analytic value for DSBS with crossover 0.1: with a = (1 - sqrt(1-2p))/2,
 # C = 1 bit of W plus two BSC(a) channels' worth of negative conditional entropy
@@ -64,3 +65,17 @@ def test_wyner_ci_copy_is_entropy():
     pi = fixtures.copy_source()
     sol = wyner_ci(pi, restarts=8, seed=2)
     assert sol.value == pytest.approx(pi.entropy(), abs=1e-4)
+
+
+def test_wyner_ci_never_above_min_marginal_entropy():
+    # a random 3x3 joint on which 16 restarts alone stop at 1.4407, feasible
+    # but above min(H(X), H(Y)) = 0.7838; W = Y is exactly feasible
+    pi = JointPmf(np.random.default_rng(1).dirichlet(np.ones(9)).reshape(3, 3))
+    h_min = min(FinitePmf(pi.mass.sum(axis=1)).entropy(),
+                FinitePmf(pi.mass.sum(axis=0)).entropy())
+    sol = wyner_ci(pi, restarts=16, seed=0)
+    assert mutual_information(pi) <= sol.value <= h_min + 1e-12
+    assert sol.constraint_residual < 1e-12
+    joint = induced_joint(sol.argmin)
+    assert np.allclose(joint.marginal((1, 2)).mass, pi.mass, rtol=0.0,
+                       atol=1e-15)

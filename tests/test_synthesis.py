@@ -1,6 +1,7 @@
 """Synthesis codes: codebook construction, exact induced joints against
 brute-force oracles, estimator agreement, and the finite-n bound checks."""
 
+import itertools
 import math
 import warnings
 
@@ -8,13 +9,13 @@ import numpy as np
 import pytest
 
 from commoninfo import fixtures, synthesis
-from commoninfo.errors import ConfigError, DomainError, ResourceBudgetError
+from commoninfo.errors import (ConfigError, DomainError, ResourceBudgetError,
+                               SamplingError)
 from commoninfo.probability import FinitePmf, MarkovCoupling, log_product_mass
 from commoninfo.synthesis import (SynthesisCode, build_code,
                                   estimate_renyi, estimate_tv, gamma_oneshot,
                                   induced_joint_exact, oneshot_bound_verify,
-                                  rate_bound_check, truncated_cond_sampler,
-                                  truncated_w_sampler, truncation_check)
+                                  rate_bound_check, truncation_check)
 from commoninfo import typicality as typ
 
 
@@ -58,25 +59,118 @@ def test_build_code_deterministic():
 
 
 # ---------------------------------------------------------------------------
-# samplers
+# sampling the truncated product law
 # ---------------------------------------------------------------------------
 
-def test_truncated_w_sampler_respects_shell():
+def ternary_w_coupling():
+    """A seeded coupling with a Dirichlet(1) W on 3 symbols, whose cumulative
+    sum ends at 0.9999999999999999."""
+    rng = np.random.default_rng(3)
+    return MarkovCoupling(FinitePmf(rng.dirichlet(np.ones(3))),
+                          rng.dirichlet(np.ones(2), size=3),
+                          rng.dirichlet(np.ones(2), size=3))
+
+
+def per_sequence_codebook(base, n, R, eps_prime, seed):
+    """The codebook drawn one sequence at a time: ``Generator.choice`` from
+    Q_W, kept when ``is_typical`` admits it, until m sequences are kept."""
+    m = math.ceil(math.exp(n * R) - 1e-9)
+    rng = synthesis._rng(seed, 0)
+    spec = None if eps_prime is None else typ.TypicalSpec(base.q_w, n,
+                                                          eps_prime)
+    rows = []
+    while len(rows) < m:
+        seq = rng.choice(base.nw, size=n, p=base.q_w.mass)
+        if spec is None or typ.is_typical(seq, spec):
+            rows.append(seq)
+    return np.stack(rows)
+
+
+@pytest.mark.parametrize("base, cases", [
+    (fixtures.dsbs_optimal_coupling(0.1), 15),
+    (ternary_w_coupling(), 10),
+], ids=["dsbs01", "ternary-w"])
+def test_build_code_matches_per_sequence_draws(base, cases):
+    # every n and eps' (None: untruncated) whose eps'-typical set holds at
+    # least 2 % of Q_W^n, at three seeds each
+    checked = 0
+    for n, eps_prime in itertools.product((4, 8, 10, 12, 16),
+                                          (None, 0.5, 0.9)):
+        if eps_prime is not None and typ.typical_prob_exact(
+                typ.TypicalSpec(base.q_w, n, eps_prime)) < 0.02:
+            continue
+        checked += 1
+        for seed in range(3):
+            got = build_code(base, n, 0.3, 1.0, eps_prime, seed).codebook
+            assert np.array_equal(got, per_sequence_codebook(
+                base, n, 0.3, eps_prime, seed))
+    assert checked == cases
+
+
+def test_large_codebook_matches_per_sequence_draws():
+    # n = 12 at 1.2 C on dsbs01: m = 6072 codewords
     base = fixtures.dsbs_optimal_coupling(0.1)
-    rng = synthesis._rng(0, 99)
+    R = 1.2 * 0.6049515261814264
+    code = build_code(base, 12, R, 1.0, 0.5, seed=0)
+    assert code.m_count == 6072
+    assert np.array_equal(code.codebook,
+                          per_sequence_codebook(base, 12, R, 0.5, 0))
+
+
+def test_build_code_respects_shell():
+    base = fixtures.dsbs_optimal_coupling(0.1)
     spec = typ.TypicalSpec(base.q_w, 10, 0.5)
-    for _ in range(50):
-        seq = truncated_w_sampler(base, 10, 0.5, rng)
-        assert typ.is_typical(seq, spec)
+    code = build_code(base, 10, 0.4, 1.0, 0.5, seed=99)
+    assert code.m_count == 55
+    assert all(typ.is_typical(w, spec) for w in code.codebook)
 
 
-def test_truncated_cond_sampler_respects_shell():
+def test_cond_law_sample_respects_shell():
     base = fixtures.dsbs_optimal_coupling(0.1)
-    rng = synthesis._rng(1, 99)
-    w = truncated_w_sampler(base, 8, 0.5, rng)
-    for _ in range(25):
-        x = truncated_cond_sampler(base, w, 1.0, rng, "X")
-        assert typ.is_cond_typical(x, w, base.q_w, base.q_x_given_w, 1.0)
+    book = build_code(base, 8, 0.4, 1.0, 0.5, seed=1).codebook
+    ws = book[np.arange(25) % book.shape[0]]
+    for axis, cond in (("X", base.q_x_given_w), ("Y", base.q_y_given_w)):
+        xs = synthesis._CondLaw(base, 1.0, axis).sample(synthesis._rng(1, 99),
+                                                        ws)
+        for x, w in zip(xs, ws):
+            assert typ.is_cond_typical(x, w, base.q_w, cond, 1.0)
+
+
+def test_cond_law_sample_matches_density():
+    # X-draws given one codeword against the truncated law's probabilities;
+    # at eps = 0.7 the shell keeps a third or so of the conditional mass
+    base, n, draws = seeded_binary_coupling(), 6, 40_000
+    law = synthesis._CondLaw(base, 0.7, "X")
+    w = np.array([0, 1, 1, 0, 1, 0])
+    seqs = synthesis._all_seqs(base.nx, n)
+    p = law.density(w, seqs)[0]
+    assert 0.0 < law.normalizer(w) < 0.6
+    xs = law.sample(synthesis._rng(0, 7), np.tile(w, (draws, 1)))
+    freq = np.bincount(xs @ base.nx ** np.arange(n)[::-1],
+                       minlength=seqs.shape[0]) / draws
+    assert np.all(freq[p == 0] == 0)
+    assert np.all(np.abs(freq - p) <= 5 * np.sqrt(p * (1 - p) / draws))
+
+
+def test_sampling_error_after_max_tries(monkeypatch):
+    base = fixtures.dsbs_optimal_coupling(0.1)
+    # at n = 10, eps' = 0.01 admits only the type (5, 5): C(10, 5) / 2^10
+    monkeypatch.setattr(synthesis, "MAX_REJECTION_TRIES", 2)
+    with pytest.raises(SamplingError, match="probability 2.461e-01"):
+        build_code(base, 10, 0.4, 1.0, 0.01, seed=0)
+    # the cross cells of a tight X-shell admit no count at n = 6
+    law = synthesis._CondLaw(base, 0.4, "X")
+    with pytest.raises(SamplingError, match="probability 0.000e"):
+        law.sample(synthesis._rng(0, 1), np.array([[0, 1, 0, 1, 0, 1]]))
+    monkeypatch.setattr(synthesis, "MAX_REJECTION_TRIES", 50)
+    build_code(base, 10, 0.4, 1.0, 0.01, seed=0)
+
+
+def test_build_code_rejects_bad_block_length_and_eps_prime():
+    base = fixtures.dsbs_optimal_coupling(0.1)
+    for n, eps_prime in ((0, 0.5), (0, None), (4, 0.0), (4, -0.1)):
+        with pytest.raises(ConfigError):
+            build_code(base, n, 0.1, 1.0, eps_prime, seed=0)
 
 
 # ---------------------------------------------------------------------------
@@ -152,6 +246,19 @@ def test_estimate_renyi_mc_agrees_with_exact(monkeypatch):
     mc = estimate_renyi(code, 0.5, samples=4000, seed=7)
     assert mc.method == "monte_carlo"
     assert abs(mc.point - exact.point) < 4 * mc.std_error + 0.05
+
+
+def test_estimate_kl_mc_agrees_with_exact(monkeypatch):
+    base = fixtures.dsbs_optimal_coupling(0.1)
+    code = build_code(base, 5, 0.3, None, 0.5, seed=6)
+    exact = estimate_renyi(code, 0.0)
+    assert exact.method == "exact" and exact.point > 0.1
+    monkeypatch.setattr(synthesis, "MAX_JOINT_CELLS", 10)
+    mc = estimate_renyi(code, 0.0, samples=4000, seed=7)
+    assert mc.method == "monte_carlo"
+    assert 0.0 < mc.std_error < 0.05
+    assert abs(mc.point - exact.point) < 4 * mc.std_error
+    assert mc.per_symbol == pytest.approx(mc.point / 5)
 
 
 def test_estimate_mc_deterministic(monkeypatch):
@@ -350,9 +457,9 @@ def test_truncation_check_needs_one_normalizer_per_w_type(monkeypatch):
     calls = []
     defect = typ.cond_typical_defect_exact
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return defect(*args, **kwargs)
+    def counted(q_w, *args, **kwargs):
+        calls.append(q_w.alphabet_size)
+        return defect(q_w, *args, **kwargs)
 
     monkeypatch.setattr(typ, "cond_typical_defect_exact", counted)
     base = fixtures.dsbs_optimal_coupling(0.1)
@@ -361,7 +468,11 @@ def test_truncation_check_needs_one_normalizer_per_w_type(monkeypatch):
     n_types = sum(1 for k in range(9) if lo[0] <= k <= hi[0]
                   and lo[1] <= 8 - k <= hi[1])
     assert n_types == 5
-    assert len(calls) <= 2 * n_types
+    # the X and Y shells, given W-sequences; the eps'-typical set, given
+    # the constant sequence of the one-row codeword law
+    assert calls.count(base.nw) <= 2 * n_types
+    assert calls.count(1) == 1
+    assert len(calls) == calls.count(base.nw) + 1
 
 
 # ---------------------------------------------------------------------------
