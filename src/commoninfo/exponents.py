@@ -157,18 +157,12 @@ def _q_marginals(grid: _SupportGrid, q_su: np.ndarray):
 
 
 def _omega_table(grid: _SupportGrid, q_su: np.ndarray, alpha: float) -> np.ndarray:
-    """omega at every (support point, u); +-inf outside supp(Q)."""
+    """omega at every (support point, u); not finite outside supp(Q)."""
     q_xy, q_u, q_xu, q_yu = _q_marginals(grid, q_su)
     with np.errstate(divide="ignore", invalid="ignore"):
-        log_q = np.log(q_su)
-        log_qxy = np.log(q_xy)
-        log_qu = np.log(q_u)
-        log_qxu = np.log(q_xu)[grid.x_of_s]      # (S, U)
-        log_qyu = np.log(q_yu)[grid.y_of_s]
-        cond_ratio = log_q - log_qu[None, :] - grid.log_pi_s[:, None]
-        cmi_ratio = log_q + log_qu[None, :] - log_qxu - log_qyu
-        marg_ratio = (log_qxy - grid.log_pi_s)[:, None]
-    return (1.0 - alpha) * (marg_ratio + cmi_ratio) + alpha * cond_ratio
+        logs = (np.log(q_su), np.log(q_xy)[:, None], np.log(q_u)[None, :],
+                np.log(q_xu)[grid.x_of_s], np.log(q_yu)[grid.y_of_s])
+        return _omega_of_logs(grid, logs, alpha)
 
 
 def omega(q: JointPmf, pi: JointPmf, alpha: float, x: int, y: int, u: int) -> float:
@@ -239,6 +233,17 @@ def _clipped_logs(grid: _SupportGrid, q, q_xy, q_u, q_xu, q_yu):
             np.log(np.maximum(q_yu, _TINY))[grid.y_of_s])
 
 
+def _omega_of_logs(grid: _SupportGrid, logs, alpha) -> np.ndarray:
+    """omega at every (s, u) from log Q and the logs of its XY, U, XU and YU
+    marginals, each at (s, u) or broadcast to it:
+    (1-alpha) log(Q_XY Q Q_U / (pi Q_XU Q_YU)) + alpha log(Q / (Q_U pi))."""
+    log_q, log_qxy, log_qu, log_qxu, log_qyu = logs
+    log_pi = grid.log_pi_s[:, None]
+    return ((1.0 - alpha) * (log_qxy - log_pi + log_q + log_qu
+                             - log_qxu - log_qyu)
+            + alpha * (log_q - log_qu - log_pi))
+
+
 def _log_tilt(grid: _SupportGrid, logs, alpha, theta) -> np.ndarray:
     """log of Q e^{-theta omega} at every (s, u), by the product form
     Q^{1-theta} Q_XY^{-a} Q_U^{b-a} Q_XU^{a} Q_YU^{a} pi^{a+b}
@@ -291,12 +296,7 @@ def _omega_ray_slope(z, grid: _SupportGrid, alpha, theta) -> float:
     q = _softmax_flat(z, (grid.n_supp, grid.nu))
     logs = _clipped_logs(grid, q, *_q_marginals(grid, q))
     _, t_norm = _log_normalize(_log_tilt(grid, logs, alpha, theta))
-    log_q, log_qxy, log_qu, log_qxu, log_qyu = logs
-    log_pi = grid.log_pi_s[:, None]
-    omega_su = ((1.0 - alpha) * (log_qxy - log_pi + log_q + log_qu
-                                 - log_qxu - log_qyu)
-                + alpha * (log_q - log_qu - log_pi))
-    return float((t_norm * omega_su).sum())
+    return float((t_norm * _omega_of_logs(grid, logs, alpha)).sum())
 
 
 def _r_alpha_objective(z, grid: _SupportGrid, alpha):

@@ -13,10 +13,10 @@ constant sequence 0^n) and the conditional laws of X^n and Y^n given a
 codeword.  It is built afresh for each call.  It evaluates the law for a
 whole block of codewords at once, reading both the product law and the
 shell test off the joint count matrices N_ab(w^n, x^n); its normalizers
-(the shell masses) come exactly from the typicality module's type
-enumeration, once per type of the conditioning sequence.  It samples the
-law by rejection, in rounds that draw one candidate per pending row and
-test every candidate against the same count windows.  The dense induced
+(the shell masses) are read exactly, in one gather, off the typicality
+module's table of per-symbol block masses.  It samples the law by
+rejection, in rounds that draw one candidate per pending row and test
+every candidate against the same count windows.  The dense induced
 joint is capped by ``MAX_JOINT_CELLS``; the Monte-Carlo estimators work in
 sample chunks of at most about ``_CHUNK_CELLS`` (codeword, sample) cells.
 
@@ -107,9 +107,10 @@ class _CondLaw:
 
     The law is evaluated for a whole block of codewords at once from the
     joint counts N_ab(w^n, x^n), which give both log prod_i Q(x_i|w_i) and
-    the shell test.  The shell mass depends on w^n only through its type, so
-    it is computed exactly once per type; it and the count windows are kept
-    on the object, which lives for one call."""
+    the shell test.  The shell mass factors over the W-symbols,
+    Z(w^n) = prod_a z_a(k_a) with k the type of w^n; the table of z_a(k),
+    k = 0..n, and the count windows are kept per n on the object, which
+    lives for one call."""
 
     def __init__(self, base: MarkovCoupling, eps: float | None, axis: str):
         if axis == "W":
@@ -126,43 +127,43 @@ class _CondLaw:
         self.cdf /= self.cdf[:, -1:]
         self.eps = eps
         self.axis = axis
-        self._z = {}
-        self._windows = {}
+        self._shells = {}
+
+    def _shell(self, n: int):
+        """Per-(w, x) count bounds [lo, hi] at block length n, and the
+        (|W|, n+1) table of log z_a(k), the shell mass of a block of k uses
+        of W-symbol a (``typicality.cond_shell_log_masses``).  Untruncated,
+        only hi = 0 at structural zeros, and every z_a(k) = 1."""
+        if n not in self._shells:
+            if self.eps is None:
+                self._shells[n] = (np.zeros(self.cond.shape, dtype=int),
+                                   np.where(self.cond > 0, n, 0),
+                                   np.zeros((self.cond.shape[0], n + 1)))
+            else:
+                self._shells[n] = (
+                    *typ.cond_count_windows(self.q_w, self.cond, n, self.eps),
+                    typ.cond_shell_log_masses(self.q_w, self.cond, n, self.eps))
+        return self._shells[n]
+
+    def _shell_masses(self, ws: np.ndarray) -> np.ndarray:
+        """Z(w^n) = prod_a z_a(k_a) of every row of ``ws``, k its type: one
+        gather from the table."""
+        nw = self.cond.shape[0]
+        counts = np.stack([(ws == a).sum(axis=1) for a in range(nw)], axis=1)
+        log_z = self._shell(ws.shape[1])[2]
+        return np.exp(log_z[np.arange(nw), counts].sum(axis=1))
 
     def normalizer(self, w_seq: np.ndarray) -> float:
         """The shell mass Z(w^n); 1 when untruncated."""
-        if self.eps is None:
-            return 1.0
-        w_type = np.bincount(w_seq, minlength=self.cond.shape[0]).tobytes()
-        if w_type not in self._z:
-            self._z[w_type] = 1.0 - typ.cond_typical_defect_exact(
-                self.q_w, self.cond, w_seq, self.eps)
-        return self._z[w_type]
-
-    def _count_windows(self, n: int):
-        """Per-(w, x) count bounds [lo, hi]: the shell's windows, or when
-        untruncated only hi = 0 at structural zeros."""
-        if n not in self._windows:
-            if self.eps is None:
-                self._windows[n] = (np.zeros(self.cond.shape, dtype=int),
-                                    np.where(self.cond > 0, n, 0))
-            else:
-                self._windows[n] = typ.cond_count_windows(
-                    self.q_w, self.cond, n, self.eps)
-        return self._windows[n]
+        return float(self._shell_masses(np.atleast_2d(w_seq))[0])
 
     def _normalizers(self, ws: np.ndarray) -> np.ndarray:
-        """Z(w^n) of every row of ``ws``, one exact sum per W-type; raises if
-        some shell is empty."""
-        if self.eps is None:
-            return np.ones(ws.shape[0])
-        nw = self.cond.shape[0]
-        counts = np.stack([(ws == a).sum(axis=1) for a in range(nw)], axis=1)
-        keys = counts @ (ws.shape[1] + 1) ** np.arange(nw)
-        _, first, inv = np.unique(keys, return_index=True, return_inverse=True)
-        z = np.array([self.normalizer(ws[j]) for j in first])[inv]
+        """Z(w^n) of every row of ``ws``; raises if some shell is empty."""
+        z = self._shell_masses(ws)
         empty = np.flatnonzero(z <= 0.0)
         if empty.size:
+            if self.axis == "W":
+                raise DomainError("empty eps'-typical W set at this n")
             raise DomainError(
                 f"empty conditional typical shell for {self.axis} given "
                 f"w^n = {ws[empty[0]].tolist()} (structural zero at this n)")
@@ -180,7 +181,7 @@ class _CondLaw:
         # log prod_i Q(x_i | w_i): one product over (symbol a, position i)
         log_p = np.hstack(w_hot) @ self.log_cond[:, seqs.T].reshape(nw * n, -1)
         ok = np.ones(log_p.shape, dtype=bool)
-        lo, hi = self._count_windows(n)
+        lo, hi, _ = self._shell(n)
         for a in range(nw):
             for b in range(nx):
                 if lo[a, b] <= 0 and hi[a, b] >= n:
@@ -203,11 +204,13 @@ class _CondLaw:
         earliest pending rows that have the same conditioning sequence, in
         draw order, so rows that share one (every codeword) are the first
         accepted draws of one stream.  A row still pending after
-        ``MAX_REJECTION_TRIES`` rounds raises ``SamplingError``."""
+        ``MAX_REJECTION_TRIES`` rounds raises ``SamplingError``; a row whose
+        shell is empty raises ``DomainError`` before the first round."""
         ws = np.asarray(w_seqs, dtype=int)
         n = ws.shape[1]
         nw, nx = self.cond.shape
-        lo, hi = self._count_windows(n)
+        z = self._normalizers(ws)
+        lo, hi, _ = self._shell(n)
         _, group = np.unique(ws, axis=0, return_inverse=True)
         group = group.ravel()
         out = np.empty_like(ws)
@@ -229,11 +232,10 @@ class _CondLaw:
             out[pending[order][fill]] = cand[order][ok[order]]
             pending = np.sort(pending[order][~fill])
         if pending.size:
-            z = self.normalizer(ws[pending[0]])
             raise SamplingError(
                 f"row {pending[0]}: no {self.axis}^n in its shell after "
                 f"{MAX_REJECTION_TRIES} tries (exact acceptance probability "
-                f"{z:.3e})")
+                f"{z[pending[0]]:.3e})")
         return out
 
 
@@ -366,7 +368,8 @@ def estimate_tv(code: SynthesisCode, samples: int = 4096,
 def estimate_renyi(code: SynthesisCode, s: float, samples: int = 4096,
                    seed: int = 0) -> DivergenceEstimate:
     """D_{1+s}(P_{X^nY^n} || pi^n): exact within budget, else Monte-Carlo with
-    proposal P for s >= 0 and pi^n for s < 0."""
+    proposal P for s >= 0 and pi^n for s < 0.  A codeword with an empty
+    shell reads inf, with a ``structural_zero`` diagnostic, on both paths."""
     if not -1.0 <= s <= 1.0:
         raise ConfigError("s must lie in [-1, 1]")
     pi = code.base.xy_marginal()
@@ -387,11 +390,18 @@ def estimate_renyi(code: SynthesisCode, s: float, samples: int = 4096,
                                   per_symbol=float(val) / code.n,
                                   diagnostics=diag)
     rng = _rng(seed, 2)
+    try:
+        if s >= 0:
+            ws = code.codebook[rng.integers(0, code.m_count, size=samples)]
+            xs = _CondLaw(code.base, code.eps, "X").sample(rng, ws)
+            ys = _CondLaw(code.base, code.eps, "Y").sample(rng, ws)
+            p_vals = _pointwise_p(code, xs, ys)
+        else:
+            p_vals, pi_vals = _pi_n_draws(code, samples, rng)
+    except DomainError as err:
+        return DivergenceEstimate(math.inf, 0.0, "monte_carlo", 0, seed,
+                                  diagnostics={"structural_zero": str(err)})
     if s >= 0:
-        ws = code.codebook[rng.integers(0, code.m_count, size=samples)]
-        xs = _CondLaw(code.base, code.eps, "X").sample(rng, ws)
-        ys = _CondLaw(code.base, code.eps, "Y").sample(rng, ws)
-        p_vals = _pointwise_p(code, xs, ys)
         log_pi = np.log(pi.mass[xs, ys]).sum(axis=1)
         if np.any(log_pi == -np.inf):
             return DivergenceEstimate(math.inf, 0.0, "monte_carlo", samples,
@@ -404,13 +414,11 @@ def estimate_renyi(code: SynthesisCode, s: float, samples: int = 4096,
                 val, float(g.std(ddof=1) / math.sqrt(samples)), "monte_carlo",
                 samples, seed, per_symbol=val / code.n)
         g = (p_vals / np.exp(log_pi)) ** s
+    elif s == -1.0:
+        g = (p_vals > 0).astype(float)
     else:
-        p_vals, pi_vals = _pi_n_draws(code, samples, rng)
-        if s == -1.0:
-            g = (p_vals > 0).astype(float)
-        else:
-            with np.errstate(divide="ignore"):
-                g = (p_vals / pi_vals) ** (1.0 + s)
+        with np.errstate(divide="ignore"):
+            g = (p_vals / pi_vals) ** (1.0 + s)
     mean = float(g.mean())
     se = float(g.std(ddof=1) / math.sqrt(samples))
     if mean <= 0:
@@ -573,13 +581,12 @@ def _joint_types(base: MarkovCoupling, n: int, eps: float,
     and capped by ``typicality.MAX_TYPES``."""
     nw, nx, ny = base.nw, base.nx, base.ny
     w_law = _CondLaw(base, eps_prime, "W")
-    lo, hi = (b[0] for b in w_law._count_windows(n))
+    z_w = float(w_law._normalizers(np.zeros((1, n), dtype=int))[0])
+    lo, hi = (b[0] for b in w_law._shell(n)[:2])
     w_types = _compositions(n, nw)
     w_types = w_types[np.all((w_types >= lo) & (w_types <= hi), axis=1)]
-    if w_types.shape[0] == 0:
-        raise DomainError("empty eps'-typical W set at this n")
     laws = (_CondLaw(base, eps, "X"), _CondLaw(base, eps, "Y"))
-    windows = [law._count_windows(n) for law in laws]
+    windows = [law._shell(n)[:2] for law in laws]
     tables = [[_cell_tables(int(k[a]), windows, a, nx, ny) for a in range(nw)]
               for k in w_types]
     sizes = [math.prod(t.shape[0] for t in per_a) for per_a in tables]
@@ -595,7 +602,6 @@ def _joint_types(base: MarkovCoupling, n: int, eps: float,
         blocks.append(np.stack([t[i] for t, i in zip(per_a, pick)], axis=1))
     counts = np.concatenate(blocks)
     owner = np.repeat(np.arange(len(blocks)), sizes)
-    z_w = w_law.normalizer(np.zeros(n, dtype=int))
     flat = counts.reshape(counts.shape[0], -1)
     return _JointTypes(
         counts=counts,

@@ -1,16 +1,18 @@
 """Method-of-types utilities.
 
 Relative-deviation typical sets, conditional typical sets defined through the
-joint type, exact typical-set probabilities by enumerating admissible types in
-log-space, and the explicit two-exponential uniform conditional-typicality
+joint type, exact typical-set probabilities by a log-space convolution over
+the symbols, and the explicit two-exponential uniform conditional-typicality
 bound.
 
 The membership condition is per-symbol relative deviation,
 |T(x) - Q(x)| <= eps * Q(x) for every x, so zero-probability symbols must not
 appear at all.  Conditional typicality of x^n given w^n means the pair's joint
 type satisfies the same condition against Q_W * Q_{X|W}; for a fixed w^n this
-constrains each per-w subsequence independently, which is what makes exact
-evaluation a product of small multinomial window sums.
+constrains each per-w subsequence independently, so the shell mass is a
+product over the W-symbols a of z_a(k_a), the probability that a block of
+k_a uses of a keeps its counts in the windows.  One convolution gives z_a(k)
+for every k = 0..n at once.
 """
 
 from __future__ import annotations
@@ -25,7 +27,8 @@ from .probability import FinitePmf, SequenceType
 
 MAX_N = 200
 MAX_ALPHABET = 8
-#: cap on enumerated candidate count tuples in one window sum
+#: cap on the joint types, and on one W-symbol's candidate count tables, of
+#: the finite-n checks' type table (``synthesis._joint_types``)
 MAX_TYPES = 2_000_000
 #: slack for float edge effects when converting window bounds to integers
 _EDGE_TOL = 1e-9
@@ -47,13 +50,16 @@ class TypicalSpec:
 
     def count_windows(self) -> tuple[np.ndarray, np.ndarray]:
         """Admissible per-symbol count ranges [lo, hi] (inclusive)."""
-        q = self.ref.mass
-        lo = np.ceil(self.n * q * (1.0 - self.eps) - _EDGE_TOL).astype(int)
-        hi = np.floor(self.n * q * (1.0 + self.eps) + _EDGE_TOL).astype(int)
-        lo = np.maximum(lo, 0)
-        hi = np.minimum(hi, self.n)
-        hi = np.where(q == 0, 0, hi)
-        return lo, hi
+        return _windows(self.ref.mass, self.n, self.eps)
+
+
+def _windows(mass: np.ndarray, n: int, eps: float):
+    """The counts c of every cell in a length-n type with
+    |c - n mass| <= eps n mass, as inclusive ranges [lo, hi] clipped to
+    [0, n]; hi = 0 where mass = 0."""
+    lo = np.ceil(n * mass * (1.0 - eps) - _EDGE_TOL).astype(int)
+    hi = np.floor(n * mass * (1.0 + eps) + _EDGE_TOL).astype(int)
+    return np.maximum(lo, 0), np.where(mass == 0, 0, np.minimum(hi, n))
 
 
 def is_typical(x_seq, spec: TypicalSpec) -> bool:
@@ -65,45 +71,6 @@ def is_typical(x_seq, spec: TypicalSpec) -> bool:
     return bool(np.all((t.counts >= lo) & (t.counts <= hi)))
 
 
-def _window_log_prob(q: np.ndarray, n: int, lo: np.ndarray, hi: np.ndarray) -> float:
-    """log of the probability that an i.i.d.(q) length-n draw has per-symbol
-    counts inside [lo, hi] with total n, by direct type enumeration."""
-    k_sym = len(q)
-    lo = np.maximum(lo, 0)
-    hi = np.minimum(hi, n)
-    hi = np.where(q == 0, np.minimum(hi, 0), hi)
-    if np.any(hi < lo):
-        return -np.inf
-    widths = hi - lo + 1
-    if int(np.prod(widths.astype(float))) > MAX_TYPES:
-        raise ResourceBudgetError(
-            f"type enumeration would visit up to {np.prod(widths.astype(float)):.3g} "
-            f"count tuples (cap {MAX_TYPES})")
-    with np.errstate(divide="ignore"):
-        log_q = np.log(q)
-    lo_tail = np.concatenate([np.cumsum(lo[::-1])[::-1], [0]])
-    hi_tail = np.concatenate([np.cumsum(hi[::-1])[::-1], [0]])
-    log_terms = []
-    counts = np.zeros(k_sym, dtype=int)
-
-    def recurse(sym: int, rem: int, acc: float):
-        if sym == k_sym:
-            if rem == 0:
-                log_terms.append(acc)
-            return
-        lo_k = max(lo[sym], rem - hi_tail[sym + 1])
-        hi_k = min(hi[sym], rem - lo_tail[sym + 1])
-        for k in range(lo_k, hi_k + 1):
-            counts[sym] = k
-            contrib = 0.0 if k == 0 else k * log_q[sym] - gammaln(k + 1)
-            recurse(sym + 1, rem - k, acc + contrib)
-
-    recurse(0, n, float(gammaln(n + 1)))
-    if not log_terms:
-        return -np.inf
-    return float(logsumexp(np.asarray(log_terms)))
-
-
 def _check_budget(n: int, alphabet: int):
     if n > MAX_N:
         raise ResourceBudgetError(f"block length {n} exceeds cap {MAX_N}")
@@ -111,11 +78,33 @@ def _check_budget(n: int, alphabet: int):
         raise ResourceBudgetError(f"alphabet size {alphabet} exceeds cap {MAX_ALPHABET}")
 
 
+def _block_log_probs(q: np.ndarray, lo: np.ndarray, hi: np.ndarray,
+                     n: int) -> np.ndarray:
+    """log of the probability that an i.i.d.(q) block of length k keeps every
+    symbol count in [lo, hi], for k = 0..n.
+
+    That probability is k! times the coefficient of t^k in
+    prod_x sum_{c = lo_x}^{hi_x} (q_x t)^c / c!, which is convolved in log
+    space one symbol at a time, in O(|X| (n+1)^2).  The windows must be
+    clipped as ``_windows`` clips them: lo >= 0, hi <= n, hi = 0 where q = 0.
+    """
+    log_fact = gammaln(np.arange(n + 1) + 1.0)
+    log_q = np.log(np.where(q > 0, q, 1.0))      # only ever times c = 0 at q = 0
+    acc = np.full(n + 1, -np.inf)                # log coefficients, t^0..t^n
+    acc[0] = 0.0
+    for x in range(q.size):
+        c = np.arange(lo[x], hi[x] + 1)
+        shift = np.arange(n + 1)[:, None] - c    # k - c for every (k, c)
+        terms = np.where(shift >= 0, acc[np.maximum(shift, 0)], -np.inf)
+        acc = logsumexp(terms + (c * log_q[x] - log_fact[c]), axis=1)
+    return acc + log_fact
+
+
 def typical_prob_exact(spec: TypicalSpec) -> float:
     """Q^n of the typical set, as an exact sum of multinomial masses."""
     _check_budget(spec.n, spec.ref.alphabet_size)
     lo, hi = spec.count_windows()
-    log_p = _window_log_prob(spec.ref.mass, spec.n, lo, hi)
+    log_p = _block_log_probs(spec.ref.mass, lo, hi, spec.n)[spec.n]
     return float(min(np.exp(log_p), 1.0))
 
 
@@ -131,13 +120,20 @@ def _validated_cond(q_cond) -> np.ndarray:
 def cond_count_windows(q_w: FinitePmf, q_cond, n: int, eps: float):
     """Per-(w, x) admissible count ranges for the joint-type condition
     |T(w,x) - Q_W(w)Q_{X|W}(x|w)| <= eps * Q_W(w)Q_{X|W}(x|w)."""
+    return _windows(q_w.mass[:, None] * _validated_cond(q_cond), n, eps)
+
+
+def cond_shell_log_masses(q_w: FinitePmf, q_cond, n: int,
+                          eps: float) -> np.ndarray:
+    """log z_a(k) for every W-symbol a and k = 0..n, as a (|W|, n+1) table:
+    the probability that k i.i.d. draws from Q_{X|W}(.|a) keep their (a, x)
+    counts in the conditional eps-windows of block length n.  The shell mass
+    of a length-n w^n of type k is prod_a z_a(k_a)."""
     cond = _validated_cond(q_cond)
-    joint = q_w.mass[:, None] * cond
-    lo = np.ceil(n * joint * (1.0 - eps) - _EDGE_TOL).astype(int)
-    hi = np.floor(n * joint * (1.0 + eps) + _EDGE_TOL).astype(int)
-    lo = np.maximum(lo, 0)
-    hi = np.where(joint == 0, 0, np.minimum(hi, n))
-    return lo, hi
+    _check_budget(n, max(cond.shape))
+    lo, hi = cond_count_windows(q_w, cond, n, eps)
+    return np.stack([_block_log_probs(row, lo_a, hi_a, n)
+                     for row, lo_a, hi_a in zip(cond, lo, hi)])
 
 
 def is_cond_typical(x_seq, w_seq, q_w: FinitePmf, q_cond, eps: float) -> bool:
@@ -161,10 +157,11 @@ def cond_typical_defect_exact(q_w: FinitePmf, q_cond, w_seq, eps: float,
     eps-typical given w^n.
 
     The joint-type condition constrains the counts within each per-w
-    subsequence independently, so the success probability is a product of
-    per-w multinomial window sums.  When ``eps_prime`` is given, ``w_seq`` is
-    required to be eps_prime-typical for Q_W (the regime in which the uniform
-    bound applies); non-typical conditioning sequences are rejected.
+    subsequence independently, so the success probability is the product
+    of z_a(k_a) over the W-symbols (``cond_shell_log_masses``).  When
+    ``eps_prime`` is given, ``w_seq`` is required to be eps_prime-typical
+    for Q_W (the regime in which the uniform bound applies); non-typical
+    conditioning sequences are rejected.
     """
     cond = _validated_cond(q_cond)
     w_seq = np.asarray(w_seq, dtype=int)
@@ -181,17 +178,8 @@ def cond_typical_defect_exact(q_w: FinitePmf, q_cond, w_seq, eps: float,
             raise ConfigError("need 0 < eps_prime < eps")
         if not is_typical(w_seq, TypicalSpec(q_w, n, eps_prime)):
             raise DomainError("w_seq is not eps_prime-typical for Q_W")
-    lo, hi = cond_count_windows(q_w, cond, n, eps)
-    log_success = 0.0
-    for w in range(nw):
-        if w_counts[w] == 0:
-            # empty subsequence: fails only if some window excludes count 0
-            if np.any(lo[w] > 0):
-                return 1.0
-            continue
-        log_success += _window_log_prob(cond[w], int(w_counts[w]), lo[w], hi[w])
-        if log_success == -np.inf:
-            return 1.0
+    table = cond_shell_log_masses(q_w, cond, n, eps)
+    log_success = table[np.arange(nw), w_counts].sum()
     return float(min(max(1.0 - np.exp(log_success), 0.0), 1.0))
 
 

@@ -3,6 +3,7 @@ brute-force oracles, estimator agreement, and the finite-n bound checks."""
 
 import itertools
 import math
+import time
 import warnings
 
 import numpy as np
@@ -158,12 +159,39 @@ def test_sampling_error_after_max_tries(monkeypatch):
     monkeypatch.setattr(synthesis, "MAX_REJECTION_TRIES", 2)
     with pytest.raises(SamplingError, match="probability 2.461e-01"):
         build_code(base, 10, 0.4, 1.0, 0.01, seed=0)
-    # the cross cells of a tight X-shell admit no count at n = 6
+    # the cross cells of a tight X-shell admit no count at n = 6: an empty
+    # shell is read off the table before the first round
     law = synthesis._CondLaw(base, 0.4, "X")
-    with pytest.raises(SamplingError, match="probability 0.000e"):
+    with pytest.raises(DomainError, match="empty conditional typical shell"):
         law.sample(synthesis._rng(0, 1), np.array([[0, 1, 0, 1, 0, 1]]))
     monkeypatch.setattr(synthesis, "MAX_REJECTION_TRIES", 50)
     build_code(base, 10, 0.4, 1.0, 0.01, seed=0)
+
+
+def test_empty_typical_set_raises_before_sampling():
+    # Q_W(2) = 0.0115, so at n = 4, eps' = 0.5 its count window is
+    # [ceil(0.023), floor(0.069)] = [1, 0]: no rejection round could accept
+    q_w = FinitePmf(np.random.default_rng(0).dirichlet(np.ones(3)))
+    base = MarkovCoupling(q_w, np.eye(3), np.eye(3))
+    start = time.perf_counter()
+    with pytest.raises(DomainError, match="empty eps'-typical W set"):
+        build_code(base, 4, 0.0, 1.0, 0.5, seed=0)
+    assert time.perf_counter() - start < 2.0
+
+
+def test_monte_carlo_renyi_on_an_empty_shell_is_a_structural_zero():
+    # at n = 12 the dense joint is past MAX_JOINT_CELLS; at eps = 0.4 some
+    # codeword's X-shell is empty, as the exact branch would find
+    code = build_code(fixtures.dsbs_optimal_coupling(0.1), 12, 0.2, 0.4, 0.2,
+                      seed=9)
+    assert 4.0 ** 12 > synthesis.MAX_JOINT_CELLS
+    start = time.perf_counter()
+    for s in (1.0, 0.0, -0.5):
+        est = estimate_renyi(code, s, samples=100)
+        assert est.point == math.inf and est.method == "monte_carlo"
+        assert "empty conditional typical shell" in \
+            est.diagnostics["structural_zero"]
+    assert time.perf_counter() - start < 2.0
 
 
 def test_build_code_rejects_bad_block_length_and_eps_prime():
@@ -453,26 +481,21 @@ def test_pointwise_p_matches_induced_joint(monkeypatch):
         assert np.allclose(got, ex.mass[ix, iy], rtol=0.0, atol=1e-12)
 
 
-def test_truncation_check_needs_one_normalizer_per_w_type(monkeypatch):
+def test_truncation_check_needs_one_shell_table_per_law(monkeypatch):
     calls = []
-    defect = typ.cond_typical_defect_exact
+    tables = typ.cond_shell_log_masses
 
-    def counted(q_w, *args, **kwargs):
-        calls.append(q_w.alphabet_size)
-        return defect(q_w, *args, **kwargs)
+    def counted(q_w, q_cond, n, eps):
+        calls.append((q_w.alphabet_size, n, eps))
+        return tables(q_w, q_cond, n, eps)
 
-    monkeypatch.setattr(typ, "cond_typical_defect_exact", counted)
+    monkeypatch.setattr(typ, "cond_shell_log_masses", counted)
     base = fixtures.dsbs_optimal_coupling(0.1)
     truncation_check(base, n=8, eps=1.0, eps_prime=0.5, s=1.0)
-    lo, hi = typ.TypicalSpec(base.q_w, 8, 0.5).count_windows()
-    n_types = sum(1 for k in range(9) if lo[0] <= k <= hi[0]
-                  and lo[1] <= 8 - k <= hi[1])
-    assert n_types == 5
-    # the X and Y shells, given W-sequences; the eps'-typical set, given
-    # the constant sequence of the one-row codeword law
-    assert calls.count(base.nw) <= 2 * n_types
-    assert calls.count(1) == 1
-    assert len(calls) == calls.count(base.nw) + 1
+    # the X and Y shells, given W-sequences of any type, one table each;
+    # the eps'-typical set, given the constant sequence of the one-row
+    # codeword law
+    assert sorted(calls) == [(1, 8, 0.5), (2, 8, 1.0), (2, 8, 1.0)]
 
 
 # ---------------------------------------------------------------------------

@@ -6,9 +6,13 @@ import itertools
 import numpy as np
 import pytest
 
+from scipy.special import gammaln
+
+from commoninfo import typicality as typ
 from commoninfo.errors import ConfigError, DomainError, ResourceBudgetError
 from commoninfo.probability import FinitePmf
 from commoninfo.typicality import (TypicalSpec, cond_count_windows,
+                                   cond_shell_log_masses,
                                    cond_typical_defect_exact, contyplem_bound,
                                    is_cond_typical, is_typical,
                                    typical_prob_exact)
@@ -21,6 +25,66 @@ def brute_force_typical_prob(spec: TypicalSpec) -> float:
         if is_typical(seq, spec):
             total += float(np.prod(spec.ref.mass[list(seq)]))
     return total
+
+
+def brute_force_block_probs(q, lo, hi, n) -> np.ndarray:
+    """P(an i.i.d.(q) block of length k keeps every count in [lo, hi]) for
+    k = 0..n, summing the multinomial mass of every count vector in the
+    windows (0^0 = 1 at structural zeros)."""
+    axes = [np.arange(a, b + 1) for a, b in zip(lo, hi)]
+    counts = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")],
+                      axis=1)
+    k = counts.sum(axis=1)
+    log_q = np.log(np.where(q > 0, q, 1.0))
+    log_mass = (gammaln(k + 1) - gammaln(counts + 1).sum(axis=1)
+                + counts @ log_q)
+    keep = k <= n
+    return np.bincount(k[keep], weights=np.exp(log_mass[keep]),
+                       minlength=n + 1)
+
+
+def random_pmf(rng, size) -> np.ndarray:
+    """A Dirichlet(1) pmf with each cell but one zeroed with probability 1/4."""
+    q = rng.dirichlet(np.ones(size))
+    q[rng.permutation(size)[1:][rng.random(size - 1) < 0.25]] = 0.0
+    return q / q.sum()
+
+
+def test_block_log_probs_match_count_enumeration():
+    rng = np.random.default_rng(17)
+    empty_blocks = 0
+    for _ in range(60):
+        n = int(rng.integers(1, 41))
+        q = random_pmf(rng, int(rng.integers(1, 4)))
+        lo, hi = typ._windows(q, n, float(rng.uniform(0.05, 1.5)))
+        got = np.exp(typ._block_log_probs(q, lo, hi, n))
+        ref = brute_force_block_probs(q, lo, hi, n)
+        assert np.allclose(got, ref, rtol=0.0, atol=1e-12)
+        # an empty block keeps every count at 0
+        assert got[0] == float(np.all(lo == 0))
+        empty_blocks += got[0] == 0.0
+    assert 0 < empty_blocks < 60
+
+
+def test_cond_shell_log_masses_match_count_enumeration():
+    rng = np.random.default_rng(23)
+    for _ in range(30):
+        n = int(rng.integers(1, 41))
+        nw, nx = int(rng.integers(1, 4)), int(rng.integers(1, 4))
+        q_w = FinitePmf(random_pmf(rng, nw))
+        cond = np.stack([random_pmf(rng, nx) for _ in range(nw)])
+        eps = float(rng.uniform(0.05, 1.5))
+        table = cond_shell_log_masses(q_w, cond, n, eps)
+        assert table.shape == (nw, n + 1)
+        lo, hi = cond_count_windows(q_w, cond, n, eps)
+        ref = np.stack([brute_force_block_probs(cond[a], lo[a], hi[a], n)
+                        for a in range(nw)])
+        assert np.allclose(np.exp(table), ref, rtol=0.0, atol=1e-12)
+        # the shell mass of a sequence is the product over its W-blocks
+        w = rng.choice(nw, size=n, p=q_w.mass)
+        k = np.bincount(w, minlength=nw)
+        assert cond_typical_defect_exact(q_w, cond, w, eps) == pytest.approx(
+            1.0 - ref[np.arange(nw), k].prod(), abs=1e-12)
 
 
 def test_count_windows_hand_case():
