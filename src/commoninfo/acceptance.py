@@ -23,8 +23,9 @@ from . import exponents
 from . import typicality as typ
 from . import synthesis
 from . import experiments
-from .fixtures import (dsbs, copy_source, product_source,
-                       dsbs_optimal_coupling, copy_coupling_binary)
+from .fixtures import (dsbs, dsbes, common_part_source, copy_source,
+                       product_source, dsbs_optimal_coupling,
+                       copy_coupling_binary)
 
 PLAN_PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                          "plans", "paper_suite.plan")
@@ -106,10 +107,26 @@ def criterion_1_divergence_axioms(seed: int = 0) -> CriterionReport:
                    "1000 pairs x 5 orders, all chains hold")
 
 
+def _dsbs_ci(p: float) -> float:
+    """I(XY;W) of the optimal DSBS(p) coupling: ln 2 + h(p) - 2 h(a),
+    a = (1 - sqrt(1 - 2p))/2 (Wyner 1975)."""
+    coupling = dsbs_optimal_coupling(p)
+    w_xy = induced_joint(coupling).mass.reshape(coupling.nw, -1)
+    return mutual_information(JointPmf(w_xy))
+
+
+#: erasure probabilities of the DSBES(e) references of criterion 2
+CI_DSBES_ES = (0.2, 0.4, 0.6, 0.8)
+#: (q, p) of criterion 2's 3x3 common-part reference
+CI_COMMON_PART = (0.6, 0.2)
+
+
 def criterion_2_ci_correctness(seed: int = 0) -> CriterionReport:
     """Solver against exact values: 0 on a product source, ln 2 on the copy
-    source, and Wyner's closed form on 20 seeded DSBS(p), the I(XY;W) of the
-    optimal coupling ln 2 + h(p) - 2 h(a), a = (1 - sqrt(1 - 2p))/2."""
+    source, Wyner's closed form on 20 seeded DSBS(p), C = ln 2 for e <= 1/2
+    and h(e) above on DSBES(e) (Cuff, Permuter and Cover 2010), and
+    h(q) + q C_DSBS(p) on the 3x3 joint with a common part of mass split
+    (1 - q, q)."""
     v_prod = wyner_ci(product_source(), restarts=8, seed=seed).value
     if abs(v_prod) > 1e-6:
         return _report(2, "ci correctness", False,
@@ -123,16 +140,31 @@ def criterion_2_ci_correctness(seed: int = 0) -> CriterionReport:
     for _ in range(20):
         p = float(rng.uniform(0.02, 0.45))
         got = wyner_ci(dsbs(p), restarts=8, seed=seed).value
-        coupling = dsbs_optimal_coupling(p)
-        w_xy = induced_joint(coupling).mass.reshape(coupling.nw, -1)
-        worst = max(worst, abs(got - mutual_information(JointPmf(w_xy))))
+        worst = max(worst, abs(got - _dsbs_ci(p)))
         if worst > 1e-3:
             return _report(2, "ci correctness", False,
                            f"solver vs closed form diff {worst:.2e} "
                            f"at p={p:.4f}")
+    for e in CI_DSBES_ES:
+        got = wyner_ci(dsbes(e), restarts=8, seed=seed).value
+        h_e = FinitePmf(np.array([e, 1 - e])).entropy()
+        exact = math.log(2) if e <= 0.5 else h_e
+        worst = max(worst, abs(got - exact))
+        if worst > 1e-3:
+            return _report(2, "ci correctness", False,
+                           f"solver vs closed form diff {worst:.2e} on "
+                           f"DSBES at e={e:g}")
+    q, p = CI_COMMON_PART
+    got = wyner_ci(common_part_source(q, p), restarts=8, seed=seed).value
+    h_q = FinitePmf(np.array([q, 1 - q])).entropy()
+    worst = max(worst, abs(got - (h_q + q * _dsbs_ci(p))))
+    if worst > 1e-3:
+        return _report(2, "ci correctness", False,
+                       f"solver vs closed form diff {worst:.2e} on the "
+                       f"common-part joint at q={q:g}, p={p:g}")
     return _report(2, "ci correctness", True,
                    f"product and copy hit; worst closed-form diff {worst:.2e} "
-                   f"over 20 DSBS(p)")
+                   f"over 20 DSBS(p), 4 DSBES(e) and the 3x3 common part")
 
 
 def criterion_3_r_sh_identity(seed: int = 0) -> CriterionReport:

@@ -30,6 +30,27 @@ def product_source(p: float = 0.3, q: float = 0.6) -> JointPmf:
     return JointPmf(np.outer(px, py))
 
 
+def dsbes(erasure: float) -> JointPmf:
+    """Doubly symmetric binary erasure source: X a fair bit, Y = X erased
+    (column 2) with probability ``erasure``."""
+    if not 0.0 <= erasure <= 1.0:
+        raise ConfigError("erasure must lie in [0, 1]")
+    e = erasure
+    return JointPmf(np.array([[(1 - e) / 2, 0.0, e / 2],
+                              [0.0, (1 - e) / 2, e / 2]]))
+
+
+def common_part_source(q: float = 0.6, p: float = 0.2) -> JointPmf:
+    """3x3: mass 1-q on the cell (0, 0) and q DSBS(p) on {1, 2} x {1, 2},
+    so that [X > 0] = [Y > 0] is a common part of X and Y."""
+    if not 0.0 <= q <= 1.0:
+        raise ConfigError("q must lie in [0, 1]")
+    mass = np.zeros((3, 3))
+    mass[0, 0] = 1.0 - q
+    mass[1:, 1:] = q * dsbs(p).mass
+    return JointPmf(mass)
+
+
 def dsbs_optimal_coupling(crossover: float) -> MarkovCoupling:
     """The binary-W coupling achieving Wyner's minimum for a DSBS.
 

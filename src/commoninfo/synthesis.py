@@ -348,17 +348,26 @@ def _pi_n_draws(code: SynthesisCode, samples: int, rng):
 def estimate_tv(code: SynthesisCode, samples: int = 4096,
                 seed: int = 0) -> DivergenceEstimate:
     """TV between the induced joint and pi^n; exact within the dense budget,
-    otherwise the Monte-Carlo estimator E_pi[(1 - P/pi)^+]."""
+    otherwise the Monte-Carlo estimator E_pi[(1 - P/pi)^+].  A codeword with
+    an empty shell reads TV's maximum 1, with a ``structural_zero``
+    diagnostic, on both paths, as in ``estimate_renyi``."""
     pi = code.base.xy_marginal()
     try:
         ex = induced_joint_exact(code)
     except ResourceBudgetError:
         ex = None
+    except DomainError as err:
+        return DivergenceEstimate(1.0, 0.0, "exact", 0, seed,
+                                  diagnostics={"structural_zero": str(err)})
     if ex is not None:
         pin = _pi_n_matrix(pi, ex.seqs_x, ex.seqs_y)
         val = 0.5 * float(np.abs(ex.mass - pin).sum())
         return DivergenceEstimate(val, 0.0, "exact", 0, seed)
-    p_vals, pi_vals = _pi_n_draws(code, samples, _rng(seed, 1))
+    try:
+        p_vals, pi_vals = _pi_n_draws(code, samples, _rng(seed, 1))
+    except DomainError as err:
+        return DivergenceEstimate(1.0, 0.0, "monte_carlo", 0, seed,
+                                  diagnostics={"structural_zero": str(err)})
     g = np.maximum(1.0 - p_vals / pi_vals, 0.0)
     return DivergenceEstimate(float(g.mean()),
                               float(g.std(ddof=1) / math.sqrt(samples)),

@@ -41,3 +41,21 @@ def test_criterion_2_fails_on_a_shifted_dsbs_value(monkeypatch):
     first_p = float(np.random.default_rng(0).uniform(0.02, 0.45))
     assert not rep.passed
     assert f"p={first_p:.4f}" in rep.detail
+
+
+def test_criterion_2_fails_on_a_shifted_dsbes_value(monkeypatch):
+    real = acceptance.wyner_ci
+
+    def shifted(pi, **kw):
+        sol = real(pi, **kw)
+        m = pi.mass
+        is_dsbes = (m.shape == (2, 3) and m[0, 1] == 0 and m[1, 0] == 0
+                    and m[0, 0] == m[1, 1] and m[0, 2] == m[1, 2])
+        if is_dsbes:
+            return dataclasses.replace(sol, value=sol.value + 2e-3)
+        return sol
+
+    monkeypatch.setattr(acceptance, "wyner_ci", shifted)
+    rep = acceptance.criterion_2_ci_correctness()
+    assert not rep.passed
+    assert f"DSBES at e={acceptance.CI_DSBES_ES[0]:g}" in rep.detail

@@ -194,6 +194,17 @@ def test_monte_carlo_renyi_on_an_empty_shell_is_a_structural_zero():
     assert time.perf_counter() - start < 2.0
 
 
+
+def test_monte_carlo_tv_on_an_empty_shell_is_a_structural_zero():
+    # the code of the Monte-Carlo Renyi case above: TV reads its maximum 1
+    code = build_code(fixtures.dsbs_optimal_coupling(0.1), 12, 0.2, 0.4, 0.2,
+                      seed=9)
+    est = estimate_tv(code, samples=100)
+    assert est.point == 1.0 and est.method == "monte_carlo"
+    assert est.samples == 0
+    assert "empty conditional typical shell" in \
+        est.diagnostics["structural_zero"]
+
 def test_build_code_rejects_bad_block_length_and_eps_prime():
     base = fixtures.dsbs_optimal_coupling(0.1)
     for n, eps_prime in ((0, 0.5), (0, None), (4, 0.0), (4, -0.1)):
@@ -306,6 +317,16 @@ def test_structural_zero_reported_as_infinite():
     est = estimate_renyi(code, 1.0)
     assert est.point == math.inf
     assert "structural_zero" in est.diagnostics
+
+
+def test_exact_tv_on_an_empty_shell_is_a_structural_zero():
+    code = build_code(fixtures.dsbs_optimal_coupling(0.1), 6, 0.2, 0.4, 0.2,
+                      seed=9)
+    est = estimate_tv(code, samples=100)
+    assert est.point == 1.0 and est.method == "exact"
+    assert est.samples == 0
+    assert "empty conditional typical shell" in \
+        est.diagnostics["structural_zero"]
 
 
 def test_estimate_renyi_order_validation():
