@@ -23,7 +23,14 @@ The feasible set is non-convex in this parameterization, so each remaining
 block runs a deterministic multi-start quasi-Newton descent on an
 exact-penalty objective with an increasing weight schedule, followed by an
 alternating feasibility restoration that drives the marginal residual below
-tolerance.
+tolerance.  The objective and its gradient are one kernel per solved block,
+``_BlockKernel``, built once from the block's masks: Q_{X|W} and Q_{Y|W} are
+the rows of one -inf-padded matrix at fixed flat positions, so one row
+softmax gives both, one contraction Q_XY, two contractions with dI/dQ_XY the
+conditional gradients, and one chain-rule pass and one gather the gradient
+in their free logits.  Every sum runs in the order of a per-term evaluation
+(the einsum reference in tests/test_ci_solver.py), so the value and gradient
+match it bit for bit and the descent takes the same path.
 """
 
 from __future__ import annotations
@@ -34,7 +41,8 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .errors import ConfigError
-from .probability import FinitePmf, JointPmf, MarkovCoupling, mutual_information
+from .probability import (FinitePmf, JointPmf, MarkovCoupling,
+                          mutual_information_mass)
 
 _PENALTY_SCHEDULE = (1e2, 1e4, 1e6)
 _FEAS_TOL = 1e-8                         # marginal residual of a feasible result
@@ -108,53 +116,91 @@ def _rectangle_layout(supp: np.ndarray):
     return np.array(mask_x), np.array(mask_y), cell_symbol
 
 
-def _softmax(z: np.ndarray, axis=-1) -> np.ndarray:
-    z = z - z.max(axis=axis, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=axis, keepdims=True)
+class _BlockKernel:
+    """The penalty objective of one block on its logit layout, the only
+    place that knows that layout.
 
+    The free logits are those of Q_W, then those of Q_{X|W} on ``mask_x``
+    and of Q_{Y|W} on ``mask_y`` in row-major order.  The conditionals are
+    the rows of one (2|W|, max(|X|, |Y|)) matrix padded with -inf, and
+    ``_pos`` holds the flat positions of their logits, so one row softmax
+    gives both with a masked entry exactly 0.  Q_W keeps its own vector so
+    that no row is padded past max(|X|, |Y|): numpy sums a row of 8 or more
+    cells in another order, and the value and gradient would then differ
+    in the last bits from those of the unpadded rows.  The contractions are
+    einsums, not BLAS products, for the same reason."""
 
-def _unpack(z: np.ndarray, mask_x: np.ndarray, mask_y: np.ndarray):
-    """(Q_W, Q_{X|W}, Q_{Y|W}) from the logits of Q_W and of the unmasked
-    entries; a masked entry is exactly 0."""
-    nw = mask_x.shape[0]
-    nb = nw + np.count_nonzero(mask_x)
-    b = np.full(mask_x.shape, -np.inf)
-    b[mask_x] = z[nw:nb]
-    c = np.full(mask_y.shape, -np.inf)
-    c[mask_y] = z[nb:]
-    return _softmax(z[:nw]), _softmax(b), _softmax(c)
+    def __init__(self, pi_mass, mask_x, mask_y):
+        nw, nx = mask_x.shape
+        ny = mask_y.shape[1]
+        free = np.zeros((2 * nw, max(nx, ny)), dtype=bool)
+        free[:nw, :nx] = mask_x
+        free[nw:, :ny] = mask_y
+        self._pos = np.flatnonzero(free)
+        self.n_logits = nw + self._pos.size
+        self._pi_mass = pi_mass
+        self._blank = np.where(free, 0.0, -np.inf)
+        self._shape = (nw, nx, ny)
 
+    def _softmax(self, z):
+        """Q_W and the row softmax of the conditional logit matrix, both
+        fresh arrays."""
+        nw = self._shape[0]
+        zw = z[:nw]
+        qw = np.exp(zw - zw.max())
+        qw /= qw.sum()
+        P = self._blank.copy()
+        P.put(self._pos, z[nw:])
+        P -= P.max(axis=1, keepdims=True)
+        np.exp(P, out=P)
+        P /= P.sum(axis=1, keepdims=True)
+        return qw, P
 
-def _objective_and_grad(z, pi_mass, mask_x, mask_y, lam):
-    """Penalized objective I(XY;W) + lam * ||Q_XY - pi||^2 with its gradient
-    in the softmax logits."""
-    qw, A, C = _unpack(z, mask_x, mask_y)
-    J = np.einsum("w,wx,wy->wxy", qw, A, C)
-    Q = J.sum(axis=0)
+    def unpack(self, z):
+        """(Q_W, Q_{X|W}, Q_{Y|W}) of the logits ``z``."""
+        nw, nx, ny = self._shape
+        qw, P = self._softmax(z)
+        return qw, P[:nw, :nx], P[nw:, :ny]
 
-    logQ = np.log(np.maximum(Q, _LOG_FLOOR))
-    logA = np.log(np.maximum(A, _LOG_FLOOR))
-    logC = np.log(np.maximum(C, _LOG_FLOOR))
-    a_ent = (A * logA).sum(axis=1)            # -H(X|W=w)
-    c_ent = (C * logC).sum(axis=1)
-    diff = Q - pi_mass
-    f = float(-(Q * logQ).sum() + qw @ (a_ent + c_ent) + lam * (diff * diff).sum())
+    def logits(self, qw, A, C):
+        """The free logits of a coupling, floored at 1e-12."""
+        nw, nx, ny = self._shape
+        M = np.zeros(self._blank.shape)
+        M[:nw, :nx] = A
+        M[nw:, :ny] = C
+        return np.log(np.maximum(np.concatenate((qw, M.take(self._pos))),
+                                 1e-12))
 
-    G = -(logQ + 1.0) + 2.0 * lam * diff       # df/dQ(x,y)
-    g_qw = np.einsum("xy,wx,wy->w", G, A, C) + a_ent + c_ent
-    g_A = qw[:, None] * (np.einsum("xy,wy->wx", G, C) + logA + 1.0)
-    g_C = qw[:, None] * (np.einsum("xy,wx->wy", G, A) + logC + 1.0)
+    def __call__(self, z, lam):
+        """Penalized objective I(XY;W) + lam * ||Q_XY - pi||^2 with its
+        gradient in the free logits."""
+        nw, nx, ny = self._shape
+        qw, P = self._softmax(z)
+        A, C = P[:nw, :nx], P[nw:, :ny]
+        Q = np.einsum("w,wx,wy->xy", qw, A, C)
+        logP = np.log(np.maximum(P, _LOG_FLOOR))
+        ent = (P * logP).sum(axis=1)
+        a_ent, c_ent = ent[:nw], ent[nw:]          # -H(X|W=w), -H(Y|W=w)
+        logQ = np.log(np.maximum(Q, _LOG_FLOOR))
+        diff = Q - self._pi_mass
+        f = float(-(Q * logQ).sum() + qw @ (a_ent + c_ent)
+                  + lam * (diff * diff).sum())
 
-    def chain(p, g, axis):
-        return p * (g - (p * g).sum(axis=axis, keepdims=True))
-
-    grad = np.concatenate([
-        chain(qw, g_qw, 0),
-        chain(A, g_A, 1)[mask_x],
-        chain(C, g_C, 1)[mask_y],
-    ])
-    return f, grad
+        # G = df/dQ(x,y); df/dQ_W(w) = sum A C G - H(X|W=w) - H(Y|W=w) and
+        # df/dQ(x|w) = qw (C G^T + log A + 1)(w, x), likewise for Y, then
+        # the softmax chain rule p * (g - <p, g>) row by row
+        G = -(logQ + 1.0) + 2.0 * lam * diff
+        g_qw = np.einsum("xy,wx,wy->w", G, A, C) + a_ent + c_ent
+        D = logP                                   # in place, no longer read
+        D[:nw, :nx] += np.einsum("xy,wy->wx", G, C)
+        D[nw:, :ny] += np.einsum("xy,wx->wy", G, A)
+        D += 1.0
+        cond_rows = D.reshape(2, nw, -1)
+        cond_rows *= qw[:, None]
+        D -= (P * D).sum(axis=1, keepdims=True)
+        D *= P
+        return f, np.concatenate((qw * (g_qw - (qw * g_qw).sum()),
+                                  D.take(self._pos)))
 
 
 def _restore_feasibility(qw, A, C, pi_mass, max_sweeps=500, tol=1e-10):
@@ -185,17 +231,7 @@ def _restore_feasibility(qw, A, C, pi_mass, max_sweeps=500, tol=1e-10):
 def _coupling_value(qw, A, C) -> float:
     """I(XY;W) of the induced joint, (XY) treated as one super-symbol."""
     J = np.einsum("w,wx,wy->wxy", qw, A, C)
-    nw = qw.shape[0]
-    flat = JointPmf(J.reshape(nw, -1) / J.sum())
-    return mutual_information(flat)
-
-
-def _logits_for(qw, A, C, mask_x, mask_y):
-    return np.concatenate([
-        np.log(np.maximum(qw, 1e-12)),
-        np.log(np.maximum(A, 1e-12))[mask_x],
-        np.log(np.maximum(C, 1e-12))[mask_y],
-    ])
+    return mutual_information_mass(J.reshape(qw.shape[0], -1) / J.sum())
 
 
 def _copy_start(pi_mass, mask_x, mask_y, cell_symbol):
@@ -244,33 +280,33 @@ def _solve_block(pi_mass: np.ndarray, restarts: int, seed: int):
 
     mask_x, mask_y, cell_symbol = _rectangle_layout(pi_mass > 0)
     nw = mask_x.shape[0]
+    kernel = _BlockKernel(pi_mass, mask_x, mask_y)
     rng = np.random.default_rng(np.random.SeedSequence([seed, nx, ny, nw]))
-    starts = [_logits_for(*_copy_start(pi_mass, mask_x, mask_y, cell_symbol),
-                          mask_x, mask_y)]
+    starts = [kernel.logits(*_copy_start(pi_mass, mask_x, mask_y,
+                                         cell_symbol))]
     while len(starts) < restarts:
         qw0 = rng.dirichlet(np.ones(nw))
         A0 = rng.dirichlet(np.ones(nx), size=nw)
         C0 = rng.dirichlet(np.ones(ny), size=nw)
-        starts.append(_logits_for(qw0, A0, C0, mask_x, mask_y))
+        starts.append(kernel.logits(qw0, A0, C0))
 
     best = None
     converged = False
     for z0 in starts:
         z = z0
         for lam in _PENALTY_SCHEDULE:
-            res = minimize(_objective_and_grad, z, jac=True, method="L-BFGS-B",
-                           args=(pi_mass, mask_x, mask_y, lam),
+            res = minimize(kernel, z, jac=True, method="L-BFGS-B",
+                           args=(lam,),
                            options={"maxiter": 500, "ftol": _OBJ_TOL})
             z = res.x
-        qw, A, C = _unpack(z, mask_x, mask_y)
+        qw, A, C = kernel.unpack(z)
         qw, A, C, residual = _restore_feasibility(qw, A, C, pi_mass)
         if residual > _FEAS_TOL:
             # one more polish from the restored point at a stiffer penalty
-            z = _logits_for(qw, A, C, mask_x, mask_y)
-            res = minimize(_objective_and_grad, z, jac=True, method="L-BFGS-B",
-                           args=(pi_mass, mask_x, mask_y, 1e8),
+            res = minimize(kernel, kernel.logits(qw, A, C), jac=True,
+                           method="L-BFGS-B", args=(1e8,),
                            options={"maxiter": 500, "ftol": _OBJ_TOL})
-            qw, A, C = _unpack(res.x, mask_x, mask_y)
+            qw, A, C = kernel.unpack(res.x)
             qw, A, C, residual = _restore_feasibility(qw, A, C, pi_mass)
         value = _coupling_value(qw, A, C)
         feasible = residual <= _FEAS_TOL
@@ -281,7 +317,8 @@ def _solve_block(pi_mass: np.ndarray, restarts: int, seed: int):
 
     for qw, A, C in _marginal_couplings(pi_mass):
         value = _coupling_value(qw, A, C)
-        if value < best[1] - _OBJ_TOL:
+        # exactly feasible, so ahead of a rejected start at any value
+        if best[0][0] or value < best[1] - _OBJ_TOL:
             J = np.einsum("w,wx,wy->xy", qw, A, C)
             residual = 0.5 * np.abs(J - pi_mass).sum()
             best = ((False, value), value, qw, A, C, residual)
@@ -300,12 +337,14 @@ def wyner_ci(pi: JointPmf, restarts: int = 64, seed: int = 0) -> CiSolution:
     copy coupling on the masks, and seeded random starts make up the rest of
     the ``restarts``.  The block's couplings W = X and W = Y are scored, not
     optimised: one replaces the optimizer's answer when it is lower by more
-    than ``_OBJ_TOL``, so the answer is never above min(H(X), H(Y)).  The
-    argmin stacks the symbols of all blocks; ``restarts_used`` counts the
-    starts of every solved block.
+    than ``_OBJ_TOL`` or when every start was rejected as infeasible, so the
+    answer is never above min(H(X), H(Y)).  The argmin stacks the symbols of
+    all blocks; ``restarts_used`` counts the starts of every solved block.
     """
     if pi.ndim != 2:
         raise ConfigError("wyner_ci needs a 2-axis target joint")
+    if restarts < 1:
+        raise ConfigError(f"wyner_ci needs restarts >= 1, got {restarts}")
     nx, ny = pi.dims
     blocks = _common_part_blocks(pi.mass > 0)
     masses = [pi.mass[np.ix_(r, c)] for r, c in blocks]

@@ -135,12 +135,13 @@ def parse_plan(text: str, seed_override: int | None = None,
                 if s == kind or s.startswith(kind + ".")]
 
     for sec in sections_of("ci"):
+        restarts = sec.getint("restarts", 16)
+        if restarts < 1:
+            raise ConfigError(f"[{sec.name}] restarts must be >= 1, "
+                              f"got {restarts}")
         for label in _split(sec.get("sources", "")):
             lookup_source(label)
-            plan.ci_cells.append({
-                "source": label,
-                "restarts": sec.getint("restarts", 16),
-            })
+            plan.ci_cells.append({"source": label, "restarts": restarts})
     for sec in sections_of("exponent"):
         for label in _split(sec.get("sources", "")):
             lookup_source(label)

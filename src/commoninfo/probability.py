@@ -220,7 +220,12 @@ def mutual_information(joint: JointPmf) -> float:
     """I(A;B) in nats for a 2-axis joint, with 0 log 0 = 0."""
     if joint.ndim != 2:
         raise ConfigError("mutual_information needs a 2-axis joint")
-    p = joint.mass
+    return mutual_information_mass(joint.mass)
+
+
+def mutual_information_mass(p: np.ndarray) -> float:
+    """I(A;B) in nats of a 2-axis mass array taken as it is: unvalidated,
+    for callers that already hold a joint pmf's floats."""
     pa = p.sum(axis=1)
     pb = p.sum(axis=0)
     with np.errstate(divide="ignore", invalid="ignore"):

@@ -1,6 +1,7 @@
 """Common-information solver against Wyner's closed form for the doubly
 symmetric binary source, the exact values of the product and copy sources,
-the common-part split and the rectangle masks on the support of pi."""
+the common-part split and the rectangle masks on the support of pi, and its
+block kernel against the per-term einsum objective it replaced."""
 
 import itertools
 import math
@@ -10,6 +11,7 @@ import pytest
 
 from commoninfo import ci_solver, fixtures
 from commoninfo.ci_solver import wyner_ci
+from commoninfo.errors import ConfigError
 from commoninfo.probability import (FinitePmf, JointPmf, induced_joint,
                                     mutual_information)
 
@@ -168,15 +170,155 @@ def test_common_part_joint_matches_the_closed_form():
     _assert_argmin_reproduces(sol, pi)
 
 
-def test_wyner_ci_never_above_min_marginal_entropy():
-    # a random 3x3 joint on which 16 restarts alone stop at 1.4407, feasible
-    # but above min(H(X), H(Y)) = 0.7838; W = Y is exactly feasible
+def test_wyner_ci_never_above_min_marginal_entropy(monkeypatch):
+    # a random 3x3 joint: the answer lies in the bracket I(X;Y) <= C <=
+    # min(H(X), H(Y)) = 0.7838 and is feasible
     pi = JointPmf(np.random.default_rng(1).dirichlet(np.ones(9)).reshape(3, 3))
     h_min = min(FinitePmf(pi.mass.sum(axis=1)).entropy(),
                 FinitePmf(pi.mass.sum(axis=0)).entropy())
     sol = wyner_ci(pi, restarts=16, seed=0)
     assert mutual_information(pi) <= sol.value <= h_min + 1e-12
+    assert sol.constraint_residual <= ci_solver._FEAS_TOL
+
+    # with every start rejected as infeasible, the exactly feasible W = Y
+    # coupling is the answer, whatever the rejected starts' values
+    def reject(qw, A, C, pi_mass):
+        return qw, A, C, 1.0
+    monkeypatch.setattr(ci_solver, "_restore_feasibility", reject)
+    sol = wyner_ci(pi, restarts=16, seed=0)
+    assert sol.value == pytest.approx(h_min, abs=1e-12)
+    assert not sol.converged
     assert sol.constraint_residual < 1e-12
     joint = induced_joint(sol.argmin)
     assert np.allclose(joint.marginal((1, 2)).mass, pi.mass, rtol=0.0,
                        atol=1e-15)
+
+
+@pytest.mark.parametrize("restarts", [0, -3])
+def test_wyner_ci_rejects_non_positive_restarts(restarts):
+    with pytest.raises(ConfigError, match="restarts"):
+        wyner_ci(fixtures.dsbs(0.1), restarts=restarts)
+
+
+# ---------------------------------------------------------------------------
+# the block kernel against the einsum objective it replaced
+# ---------------------------------------------------------------------------
+
+def _reference_softmax(z):
+    z = z - z.max(axis=-1, keepdims=True)
+    e = np.exp(z)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def _reference_objective_and_grad(z, pi_mass, mask_x, mask_y, lam):
+    """Penalized objective I(XY;W) + lam * ||Q_XY - pi||^2 and its gradient
+    in the softmax logits, one einsum per term, as the solver evaluated it
+    before ``_BlockKernel``: Q_W's logits, then the unmasked entries of
+    Q_{X|W} and of Q_{Y|W} in row-major order."""
+    nw = mask_x.shape[0]
+    nb = nw + np.count_nonzero(mask_x)
+    b = np.full(mask_x.shape, -np.inf)
+    b[mask_x] = z[nw:nb]
+    c = np.full(mask_y.shape, -np.inf)
+    c[mask_y] = z[nb:]
+    qw = _reference_softmax(z[:nw])
+    A = _reference_softmax(b)
+    C = _reference_softmax(c)
+    Q = np.einsum("w,wx,wy->wxy", qw, A, C).sum(axis=0)
+
+    logQ = np.log(np.maximum(Q, 1e-300))
+    logA = np.log(np.maximum(A, 1e-300))
+    logC = np.log(np.maximum(C, 1e-300))
+    a_ent = (A * logA).sum(axis=1)
+    c_ent = (C * logC).sum(axis=1)
+    diff = Q - pi_mass
+    f = float(-(Q * logQ).sum() + qw @ (a_ent + c_ent)
+              + lam * (diff * diff).sum())
+
+    G = -(logQ + 1.0) + 2.0 * lam * diff
+    g_qw = np.einsum("xy,wx,wy->w", G, A, C) + a_ent + c_ent
+    g_A = qw[:, None] * (np.einsum("xy,wy->wx", G, C) + logA + 1.0)
+    g_C = qw[:, None] * (np.einsum("xy,wx->wy", G, A) + logC + 1.0)
+
+    def chain(p, g, axis):
+        return p * (g - (p * g).sum(axis=axis, keepdims=True))
+
+    grad = np.concatenate([
+        chain(qw, g_qw, 0),
+        chain(A, g_A, 1)[mask_x],
+        chain(C, g_C, 1)[mask_y],
+    ])
+    return f, grad
+
+
+def _kernel_layouts():
+    """(label, pi_mass, mask_x, mask_y) of every block layout the kernel is
+    pinned on."""
+    def blocks(mass):
+        for rows, cols in ci_solver._common_part_blocks(mass > 0):
+            block = mass[np.ix_(rows, cols)]
+            if np.linalg.matrix_rank(block) > 1:
+                yield block / block.sum()
+
+    joints = [("dsbs", fixtures.dsbs(0.1).mass),
+              ("dsbes", fixtures.dsbes(0.6).mass),
+              ("full_3x3", np.random.default_rng(1).dirichlet(
+                  np.ones(9)).reshape(3, 3))]
+    joints += [(f"common_part_{q}_{p}", block)
+               for q, p in ((0.6, 0.2), (0.3, 0.1))
+               for block in blocks(fixtures.common_part_source(q, p).mass)]
+    rng = np.random.default_rng(2)
+    for nx, ny in ((2, 3), (3, 3), (4, 3)):
+        for k in range(3):
+            # random support with no empty row or column
+            supp = rng.random((nx, ny)) < 0.7
+            supp[np.arange(nx), rng.integers(0, ny, nx)] = True
+            supp[rng.integers(0, nx, ny), np.arange(ny)] = True
+            mass = supp * rng.dirichlet(np.ones(nx * ny)).reshape(nx, ny)
+            joints.append((f"masked_{nx}x{ny}_{k}", mass / mass.sum()))
+    for label, mass in joints:
+        mask_x, mask_y, _ = ci_solver._rectangle_layout(mass > 0)
+        yield label, mass, mask_x, mask_y
+
+
+def test_block_kernel_matches_the_einsum_objective():
+    rng = np.random.default_rng(11)
+    for label, mass, mask_x, mask_y in _kernel_layouts():
+        kernel = ci_solver._BlockKernel(mass, mask_x, mask_y)
+        for _ in range(4):
+            z = rng.normal(scale=3.0, size=kernel.n_logits)
+            for lam in (1e2, 1e6, 1e8):
+                f_ref, g_ref = _reference_objective_and_grad(
+                    z, mass, mask_x, mask_y, lam)
+                f, g = kernel(z, lam)
+                assert abs(f - f_ref) <= 1e-12 * abs(f_ref), (label, lam)
+                assert g.shape == g_ref.shape
+                assert np.max(np.abs(g - g_ref)) <= 1e-12 * np.max(
+                    np.abs(g_ref)), (label, lam)
+
+
+def test_block_kernel_logits_unpack_to_their_coupling():
+    # masked entries are exactly 0, and a coupling above the 1e-12 logit
+    # floor comes back from its logits
+    rng = np.random.default_rng(4)
+    for label, mass, mask_x, mask_y in _kernel_layouts():
+        kernel = ci_solver._BlockKernel(mass, mask_x, mask_y)
+        qw, A, C = kernel.unpack(rng.normal(size=kernel.n_logits))
+        assert (A[~mask_x] == 0.0).all() and (C[~mask_y] == 0.0).all()
+        back = kernel.unpack(kernel.logits(qw, A, C))
+        for got, want in zip(back, (qw, A, C)):
+            assert np.allclose(got, want, rtol=0.0, atol=1e-12), label
+
+
+def test_block_kernel_gradient_matches_central_differences():
+    rng = np.random.default_rng(3)
+    h = 1e-6
+    for label, mass, mask_x, mask_y in _kernel_layouts():
+        kernel = ci_solver._BlockKernel(mass, mask_x, mask_y)
+        z = rng.normal(size=kernel.n_logits)
+        _, g = kernel(z, 1e2)
+        step = np.eye(z.size) * h
+        fd = np.array([(kernel(z + e, 1e2)[0] - kernel(z - e, 1e2)[0])
+                       / (2 * h) for e in step])
+        assert np.max(np.abs(g - fd)) <= 1e-6 * max(1.0, np.max(np.abs(g))), \
+            label

@@ -37,6 +37,11 @@ def test_ci_pmf_file_source(tmp_path, capsys):
     assert "uniform4" in capsys.readouterr().out
 
 
+def test_ci_non_positive_restarts_is_config_error(capsys):
+    assert main(["ci", "dsbs01", "--restarts", "0"]) == EXIT_CONFIG
+    assert "restarts must be >= 1" in capsys.readouterr().err
+
+
 def test_unknown_source_is_config_error(capsys):
     assert main(["ci", "nonexistent"]) == EXIT_CONFIG
     assert "config error" in capsys.readouterr().err

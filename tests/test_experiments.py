@@ -75,6 +75,13 @@ def test_parse_plan_errors():
         parse_plan("[plan]\nname = x\n[ci]\nsources = no_such_fixture\n")
 
 
+@pytest.mark.parametrize("restarts", [0, -2])
+def test_parse_plan_rejects_non_positive_restarts(restarts):
+    with pytest.raises(ConfigError, match="restarts must be >= 1"):
+        parse_plan(f"[plan]\nname = x\n[ci]\nsources = dsbs01\n"
+                   f"restarts = {restarts}\n")
+
+
 def test_run_plan_values_and_rows():
     result = run_plan(parse_plan(TINY_PLAN))
     assert result.n_errors == 0
