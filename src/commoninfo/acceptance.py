@@ -62,7 +62,6 @@ def criterion_1_divergence_axioms(seed: int = 0) -> CriterionReport:
     """1000 random pmf pairs x s grid: axioms and the bound chains."""
     rng = np.random.default_rng(seed)
     s_grid = (-1.0, -0.5, 0.0, 0.5, 1.0)
-    worst = 0.0
     for trial in range(1000):
         k = int(rng.integers(2, 7))
         p = rng.dirichlet(np.ones(k))
@@ -87,7 +86,7 @@ def criterion_1_divergence_axioms(seed: int = 0) -> CriterionReport:
             if s > -1 and d < dv.pinsker_lb(eps, s) - 1e-9:
                 return _report(1, "divergence axioms", False,
                                f"Pinsker chain violated at s={s}")
-            inf_val = dv.sason_inf(eps, s, grid_points=2001)
+            inf_val = dv.sason_inf(eps, s)
             if d < inf_val - 1e-9:
                 return _report(1, "divergence axioms", False,
                                f"divergence below sason_inf at s={s}")
@@ -101,8 +100,6 @@ def criterion_1_divergence_axioms(seed: int = 0) -> CriterionReport:
             if inf_val < closed - 1e-9:
                 return _report(1, "divergence axioms", False,
                                f"sason_inf below closed form at s={s}")
-            if math.isfinite(d):
-                worst = max(worst, d - max(inf_val, 0.0))
     return _report(1, "divergence axioms", True,
                    "1000 pairs x 5 orders, all chains hold")
 
@@ -220,34 +217,34 @@ def criterion_5_exponent_sign(seed: int = 0) -> CriterionReport:
 
 
 def criterion_6_oneshot_bound(seed: int = 0) -> CriterionReport:
-    """One-shot achievability bound, exhaustive and Monte-Carlo."""
+    """One-shot achievability bound, exact over codebook types."""
     rng = np.random.default_rng(seed)
-    for trial in range(20):
+    instances = []
+    for _ in range(20):
         p_w = FinitePmf(rng.dirichlet(np.ones(2)))
         cond = rng.dirichlet(np.ones(2), size=2)
         pi_x = FinitePmf(rng.dirichlet(np.ones(2)))
         s = float(rng.uniform(0.05, 1.0))
-        for m in (1, 2, 4):
-            rep = synthesis.oneshot_bound_verify(p_w, cond, pi_x, s, m)
-            if not (rep.holds and rep.holds_gamma):
-                return _report(6, "one-shot bound", False,
-                               f"exact violation at trial {trial}, M={m}")
-    for trial in range(100):
+        instances += [(p_w, cond, pi_x, s, m) for m in (1, 2, 4)]
+    for _ in range(100):
         k_w = int(rng.integers(2, 4))
         k_x = int(rng.integers(2, 4))
         p_w = FinitePmf(rng.dirichlet(np.ones(k_w)))
         cond = rng.dirichlet(np.ones(k_x), size=k_w)
         pi_x = FinitePmf(rng.dirichlet(np.ones(k_x)))
         s = float(rng.uniform(0.05, 1.0))
-        m = int(rng.choice([2, 4, 8]))
-        rep = synthesis.oneshot_bound_verify(p_w, cond, pi_x, s, m,
-                                             trials=10_000,
-                                             seed=seed * 1000 + trial)
-        if not rep.holds:               # holds already allows 3 sigma
+        instances.append((p_w, cond, pi_x, s, int(rng.choice([2, 4, 8]))))
+    slack, gamma_slack = math.inf, math.inf
+    for i, args in enumerate(instances):
+        rep = synthesis.oneshot_bound_verify(*args)
+        if not (rep.holds and rep.holds_gamma):
             return _report(6, "one-shot bound", False,
-                           f"MC violation beyond 3 sigma at trial {trial}")
+                           f"violation at instance {i}, M={rep.m_count}")
+        slack = min(slack, rep.rhs - rep.lhs)
+        gamma_slack = min(gamma_slack, rep.gamma_rhs - rep.lhs)
     return _report(6, "one-shot bound", True,
-                   "exact on 60 tiny instances, MC on 100 random instances")
+                   f"exact on {len(instances)} instances, min rhs - lhs "
+                   f"{slack:.3f}, min 2e^(s Gamma) - lhs {gamma_slack:.3f}")
 
 
 def criterion_7_conditional_typicality(seed: int = 0) -> CriterionReport:

@@ -151,6 +151,10 @@ def parse_plan(text: str, seed_override: int | None = None,
                     "rate": RateSpec(r),
                 })
     for sec in sections_of("simulate"):
+        samples = sec.getint("samples", 4096)
+        if samples < 2:
+            raise ConfigError(f"[{sec.name}] samples must be >= 2, "
+                              f"got {samples}")
         eps = sec.get("eps", "1.0")
         eps_prime = sec.get("eps_prime", "0.5")
         for label in _split(sec.get("couplings", "")):
@@ -173,7 +177,7 @@ def parse_plan(text: str, seed_override: int | None = None,
                                     "eps": None if eps == "none" else float(eps),
                                     "eps_prime": (None if eps_prime == "none"
                                                   else float(eps_prime)),
-                                    "samples": sec.getint("samples", 4096),
+                                    "samples": samples,
                                 })
     return plan
 

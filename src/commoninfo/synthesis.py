@@ -38,7 +38,8 @@ import numpy as np
 from scipy.special import gammaln, logsumexp
 
 from .errors import ConfigError, DomainError, ResourceBudgetError, SamplingError
-from .probability import FinitePmf, JointPmf, MarkovCoupling, induced_joint, marginal
+from .probability import (FinitePmf, JointPmf, MarkovCoupling, _validated_rows,
+                          induced_joint, marginal)
 from .divergences import renyi, conditional_renyi, glue, tv
 from . import typicality as typ
 
@@ -350,7 +351,10 @@ def estimate_tv(code: SynthesisCode, samples: int = 4096,
     """TV between the induced joint and pi^n; exact within the dense budget,
     otherwise the Monte-Carlo estimator E_pi[(1 - P/pi)^+].  A codeword with
     an empty shell reads TV's maximum 1, with a ``structural_zero``
-    diagnostic, on both paths, as in ``estimate_renyi``."""
+    diagnostic, on both paths, as in ``estimate_renyi``.  The standard error
+    needs ``samples`` >= 2."""
+    if samples < 2:
+        raise ConfigError(f"samples must be >= 2, got {samples}")
     pi = code.base.xy_marginal()
     try:
         ex = induced_joint_exact(code)
@@ -381,6 +385,8 @@ def estimate_renyi(code: SynthesisCode, s: float, samples: int = 4096,
     shell reads inf, with a ``structural_zero`` diagnostic, on both paths."""
     if not -1.0 <= s <= 1.0:
         raise ConfigError("s must lie in [-1, 1]")
+    if samples < 2:
+        raise ConfigError(f"samples must be >= 2, got {samples}")
     pi = code.base.xy_marginal()
     try:
         ex = induced_joint_exact(code)
@@ -446,17 +452,27 @@ def estimate_renyi(code: SynthesisCode, s: float, samples: int = 4096,
 # one-shot achievability bound
 # ---------------------------------------------------------------------------
 
-def gamma_oneshot(p_w: FinitePmf, cond: np.ndarray, pi_x: FinitePmf,
-                  R: float, s: float) -> float:
-    """max{ D_{1+s}(P_{X|W} || pi | P_W) - R, D_{1+s}(P_X || pi) }."""
+def _oneshot_divergences(p_w: FinitePmf, cond, pi_x: FinitePmf,
+                         s: float) -> tuple[np.ndarray, float, float]:
+    """The validated rows P_{X|W} with D_{1+s}(P_{X|W} || pi | P_W) and
+    D_{1+s}(P_X || pi), the two divergences of the one-shot bound."""
     if not 0.0 < s <= 1.0:
         raise ConfigError("s must lie in (0, 1]")
-    cond = np.asarray(cond, dtype=float)
+    cond = _validated_rows(cond, p_w.alphabet_size)
+    if cond.shape[1] != pi_x.alphabet_size:
+        raise ConfigError(f"conditional rows have {cond.shape[1]} symbols, "
+                          f"pi has {pi_x.alphabet_size}")
     joint = glue(p_w, cond)
     q_rows = np.tile(pi_x.mass, (p_w.alphabet_size, 1))
     cond_d = conditional_renyi(joint, q_rows, s)
-    p_x = FinitePmf(joint.mass.sum(axis=0))
-    marg_d = renyi(p_x, pi_x, s)
+    marg_d = renyi(FinitePmf(joint.mass.sum(axis=0)), pi_x, s)
+    return cond, cond_d, marg_d
+
+
+def gamma_oneshot(p_w: FinitePmf, cond: np.ndarray, pi_x: FinitePmf,
+                  R: float, s: float) -> float:
+    """max{ D_{1+s}(P_{X|W} || pi | P_W) - R, D_{1+s}(P_X || pi) }."""
+    _, cond_d, marg_d = _oneshot_divergences(p_w, cond, pi_x, s)
     return max(cond_d - R, marg_d)
 
 
@@ -466,69 +482,42 @@ class OneShotReport:
     rhs: float                           # e^{s(cond - R)} + e^{s marg}
     gamma_rhs: float                     # 2 e^{s Gamma}
     m_count: int
-    method: str
-    samples: int
     holds: bool
     holds_gamma: bool
 
 
 def oneshot_bound_verify(p_w: FinitePmf, cond: np.ndarray, pi_x: FinitePmf,
-                         s: float, m_count: int, trials: int | None = None,
-                         seed: int = 0) -> OneShotReport:
+                         s: float, m_count: int) -> OneShotReport:
     """Verify E_U e^{s D_{1+s}(P_{X|U} || pi | P_U)} <= e^{s(D_cond - R)} + e^{s D_marg}
-    with R = log m_count, exactly (codebook enumeration) or by Monte-Carlo."""
-    if not 0.0 < s <= 1.0:
-        raise ConfigError("s must lie in (0, 1]")
+    with R = log m_count, exactly.  The lhs of a codebook U of m_count
+    i.i.d. P_W codewords depends on U only through its type k, so it is a
+    sum over the types of m_count draws from supp(P_W), each weighted by its
+    multinomial probability, of (k @ P_{X|W} / m)^{1+s} @ pi^{-s};
+    ``typicality.MAX_TYPES`` caps the number of types."""
     if m_count < 1:
         raise ConfigError("m_count must be >= 1")
-    cond = np.asarray(cond, dtype=float)
-    nw = p_w.alphabet_size
-    R = math.log(m_count)
-    with np.errstate(divide="ignore"):
-        pow_term = cond ** (1.0 + s) @ np.where(
-            pi_x.mass > 0, pi_x.mass ** (-s), 0.0)
-    if np.any(np.isinf(pow_term)) or np.any(
-            (cond > 0) & (pi_x.mass[None, :] == 0)):
+    cond, cond_d, marg_d = _oneshot_divergences(p_w, cond, pi_x, s)
+    if np.any((cond > 0) & (pi_x.mass[None, :] == 0)):
         raise DomainError("conditional rows put mass outside supp(pi)")
-
-    def lhs_term(codebook) -> float:
-        mix = cond[list(codebook)].mean(axis=0)
-        with np.errstate(divide="ignore"):
-            t = mix ** (1.0 + s) @ np.where(pi_x.mass > 0,
-                                            pi_x.mass ** (-s), 0.0)
-        return float(t)
-
-    if trials is None:
-        total = 0.0
-        for codebook in itertools.product(range(nw), repeat=m_count):
-            weight = float(np.prod(p_w.mass[list(codebook)]))
-            if weight == 0:
-                continue
-            total += weight * lhs_term(codebook)
-        lhs = total
-        method, samples = "exact", 0
-    else:
-        rng = _rng(seed, 3)
-        books = rng.choice(nw, size=(trials, m_count), p=p_w.mass)
-        mixes = cond[books].mean(axis=1)            # (trials, nx)
-        with np.errstate(divide="ignore"):
-            vals = mixes ** (1.0 + s) @ np.where(pi_x.mass > 0,
-                                                 pi_x.mass ** (-s), 0.0)
-        lhs = float(vals.mean())
-        method, samples = "monte_carlo", trials
-
-    joint = glue(p_w, cond)
-    q_rows = np.tile(pi_x.mass, (nw, 1))
-    cond_d = conditional_renyi(joint, q_rows, s)
-    marg_d = renyi(FinitePmf(joint.mass.sum(axis=0)), pi_x, s)
+    supp = p_w.mass > 0
+    n_supp = int(supp.sum())
+    n_types = math.comb(m_count + n_supp - 1, n_supp - 1)
+    if n_types > typ.MAX_TYPES:
+        raise ResourceBudgetError(
+            f"{n_types} codebook types exceed cap {typ.MAX_TYPES}")
+    types = _compositions(m_count, n_supp)
+    log_weight = (gammaln(m_count + 1) - gammaln(types + 1).sum(axis=1)
+                  + types @ np.log(p_w.mass[supp]))
+    mix = types @ cond[supp] / m_count
+    with np.errstate(divide="ignore"):
+        pi_pow = np.where(pi_x.mass > 0, pi_x.mass ** (-s), 0.0)
+    lhs = float(np.exp(log_weight) @ (mix ** (1.0 + s) @ pi_pow))
+    R = math.log(m_count)
     rhs = math.exp(s * (cond_d - R)) + math.exp(s * marg_d)
-    gamma_rhs = 2.0 * math.exp(s * gamma_oneshot(p_w, cond, pi_x, R, s))
-    slack = 0.0 if trials is None else 3.0 * float(
-        np.std(vals, ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
+    gamma_rhs = 2.0 * math.exp(s * max(cond_d - R, marg_d))
     return OneShotReport(lhs=lhs, rhs=rhs, gamma_rhs=gamma_rhs,
-                         m_count=m_count, method=method, samples=samples,
-                         holds=lhs <= rhs + slack,
-                         holds_gamma=lhs <= gamma_rhs + slack)
+                         m_count=m_count, holds=lhs <= rhs,
+                         holds_gamma=lhs <= gamma_rhs)
 
 
 # ---------------------------------------------------------------------------

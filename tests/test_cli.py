@@ -81,6 +81,12 @@ def test_simulate_subcommand(capsys):
     assert "[simulate] product renyi" in out
 
 
+def test_simulate_fewer_than_two_samples_is_config_error(capsys):
+    assert main(["simulate", "product", "--rate", "0.0", "--n", "3",
+                 "--samples", "1"]) == EXIT_CONFIG
+    assert "samples must be >= 2" in capsys.readouterr().err
+
+
 def test_bad_plan_file_is_config_error(tmp_path, capsys):
     plan_path = tmp_path / "broken.plan"
     plan_path.write_text("[simulate]\ncouplings = product\n")

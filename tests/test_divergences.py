@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import xlogy
 
 from commoninfo.divergences import (ORDER_ABOVE_ONE, ORDER_BELOW_ONE,
                                     binary_renyi, conditional_renyi, kl,
@@ -159,6 +160,90 @@ def test_sason_inf_brute_force_oracle():
     qs = np.linspace(0.0, 1.0 - eps, 101)
     vals = [binary_renyi(float(q + eps), float(q), s) for q in qs]
     assert sason_inf(eps, s) <= min(vals) + 1e-9
+
+
+_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def _binary_renyi_grid(p, q, s):
+    """Reference: binary_renyi elementwise on arrays."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if s == 0:
+            out = (xlogy(p, p / q) + xlogy(1 - p, (1 - p) / (1 - q)))
+            out = np.where(((p > 0) & (q == 0)) | ((p < 1) & (q == 1)),
+                           np.inf, out)
+        else:
+            t1 = np.where(p > 0, np.exp((1 + s) * np.log(np.where(p > 0, p, 1))
+                                        - s * np.log(q)), 0.0)
+            t2 = np.where(p < 1, np.exp((1 + s) * np.log(np.where(p < 1, 1 - p, 1))
+                                        - s * np.log(1 - q)), 0.0)
+            out = np.log(t1 + t2) / s
+    return np.maximum(np.nan_to_num(out, nan=np.inf, posinf=np.inf), 0.0)
+
+
+def _grid_golden_sason_inf(eps, s):
+    """Reference: a dense grid over q, then golden-section refinement to
+    width 1e-10 around the best grid point."""
+    if eps == 0.0 or s <= -1:
+        return 0.0
+    if eps == 1.0:
+        return math.inf
+
+    def obj(q):
+        return binary_renyi(q + eps, q, s)
+
+    qs = np.linspace(0.0, 1.0 - eps, 10_001)
+    vals = _binary_renyi_grid(qs + eps, qs, s)
+    i = int(np.argmin(vals))
+    a, b = qs[max(i - 1, 0)], qs[min(i + 1, qs.size - 1)]
+    c, d = b - _GOLDEN * (b - a), a + _GOLDEN * (b - a)
+    fc, fd = obj(c), obj(d)
+    while b - a > 1e-10:
+        if fc <= fd:
+            b, d, fd = d, c, fc
+            c = b - _GOLDEN * (b - a)
+            fc = obj(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + _GOLDEN * (b - a)
+            fd = obj(d)
+    return float(max(min(vals[i], fc, fd), 0.0))
+
+
+def test_sason_inf_matches_the_grid_and_golden_reference():
+    rng = np.random.default_rng(2026)
+    endpoint_minima = 0
+    for _ in range(2000):
+        eps, s = float(rng.uniform(0.0, 1.0)), float(rng.uniform(-0.99, 1.0))
+        value = sason_inf(eps, s)
+        assert value == pytest.approx(_grid_golden_sason_inf(eps, s),
+                                      rel=0.0, abs=1e-9)
+        ends = (binary_renyi(eps, 0.0, s), binary_renyi(1.0, 1.0 - eps, s))
+        endpoint_minima += value in ends
+    assert endpoint_minima >= 100
+
+
+@pytest.mark.parametrize("eps, s, value", [
+    (0.9, 1.0, math.log(10.0)),      # q = 1 - eps: D_2(Bern(1) || Bern(0.1))
+    (0.5, 1.0, math.log(2.0)),       # D_2(Bern(1) || Bern(1/2))
+    (0.99, 0.5, 2.0 * math.log(10.0)),
+])
+def test_sason_inf_scores_an_endpoint_minimum(eps, s, value):
+    assert sason_inf(eps, s) == binary_renyi(1.0, 1.0 - eps, s)
+    assert sason_inf(eps, s) == pytest.approx(value, rel=1e-14)
+    assert sason_inf(eps, s) == pytest.approx(_grid_golden_sason_inf(eps, s),
+                                              rel=0.0, abs=1e-9)
+
+
+def test_sason_inf_never_above_the_reference_near_eps_one():
+    # for s < 0 the minimum can sit within 1e-11 of q = 1 - eps, inside a
+    # dip the reference's 1e-10 golden width may miss; the search must not
+    # miss it by more than the reference does
+    rng = np.random.default_rng(2027)
+    for _ in range(300):
+        eps = float(1.0 - 10.0 ** rng.uniform(-4.0, 0.0))
+        s = float(rng.uniform(-0.99, 1.0))
+        assert sason_inf(eps, s) <= _grid_golden_sason_inf(eps, s) + 1e-12
 
 
 def test_sason_inf_dominates_closed_forms():

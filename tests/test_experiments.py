@@ -82,6 +82,14 @@ def test_parse_plan_rejects_non_positive_restarts(restarts):
                    f"restarts = {restarts}\n")
 
 
+@pytest.mark.parametrize("samples", [0, 1])
+def test_parse_plan_rejects_fewer_than_two_samples(samples):
+    with pytest.raises(ConfigError, match="samples must be >= 2"):
+        parse_plan("[plan]\nname = x\n[simulate]\ncouplings = dsbs01\n"
+                   f"rates = 0.5C\nn = 12\nmeasure = tv renyi\n"
+                   f"samples = {samples}\n")
+
+
 def test_run_plan_values_and_rows():
     result = run_plan(parse_plan(TINY_PLAN))
     assert result.n_errors == 0

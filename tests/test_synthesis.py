@@ -335,9 +335,37 @@ def test_estimate_renyi_order_validation():
         estimate_renyi(code, 1.5)
 
 
+@pytest.mark.parametrize("samples", [0, 1])
+def test_estimators_reject_fewer_than_two_samples(samples):
+    # n = 12 is past the dense budget: one draw leaves no standard error,
+    # and none leaves no mean
+    code = build_code(fixtures.dsbs_optimal_coupling(0.1), 12, 0.2, None,
+                      None, seed=0)
+    with pytest.raises(ConfigError, match="samples must be >= 2"):
+        estimate_tv(code, samples=samples)
+    for s in (1.0, 0.0, -0.5):
+        with pytest.raises(ConfigError, match="samples must be >= 2"):
+            estimate_renyi(code, s, samples=samples)
+
+
 # ---------------------------------------------------------------------------
 # one-shot bound
 # ---------------------------------------------------------------------------
+
+def _enumerated_oneshot_lhs(p_w, cond, pi_x, s, m_count):
+    """Reference: E_U e^{s D_{1+s}(P_{X|U} || pi | P_U)} summed over all
+    |W|^m codebooks."""
+    with np.errstate(divide="ignore"):
+        pi_pow = np.where(pi_x.mass > 0, pi_x.mass ** (-s), 0.0)
+    total = 0.0
+    for codebook in itertools.product(range(p_w.alphabet_size), repeat=m_count):
+        weight = float(np.prod(p_w.mass[list(codebook)]))
+        if weight == 0:
+            continue
+        mix = cond[list(codebook)].mean(axis=0)
+        total += weight * float(mix ** (1.0 + s) @ pi_pow)
+    return total
+
 
 def test_oneshot_bound_exact_enumeration():
     p_w = FinitePmf([0.5, 0.5])
@@ -345,19 +373,57 @@ def test_oneshot_bound_exact_enumeration():
     pi_x = FinitePmf([0.55, 0.45])
     for m in (1, 2, 4):
         rep = oneshot_bound_verify(p_w, cond, pi_x, s=0.5, m_count=m)
-        assert rep.method == "exact"
         assert rep.holds and rep.holds_gamma
         assert rep.rhs <= rep.gamma_rhs + 1e-12
+        assert rep.lhs == pytest.approx(
+            _enumerated_oneshot_lhs(p_w, cond, pi_x, 0.5, m), rel=1e-12)
 
 
-def test_oneshot_bound_monte_carlo():
+def test_oneshot_lhs_matches_codebook_enumeration():
+    rng = np.random.default_rng(12)
+    for trial in range(150):
+        nw, nx = int(rng.integers(1, 4)), int(rng.integers(2, 5))
+        p_w = rng.dirichlet(np.ones(nw))
+        cond = rng.dirichlet(np.ones(nx), size=nw)
+        if trial % 2:                    # zeros in P_W and in the rows
+            p_w[rng.random(nw) < 0.3] = 0.0
+            if not p_w.any():
+                p_w[0] = 1.0
+            cond[rng.random(cond.shape) < 0.3] = 0.0
+            cond[cond.sum(axis=1) == 0, 0] = 1.0
+            p_w, cond = p_w / p_w.sum(), cond / cond.sum(axis=1, keepdims=True)
+        pi_x = rng.dirichlet(np.ones(nx))
+        if trial % 3 == 0:               # pi zero off the rows' support
+            off = ~cond.any(axis=0)
+            pi_x[off] = 0.0
+            pi_x /= pi_x.sum()
+        p_w, pi_x = FinitePmf(p_w), FinitePmf(pi_x)
+        s = float(rng.uniform(0.05, 1.0))
+        m = int(rng.integers(1, 7))
+        rep = oneshot_bound_verify(p_w, cond, pi_x, s, m)
+        assert rep.lhs == pytest.approx(
+            _enumerated_oneshot_lhs(p_w, cond, pi_x, s, m), rel=1e-12)
+
+
+def test_oneshot_bound_sixteen_codewords():
     p_w = FinitePmf([0.3, 0.7])
     cond = np.array([[0.8, 0.2], [0.35, 0.65]])
     pi_x = FinitePmf([0.5, 0.5])
-    rep = oneshot_bound_verify(p_w, cond, pi_x, s=1.0, m_count=16,
-                               trials=20_000, seed=0)
-    assert rep.method == "monte_carlo"
+    rep = oneshot_bound_verify(p_w, cond, pi_x, s=1.0, m_count=16)
     assert rep.holds and rep.holds_gamma
+    assert rep.lhs == pytest.approx(
+        _enumerated_oneshot_lhs(p_w, cond, pi_x, 1.0, 16), rel=1e-12)
+
+
+def test_oneshot_bound_caps_the_codebook_types(monkeypatch):
+    p_w = FinitePmf([0.2, 0.3, 0.5])
+    cond = np.array([[0.9, 0.1], [0.5, 0.5], [0.2, 0.8]])
+    pi_x = FinitePmf([0.5, 0.5])
+    monkeypatch.setattr(typ, "MAX_TYPES", math.comb(8 + 2, 2) - 1)
+    with pytest.raises(ResourceBudgetError):
+        oneshot_bound_verify(p_w, cond, pi_x, s=0.5, m_count=8)
+    monkeypatch.setattr(typ, "MAX_TYPES", math.comb(8 + 2, 2))
+    assert oneshot_bound_verify(p_w, cond, pi_x, s=0.5, m_count=8).holds
 
 
 def test_gamma_oneshot_matches_components():
@@ -379,6 +445,21 @@ def test_oneshot_rejects_unsupported_mass():
     pi_x = FinitePmf([1.0, 0.0])
     with pytest.raises(DomainError):
         oneshot_bound_verify(p_w, cond, pi_x, s=0.5, m_count=2)
+
+
+@pytest.mark.parametrize("cond", [
+    np.array([[0.9, 0.3], [0.2, 0.6]]),          # rows sum to 1.2 and 0.8
+    np.array([[0.5, 0.3, 0.2], [0.2, 0.3, 0.5]]),  # wider than pi
+    np.array([[0.9, 0.1]]),                      # fewer rows than W
+    np.array([[-0.1, 1.1], [0.5, 0.5]]),
+])
+def test_oneshot_functions_reject_a_non_stochastic_cond(cond):
+    p_w = FinitePmf([0.5, 0.5])
+    pi_x = FinitePmf([0.55, 0.45])
+    with pytest.raises(ConfigError):
+        oneshot_bound_verify(p_w, cond, pi_x, s=0.5, m_count=2)
+    with pytest.raises(ConfigError):
+        gamma_oneshot(p_w, cond, pi_x, 0.7, 0.5)
 
 
 # ---------------------------------------------------------------------------
