@@ -311,13 +311,17 @@ def _r_alpha_objective(z, grid: _SupportGrid, alpha):
 
 
 def _ci_lift_logits(grid: _SupportGrid, ci: CiSolution) -> np.ndarray | None:
-    """Lift the Wyner argmin coupling (W -> U) into support-restricted logits."""
+    """Lift the Wyner argmin coupling (W -> U) into support-restricted logits.
+    An argmin with more than |U| symbols lifts its |U| heaviest: a warm start
+    need not be feasible."""
     c = ci.argmin
-    if c.nx != grid.nx or c.ny != grid.ny or c.nw > grid.nu:
+    if c.nx != grid.nx or c.ny != grid.ny:
         return None
     m = np.einsum("w,wx,wy->xyw", c.q_w.mass, c.q_x_given_w, c.q_y_given_w)
+    if c.nw > grid.nu:
+        m = m[:, :, np.sort(np.argsort(-c.q_w.mass, kind="stable")[:grid.nu])]
     q_su = np.full((grid.n_supp, grid.nu), 1e-9)
-    q_su[:, :c.nw] += m[grid.x_of_s, grid.y_of_s, :]
+    q_su[:, :m.shape[2]] += m[grid.x_of_s, grid.y_of_s, :]
     # mass the coupling places off supp(pi) is tiny (feasibility residual)
     q_su /= q_su.sum()
     return np.log(q_su).ravel()

@@ -116,10 +116,6 @@ class JointPmf:
     def entropy(self) -> float:
         return float(-xlogy(self.mass, self.mass).sum())
 
-    def support_pairs(self) -> np.ndarray:
-        """Index tuples with positive mass, shape (n_support, ndim)."""
-        return np.argwhere(self.mass > 0)
-
 
 def marginal(joint: JointPmf, axes):
     """Sum out all axes not listed in ``axes``.

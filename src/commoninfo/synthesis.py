@@ -73,6 +73,15 @@ class SynthesisCode:
             raise ConfigError("need 0 < eps_prime < eps <= 1")
         if self.m_count != int(math.ceil(math.exp(self.n * self.rate) - 1e-9)):
             raise ConfigError("m_count must equal ceil(e^{nR})")
+        book = np.asarray(self.codebook)
+        if (book.shape != (self.m_count, self.n)
+                or not np.issubdtype(book.dtype, np.integer)):
+            raise ConfigError(f"codebook must be an integer array of shape "
+                              f"({self.m_count}, {self.n})")
+        if (np.any((book < 0) | (book >= self.base.nw))
+                or np.any(self.base.q_w.mass[book] == 0)):
+            raise ConfigError("codebook uses a symbol outside supp(Q_W)")
+        object.__setattr__(self, "codebook", book)
 
 
 @dataclass(frozen=True)
@@ -267,49 +276,34 @@ def _all_seqs(k: int, n: int) -> np.ndarray:
     return np.array(list(itertools.product(range(k), repeat=n)), dtype=int)
 
 
-def _pi_n_matrix(pi: JointPmf, seqs_x: np.ndarray, seqs_y: np.ndarray) -> np.ndarray:
-    """pi^n(x^n, y^n) as an (Nx, Ny) matrix."""
-    n = seqs_x.shape[1]
-    with np.errstate(divide="ignore"):
-        log_pi = np.log(pi.mass)
-    L = np.zeros((seqs_x.shape[0], seqs_y.shape[0]))
-    for i in range(n):
-        L = L + log_pi[seqs_x[:, i][:, None], seqs_y[None, :, i]]
-    return np.exp(L)
-
-
 @dataclass(frozen=True)
 class InducedJointExact:
     n: int
     mass: np.ndarray                     # (|X|^n, |Y|^n)
     seqs_x: np.ndarray
     seqs_y: np.ndarray
-    cond_x: np.ndarray                   # (m, |X|^n) per-codeword laws
-    cond_y: np.ndarray
 
 
-def _check_exact_budget(base: MarkovCoupling, n: int, m_count: int):
-    cells = float(base.nx) ** n * float(base.ny) ** n
-    if cells > MAX_JOINT_CELLS:
-        raise ResourceBudgetError(
-            f"|X|^n * |Y|^n = {cells:.3g} exceeds cap {MAX_JOINT_CELLS}")
-    if m_count > MAX_CODEWORDS:
-        raise ResourceBudgetError(f"m_count {m_count} exceeds cap {MAX_CODEWORDS}")
+def _dense_fits(code: SynthesisCode) -> bool:
+    """Whether ``induced_joint_exact`` stays within ``MAX_JOINT_CELLS`` and
+    ``MAX_CODEWORDS``."""
+    cells = float(code.base.nx) ** code.n * float(code.base.ny) ** code.n
+    return cells <= MAX_JOINT_CELLS and code.m_count <= MAX_CODEWORDS
 
 
 def induced_joint_exact(code: SynthesisCode) -> InducedJointExact:
     """P(x^n, y^n) = (1/m) sum_m P(x^n|w_m) P(y^n|w_m), dense."""
     base, n = code.base, code.n
-    _check_exact_budget(base, n, code.m_count)
+    if not _dense_fits(code):
+        raise ResourceBudgetError(
+            f"{float(base.nx * base.ny) ** n:.3g} cells or {code.m_count} "
+            f"codewords exceed cap {MAX_JOINT_CELLS} or {MAX_CODEWORDS}")
     seqs_x = _all_seqs(base.nx, n)
     seqs_y = _all_seqs(base.ny, n)
-    law_x = _CondLaw(base, code.eps, "X")
-    law_y = _CondLaw(base, code.eps, "Y")
-    px = law_x.density(code.codebook, seqs_x)
-    py = law_y.density(code.codebook, seqs_y)
-    mass = px.T @ py / code.m_count
-    return InducedJointExact(n=n, mass=mass, seqs_x=seqs_x, seqs_y=seqs_y,
-                             cond_x=px, cond_y=py)
+    px = _CondLaw(base, code.eps, "X").density(code.codebook, seqs_x)
+    py = _CondLaw(base, code.eps, "Y").density(code.codebook, seqs_y)
+    return InducedJointExact(n=n, mass=px.T @ py / code.m_count,
+                             seqs_x=seqs_x, seqs_y=seqs_y)
 
 
 #: cells of one (codewords x samples) block of conditional-law values
@@ -331,15 +325,30 @@ def _pointwise_p(code: SynthesisCode, x: np.ndarray, y: np.ndarray) -> np.ndarra
     return vals / code.m_count
 
 
-def _pi_n_draws(code: SynthesisCode, samples: int, rng):
-    """Draw ``samples`` pairs (x^n, y^n) from pi^n; return the induced P and
-    pi^n at them."""
+def _p_and_log_pi(code: SynthesisCode, exact: bool, samples: int, rng,
+                  from_p: bool) -> tuple[np.ndarray, np.ndarray]:
+    """The induced P and log pi^n, dense over every (x^n, y^n) when
+    ``exact``, else at ``samples`` pairs drawn from P (``from_p``) or from
+    pi^n.  A pair off supp(pi) reads log pi^n = -inf; a codeword with an
+    empty shell raises ``DomainError``."""
     pi = code.base.xy_marginal()
-    flat = pi.mass.ravel()
-    idx = rng.choice(flat.size, size=(samples, code.n), p=flat)
-    xs, ys = idx // pi.dims[1], idx % pi.dims[1]
-    return (_pointwise_p(code, xs, ys),
-            np.exp(np.log(pi.mass[xs, ys]).sum(axis=1)))
+    with np.errstate(divide="ignore"):
+        log_pi = np.log(pi.mass)
+    if exact:
+        ex = induced_joint_exact(code)
+        # position by position: one gather over all n would hold n joints
+        xs, ys = ex.seqs_x[:, None, :], ex.seqs_y[None, :, :]
+        return ex.mass, sum(log_pi[xs[..., i], ys[..., i]]
+                            for i in range(code.n))
+    if from_p:
+        ws = code.codebook[rng.integers(0, code.m_count, size=samples)]
+        xs = _CondLaw(code.base, code.eps, "X").sample(rng, ws)
+        ys = _CondLaw(code.base, code.eps, "Y").sample(rng, ws)
+    else:
+        idx = rng.choice(pi.mass.size, size=(samples, code.n),
+                         p=pi.mass.ravel())
+        xs, ys = np.divmod(idx, pi.dims[1])
+    return _pointwise_p(code, xs, ys), log_pi[xs, ys].sum(axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -355,97 +364,67 @@ def estimate_tv(code: SynthesisCode, samples: int = 4096,
     needs ``samples`` >= 2."""
     if samples < 2:
         raise ConfigError(f"samples must be >= 2, got {samples}")
-    pi = code.base.xy_marginal()
+    exact = _dense_fits(code)
+    method = "exact" if exact else "monte_carlo"
     try:
-        ex = induced_joint_exact(code)
-    except ResourceBudgetError:
-        ex = None
+        p, log_pi = _p_and_log_pi(code, exact, samples, _rng(seed, 1), False)
     except DomainError as err:
-        return DivergenceEstimate(1.0, 0.0, "exact", 0, seed,
+        return DivergenceEstimate(1.0, 0.0, method, 0, seed,
                                   diagnostics={"structural_zero": str(err)})
-    if ex is not None:
-        pin = _pi_n_matrix(pi, ex.seqs_x, ex.seqs_y)
-        val = 0.5 * float(np.abs(ex.mass - pin).sum())
-        return DivergenceEstimate(val, 0.0, "exact", 0, seed)
-    try:
-        p_vals, pi_vals = _pi_n_draws(code, samples, _rng(seed, 1))
-    except DomainError as err:
-        return DivergenceEstimate(1.0, 0.0, "monte_carlo", 0, seed,
-                                  diagnostics={"structural_zero": str(err)})
-    g = np.maximum(1.0 - p_vals / pi_vals, 0.0)
+    if exact:
+        return DivergenceEstimate(tv(p, np.exp(log_pi)), 0.0, method, 0, seed)
+    g = np.maximum(1.0 - p / np.exp(log_pi), 0.0)
     return DivergenceEstimate(float(g.mean()),
                               float(g.std(ddof=1) / math.sqrt(samples)),
-                              "monte_carlo", samples, seed)
+                              method, samples, seed)
 
 
 def estimate_renyi(code: SynthesisCode, s: float, samples: int = 4096,
                    seed: int = 0) -> DivergenceEstimate:
     """D_{1+s}(P_{X^nY^n} || pi^n): exact within budget, else Monte-Carlo with
-    proposal P for s >= 0 and pi^n for s < 0.  A codeword with an empty
-    shell reads inf, with a ``structural_zero`` diagnostic, on both paths."""
+    proposal P for s >= 0, E_P[(P/pi)^s] (the mean log-ratio at s = 0), and
+    proposal pi^n for s < 0, E_pi[(P/pi)^{1+s}] over supp(P).  A codeword
+    with an empty shell reads inf, with a ``structural_zero`` diagnostic, on
+    both paths."""
     if not -1.0 <= s <= 1.0:
         raise ConfigError("s must lie in [-1, 1]")
     if samples < 2:
         raise ConfigError(f"samples must be >= 2, got {samples}")
-    pi = code.base.xy_marginal()
+    exact = _dense_fits(code)
+    method = "exact" if exact else "monte_carlo"
     try:
-        ex = induced_joint_exact(code)
-    except ResourceBudgetError:
-        ex = None
+        p, log_pi = _p_and_log_pi(code, exact, samples, _rng(seed, 2), s >= 0)
     except DomainError as err:
-        return DivergenceEstimate(math.inf, 0.0, "exact", 0, seed,
+        return DivergenceEstimate(math.inf, 0.0, method, 0, seed,
                                   diagnostics={"structural_zero": str(err)})
-    if ex is not None:
-        pin = _pi_n_matrix(pi, ex.seqs_x, ex.seqs_y)
-        val = renyi(ex.mass.ravel(), pin.ravel(), s)
+    if exact:
+        pin = np.exp(log_pi)
+        val = renyi(p.ravel(), pin.ravel(), s)
         diag = {}
-        if np.any((pin > 0) & (ex.mass == 0)):
+        if np.any((pin > 0) & (p == 0)):
             diag["pi_support_uncovered"] = True
-        return DivergenceEstimate(float(val), 0.0, "exact", 0, seed,
-                                  per_symbol=float(val) / code.n,
-                                  diagnostics=diag)
-    rng = _rng(seed, 2)
-    try:
-        if s >= 0:
-            ws = code.codebook[rng.integers(0, code.m_count, size=samples)]
-            xs = _CondLaw(code.base, code.eps, "X").sample(rng, ws)
-            ys = _CondLaw(code.base, code.eps, "Y").sample(rng, ws)
-            p_vals = _pointwise_p(code, xs, ys)
-        else:
-            p_vals, pi_vals = _pi_n_draws(code, samples, rng)
-    except DomainError as err:
-        return DivergenceEstimate(math.inf, 0.0, "monte_carlo", 0, seed,
-                                  diagnostics={"structural_zero": str(err)})
-    if s >= 0:
-        log_pi = np.log(pi.mass[xs, ys]).sum(axis=1)
-        if np.any(log_pi == -np.inf):
-            return DivergenceEstimate(math.inf, 0.0, "monte_carlo", samples,
-                                      seed, diagnostics={"off_pi_support": True})
-        if s == 0:
-            # KL: the mean log-likelihood ratio under P
-            g = np.log(p_vals) - log_pi
-            val = float(g.mean())
-            return DivergenceEstimate(
-                val, float(g.std(ddof=1) / math.sqrt(samples)), "monte_carlo",
-                samples, seed, per_symbol=val / code.n)
-        g = (p_vals / np.exp(log_pi)) ** s
-    elif s == -1.0:
-        g = (p_vals > 0).astype(float)
+        return DivergenceEstimate(val, 0.0, method, 0, seed,
+                                  per_symbol=val / code.n, diagnostics=diag)
+    if np.any(log_pi == -np.inf):            # drawn from P off supp(pi)
+        return DivergenceEstimate(math.inf, 0.0, method, samples, seed,
+                                  diagnostics={"off_pi_support": True})
+    if s == 0:
+        g = np.log(p) - log_pi
     else:
         with np.errstate(divide="ignore"):
-            g = (p_vals / pi_vals) ** (1.0 + s)
+            ratio = p / np.exp(log_pi)
+        g = np.where(p > 0, ratio ** (s if s > 0 else 1.0 + s), 0.0)
     mean = float(g.mean())
     se = float(g.std(ddof=1) / math.sqrt(samples))
-    if mean <= 0:
-        return DivergenceEstimate(math.inf, 0.0, "monte_carlo", samples, seed,
+    if s == 0:
+        val, val_se = mean, se
+    elif mean <= 0:
+        return DivergenceEstimate(math.inf, 0.0, method, samples, seed,
                                   diagnostics={"zero_mean_estimate": True})
-    if s == -1.0:
-        val = -math.log(mean)
     else:
-        val = math.log(mean) / s
-    val_se = se / mean / abs(s if s != -1.0 else 1.0)
-    return DivergenceEstimate(float(val), float(val_se), "monte_carlo",
-                              samples, seed, per_symbol=float(val) / code.n)
+        val, val_se = math.log(mean) / s, se / mean / abs(s)
+    return DivergenceEstimate(val, val_se, method, samples, seed,
+                              per_symbol=val / code.n)
 
 
 # ---------------------------------------------------------------------------

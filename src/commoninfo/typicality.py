@@ -23,7 +23,7 @@ import numpy as np
 from scipy.special import gammaln, logsumexp
 
 from .errors import ConfigError, DomainError, ResourceBudgetError
-from .probability import FinitePmf, SequenceType
+from .probability import FinitePmf, SequenceType, _validated_rows
 
 MAX_N = 200
 MAX_ALPHABET = 8
@@ -108,19 +108,11 @@ def typical_prob_exact(spec: TypicalSpec) -> float:
     return float(min(np.exp(log_p), 1.0))
 
 
-def _validated_cond(q_cond) -> np.ndarray:
-    arr = np.asarray(q_cond, dtype=float)
-    if arr.ndim != 2:
-        raise ConfigError("conditional pmf must be 2-D (rows = conditioning symbol)")
-    if np.any(arr < 0) or np.any(np.abs(arr.sum(axis=1) - 1.0) > 1e-9):
-        raise ConfigError("conditional rows must be pmfs")
-    return arr
-
-
 def cond_count_windows(q_w: FinitePmf, q_cond, n: int, eps: float):
     """Per-(w, x) admissible count ranges for the joint-type condition
     |T(w,x) - Q_W(w)Q_{X|W}(x|w)| <= eps * Q_W(w)Q_{X|W}(x|w)."""
-    return _windows(q_w.mass[:, None] * _validated_cond(q_cond), n, eps)
+    cond = _validated_rows(q_cond, q_w.alphabet_size)
+    return _windows(q_w.mass[:, None] * cond, n, eps)
 
 
 def cond_shell_log_masses(q_w: FinitePmf, q_cond, n: int,
@@ -129,16 +121,16 @@ def cond_shell_log_masses(q_w: FinitePmf, q_cond, n: int,
     the probability that k i.i.d. draws from Q_{X|W}(.|a) keep their (a, x)
     counts in the conditional eps-windows of block length n.  The shell mass
     of a length-n w^n of type k is prod_a z_a(k_a)."""
-    cond = _validated_cond(q_cond)
+    cond = _validated_rows(q_cond, q_w.alphabet_size)
     _check_budget(n, max(cond.shape))
-    lo, hi = cond_count_windows(q_w, cond, n, eps)
+    lo, hi = _windows(q_w.mass[:, None] * cond, n, eps)
     return np.stack([_block_log_probs(row, lo_a, hi_a, n)
                      for row, lo_a, hi_a in zip(cond, lo, hi)])
 
 
 def is_cond_typical(x_seq, w_seq, q_w: FinitePmf, q_cond, eps: float) -> bool:
     """Conditional typicality of x^n given w^n (joint-type condition)."""
-    cond = _validated_cond(q_cond)
+    cond = _validated_rows(q_cond, q_w.alphabet_size)
     x_seq = np.asarray(x_seq, dtype=int)
     w_seq = np.asarray(w_seq, dtype=int)
     if x_seq.shape != w_seq.shape or x_seq.ndim != 1:
@@ -147,7 +139,7 @@ def is_cond_typical(x_seq, w_seq, q_w: FinitePmf, q_cond, eps: float) -> bool:
     nw, nx = cond.shape
     counts = np.zeros((nw, nx), dtype=int)
     np.add.at(counts, (w_seq, x_seq), 1)
-    lo, hi = cond_count_windows(q_w, cond, n, eps)
+    lo, hi = _windows(q_w.mass[:, None] * cond, n, eps)
     return bool(np.all((counts >= lo) & (counts <= hi)))
 
 
@@ -163,7 +155,7 @@ def cond_typical_defect_exact(q_w: FinitePmf, q_cond, w_seq, eps: float,
     for Q_W (the regime in which the uniform bound applies); non-typical
     conditioning sequences are rejected.
     """
-    cond = _validated_cond(q_cond)
+    cond = _validated_rows(q_cond, q_w.alphabet_size)
     w_seq = np.asarray(w_seq, dtype=int)
     n = w_seq.size
     nw, nx = cond.shape

@@ -160,6 +160,25 @@ def test_r_alpha_min_product_source_is_zero():
     assert res.value == pytest.approx(0.0, abs=1e-8)
 
 
+def test_ci_lift_keeps_the_heaviest_symbols_of_a_wide_argmin():
+    # wyner_ci returns 12 symbols on this 3x3 joint, more than |U| = 9;
+    # the lift keeps the 9 heaviest instead of dropping the warm start
+    rng = np.random.default_rng(3)
+    mass = rng.dirichlet(np.ones(9)).reshape(3, 3)
+    mass[0, 2] = 0.0
+    pi = JointPmf(mass / mass.sum())
+    ci = wyner_ci(pi, restarts=8)
+    grid = _SupportGrid(pi)
+    assert ci.argmin.nw > grid.nu
+    q_su = np.exp(exponents._ci_lift_logits(grid, ci)).reshape(grid.n_supp,
+                                                              grid.nu)
+    assert np.allclose(q_su.sum(axis=1), pi.mass[grid.x_of_s, grid.y_of_s],
+                       rtol=0.0, atol=1e-6)
+    heaviest = np.sort(ci.argmin.q_w.mass)[::-1][:grid.nu]
+    assert np.allclose(np.sort(q_su.sum(axis=0))[::-1], heaviest, rtol=0.0,
+                       atol=1e-6)
+
+
 def test_r_sh_matches_common_information(dsbs_pi, dsbs_ci):
     val = r_sh(dsbs_pi, restarts=4, seed=0, ci=dsbs_ci)
     assert val == pytest.approx(DSBS01_CI, abs=2e-3)

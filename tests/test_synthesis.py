@@ -1,6 +1,7 @@
 """Synthesis codes: codebook construction, exact induced joints against
 brute-force oracles, estimator agreement, and the finite-n bound checks."""
 
+import collections
 import itertools
 import math
 import time
@@ -13,10 +14,12 @@ from commoninfo import fixtures, synthesis
 from commoninfo.errors import (ConfigError, DomainError, ResourceBudgetError,
                                SamplingError)
 from commoninfo.probability import FinitePmf, MarkovCoupling, log_product_mass
-from commoninfo.synthesis import (SynthesisCode, build_code,
-                                  estimate_renyi, estimate_tv, gamma_oneshot,
-                                  induced_joint_exact, oneshot_bound_verify,
-                                  rate_bound_check, truncation_check)
+from commoninfo.divergences import renyi
+from commoninfo.synthesis import (DivergenceEstimate, SynthesisCode,
+                                  build_code, estimate_renyi, estimate_tv,
+                                  gamma_oneshot, induced_joint_exact,
+                                  oneshot_bound_verify, rate_bound_check,
+                                  truncation_check)
 from commoninfo import typicality as typ
 
 
@@ -48,6 +51,32 @@ def test_code_validation():
     with pytest.raises(ConfigError):
         SynthesisCode(n=4, rate=0.0, m_count=1, codebook=code.codebook,
                       base=base, eps=0.3, eps_prime=0.5, seed=0)
+
+
+@pytest.mark.parametrize("codebook", [
+    [[0, 1, 2, 0], [0, 0, 1, 1]],        # symbol 2 past |W| = 2
+    [[0, 1, -1, 0], [0, 0, 1, 1]],
+    [[0.0, 1.0, 1.0, 0.0], [0.0, 0.0, 1.0, 1.0]],
+    [[0, 1, 1, 0]],                      # one codeword, m_count = 2
+    [[0, 1, 1], [0, 0, 1]],              # length 3, n = 4
+    [0, 1, 1, 0, 0, 0, 1, 1],
+], ids=["symbol-past-w", "negative", "float", "too-few", "too-short", "flat"])
+def test_code_rejects_a_malformed_codebook(codebook):
+    # the first codebook gave an exact TV of 1.474, above TV's maximum 1
+    base = fixtures.dsbs_optimal_coupling(0.1)
+    with pytest.raises(ConfigError, match="codebook"):
+        SynthesisCode(n=4, rate=math.log(2.0) / 4, m_count=2,
+                      codebook=np.array(codebook), base=base, eps=1.0,
+                      eps_prime=0.5, seed=0)
+
+
+def test_code_rejects_a_codeword_symbol_outside_supp_q_w():
+    base = MarkovCoupling(FinitePmf([1.0, 0.0]), np.eye(2), np.eye(2))
+    kwargs = dict(n=2, rate=0.0, m_count=1, base=base, eps=None,
+                  eps_prime=None, seed=0)
+    SynthesisCode(codebook=np.array([[0, 0]]), **kwargs)
+    with pytest.raises(ConfigError, match="supp"):
+        SynthesisCode(codebook=np.array([[0, 1]]), **kwargs)
 
 
 def test_build_code_deterministic():
@@ -251,7 +280,7 @@ def test_truncated_induced_joint_zero_outside_shell():
     ex = induced_joint_exact(code)
     assert ex.mass.sum() == pytest.approx(1.0, abs=1e-10)
     # every positive-mass x must be conditionally typical for some codeword
-    pos = np.flatnonzero(ex.cond_x.sum(axis=0) > 0)
+    pos = np.flatnonzero(ex.mass.sum(axis=1) > 0)
     ok_any = np.zeros(len(ex.seqs_x), dtype=bool)
     for w in code.codebook:
         for i in pos:
@@ -763,3 +792,148 @@ def test_checks_raise_no_warnings_on_structural_zeros():
         tr = truncation_check(base, 8, 1.0, 0.5, 1.0)
         rb = rate_bound_check(base, 8, 1.0, 0.5, 1.0)
     assert tr.holds_pointwise and rb.holds
+
+
+# ---------------------------------------------------------------------------
+# the estimators against two-path references
+# ---------------------------------------------------------------------------
+
+def reference_pi_n_matrix(pi, seqs_x, seqs_y):
+    """pi^n(x^n, y^n) as an (Nx, Ny) matrix."""
+    with np.errstate(divide="ignore"):
+        log_pi = np.log(pi.mass)
+    L = np.zeros((seqs_x.shape[0], seqs_y.shape[0]))
+    for i in range(seqs_x.shape[1]):
+        L = L + log_pi[seqs_x[:, i][:, None], seqs_y[None, :, i]]
+    return np.exp(L)
+
+
+def reference_pi_n_draws(code, samples, rng):
+    """``samples`` pairs drawn from pi^n, with the induced P and pi^n at
+    them."""
+    pi = code.base.xy_marginal()
+    flat = pi.mass.ravel()
+    idx = rng.choice(flat.size, size=(samples, code.n), p=flat)
+    xs, ys = idx // pi.dims[1], idx % pi.dims[1]
+    return (synthesis._pointwise_p(code, xs, ys),
+            np.exp(np.log(pi.mass[xs, ys]).sum(axis=1)))
+
+
+def reference_estimate_tv(code, samples, seed):
+    """TV with its exact and Monte-Carlo paths written out separately, the
+    path chosen by catching the dense budget's ResourceBudgetError."""
+    pi = code.base.xy_marginal()
+    try:
+        ex = induced_joint_exact(code)
+    except ResourceBudgetError:
+        ex = None
+    except DomainError as err:
+        return DivergenceEstimate(1.0, 0.0, "exact", 0, seed,
+                                  diagnostics={"structural_zero": str(err)})
+    if ex is not None:
+        pin = reference_pi_n_matrix(pi, ex.seqs_x, ex.seqs_y)
+        val = 0.5 * float(np.abs(ex.mass - pin).sum())
+        return DivergenceEstimate(val, 0.0, "exact", 0, seed)
+    try:
+        p_vals, pi_vals = reference_pi_n_draws(code, samples,
+                                               synthesis._rng(seed, 1))
+    except DomainError as err:
+        return DivergenceEstimate(1.0, 0.0, "monte_carlo", 0, seed,
+                                  diagnostics={"structural_zero": str(err)})
+    g = np.maximum(1.0 - p_vals / pi_vals, 0.0)
+    return DivergenceEstimate(float(g.mean()),
+                              float(g.std(ddof=1) / math.sqrt(samples)),
+                              "monte_carlo", samples, seed)
+
+
+def reference_estimate_renyi(code, s, samples, seed):
+    """D_{1+s} with separate exact and Monte-Carlo paths, the KL and D_0
+    cases written out, and its own draws from P for s >= 0."""
+    pi = code.base.xy_marginal()
+    try:
+        ex = induced_joint_exact(code)
+    except ResourceBudgetError:
+        ex = None
+    except DomainError as err:
+        return DivergenceEstimate(math.inf, 0.0, "exact", 0, seed,
+                                  diagnostics={"structural_zero": str(err)})
+    if ex is not None:
+        pin = reference_pi_n_matrix(pi, ex.seqs_x, ex.seqs_y)
+        val = renyi(ex.mass.ravel(), pin.ravel(), s)
+        diag = {}
+        if np.any((pin > 0) & (ex.mass == 0)):
+            diag["pi_support_uncovered"] = True
+        return DivergenceEstimate(float(val), 0.0, "exact", 0, seed,
+                                  per_symbol=float(val) / code.n,
+                                  diagnostics=diag)
+    rng = synthesis._rng(seed, 2)
+    try:
+        if s >= 0:
+            ws = code.codebook[rng.integers(0, code.m_count, size=samples)]
+            xs = synthesis._CondLaw(code.base, code.eps, "X").sample(rng, ws)
+            ys = synthesis._CondLaw(code.base, code.eps, "Y").sample(rng, ws)
+            p_vals = synthesis._pointwise_p(code, xs, ys)
+        else:
+            p_vals, pi_vals = reference_pi_n_draws(code, samples, rng)
+    except DomainError as err:
+        return DivergenceEstimate(math.inf, 0.0, "monte_carlo", 0, seed,
+                                  diagnostics={"structural_zero": str(err)})
+    if s >= 0:
+        log_pi = np.log(pi.mass[xs, ys]).sum(axis=1)
+        if np.any(log_pi == -np.inf):
+            return DivergenceEstimate(math.inf, 0.0, "monte_carlo", samples,
+                                      seed, diagnostics={"off_pi_support": True})
+        if s == 0:
+            g = np.log(p_vals) - log_pi
+            val = float(g.mean())
+            return DivergenceEstimate(
+                val, float(g.std(ddof=1) / math.sqrt(samples)), "monte_carlo",
+                samples, seed, per_symbol=val / code.n)
+        g = (p_vals / np.exp(log_pi)) ** s
+    elif s == -1.0:
+        g = (p_vals > 0).astype(float)
+    else:
+        with np.errstate(divide="ignore"):
+            g = (p_vals / pi_vals) ** (1.0 + s)
+    mean = float(g.mean())
+    se = float(g.std(ddof=1) / math.sqrt(samples))
+    if mean <= 0:
+        return DivergenceEstimate(math.inf, 0.0, "monte_carlo", samples, seed,
+                                  diagnostics={"zero_mean_estimate": True})
+    val = -math.log(mean) if s == -1.0 else math.log(mean) / s
+    val_se = se / mean / abs(s if s != -1.0 else 1.0)
+    return DivergenceEstimate(float(val), float(val_se), "monte_carlo",
+                              samples, seed, per_symbol=float(val) / code.n)
+
+
+DIFFERENTIAL_ORDERS = (-1.0, -0.5, -1e-3, 0.0, 1e-5, 0.5, 1.0)
+
+
+@pytest.mark.parametrize("path", ["exact", "monte_carlo"])
+def test_estimators_equal_the_two_path_references(monkeypatch, path):
+    # three couplings, the 2x3 one with empty Y-shells at n = 6 and
+    # eps = 0.6; truncated and untruncated codes; every field compared
+    # with ==, on both paths
+    if path == "monte_carlo":
+        monkeypatch.setattr(synthesis, "MAX_JOINT_CELLS", 10)
+    couplings = ((fixtures.dsbs_optimal_coupling(0.1), (4, 6), 1.0, 0.5),
+                 (seeded_coupling_2x3(), (4, 6), 0.6, 0.5),
+                 (ternary_w_coupling(), (4, 5), 1.0, None))
+    diagnostics, positive = collections.Counter(), 0
+    for (base, ns, eps, eps_prime), n, code_eps, seed in itertools.product(
+            couplings, (0, 1), (True, False), range(3)):
+        code = build_code(base, ns[n], 0.25, eps if code_eps else None,
+                          eps_prime, seed=seed)
+        got = [estimate_tv(code, samples=200, seed=seed)]
+        want = [reference_estimate_tv(code, 200, seed)]
+        for s in DIFFERENTIAL_ORDERS:
+            got.append(estimate_renyi(code, s, samples=200, seed=seed))
+            want.append(reference_estimate_renyi(code, s, 200, seed))
+        for g, w in zip(got, want):
+            assert g == w, (code.n, code.eps, seed, g, w)
+            assert g.method == path
+            diagnostics.update(g.diagnostics.keys())
+            positive += math.isfinite(g.point) and g.point > 0
+    assert diagnostics["structural_zero"] >= 64 and positive >= 150
+    if path == "exact":
+        assert diagnostics["pi_support_uncovered"] >= 30

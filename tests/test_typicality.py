@@ -2,6 +2,7 @@
 Monte-Carlo oracles, conditional typicality, and the uniform defect bound."""
 
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -158,6 +159,29 @@ def test_cond_count_windows_joint_condition():
     # cell mass 0.4 -> window [4, 12]; cell mass 0.1 -> [1, 3]
     assert lo[0, 0] == 4 and hi[0, 0] == 12
     assert lo[0, 1] == 1 and hi[0, 1] == 3
+
+
+@pytest.mark.parametrize("cond", [
+    np.array([[0.3, 0.7]]),                        # one row for |W| = 2
+    np.array([[0.3, 0.7], [0.5, 0.5], [0.2, 0.8]]),
+    np.array([[0.3, 0.7], [np.nan, 0.5]]),
+    np.array([[0.3, 0.7], [0.5, 0.5 + 1e-10]]),    # off by more than 1e-12
+    np.array([[0.3, 0.7], [-0.1, 1.1]]),
+], ids=["one-row", "three-rows", "nan", "unnormalized", "negative"])
+def test_conditional_functions_reject_rows_that_do_not_match_q_w(cond):
+    # one row used to broadcast over both W-symbols: the defect read 1.0
+    q_w = FinitePmf([0.5, 0.5])
+    w = np.array([0, 1] * 4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConfigError):
+            cond_count_windows(q_w, cond, 8, 0.5)
+        with pytest.raises(ConfigError):
+            cond_shell_log_masses(q_w, cond, 8, 0.5)
+        with pytest.raises(ConfigError):
+            is_cond_typical(np.zeros(8, dtype=int), w, q_w, cond, 0.5)
+        with pytest.raises(ConfigError):
+            cond_typical_defect_exact(q_w, cond, w, 0.5)
 
 
 def test_is_cond_typical_matches_manual_counts():
