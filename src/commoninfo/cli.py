@@ -5,7 +5,8 @@ one or more rates), ``simulate`` (synthesis-code estimates on a coupling),
 ``verify`` (the acceptance suite), and ``sweep`` (run a plan file).
 
 Exit codes: 0 on success, 2 for configuration errors, 3 when some cells
-failed (fail-soft sweeps) or acceptance checks did not pass.
+failed (fail-soft sweeps) or acceptance checks did not pass.  An option left
+unset writes no plan key, so the plan parser's default holds.
 """
 
 from __future__ import annotations
@@ -61,40 +62,43 @@ def _emit(result, out: str | None):
     return EXIT_CELL_FAILURES if result.n_errors else EXIT_OK
 
 
-def _cmd_ci(args) -> int:
-    plan_text = (f"[plan]\nname = ci\nseed = {args.seed}\n"
-                 + _source_section(args.source)
-                 + f"[ci]\nsources = {_source_name(args.source)}\n"
-                 + f"restarts = {args.restarts}\n")
-    plan = experiments.parse_plan(plan_text)
+def _keys(**values) -> str:
+    """Plan lines for the values given; None (an option the user did not
+    set) writes no line, so the plan parser's default holds."""
+    return "".join(
+        f"{key} = {' '.join(map(str, v)) if isinstance(v, list) else v}\n"
+        for key, v in values.items() if v is not None)
+
+
+def _run(name: str, args, body: str) -> int:
+    plan = experiments.parse_plan(f"[plan]\nname = {name}\n" + body,
+                                  seed_override=args.seed)
     return _emit(experiments.run_plan(plan, threads=args.threads), args.out)
+
+
+def _cmd_ci(args) -> int:
+    return _run("ci", args, _source_section(args.source) + "[ci]\n"
+                + _keys(sources=_source_name(args.source),
+                        restarts=args.restarts))
 
 
 def _cmd_exponent(args) -> int:
-    rates = " ".join(args.rate)
-    plan_text = (f"[plan]\nname = exponent\nseed = {args.seed}\n"
-                 + _source_section(args.source)
-                 + f"[exponent]\nsources = {_source_name(args.source)}\n"
-                 + f"rates = {rates}\n")
-    plan = experiments.parse_plan(plan_text)
-    return _emit(experiments.run_plan(plan, threads=args.threads), args.out)
+    return _run("exponent", args, _source_section(args.source)
+                + "[exponent]\n"
+                + _keys(sources=_source_name(args.source), rates=args.rate))
 
 
 def _cmd_simulate(args) -> int:
     if args.coupling not in fixtures.NAMED_COUPLINGS:
         raise ConfigError(f"unknown coupling {args.coupling!r}; known: "
                           f"{sorted(fixtures.NAMED_COUPLINGS)}")
-    plan_text = (f"[plan]\nname = simulate\nseed = {args.seed}\n"
-                 f"[coupling.{args.coupling}]\nfixture = {args.coupling}\n"
-                 f"[simulate]\ncouplings = {args.coupling}\n"
-                 f"s = {args.s}\nrates = {' '.join(args.rate)}\n"
-                 f"n = {' '.join(str(n) for n in args.n)}\n"
-                 f"seeds = {' '.join(str(s) for s in args.seeds)}\n"
-                 f"measure = {' '.join(args.measure)}\n"
-                 f"eps = {args.eps}\neps_prime = {args.eps_prime}\n"
-                 f"samples = {args.samples}\n")
-    plan = experiments.parse_plan(plan_text)
-    return _emit(experiments.run_plan(plan, threads=args.threads), args.out)
+    return _run("simulate", args,
+                f"[coupling.{args.coupling}]\nfixture = {args.coupling}\n"
+                "[simulate]\n"
+                + _keys(couplings=args.coupling, rates=args.rate, n=args.n,
+                        s=args.s, seeds=args.seeds, measure=args.measure,
+                        eps=args.eps, eps_prime=args.eps_prime,
+                        samples=args.samples))
 
 
 def _cmd_verify(args) -> int:
@@ -122,14 +126,15 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--seed", type=int,
+                       help="master seed (default: the plan's)")
         p.add_argument("--threads", type=int, default=1)
         p.add_argument("--out", default=None,
                        help="directory for CSV/JSON/summary output")
 
     p = sub.add_parser("ci", help="Wyner common information of a source")
     p.add_argument("source", help="fixture name or pmf text file")
-    p.add_argument("--restarts", type=int, default=16)
+    p.add_argument("--restarts", type=int)
     common(p)
     p.set_defaults(func=_cmd_ci)
 
@@ -144,13 +149,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("coupling", help="named coupling fixture")
     p.add_argument("--rate", nargs="+", required=True)
     p.add_argument("--n", nargs="+", type=int, required=True)
-    p.add_argument("--s", type=float, default=1.0)
-    p.add_argument("--seeds", nargs="+", type=int, default=[0])
-    p.add_argument("--measure", nargs="+", default=["tv"],
-                   choices=["tv", "renyi"])
-    p.add_argument("--eps", default="1.0", help="eps or 'none'")
-    p.add_argument("--eps-prime", dest="eps_prime", default="0.5")
-    p.add_argument("--samples", type=int, default=4096)
+    p.add_argument("--s", type=float)
+    p.add_argument("--seeds", nargs="+", type=int)
+    p.add_argument("--measure", nargs="+", choices=["tv", "renyi"])
+    p.add_argument("--eps", help="eps or 'none'")
+    p.add_argument("--eps-prime", dest="eps_prime")
+    p.add_argument("--samples", type=int)
     common(p)
     p.set_defaults(func=_cmd_simulate)
 

@@ -3,8 +3,9 @@
 Plans are flat INI files: named sources (built-in fixtures or inline pmf
 rows), then one section per cell family (`ci`, `exponent`, `simulate`) listing
 the grid to sweep.  Rates may be absolute (nats/symbol) or multiples of the
-common information, written like `0.5C`; multiples are resolved against a
-freshly computed value and the absolute rate is recorded in every output row.
+common information, written like `0.5C`; multiples are resolved against the
+joint's one C, the value its [ci] rows report, and the absolute rate is
+recorded in every output row.
 
 All randomness flows from the plan's master seed; each cell draws its own
 counter-based stream keyed by (master seed, cell id), so results are
@@ -18,16 +19,18 @@ from __future__ import annotations
 import configparser
 import csv
 import io
+import itertools
 import json
 import math
+import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CommonInfoError, ConfigError
-from .probability import JointPmf, MarkovCoupling, load_joint_text
+from .errors import ConfigError
+from .probability import JointPmf, load_joint_text
 from . import fixtures
 from .ci_solver import wyner_ci
 from . import exponents
@@ -44,11 +47,19 @@ class RateSpec:
 
     text: str
 
-    def resolve(self, ci_value: float) -> float:
+    def __post_init__(self):
+        self.factor()                   # malformed text fails at parse time
+
+    def factor(self) -> float:
+        """The number, before the C of a multiple."""
         t = self.text.strip()
-        rate = float(t[:-1]) * ci_value if self.needs_ci else float(t)
-        if rate < 0:
-            raise ConfigError("rate must be nonnegative")
+        return float(t[:-1] if self.needs_ci else t)
+
+    def resolve(self, ci_value: float) -> float:
+        rate = self.factor() * (ci_value if self.needs_ci else 1.0)
+        if not 0.0 <= rate < math.inf:
+            raise ConfigError(f"rate must be nonnegative and finite, "
+                              f"got {rate}")
         return rate
 
     @property
@@ -61,8 +72,8 @@ class ExperimentPlan:
     name: str
     seed: int
     out: str | None
-    sources: dict
-    couplings: dict
+    sources: dict = field(default_factory=dict)
+    couplings: dict = field(default_factory=dict)
     ci_cells: list = field(default_factory=list)
     exponent_cells: list = field(default_factory=list)
     simulate_cells: list = field(default_factory=list)
@@ -80,6 +91,49 @@ def _split(value: str) -> list[str]:
     return value.replace(",", " ").split()
 
 
+#: wyner_ci restarts of a [ci] section, and of a joint no [ci] cell names
+_DEFAULT_RESTARTS = 16
+#: the keys each kind of section takes; a [DEFAULT] key counts in every one
+_SECTION_KEYS = {
+    "plan": {"name", "seed", "out"},
+    "source": {"fixture", "pi"},
+    "coupling": {"fixture"},
+    "ci": {"sources", "restarts"},
+    "exponent": {"sources", "rates"},
+    "simulate": {"couplings", "s", "rates", "n", "seeds", "measure", "eps",
+                 "eps_prime", "samples"},
+}
+
+
+def _value(sec, key: str, convert, default: str, minimum=None):
+    """``convert(sec[key] or default)``; a ConfigError that names the
+    section and the key if it does not convert or is below ``minimum``."""
+    text = sec.get(key, default)
+    try:
+        value = convert(text.strip())
+    except (ValueError, ConfigError) as exc:
+        raise ConfigError(f"[{sec.name}] {key} = {text!r}: {exc}") from None
+    if minimum is not None and value < minimum:
+        raise ConfigError(f"[{sec.name}] {key} must be >= {minimum}, "
+                          f"got {value}")
+    return value
+
+
+def _values(sec, key: str, convert, default: str) -> list:
+    return _value(sec, key, lambda t: [convert(v) for v in _split(t)],
+                  default)
+
+
+def _eps(text: str) -> float | None:
+    return None if text == "none" else float(text)
+
+
+def _measure(text: str) -> str:
+    if text not in ("tv", "renyi"):
+        raise ConfigError(f"unknown measure {text!r}")
+    return text
+
+
 def parse_plan(text: str, seed_override: int | None = None,
                out_override: str | None = None) -> ExperimentPlan:
     cp = configparser.ConfigParser()
@@ -90,95 +144,69 @@ def parse_plan(text: str, seed_override: int | None = None,
     if "plan" not in cp:
         raise ConfigError("plan file needs a [plan] section")
     head = cp["plan"]
-    name = head.get("name", "plan")
-    seed = seed_override if seed_override is not None else head.getint("seed", 0)
-    out = out_override if out_override is not None else head.get("out", None)
-
-    sources: dict[str, JointPmf] = {}
-    couplings: dict[str, MarkovCoupling] = {}
+    plan = ExperimentPlan(
+        name=head.get("name", "plan"),
+        seed=(_value(head, "seed", int, "0") if seed_override is None
+              else seed_override),
+        out=head.get("out", None) if out_override is None else out_override)
     for section in cp.sections():
-        if section.startswith("source."):
-            label = section.split(".", 1)[1]
-            sec = cp[section]
+        sec, (kind, _, label) = cp[section], section.partition(".")
+        known = _SECTION_KEYS.get(kind)
+        if known is None:
+            raise ConfigError(f"unknown section [{section}]")
+        unknown = sorted(set(sec) - known)
+        if unknown:
+            raise ConfigError(f"[{section}] unknown key {unknown[0]!r}; "
+                              f"known: {sorted(known)}")
+        if kind == "source":
             if "fixture" in sec:
-                sources[label] = fixtures.resolve_source(sec["fixture"])
+                plan.sources[label] = fixtures.resolve_source(sec["fixture"])
             elif "pi" in sec:
-                sources[label] = load_joint_text(sec["pi"])
+                plan.sources[label] = load_joint_text(sec["pi"])
             else:
                 raise ConfigError(f"[{section}] needs 'fixture' or 'pi'")
-        elif section.startswith("coupling."):
-            label = section.split(".", 1)[1]
-            sec = cp[section]
+        elif kind == "coupling":
             if "fixture" not in sec:
                 raise ConfigError(f"[{section}] needs 'fixture'")
-            couplings[label] = fixtures.resolve_coupling(sec["fixture"])
+            plan.couplings[label] = fixtures.resolve_coupling(sec["fixture"])
 
-    def lookup_source(label):
-        if label in sources:
-            return sources[label]
-        src = fixtures.resolve_source(label)
-        sources[label] = src
-        return src
+    def labels(sec, key, table, resolve):
+        # a label that no section defines names a fixture
+        names = _split(sec.get(key, ""))
+        table.update({name: resolve(name) for name in names
+                      if name not in table})
+        return names
 
-    def lookup_coupling(label):
-        if label in couplings:
-            return couplings[label]
-        c = fixtures.resolve_coupling(label)
-        couplings[label] = c
-        return c
-
-    plan = ExperimentPlan(name=name, seed=seed, out=out,
-                          sources=sources, couplings=couplings)
-
-    def sections_of(kind):
-        return [cp[s] for s in cp.sections()
-                if s == kind or s.startswith(kind + ".")]
-
-    for sec in sections_of("ci"):
-        restarts = sec.getint("restarts", 16)
-        if restarts < 1:
-            raise ConfigError(f"[{sec.name}] restarts must be >= 1, "
-                              f"got {restarts}")
-        for label in _split(sec.get("sources", "")):
-            lookup_source(label)
-            plan.ci_cells.append({"source": label, "restarts": restarts})
-    for sec in sections_of("exponent"):
-        for label in _split(sec.get("sources", "")):
-            lookup_source(label)
-            for r in _split(sec.get("rates", "")):
-                plan.exponent_cells.append({
-                    "source": label,
-                    "rate": RateSpec(r),
-                })
-    for sec in sections_of("simulate"):
-        samples = sec.getint("samples", 4096)
-        if samples < 2:
-            raise ConfigError(f"[{sec.name}] samples must be >= 2, "
-                              f"got {samples}")
-        eps = sec.get("eps", "1.0")
-        eps_prime = sec.get("eps_prime", "0.5")
-        for label in _split(sec.get("couplings", "")):
-            lookup_coupling(label)
-            for s in _split(sec.get("s", "1.0")):
-                for r in _split(sec.get("rates", "")):
-                    for n in _split(sec.get("n", "")):
-                        for cell_seed in _split(sec.get("seeds", "0")):
-                            for measure in _split(sec.get("measure", "tv")):
-                                if measure not in ("tv", "renyi"):
-                                    raise ConfigError(
-                                        f"unknown measure {measure!r}")
-                                plan.simulate_cells.append({
-                                    "coupling": label,
-                                    "s": float(s),
-                                    "rate": RateSpec(r),
-                                    "n": int(n),
-                                    "seed": int(cell_seed),
-                                    "measure": measure,
-                                    "eps": None if eps == "none" else float(eps),
-                                    "eps_prime": (None if eps_prime == "none"
-                                                  else float(eps_prime)),
-                                    "samples": samples,
-                                })
+    for section in cp.sections():
+        sec, kind = cp[section], section.split(".", 1)[0]
+        if kind == "ci":
+            restarts = _value(sec, "restarts", int, str(_DEFAULT_RESTARTS),
+                              minimum=1)
+            for label in labels(sec, "sources", plan.sources,
+                                fixtures.resolve_source):
+                plan.ci_cells.append({"source": label, "restarts": restarts})
+        elif kind == "exponent":
+            rates = _values(sec, "rates", RateSpec, "")
+            for label, rate in itertools.product(
+                    labels(sec, "sources", plan.sources,
+                           fixtures.resolve_source), rates):
+                plan.exponent_cells.append({"source": label, "rate": rate})
+        elif kind == "simulate":
+            fixed = {"eps": _value(sec, "eps", _eps, "1.0"),
+                     "eps_prime": _value(sec, "eps_prime", _eps, "0.5"),
+                     "samples": _value(sec, "samples", int, "4096",
+                                       minimum=2)}
+            grid = itertools.product(
+                labels(sec, "couplings", plan.couplings,
+                       fixtures.resolve_coupling),
+                _values(sec, "s", float, "1.0"),
+                _values(sec, "rates", RateSpec, ""),
+                _values(sec, "n", int, ""), _values(sec, "seeds", int, "0"),
+                _values(sec, "measure", _measure, "tv"))
+            for label, s, rate, n, cell_seed, measure in grid:
+                plan.simulate_cells.append({
+                    "coupling": label, "s": s, "rate": rate, "n": n,
+                    "seed": cell_seed, "measure": measure, **fixed})
     return plan
 
 
@@ -199,20 +227,23 @@ def _fmt(v) -> str:
     return str(v)
 
 
-#: joints of one shape whose cells all agree within this share plan caches
+#: joints of one shape whose cells all agree within this share plan values
 _JOINT_ATOL = 1e-15
 
 
 class _PlanContext:
-    """Caches the common information per (joint, restart count) and the
-    exponent F(R) per (joint, absolute rate).
+    """The values cells share: one common information per joint, solved at
+    the largest ``restarts`` of the [ci] cells on it, so that its [ci] rows
+    and its `kC` rates read the same C, and one F(R) per (joint, absolute
+    rate).  Each is computed once, by the first cell that asks for it, while
+    other threads wait; a failure is raised to every cell that asks.
 
-    Caches are keyed by content, not by label, so a source and a coupling
-    that share a label do not share entries.  Every joint the plan names is
-    registered up front, so parallel cells only read the registry.  A joint
-    that matches an earlier one cell by cell (within _JOINT_ATOL) takes its
-    key, so a coupling's XY marginal shares the entries of the source it was
-    built for despite ulp-level differences."""
+    Joints are keyed by content, not by label, so a source and a coupling
+    that share a label do not share values.  Every joint the plan names is
+    registered up front; one that matches an earlier one cell by cell
+    (within _JOINT_ATOL) takes its key, so a coupling's XY marginal shares
+    the values of the source it was built for despite ulp-level
+    differences."""
 
     def __init__(self, plan: ExperimentPlan):
         self.plan = plan
@@ -220,12 +251,15 @@ class _PlanContext:
         for pi in [*plan.sources.values(),
                    *(c.xy_marginal() for c in plan.couplings.values())]:
             self._key(pi)
-        self._ci = {}
-        self._f = {}
+        self._restarts = {}         # ascending, so the largest one is kept
+        for cell in sorted(plan.ci_cells, key=lambda c: c["restarts"]):
+            key = self._key(plan.sources[cell["source"]])
+            self._restarts[key] = cell["restarts"]
+        self._lock = threading.Lock()
+        self._values: dict[tuple, Future] = {}
 
     def _key(self, pi: JointPmf) -> int:
-        """Index of the first registered joint that matches ``pi`` cell by
-        cell; an unmatched joint is registered."""
+        """Index of the first joint matching ``pi``, registered if new."""
         for i, mass in enumerate(self._joints):
             if mass.shape == pi.mass.shape and np.all(
                     np.abs(mass - pi.mass) <= _JOINT_ATOL):
@@ -233,117 +267,83 @@ class _PlanContext:
         self._joints.append(pi.mass)
         return len(self._joints) - 1
 
-    def ci(self, pi: JointPmf, restarts: int = 16):
-        key = (self._key(pi), restarts)
-        if key not in self._ci:
-            self._ci[key] = wyner_ci(pi, restarts=restarts,
-                                     seed=self.plan.seed)
-        return self._ci[key]
+    def _once(self, key: tuple, compute):
+        fresh = Future()
+        with self._lock:
+            future = self._values.setdefault(key, fresh)
+        if future is fresh:
+            try:
+                fresh.set_result(compute())
+            except BaseException as exc:
+                fresh.set_exception(exc)        # for the cells that wait
+                raise
+        return future.result()
+
+    def ci(self, pi: JointPmf):
+        key = self._key(pi)
+        restarts = self._restarts.get(key, _DEFAULT_RESTARTS)
+        return self._once(("ci", key), lambda: wyner_ci(
+            pi, restarts=restarts, seed=self.plan.seed))
 
     def rate(self, pi: JointPmf, spec: RateSpec) -> float:
         return spec.resolve(self.ci(pi).value if spec.needs_ci else 0.0)
 
     def f_rate(self, pi: JointPmf, r_abs: float) -> float:
-        key = (self._key(pi), r_abs)
-        if key not in self._f:
-            self._f[key] = exponents.f_rate(pi, r_abs, seed=self.plan.seed,
-                                            ci=self.ci(pi))
-        return self._f[key]
+        key = ("f", self._key(pi), r_abs)
+        return self._once(key, lambda: exponents.f_rate(
+            pi, r_abs, seed=self.plan.seed, ci=self.ci(pi)))
 
 
-def _blank_row(cell_id: int, kind: str) -> dict:
-    row = {c: "" for c in CSV_COLUMNS}
-    row["cell_id"] = cell_id
-    row["kind"] = kind
-    return row
+def _row(cell_id: int, kind: str, **fields) -> dict:
+    return {**dict.fromkeys(CSV_COLUMNS, ""), "cell_id": cell_id,
+            "kind": kind, **fields}
 
 
 def _run_ci_cell(ctx: _PlanContext, cell_id: int, cell) -> dict:
-    row = _blank_row(cell_id, "ci")
-    row["source"] = cell["source"]
-    row["quantity"] = "wyner_ci"
-    row["method"] = "exact"
-    sol = ctx.ci(ctx.plan.sources[cell["source"]], cell["restarts"])
-    row["value"] = sol.value
-    return row
+    sol = ctx.ci(ctx.plan.sources[cell["source"]])
+    return _row(cell_id, "ci", source=cell["source"], quantity="wyner_ci",
+                method="exact", value=sol.value)
 
 
 def _run_exponent_cell(ctx: _PlanContext, cell_id: int, cell) -> dict:
-    row = _blank_row(cell_id, "exponent")
-    label = cell["source"]
-    pi = ctx.plan.sources[label]
-    row["source"] = label
-    row["quantity"] = "f_rate"
-    row["method"] = "exact"
-    row["r_spec"] = cell["rate"].text
+    pi = ctx.plan.sources[cell["source"]]
     r_abs = ctx.rate(pi, cell["rate"])
-    row["r_abs"] = r_abs
-    row["value"] = ctx.f_rate(pi, r_abs)
-    return row
+    return _row(cell_id, "exponent", source=cell["source"],
+                quantity="f_rate", method="exact", r_spec=cell["rate"].text,
+                r_abs=r_abs, value=ctx.f_rate(pi, r_abs))
 
 
 def _run_simulate_cell(ctx: _PlanContext, cell_id: int, cell) -> dict:
-    row = _blank_row(cell_id, "simulate")
-    label = cell["coupling"]
-    base = ctx.plan.couplings[label]
+    base = ctx.plan.couplings[cell["coupling"]]
     pi = base.xy_marginal()
-    row["coupling"] = label
-    row["source"] = label
-    row["s"] = cell["s"]
-    row["n"] = cell["n"]
-    row["seed"] = cell["seed"]
-    row["quantity"] = cell["measure"]
-    row["r_spec"] = cell["rate"].text
     r_abs = ctx.rate(pi, cell["rate"])
-    row["r_abs"] = r_abs
     stream = np.random.SeedSequence([ctx.plan.seed, cell_id, cell["seed"]])
     cell_rng_seed = int(stream.generate_state(1)[0])
     code = synthesis.build_code(base, cell["n"], r_abs, cell["eps"],
                                 cell["eps_prime"], cell_rng_seed)
+    bound = ""
     if cell["measure"] == "tv":
         est = synthesis.estimate_tv(code, samples=cell["samples"],
                                     seed=cell_rng_seed)
-        f_val = ctx.f_rate(pi, r_abs)
-        row["bound"] = 1.0 - 4.0 * math.exp(-cell["n"] * f_val)
+        bound = 1.0 - 4.0 * math.exp(-cell["n"] * ctx.f_rate(pi, r_abs))
     else:
         est = synthesis.estimate_renyi(code, cell["s"],
                                        samples=cell["samples"],
                                        seed=cell_rng_seed)
-    row["value"] = est.point
-    row["std_error"] = est.std_error
-    row["method"] = est.method
-    return row
-
-
-def _prefetch_f_rate(ctx: _PlanContext, pi: JointPmf, spec: RateSpec) -> None:
-    try:
-        ctx.f_rate(pi, ctx.rate(pi, spec))
-    except (CommonInfoError, ValueError):
-        pass        # nothing is cached; the cell raises again and records it
+    return _row(cell_id, "simulate", source=cell["coupling"],
+                coupling=cell["coupling"], quantity=cell["measure"],
+                s=cell["s"], n=cell["n"], seed=cell["seed"],
+                r_spec=cell["rate"].text, r_abs=r_abs, value=est.point,
+                std_error=est.std_error, method=est.method, bound=bound)
 
 
 def run_plan(plan: ExperimentPlan, threads: int = 1) -> SweepResult:
     """Execute every cell; failures are recorded in-row and do not stop the run."""
     ctx = _PlanContext(plan)
-    tasks = ([("ci", c) for c in plan.ci_cells]
-             + [("exponent", c) for c in plan.exponent_cells]
-             + [("simulate", c) for c in plan.simulate_cells])
+    tasks = [(kind, cell) for kind in ("ci", "exponent", "simulate")
+             for cell in getattr(plan, kind + "_cells")]
     runners = {"ci": _run_ci_cell, "exponent": _run_exponent_cell,
                "simulate": _run_simulate_cell}
-
-    # rate multiples and F(R) values are shared state:
-    # resolve them up front so parallel cells only read the caches
-    for kind, cell in tasks:
-        if kind == "ci":
-            ctx.ci(plan.sources[cell["source"]], cell["restarts"])
-        elif kind == "exponent":
-            _prefetch_f_rate(ctx, plan.sources[cell["source"]], cell["rate"])
-        elif kind == "simulate":
-            pi = plan.couplings[cell["coupling"]].xy_marginal()
-            if cell["rate"].needs_ci or cell["measure"] == "tv":
-                ctx.ci(pi)
-            if cell["measure"] == "tv":
-                _prefetch_f_rate(ctx, pi, cell["rate"])
 
     def run_one(item):
         idx, (kind, cell) = item
@@ -351,9 +351,9 @@ def run_plan(plan: ExperimentPlan, threads: int = 1) -> SweepResult:
         try:
             row = runners[kind](ctx, idx, cell)
         except Exception as exc:           # fail-soft: record, keep sweeping
-            row = _blank_row(idx, kind)
-            row["source"] = cell.get("source", cell.get("coupling", ""))
-            row["error"] = f"{type(exc).__name__}: {exc}"
+            row = _row(idx, kind,
+                       source=cell.get("source", cell.get("coupling", "")),
+                       error=f"{type(exc).__name__}: {exc}")
         return row, time.perf_counter() - t0
 
     items = list(enumerate(tasks))
@@ -363,10 +363,9 @@ def run_plan(plan: ExperimentPlan, threads: int = 1) -> SweepResult:
     else:
         outcomes = [run_one(it) for it in items]
     rows = [r for r, _ in outcomes]
-    times = [t for _, t in outcomes]
-    n_err = sum(1 for r in rows if r["error"])
-    return SweepResult(plan_name=plan.name, rows=rows, wall_times=times,
-                       n_errors=n_err)
+    return SweepResult(plan_name=plan.name, rows=rows,
+                       wall_times=[t for _, t in outcomes],
+                       n_errors=sum(1 for r in rows if r["error"]))
 
 
 # ---------------------------------------------------------------------------

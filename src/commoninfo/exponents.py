@@ -65,8 +65,8 @@ _F_TOL = 1e-8
 #: L-BFGS-B iteration cap and relative objective tolerance of every inner solve
 _INNER_MAXITER = 300
 _INNER_FTOL = 1e-14
-#: r_sh's alpha grid, swept upward with warm starts
-_R_SH_ALPHAS = np.geomspace(1e-3, 1.0, 25)
+#: r_sh's one alpha: the supremum over alpha is approached as alpha -> 0
+_R_SH_ALPHA = 1e-3
 
 
 @dataclass(frozen=True)
@@ -82,10 +82,6 @@ class ExponentPoint:
             raise ConfigError("alpha must lie in [0, 1]")
         if not 0.0 <= self.theta <= self.theta_max:
             raise ConfigError(f"theta must lie in [0, {self.theta_max}]")
-
-    @property
-    def alpha_bar(self) -> float:
-        return 1.0 - self.alpha
 
 
 class _SupportGrid:
@@ -392,20 +388,16 @@ def r_alpha_min(pi: JointPmf, alpha: float, restarts: int = 32, seed: int = 0,
 
 def r_sh(pi: JointPmf, restarts: int = 16, seed: int = 0,
          ci: CiSolution | None = None) -> float:
-    """sup over alpha in (0, 1] of (1/alpha) min_Q R^(alpha)(Q).
+    """sup over alpha in (0, 1] of (1/alpha) min_Q R^(alpha)(Q), which agrees
+    with the Wyner common information.
 
-    Agrees with the Wyner common information value; evaluated on a log-spaced
-    alpha grid with warm-start continuation from small alpha upward.
+    For a fixed Q, R^(alpha)(Q)/alpha = A(Q)/alpha + B(Q) - A(Q) with
+    A(Q) >= 0, which does not increase in alpha; neither does its minimum
+    over Q.  So the supremum is approached at the smallest alpha, and r_sh
+    is one solve there (clamped at 0).
     """
-    grid = _SupportGrid(pi)
-    best = 0.0
-    warm = []
-    for alpha in _R_SH_ALPHAS:
-        res = r_alpha_min(pi, float(alpha), restarts=restarts, seed=seed,
-                          ci=ci, warm_logits=warm, grid=grid)
-        warm = [res.logits]
-        best = max(best, res.value / float(alpha))
-    return best
+    res = r_alpha_min(pi, _R_SH_ALPHA, restarts=restarts, seed=seed, ci=ci)
+    return max(0.0, res.value / _R_SH_ALPHA)
 
 
 # ---------------------------------------------------------------------------
@@ -417,7 +409,7 @@ def f_point(pi: JointPmf, R: float, pt: ExponentPoint, restarts: int = 32,
             **kwargs) -> float:
     """F^(alpha,theta)(R) = (Omega(alpha,theta) - theta*alpha*R) /
     (1 + (5 - 3*alpha)*theta)."""
-    if R < 0:
+    if not R >= 0:
         raise ConfigError("rate must be nonnegative")
     if omega_value is None:
         omega_value = big_omega_min(pi, pt, restarts=restarts, seed=seed,
@@ -510,7 +502,7 @@ def f_rate(pi: JointPmf, R: float, seed: int = 0,
     once and warm-starts from its nearest solved neighbour, so that repeated
     evaluations agree, as brentq's bracket needs.
     """
-    if R < 0:
+    if not R >= 0:
         raise ConfigError("rate must be nonnegative")
     grid = _SupportGrid(pi)
     solved: dict[tuple, _RayPoint] = {}

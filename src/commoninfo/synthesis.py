@@ -253,7 +253,7 @@ def build_code(base: MarkovCoupling, n: int, R: float, eps: float | None,
                eps_prime: float | None, seed: int) -> SynthesisCode:
     """Sample ceil(e^{nR}) independent codewords from Q_W^n truncated to the
     eps'-typical set (``eps_prime=None``: untruncated)."""
-    if R < 0:
+    if not R >= 0:
         raise ConfigError("rate must be nonnegative")
     if n < 1:
         raise ConfigError("block length must be >= 1")
@@ -405,9 +405,6 @@ def estimate_renyi(code: SynthesisCode, s: float, samples: int = 4096,
             diag["pi_support_uncovered"] = True
         return DivergenceEstimate(val, 0.0, method, 0, seed,
                                   per_symbol=val / code.n, diagnostics=diag)
-    if np.any(log_pi == -np.inf):            # drawn from P off supp(pi)
-        return DivergenceEstimate(math.inf, 0.0, method, samples, seed,
-                                  diagnostics={"off_pi_support": True})
     if s == 0:
         g = np.log(p) - log_pi
     else:

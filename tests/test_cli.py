@@ -93,6 +93,33 @@ def test_bad_plan_file_is_config_error(tmp_path, capsys):
     assert main(["sweep", str(plan_path)]) == EXIT_CONFIG
 
 
+@pytest.mark.parametrize("line, message", [
+    ("samples = 4.5", "[simulate] samples = '4.5'"),
+    ("restart = 1", "[simulate] unknown key 'restart'"),
+])
+def test_malformed_or_unknown_plan_key_is_config_error(tmp_path, capsys,
+                                                       line, message):
+    plan_path = tmp_path / "bad.plan"
+    plan_path.write_text(TINY_PLAN + line + "\n")
+    assert main(["sweep", str(plan_path)]) == EXIT_CONFIG
+    assert message in capsys.readouterr().err
+
+
+def test_sweep_keeps_the_plan_seed_unless_overridden(tmp_path):
+    # the Monte-Carlo Renyi estimate depends on the master seed
+    plan_path = tmp_path / "mc.plan"
+    plan_path.write_text("[plan]\nname = mc\nseed = 7\n[simulate]\n"
+                         "couplings = dsbs01\nrates = 0.0\nn = 12\n"
+                         "measure = renyi\nsamples = 64\n")
+    values = {}
+    for name, extra in (("plan", []), ("seven", ["--seed", "7"]),
+                        ("zero", ["--seed", "0"])):
+        assert main(["sweep", str(plan_path), "--out", str(tmp_path / name),
+                     *extra]) == EXIT_OK
+        values[name] = (tmp_path / name / "mc.csv").read_text()
+    assert values["plan"] == values["seven"] != values["zero"]
+
+
 def test_verify_single_cheap_criterion(capsys):
     assert main(["verify", "--only", "7"]) == EXIT_OK
     out = capsys.readouterr().out

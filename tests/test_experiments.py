@@ -1,10 +1,13 @@
 """Plan parsing, sweep execution semantics, and output rendering."""
 
 import math
+import sys
+import threading
+import time
 
 import pytest
 
-from commoninfo import exponents
+from commoninfo import experiments, exponents
 from commoninfo.ci_solver import wyner_ci
 from commoninfo.errors import ConfigError
 from commoninfo.experiments import (RateSpec, parse_plan,
@@ -42,6 +45,14 @@ def test_rate_spec():
         RateSpec("-0.1").resolve(0.0)
 
 
+@pytest.mark.parametrize("rate", ["nan", "inf", "-inf", "nanC", "infC"])
+def test_non_finite_rates_fail_their_cells(rate):
+    text = f"[plan]\nname = x\n[exponent]\nsources = dsbs01\nrates = {rate}\n"
+    result = run_plan(parse_plan(text))
+    assert result.n_errors == 1
+    assert "rate must be nonnegative" in result.rows[0]["error"]
+
+
 def test_parse_plan_structure():
     plan = parse_plan(TINY_PLAN)
     assert plan.name == "tiny" and plan.seed == 5
@@ -73,6 +84,47 @@ def test_parse_plan_errors():
                    "rates = 0.1\nn = 3\nmeasure = wat\n")
     with pytest.raises(ConfigError):
         parse_plan("[plan]\nname = x\n[ci]\nsources = no_such_fixture\n")
+
+
+SIMULATE = ("[simulate]\ncouplings = dsbs01\nrates = 0.5C\nn = 4\n"
+            "measure = tv\n")
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("simulate", "n", "4.5"),
+    ("simulate", "eps", "abc"),
+    ("simulate", "eps_prime", "1 2"),
+    ("simulate", "measure", "kl"),
+    ("simulate", "s", "one"),
+    ("simulate", "seeds", "0 x"),
+    ("simulate", "samples", "many"),
+    ("simulate", "rates", "0.5D"),
+    ("plan", "seed", "abc"),
+    ("ci", "restarts", "2.0"),
+])
+def test_parse_plan_names_the_section_and_key_of_a_malformed_value(
+        section, key, value):
+    plan = {"plan": {"name": "x"}, "ci": {"sources": "dsbs01"},
+            "simulate": {"couplings": "dsbs01", "rates": "0.5C", "n": "4"}}
+    plan[section][key] = value
+    text = "".join(f"[{name}]\n" + "".join(f"{k} = {v}\n"
+                                           for k, v in keys.items())
+                   for name, keys in plan.items())
+    with pytest.raises(ConfigError, match=rf"^\[{section}\] {key}"):
+        parse_plan(text)
+
+
+@pytest.mark.parametrize("text, match", [
+    ("[ci]\nsources = dsbs01\nrestart = 1\n", r"\[ci\] unknown key 'restart'"),
+    (SIMULATE + "sample = 64\n", r"\[simulate\] unknown key 'sample'"),
+    ("[source.a]\nfixture = copy\nrates = 1\n",
+     r"\[source.a\] unknown key 'rates'"),
+    ("[DEFAULT]\nrestarts = 4\n", r"\[plan\] unknown key 'restarts'"),
+    ("[cii]\nsources = dsbs01\n", r"unknown section \[cii\]"),
+])
+def test_parse_plan_rejects_unknown_keys_and_sections(text, match):
+    with pytest.raises(ConfigError, match=match):
+        parse_plan("[plan]\nname = x\n" + text)
 
 
 @pytest.mark.parametrize("restarts", [0, -2])
@@ -208,14 +260,116 @@ def test_label_shared_by_source_and_coupling_keeps_them_apart():
     assert abs(sim_row["r_abs"]) < 1e-6
 
 
-def test_ci_cells_keep_their_own_restarts():
+def test_ci_cells_on_one_joint_share_the_largest_restarts():
+    # one C per joint: both [ci] rows, and the 0.5C of the coupling with the
+    # same XY marginal, read the C at the largest restarts asked for
     text = ("[plan]\nname = x\nseed = 4\n[ci.few]\nsources = dsbs01\n"
-            "restarts = 1\n[ci.many]\nsources = dsbs01\nrestarts = 16\n")
+            "restarts = 1\n[ci.many]\nsources = dsbs01\nrestarts = 16\n"
+            "[simulate]\ncouplings = dsbs01\nrates = 0.5C\nn = 3\n"
+            "measure = renyi\neps = none\neps_prime = none\n")
     plan = parse_plan(text)
-    few, many = run_plan(plan).rows
-    pi = plan.sources["dsbs01"]
-    assert few["value"] == wyner_ci(pi, restarts=1, seed=plan.seed).value
-    assert many["value"] == wyner_ci(pi, restarts=16, seed=plan.seed).value
+    few, many, sim = run_plan(plan).rows
+    c16 = wyner_ci(plan.sources["dsbs01"], restarts=16, seed=plan.seed).value
+    assert few["value"] == many["value"] == c16
+    assert sim["r_abs"] == 0.5 * c16
+
+
+def test_rate_multiples_read_the_c_of_the_ci_row():
+    # at restarts = 1 on dsbs01 the solver stops at ln 2, above the C it
+    # finds at 16; the 0.5C rate must resolve against the reported ln 2
+    text = ("[plan]\nname = x\nseed = 0\n[ci]\nsources = dsbs01\n"
+            "restarts = 1\n[exponent]\nsources = dsbs01\nrates = 0.5C\n")
+    ci_row, exp_row = run_plan(parse_plan(text)).rows
+    assert exp_row["error"] == ""
+    assert exp_row["r_abs"] == 0.5 * ci_row["value"]
+    assert ci_row["value"] == pytest.approx(math.log(2.0))
+
+
+COUNT_PLAN = """
+[plan]
+name = count
+seed = 1
+
+[ci]
+sources = dsbs01 product
+restarts = 2
+
+[ci.again]
+sources = dsbs01
+restarts = 3
+
+[exponent]
+sources = dsbs01 product
+rates = 0.5C 0.9C 0.5C
+
+[simulate]
+couplings = dsbs01
+rates = 0.5C 0.9C
+n = 3
+measure = tv renyi
+samples = 64
+"""
+
+
+@pytest.mark.parametrize("threads", [1, 4])
+def test_shared_values_are_solved_once_per_joint_and_rate(monkeypatch,
+                                                          threads):
+    ci_calls, f_calls = [], []
+    solve_ci, solve_f = experiments.wyner_ci, exponents.f_rate
+
+    def counted_ci(pi, **kw):
+        ci_calls.append((pi.mass.tobytes(), kw["restarts"]))
+        time.sleep(0.01)                # widen the window for a second solve
+        return solve_ci(pi, **kw)
+
+    def counted_f(pi, r_abs, **kw):
+        f_calls.append((pi.mass.tobytes(), r_abs))
+        time.sleep(0.01)
+        return solve_f(pi, r_abs, **kw)
+
+    monkeypatch.setattr(experiments, "wyner_ci", counted_ci)
+    monkeypatch.setattr(exponents, "f_rate", counted_f)
+    results = []
+    sweep = threading.Thread(target=lambda: results.append(
+        run_plan(parse_plan(COUNT_PLAN), threads=threads)), daemon=True)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)         # switch threads as often as it can
+    try:
+        sweep.start()
+        sweep.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not sweep.is_alive()
+    result, = results
+    assert result.n_errors == 0
+    # dsbs01 at its largest restarts, product at its only one
+    assert sorted(r for _, r in ci_calls) == [2, 3]
+    assert len({m for m, _ in ci_calls}) == 2
+    # dsbs01 at 0.5C and 0.9C (shared with the coupling's TV cells), and
+    # product once: its 0.5C and 0.9C are both the absolute rate 0
+    assert len(f_calls) == len(set(f_calls)) == 3
+    rows = {(r["kind"], r["source"], r["r_spec"], r["quantity"]): r
+            for r in result.rows}
+    c = rows[("ci", "dsbs01", "", "wyner_ci")]["value"]
+    for spec, k in (("0.5C", 0.5), ("0.9C", 0.9)):
+        assert rows[("exponent", "dsbs01", spec, "f_rate")]["r_abs"] == k * c
+        assert rows[("simulate", "dsbs01", spec, "tv")]["r_abs"] == k * c
+
+
+def test_a_failed_shared_solve_is_raised_to_every_cell(monkeypatch):
+    calls = []
+
+    def broken(pi, r_abs, **kw):
+        calls.append(r_abs)
+        raise ConfigError("no solve")
+
+    monkeypatch.setattr(exponents, "f_rate", broken)
+    text = ("[plan]\nname = x\n[ci]\nsources = product\nrestarts = 2\n"
+            "[exponent]\nsources = product\nrates = 0.1 0.1\n")
+    result = run_plan(parse_plan(text), threads=2)
+    assert result.n_errors == 2 and len(calls) == 1
+    assert all(r["error"] == "ConfigError: no solve"
+               for r in result.rows[1:])
 
 
 def test_run_plan_builds_no_omega_grid(monkeypatch):

@@ -185,6 +185,25 @@ def test_r_sh_matches_common_information(dsbs_pi, dsbs_ci):
     assert val <= dsbs_ci.value + 1e-6
 
 
+def test_r_sh_is_the_max_of_the_old_alpha_sweep(dsbs_pi, dsbs_ci):
+    # R^(alpha)(Q)/alpha does not increase in alpha, so the first point of
+    # the old warm-started 25-point sweep was its maximum
+    grid = _SupportGrid(dsbs_pi)
+    best, warm = 0.0, []
+    for alpha in np.geomspace(1e-3, 1.0, 25):
+        res = r_alpha_min(dsbs_pi, float(alpha), restarts=4, seed=0,
+                          ci=dsbs_ci, warm_logits=warm, grid=grid)
+        warm = [res.logits]
+        best = max(best, res.value / float(alpha))
+    assert r_sh(dsbs_pi, restarts=4, seed=0, ci=dsbs_ci) == best
+
+
+@pytest.mark.parametrize("rate", [math.nan, -0.1])
+def test_f_rate_rejects_a_nan_or_negative_rate(dsbs_pi, rate):
+    with pytest.raises(ConfigError, match="nonnegative"):
+        f_rate(dsbs_pi, rate)
+
+
 def _golden_max(fun, lo, hi, tol):
     """Golden-section search for the maximum of ``fun`` on [lo, hi]."""
     phi = (math.sqrt(5.0) - 1.0) / 2.0

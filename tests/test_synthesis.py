@@ -34,6 +34,13 @@ def trivial_coupling():
 # construction
 # ---------------------------------------------------------------------------
 
+@pytest.mark.parametrize("rate", [math.nan, -0.1])
+def test_build_code_rejects_a_nan_or_negative_rate(rate):
+    base = fixtures.dsbs_optimal_coupling(0.1)
+    with pytest.raises(ConfigError, match="nonnegative"):
+        build_code(base, 4, rate, 1.0, 0.5, seed=0)
+
+
 def test_m_count_rule():
     base = fixtures.dsbs_optimal_coupling(0.1)
     assert build_code(base, 4, 0.0, 1.0, 0.5, seed=0).m_count == 1
