@@ -5,7 +5,8 @@ from .errors import (CommonInfoError, ConfigError, DomainError,
                      ResourceBudgetError, SamplingError)
 from .probability import (FinitePmf, JointPmf, MarkovCoupling, SequenceType,
                           marginal, induced_joint, copy_coupling,
-                          mutual_information, log_product_mass,
+                          coupling_information, mutual_information,
+                          log_product_mass,
                           dump_text, load_pmf_text, load_joint_text)
 from .divergences import (renyi, kl, tv, conditional_renyi, binary_renyi,
                           pinsker_lb, sason_inf, sason_closed_lb,

@@ -15,8 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .probability import (FinitePmf, JointPmf, induced_joint,
-                          mutual_information)
+from .probability import FinitePmf, coupling_information
 from . import divergences as dv
 from .ci_solver import wyner_ci
 from . import exponents
@@ -107,9 +106,7 @@ def criterion_1_divergence_axioms(seed: int = 0) -> CriterionReport:
 def _dsbs_ci(p: float) -> float:
     """I(XY;W) of the optimal DSBS(p) coupling: ln 2 + h(p) - 2 h(a),
     a = (1 - sqrt(1 - 2p))/2 (Wyner 1975)."""
-    coupling = dsbs_optimal_coupling(p)
-    w_xy = induced_joint(coupling).mass.reshape(coupling.nw, -1)
-    return mutual_information(JointPmf(w_xy))
+    return coupling_information(dsbs_optimal_coupling(p))
 
 
 #: erasure probabilities of the DSBES(e) references of criterion 2
@@ -170,7 +167,7 @@ def criterion_3_r_sh_identity(seed: int = 0) -> CriterionReport:
     for name, pi in (("dsbs01", dsbs(0.1)), ("copy", copy_source()),
                      ("product", product_source())):
         sol = wyner_ci(pi, restarts=8, seed=seed)
-        val = exponents.r_sh(pi, restarts=4, seed=seed, ci=sol)
+        val = exponents.r_sh(pi, ci=sol)
         gap = abs(val - sol.value)
         worst = max(worst, gap)
         if gap > 2e-2:
@@ -185,7 +182,7 @@ def criterion_4_theta_limit(seed: int = 0) -> CriterionReport:
     sol = wyner_ci(pi, restarts=8, seed=seed)
     for alpha in (0.25, 0.5, 1.0):
         rep = exponents.theta_limit_check(pi, alpha, (1e-2, 1e-3, 1e-4),
-                                          restarts=4, seed=seed, ci=sol)
+                                          ci=sol)
         if abs(rep.final_gap) > 1e-2:
             return _report(4, "theta->0 limit", False,
                            f"alpha={alpha}: gap {rep.final_gap:.3e}")
@@ -203,12 +200,12 @@ def criterion_5_exponent_sign(seed: int = 0) -> CriterionReport:
     for name, pi in (("dsbs01", dsbs(0.1)), ("copy", copy_source())):
         sol = wyner_ci(pi, restarts=8, seed=seed)
         for mult in (1.0, 1.2, 2.0):
-            f = exponents.f_rate(pi, mult * sol.value, seed=seed, ci=sol)
+            f = exponents.f_rate(pi, mult * sol.value, ci=sol)
             if f > 1e-4:
                 return _report(5, "exponent sign", False,
                                f"{name}: F({mult}C) = {f:.3e} > 1e-4")
         for mult in (0.5, 0.9):
-            f = exponents.f_rate(pi, mult * sol.value, seed=seed, ci=sol)
+            f = exponents.f_rate(pi, mult * sol.value, ci=sol)
             if f < 1e-4:
                 return _report(5, "exponent sign", False,
                                f"{name}: F({mult}C) = {f:.3e} < 1e-4")
@@ -316,7 +313,7 @@ def criterion_10_strong_converse(seed: int = 0) -> CriterionReport:
     pi = base.xy_marginal()
     sol = wyner_ci(pi, restarts=8, seed=seed)
     r = 0.5 * sol.value
-    f = exponents.f_rate(pi, r, seed=seed, ci=sol)
+    f = exponents.f_rate(pi, r, ci=sol)
     ns = (8, 12, 16)
     per_seed = {}
     for cell_seed in range(10):

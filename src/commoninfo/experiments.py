@@ -291,7 +291,7 @@ class _PlanContext:
     def f_rate(self, pi: JointPmf, r_abs: float) -> float:
         key = ("f", self._key(pi), r_abs)
         return self._once(key, lambda: exponents.f_rate(
-            pi, r_abs, seed=self.plan.seed, ci=self.ci(pi)))
+            pi, r_abs, ci=self.ci(pi)))
 
 
 def _row(cell_id: int, kind: str, **fields) -> dict:

@@ -10,9 +10,13 @@ The augmented joint lives in the polytope of distributions on X x Y x U with
 is enforced structurally (parameters exist only on the support), which removes
 the region where omega is undefined.
 
-The inner minimization is non-convex and attacked by deterministic multi-start
-quasi-Newton descent with analytic gradients; warm starts from the Wyner
-solver's argmin lifted into the polytope dominate in practice.
+The inner minimization is non-convex.  Each solve runs quasi-Newton descent
+with analytic gradients from a fixed list of starts and draws none at random:
+the caller's warm logits, then the Wyner argmin lifted into the polytope, then
+the product coupling.  The lifted argmin is the start that finds the minimum
+near theta = 0, so `f_rate`, `r_sh`, `theta_limit_check` and `tabulate_omega`
+require the `CiSolution` of their joint; one of another joint is a
+`ConfigError`.
 
 Omega is finite only on a polygon read off supp(pi): theta is at most
 `_SupportGrid.theta_wall`(alpha), and past that wall the infimum is -inf
@@ -45,9 +49,6 @@ _THETA_GRID_MIN = 1e-4
 _OMEGA_PRUNE = -1e-6
 #: theta of the first solve on each ray of f_rate, the smallest grid theta
 _THETA_MIN = _THETA_GRID_MIN
-#: restarts of each inner solve of f_rate: with its warm start, the lifted
-#: Wyner argmin and the product start, no random start is drawn
-_F_RESTARTS = 2
 #: rays f_rate solves before its search over alpha, which comes no closer to
 #: a kink or an end of [0, 1] than its tolerance: the kink at 1/2 of the
 #: wall with no mates and the edge alpha = 1.  The edge alpha = 0 is left
@@ -71,17 +72,16 @@ _R_SH_ALPHA = 1e-3
 
 @dataclass(frozen=True)
 class ExponentPoint:
-    """A point (alpha, theta) in [0,1] x [0, theta_max]."""
+    """A point (alpha, theta) in [0,1] x [0, DEFAULT_THETA_MAX]."""
 
     alpha: float
     theta: float
-    theta_max: float = DEFAULT_THETA_MAX
 
     def __post_init__(self):
         if not 0.0 <= self.alpha <= 1.0:
             raise ConfigError("alpha must lie in [0, 1]")
-        if not 0.0 <= self.theta <= self.theta_max:
-            raise ConfigError(f"theta must lie in [0, {self.theta_max}]")
+        if not 0.0 <= self.theta <= DEFAULT_THETA_MAX:
+            raise ConfigError(f"theta must lie in [0, {DEFAULT_THETA_MAX}]")
 
 
 class _SupportGrid:
@@ -306,14 +306,23 @@ def _r_alpha_objective(z, grid: _SupportGrid, alpha):
     return f, grad
 
 
-def _ci_lift_logits(grid: _SupportGrid, ci: CiSolution) -> np.ndarray | None:
+#: largest TV distance between a CI argmin's XY marginal and the joint it is
+#: lifted into; `wyner_ci` answers are feasible within 1e-8
+_CI_MATCH_TOL = 1e-6
+
+
+def _ci_lift_logits(grid: _SupportGrid, ci: CiSolution) -> np.ndarray:
     """Lift the Wyner argmin coupling (W -> U) into support-restricted logits.
     An argmin with more than |U| symbols lifts its |U| heaviest: a warm start
-    need not be feasible."""
+    need not be feasible.  An argmin of another joint is a ConfigError."""
     c = ci.argmin
-    if c.nx != grid.nx or c.ny != grid.ny:
-        return None
+    if (c.nx, c.ny) != (grid.nx, grid.ny):
+        raise ConfigError(f"CI argmin is {c.nx}x{c.ny}, the joint "
+                          f"{grid.nx}x{grid.ny}")
     m = np.einsum("w,wx,wy->xyw", c.q_w.mass, c.q_x_given_w, c.q_y_given_w)
+    tv = 0.5 * float(np.abs(m.sum(axis=2) - grid.pi.mass).sum())
+    if tv > _CI_MATCH_TOL:
+        raise ConfigError(f"CI argmin is {tv:.2e} in TV from the joint")
     if c.nw > grid.nu:
         m = m[:, :, np.sort(np.argsort(-c.q_w.mass, kind="stable")[:grid.nu])]
     q_su = np.full((grid.n_supp, grid.nu), 1e-9)
@@ -336,14 +345,12 @@ class InnerMinResult:
     converged: bool
 
 
-def _multistart_min(objective, args, grid: _SupportGrid, restarts, seed,
-                    extra_starts=()):
-    rng = np.random.default_rng(np.random.SeedSequence([seed, grid.n_supp, grid.nu]))
-    starts = [s for s in extra_starts if s is not None]
-    starts.append(_product_logits(grid))
-    k = grid.n_supp * grid.nu
-    while len(starts) < restarts:
-        starts.append(np.log(rng.dirichlet(np.ones(k))))
+def _multistart_min(objective, args, grid: _SupportGrid, warm_logits,
+                    ci: CiSolution | None) -> InnerMinResult:
+    """The best of one L-BFGS-B descent from each start, in order: the warm
+    logits, the lifted CI argmin when given, the product coupling."""
+    lifted = [] if ci is None else [_ci_lift_logits(grid, ci)]
+    starts = [*warm_logits, *lifted, _product_logits(grid)]
     best = None
     ok = False
     for z0 in starts:
@@ -357,8 +364,8 @@ def _multistart_min(objective, args, grid: _SupportGrid, restarts, seed,
     return best
 
 
-def big_omega_min(pi: JointPmf, pt: ExponentPoint, restarts: int = 32,
-                  seed: int = 0, warm_logits=(), ci: CiSolution | None = None,
+def big_omega_min(pi: JointPmf, pt: ExponentPoint, warm_logits=(),
+                  ci: CiSolution | None = None,
                   grid: _SupportGrid | None = None) -> InnerMinResult:
     """min over Q_XYU of Omega_Q(alpha, theta); exactly 0 at theta = 0, and
     exactly -inf, with no solve, past the wall of `_SupportGrid.theta_wall`."""
@@ -367,27 +374,20 @@ def big_omega_min(pi: JointPmf, pt: ExponentPoint, restarts: int = 32,
         return InnerMinResult(0.0, _product_logits(grid), True)
     if pt.theta > grid.theta_wall(pt.alpha):
         return InnerMinResult(-math.inf, _product_logits(grid), True)
-    extra = list(warm_logits)
-    if ci is not None:
-        extra.append(_ci_lift_logits(grid, ci))
     return _multistart_min(_omega_objective, (grid, pt.alpha, pt.theta),
-                           grid, restarts, seed, extra)
+                           grid, warm_logits, ci)
 
 
-def r_alpha_min(pi: JointPmf, alpha: float, restarts: int = 32, seed: int = 0,
-                ci: CiSolution | None = None, warm_logits=(),
-                grid: _SupportGrid | None = None) -> InnerMinResult:
+def r_alpha_min(pi: JointPmf, alpha: float, ci: CiSolution | None = None,
+                warm_logits=(), grid: _SupportGrid | None = None
+                ) -> InnerMinResult:
     """min over Q_XYU of the KL combination R^(alpha)(Q)."""
     grid = grid or _SupportGrid(pi)
-    extra = list(warm_logits)
-    if ci is not None:
-        extra.append(_ci_lift_logits(grid, ci))
     return _multistart_min(_r_alpha_objective, (grid, alpha), grid,
-                           restarts, seed, extra)
+                           warm_logits, ci)
 
 
-def r_sh(pi: JointPmf, restarts: int = 16, seed: int = 0,
-         ci: CiSolution | None = None) -> float:
+def r_sh(pi: JointPmf, ci: CiSolution) -> float:
     """sup over alpha in (0, 1] of (1/alpha) min_Q R^(alpha)(Q), which agrees
     with the Wyner common information.
 
@@ -396,7 +396,7 @@ def r_sh(pi: JointPmf, restarts: int = 16, seed: int = 0,
     over Q.  So the supremum is approached at the smallest alpha, and r_sh
     is one solve there (clamped at 0).
     """
-    res = r_alpha_min(pi, _R_SH_ALPHA, restarts=restarts, seed=seed, ci=ci)
+    res = r_alpha_min(pi, _R_SH_ALPHA, ci=ci)
     return max(0.0, res.value / _R_SH_ALPHA)
 
 
@@ -404,17 +404,10 @@ def r_sh(pi: JointPmf, restarts: int = 16, seed: int = 0,
 # F(R)
 # ---------------------------------------------------------------------------
 
-def f_point(pi: JointPmf, R: float, pt: ExponentPoint, restarts: int = 32,
-            seed: int = 0, ci: CiSolution | None = None, omega_value=None,
-            **kwargs) -> float:
+def f_point(R: float, pt: ExponentPoint, omega: float) -> float:
     """F^(alpha,theta)(R) = (Omega(alpha,theta) - theta*alpha*R) /
-    (1 + (5 - 3*alpha)*theta)."""
-    if not R >= 0:
-        raise ConfigError("rate must be nonnegative")
-    if omega_value is None:
-        omega_value = big_omega_min(pi, pt, restarts=restarts, seed=seed,
-                                    ci=ci, **kwargs).value
-    return (omega_value - pt.theta * pt.alpha * R) / (1.0 + (5.0 - 3.0 * pt.alpha) * pt.theta)
+    (1 + (5 - 3*alpha)*theta), from the value ``omega`` of Omega at pt."""
+    return (omega - pt.theta * pt.alpha * R) / (1.0 + (5.0 - 3.0 * pt.alpha) * pt.theta)
 
 
 @dataclass
@@ -429,33 +422,29 @@ class OmegaGrid:
     thetas: np.ndarray
     values: np.ndarray                      # (n_alpha, n_theta); -inf = pruned
     logits: dict = field(default_factory=dict, repr=False)
-    theta_max: float = DEFAULT_THETA_MAX
 
 
-def tabulate_omega(pi: JointPmf, restarts: int = 4, seed: int = 0,
-                   ci: CiSolution | None = None,
+def tabulate_omega(pi: JointPmf, ci: CiSolution,
                    n_alpha: int = _ALPHA_GRID_POINTS,
-                   n_theta: int = _THETA_GRID_POINTS,
-                   theta_max: float = DEFAULT_THETA_MAX) -> OmegaGrid:
+                   n_theta: int = _THETA_GRID_POINTS) -> OmegaGrid:
     """Minimize Omega on the (alpha, theta) grid with warm-start continuation
     along ascending theta for each alpha."""
     grid = _SupportGrid(pi)
     alphas = np.linspace(0.0, 1.0, n_alpha)
-    thetas = np.geomspace(_THETA_GRID_MIN, theta_max, n_theta)
+    thetas = np.geomspace(_THETA_GRID_MIN, DEFAULT_THETA_MAX, n_theta)
     values = np.full((n_alpha, n_theta), -np.inf)
     logits = {}
     for i, alpha in enumerate(alphas):
         warm = []
         for j, theta in enumerate(thetas):
-            pt = ExponentPoint(float(alpha), float(theta), theta_max=theta_max)
-            res = big_omega_min(pi, pt, restarts=restarts, seed=seed, ci=ci,
-                                warm_logits=warm, grid=grid)
+            pt = ExponentPoint(float(alpha), float(theta))
+            res = big_omega_min(pi, pt, warm_logits=warm, ci=ci, grid=grid)
             values[i, j] = res.value
             logits[(i, j)] = res.logits
             warm = [res.logits]
             if res.value < _OMEGA_PRUNE:
                 break                        # Omega stays negative from here on
-    return OmegaGrid(alphas, thetas, values, logits, theta_max)
+    return OmegaGrid(alphas, thetas, values, logits)
 
 
 class _RayPoint(NamedTuple):
@@ -467,10 +456,15 @@ class _RayPoint(NamedTuple):
     logits: np.ndarray                       # the inner minimizer
 
 
-def f_rate(pi: JointPmf, R: float, seed: int = 0,
-           ci: CiSolution | None = None) -> float:
+def f_rate(pi: JointPmf, R: float, ci: CiSolution) -> float:
     """F(R) = sup over (alpha, theta) of F^(alpha,theta)(R), and 0 when no
     point has F > 0 (theta = 0 always gives 0).
+
+    ``ci`` is the Wyner solution of ``pi``: every inner solve starts from its
+    warm neighbour, the lifted argmin of ``ci`` and the product coupling.  The
+    lifted argmin is required because the other starts stall: on DSBS(0.1) at
+    R = 0.3 they give F = 0.031877 in place of 0.011679, and 0.054338 in place
+    of 0.049143 on the copy source.
 
     Write beta = alpha*theta.  For fixed Q, omega is linear in alpha, so
     Omega_Q = -log E_Q[exp(-theta A - beta B)] is jointly concave in
@@ -511,16 +505,17 @@ def f_rate(pi: JointPmf, R: float, seed: int = 0,
         if (alpha, theta) not in solved:
             near = min(solved, default=None, key=lambda k: (
                 abs(k[0] - alpha) + abs(math.log(k[1] / theta))))
+            pt = ExponentPoint(alpha, theta)
             res = big_omega_min(
-                pi, ExponentPoint(alpha, theta), restarts=_F_RESTARTS,
-                seed=seed, ci=ci, grid=grid,
-                warm_logits=[solved[near].logits] if near else [])
+                pi, pt, warm_logits=[solved[near].logits] if near else [],
+                ci=ci, grid=grid)
             slope = _omega_ray_slope(res.logits, grid, alpha, theta)
             d_slope = 5.0 - 3.0 * alpha
             n = res.value - theta * alpha * R
             d = 1.0 + d_slope * theta
             solved[alpha, theta] = _RayPoint(
-                n, n / d, (slope - alpha * R) * d - n * d_slope, res.logits)
+                n, f_point(R, pt, res.value),
+                (slope - alpha * R) * d - n * d_slope, res.logits)
         return solved[alpha, theta]
 
     best = 0.0
@@ -577,20 +572,19 @@ class ThetaLimitReport:
         return self.gaps[-1]
 
 
-def theta_limit_check(pi: JointPmf, alpha: float, thetas, restarts: int = 8,
-                      seed: int = 0, ci: CiSolution | None = None) -> ThetaLimitReport:
+def theta_limit_check(pi: JointPmf, alpha: float, thetas,
+                      ci: CiSolution) -> ThetaLimitReport:
     """Track (1/theta) Omega(alpha, theta) against its theta -> 0 limit R^(alpha)."""
     thetas = tuple(float(t) for t in thetas)
     if any(t <= 0 for t in thetas):
         raise ConfigError("thetas must be positive")
     grid = _SupportGrid(pi)
-    ra = r_alpha_min(pi, alpha, restarts=restarts, seed=seed, ci=ci, grid=grid)
+    ra = r_alpha_min(pi, alpha, ci=ci, grid=grid)
     scaled = []
     warm = [ra.logits]
     for theta in sorted(thetas, reverse=True):
         pt = ExponentPoint(alpha, theta)
-        res = big_omega_min(pi, pt, restarts=restarts, seed=seed, ci=ci,
-                            warm_logits=warm, grid=grid)
+        res = big_omega_min(pi, pt, warm_logits=warm, ci=ci, grid=grid)
         warm = [res.logits, ra.logits]
         scaled.append((theta, res.value / theta))
     scaled.sort(key=lambda p: -p[0])

@@ -198,6 +198,11 @@ def induced_joint(c: MarkovCoupling) -> JointPmf:
     return JointPmf(m / total)
 
 
+def coupling_information(c: MarkovCoupling) -> float:
+    """I(XY;W) in nats of the joint a coupling induces."""
+    return mutual_information_mass(induced_joint(c).mass.reshape(c.nw, -1))
+
+
 def copy_coupling(pi: JointPmf) -> MarkovCoupling:
     """W = (X, Y): always feasible for the Wyner problem, with I(XY;W) = H(XY)."""
     if pi.ndim != 2:

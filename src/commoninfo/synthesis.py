@@ -39,7 +39,7 @@ from scipy.special import gammaln, logsumexp
 
 from .errors import ConfigError, DomainError, ResourceBudgetError, SamplingError
 from .probability import (FinitePmf, JointPmf, MarkovCoupling, _validated_rows,
-                          induced_joint, marginal)
+                          coupling_information, induced_joint, marginal)
 from .divergences import renyi, conditional_renyi, glue, tv
 from . import typicality as typ
 
@@ -681,7 +681,7 @@ def rate_bound_check(base: MarkovCoupling, n: int, eps: float,
     delta_1 = 1.0 - float(types.z_x.min())
     delta_2 = 1.0 - float(types.z_y.min())
     q_wxy = induced_joint(base)
-    i_q = _coupling_mi(base)
+    i_q = coupling_information(base)
     h_q = marginal(q_wxy, (1, 2)).entropy()
     rhs = ((1.0 - eps) ** 2 / (1.0 + eps_prime) * i_q
            + 4.0 * eps / (1.0 - eps_prime) * h_q
@@ -689,10 +689,3 @@ def rate_bound_check(base: MarkovCoupling, n: int, eps: float,
     return RateBoundReport(n=n, lhs=lhs, rhs=rhs, slack=rhs - lhs,
                            delta_1=delta_1, delta_2=delta_2,
                            holds=lhs <= rhs + 1e-9)
-
-
-def _coupling_mi(base: MarkovCoupling) -> float:
-    from .probability import mutual_information
-    j = induced_joint(base)
-    flat = JointPmf(j.mass.reshape(base.nw, base.nx * base.ny).T)
-    return mutual_information(flat)

@@ -12,7 +12,8 @@ import pytest
 from commoninfo import ci_solver, fixtures
 from commoninfo.ci_solver import wyner_ci
 from commoninfo.errors import ConfigError
-from commoninfo.probability import (FinitePmf, JointPmf, induced_joint,
+from commoninfo.probability import (FinitePmf, JointPmf,
+                                    coupling_information, induced_joint,
                                     mutual_information)
 
 # analytic value for DSBS with crossover 0.1: with a = (1 - sqrt(1-2p))/2,
@@ -37,9 +38,8 @@ def test_dsbs_analytic_constant_is_right(p):
     c = fixtures.dsbs_optimal_coupling(p)
     assert np.allclose(c.xy_marginal().mass, fixtures.dsbs(p).mass,
                        rtol=0.0, atol=1e-15)
-    w_xy = induced_joint(c).mass.reshape(c.nw, c.nx * c.ny)
-    assert mutual_information(JointPmf(w_xy)) == pytest.approx(
-        _dsbs_closed_form(p), abs=1e-12)
+    assert coupling_information(c) == pytest.approx(_dsbs_closed_form(p),
+                                                     abs=1e-12)
     if p == 0.1:
         assert _dsbs_closed_form(p) == pytest.approx(DSBS01_CI, abs=1e-12)
 

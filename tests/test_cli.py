@@ -1,5 +1,6 @@
 """Command-line interface: argument handling, output files, exit codes."""
 
+import csv
 import os
 
 import numpy as np
@@ -71,6 +72,15 @@ def test_sweep_seed_override_changes_nothing_exact(tmp_path):
     row_a = (out_a / "tiny.csv").read_text().splitlines()[1].split(",")
     row_b = (out_b / "tiny.csv").read_text().splitlines()[1].split(",")
     assert row_a[10] == row_b[10]                  # the value column
+
+
+def test_exponent_subcommand(tmp_path):
+    assert main(["exponent", "dsbs01", "--rate", "0.5C", "1.1C",
+                 "--out", str(tmp_path)]) == EXIT_OK
+    with open(tmp_path / "exponent.csv", newline="") as fh:
+        f = {row["r_spec"]: float(row["value"]) for row in csv.DictReader(fh)}
+    assert f["0.5C"] > 1e-3
+    assert f["1.1C"] == 0.0
 
 
 def test_simulate_subcommand(capsys):

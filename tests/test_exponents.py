@@ -78,7 +78,7 @@ def test_big_omega_zero_theta(dsbs_pi):
     q = random_aug_joint(rng, dsbs_pi, nu=4)
     assert big_omega_q(q, dsbs_pi, ExponentPoint(0.7, 0.0)) == pytest.approx(
         0.0, abs=1e-12)
-    res = big_omega_min(dsbs_pi, ExponentPoint(0.7, 0.0), restarts=1)
+    res = big_omega_min(dsbs_pi, ExponentPoint(0.7, 0.0))
     assert res.value == 0.0
 
 
@@ -148,15 +148,15 @@ def test_omega_objective_matches_logsumexp_reference(dsbs_pi):
 
 def test_r_alpha_min_frozen_values(dsbs_pi, dsbs_ci):
     # regression pins for the inner minimization on the standard source
-    res = r_alpha_min(dsbs_pi, 0.25, restarts=8, seed=0, ci=dsbs_ci)
+    res = r_alpha_min(dsbs_pi, 0.25, ci=dsbs_ci)
     assert res.value == pytest.approx(0.13799680636827233, abs=1e-7)
-    res = r_alpha_min(dsbs_pi, 0.5, restarts=8, seed=0, ci=dsbs_ci)
+    res = r_alpha_min(dsbs_pi, 0.5, ci=dsbs_ci)
     assert res.value == pytest.approx(0.14004710212025745, abs=1e-7)
 
 
 def test_r_alpha_min_product_source_is_zero():
     pi = fixtures.product_source()
-    res = r_alpha_min(pi, 0.5, restarts=4, seed=0)
+    res = r_alpha_min(pi, 0.5)
     assert res.value == pytest.approx(0.0, abs=1e-8)
 
 
@@ -180,7 +180,7 @@ def test_ci_lift_keeps_the_heaviest_symbols_of_a_wide_argmin():
 
 
 def test_r_sh_matches_common_information(dsbs_pi, dsbs_ci):
-    val = r_sh(dsbs_pi, restarts=4, seed=0, ci=dsbs_ci)
+    val = r_sh(dsbs_pi, ci=dsbs_ci)
     assert val == pytest.approx(DSBS01_CI, abs=2e-3)
     assert val <= dsbs_ci.value + 1e-6
 
@@ -191,17 +191,41 @@ def test_r_sh_is_the_max_of_the_old_alpha_sweep(dsbs_pi, dsbs_ci):
     grid = _SupportGrid(dsbs_pi)
     best, warm = 0.0, []
     for alpha in np.geomspace(1e-3, 1.0, 25):
-        res = r_alpha_min(dsbs_pi, float(alpha), restarts=4, seed=0,
-                          ci=dsbs_ci, warm_logits=warm, grid=grid)
+        res = r_alpha_min(dsbs_pi, float(alpha), ci=dsbs_ci,
+                          warm_logits=warm, grid=grid)
         warm = [res.logits]
         best = max(best, res.value / float(alpha))
-    assert r_sh(dsbs_pi, restarts=4, seed=0, ci=dsbs_ci) == best
+    assert r_sh(dsbs_pi, ci=dsbs_ci) == best
 
 
 @pytest.mark.parametrize("rate", [math.nan, -0.1])
-def test_f_rate_rejects_a_nan_or_negative_rate(dsbs_pi, rate):
+def test_f_rate_rejects_a_nan_or_negative_rate(dsbs_pi, dsbs_ci, rate):
     with pytest.raises(ConfigError, match="nonnegative"):
-        f_rate(dsbs_pi, rate)
+        f_rate(dsbs_pi, rate, ci=dsbs_ci)
+
+
+@pytest.mark.parametrize("other", [fixtures.dsbes(0.3), fixtures.dsbs(0.2)],
+                         ids=["dsbes03", "dsbs02"])
+def test_f_rate_rejects_the_ci_of_another_joint(dsbs_pi, other):
+    # a 2x3 argmin has the wrong shape; a DSBS(0.2) argmin is 0.1 from
+    # DSBS(0.1) in TV.  Either would warm-start the solves on the wrong joint.
+    with pytest.raises(ConfigError, match="CI argmin"):
+        f_rate(dsbs_pi, 0.3, ci=wyner_ci(other, restarts=8))
+
+
+def test_the_exponent_engine_draws_no_random_numbers(dsbs_pi, dsbs_ci,
+                                                     monkeypatch):
+    # every solve runs from the starts it is given: warm, lifted CI, product
+    def no_rng(*args, **kwargs):
+        raise AssertionError("a random generator was built")
+
+    monkeypatch.setattr(np.random, "default_rng", no_rng)
+    monkeypatch.setattr(np.random, "SeedSequence", no_rng)
+    assert f_rate(dsbs_pi, 0.5 * dsbs_ci.value, ci=dsbs_ci) > 1e-3
+    assert r_sh(dsbs_pi, ci=dsbs_ci) == pytest.approx(DSBS01_CI, abs=2e-3)
+    theta_limit_check(dsbs_pi, 0.5, (1e-2, 1e-4), ci=dsbs_ci)
+    og = tabulate_omega(dsbs_pi, ci=dsbs_ci, n_alpha=9, n_theta=17)
+    assert og.values.shape == (9, 17)
 
 
 def _golden_max(fun, lo, hi, tol):
@@ -223,8 +247,7 @@ def _golden_max(fun, lo, hi, tol):
     return max([(fc, c), (fd, d)])
 
 
-def reference_f_rate(pi, R, omega_grid, seed=0, ci=None, refine=True,
-                     refine_tol=1e-6):
+def reference_f_rate(pi, R, omega_grid, ci, refine=True, refine_tol=1e-6):
     """F(R) as the grid path computed it: the best cell of an Omega grid,
     then three rounds of coordinatewise golden-section search in theta and
     alpha over the neighbouring cells, clamped at 0.  `big_omega_min` gives
@@ -237,16 +260,14 @@ def reference_f_rate(pi, R, omega_grid, seed=0, ci=None, refine=True,
         return max(best, 0.0)
     i, j = np.unravel_index(int(np.nanargmax(F)), F.shape)
     grid = _SupportGrid(pi)
-    warm = [omega_grid.logits.get((i, j))]
+    warm = [omega_grid.logits[i, j]]
 
     def f_at(alpha, theta):
-        pt = ExponentPoint(float(alpha), float(theta),
-                           theta_max=omega_grid.theta_max)
-        res = big_omega_min(pi, pt, restarts=2, seed=seed, ci=ci,
-                            warm_logits=warm, grid=grid)
+        pt = ExponentPoint(float(alpha), float(theta))
+        res = big_omega_min(pi, pt, warm_logits=warm, ci=ci, grid=grid)
         warm.append(res.logits)
         del warm[:-2]
-        return f_point(pi, R, pt, omega_value=res.value)
+        return f_point(R, pt, res.value)
 
     alphas, thetas = omega_grid.alphas, omega_grid.thetas
     a_lo, a_hi = alphas[max(i - 1, 0)], alphas[min(i + 1, len(alphas) - 1)]
@@ -263,8 +284,7 @@ def reference_f_rate(pi, R, omega_grid, seed=0, ci=None, refine=True,
 
 def test_f_rate_signs_coarse(dsbs_pi, dsbs_ci):
     # the grid path without refinement, on a coarse grid
-    og = tabulate_omega(dsbs_pi, restarts=2, seed=0, ci=dsbs_ci,
-                        n_alpha=9, n_theta=17)
+    og = tabulate_omega(dsbs_pi, ci=dsbs_ci, n_alpha=9, n_theta=17)
     f_lo = reference_f_rate(dsbs_pi, 0.5 * dsbs_ci.value, og, ci=dsbs_ci,
                             refine=False)
     f_hi = reference_f_rate(dsbs_pi, 1.5 * dsbs_ci.value, og, ci=dsbs_ci,
@@ -280,16 +300,15 @@ def test_f_point_formula(dsbs_pi, dsbs_ci):
     # F at a specific (alpha, theta) equals (Omega - theta alpha R)/(1+(5-3a)t)
     pt = ExponentPoint(0.5, 0.2)
     R = 0.3
-    res = big_omega_min(dsbs_pi, pt, restarts=4, seed=0, ci=dsbs_ci)
+    res = big_omega_min(dsbs_pi, pt, ci=dsbs_ci)
     expected = (res.value - pt.theta * pt.alpha * R) / \
         (1.0 + (5.0 - 3.0 * pt.alpha) * pt.theta)
-    assert f_point(dsbs_pi, R, pt, restarts=4, seed=0, ci=dsbs_ci) == \
-        pytest.approx(expected, abs=1e-9)
+    assert f_point(R, pt, res.value) == pytest.approx(expected, abs=1e-9)
 
 
 def test_theta_limit_gap_shrinks(dsbs_pi, dsbs_ci):
     rep = theta_limit_check(dsbs_pi, 0.5, thetas=[1e-2, 1e-3, 1e-4],
-                            restarts=4, seed=0, ci=dsbs_ci)
+                            ci=dsbs_ci)
     # Omega/theta approaches min R^(alpha) from below as theta -> 0
     assert rep.final_gap < 1e-4
     assert abs(rep.gaps[-1]) <= abs(rep.gaps[0]) + 1e-12
@@ -366,10 +385,11 @@ def test_no_solve_past_the_wall(dsbs_pi, monkeypatch):
     wall = _SupportGrid(dsbs_pi).theta_wall(0.5)
     monkeypatch.setattr(exponents, "_multistart_min", no_solve)
     pt = ExponentPoint(0.5, wall * (1 + 1e-9))
-    assert big_omega_min(dsbs_pi, pt).value == -math.inf
-    assert f_point(dsbs_pi, 0.3, pt) == -math.inf
+    past = big_omega_min(dsbs_pi, pt).value
+    assert past == -math.inf
+    assert f_point(0.3, pt, past) == -math.inf
     monkeypatch.undo()
-    on_wall = big_omega_min(dsbs_pi, ExponentPoint(0.5, wall), restarts=2)
+    on_wall = big_omega_min(dsbs_pi, ExponentPoint(0.5, wall))
     assert math.isfinite(on_wall.value)
 
 
@@ -430,12 +450,12 @@ def test_f_rate_matches_the_grid_reference(name):
     # solver noise at alpha = 0
     pi = REFERENCE_SOURCES[name]
     sol = wyner_ci(pi, restarts=8, seed=0)
-    og = tabulate_omega(pi, restarts=2, seed=0, ci=sol)
+    og = tabulate_omega(pi, ci=sol)
     for mult in (0.5, 0.9):
         r = mult * sol.value
-        ref = reference_f_rate(pi, r, og, seed=0, ci=sol)
-        new = f_rate(pi, r, seed=0, ci=sol)
+        ref = reference_f_rate(pi, r, og, ci=sol)
+        new = f_rate(pi, r, ci=sol)
         assert ref - 1e-9 <= new <= ref + 2e-6
     r = 1.1 * sol.value
-    assert f_rate(pi, r, seed=0, ci=sol) == 0.0
-    assert reference_f_rate(pi, r, og, refine=False) <= 1e-8
+    assert f_rate(pi, r, ci=sol) == 0.0
+    assert reference_f_rate(pi, r, og, ci=sol, refine=False) <= 1e-8

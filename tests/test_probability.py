@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 
 from commoninfo.errors import ConfigError
 from commoninfo.probability import (FinitePmf, JointPmf, MarkovCoupling,
-                                    SequenceType, copy_coupling, dump_text,
+                                    SequenceType, copy_coupling,
+                                    coupling_information, dump_text,
                                     induced_joint, load_joint_text,
                                     load_pmf_text, log_product_mass,
                                     mutual_information)
@@ -108,9 +109,8 @@ def test_copy_coupling_mi_equals_joint_entropy(dsbs_pi):
     c = copy_coupling(dsbs_pi)
     joint = induced_joint(c)
     assert np.allclose(joint.marginal((1, 2)).mass, dsbs_pi.mass, atol=1e-14)
-    w_xy = joint.mass.reshape(c.nw, c.nx * c.ny)
-    assert mutual_information(JointPmf(w_xy)) == pytest.approx(
-        dsbs_pi.entropy(), abs=1e-12)
+    assert coupling_information(c) == pytest.approx(dsbs_pi.entropy(),
+                                                     abs=1e-12)
 
 
 def test_induced_joint_matches_manual_product():
