@@ -20,17 +20,18 @@ XY-marginal equals the target joint pi, on the support of pi:
   every mask true, the classical |W| = |X||Y|.
 
 The feasible set is non-convex in this parameterization, so each remaining
-block runs a deterministic multi-start quasi-Newton descent on an
-exact-penalty objective with an increasing weight schedule, followed by an
-alternating feasibility restoration that drives the marginal residual below
-tolerance.  The objective and its gradient are one kernel per solved block,
-``_BlockKernel``, built once from the block's masks: Q_{X|W} and Q_{Y|W} are
-the rows of one -inf-padded matrix at fixed flat positions, so one row
-softmax gives both, one contraction Q_XY, two contractions with dI/dQ_XY the
-conditional gradients, and one chain-rule pass and one gather the gradient
-in their free logits.  Every sum runs in the order of a per-term evaluation
-(the einsum reference in tests/test_ci_solver.py), so the value and gradient
-match it bit for bit and the descent takes the same path.
+block runs a deterministic multi-start quasi-Newton descent (the L-BFGS-B
+driver ``descent.lbfgsb``) on an exact-penalty objective with an increasing
+weight schedule, followed by an alternating feasibility restoration that
+drives the marginal residual below tolerance.  The objective and its
+gradient are one kernel per solved block, ``_BlockKernel``, built once from
+the block's masks: Q_{X|W} and Q_{Y|W} are the rows of one -inf-padded
+matrix at fixed flat positions, so one row softmax gives both, one
+contraction Q_XY, two contractions with dI/dQ_XY the conditional gradients,
+and one chain-rule pass and one gather the gradient in their free logits.
+Every sum runs in the order of a per-term evaluation (the einsum reference
+in tests/test_ci_solver.py), so the value and gradient match it bit for bit
+and the descent takes the same path.
 """
 
 from __future__ import annotations
@@ -38,8 +39,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
+from .descent import lbfgsb
 from .errors import ConfigError
 from .probability import (FinitePmf, JointPmf, MarkovCoupling,
                           mutual_information_mass)
@@ -47,6 +48,7 @@ from .probability import (FinitePmf, JointPmf, MarkovCoupling,
 _PENALTY_SCHEDULE = (1e2, 1e4, 1e6)
 _FEAS_TOL = 1e-8                         # marginal residual of a feasible result
 _OBJ_TOL = 1e-9                          # L-BFGS-B relative objective tolerance
+_MAXITER = 500                           # L-BFGS-B iterations per descent
 _LOG_FLOOR = 1e-300
 
 
@@ -295,18 +297,15 @@ def _solve_block(pi_mass: np.ndarray, restarts: int, seed: int):
     for z0 in starts:
         z = z0
         for lam in _PENALTY_SCHEDULE:
-            res = minimize(kernel, z, jac=True, method="L-BFGS-B",
-                           args=(lam,),
-                           options={"maxiter": 500, "ftol": _OBJ_TOL})
-            z = res.x
+            z, _, _ = lbfgsb(kernel, z, (lam,), maxiter=_MAXITER,
+                             ftol=_OBJ_TOL)
         qw, A, C = kernel.unpack(z)
         qw, A, C, residual = _restore_feasibility(qw, A, C, pi_mass)
         if residual > _FEAS_TOL:
             # one more polish from the restored point at a stiffer penalty
-            res = minimize(kernel, kernel.logits(qw, A, C), jac=True,
-                           method="L-BFGS-B", args=(1e8,),
-                           options={"maxiter": 500, "ftol": _OBJ_TOL})
-            qw, A, C = kernel.unpack(res.x)
+            z, _, _ = lbfgsb(kernel, kernel.logits(qw, A, C), (1e8,),
+                             maxiter=_MAXITER, ftol=_OBJ_TOL)
+            qw, A, C = kernel.unpack(z)
             qw, A, C, residual = _restore_feasibility(qw, A, C, pi_mass)
         value = _coupling_value(qw, A, C)
         feasible = residual <= _FEAS_TOL

@@ -7,11 +7,18 @@ one or more rates), ``simulate`` (synthesis-code estimates on a coupling),
 Exit codes: 0 on success, 2 for configuration errors, 3 when some cells
 failed (fail-soft sweeps) or acceptance checks did not pass.  An option left
 unset writes no plan key, so the plan parser's default holds.
+
+Unless ``OPENBLAS_NUM_THREADS`` is set, the OpenBLAS builds bundled with
+numpy and scipy run on one thread: the solvers make many small BLAS calls,
+and a second OpenBLAS thread spins beside the first.
 """
 
 from __future__ import annotations
 
 import argparse
+import ctypes
+import glob
+import importlib
 import os
 import sys
 
@@ -23,6 +30,33 @@ from . import fixtures
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_CELL_FAILURES = 3
+
+#: the OpenBLAS that each package's Linux wheel bundles in ``<package>.libs``
+#: and the symbol that sets its thread count; scipy's own BLAS and LAPACK
+#: calls go to its copy, numpy's to the 64-bit-index one
+_BUNDLED_OPENBLAS = (
+    ("numpy", "libscipy_openblas64_*.so", "scipy_openblas_set_num_threads64_"),
+    ("scipy", "libscipy_openblas-*.so", "scipy_openblas_set_num_threads"),
+)
+
+
+def _one_blas_thread() -> list[str]:
+    """Set every bundled OpenBLAS to one thread unless the user has set
+    ``OPENBLAS_NUM_THREADS``; returns the libraries set.  A numpy or scipy
+    without a bundled OpenBLAS is left as it is."""
+    if "OPENBLAS_NUM_THREADS" in os.environ:
+        return []
+    pinned = []
+    for package, pattern, setter in _BUNDLED_OPENBLAS:
+        site = os.path.dirname(os.path.dirname(
+            importlib.import_module(package).__file__))
+        for path in glob.glob(os.path.join(site, package + ".libs", pattern)):
+            set_threads = getattr(ctypes.CDLL(path), setter, None)
+            if set_threads is not None:
+                set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+                set_threads(1)
+                pinned.append(path)
+    return pinned
 
 
 def _source_section(label: str) -> str:
@@ -171,6 +205,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    _one_blas_thread()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -35,11 +35,12 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import brentq, minimize, minimize_scalar
+from scipy.optimize import brentq, minimize_scalar
 
 from .errors import ConfigError, DomainError
 from .probability import JointPmf
 from .ci_solver import CiSolution
+from .descent import lbfgsb
 
 DEFAULT_THETA_MAX = 10.0
 _ALPHA_GRID_POINTS = 33
@@ -347,20 +348,17 @@ class InnerMinResult:
 
 def _multistart_min(objective, args, grid: _SupportGrid, warm_logits,
                     ci: CiSolution | None) -> InnerMinResult:
-    """The best of one L-BFGS-B descent from each start, in order: the warm
-    logits, the lifted CI argmin when given, the product coupling."""
+    """The best of one `descent.lbfgsb` descent from each start, in order:
+    the warm logits, the lifted CI argmin when given, the product coupling.
+    ``converged`` is the flag of the descent whose answer is returned."""
     lifted = [] if ci is None else [_ci_lift_logits(grid, ci)]
     starts = [*warm_logits, *lifted, _product_logits(grid)]
     best = None
-    ok = False
     for z0 in starts:
-        res = minimize(objective, z0, jac=True, method="L-BFGS-B", args=args,
-                       options={"maxiter": _INNER_MAXITER, "ftol": _INNER_FTOL,
-                                "gtol": 1e-12})
-        ok = ok or bool(res.success)
-        if best is None or res.fun < best.value:
-            best = InnerMinResult(float(res.fun), res.x, bool(res.success))
-    best.converged = ok
+        z, f, ok = lbfgsb(objective, z0, args, maxiter=_INNER_MAXITER,
+                          ftol=_INNER_FTOL, gtol=1e-12)
+        if best is None or f < best.value:
+            best = InnerMinResult(float(f), z, ok)
     return best
 
 

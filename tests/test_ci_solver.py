@@ -64,7 +64,7 @@ def test_oracle_on_second_symmetric_source():
 def _forbid_solves(monkeypatch):
     def solve(*args, **kwargs):
         raise AssertionError("wyner_ci ran a solve on an exact block")
-    monkeypatch.setattr(ci_solver, "minimize", solve)
+    monkeypatch.setattr(ci_solver, "lbfgsb", solve)
 
 
 def _assert_argmin_reproduces(sol, pi):

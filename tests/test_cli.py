@@ -1,11 +1,16 @@
 """Command-line interface: argument handling, output files, exit codes."""
 
 import csv
+import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import commoninfo
+from commoninfo import cli
 from commoninfo.cli import EXIT_CELL_FAILURES, EXIT_CONFIG, EXIT_OK, main
 
 TINY_PLAN = """
@@ -142,3 +147,40 @@ def test_verify_rejects_options_it_does_not_use(capsys):
         main(["verify", "--seed", "1"])
     assert exc.value.code == 2
     assert "unrecognized arguments: --seed" in capsys.readouterr().err
+
+
+#: pins every bundled OpenBLAS as cli.main does, then reads each thread
+#: count back through the getter that matches its setter
+_READ_BLAS_THREADS = """
+import ctypes, json, os
+from commoninfo import cli
+counts = {}
+for path in cli._one_blas_thread():
+    name = os.path.basename(path)
+    getter = ("scipy_openblas_get_num_threads64_" if "openblas64_" in name
+              else "scipy_openblas_get_num_threads")
+    get_threads = getattr(ctypes.CDLL(path), getter)
+    get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+    counts[name] = get_threads()
+print(json.dumps(counts))
+"""
+
+
+def test_cli_runs_the_bundled_openblas_on_one_thread():
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS",
+                        "OMP_NUM_THREADS")}
+    src = os.path.dirname(os.path.dirname(commoninfo.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src, *filter(None, [env.get("PYTHONPATH")])])
+    out = subprocess.run([sys.executable, "-c", _READ_BLAS_THREADS], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    counts = json.loads(out)
+    if not counts:
+        pytest.skip("numpy and scipy bundle no OpenBLAS here")
+    assert len(counts) == 2 and set(counts.values()) == {1}, counts
+
+
+def test_cli_leaves_a_set_openblas_thread_count(monkeypatch):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+    assert cli._one_blas_thread() == []

@@ -1,0 +1,151 @@
+"""The L-BFGS-B driver against ``scipy.optimize.minimize(method="L-BFGS-B",
+jac=True)``, bit for bit, on the objectives and settings of every solver that
+uses it.  The driver runs scipy's private ``setulb`` loop, so this is the test
+that catches a change in that loop or in its signature."""
+
+import numpy as np
+import pytest
+from scipy.optimize import minimize
+
+from commoninfo import ci_solver, exponents, fixtures
+from commoninfo.ci_solver import wyner_ci
+from commoninfo.descent import lbfgsb
+from commoninfo.exponents import ExponentPoint, _SupportGrid
+from commoninfo.probability import JointPmf
+
+CI_SETTINGS = {"maxiter": ci_solver._MAXITER, "ftol": ci_solver._OBJ_TOL}
+INNER_SETTINGS = {"maxiter": exponents._INNER_MAXITER,
+                  "ftol": exponents._INNER_FTOL, "gtol": 1e-12}
+
+
+def _counted(fun):
+    calls = []
+
+    def counted(x, *args):
+        calls.append(1)
+        return fun(x, *args)
+    return counted, calls
+
+
+def _assert_same_descent(fun, x0, args, settings):
+    """Driver and ``minimize`` agree on x (bytes), f, the success flag and
+    the number of evaluations; returns the reference result."""
+    ref_fun, ref_calls = _counted(fun)
+    ref = minimize(ref_fun, x0, args=args, jac=True, method="L-BFGS-B",
+                   options=settings)
+    new_fun, new_calls = _counted(fun)
+    x, f, converged = lbfgsb(new_fun, x0, args, **settings)
+    assert x.tobytes() == ref.x.tobytes()
+    assert f == ref.fun
+    assert converged is bool(ref.success)
+    assert len(new_calls) == len(ref_calls) == ref.nfev
+    return ref
+
+
+CI_JOINTS = {
+    "dsbs01": fixtures.dsbs(0.1),
+    "dsbes06": fixtures.dsbes(0.6),
+    "dirichlet3x3": JointPmf(np.random.default_rng(1).dirichlet(np.ones(9))
+                             .reshape(3, 3)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CI_JOINTS))
+def test_driver_matches_minimize_on_the_ci_kernel(name):
+    # the penalty schedule then the 1e8 polish, chained as _solve_block
+    # chains them, from the copy start and from one random start
+    pi_mass = CI_JOINTS[name].mass
+    mask_x, mask_y, cell_symbol = ci_solver._rectangle_layout(pi_mass > 0)
+    kernel = ci_solver._BlockKernel(pi_mass, mask_x, mask_y)
+    rng = np.random.default_rng(5)
+    nw, nx, ny = mask_x.shape[0], pi_mass.shape[0], pi_mass.shape[1]
+    starts = [
+        kernel.logits(*ci_solver._copy_start(pi_mass, mask_x, mask_y,
+                                             cell_symbol)),
+        kernel.logits(rng.dirichlet(np.ones(nw)),
+                      rng.dirichlet(np.ones(nx), size=nw),
+                      rng.dirichlet(np.ones(ny), size=nw)),
+    ]
+    for z in starts:
+        for lam in (*ci_solver._PENALTY_SCHEDULE, 1e8):
+            z = _assert_same_descent(kernel, z, (lam,), CI_SETTINGS).x
+
+
+def _inner_starts(pi, ci):
+    grid = _SupportGrid(pi)
+    return grid, [exponents._ci_lift_logits(grid, ci),
+                  exponents._product_logits(grid)]
+
+
+@pytest.mark.parametrize("alpha, theta", [(0.3, 0.2), (0.8, 0.45)])
+def test_driver_matches_minimize_on_omega(dsbs_pi, dsbs_ci, alpha, theta):
+    grid, starts = _inner_starts(dsbs_pi, dsbs_ci)
+    for z0 in starts:
+        _assert_same_descent(exponents._omega_objective, z0,
+                             (grid, alpha, theta), INNER_SETTINGS)
+
+
+def test_driver_matches_minimize_on_omega_at_the_copy_boundary():
+    # U = X is optimal on the simplex boundary, where the descent stops on
+    # its ftol near theta = 0
+    pi = fixtures.copy_source()
+    grid, starts = _inner_starts(pi, wyner_ci(pi, restarts=1))
+    for alpha in (0.1343, 0.3):
+        for z0 in starts:
+            _assert_same_descent(exponents._omega_objective, z0,
+                                 (grid, alpha, 1e-4), INNER_SETTINGS)
+
+
+def test_driver_matches_minimize_on_r_alpha(dsbs_pi, dsbs_ci):
+    grid, starts = _inner_starts(dsbs_pi, dsbs_ci)
+    for z0 in starts:
+        _assert_same_descent(exponents._r_alpha_objective, z0,
+                             (grid, exponents._R_SH_ALPHA), INNER_SETTINGS)
+
+
+def test_driver_matches_minimize_when_cut_off_by_maxiter(dsbs_pi, dsbs_ci):
+    grid, (z0, _) = _inner_starts(dsbs_pi, dsbs_ci)
+    settings = dict(INNER_SETTINGS, maxiter=3)
+    ref = _assert_same_descent(exponents._omega_objective, z0,
+                               (grid, 0.5, 0.3), settings)
+    assert not ref.success and ref.nit == 3
+
+
+def _ascent_gradient(x):
+    return float(x @ x), -2.0 * x
+
+
+def _l1(x):
+    return float(np.abs(x).sum()), np.sign(x)
+
+
+@pytest.mark.parametrize("fun", [_ascent_gradient, _l1],
+                         ids=["abnormal", "repeated-x"])
+def test_driver_matches_minimize_off_the_smooth_path(fun):
+    # a gradient that points uphill makes both line searches fail (setulb
+    # restores g in place, then stops ABNORMAL); |x| makes setulb ask twice
+    # for f and g at one x, which scipy's ScalarFunction answers from its
+    # cache without an evaluation
+    ref = _assert_same_descent(fun, np.linspace(-1.0, 2.0, 5), (),
+                               CI_SETTINGS)
+    assert ref.success is (fun is _l1)
+
+
+def test_multistart_reports_the_flag_of_the_start_it_returns(dsbs_pi, dsbs_ci,
+                                                             monkeypatch):
+    # the lifted argmin's descent ends lowest but fails; the product start
+    # succeeds higher up
+    descent = exponents.lbfgsb
+    order = []
+
+    def rigged(fun, x0, args, **settings):
+        x, f, _ = descent(fun, x0, args, **settings)
+        order.append(f)
+        first = len(order) == 1
+        return x, (f if first else f + 1.0), not first
+
+    monkeypatch.setattr(exponents, "lbfgsb", rigged)
+    res = exponents.big_omega_min(dsbs_pi, ExponentPoint(0.5, 0.3),
+                                  ci=dsbs_ci)
+    assert len(order) == 2 and res.value == order[0]
+    assert res.converged is False
