@@ -12,13 +12,21 @@ One object, ``_CondLaw``, is the truncated product law: the codeword law
 constant sequence 0^n) and the conditional laws of X^n and Y^n given a
 codeword.  It is built afresh for each call.  It evaluates the law for a
 whole block of codewords at once, reading both the product law and the
-shell test off the joint count matrices N_ab(w^n, x^n); its normalizers
-(the shell masses) are read exactly, in one gather, off the typicality
-module's table of per-symbol block masses.  It samples the law by
-rejection, in rounds that draw one candidate per pending row and test
-every candidate against the same count windows.  The dense induced
-joint is capped by ``MAX_JOINT_CELLS``; the Monte-Carlo estimators work in
-sample chunks of at most about ``_CHUNK_CELLS`` (codeword, sample) cells.
+shell test off the joint count matrices N_ab(w^n, x^n), and tests a count
+window only where it can bind; its normalizers (the shell masses) are read
+exactly, in one gather, off the typicality module's table of per-symbol
+block masses.  It samples the law by rejection, in rounds that draw one
+candidate per pending row and test every candidate against the same count
+windows.
+
+The induced law P(x^n, y^n) = (1/m) sum_w c_w P(x^n|w) P(y^n|w) is
+evaluated over the distinct codewords w, in order of first occurrence,
+weighted by their multiplicities c_w; their one-hot block and shell masses
+are built once per call.  The dense induced joint is capped by
+``MAX_JOINT_CELLS``.  At sampled pairs, both conditional laws share the
+block's one-hot, so each sample chunk of at most about ``_CHUNK_CELLS``
+(distinct codeword, sample) cells takes one product, one exp and one
+weighted sum.
 
 The truncation and rate-bound checks are exchangeable in (w^n, x^n, y^n), so
 they sum over the (w, x, y) joint types admitted by the windows, each
@@ -107,6 +115,36 @@ def _masked_log(p) -> np.ndarray:
     return np.log(np.where(p > 0, p, 1.0))
 
 
+class _Block:
+    """A block of u codewords of length n, read once: the (u, |W| n)
+    one-hot, column a n + i set where w_i = a, and ``k_max[a]``, the largest
+    count of symbol a over the block."""
+
+    def __init__(self, ws: np.ndarray, nw: int):
+        self.n = ws.shape[1]
+        self.hot = np.hstack([ws == a for a in range(nw)]).astype(float)
+        self.k_max = self.hot.reshape(ws.shape[0], nw, self.n).sum(
+            axis=2).max(axis=0)
+
+
+def _distinct(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The distinct rows of an integer matrix in order of first occurrence,
+    how often each occurs, and the index of every row's distinct row; one
+    stable lexicographic sort."""
+    order = np.lexsort(rows.T[::-1])
+    srt = rows[order]
+    new = np.ones(rows.shape[0], dtype=bool)
+    new[1:] = np.any(srt[1:] != srt[:-1], axis=1)
+    start = np.flatnonzero(new)
+    keep = np.argsort(order[start])      # sorted groups, by first occurrence
+    rank = np.empty_like(keep)
+    rank[keep] = np.arange(keep.size)
+    inverse = np.empty(rows.shape[0], dtype=int)
+    inverse[order] = rank[np.cumsum(new) - 1]
+    mult = np.diff(np.append(start, rows.shape[0]))
+    return rows[order[start[keep]]], mult[keep], inverse
+
+
 class _CondLaw:
     """Q_{X|W}^n(. | w^n) (axis "X") or Q_{Y|W}^n(. | w^n) (axis "Y"),
     truncated to the conditional eps-typical shell of w^n and renormalised;
@@ -179,30 +217,38 @@ class _CondLaw:
                 f"w^n = {ws[empty[0]].tolist()} (structural zero at this n)")
         return z
 
+    def log_terms(self, seqs: np.ndarray) -> np.ndarray:
+        """The (|W| n, S) matrix of log Q(s_i | a), row a n + i, for every
+        row s of ``seqs``: a codeword block's one-hot times it is
+        log prod_i Q(s_i | w_i)."""
+        return self.log_cond[:, seqs.T].reshape(-1, seqs.shape[0])
+
+    def window_mask(self, block: _Block, seqs: np.ndarray, ok: np.ndarray):
+        """And into ``ok``, a (u, S) boolean matrix, the shell test of every
+        row of ``seqs`` given every codeword of ``block``.  A count window
+        (a, b) is tested only where it can bind, lo > 0 or hi below the
+        block's largest k_a, since N_ab <= k_a; its counts N_ab for every
+        pair are one product of the block's a-columns."""
+        n = block.n
+        lo, hi, _ = self._shell(n)
+        for a, b in zip(*np.nonzero((lo > 0) | (hi < block.k_max[:, None]))):
+            c = block.hot[:, a * n:(a + 1) * n] @ (seqs == b).T
+            if lo[a, b] > 0:
+                ok &= c >= lo[a, b]
+            if hi[a, b] < block.k_max[a]:
+                ok &= c <= hi[a, b]
+        return ok
+
     def density(self, w_seqs: np.ndarray, seqs: np.ndarray) -> np.ndarray:
         """The law at every row of ``seqs`` given every codeword of
         ``w_seqs`` (one sequence or an (m, n) block), as an (m, S) matrix;
         raises if the shell of some codeword is empty."""
         ws = np.atleast_2d(w_seqs)
-        n = ws.shape[1]
-        nw, nx = self.cond.shape
         z = self._normalizers(ws)
-        w_hot = [(ws == a).astype(float) for a in range(nw)]
-        # log prod_i Q(x_i | w_i): one product over (symbol a, position i)
-        log_p = np.hstack(w_hot) @ self.log_cond[:, seqs.T].reshape(nw * n, -1)
-        ok = np.ones(log_p.shape, dtype=bool)
-        lo, hi, _ = self._shell(n)
-        for a in range(nw):
-            for b in range(nx):
-                if lo[a, b] <= 0 and hi[a, b] >= n:
-                    continue                     # every count N_ab passes
-                c = w_hot[a] @ (seqs == b).T     # N_ab for every pair
-                if lo[a, b] > 0:
-                    ok &= c >= lo[a, b]
-                if hi[a, b] < n:
-                    ok &= c <= hi[a, b]
-        p = np.exp(log_p, out=log_p)
-        p *= ok
+        block = _Block(ws, self.cond.shape[0])
+        p = block.hot @ self.log_terms(seqs)
+        np.exp(p, out=p)
+        p *= self.window_mask(block, seqs, np.ones(p.shape, dtype=bool))
         p /= z[:, None]
         return p
 
@@ -221,8 +267,7 @@ class _CondLaw:
         nw, nx = self.cond.shape
         z = self._normalizers(ws)
         lo, hi, _ = self._shell(n)
-        _, group = np.unique(ws, axis=0, return_inverse=True)
-        group = group.ravel()
+        group = _distinct(ws)[2]
         out = np.empty_like(ws)
         pending = np.arange(ws.shape[0])
         for _ in range(MAX_REJECTION_TRIES):
@@ -292,7 +337,9 @@ def _dense_fits(code: SynthesisCode) -> bool:
 
 
 def induced_joint_exact(code: SynthesisCode) -> InducedJointExact:
-    """P(x^n, y^n) = (1/m) sum_m P(x^n|w_m) P(y^n|w_m), dense."""
+    """P(x^n, y^n) = (1/m) sum_w c_w P(x^n|w) P(y^n|w), dense, over the
+    distinct codewords w with multiplicities c_w: each law is one block
+    over them, and the Y-rows are scaled by c_w."""
     base, n = code.base, code.n
     if not _dense_fits(code):
         raise ResourceBudgetError(
@@ -300,29 +347,45 @@ def induced_joint_exact(code: SynthesisCode) -> InducedJointExact:
             f"codewords exceed cap {MAX_JOINT_CELLS} or {MAX_CODEWORDS}")
     seqs_x = _all_seqs(base.nx, n)
     seqs_y = _all_seqs(base.ny, n)
-    px = _CondLaw(base, code.eps, "X").density(code.codebook, seqs_x)
-    py = _CondLaw(base, code.eps, "Y").density(code.codebook, seqs_y)
+    ws, mult, _ = _distinct(code.codebook)
+    px = _CondLaw(base, code.eps, "X").density(ws, seqs_x)
+    py = _CondLaw(base, code.eps, "Y").density(ws, seqs_y)
+    py *= mult[:, None]
     return InducedJointExact(n=n, mass=px.T @ py / code.m_count,
                              seqs_x=seqs_x, seqs_y=seqs_y)
 
 
-#: cells of one (codewords x samples) block of conditional-law values
+#: cells of one (distinct codeword x sample) block of induced-law values,
+#: the size of one sample chunk of ``_pointwise_p``
 _CHUNK_CELLS = 2 ** 20
 
 
 def _pointwise_p(code: SynthesisCode, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Induced P at sampled pairs (rows of x, y): both conditional laws as
-    (codeword x sample) matrices, in sample chunks of at most about
-    ``_CHUNK_CELLS`` cells so memory stays flat in m and the sample count."""
+    """Induced P at sampled pairs (rows of x, y), one kernel over the u
+    distinct codewords w with multiplicities c_w.  Their one-hot block and
+    shell masses Z_X(w), Z_Y(w) are read once per call; the first codeword
+    in codebook order with an empty shell raises ``DomainError``.  Each
+    sample chunk of at most about ``_CHUNK_CELLS`` (distinct codeword x
+    sample) cells takes one product for log P(x|w) P(y|w), both laws sharing
+    the one-hot, one exp, both laws' windows where they bind, and one sum
+    weighted by c_w / (m Z_X(w) Z_Y(w)), so memory stays flat in m and the
+    sample count."""
     law_x = _CondLaw(code.base, code.eps, "X")
     law_y = _CondLaw(code.base, code.eps, "Y")
-    step = max(1, _CHUNK_CELLS // code.m_count)
+    ws, mult, _ = _distinct(code.codebook)
+    weight = mult / (code.m_count * law_x._normalizers(ws)
+                     * law_y._normalizers(ws))
+    block = _Block(ws, code.base.nw)
+    step = max(1, _CHUNK_CELLS // ws.shape[0])
     vals = np.empty(x.shape[0])
     for i in range(0, x.shape[0], step):
-        p = law_x.density(code.codebook, x[i:i + step])
-        p *= law_y.density(code.codebook, y[i:i + step])
-        vals[i:i + step] = p.sum(axis=0)
-    return vals / code.m_count
+        xs, ys = x[i:i + step], y[i:i + step]
+        p = block.hot @ (law_x.log_terms(xs) + law_y.log_terms(ys))
+        np.exp(p, out=p)
+        ok = law_x.window_mask(block, xs, np.ones(p.shape, dtype=bool))
+        p *= law_y.window_mask(block, ys, ok)
+        vals[i:i + step] = weight @ p
+    return vals
 
 
 def _p_and_log_pi(code: SynthesisCode, exact: bool, samples: int, rng,
@@ -336,10 +399,14 @@ def _p_and_log_pi(code: SynthesisCode, exact: bool, samples: int, rng,
         log_pi = np.log(pi.mass)
     if exact:
         ex = induced_joint_exact(code)
-        # position by position: one gather over all n would hold n joints
-        xs, ys = ex.seqs_x[:, None, :], ex.seqs_y[None, :, :]
-        return ex.mass, sum(log_pi[xs[..., i], ys[..., i]]
-                            for i in range(code.n))
+        # Kronecker sums, one position at a time: the terms of the
+        # position-by-position sum, added in the same order
+        log_pi_n = log_pi
+        for _ in range(1, code.n):
+            log_pi_n = (log_pi_n[:, None, :, None]
+                        + log_pi[None, :, None, :]).reshape(
+                log_pi_n.shape[0] * pi.dims[0], -1)
+        return ex.mass, log_pi_n
     if from_p:
         ws = code.codebook[rng.integers(0, code.m_count, size=samples)]
         xs = _CondLaw(code.base, code.eps, "X").sample(rng, ws)

@@ -592,31 +592,150 @@ def test_cond_law_matches_brute_force():
     assert {0, 8, 9, 36} <= sizes            # empty and nontrivial shells
 
 
+def reference_pointwise_p(code, x, y):
+    """The induced P at sampled pairs as the product of the two per-law
+    density matrices over the whole codebook, repeats included, summed over
+    the codewords and divided by m."""
+    px = synthesis._CondLaw(code.base, code.eps, "X").density(code.codebook, x)
+    py = synthesis._CondLaw(code.base, code.eps, "Y").density(code.codebook, y)
+    return (px * py).sum(axis=0) / code.m_count
+
+
+def brute_force_induced_joint(code):
+    """(1/m) sum over the codebook rows, repeats included, of the outer
+    product of the brute-force conditional laws."""
+    base, n = code.base, code.n
+    seqs_x = synthesis._all_seqs(base.nx, n)
+    seqs_y = synthesis._all_seqs(base.ny, n)
+    mass = np.zeros((seqs_x.shape[0], seqs_y.shape[0]))
+    for w in code.codebook:
+        if code.eps is None:
+            px = np.prod(base.q_x_given_w[w, seqs_x], axis=1)
+            py = np.prod(base.q_y_given_w[w, seqs_y], axis=1)
+        else:
+            px, zx = brute_force_cond_law(base, base.q_x_given_w, w, seqs_x,
+                                          code.eps)
+            py, zy = brute_force_cond_law(base, base.q_y_given_w, w, seqs_y,
+                                          code.eps)
+            px, py = px / zx, py / zy
+        mass += np.outer(px, py)
+    return mass / code.m_count
+
+
+def good_codewords(base, n, eps):
+    """The W-sequences whose X- and Y-shells at eps are nonempty."""
+    return [w for w in synthesis._all_seqs(base.nw, n)
+            if all(brute_force_cond_law(
+                base, cond, w, synthesis._all_seqs(cond.shape[1], n),
+                eps)[1] > 0 for cond in (base.q_x_given_w, base.q_y_given_w))]
+
+
 def test_pointwise_p_matches_induced_joint(monkeypatch):
+    rng = np.random.default_rng(0)
+    # at n = 5 and eps = 1 the ternary coupling has 6 codewords with
+    # nonempty shells, none using W-symbol 0, so that symbol's windows
+    # never bind
+    for base, n, eps in ((seeded_coupling_2x3(), 6, 0.6),
+                         (ternary_w_coupling(), 5, 1.0)):
+        a, b, c = good_codewords(base, n, eps)[::2][:3]
+        # distinct codewords only, a repeat before and after distinct ones,
+        # and repeats interleaved; truncated and untruncated codes; chunk
+        # caps below u split the 50 samples into chunks of 2 (or 1), so
+        # every chunk boundary is crossed
+        books = ([a, b, c], [a, a, b, c], [b, c, a, a], [c, a, b, a, c, a])
+        for book, code_eps, chunk_cells in itertools.product(
+                books, (eps, None), (2 ** 20, 7, 1)):
+            monkeypatch.setattr(synthesis, "_CHUNK_CELLS", chunk_cells)
+            m = len(book)
+            code = SynthesisCode(n=n, rate=math.log(m) / n, m_count=m,
+                                 codebook=np.stack(book), base=base,
+                                 eps=code_eps, eps_prime=0.5, seed=0)
+            ex = induced_joint_exact(code)
+            assert ex.mass.sum() == pytest.approx(1.0, abs=1e-12)
+            assert np.allclose(ex.mass, brute_force_induced_joint(code),
+                               rtol=1e-12, atol=1e-300)
+            flat = ex.mass.ravel()
+            cells = np.concatenate([rng.choice(flat.size, 25, p=flat),
+                                    rng.choice(flat.size, 25)])
+            ix, iy = np.divmod(cells, ex.mass.shape[1])
+            x, y = ex.seqs_x[ix], ex.seqs_y[iy]
+            got = synthesis._pointwise_p(code, x, y)
+            assert np.count_nonzero(got) >= 25
+            assert np.allclose(got, reference_pointwise_p(code, x, y),
+                               rtol=1e-12, atol=0.0)
+            assert np.allclose(got, ex.mass[ix, iy], rtol=0.0, atol=1e-12)
+
+
+def test_distinct_rows_match_unique():
+    rng = np.random.default_rng(0)
+    for _ in range(50):
+        rows = rng.integers(0, 3, size=(rng.integers(1, 40),
+                                        rng.integers(1, 4)))
+        got, mult, inverse = synthesis._distinct(rows)
+        uniq, first, counts = np.unique(rows, axis=0, return_index=True,
+                                        return_counts=True)
+        order = np.argsort(first)
+        assert np.array_equal(got, uniq[order])
+        assert np.array_equal(mult, counts[order])
+        assert np.array_equal(got[inverse], rows)
+
+
+def zero_cell_coupling(nx, ny):
+    """A seeded coupling with X = W and a zero in the Y-row of W = 0, so
+    that pi(0, ny - 1) = 0."""
+    rng = np.random.default_rng(nx * 10 + ny)
+    q_y = rng.dirichlet(np.ones(ny), size=nx)
+    q_y[0, -1] = 0.0
+    q_y /= q_y.sum(axis=1, keepdims=True)
+    return MarkovCoupling(FinitePmf(rng.dirichlet(np.ones(nx))), np.eye(nx),
+                          q_y)
+
+
+@pytest.mark.parametrize("nx, ny, n", [(2, 2, 10), (2, 3, 6), (3, 3, 5)])
+def test_exact_log_pi_n_equals_the_gather_sum_bit_for_bit(nx, ny, n):
+    base = zero_cell_coupling(nx, ny)
+    pi = base.xy_marginal()
+    assert pi.mass[0, -1] == 0.0
+    code = build_code(base, n, 0.1, None, None, seed=0)
+    _, got = synthesis._p_and_log_pi(code, True, 0, None, False)
+    seqs_x = synthesis._all_seqs(nx, n)[:, None, :]
+    seqs_y = synthesis._all_seqs(ny, n)[None, :, :]
+    with np.errstate(divide="ignore"):
+        log_pi = np.log(pi.mass)
+    want = sum(log_pi[seqs_x[..., i], seqs_y[..., i]] for i in range(n))
+    assert np.array_equal(got, want)
+    assert np.isneginf(want).any() and np.isfinite(want).any()
+
+
+@pytest.mark.parametrize("path", ["exact", "monte_carlo"])
+def test_empty_shell_error_names_the_first_bad_codeword(monkeypatch, path):
     base, n, eps = seeded_coupling_2x3(), 6, 0.6
     seqs_y = synthesis._all_seqs(base.ny, n)
-    book = [w for w in typical_ws(base, n, 0.5)
-            if brute_force_cond_law(base, base.q_y_given_w, w, seqs_y,
-                                    eps)[1] > 0][::4][:3]
-    rng = np.random.default_rng(0)
-    # truncated and untruncated codes; a chunk cap below m splits the 50
-    # samples into chunks of 2, so every chunk boundary is crossed
-    for code_eps, chunk_cells in ((eps, None), (None, None), (eps, 7),
-                                  (None, 7)):
-        if chunk_cells is not None:
-            monkeypatch.setattr(synthesis, "_CHUNK_CELLS", chunk_cells)
-        code = SynthesisCode(n=n, rate=math.log(3) / n, m_count=3,
-                             codebook=np.stack(book), base=base, eps=code_eps,
-                             eps_prime=0.5, seed=0)
-        ex = induced_joint_exact(code)
-        assert ex.mass.sum() == pytest.approx(1.0, abs=1e-12)
-        flat = ex.mass.ravel()
-        cells = np.concatenate([rng.choice(flat.size, 25, p=flat),
-                                rng.choice(flat.size, 25)])
-        ix, iy = np.divmod(cells, ex.mass.shape[1])
-        got = synthesis._pointwise_p(code, ex.seqs_x[ix], ex.seqs_y[iy])
-        assert np.count_nonzero(got) >= 25
-        assert np.allclose(got, ex.mass[ix, iy], rtol=0.0, atol=1e-12)
+    ws = typical_ws(base, n, 0.5)
+    empty = [brute_force_cond_law(base, base.q_y_given_w, w, seqs_y,
+                                  eps)[1] == 0.0 for w in ws]
+    good = [w for w, e in zip(ws, empty) if not e]
+    bad = sorted((w for w, e in zip(ws, empty) if e), key=tuple)
+    # a repeated good codeword first; the first bad one in codebook order
+    # sorts after a later bad one
+    book = np.stack([good[0], good[0], bad[-1], good[1], bad[0], bad[-1]])
+    code = SynthesisCode(n=n, rate=math.log(6) / n, m_count=6,
+                         codebook=book, base=base, eps=eps, eps_prime=0.5,
+                         seed=0)
+    message = (f"empty conditional typical shell for Y given w^n = "
+               f"{bad[-1].tolist()} (structural zero at this n)")
+    if path == "monte_carlo":
+        monkeypatch.setattr(synthesis, "MAX_JOINT_CELLS", 10)
+        with pytest.raises(DomainError) as err:
+            synthesis._pointwise_p(code, seqs_y[:4, :] % 2, seqs_y[:4, :])
+    else:
+        with pytest.raises(DomainError) as err:
+            induced_joint_exact(code)
+    assert str(err.value) == message
+    for est in (estimate_tv(code, samples=50),
+                estimate_renyi(code, -0.5, samples=50)):
+        assert est.method == path
+        assert est.diagnostics == {"structural_zero": message}
 
 
 def test_truncation_check_needs_one_shell_table_per_law(monkeypatch):
