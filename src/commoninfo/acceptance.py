@@ -121,11 +121,11 @@ def criterion_2_ci_correctness(seed: int = 0) -> CriterionReport:
     and h(e) above on DSBES(e) (Cuff, Permuter and Cover 2010), and
     h(q) + q C_DSBS(p) on the 3x3 joint with a common part of mass split
     (1 - q, q)."""
-    v_prod = wyner_ci(product_source(), restarts=8, seed=seed).value
+    v_prod = wyner_ci(product_source()).value
     if abs(v_prod) > 1e-6:
         return _report(2, "ci correctness", False,
                        f"product source gave {v_prod}")
-    v_copy = wyner_ci(copy_source(), restarts=8, seed=seed).value
+    v_copy = wyner_ci(copy_source()).value
     if abs(v_copy - math.log(2)) > 1e-3:
         return _report(2, "ci correctness", False,
                        f"copy source gave {v_copy}")
@@ -133,14 +133,14 @@ def criterion_2_ci_correctness(seed: int = 0) -> CriterionReport:
     worst = 0.0
     for _ in range(20):
         p = float(rng.uniform(0.02, 0.45))
-        got = wyner_ci(dsbs(p), restarts=8, seed=seed).value
+        got = wyner_ci(dsbs(p)).value
         worst = max(worst, abs(got - _dsbs_ci(p)))
         if worst > 1e-3:
             return _report(2, "ci correctness", False,
                            f"solver vs closed form diff {worst:.2e} "
                            f"at p={p:.4f}")
     for e in CI_DSBES_ES:
-        got = wyner_ci(dsbes(e), restarts=8, seed=seed).value
+        got = wyner_ci(dsbes(e)).value
         h_e = FinitePmf(np.array([e, 1 - e])).entropy()
         exact = math.log(2) if e <= 0.5 else h_e
         worst = max(worst, abs(got - exact))
@@ -149,7 +149,7 @@ def criterion_2_ci_correctness(seed: int = 0) -> CriterionReport:
                            f"solver vs closed form diff {worst:.2e} on "
                            f"DSBES at e={e:g}")
     q, p = CI_COMMON_PART
-    got = wyner_ci(common_part_source(q, p), restarts=8, seed=seed).value
+    got = wyner_ci(common_part_source(q, p)).value
     h_q = FinitePmf(np.array([q, 1 - q])).entropy()
     worst = max(worst, abs(got - (h_q + q * _dsbs_ci(p))))
     if worst > 1e-3:
@@ -166,7 +166,7 @@ def criterion_3_r_sh_identity(seed: int = 0) -> CriterionReport:
     worst = 0.0
     for name, pi in (("dsbs01", dsbs(0.1)), ("copy", copy_source()),
                      ("product", product_source())):
-        sol = wyner_ci(pi, restarts=8, seed=seed)
+        sol = wyner_ci(pi)
         val = exponents.r_sh(pi, ci=sol)
         gap = abs(val - sol.value)
         worst = max(worst, gap)
@@ -179,7 +179,7 @@ def criterion_3_r_sh_identity(seed: int = 0) -> CriterionReport:
 def criterion_4_theta_limit(seed: int = 0) -> CriterionReport:
     """(1/theta) Omega -> R^(alpha) as theta -> 0."""
     pi = dsbs(0.1)
-    sol = wyner_ci(pi, restarts=8, seed=seed)
+    sol = wyner_ci(pi)
     for alpha in (0.25, 0.5, 1.0):
         rep = exponents.theta_limit_check(pi, alpha, (1e-2, 1e-3, 1e-4),
                                           ci=sol)
@@ -198,7 +198,7 @@ def criterion_5_exponent_sign(seed: int = 0) -> CriterionReport:
     """F(R) > 0 strictly below the common information, 0 at and above."""
     details = []
     for name, pi in (("dsbs01", dsbs(0.1)), ("copy", copy_source())):
-        sol = wyner_ci(pi, restarts=8, seed=seed)
+        sol = wyner_ci(pi)
         for mult in (1.0, 1.2, 2.0):
             f = exponents.f_rate(pi, mult * sol.value, ci=sol)
             if f > 1e-4:
@@ -311,7 +311,7 @@ def criterion_10_strong_converse(seed: int = 0) -> CriterionReport:
     """TV >= 1 - 4 exp(-n F(R)) below the common information, rising with n."""
     base = dsbs_optimal_coupling(0.1)
     pi = base.xy_marginal()
-    sol = wyner_ci(pi, restarts=8, seed=seed)
+    sol = wyner_ci(pi)
     r = 0.5 * sol.value
     f = exponents.f_rate(pi, r, ci=sol)
     ns = (8, 12, 16)

@@ -19,19 +19,29 @@ XY-marginal equals the target joint pi, on the support of pi:
   penalty.  A full-support block is one rectangle of |X||Y| symbols with
   every mask true, the classical |W| = |X||Y|.
 
-The feasible set is non-convex in this parameterization, so each remaining
-block runs a deterministic multi-start quasi-Newton descent (the L-BFGS-B
-driver ``descent.lbfgsb``) on an exact-penalty objective with an increasing
-weight schedule, followed by an alternating feasibility restoration that
-drives the marginal residual below tolerance.  The objective and its
-gradient are one kernel per solved block, ``_BlockKernel``, built once from
-the block's masks: Q_{X|W} and Q_{Y|W} are the rows of one -inf-padded
-matrix at fixed flat positions, so one row softmax gives both, one
-contraction Q_XY, two contractions with dI/dQ_XY the conditional gradients,
-and one chain-rule pass and one gather the gradient in their free logits.
-Every sum runs in the order of a per-term evaluation (the einsum reference
-in tests/test_ci_solver.py), so the value and gradient match it bit for bit
-and the descent takes the same path.
+The feasible set is non-convex in this parameterization.  Each remaining
+block runs the same four starts, so C is a function of pi alone: the copy
+coupling on the masks and its mixtures with the uniform Q_W whose rows are
+p_X and p_Y on each symbol's masks, at weights 1/4, 1/2 and 3/4.  Each start
+takes a quasi-Newton descent (the L-BFGS-B loop ``descent.lbfgsb``) on an
+exact-penalty objective with an increasing weight schedule, an alternating
+feasibility restoration that drives the marginal residual below tolerance,
+one SLSQP polish on the exact feasible set in the bilinear parameters
+a_wx = Q_W(w) Q(x|w) and Q(y|w), and a second restoration.  The best
+feasible coupling of the restored and the polished ones is kept; the
+couplings W = X and W = Y are scored beside it.  The answer's symbols are
+canonical: a symbol of negligible weight drops out, and symbols with the
+same conditional rows merge, so that the argmin the exponent engine lifts
+has no duplicates.
+
+The penalty objective and its gradient are one kernel per solved block,
+``_BlockKernel``, built once from the block's masks: Q_{X|W} and Q_{Y|W}
+are the rows of one -inf-padded matrix at fixed flat positions, so one row
+softmax gives both, one contraction Q_XY, two contractions with dI/dQ_XY the
+conditional gradients, and one chain-rule pass and one gather the gradient
+in their free logits.  Every sum runs in the order of a per-term evaluation
+(the einsum reference in tests/test_ci_solver.py), so the value and
+gradient match it bit for bit and the descent takes the same path.
 """
 
 from __future__ import annotations
@@ -39,6 +49,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.optimize import minimize
 
 from .descent import lbfgsb
 from .errors import ConfigError
@@ -50,11 +61,21 @@ _FEAS_TOL = 1e-8                         # marginal residual of a feasible resul
 _OBJ_TOL = 1e-9                          # L-BFGS-B relative objective tolerance
 _MAXITER = 500                           # L-BFGS-B iterations per descent
 _LOG_FLOOR = 1e-300
+_START_MIX = (0.25, 0.5, 0.75)           # weights of U in the mixed starts
+_LIVE_WEIGHT = 1e-12                     # Q_W below this is not polished
+_POLISH_FTOL = 1e-15                     # SLSQP objective tolerance
+_POLISH_MAXITER = 500                    # SLSQP iterations per polish
+_MERGE_TOL = 1e-6                        # rows this close are one symbol
 
 
 @dataclass(frozen=True)
 class CiSolution:
-    """Best feasible coupling found and its mutual information value (nats)."""
+    """Best feasible coupling found and its mutual information value (nats).
+
+    ``restarts_used`` is the number of descents run, four per solved block.
+    ``converged`` is True when every solved block's answer came from a
+    descent whose closing restoration ended within ``_FEAS_TOL``, and False
+    when some block fell back to W = X or W = Y."""
 
     value: float
     argmin: MarkovCoupling
@@ -270,80 +291,168 @@ def _marginal_couplings(pi_mass: np.ndarray):
     yield py, given(pi_mass.T, py), np.eye(py.size)
 
 
-def _solve_block(pi_mass: np.ndarray, restarts: int, seed: int):
-    """(value, Q_W, Q_{X|W}, Q_{Y|W}, residual, restarts used, converged) of
+def _mixed_starts(pi_mass, mask_x, mask_y, cell_symbol):
+    """The copy start and its mixtures (1 - t) copy + t U, t = 1/4, 1/2 and
+    3/4, with U the uniform Q_W whose rows are p_X and p_Y restricted to
+    each symbol's masks and renormalised; every symbol of a mixture has
+    positive weight."""
+    def rows(marg, mask):
+        r = mask * marg
+        return r / r.sum(axis=1, keepdims=True)
+
+    copy = _copy_start(pi_mass, mask_x, mask_y, cell_symbol)
+    uniform = (np.full(mask_x.shape[0], 1.0 / mask_x.shape[0]),
+               rows(pi_mass.sum(axis=1), mask_x),
+               rows(pi_mass.sum(axis=0), mask_y))
+    yield copy
+    for t in _START_MIX:
+        yield tuple((1.0 - t) * c + t * u for c, u in zip(copy, uniform))
+
+
+def _polish(qw, A, C, pi_mass, mask_x, mask_y):
+    """One SLSQP solve on the exact feasible set from (Q_W, Q_{X|W},
+    Q_{Y|W}), over the symbols with Q_W > ``_LIVE_WEIGHT``.
+
+    The variables are a_wx = Q_W(w) Q(x|w) on the symbol's X mask and
+    c_wy = Q(y|w) on its Y mask.  Since H(Q_XY) = H(pi) on the
+    feasible set, it minimises -H(XY|W) = sum a log(a / q) + sum_w q_w
+    sum_y c log c, q_w = sum_x a_wx, subject to sum_w a_wx c_wy = pi(x, y)
+    on supp pi and sum_y c_wy = 1, with the analytic gradient and
+    constraint Jacobian.  Returns the coupling of the final iterate; its
+    residual is for the caller to check."""
+    live = qw > _LIVE_WEIGHT
+    a0 = qw[live, None] * A[live]
+    c0 = C[live]
+    aw, ax = np.nonzero(mask_x[live])
+    cw, cy = np.nonzero(mask_y[live])
+    sx, sy = np.nonzero(pi_mass > 0)
+    target = pi_mass[sx, sy]
+    na, nw = aw.size, c0.shape[0]
+    same_x = sx[:, None] == ax[None, :]
+    same_y = sy[:, None] == cy[None, :]
+    row_of_c = np.arange(nw)[:, None] == cw[None, :]
+
+    def dense(v):
+        a = np.zeros(a0.shape)
+        a[aw, ax] = v[:na]
+        c = np.zeros(c0.shape)
+        c[cw, cy] = v[na:]
+        return a, c
+
+    def objective(v):
+        q = np.bincount(aw, weights=v[:na], minlength=nw)
+        la = np.log(np.maximum(v[:na], _LOG_FLOOR))
+        lc = np.log(np.maximum(v[na:], _LOG_FLOOR))
+        lq = np.log(np.maximum(q, _LOG_FLOOR))
+        hc = np.bincount(cw, weights=v[na:] * lc, minlength=nw)
+        f = v[:na] @ la - q @ lq + q @ hc
+        grad = np.concatenate((la - lq[aw] + hc[aw], q[cw] * (lc + 1.0)))
+        return float(f), grad
+
+    def constraints(v):
+        a, c = dense(v)
+        return np.concatenate(((a.T @ c)[sx, sy] - target,
+                               c.sum(axis=1) - 1.0))
+
+    def jacobian(v):
+        a, c = dense(v)
+        marginal = np.hstack((same_x * c[aw[None, :], sy[:, None]],
+                              same_y * a[cw[None, :], sx[:, None]]))
+        rows = np.hstack((np.zeros((nw, na)), row_of_c))
+        return np.vstack((marginal, rows))
+
+    res = minimize(objective, np.concatenate((a0[aw, ax], c0[cw, cy])),
+                   jac=True, method="SLSQP",
+                   bounds=[(0.0, 1.0)] * (na + cw.size),
+                   constraints={"type": "eq", "fun": constraints,
+                                "jac": jacobian},
+                   options={"maxiter": _POLISH_MAXITER,
+                            "ftol": _POLISH_FTOL})
+    a, c = dense(np.clip(res.x, 0.0, 1.0))
+    q, c_sum = a.sum(axis=1), c.sum(axis=1)
+    keep = (q > 0) & (c_sum > 0)
+    return (q[keep] / q[keep].sum(), a[keep] / q[keep, None],
+            c[keep] / c_sum[keep, None])
+
+
+def _canonical(qw, A, C):
+    """The coupling without symbols of weight at most ``_LIVE_WEIGHT``, and
+    with symbols whose conditional rows agree within ``_MERGE_TOL`` merged:
+    their weights add and their rows average by weight, which leaves
+    I(XY;W) as it is."""
+    out = []
+    for w in np.flatnonzero(qw > _LIVE_WEIGHT):
+        for m in out:
+            if (np.abs(A[w] - m[1]).max() <= _MERGE_TOL
+                    and np.abs(C[w] - m[2]).max() <= _MERGE_TOL):
+                total = m[0] + qw[w]
+                m[1] = (m[0] * m[1] + qw[w] * A[w]) / total
+                m[2] = (m[0] * m[2] + qw[w] * C[w]) / total
+                m[0] = total
+                break
+        else:
+            out.append([qw[w], A[w].copy(), C[w].copy()])
+    qw, A, C = (np.array(v) for v in zip(*out))
+    return qw / qw.sum(), A, C
+
+
+def _solve_block(pi_mass: np.ndarray):
+    """(value, Q_W, Q_{X|W}, Q_{Y|W}, residual, descents run, converged) of
     one connected block.  A rank-1 block, a product coupling within
     ``_FEAS_TOL``, takes the one-symbol coupling with value 0 and no solve."""
-    nx, ny = pi_mass.shape
     px, py = pi_mass.sum(axis=1), pi_mass.sum(axis=0)
     residual = 0.5 * np.abs(np.outer(px, py) - pi_mass).sum()
     if residual <= _FEAS_TOL:
         return 0.0, np.ones(1), px[None], py[None], residual, 0, True
 
     mask_x, mask_y, cell_symbol = _rectangle_layout(pi_mass > 0)
-    nw = mask_x.shape[0]
     kernel = _BlockKernel(pi_mass, mask_x, mask_y)
-    rng = np.random.default_rng(np.random.SeedSequence([seed, nx, ny, nw]))
-    starts = [kernel.logits(*_copy_start(pi_mass, mask_x, mask_y,
-                                         cell_symbol))]
-    while len(starts) < restarts:
-        qw0 = rng.dirichlet(np.ones(nw))
-        A0 = rng.dirichlet(np.ones(nx), size=nw)
-        C0 = rng.dirichlet(np.ones(ny), size=nw)
-        starts.append(kernel.logits(qw0, A0, C0))
-
-    best = None
-    converged = False
-    for z0 in starts:
-        z = z0
+    best, descents = None, 0
+    for start in _mixed_starts(pi_mass, mask_x, mask_y, cell_symbol):
+        z = kernel.logits(*start)
         for lam in _PENALTY_SCHEDULE:
             z, _, _ = lbfgsb(kernel, z, (lam,), maxiter=_MAXITER,
                              ftol=_OBJ_TOL)
-        qw, A, C = kernel.unpack(z)
-        qw, A, C, residual = _restore_feasibility(qw, A, C, pi_mass)
-        if residual > _FEAS_TOL:
-            # one more polish from the restored point at a stiffer penalty
-            z, _, _ = lbfgsb(kernel, kernel.logits(qw, A, C), (1e8,),
-                             maxiter=_MAXITER, ftol=_OBJ_TOL)
-            qw, A, C = kernel.unpack(z)
-            qw, A, C, residual = _restore_feasibility(qw, A, C, pi_mass)
-        value = _coupling_value(qw, A, C)
-        feasible = residual <= _FEAS_TOL
-        converged = converged or feasible
-        key = (not feasible, value)  # feasible solutions first, then by value
-        if best is None or key < best[0]:
-            best = (key, value, qw, A, C, residual)
+        descents += 1
+        restored = _restore_feasibility(*kernel.unpack(z), pi_mass)
+        polished = _restore_feasibility(
+            *_polish(*restored[:3], pi_mass, mask_x, mask_y), pi_mass)
+        for qw, A, C, residual in (restored, polished):
+            if residual <= _FEAS_TOL:
+                value = _coupling_value(qw, A, C)
+                if best is None or value < best[0]:
+                    best = (value, qw, A, C)
+    converged = best is not None
 
     for qw, A, C in _marginal_couplings(pi_mass):
         value = _coupling_value(qw, A, C)
-        # exactly feasible, so ahead of a rejected start at any value
-        if best[0][0] or value < best[1] - _OBJ_TOL:
-            J = np.einsum("w,wx,wy->xy", qw, A, C)
-            residual = 0.5 * np.abs(J - pi_mass).sum()
-            best = ((False, value), value, qw, A, C, residual)
+        # exactly feasible, so the answer when no descent ended feasible
+        if best is None or value < best[0] - _OBJ_TOL:
+            best = (value, qw, A, C)
+            converged = False
 
-    _, value, qw, A, C, residual = best
-    return value, qw, A, C, residual, len(starts), converged
+    qw, A, C = _canonical(*best[1:])
+    J = np.einsum("w,wx,wy->xy", qw, A, C)
+    residual = 0.5 * np.abs(J - pi_mass).sum()
+    return _coupling_value(qw, A, C), qw, A, C, residual, descents, converged
 
 
-def wyner_ci(pi: JointPmf, restarts: int = 64, seed: int = 0) -> CiSolution:
-    """Multi-start constrained minimization of I(XY;W) subject to the induced
-    XY-marginal matching ``pi`` and X, Y conditionally independent given W.
+def wyner_ci(pi: JointPmf) -> CiSolution:
+    """Constrained minimization of I(XY;W) subject to the induced XY-marginal
+    matching ``pi`` and X, Y conditionally independent given W; a function
+    of ``pi`` alone.
 
     ``pi`` splits into its common-part blocks (module docstring); C is
     H(K) + sum_k P(k) C(pi_k).  A rank-1 block adds 0 without a solve.  Every
-    other block is solved on its rectangle masks: the first start is the
-    copy coupling on the masks, and seeded random starts make up the rest of
-    the ``restarts``.  The block's couplings W = X and W = Y are scored, not
-    optimised: one replaces the optimizer's answer when it is lower by more
-    than ``_OBJ_TOL`` or when every start was rejected as infeasible, so the
-    answer is never above min(H(X), H(Y)).  The argmin stacks the symbols of
-    all blocks; ``restarts_used`` counts the starts of every solved block.
+    other block is solved on its rectangle masks from the four fixed starts,
+    each descended, restored, polished and restored again.  The block's
+    couplings W = X and W = Y are scored, not optimised: one replaces the
+    descents' answer when it is lower by more than ``_OBJ_TOL`` or when no
+    descent ended feasible, so the answer is never above min(H(X), H(Y)).
+    The argmin stacks the canonical symbols of all blocks.
     """
     if pi.ndim != 2:
         raise ConfigError("wyner_ci needs a 2-axis target joint")
-    if restarts < 1:
-        raise ConfigError(f"wyner_ci needs restarts >= 1, got {restarts}")
     nx, ny = pi.dims
     blocks = _common_part_blocks(pi.mass > 0)
     masses = [pi.mass[np.ix_(r, c)] for r, c in blocks]
@@ -360,7 +469,7 @@ def wyner_ci(pi: JointPmf, restarts: int = 64, seed: int = 0) -> CiSolution:
     value, residual, used, converged = h_k, 0.0, 0, True
     q_w, q_x, q_y = [], [], []
     for (rows, cols), mass, weight in zip(blocks, masses, weights):
-        v, qw, A, C, r, n, ok = _solve_block(mass, restarts, seed)
+        v, qw, A, C, r, n, ok = _solve_block(mass)
         value += weight * v
         residual += weight * r
         used += n

@@ -112,8 +112,7 @@ def _run(name: str, args, body: str) -> int:
 
 def _cmd_ci(args) -> int:
     return _run("ci", args, _source_section(args.source) + "[ci]\n"
-                + _keys(sources=_source_name(args.source),
-                        restarts=args.restarts))
+                + _keys(sources=_source_name(args.source)))
 
 
 def _cmd_exponent(args) -> int:
@@ -168,7 +167,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ci", help="Wyner common information of a source")
     p.add_argument("source", help="fixture name or pmf text file")
-    p.add_argument("--restarts", type=int)
     common(p)
     p.set_defaults(func=_cmd_ci)
 

@@ -9,7 +9,10 @@ recorded in every output row.
 
 All randomness flows from the plan's master seed; each cell draws its own
 counter-based stream keyed by (master seed, cell id), so results are
-independent of execution order and thread count.  Rows are emitted in cell-id
+independent of execution order and thread count.  Only the sampled cells
+draw: the common information, and with it every `kC` rate and F(R), is a
+function of the joint alone, and a [ci] section's `restarts` key is
+accepted for older plans but read by nothing.  Rows are emitted in cell-id
 order and the CSV is byte-identical across reruns.  Wall-clock times are kept
 on the in-memory result only — they would break CSV reproducibility.
 """
@@ -91,8 +94,6 @@ def _split(value: str) -> list[str]:
     return value.replace(",", " ").split()
 
 
-#: wyner_ci restarts of a [ci] section, and of a joint no [ci] cell names
-_DEFAULT_RESTARTS = 16
 #: the keys each kind of section takes; a [DEFAULT] key counts in every one
 _SECTION_KEYS = {
     "plan": {"name", "seed", "out"},
@@ -180,11 +181,12 @@ def parse_plan(text: str, seed_override: int | None = None,
     for section in cp.sections():
         sec, kind = cp[section], section.split(".", 1)[0]
         if kind == "ci":
-            restarts = _value(sec, "restarts", int, str(_DEFAULT_RESTARTS),
-                              minimum=1)
+            # wyner_ci takes no setting; an older plan's restarts is
+            # checked and then ignored
+            _value(sec, "restarts", int, "1", minimum=1)
             for label in labels(sec, "sources", plan.sources,
                                 fixtures.resolve_source):
-                plan.ci_cells.append({"source": label, "restarts": restarts})
+                plan.ci_cells.append({"source": label})
         elif kind == "exponent":
             rates = _values(sec, "rates", RateSpec, "")
             for label, rate in itertools.product(
@@ -232,10 +234,9 @@ _JOINT_ATOL = 1e-15
 
 
 class _PlanContext:
-    """The values cells share: one common information per joint, solved at
-    the largest ``restarts`` of the [ci] cells on it, so that its [ci] rows
-    and its `kC` rates read the same C, and one F(R) per (joint, absolute
-    rate).  Each is computed once, by the first cell that asks for it, while
+    """The values cells share: one common information per joint, so that
+    its [ci] rows and its `kC` rates read the same C, and one F(R) per
+    (joint, absolute rate).  Each is computed once, by the first cell that asks for it, while
     other threads wait; a failure is raised to every cell that asks.
 
     Joints are keyed by content, not by label, so a source and a coupling
@@ -251,10 +252,6 @@ class _PlanContext:
         for pi in [*plan.sources.values(),
                    *(c.xy_marginal() for c in plan.couplings.values())]:
             self._key(pi)
-        self._restarts = {}         # ascending, so the largest one is kept
-        for cell in sorted(plan.ci_cells, key=lambda c: c["restarts"]):
-            key = self._key(plan.sources[cell["source"]])
-            self._restarts[key] = cell["restarts"]
         self._lock = threading.Lock()
         self._values: dict[tuple, Future] = {}
 
@@ -280,10 +277,7 @@ class _PlanContext:
         return future.result()
 
     def ci(self, pi: JointPmf):
-        key = self._key(pi)
-        restarts = self._restarts.get(key, _DEFAULT_RESTARTS)
-        return self._once(("ci", key), lambda: wyner_ci(
-            pi, restarts=restarts, seed=self.plan.seed))
+        return self._once(("ci", self._key(pi)), lambda: wyner_ci(pi))
 
     def rate(self, pi: JointPmf, spec: RateSpec) -> float:
         return spec.resolve(self.ci(pi).value if spec.needs_ci else 0.0)

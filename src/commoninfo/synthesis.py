@@ -408,9 +408,16 @@ def _p_and_log_pi(code: SynthesisCode, exact: bool, samples: int, rng,
                 log_pi_n.shape[0] * pi.dims[0], -1)
         return ex.mass, log_pi_n
     if from_p:
+        law_x = _CondLaw(code.base, code.eps, "X")
+        law_y = _CondLaw(code.base, code.eps, "Y")
+        # the first empty shell in codebook order, as on the other paths,
+        # not the first one drawn
+        distinct = _distinct(code.codebook)[0]
+        law_x._normalizers(distinct)
+        law_y._normalizers(distinct)
         ws = code.codebook[rng.integers(0, code.m_count, size=samples)]
-        xs = _CondLaw(code.base, code.eps, "X").sample(rng, ws)
-        ys = _CondLaw(code.base, code.eps, "Y").sample(rng, ws)
+        xs = law_x.sample(rng, ws)
+        ys = law_y.sample(rng, ws)
     else:
         idx = rng.choice(pi.mass.size, size=(samples, code.n),
                          p=pi.mass.ravel())

@@ -13,7 +13,7 @@ def dsbs_pi():
 
 @pytest.fixture(scope="session")
 def dsbs_ci(dsbs_pi):
-    return wyner_ci(dsbs_pi, restarts=8, seed=0)
+    return wyner_ci(dsbs_pi)
 
 
 def pytest_terminal_summary(terminalreporter):

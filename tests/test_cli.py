@@ -31,7 +31,7 @@ eps_prime = none
 
 
 def test_ci_fixture_source(capsys):
-    assert main(["ci", "product", "--restarts", "2"]) == EXIT_OK
+    assert main(["ci", "product"]) == EXIT_OK
     out = capsys.readouterr().out
     assert "wyner_ci" in out and "[ci] product" in out
 
@@ -39,13 +39,16 @@ def test_ci_fixture_source(capsys):
 def test_ci_pmf_file_source(tmp_path, capsys):
     path = tmp_path / "uniform4.txt"
     path.write_text("0.25 0.25\n0.25 0.25\n")
-    assert main(["ci", str(path), "--restarts", "2"]) == EXIT_OK
+    assert main(["ci", str(path)]) == EXIT_OK
     assert "uniform4" in capsys.readouterr().out
 
 
-def test_ci_non_positive_restarts_is_config_error(capsys):
-    assert main(["ci", "dsbs01", "--restarts", "0"]) == EXIT_CONFIG
-    assert "restarts must be >= 1" in capsys.readouterr().err
+def test_ci_has_no_restarts_flag(capsys):
+    # the solver takes no setting, so the flag is an unknown argument
+    with pytest.raises(SystemExit) as exc:
+        main(["ci", "dsbs01", "--restarts", "2"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --restarts" in capsys.readouterr().err
 
 
 def test_unknown_source_is_config_error(capsys):

@@ -89,7 +89,7 @@ def test_driver_matches_minimize_on_omega_at_the_copy_boundary():
     # U = X is optimal on the simplex boundary, where the descent stops on
     # its ftol near theta = 0
     pi = fixtures.copy_source()
-    grid, starts = _inner_starts(pi, wyner_ci(pi, restarts=1))
+    grid, starts = _inner_starts(pi, wyner_ci(pi))
     for alpha in (0.1343, 0.3):
         for z0 in starts:
             _assert_same_descent(exponents._omega_objective, z0,

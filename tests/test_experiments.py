@@ -263,29 +263,40 @@ def test_label_shared_by_source_and_coupling_keeps_them_apart():
     assert abs(sim_row["r_abs"]) < 1e-6
 
 
-def test_ci_cells_on_one_joint_share_the_largest_restarts():
+def test_ci_cells_on_one_joint_share_one_c():
     # one C per joint: both [ci] rows, and the 0.5C of the coupling with the
-    # same XY marginal, read the C at the largest restarts asked for
+    # same XY marginal, read wyner_ci's one answer; an older plan's
+    # restarts values are accepted and change nothing
     text = ("[plan]\nname = x\nseed = 4\n[ci.few]\nsources = dsbs01\n"
             "restarts = 1\n[ci.many]\nsources = dsbs01\nrestarts = 16\n"
             "[simulate]\ncouplings = dsbs01\nrates = 0.5C\nn = 3\n"
             "measure = renyi\neps = none\neps_prime = none\n")
     plan = parse_plan(text)
     few, many, sim = run_plan(plan).rows
-    c16 = wyner_ci(plan.sources["dsbs01"], restarts=16, seed=plan.seed).value
-    assert few["value"] == many["value"] == c16
-    assert sim["r_abs"] == 0.5 * c16
+    c = wyner_ci(plan.sources["dsbs01"]).value
+    assert few["value"] == many["value"] == c
+    assert sim["r_abs"] == 0.5 * c
+
+
+def test_ci_rows_do_not_depend_on_the_plan_seed():
+    # the plan seed feeds the sampled cells only; DSBES(0.6) read 6.9e-6
+    # above h(0.6) at every solver seed the plan used to pass on
+    text = ("[plan]\nname = x\n[source.dsbes]\npi =\n"
+            "  0.2 0.0 0.3\n  0.0 0.2 0.3\n[ci]\nsources = dsbes dsbs01\n")
+    rows = [[r["value"] for r in run_plan(parse_plan(text, seed)).rows]
+            for seed in (0, 7)]
+    assert rows[0] == rows[1]
+    h = -0.6 * math.log(0.6) - 0.4 * math.log(0.4)
+    assert rows[0][0] == pytest.approx(h, abs=1e-12)
 
 
 def test_rate_multiples_read_the_c_of_the_ci_row():
-    # at restarts = 1 on dsbs01 the solver stops at ln 2, above the C it
-    # finds at 16; the 0.5C rate must resolve against the reported ln 2
+    # the 0.5C rate resolves against the C the [ci] row reports
     text = ("[plan]\nname = x\nseed = 0\n[ci]\nsources = dsbs01\n"
-            "restarts = 1\n[exponent]\nsources = dsbs01\nrates = 0.5C\n")
+            "[exponent]\nsources = dsbs01\nrates = 0.5C\n")
     ci_row, exp_row = run_plan(parse_plan(text)).rows
     assert exp_row["error"] == ""
     assert exp_row["r_abs"] == 0.5 * ci_row["value"]
-    assert ci_row["value"] == pytest.approx(math.log(2.0))
 
 
 COUNT_PLAN = """
@@ -320,10 +331,10 @@ def test_shared_values_are_solved_once_per_joint_and_rate(monkeypatch,
     ci_calls, f_calls = [], []
     solve_ci, solve_f = experiments.wyner_ci, exponents.f_rate
 
-    def counted_ci(pi, **kw):
-        ci_calls.append((pi.mass.tobytes(), kw["restarts"]))
+    def counted_ci(pi):
+        ci_calls.append(pi.mass.tobytes())
         time.sleep(0.01)                # widen the window for a second solve
-        return solve_ci(pi, **kw)
+        return solve_ci(pi)
 
     def counted_f(pi, r_abs, **kw):
         f_calls.append((pi.mass.tobytes(), r_abs))
@@ -345,9 +356,8 @@ def test_shared_values_are_solved_once_per_joint_and_rate(monkeypatch,
     assert not sweep.is_alive()
     result, = results
     assert result.n_errors == 0
-    # dsbs01 at its largest restarts, product at its only one
-    assert sorted(r for _, r in ci_calls) == [2, 3]
-    assert len({m for m, _ in ci_calls}) == 2
+    # one solve each for dsbs01 and product
+    assert len(ci_calls) == len(set(ci_calls)) == 2
     # dsbs01 at 0.5C and 0.9C (shared with the coupling's TV cells), and
     # product once: its 0.5C and 0.9C are both the absolute rate 0
     assert len(f_calls) == len(set(f_calls)) == 3

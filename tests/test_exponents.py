@@ -1,6 +1,7 @@
 """Exponent machinery: the omega statistic, inner minimizations, the rate
 function F(R), and the small-theta limit."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -17,7 +18,7 @@ from commoninfo.exponents import (ExponentPoint, _SupportGrid,
                                   f_point, f_rate, omega, r_alpha_min,
                                   r_alpha_q, r_sh, tabulate_omega,
                                   theta_limit_check)
-from commoninfo.probability import JointPmf
+from commoninfo.probability import FinitePmf, JointPmf, MarkovCoupling
 
 DSBS01_CI = 0.6049515261814264
 
@@ -161,13 +162,19 @@ def test_r_alpha_min_product_source_is_zero():
 
 
 def test_ci_lift_keeps_the_heaviest_symbols_of_a_wide_argmin():
-    # wyner_ci returns 12 symbols on this 3x3 joint, more than |U| = 9;
-    # the lift keeps the 9 heaviest instead of dropping the warm start
+    # the 4-symbol argmin of this 3x3 joint with each symbol split in
+    # three, two of weight 1e-8: 12 symbols, more than |U| = 9.  The lift
+    # keeps the 9 heaviest instead of dropping the warm start.
     rng = np.random.default_rng(3)
     mass = rng.dirichlet(np.ones(9)).reshape(3, 3)
     mass[0, 2] = 0.0
     pi = JointPmf(mass / mass.sum())
-    ci = wyner_ci(pi, restarts=8)
+    ci = wyner_ci(pi)
+    found = ci.argmin
+    ci = dataclasses.replace(ci, argmin=MarkovCoupling(
+        FinitePmf(np.kron(found.q_w.mass, [1.0 - 2e-8, 1e-8, 1e-8])),
+        np.repeat(found.q_x_given_w, 3, axis=0),
+        np.repeat(found.q_y_given_w, 3, axis=0)))
     grid = _SupportGrid(pi)
     assert ci.argmin.nw > grid.nu
     q_su = np.exp(exponents._ci_lift_logits(grid, ci)).reshape(grid.n_supp,
@@ -210,7 +217,7 @@ def test_f_rate_rejects_the_ci_of_another_joint(dsbs_pi, other):
     # a 2x3 argmin has the wrong shape; a DSBS(0.2) argmin is 0.1 from
     # DSBS(0.1) in TV.  Either would warm-start the solves on the wrong joint.
     with pytest.raises(ConfigError, match="CI argmin"):
-        f_rate(dsbs_pi, 0.3, ci=wyner_ci(other, restarts=8))
+        f_rate(dsbs_pi, 0.3, ci=wyner_ci(other))
 
 
 def test_the_exponent_engine_draws_no_random_numbers(dsbs_pi, dsbs_ci,
@@ -432,7 +439,7 @@ def test_f_rate_above_c_is_a_certified_zero(dsbs_pi, dsbs_ci, omega_solves):
 @pytest.mark.parametrize("pi", [fixtures.copy_source(), _dsbes(0.3)],
                          ids=["copy", "dsbes03"])
 def test_f_rate_at_c_is_bounded_work(pi, omega_solves):
-    sol = wyner_ci(pi, restarts=8, seed=0)
+    sol = wyner_ci(pi)
     assert 0.0 <= f_rate(pi, sol.value, ci=sol) <= 1e-8
     assert len(omega_solves) <= 80
 
@@ -449,7 +456,7 @@ def test_f_rate_matches_the_grid_reference(name):
     # and must agree to 2e-6; above C it is exactly 0, where the grid reads
     # solver noise at alpha = 0
     pi = REFERENCE_SOURCES[name]
-    sol = wyner_ci(pi, restarts=8, seed=0)
+    sol = wyner_ci(pi)
     og = tabulate_omega(pi, ci=sol)
     for mult in (0.5, 0.9):
         r = mult * sol.value

@@ -736,6 +736,11 @@ def test_empty_shell_error_names_the_first_bad_codeword(monkeypatch, path):
                 estimate_renyi(code, -0.5, samples=50)):
         assert est.method == path
         assert est.diagnostics == {"structural_zero": message}
+    # drawing from P names the same codeword whatever the draws: it once
+    # named the first empty shell drawn, bad[0] on 7 of these 20 seeds
+    for seed in range(20):
+        est = estimate_renyi(code, 1.0, samples=50, seed=seed)
+        assert est.diagnostics == {"structural_zero": message}, seed
 
 
 def test_truncation_check_needs_one_shell_table_per_law(monkeypatch):
@@ -995,9 +1000,15 @@ def reference_estimate_renyi(code, s, samples, seed):
     rng = synthesis._rng(seed, 2)
     try:
         if s >= 0:
+            # an empty shell is named in codebook order, before any draw
+            law_x = synthesis._CondLaw(code.base, code.eps, "X")
+            law_y = synthesis._CondLaw(code.base, code.eps, "Y")
+            for law in (law_x, law_y):
+                for w in code.codebook:
+                    law._normalizers(w[None, :])
             ws = code.codebook[rng.integers(0, code.m_count, size=samples)]
-            xs = synthesis._CondLaw(code.base, code.eps, "X").sample(rng, ws)
-            ys = synthesis._CondLaw(code.base, code.eps, "Y").sample(rng, ws)
+            xs = law_x.sample(rng, ws)
+            ys = law_y.sample(rng, ws)
             p_vals = synthesis._pointwise_p(code, xs, ys)
         else:
             p_vals, pi_vals = reference_pi_n_draws(code, samples, rng)
