@@ -1,7 +1,8 @@
 """The acceptance suite: twelve end-to-end checks of the workbench.
 
-Each criterion is a callable returning a CriterionReport; ``run_all`` drives
-them in order.  Tolerances are fixed here and mirrored by the test suite.
+``CRITERIA`` lists the criteria in number order, each a name and a check of
+no arguments that returns (passed, detail); ``run_all`` numbers, runs and
+times them.  Tolerances are fixed here and mirrored by the test suite.
 Frozen regression values were produced by the first run of this code and are
 compared bitwise-tight (1e-9) thereafter.
 """
@@ -18,6 +19,7 @@ import numpy as np
 from .probability import FinitePmf, coupling_information
 from . import divergences as dv
 from .ci_solver import wyner_ci
+from .errors import ConfigError
 from . import exponents
 from . import typicality as typ
 from . import synthesis
@@ -51,15 +53,11 @@ class CriterionReport:
                 f"{self.detail} ({self.runtime:.1f}s)")
 
 
-def _report(number, name, passed, detail) -> CriterionReport:
-    return CriterionReport(number, name, bool(passed), detail)
-
-
 # ---------------------------------------------------------------------------
 
-def criterion_1_divergence_axioms(seed: int = 0) -> CriterionReport:
+def divergence_axioms() -> tuple[bool, str]:
     """1000 random pmf pairs x s grid: axioms and the bound chains."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     s_grid = (-1.0, -0.5, 0.0, 0.5, 1.0)
     for trial in range(1000):
         k = int(rng.integers(2, 7))
@@ -73,22 +71,17 @@ def criterion_1_divergence_axioms(seed: int = 0) -> CriterionReport:
         for s in s_grid:
             d = dv.renyi(p, q, s)
             if d < 0:
-                return _report(1, "divergence axioms", False,
-                               f"negative divergence {d}")
+                return False, f"negative divergence {d}"
             if dv.renyi(p, p, s) > 1e-10:
-                return _report(1, "divergence axioms", False,
-                               "identity of indiscernibles violated")
+                return False, "identity of indiscernibles violated"
             if d < prev - 1e-12:
-                return _report(1, "divergence axioms", False,
-                               f"not monotone in s at s={s}")
+                return False, f"not monotone in s at s={s}"
             prev = d
             if s > -1 and d < dv.pinsker_lb(eps, s) - 1e-9:
-                return _report(1, "divergence axioms", False,
-                               f"Pinsker chain violated at s={s}")
+                return False, f"Pinsker chain violated at s={s}"
             inf_val = dv.sason_inf(eps, s)
             if d < inf_val - 1e-9:
-                return _report(1, "divergence axioms", False,
-                               f"divergence below sason_inf at s={s}")
+                return False, f"divergence below sason_inf at s={s}"
             if s > 0:
                 closed = dv.sason_closed_lb(eps, s, dv.ORDER_ABOVE_ONE)
             elif -1 < s < 0:
@@ -97,10 +90,8 @@ def criterion_1_divergence_axioms(seed: int = 0) -> CriterionReport:
             else:
                 closed = 0.0
             if inf_val < closed - 1e-9:
-                return _report(1, "divergence axioms", False,
-                               f"sason_inf below closed form at s={s}")
-    return _report(1, "divergence axioms", True,
-                   "1000 pairs x 5 orders, all chains hold")
+                return False, f"sason_inf below closed form at s={s}"
+    return True, "1000 pairs x 5 orders, all chains hold"
 
 
 def _dsbs_ci(p: float) -> float:
@@ -115,7 +106,7 @@ CI_DSBES_ES = (0.2, 0.4, 0.6, 0.8)
 CI_COMMON_PART = (0.6, 0.2)
 
 
-def criterion_2_ci_correctness(seed: int = 0) -> CriterionReport:
+def ci_correctness() -> tuple[bool, str]:
     """Solver against exact values: 0 on a product source, ln 2 on the copy
     source, Wyner's closed form on 20 seeded DSBS(p), C = ln 2 for e <= 1/2
     and h(e) above on DSBES(e) (Cuff, Permuter and Cover 2010), and
@@ -123,21 +114,18 @@ def criterion_2_ci_correctness(seed: int = 0) -> CriterionReport:
     (1 - q, q)."""
     v_prod = wyner_ci(product_source()).value
     if abs(v_prod) > 1e-6:
-        return _report(2, "ci correctness", False,
-                       f"product source gave {v_prod}")
+        return False, f"product source gave {v_prod}"
     v_copy = wyner_ci(copy_source()).value
     if abs(v_copy - math.log(2)) > 1e-3:
-        return _report(2, "ci correctness", False,
-                       f"copy source gave {v_copy}")
-    rng = np.random.default_rng(seed)
+        return False, f"copy source gave {v_copy}"
+    rng = np.random.default_rng(0)
     worst = 0.0
     for _ in range(20):
         p = float(rng.uniform(0.02, 0.45))
         got = wyner_ci(dsbs(p)).value
         worst = max(worst, abs(got - _dsbs_ci(p)))
         if worst > 1e-3:
-            return _report(2, "ci correctness", False,
-                           f"solver vs closed form diff {worst:.2e} "
+            return False, (f"solver vs closed form diff {worst:.2e} "
                            f"at p={p:.4f}")
     for e in CI_DSBES_ES:
         got = wyner_ci(dsbes(e)).value
@@ -145,23 +133,20 @@ def criterion_2_ci_correctness(seed: int = 0) -> CriterionReport:
         exact = math.log(2) if e <= 0.5 else h_e
         worst = max(worst, abs(got - exact))
         if worst > 1e-3:
-            return _report(2, "ci correctness", False,
-                           f"solver vs closed form diff {worst:.2e} on "
+            return False, (f"solver vs closed form diff {worst:.2e} on "
                            f"DSBES at e={e:g}")
     q, p = CI_COMMON_PART
     got = wyner_ci(common_part_source(q, p)).value
     h_q = FinitePmf(np.array([q, 1 - q])).entropy()
     worst = max(worst, abs(got - (h_q + q * _dsbs_ci(p))))
     if worst > 1e-3:
-        return _report(2, "ci correctness", False,
-                       f"solver vs closed form diff {worst:.2e} on the "
+        return False, (f"solver vs closed form diff {worst:.2e} on the "
                        f"common-part joint at q={q:g}, p={p:g}")
-    return _report(2, "ci correctness", True,
-                   f"product and copy hit; worst closed-form diff {worst:.2e} "
-                   f"over 20 DSBS(p), 4 DSBES(e) and the 3x3 common part")
+    return True, (f"product and copy hit; worst closed-form diff {worst:.2e} "
+                  f"over 20 DSBS(p), 4 DSBES(e) and the 3x3 common part")
 
 
-def criterion_3_r_sh_identity(seed: int = 0) -> CriterionReport:
+def r_sh_identity() -> tuple[bool, str]:
     """sup_alpha (1/alpha) R^(alpha) equals the common information."""
     worst = 0.0
     for name, pi in (("dsbs01", dsbs(0.1)), ("copy", copy_source()),
@@ -171,12 +156,11 @@ def criterion_3_r_sh_identity(seed: int = 0) -> CriterionReport:
         gap = abs(val - sol.value)
         worst = max(worst, gap)
         if gap > 2e-2:
-            return _report(3, "R_sh identity", False,
-                           f"{name}: |r_sh - ci| = {gap:.3e}")
-    return _report(3, "R_sh identity", True, f"worst fixture gap {worst:.2e}")
+            return False, f"{name}: |r_sh - ci| = {gap:.3e}"
+    return True, f"worst fixture gap {worst:.2e}"
 
 
-def criterion_4_theta_limit(seed: int = 0) -> CriterionReport:
+def theta_limit() -> tuple[bool, str]:
     """(1/theta) Omega -> R^(alpha) as theta -> 0."""
     pi = dsbs(0.1)
     sol = wyner_ci(pi)
@@ -184,17 +168,14 @@ def criterion_4_theta_limit(seed: int = 0) -> CriterionReport:
         rep = exponents.theta_limit_check(pi, alpha, (1e-2, 1e-3, 1e-4),
                                           ci=sol)
         if abs(rep.final_gap) > 1e-2:
-            return _report(4, "theta->0 limit", False,
-                           f"alpha={alpha}: gap {rep.final_gap:.3e}")
+            return False, f"alpha={alpha}: gap {rep.final_gap:.3e}"
         gaps = [abs(g) for g in rep.gaps]
         if not all(b <= a + 1e-9 for a, b in zip(gaps, gaps[1:])):
-            return _report(4, "theta->0 limit", False,
-                           f"alpha={alpha}: gaps not shrinking {gaps}")
-    return _report(4, "theta->0 limit", True,
-                   "limit matches R^(alpha) at theta=1e-4 for all alpha")
+            return False, f"alpha={alpha}: gaps not shrinking {gaps}"
+    return True, "limit matches R^(alpha) at theta=1e-4 for all alpha"
 
 
-def criterion_5_exponent_sign(seed: int = 0) -> CriterionReport:
+def exponent_sign() -> tuple[bool, str]:
     """F(R) > 0 strictly below the common information, 0 at and above."""
     details = []
     for name, pi in (("dsbs01", dsbs(0.1)), ("copy", copy_source())):
@@ -202,20 +183,18 @@ def criterion_5_exponent_sign(seed: int = 0) -> CriterionReport:
         for mult in (1.0, 1.2, 2.0):
             f = exponents.f_rate(pi, mult * sol.value, ci=sol)
             if f > 1e-4:
-                return _report(5, "exponent sign", False,
-                               f"{name}: F({mult}C) = {f:.3e} > 1e-4")
+                return False, f"{name}: F({mult}C) = {f:.3e} > 1e-4"
         for mult in (0.5, 0.9):
             f = exponents.f_rate(pi, mult * sol.value, ci=sol)
             if f < 1e-4:
-                return _report(5, "exponent sign", False,
-                               f"{name}: F({mult}C) = {f:.3e} < 1e-4")
+                return False, f"{name}: F({mult}C) = {f:.3e} < 1e-4"
             details.append(f"{name}@{mult}C={f:.2e}")
-    return _report(5, "exponent sign", True, " ".join(details))
+    return True, " ".join(details)
 
 
-def criterion_6_oneshot_bound(seed: int = 0) -> CriterionReport:
+def oneshot_bound() -> tuple[bool, str]:
     """One-shot achievability bound, exact over codebook types."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     instances = []
     for _ in range(20):
         p_w = FinitePmf(rng.dirichlet(np.ones(2)))
@@ -235,16 +214,14 @@ def criterion_6_oneshot_bound(seed: int = 0) -> CriterionReport:
     for i, args in enumerate(instances):
         rep = synthesis.oneshot_bound_verify(*args)
         if not (rep.holds and rep.holds_gamma):
-            return _report(6, "one-shot bound", False,
-                           f"violation at instance {i}, M={rep.m_count}")
+            return False, f"violation at instance {i}, M={rep.m_count}"
         slack = min(slack, rep.rhs - rep.lhs)
         gamma_slack = min(gamma_slack, rep.gamma_rhs - rep.lhs)
-    return _report(6, "one-shot bound", True,
-                   f"exact on {len(instances)} instances, min rhs - lhs "
-                   f"{slack:.3f}, min 2e^(s Gamma) - lhs {gamma_slack:.3f}")
+    return True, (f"exact on {len(instances)} instances, min rhs - lhs "
+                  f"{slack:.3f}, min 2e^(s Gamma) - lhs {gamma_slack:.3f}")
 
 
-def criterion_7_conditional_typicality(seed: int = 0) -> CriterionReport:
+def conditional_typicality() -> tuple[bool, str]:
     """Exact conditional defect never exceeds the two-exponential bound."""
     q_w = FinitePmf(np.array([0.5, 0.5]))
     instances = [np.array([[0.8, 0.2], [0.3, 0.7]]),
@@ -265,14 +242,12 @@ def criterion_7_conditional_typicality(seed: int = 0) -> CriterionReport:
                                                       eps_prime=eps_p)
                     checked += 1
                     if d > bound + 1e-12:
-                        return _report(7, "conditional typicality", False,
-                                       f"defect {d:.4f} > bound {bound:.4f} "
+                        return False, (f"defect {d:.4f} > bound {bound:.4f} "
                                        f"at n={n}, eps={eps}")
-    return _report(7, "conditional typicality", True,
-                   f"{checked} typical conditioning classes within the bound")
+    return True, f"{checked} typical conditioning classes within the bound"
 
 
-def criterion_8_truncation_domination(seed: int = 0) -> CriterionReport:
+def truncation_domination() -> tuple[bool, str]:
     """P <= pi^n / (1 - delta_n) pointwise and in divergence."""
     cases = [(dsbs_optimal_coupling(0.1), n, s)
              for n in (4, 6, 8) for s in (0.5, 1.0)]
@@ -280,14 +255,12 @@ def criterion_8_truncation_domination(seed: int = 0) -> CriterionReport:
     for base, n, s in cases:
         rep = synthesis.truncation_check(base, n, 1.0, 0.5, s)
         if not (rep.holds_pointwise and rep.holds_divergence):
-            return _report(8, "truncation domination", False,
-                           f"n={n}, s={s}: ratio {rep.max_ratio:.4f}, "
+            return False, (f"n={n}, s={s}: ratio {rep.max_ratio:.4f}, "
                            f"D {rep.divergence:.4f} vs cap {rep.divergence_cap:.4f}")
-    return _report(8, "truncation domination", True,
-                   f"{len(cases)} fixtures dominated pointwise and in divergence")
+    return True, f"{len(cases)} fixtures dominated pointwise and in divergence"
 
 
-def criterion_9_achievability_trend(seed: int = 0) -> CriterionReport:
+def achievability_trend() -> tuple[bool, str]:
     """Exact order-2 divergence decays along n above the common information."""
     base = dsbs_optimal_coupling(0.1)
     vals = []
@@ -297,17 +270,14 @@ def criterion_9_achievability_trend(seed: int = 0) -> CriterionReport:
         vals.append(synthesis.estimate_renyi(code, 1.0).point)
     for v, frozen in zip(vals, TREND_FROZEN):
         if v > frozen + 1e-9:
-            return _report(9, "achievability trend", False,
-                           f"value {v:.10f} above frozen {frozen:.10f}")
+            return False, f"value {v:.10f} above frozen {frozen:.10f}"
     slope = float(np.polyfit(TREND_NS, np.log(vals), 1)[0])
     if slope >= 0:
-        return _report(9, "achievability trend", False,
-                       f"fitted slope {slope:+.4f} not negative")
-    return _report(9, "achievability trend", True,
-                   f"slope {slope:+.4f}, values match frozen run")
+        return False, f"fitted slope {slope:+.4f} not negative"
+    return True, f"slope {slope:+.4f}, values match frozen run"
 
 
-def criterion_10_strong_converse(seed: int = 0) -> CriterionReport:
+def strong_converse() -> tuple[bool, str]:
     """TV >= 1 - 4 exp(-n F(R)) below the common information, rising with n."""
     base = dsbs_optimal_coupling(0.1)
     pi = base.xy_marginal()
@@ -323,68 +293,71 @@ def criterion_10_strong_converse(seed: int = 0) -> CriterionReport:
             est = synthesis.estimate_tv(code, samples=3000, seed=cell_seed)
             bound = 1.0 - 4.0 * math.exp(-n * f)
             if est.point < bound - 3.0 * est.std_error:
-                return _report(10, "strong converse", False,
-                               f"TV {est.point:.4f} below bound {bound:.4f} "
+                return False, (f"TV {est.point:.4f} below bound {bound:.4f} "
                                f"at n={n}, seed={cell_seed}")
             tvs.append(est.point)
         if not all(b >= a for a, b in zip(tvs, tvs[1:])):
-            return _report(10, "strong converse", False,
-                           f"TV not increasing in n for seed {cell_seed}: {tvs}")
+            return False, f"TV not increasing in n for seed {cell_seed}: {tvs}"
         per_seed[cell_seed] = tvs
     lo = min(v[0] for v in per_seed.values())
     hi = max(v[-1] for v in per_seed.values())
-    return _report(10, "strong converse", True,
-                   f"F(R)={f:.4f}; TV rises from >={lo:.3f} to {hi:.4f} "
-                   f"over n={ns} on 10 seeds")
+    return True, (f"F(R)={f:.4f}; TV rises from >={lo:.3f} to {hi:.4f} "
+                  f"over n={ns} on 10 seeds")
 
 
-def criterion_11_rate_bound(seed: int = 0) -> CriterionReport:
+def rate_bound() -> tuple[bool, str]:
     """Exact normalized divergence against the single-letter rate bound."""
     rep = synthesis.rate_bound_check(dsbs_optimal_coupling(0.1), 8, 1.0, 0.5,
                                      s=1.0)
     if not rep.holds or rep.slack < 0:
-        return _report(11, "rate bound", False,
-                       f"lhs {rep.lhs:.4f} vs rhs {rep.rhs:.4f}")
-    return _report(11, "rate bound", True,
-                   f"lhs {rep.lhs:.4f} <= rhs {rep.rhs:.4f}, "
-                   f"slack {rep.slack:.4f}")
+        return False, f"lhs {rep.lhs:.4f} vs rhs {rep.rhs:.4f}"
+    return True, (f"lhs {rep.lhs:.4f} <= rhs {rep.rhs:.4f}, "
+                  f"slack {rep.slack:.4f}")
 
 
-def criterion_12_reproducibility(seed: int = 7) -> CriterionReport:
+def reproducibility() -> tuple[bool, str]:
     """The shipped plan yields byte-identical CSV across reruns."""
-    plan_a = experiments.load_plan(PLAN_PATH, seed_override=seed)
-    plan_b = experiments.load_plan(PLAN_PATH, seed_override=seed)
+    plan_a = experiments.load_plan(PLAN_PATH)
+    plan_b = experiments.load_plan(PLAN_PATH)
     csv_a = experiments.to_csv(experiments.run_plan(plan_a))
     csv_b = experiments.to_csv(experiments.run_plan(plan_b))
     if csv_a != csv_b:
-        return _report(12, "reproducibility", False,
-                       "CSV differs between reruns")
+        return False, "CSV differs between reruns"
     n_rows = csv_a.count("\n") - 1
-    return _report(12, "reproducibility", True,
-                   f"two runs byte-identical ({n_rows} rows)")
+    return True, f"two runs byte-identical ({n_rows} rows)"
 
 
-CRITERIA = (criterion_1_divergence_axioms,
-            criterion_2_ci_correctness,
-            criterion_3_r_sh_identity,
-            criterion_4_theta_limit,
-            criterion_5_exponent_sign,
-            criterion_6_oneshot_bound,
-            criterion_7_conditional_typicality,
-            criterion_8_truncation_domination,
-            criterion_9_achievability_trend,
-            criterion_10_strong_converse,
-            criterion_11_rate_bound,
-            criterion_12_reproducibility)
+#: the suite in number order: criterion k is entry k - 1, a name and a check
+#: of no arguments that returns (passed, detail)
+CRITERIA = (("divergence axioms", divergence_axioms),
+            ("ci correctness", ci_correctness),
+            ("R_sh identity", r_sh_identity),
+            ("theta->0 limit", theta_limit),
+            ("exponent sign", exponent_sign),
+            ("one-shot bound", oneshot_bound),
+            ("conditional typicality", conditional_typicality),
+            ("truncation domination", truncation_domination),
+            ("achievability trend", achievability_trend),
+            ("strong converse", strong_converse),
+            ("rate bound", rate_bound),
+            ("reproducibility", reproducibility))
 
 
 def run_all(only=None) -> list:
+    """Run the criteria numbered in ``only`` (all when it is empty), in
+    number order, and time each one.  A number that names no criterion is a
+    ConfigError, raised before any criterion runs."""
+    unknown = sorted(set(only or ()) - set(range(1, len(CRITERIA) + 1)))
+    if unknown:
+        raise ConfigError(f"no criterion numbered "
+                          f"{', '.join(map(str, unknown))}; the criteria are "
+                          f"numbered 1-{len(CRITERIA)}")
     reports = []
-    for i, fn in enumerate(CRITERIA, start=1):
-        if only and i not in only:
+    for number, (name, check) in enumerate(CRITERIA, start=1):
+        if only and number not in only:
             continue
         t0 = time.perf_counter()
-        rep = fn()
-        rep.runtime = time.perf_counter() - t0
-        reports.append(rep)
+        passed, detail = check()
+        reports.append(CriterionReport(number, name, bool(passed), detail,
+                                       time.perf_counter() - t0))
     return reports

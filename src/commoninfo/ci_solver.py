@@ -58,6 +58,8 @@ from .probability import (FinitePmf, JointPmf, MarkovCoupling,
 
 _PENALTY_SCHEDULE = (1e2, 1e4, 1e6)
 _FEAS_TOL = 1e-8                         # marginal residual of a feasible result
+_RESTORE_TOL = 1e-10                     # residual that ends a restoration
+_RESTORE_SWEEPS = 500                    # sweeps per restoration
 _OBJ_TOL = 1e-9                          # L-BFGS-B relative objective tolerance
 _MAXITER = 500                           # L-BFGS-B iterations per descent
 _LOG_FLOOR = 1e-300
@@ -226,14 +228,14 @@ class _BlockKernel:
                                   D.take(self._pos)))
 
 
-def _restore_feasibility(qw, A, C, pi_mass, max_sweeps=500, tol=1e-10):
+def _restore_feasibility(qw, A, C, pi_mass):
     """Alternate between fixing the XY-marginal exactly and projecting back to
     conditional independence of X and Y given W."""
-    for _ in range(max_sweeps):
+    for _ in range(_RESTORE_SWEEPS):
         J = np.einsum("w,wx,wy->wxy", qw, A, C)
         Q = J.sum(axis=0)
         residual = 0.5 * np.abs(Q - pi_mass).sum()
-        if residual <= tol:
+        if residual <= _RESTORE_TOL:
             break
         safe_Q = np.where(Q > 0, Q, 1.0)
         T = np.where(Q[None] > 0, J / safe_Q[None], qw[:, None, None])

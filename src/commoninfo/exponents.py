@@ -154,12 +154,9 @@ def _q_marginals(grid: _SupportGrid, q_su: np.ndarray):
 
 
 def _omega_table(grid: _SupportGrid, q_su: np.ndarray, alpha: float) -> np.ndarray:
-    """omega at every (support point, u); not finite outside supp(Q)."""
-    q_xy, q_u, q_xu, q_yu = _q_marginals(grid, q_su)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        logs = (np.log(q_su), np.log(q_xy)[:, None], np.log(q_u)[None, :],
-                np.log(q_xu)[grid.x_of_s], np.log(q_yu)[grid.y_of_s])
-        return _omega_of_logs(grid, logs, alpha)
+    """omega at every (support point, u) from the clipped logs; outside
+    supp(Q) a finite value that Q weights by 0."""
+    return _omega_of_logs(grid, _clipped_logs(grid, q_su), alpha)
 
 
 def omega(q: JointPmf, pi: JointPmf, alpha: float, x: int, y: int, u: int) -> float:
@@ -220,14 +217,20 @@ def _softmax_flat(z: np.ndarray, shape) -> np.ndarray:
 _TINY = 1e-300
 
 
-def _clipped_logs(grid: _SupportGrid, q, q_xy, q_u, q_xu, q_yu):
-    """log Q and the logs of its XY, U, XU and YU marginals, each at every
-    (s, u) or broadcast to it, clipped at _TINY."""
-    return (np.log(np.maximum(q, _TINY)),
-            np.log(np.maximum(q_xy, _TINY))[:, None],
-            np.log(np.maximum(q_u, _TINY))[None, :],
-            np.log(np.maximum(q_xu, _TINY))[grid.x_of_s],
-            np.log(np.maximum(q_yu, _TINY))[grid.y_of_s])
+def _clipped_marginals(grid: _SupportGrid, q):
+    """Q and its XY, U, XU and YU marginals, each at every (s, u) or
+    broadcast to it, clipped at _TINY."""
+    q_xy, q_u, q_xu, q_yu = _q_marginals(grid, q)
+    return (np.maximum(q, _TINY),
+            np.maximum(q_xy, _TINY)[:, None],
+            np.maximum(q_u, _TINY)[None, :],
+            np.maximum(q_xu, _TINY)[grid.x_of_s],
+            np.maximum(q_yu, _TINY)[grid.y_of_s])
+
+
+def _clipped_logs(grid: _SupportGrid, q):
+    """The logs of `_clipped_marginals`."""
+    return tuple(map(np.log, _clipped_marginals(grid, q)))
 
 
 def _omega_of_logs(grid: _SupportGrid, logs, alpha) -> np.ndarray:
@@ -266,16 +269,12 @@ def _omega_objective(z, grid: _SupportGrid, alpha, theta):
     q = _softmax_flat(z, (S, U))
     a = theta * (1.0 - alpha)
     b = theta * alpha
-    q_xy, q_u, q_xu, q_yu = _q_marginals(grid, q)
-    log_t = _log_tilt(grid, _clipped_logs(grid, q, q_xy, q_u, q_xu, q_yu),
-                      alpha, theta)
+    clipped = _clipped_marginals(grid, q)
+    log_t = _log_tilt(grid, tuple(map(np.log, clipped)), alpha, theta)
     L, t_norm = _log_normalize(log_t)           # t_norm sums to 1
     f = -L
     # u1 = Q * dG/dQ, assembled from bounded ratios Q/Q_marginal <= 1
-    r_xy = q / np.maximum(q_xy, _TINY)[:, None]
-    r_u = q / np.maximum(q_u, _TINY)[None, :]
-    r_xu = q / np.maximum(q_xu, _TINY)[grid.x_of_s]
-    r_yu = q / np.maximum(q_yu, _TINY)[grid.y_of_s]
+    r_xy, r_u, r_xu, r_yu = (q / m for m in clipped[1:])
     u1 = -((1.0 - a - b) * t_norm
            - a * r_xy * t_norm.sum(axis=1, keepdims=True)
            + (b - a) * r_u * t_norm.sum(axis=0, keepdims=True)
@@ -291,7 +290,7 @@ def _omega_ray_slope(z, grid: _SupportGrid, alpha, theta) -> float:
     At the inner minimizer this is the slope of Omega(alpha, .) itself
     (Danskin's theorem)."""
     q = _softmax_flat(z, (grid.n_supp, grid.nu))
-    logs = _clipped_logs(grid, q, *_q_marginals(grid, q))
+    logs = _clipped_logs(grid, q)
     _, t_norm = _log_normalize(_log_tilt(grid, logs, alpha, theta))
     return float((t_norm * _omega_of_logs(grid, logs, alpha)).sum())
 
@@ -299,7 +298,7 @@ def _omega_ray_slope(z, grid: _SupportGrid, alpha, theta) -> float:
 def _r_alpha_objective(z, grid: _SupportGrid, alpha):
     S, U = grid.n_supp, grid.nu
     q = _softmax_flat(z, (S, U))
-    table = np.where(q > 0, _omega_table(grid, q, alpha), 0.0)
+    table = _omega_table(grid, q, alpha)
     f = float((q * table).sum())
     # dR/dQ = omega + (1 - alpha); the constant drops in the softmax chain
     g = table
@@ -392,10 +391,11 @@ def r_sh(pi: JointPmf, ci: CiSolution) -> float:
     For a fixed Q, R^(alpha)(Q)/alpha = A(Q)/alpha + B(Q) - A(Q) with
     A(Q) >= 0, which does not increase in alpha; neither does its minimum
     over Q.  So the supremum is approached at the smallest alpha, and r_sh
-    is one solve there (clamped at 0).
+    is one solve there, reported as the solver found it: on a product source
+    it can read a rounding error below 0.
     """
     res = r_alpha_min(pi, _R_SH_ALPHA, ci=ci)
-    return max(0.0, res.value / _R_SH_ALPHA)
+    return res.value / _R_SH_ALPHA
 
 
 # ---------------------------------------------------------------------------

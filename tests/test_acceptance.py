@@ -37,7 +37,7 @@ def test_criterion_2_fails_on_a_shifted_dsbs_value(monkeypatch):
         return sol
 
     monkeypatch.setattr(acceptance, "wyner_ci", shifted)
-    rep = acceptance.criterion_2_ci_correctness()
+    rep = acceptance.run_all(only=[2])[0]
     first_p = float(np.random.default_rng(0).uniform(0.02, 0.45))
     assert not rep.passed
     assert f"p={first_p:.4f}" in rep.detail
@@ -56,6 +56,6 @@ def test_criterion_2_fails_on_a_shifted_dsbes_value(monkeypatch):
         return sol
 
     monkeypatch.setattr(acceptance, "wyner_ci", shifted)
-    rep = acceptance.criterion_2_ci_correctness()
+    rep = acceptance.run_all(only=[2])[0]
     assert not rep.passed
     assert f"DSBES at e={acceptance.CI_DSBES_ES[0]:g}" in rep.detail

@@ -145,6 +145,14 @@ def test_verify_single_cheap_criterion(capsys):
     assert "1/1 criteria passed" in out
 
 
+def test_verify_rejects_a_number_that_names_no_criterion(capsys):
+    assert main(["verify", "--only", "7", "13"]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert "no criterion numbered 13" in captured.err
+    assert "numbered 1-12" in captured.err
+    assert captured.out == ""
+
+
 def test_verify_rejects_options_it_does_not_use(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--seed", "1"])

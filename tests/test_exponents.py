@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 from scipy.special import logsumexp
 
 from commoninfo import exponents, fixtures
@@ -203,6 +204,16 @@ def test_r_sh_is_the_max_of_the_old_alpha_sweep(dsbs_pi, dsbs_ci):
         warm = [res.logits]
         best = max(best, res.value / float(alpha))
     assert r_sh(dsbs_pi, ci=dsbs_ci) == best
+
+
+def test_r_sh_reports_a_negative_solve_unclamped(dsbs_pi, dsbs_ci,
+                                                monkeypatch):
+    # no clamp at 0: a solve that reads below 0 reaches the caller
+    def negative(pi, alpha, ci=None):
+        return exponents.InnerMinResult(-3e-7, np.zeros(1), True)
+
+    monkeypatch.setattr(exponents, "r_alpha_min", negative)
+    assert r_sh(dsbs_pi, ci=dsbs_ci) == -3e-7 / exponents._R_SH_ALPHA
 
 
 @pytest.mark.parametrize("rate", [math.nan, -0.1])
@@ -442,6 +453,27 @@ def test_f_rate_at_c_is_bounded_work(pi, omega_solves):
     sol = wyner_ci(pi)
     assert 0.0 <= f_rate(pi, sol.value, ci=sol) <= 1e-8
     assert len(omega_solves) <= 80
+
+
+def test_f_rate_finds_an_interior_maximum_by_brentq(monkeypatch):
+    # on DSBES(0.6) at 0.9C one ray's slope h is negative both on the wall
+    # and one tolerance inside it, so brentq finds its root.  F(R) itself is
+    # on the wall at alpha = 0.1423, where it equals the minimum of Omega over
+    # 40 random starts.  The grid reference is no check here: at that point
+    # a solve without warm logits stops above the minimum (F = 0.001417),
+    # and the refined grid reads 0.001537.
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return brentq(*args, **kwargs)
+
+    monkeypatch.setattr(exponents, "brentq", counted)
+    pi = fixtures.dsbes(0.6)
+    sol = wyner_ci(pi)
+    assert f_rate(pi, 0.9 * sol.value, ci=sol) == pytest.approx(
+        0.0011862784, abs=1e-7)
+    assert calls
 
 
 REFERENCE_SOURCES = {"dsbs01": fixtures.dsbs(0.1),
