@@ -26,8 +26,10 @@ p_X and p_Y on each symbol's masks, at weights 1/4, 1/2 and 3/4.  Each start
 takes a quasi-Newton descent (the L-BFGS-B loop ``descent.lbfgsb``) on an
 exact-penalty objective with an increasing weight schedule, an alternating
 feasibility restoration that drives the marginal residual below tolerance,
-one SLSQP polish on the exact feasible set in the bilinear parameters
-a_wx = Q_W(w) Q(x|w) and Q(y|w), and a second restoration.  The best
+one SLSQP polish (the SLSQP loop ``descent.slsqp``) on the exact feasible
+set in the bilinear parameters a_wx = Q_W(w) Q(x|w) and Q(y|w), whose
+constraint Jacobian is one fixed matrix with its bilinear entries written
+by one scatter per call, and a second restoration.  The best
 feasible coupling of the restored and the polished ones is kept; the
 couplings W = X and W = Y are scored beside it.  The answer's symbols are
 canonical: a symbol of negligible weight drops out, and symbols with the
@@ -49,9 +51,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
-from .descent import lbfgsb
+from .descent import lbfgsb, slsqp
 from .errors import ConfigError
 from .probability import (FinitePmf, JointPmf, MarkovCoupling,
                           mutual_information_mass)
@@ -329,10 +330,25 @@ def _polish(qw, A, C, pi_mass, mask_x, mask_y):
     cw, cy = np.nonzero(mask_y[live])
     sx, sy = np.nonzero(pi_mass > 0)
     target = pi_mass[sx, sy]
-    na, nw = aw.size, c0.shape[0]
-    same_x = sx[:, None] == ax[None, :]
-    same_y = sy[:, None] == cy[None, :]
-    row_of_c = np.arange(nw)[:, None] == cw[None, :]
+    na, nw, ns = aw.size, c0.shape[0], sx.size
+    # the bilinear Jacobian entries: d/da_wx of sum_w a_wx c_wy at the cell
+    # (x, y) is c_wy and d/dc_wy is a_wx, each one variable v[src]; an entry
+    # whose partner is no variable is a structural zero.  The rows
+    # sum_y c_wy = 1 are constant.
+    a_index = np.full(a0.shape, -1)
+    a_index[aw, ax] = np.arange(na)
+    c_index = np.full(c0.shape, -1)
+    c_index[cw, cy] = na + np.arange(cw.size)
+    cell_a, j = np.nonzero(sx[:, None] == ax[None, :])
+    cell_c, k = np.nonzero(sy[:, None] == cy[None, :])
+    src = np.concatenate((c_index[aw[j], sy[cell_a]],
+                          a_index[cw[k], sx[cell_c]]))
+    kept = src >= 0
+    rows = np.concatenate((cell_a, cell_c))[kept]
+    cols = np.concatenate((j, na + k))[kept]
+    src = src[kept]
+    J = np.zeros((ns + nw, na + cw.size))
+    J[ns:, na:] = np.arange(nw)[:, None] == cw[None, :]
 
     def dense(v):
         a = np.zeros(a0.shape)
@@ -357,20 +373,13 @@ def _polish(qw, A, C, pi_mass, mask_x, mask_y):
                                c.sum(axis=1) - 1.0))
 
     def jacobian(v):
-        a, c = dense(v)
-        marginal = np.hstack((same_x * c[aw[None, :], sy[:, None]],
-                              same_y * a[cw[None, :], sx[:, None]]))
-        rows = np.hstack((np.zeros((nw, na)), row_of_c))
-        return np.vstack((marginal, rows))
+        J[rows, cols] = v[src]
+        return J
 
-    res = minimize(objective, np.concatenate((a0[aw, ax], c0[cw, cy])),
-                   jac=True, method="SLSQP",
-                   bounds=[(0.0, 1.0)] * (na + cw.size),
-                   constraints={"type": "eq", "fun": constraints,
-                                "jac": jacobian},
-                   options={"maxiter": _POLISH_MAXITER,
-                            "ftol": _POLISH_FTOL})
-    a, c = dense(np.clip(res.x, 0.0, 1.0))
+    x, _, _, _ = slsqp(objective, np.concatenate((a0[aw, ax], c0[cw, cy])),
+                       constraints, jacobian, (0.0, 1.0),
+                       maxiter=_POLISH_MAXITER, ftol=_POLISH_FTOL)
+    a, c = dense(np.clip(x, 0.0, 1.0))
     q, c_sum = a.sum(axis=1), c.sum(axis=1)
     keep = (q > 0) & (c_sum > 0)
     return (q[keep] / q[keep].sum(), a[keep] / q[keep, None],

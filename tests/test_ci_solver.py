@@ -378,3 +378,62 @@ def test_block_kernel_gradient_matches_central_differences():
                        / (2 * h) for e in step])
         assert np.max(np.abs(g - fd)) <= 1e-6 * max(1.0, np.max(np.abs(g))), \
             label
+
+
+def _hstack_jacobian(v, aw, ax, cw, cy, sx, sy, shape):
+    """The polish's constraint Jacobian as it was built before the scatter:
+    the masked products with the dense a and c, stacked by hstack and
+    vstack."""
+    nw, nx, ny = shape
+    na = aw.size
+    a = np.zeros((nw, nx))
+    a[aw, ax] = v[:na]
+    c = np.zeros((nw, ny))
+    c[cw, cy] = v[na:]
+    same_x = sx[:, None] == ax[None, :]
+    same_y = sy[:, None] == cy[None, :]
+    row_of_c = np.arange(nw)[:, None] == cw[None, :]
+    marginal = np.hstack((same_x * c[aw[None, :], sy[:, None]],
+                          same_y * a[cw[None, :], sx[:, None]]))
+    return np.vstack((marginal, np.hstack((np.zeros((nw, na)), row_of_c))))
+
+
+def test_polish_jacobian_scatter_matches_the_hstack_reference(monkeypatch):
+    # the polish's constraints at random points of its box, from the copy
+    # start (a symbol of zero weight drops out) and the 1/2 mixture (every
+    # symbol live), on full, thin and several rectangles
+    captured = []
+
+    def capture(fun, x0, eq, eq_jac, bounds, **settings):
+        captured.append((x0, eq, eq_jac))
+        return x0, 0.0, 0, 0
+
+    monkeypatch.setattr(ci_solver, "slsqp", capture)
+    rng = np.random.default_rng(8)
+    h = 1e-6
+    kinds = set()
+    for label, mass, mask_x, mask_y in _kernel_layouts():
+        rects = ci_solver._maximal_rectangles(mass > 0)
+        kinds.add("several" if len(rects) > 1 else "one")
+        kinds.update("thin" if min(s.sum(), t.sum()) == 1 else "full"
+                     for s, t in rects)
+        starts = list(ci_solver._mixed_starts(
+            mass, mask_x, mask_y, ci_solver._rectangle_layout(mass > 0)[2]))
+        for qw, A, C in (starts[0], starts[2]):
+            ci_solver._polish(qw, A, C, mass, mask_x, mask_y)
+            x0, eq, eq_jac = captured.pop()
+            live = qw > ci_solver._LIVE_WEIGHT
+            aw, ax = np.nonzero(mask_x[live])
+            cw, cy = np.nonzero(mask_y[live])
+            sx, sy = np.nonzero(mass > 0)
+            shape = (live.sum(), *mass.shape)
+            for _ in range(3):
+                v = rng.random(x0.size)
+                J = eq_jac(v).copy()
+                assert np.array_equal(
+                    J, _hstack_jacobian(v, aw, ax, cw, cy, sx, sy, shape)), \
+                    label
+                fd = np.array([(eq(v + e) - eq(v - e)) / (2 * h)
+                               for e in np.eye(v.size) * h]).T
+                assert np.max(np.abs(J - fd)) <= 1e-7, label
+    assert kinds == {"one", "several", "thin", "full"}

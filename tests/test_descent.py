@@ -1,7 +1,7 @@
-"""The L-BFGS-B driver against ``scipy.optimize.minimize(method="L-BFGS-B",
-jac=True)``, bit for bit, on the objectives and settings of every solver that
-uses it.  The driver runs scipy's private ``setulb`` loop, so this is the test
-that catches a change in that loop or in its signature."""
+"""The L-BFGS-B and SLSQP drivers against ``scipy.optimize.minimize``, bit
+for bit, on the objectives and settings of every solver that uses them.  The
+drivers run scipy's private ``setulb`` and ``slsqp`` loops, so this is the
+test that catches a change in those loops or in their signatures."""
 
 import numpy as np
 import pytest
@@ -9,7 +9,7 @@ from scipy.optimize import minimize
 
 from commoninfo import ci_solver, exponents, fixtures
 from commoninfo.ci_solver import wyner_ci
-from commoninfo.descent import lbfgsb
+from commoninfo.descent import lbfgsb, slsqp
 from commoninfo.exponents import ExponentPoint, _SupportGrid
 from commoninfo.probability import JointPmf
 
@@ -52,8 +52,9 @@ CI_JOINTS = {
 
 @pytest.mark.parametrize("name", sorted(CI_JOINTS))
 def test_driver_matches_minimize_on_the_ci_kernel(name):
-    # the penalty schedule then the 1e8 polish, chained as _solve_block
-    # chains them, from the copy start and from one random start
+    # the penalty schedule, chained as _solve_block chains it, from the copy
+    # start and from one random start; the extra lam = 1e8 descent is more
+    # coverage of the driver on a stiffer objective
     pi_mass = CI_JOINTS[name].mass
     mask_x, mask_y, cell_symbol = ci_solver._rectangle_layout(pi_mass > 0)
     kernel = ci_solver._BlockKernel(pi_mass, mask_x, mask_y)
@@ -69,6 +70,62 @@ def test_driver_matches_minimize_on_the_ci_kernel(name):
     for z in starts:
         for lam in (*ci_solver._PENALTY_SCHEDULE, 1e8):
             z = _assert_same_descent(kernel, z, (lam,), CI_SETTINGS).x
+
+
+POLISH_SETTINGS = {"maxiter": ci_solver._POLISH_MAXITER,
+                   "ftol": ci_solver._POLISH_FTOL}
+POLISH_JOINTS = {
+    "dsbs01": fixtures.dsbs(0.1),
+    "dsbes06": fixtures.dsbes(0.6),
+    "common_part_3x3": fixtures.common_part_source(0.6, 0.2),
+    "dirichlet3x3": CI_JOINTS["dirichlet3x3"],
+}
+
+
+def _polish_problems(pi, monkeypatch):
+    """(fun, x0, eq, eq_jac, bounds) of every polish ``wyner_ci(pi)`` runs,
+    one per restored descent."""
+    problems = []
+
+    def recording(fun, x0, eq, eq_jac, bounds, **settings):
+        problems.append((fun, x0.copy(), eq, eq_jac, bounds))
+        return slsqp(fun, x0, eq, eq_jac, bounds, **settings)
+
+    monkeypatch.setattr(ci_solver, "slsqp", recording)
+    wyner_ci(pi)
+    return problems
+
+
+def _assert_same_polish(fun, x0, eq, eq_jac, bounds, settings):
+    """Driver and ``minimize(method="SLSQP")`` agree on x (bytes), f, the
+    iteration count, the exit mode and the number of evaluations; returns
+    the reference result."""
+    ref_fun, ref_calls = _counted(fun)
+    ref = minimize(ref_fun, x0, jac=True, method="SLSQP",
+                   bounds=[bounds] * x0.size,
+                   constraints={"type": "eq", "fun": eq, "jac": eq_jac},
+                   options=settings)
+    new_fun, new_calls = _counted(fun)
+    x, f, nit, mode = slsqp(new_fun, x0, eq, eq_jac, bounds, **settings)
+    assert x.tobytes() == ref.x.tobytes()
+    assert f == ref.fun
+    assert nit == ref.nit and mode == ref.status
+    assert len(new_calls) == len(ref_calls) == ref.nfev
+    return ref
+
+
+@pytest.mark.parametrize("name", sorted(POLISH_JOINTS))
+def test_slsqp_matches_minimize_on_every_polish(name, monkeypatch):
+    problems = _polish_problems(POLISH_JOINTS[name], monkeypatch)
+    assert len(problems) == 4               # one solved block, four starts
+    for problem in problems:
+        _assert_same_polish(*problem, POLISH_SETTINGS)
+
+
+def test_slsqp_matches_minimize_when_cut_off_by_maxiter(dsbs_pi, monkeypatch):
+    problem = _polish_problems(dsbs_pi, monkeypatch)[0]
+    ref = _assert_same_polish(*problem, dict(POLISH_SETTINGS, maxiter=3))
+    assert ref.status == 9 and ref.nit == 3
 
 
 def _inner_starts(pi, ci):
