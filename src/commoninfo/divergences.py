@@ -53,11 +53,11 @@ def renyi(p, q, s: float) -> float:
         return max(float(xlogy(ps, ps / qs).sum()), 0.0)
     if s > 0 and np.any(qs == 0):
         return math.inf
-    with np.errstate(divide="ignore"):
-        log_ratio = np.log(ps) - np.log(qs)
     if abs(s) < 1e-4:
         # (1/s) log E_p[e^{s log(p/q)}] loses ~16-|log10 s| digits if formed
         # naively; expm1/log1p keeps the small-s cancellation exact
+        with np.errstate(divide="ignore"):
+            log_ratio = np.log(ps) - np.log(qs)
         total = float((ps * np.expm1(s * log_ratio)).sum())
         if total <= -1.0:
             return math.inf              # supp(p) disjoint from supp(q), s < 0

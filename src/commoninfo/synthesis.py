@@ -12,8 +12,9 @@ One object, ``_CondLaw``, is the truncated product law: the codeword law
 constant sequence 0^n) and the conditional laws of X^n and Y^n given a
 codeword.  It is built afresh for each call.  It evaluates the law for a
 whole block of codewords at once, reading both the product law and the
-shell test off the joint count matrices N_ab(w^n, x^n), and tests a count
-window only where it can bind; its normalizers (the shell masses) are read
+shell test off the joint count matrices N_ab(w^n, x^n) (exact float32
+products), and tests a count window only where it can bind, so a law where
+none binds builds no mask; its normalizers (the shell masses) are read
 exactly, in one gather, off the typicality module's table of per-symbol
 block masses.  It samples the law by rejection, in rounds that draw one
 candidate per pending row and test every candidate against the same count
@@ -118,13 +119,24 @@ def _masked_log(p) -> np.ndarray:
 class _Block:
     """A block of u codewords of length n, read once: the (u, |W| n)
     one-hot, column a n + i set where w_i = a, and ``k_max[a]``, the largest
-    count of symbol a over the block."""
+    count of symbol a over the block.  The one-hot is float32, its only
+    copy: a product of its 0/1 entries with a 0/1 matrix counts at most n,
+    exact in float32 below 2^24, and numpy upcasts it to float64, exactly,
+    for the product with float64 log terms."""
 
     def __init__(self, ws: np.ndarray, nw: int):
         self.n = ws.shape[1]
-        self.hot = np.hstack([ws == a for a in range(nw)]).astype(float)
+        self.hot = np.hstack([ws == a for a in range(nw)]).astype(np.float32)
         self.k_max = self.hot.reshape(ws.shape[0], nw, self.n).sum(
             axis=2).max(axis=0)
+
+
+def _and_into(ok, test: np.ndarray) -> np.ndarray:
+    """``test`` as the mask when there is none yet, else anded into ``ok``."""
+    if ok is None:
+        return test
+    ok &= test
+    return ok
 
 
 def _distinct(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -223,20 +235,24 @@ class _CondLaw:
         log prod_i Q(s_i | w_i)."""
         return self.log_cond[:, seqs.T].reshape(-1, seqs.shape[0])
 
-    def window_mask(self, block: _Block, seqs: np.ndarray, ok: np.ndarray):
-        """And into ``ok``, a (u, S) boolean matrix, the shell test of every
-        row of ``seqs`` given every codeword of ``block``.  A count window
-        (a, b) is tested only where it can bind, lo > 0 or hi below the
-        block's largest k_a, since N_ab <= k_a; its counts N_ab for every
-        pair are one product of the block's a-columns."""
+    def window_mask(self, block: _Block, seqs: np.ndarray, ok=None):
+        """The shell test of every row of ``seqs`` given every codeword of
+        ``block``, anded into ``ok``, a (u, S) boolean matrix or None (no
+        test yet).  A count window (a, b) is tested only where it can bind,
+        lo > 0 or hi below the block's largest k_a, since N_ab <= k_a; its
+        counts N_ab for every pair are one float32 product of the block's
+        a-columns, exact since N_ab <= n < 2^24.  The first binding test
+        becomes the mask; when no window binds, ``ok`` comes back as it
+        came, so an untruncated law without structural zeros makes no mask
+        and its callers no masking pass."""
         n = block.n
         lo, hi, _ = self._shell(n)
         for a, b in zip(*np.nonzero((lo > 0) | (hi < block.k_max[:, None]))):
             c = block.hot[:, a * n:(a + 1) * n] @ (seqs == b).T
             if lo[a, b] > 0:
-                ok &= c >= lo[a, b]
+                ok = _and_into(ok, c >= int(lo[a, b]))
             if hi[a, b] < block.k_max[a]:
-                ok &= c <= hi[a, b]
+                ok = _and_into(ok, c <= int(hi[a, b]))
         return ok
 
     def density(self, w_seqs: np.ndarray, seqs: np.ndarray) -> np.ndarray:
@@ -248,7 +264,9 @@ class _CondLaw:
         block = _Block(ws, self.cond.shape[0])
         p = block.hot @ self.log_terms(seqs)
         np.exp(p, out=p)
-        p *= self.window_mask(block, seqs, np.ones(p.shape, dtype=bool))
+        ok = self.window_mask(block, seqs)
+        if ok is not None:
+            p *= ok
         p /= z[:, None]
         return p
 
@@ -367,9 +385,11 @@ def _pointwise_p(code: SynthesisCode, x: np.ndarray, y: np.ndarray) -> np.ndarra
     in codebook order with an empty shell raises ``DomainError``.  Each
     sample chunk of at most about ``_CHUNK_CELLS`` (distinct codeword x
     sample) cells takes one product for log P(x|w) P(y|w), both laws sharing
-    the one-hot, one exp, both laws' windows where they bind, and one sum
-    weighted by c_w / (m Z_X(w) Z_Y(w)), so memory stays flat in m and the
-    sample count."""
+    the float32 one-hot, one exp, both laws' windows where they bind (exact
+    float32 count products), and one sum weighted by c_w / (m Z_X(w)
+    Z_Y(w)), so memory stays flat in m and the sample count.  When no
+    window binds, as for an untruncated law without structural zeros, no
+    mask is built and no masking pass runs."""
     law_x = _CondLaw(code.base, code.eps, "X")
     law_y = _CondLaw(code.base, code.eps, "Y")
     ws, mult, _ = _distinct(code.codebook)
@@ -382,8 +402,9 @@ def _pointwise_p(code: SynthesisCode, x: np.ndarray, y: np.ndarray) -> np.ndarra
         xs, ys = x[i:i + step], y[i:i + step]
         p = block.hot @ (law_x.log_terms(xs) + law_y.log_terms(ys))
         np.exp(p, out=p)
-        ok = law_x.window_mask(block, xs, np.ones(p.shape, dtype=bool))
-        p *= law_y.window_mask(block, ys, ok)
+        ok = law_y.window_mask(block, ys, law_x.window_mask(block, xs))
+        if ok is not None:
+            p *= ok
         vals[i:i + step] = weight @ p
     return vals
 
@@ -434,8 +455,10 @@ def estimate_tv(code: SynthesisCode, samples: int = 4096,
     """TV between the induced joint and pi^n; exact within the dense budget,
     otherwise the Monte-Carlo estimator E_pi[(1 - P/pi)^+].  A codeword with
     an empty shell reads TV's maximum 1, with a ``structural_zero``
-    diagnostic, on both paths, as in ``estimate_renyi``.  The standard error
-    needs ``samples`` >= 2."""
+    diagnostic, on both paths, as in ``estimate_renyi``.  A Monte-Carlo
+    estimate whose every sample reads 1 carries an ``all_samples_at_max``
+    diagnostic: its standard error of 0 does not bound its error.  The
+    standard error needs ``samples`` >= 2."""
     if samples < 2:
         raise ConfigError(f"samples must be >= 2, got {samples}")
     exact = _dense_fits(code)
@@ -448,9 +471,12 @@ def estimate_tv(code: SynthesisCode, samples: int = 4096,
     if exact:
         return DivergenceEstimate(tv(p, np.exp(log_pi)), 0.0, method, 0, seed)
     g = np.maximum(1.0 - p / np.exp(log_pi), 0.0)
+    # every sample at TV's maximum: the mean reads 1 and the standard error
+    # 0, although the exact TV may lie below 1
+    diag = {"all_samples_at_max": True} if np.all(g == 1.0) else {}
     return DivergenceEstimate(float(g.mean()),
                               float(g.std(ddof=1) / math.sqrt(samples)),
-                              method, samples, seed)
+                              method, samples, seed, diagnostics=diag)
 
 
 def estimate_renyi(code: SynthesisCode, s: float, samples: int = 4096,

@@ -9,8 +9,9 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 
-from commoninfo import fixtures, synthesis
+from commoninfo import acceptance, fixtures, synthesis
 from commoninfo.errors import (ConfigError, DomainError, ResourceBudgetError,
                                SamplingError)
 from commoninfo.probability import FinitePmf, MarkovCoupling, log_product_mass
@@ -365,6 +366,61 @@ def test_exact_tv_on_an_empty_shell_is_a_structural_zero():
         est.diagnostics["structural_zero"]
 
 
+def finite_n_benchmark_cell_seed(*key):
+    """The code and estimator seed of a finite_n benchmark cell at workload
+    seed 1: (1, 1, n) for an order-2 cell, (1, 2, n, 100 R/C) for a TV
+    cell."""
+    return int(np.random.SeedSequence([1, *key]).generate_state(1)[0])
+
+
+def test_monte_carlo_tv_flags_every_sample_at_its_maximum():
+    base = fixtures.dsbs_optimal_coupling(0.1)
+    c = acceptance.DSBS_CI_EXACT
+    # n = 16 at 0.5C: every one of 2000 samples reads 1, so the estimate
+    # is 1 with standard error 0 although the exact TV is 0.99964
+    seed = finite_n_benchmark_cell_seed(2, 16, 50)
+    code = build_code(base, 16, 0.5 * c, 1.0, 0.5, seed)
+    est = estimate_tv(code, samples=2000, seed=seed)
+    assert (est.method, est.point, est.std_error) == ("monte_carlo", 1.0, 0.0)
+    assert est.diagnostics == {"all_samples_at_max": True}
+    # n = 12 at 1.2C: the estimate is near 0.79, with no flag
+    seed = finite_n_benchmark_cell_seed(2, 12, 120)
+    code = build_code(base, 12, 1.2 * c, 1.0, 0.5, seed)
+    est = estimate_tv(code, samples=2000, seed=seed)
+    assert est.method == "monte_carlo" and 0.7 < est.point < 0.9
+    assert est.diagnostics == {}
+
+
+def closed_form_renyi2(code):
+    """D_2 of an untruncated code's induced law against pi^n by codeword
+    pairs: e^{D_2} = (1/m^2) sum_{j,k} prod_i K(w_ji, w_ki), with
+    K(a, b) = sum_{x,y} Q(x|a) Q(y|a) Q(x|b) Q(y|b) / pi(x, y)."""
+    base = code.base
+    pi = base.xy_marginal().mass
+    qx, qy = base.q_x_given_w, base.q_y_given_w
+    kern = np.einsum("ax,ay,bx,by,xy->ab", qx, qy, qx, qy, 1.0 / pi)
+    hot = [(code.codebook == a).astype(float) for a in range(base.nw)]
+    # the log of prod_i K(w_ji, w_ki) sums log K(a, b) over the N_ab(j, k)
+    # positions where w_j reads a and w_k reads b
+    log_terms = sum(math.log(kern[a, b]) * (hot[a] @ hot[b].T)
+                    for a in range(base.nw) for b in range(base.nw))
+    return float(logsumexp(log_terms) - 2.0 * math.log(code.m_count))
+
+
+def test_exact_order_two_divergence_matches_the_codeword_pair_form():
+    base = fixtures.dsbs_optimal_coupling(0.1)
+    rate = 1.2 * acceptance.DSBS_CI_EXACT
+    codes = [build_code(base, n, rate, None, 0.5, seed=3)
+             for n in acceptance.TREND_NS]
+    codes.append(build_code(base, 10, rate, None, 0.5,
+                            finite_n_benchmark_cell_seed(1, 10)))
+    for code in codes:
+        est = estimate_renyi(code, 1.0)
+        assert est.method == "exact"
+        assert est.point == pytest.approx(closed_form_renyi2(code),
+                                          abs=1e-12), code.n
+
+
 def test_estimate_renyi_order_validation():
     code = build_code(trivial_coupling(), 4, 0.0, None, None, seed=0)
     with pytest.raises(ConfigError):
@@ -590,6 +646,110 @@ def test_cond_law_matches_brute_force():
                            [np.prod(cond[w, s]) for s in seqs],
                            rtol=0.0, atol=1e-15)
     assert {0, 8, 9, 36} <= sizes            # empty and nontrivial shells
+
+
+def oracle_shell_mask(law, ws, seqs):
+    """The conditional shell test of every (codeword, sequence) pair, one
+    ``typicality.is_cond_typical`` call per pair."""
+    return np.array([[typ.is_cond_typical(s, w, law.q_w, law.cond, law.eps)
+                      for s in seqs] for w in ws])
+
+
+def shell_test_cases():
+    """(name, base, eps, codewords, {axis: sequences}) for the shell test."""
+    rng = np.random.default_rng(0)
+    dsbs, c23, tern = (fixtures.dsbs_optimal_coupling(0.1),
+                       seeded_coupling_2x3(), ternary_w_coupling())
+    seqs2_6, seqs3_6 = synthesis._all_seqs(2, 6), synthesis._all_seqs(3, 6)
+    # the ternary codeword law: a one-row law given 0^n whose windows have
+    # lo > 0 for every symbol; at n = 12 its typical set is not empty
+    zeros = np.zeros((1, 12), dtype=int)
+    tern_w = np.concatenate([
+        synthesis._CondLaw(tern, 0.5, "W").sample(rng, np.repeat(zeros, 100, 0)),
+        rng.integers(0, 3, (300, 12))])
+    # n = 20: the codewords of a code, and per law 100 draws from the shells
+    # of random codewords next to 100 uniform sequences
+    code = build_code(c23, 20, 0.15, None, 0.5, seed=1)
+    long_seqs = {}
+    for axis, size in (("X", c23.nx), ("Y", c23.ny)):
+        given = code.codebook[rng.integers(0, code.m_count, 100)]
+        long_seqs[axis] = np.concatenate([
+            synthesis._CondLaw(c23, 0.6, axis).sample(rng, given),
+            rng.integers(0, size, (100, 20))])
+    return [("dsbs01 eps=1 n=6", dsbs, 1.0, seqs2_6, {"X": seqs2_6}),
+            ("2x3 eps=0.6 n=6", c23, 0.6, np.stack(typical_ws(c23, 6, 0.5)),
+             {"X": seqs2_6, "Y": seqs3_6[::4]}),
+            ("ternary W-law eps'=0.5 n=12", tern, 0.5, zeros, {"W": tern_w}),
+            ("2x3 eps=0.6 n=20", c23, 0.6, code.codebook, long_seqs)]
+
+
+@pytest.mark.parametrize("case", shell_test_cases(), ids=lambda c: c[0])
+def test_shell_test_matches_the_per_pair_oracle(case):
+    _, base, eps, ws, seqs_by_axis = case
+    for axis, seqs in seqs_by_axis.items():
+        law = synthesis._CondLaw(base, eps, axis)
+        block = synthesis._Block(ws, law.cond.shape[0])
+        assert block.hot.dtype == np.float32
+        want = oracle_shell_mask(law, ws, seqs)
+        assert want.any() and not want.all()
+        mask = law.window_mask(block, seqs)
+        assert mask is not None and np.array_equal(mask, want)
+        # the density: the product law inside the shell over the shell
+        # mass, zero outside, for the codewords with a nonempty shell
+        z = law._shell_masses(ws)
+        good = z > 0
+        prod = np.array([[np.prod(law.cond[w, s]) for s in seqs] for w in ws])
+        got = law.density(ws[good], seqs)
+        assert np.array_equal(got > 0, want[good])
+        assert np.allclose(got, np.where(want, prod, 0.0)[good]
+                           / z[good, None], rtol=1e-12, atol=0.0)
+        # no pass for a window that cannot bind changes the mask
+        untruncated = synthesis._CondLaw(base, None, axis)
+        assert untruncated.window_mask(block, seqs) is None
+        assert untruncated.window_mask(block, seqs, mask) is mask
+        assert np.allclose(untruncated.density(ws, seqs), prod,
+                           rtol=1e-12, atol=0.0)
+
+
+def test_shell_test_cases_cover_every_window_kind():
+    kinds = collections.defaultdict(set)
+    for name, base, eps, ws, seqs_by_axis in shell_test_cases():
+        n = ws.shape[1]
+        for axis in seqs_by_axis:
+            law = synthesis._CondLaw(base, eps, axis)
+            lo, hi, _ = law._shell(n)
+            k_max = synthesis._Block(ws, law.cond.shape[0]).k_max[:, None]
+            binds = (lo > 0) | (hi < k_max)
+            if np.any(binds & (hi == 0)):
+                kinds["hi = 0"].add(name)
+            if np.any(lo > 0):
+                kinds["lo > 0"].add(name)
+            if np.any(law._shell_masses(ws) == 0):
+                kinds["empty shell"].add(name)
+            kinds["n"].add(n)
+    assert "dsbs01 eps=1 n=6" in kinds["hi = 0"]
+    assert "2x3 eps=0.6 n=6" in kinds["empty shell"]
+    assert "ternary W-law eps'=0.5 n=12" in kinds["lo > 0"]
+    assert 20 in kinds["n"]
+
+
+def test_untruncated_full_support_law_builds_no_mask():
+    base = fixtures.dsbs_optimal_coupling(0.1)
+    ws = build_code(base, 10, 0.3, None, 0.5, seed=0).codebook
+    seqs = np.random.default_rng(0).integers(0, 2, (50, 10))
+    block = synthesis._Block(ws, base.nw)
+    for axis in ("X", "Y"):
+        assert synthesis._CondLaw(base, None, axis).window_mask(
+            block, seqs) is None
+    # a structural zero binds even untruncated: the zero cell's count <= 0
+    zero = zero_cell_coupling(2, 3)
+    ws = build_code(zero, 6, 0.3, None, None, seed=0).codebook
+    seqs = synthesis._all_seqs(3, 6)
+    mask = synthesis._CondLaw(zero, None, "Y").window_mask(
+        synthesis._Block(ws, zero.nw), seqs)
+    want = np.array([[np.prod(zero.q_y_given_w[w, s]) > 0 for s in seqs]
+                     for w in ws])
+    assert np.array_equal(mask, want) and not want.all()
 
 
 def reference_pointwise_p(code, x, y):
@@ -972,9 +1132,10 @@ def reference_estimate_tv(code, samples, seed):
         return DivergenceEstimate(1.0, 0.0, "monte_carlo", 0, seed,
                                   diagnostics={"structural_zero": str(err)})
     g = np.maximum(1.0 - p_vals / pi_vals, 0.0)
+    diag = {"all_samples_at_max": True} if np.all(g == 1.0) else {}
     return DivergenceEstimate(float(g.mean()),
                               float(g.std(ddof=1) / math.sqrt(samples)),
-                              "monte_carlo", samples, seed)
+                              "monte_carlo", samples, seed, diagnostics=diag)
 
 
 def reference_estimate_renyi(code, s, samples, seed):
