@@ -3,24 +3,21 @@ strong-converse exponents, and distributed source synthesis simulation."""
 
 from .errors import (CommonInfoError, ConfigError, DomainError,
                      ResourceBudgetError, SamplingError)
-from .probability import (FinitePmf, JointPmf, MarkovCoupling, SequenceType,
-                          marginal, induced_joint, copy_coupling,
-                          coupling_information, mutual_information,
-                          log_product_mass,
-                          dump_text, load_pmf_text, load_joint_text)
-from .divergences import (renyi, kl, tv, conditional_renyi, binary_renyi,
+from .probability import (FinitePmf, JointPmf, MarkovCoupling, marginal,
+                          induced_joint, coupling_information,
+                          mutual_information, load_joint_text)
+from .divergences import (renyi, tv, conditional_renyi, binary_renyi,
                           pinsker_lb, sason_inf, sason_closed_lb,
                           sason_basic_lb, ORDER_ABOVE_ONE, ORDER_BELOW_ONE)
 from .ci_solver import wyner_ci, CiSolution
 from .exponents import (ExponentPoint, omega, big_omega_q, big_omega_min,
                         r_alpha_q, r_alpha_min, r_sh, f_point, f_rate,
                         tabulate_omega, theta_limit_check)
-from .typicality import (TypicalSpec, is_typical, is_cond_typical,
-                         typical_prob_exact, cond_typical_defect_exact,
-                         contyplem_bound)
+from .typicality import (count_windows, is_cond_typical,
+                         cond_typical_defect_exact, contyplem_bound)
 from .synthesis import (SynthesisCode, DivergenceEstimate, build_code,
                         induced_joint_exact, estimate_tv, estimate_renyi,
-                        gamma_oneshot, oneshot_bound_verify,
+                        oneshot_bound_verify,
                         truncation_check, rate_bound_check)
 from .experiments import (ExperimentPlan, SweepResult, parse_plan, load_plan,
                           run_plan, render_summary, to_csv, to_json)

@@ -231,8 +231,7 @@ def conditional_typicality() -> tuple[bool, str]:
         q_min = float(cond[cond > 0].min())
         for eps, eps_p in ((0.4, 0.2), (0.6, 0.3)):
             for n in (8, 16, 32, 64):
-                spec = typ.TypicalSpec(q_w, n, eps_p)
-                lo, hi = spec.count_windows()
+                lo, hi = typ.count_windows(q_w.mass, n, eps_p)
                 bound = typ.contyplem_bound(eps, eps_p, n, q_min, 2, 2)
                 for k0 in range(int(lo[0]), int(hi[0]) + 1):
                     if not lo[1] <= n - k0 <= hi[1]:

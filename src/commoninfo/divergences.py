@@ -73,11 +73,6 @@ def renyi(p, q, s: float) -> float:
     return max(float(val), 0.0)
 
 
-def kl(p, q) -> float:
-    """Relative entropy D(p||q) in nats."""
-    return renyi(p, q, 0.0)
-
-
 def glue(p_x: FinitePmf, cond: np.ndarray) -> JointPmf:
     """Joint p_x(x) * cond(x, .) as a 2-axis JointPmf."""
     cond = np.asarray(cond, dtype=float)

@@ -51,7 +51,10 @@ class RateSpec:
     text: str
 
     def __post_init__(self):
-        self.factor()                   # malformed text fails at parse time
+        # malformed text, and a factor below 0 or not finite, fail at parse
+        # time; ``resolve`` still guards against a bad C
+        if not 0.0 <= self.factor() < math.inf:
+            raise ConfigError("rate must be nonnegative and finite")
 
     def factor(self) -> float:
         """The number, before the C of a multiple."""
@@ -108,21 +111,25 @@ _SECTION_KEYS = {
 
 def _value(sec, key: str, convert, default: str, minimum=None):
     """``convert(sec[key] or default)``; a ConfigError that names the
-    section and the key if it does not convert or is below ``minimum``."""
+    section and the key if it does not convert or is below ``minimum`` (for
+    a list, if some entry is)."""
     text = sec.get(key, default)
     try:
         value = convert(text.strip())
     except (ValueError, ConfigError) as exc:
         raise ConfigError(f"[{sec.name}] {key} = {text!r}: {exc}") from None
-    if minimum is not None and value < minimum:
-        raise ConfigError(f"[{sec.name}] {key} must be >= {minimum}, "
-                          f"got {value}")
+    if minimum is not None:
+        least = min(value, default=minimum) if isinstance(value, list) \
+            else value
+        if least < minimum:
+            raise ConfigError(f"[{sec.name}] {key} must be >= {minimum}, "
+                              f"got {least}")
     return value
 
 
-def _values(sec, key: str, convert, default: str) -> list:
+def _values(sec, key: str, convert, default: str, minimum=None) -> list:
     return _value(sec, key, lambda t: [convert(v) for v in _split(t)],
-                  default)
+                  default, minimum)
 
 
 def _eps(text: str) -> float | None:
@@ -145,10 +152,11 @@ def parse_plan(text: str, seed_override: int | None = None,
     if "plan" not in cp:
         raise ConfigError("plan file needs a [plan] section")
     head = cp["plan"]
+    if seed_override is not None:
+        head["seed"] = str(seed_override)    # checked as the plan's own seed
     plan = ExperimentPlan(
         name=head.get("name", "plan"),
-        seed=(_value(head, "seed", int, "0") if seed_override is None
-              else seed_override),
+        seed=_value(head, "seed", int, "0", minimum=0),
         out=head.get("out", None) if out_override is None else out_override)
     for section in cp.sections():
         sec, (kind, _, label) = cp[section], section.partition(".")
@@ -203,7 +211,8 @@ def parse_plan(text: str, seed_override: int | None = None,
                        fixtures.resolve_coupling),
                 _values(sec, "s", float, "1.0"),
                 _values(sec, "rates", RateSpec, ""),
-                _values(sec, "n", int, ""), _values(sec, "seeds", int, "0"),
+                _values(sec, "n", int, ""),
+                _values(sec, "seeds", int, "0", minimum=0),
                 _values(sec, "measure", _measure, "tv"))
             for label, s, rate, n, cell_seed, measure in grid:
                 plan.simulate_cells.append({

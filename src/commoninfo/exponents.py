@@ -160,7 +160,9 @@ def _omega_table(grid: _SupportGrid, q_su: np.ndarray, alpha: float) -> np.ndarr
 
 
 def omega(q: JointPmf, pi: JointPmf, alpha: float, x: int, y: int, u: int) -> float:
-    """The tilted log-likelihood-ratio statistic at a single (x, y, u)."""
+    """The tilted log-likelihood-ratio statistic at a single (x, y, u).  A
+    test reference that no program path runs: the tests check it against
+    ``r_alpha_q`` through E_Q[omega]."""
     grid = _SupportGrid(pi, nu=q.dims[2])
     q_su = grid.from_full(q)
     if q.mass[x, y, u] <= 0:
@@ -171,7 +173,9 @@ def omega(q: JointPmf, pi: JointPmf, alpha: float, x: int, y: int, u: int) -> fl
 
 
 def big_omega_q(q: JointPmf, pi: JointPmf, pt: ExponentPoint) -> float:
-    """-log E_Q[exp(-theta * omega)], the expectation restricted to supp(Q)."""
+    """-log E_Q[exp(-theta * omega)], the expectation restricted to supp(Q).
+    A test reference that no program path runs: the tests read the domain
+    walls of Omega and its Jensen bound off it."""
     grid = _SupportGrid(pi, nu=q.dims[2])
     q_su = grid.from_full(q)
     q_su = q_su / q_su.sum()
@@ -186,7 +190,9 @@ def big_omega_q(q: JointPmf, pi: JointPmf, pt: ExponentPoint) -> float:
 def r_alpha_q(q: JointPmf, pi: JointPmf, alpha: float) -> float:
     """The KL combination
     (1-alpha)(D(Q_XY||pi) + D(Q_{XY|U}||Q_{X|U}Q_{Y|U}|Q_U)) +
-    alpha * D(Q_{XY|U}||pi|Q_U); equals E_Q[omega]."""
+    alpha * D(Q_{XY|U}||pi|Q_U); equals E_Q[omega].  A test reference that
+    no program path runs: the tests check ``omega`` and the Jensen bound of
+    ``big_omega_q`` against it."""
     grid = _SupportGrid(pi, nu=q.dims[2])
     q_su = grid.from_full(q)
     q_su = q_su / q_su.sum()
@@ -426,7 +432,9 @@ def tabulate_omega(pi: JointPmf, ci: CiSolution,
                    n_alpha: int = _ALPHA_GRID_POINTS,
                    n_theta: int = _THETA_GRID_POINTS) -> OmegaGrid:
     """Minimize Omega on the (alpha, theta) grid with warm-start continuation
-    along ascending theta for each alpha."""
+    along ascending theta for each alpha.  No program path runs it: it is the
+    grid reference `f_rate` is tested against, and the benchmark's tracer
+    wraps it by attribute for its ``tabulate_omega.*`` metrics."""
     grid = _SupportGrid(pi)
     alphas = np.linspace(0.0, 1.0, n_alpha)
     thetas = np.geomspace(_THETA_GRID_MIN, DEFAULT_THETA_MAX, n_theta)

@@ -1,8 +1,8 @@
 """Finite probability primitives.
 
-Pmfs, joint pmfs, Markov couplings through an auxiliary variable, sequence
-types, and exact product-distribution arithmetic in log-space.  All values are
-immutable after construction and every operation is pure.
+Pmfs, joint pmfs, Markov couplings through an auxiliary variable, and the
+plain-text joint format that plans and ``commoninfo ci FILE`` read.  All values
+are immutable after construction and every operation is pure.
 
 Conventions: natural logarithm throughout, 0*log(0) = 0 and 0*log(0/0) = 0,
 summations over the support of the left argument.
@@ -11,7 +11,7 @@ summations over the support of the left argument.
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import xlogy
@@ -54,26 +54,9 @@ class FinitePmf:
     def alphabet_size(self) -> int:
         return self.mass.shape[0]
 
-    def support(self) -> np.ndarray:
-        """Indices with strictly positive mass."""
-        return np.flatnonzero(self.mass > 0)
-
     def entropy(self) -> float:
         """Shannon entropy in nats."""
         return float(-xlogy(self.mass, self.mass).sum())
-
-    def __call__(self, x: int) -> float:
-        return float(self.mass[x])
-
-    @classmethod
-    def uniform(cls, k: int) -> "FinitePmf":
-        return cls(np.full(k, 1.0 / k))
-
-    @classmethod
-    def point_mass(cls, x: int, k: int) -> "FinitePmf":
-        m = np.zeros(k)
-        m[x] = 1.0
-        return cls(m)
 
 
 @dataclass(frozen=True)
@@ -96,22 +79,6 @@ class JointPmf:
     def marginal(self, axes):
         """Marginal over the given axis or axes (those axes are *kept*)."""
         return marginal(self, axes)
-
-    def conditional(self, target_axis: int, given_axis: int) -> np.ndarray:
-        """Conditional pmf array of shape (|given|, |target|).
-
-        Rows conditioned on zero-probability symbols are uniform so that the
-        result is always a valid row-stochastic matrix.
-        """
-        if self.ndim != 2:
-            raise ConfigError("conditional() is defined for 2-axis joints")
-        if {target_axis, given_axis} != {0, 1}:
-            raise ConfigError("axes must be {0, 1}")
-        m = self.mass if given_axis == 0 else self.mass.T
-        row_sums = m.sum(axis=1, keepdims=True)
-        out = np.where(row_sums > 0, m / np.where(row_sums > 0, row_sums, 1.0),
-                       1.0 / m.shape[1])
-        return out
 
     def entropy(self) -> float:
         return float(-xlogy(self.mass, self.mass).sum())
@@ -203,20 +170,6 @@ def coupling_information(c: MarkovCoupling) -> float:
     return mutual_information_mass(induced_joint(c).mass.reshape(c.nw, -1))
 
 
-def copy_coupling(pi: JointPmf) -> MarkovCoupling:
-    """W = (X, Y): always feasible for the Wyner problem, with I(XY;W) = H(XY)."""
-    if pi.ndim != 2:
-        raise ConfigError("copy_coupling needs a 2-axis joint")
-    nx, ny = pi.dims
-    q_w = FinitePmf(pi.mass.reshape(-1) / pi.mass.sum())
-    qx = np.zeros((nx * ny, nx))
-    qy = np.zeros((nx * ny, ny))
-    for w in range(nx * ny):
-        qx[w, w // ny] = 1.0
-        qy[w, w % ny] = 1.0
-    return MarkovCoupling(q_w, qx, qy)
-
-
 def mutual_information(joint: JointPmf) -> float:
     """I(A;B) in nats for a 2-axis joint, with 0 log 0 = 0."""
     if joint.ndim != 2:
@@ -233,62 +186,6 @@ def mutual_information_mass(p: np.ndarray) -> float:
         ratio = p / np.outer(pa, pb)
     val = float(xlogy(p, np.where(p > 0, ratio, 1.0)).sum())
     return max(val, 0.0)
-
-
-def log_product_mass(p: FinitePmf, seq) -> float:
-    """log of the i.i.d. product probability of a symbol sequence; -inf when
-    any symbol has zero mass."""
-    seq = np.asarray(seq, dtype=int)
-    if seq.size == 0:
-        return 0.0
-    if np.any(seq < 0) or np.any(seq >= p.alphabet_size):
-        raise ConfigError("sequence symbol out of alphabet range")
-    m = p.mass[seq]
-    if np.any(m == 0):
-        return -np.inf
-    return float(np.log(m).sum())
-
-
-@dataclass(frozen=True)
-class SequenceType:
-    """Type (empirical count vector) of a length-n sequence."""
-
-    n: int
-    counts: np.ndarray = field(compare=False)
-
-    def __post_init__(self):
-        counts = np.asarray(self.counts, dtype=int)
-        if np.any(counts < 0) or counts.sum() != self.n:
-            raise ConfigError("counts must be nonnegative and sum to n")
-        counts = counts.copy()
-        counts.setflags(write=False)
-        object.__setattr__(self, "counts", counts)
-
-    @classmethod
-    def of_sequence(cls, seq, alphabet_size: int) -> "SequenceType":
-        seq = np.asarray(seq, dtype=int)
-        return cls(int(seq.size), np.bincount(seq, minlength=alphabet_size))
-
-    def empirical(self) -> FinitePmf:
-        return FinitePmf(self.counts / self.n)
-
-
-# ---------------------------------------------------------------------------
-# Plain-text serialization: one row per conditioning symbol, whitespace
-# separated decimal probabilities.  A pmf is a single row; a 2-axis joint has
-# one row per first-axis symbol.
-# ---------------------------------------------------------------------------
-
-def dump_text(obj) -> str:
-    if isinstance(obj, FinitePmf):
-        rows = [obj.mass]
-    elif isinstance(obj, JointPmf):
-        if obj.ndim != 2:
-            raise ConfigError("text format supports pmfs and 2-axis joints")
-        rows = list(obj.mass)
-    else:
-        raise ConfigError(f"cannot serialize {type(obj).__name__}")
-    return "\n".join(" ".join(format(v, ".17g") for v in row) for row in rows) + "\n"
 
 
 def _parse_rows(text: str) -> np.ndarray:
@@ -309,12 +206,7 @@ def _parse_rows(text: str) -> np.ndarray:
     return np.asarray(rows, dtype=float)
 
 
-def load_pmf_text(text: str) -> FinitePmf:
-    arr = _parse_rows(text)
-    if arr.shape[0] != 1:
-        raise ConfigError("expected a single row for a pmf")
-    return FinitePmf(arr[0])
-
-
 def load_joint_text(text: str) -> JointPmf:
+    """A 2-axis joint from plain text: one row per first-axis symbol of
+    whitespace-separated probabilities; ``#`` starts a comment."""
     return JointPmf(_parse_rows(text))

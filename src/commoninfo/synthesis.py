@@ -162,8 +162,8 @@ class _CondLaw:
     truncated to the conditional eps-typical shell of w^n and renormalised;
     ``eps=None`` leaves it untruncated.  Axis "W" is the codeword law Q_W^n
     truncated to the eps-typical set: a one-row conditional, Q_W given the
-    constant sequence 0^n, whose count windows are those of
-    ``typicality.TypicalSpec``.
+    constant sequence 0^n, whose count windows are
+    ``typicality.count_windows(Q_W, n, eps)``.
 
     The law is evaluated for a whole block of codewords at once from the
     joint counts N_ab(w^n, x^n), which give both log prod_i Q(x_i|w_i) and
@@ -212,10 +212,6 @@ class _CondLaw:
         counts = np.stack([(ws == a).sum(axis=1) for a in range(nw)], axis=1)
         log_z = self._shell(ws.shape[1])[2]
         return np.exp(log_z[np.arange(nw), counts].sum(axis=1))
-
-    def normalizer(self, w_seq: np.ndarray) -> float:
-        """The shell mass Z(w^n); 1 when untruncated."""
-        return float(self._shell_masses(np.atleast_2d(w_seq))[0])
 
     def _normalizers(self, ws: np.ndarray) -> np.ndarray:
         """Z(w^n) of every row of ``ws``; raises if some shell is empty."""
@@ -528,30 +524,6 @@ def estimate_renyi(code: SynthesisCode, s: float, samples: int = 4096,
 # one-shot achievability bound
 # ---------------------------------------------------------------------------
 
-def _oneshot_divergences(p_w: FinitePmf, cond, pi_x: FinitePmf,
-                         s: float) -> tuple[np.ndarray, float, float]:
-    """The validated rows P_{X|W} with D_{1+s}(P_{X|W} || pi | P_W) and
-    D_{1+s}(P_X || pi), the two divergences of the one-shot bound."""
-    if not 0.0 < s <= 1.0:
-        raise ConfigError("s must lie in (0, 1]")
-    cond = _validated_rows(cond, p_w.alphabet_size)
-    if cond.shape[1] != pi_x.alphabet_size:
-        raise ConfigError(f"conditional rows have {cond.shape[1]} symbols, "
-                          f"pi has {pi_x.alphabet_size}")
-    joint = glue(p_w, cond)
-    q_rows = np.tile(pi_x.mass, (p_w.alphabet_size, 1))
-    cond_d = conditional_renyi(joint, q_rows, s)
-    marg_d = renyi(FinitePmf(joint.mass.sum(axis=0)), pi_x, s)
-    return cond, cond_d, marg_d
-
-
-def gamma_oneshot(p_w: FinitePmf, cond: np.ndarray, pi_x: FinitePmf,
-                  R: float, s: float) -> float:
-    """max{ D_{1+s}(P_{X|W} || pi | P_W) - R, D_{1+s}(P_X || pi) }."""
-    _, cond_d, marg_d = _oneshot_divergences(p_w, cond, pi_x, s)
-    return max(cond_d - R, marg_d)
-
-
 @dataclass(frozen=True)
 class OneShotReport:
     lhs: float                           # e^{s D_{1+s}(P_{X|U} || pi | P_U)}
@@ -572,7 +544,16 @@ def oneshot_bound_verify(p_w: FinitePmf, cond: np.ndarray, pi_x: FinitePmf,
     ``typicality.MAX_TYPES`` caps the number of types."""
     if m_count < 1:
         raise ConfigError("m_count must be >= 1")
-    cond, cond_d, marg_d = _oneshot_divergences(p_w, cond, pi_x, s)
+    if not 0.0 < s <= 1.0:
+        raise ConfigError("s must lie in (0, 1]")
+    cond = _validated_rows(cond, p_w.alphabet_size)
+    if cond.shape[1] != pi_x.alphabet_size:
+        raise ConfigError(f"conditional rows have {cond.shape[1]} symbols, "
+                          f"pi has {pi_x.alphabet_size}")
+    joint = glue(p_w, cond)
+    q_rows = np.tile(pi_x.mass, (p_w.alphabet_size, 1))
+    cond_d = conditional_renyi(joint, q_rows, s)
+    marg_d = renyi(FinitePmf(joint.mass.sum(axis=0)), pi_x, s)
     if np.any((cond > 0) & (pi_x.mass[None, :] == 0)):
         raise DomainError("conditional rows put mass outside supp(pi)")
     supp = p_w.mass > 0

@@ -1,9 +1,9 @@
 """Method-of-types utilities.
 
-Relative-deviation typical sets, conditional typical sets defined through the
-joint type, exact typical-set probabilities by a log-space convolution over
-the symbols, and the explicit two-exponential uniform conditional-typicality
-bound.
+The count windows of relative-deviation typical sets, conditional typical sets
+defined through the joint type, exact shell masses by a log-space convolution
+over the symbols, and the explicit two-exponential uniform
+conditional-typicality bound.
 
 The membership condition is per-symbol relative deviation,
 |T(x) - Q(x)| <= eps * Q(x) for every x, so zero-probability symbols must not
@@ -12,18 +12,19 @@ type satisfies the same condition against Q_W * Q_{X|W}; for a fixed w^n this
 constrains each per-w subsequence independently, so the shell mass is a
 product over the W-symbols a of z_a(k_a), the probability that a block of
 k_a uses of a keeps its counts in the windows.  One convolution gives z_a(k)
-for every k = 0..n at once.
+for every k = 0..n at once.  Unconditional typicality is the one-row case:
+Q_W given a constant sequence, whose windows are ``count_windows(Q_W, n, eps)``
+and whose typical-set mass Q_W^n(T) is entry n of the one-row
+``cond_shell_log_masses`` table.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import gammaln, logsumexp
 
 from .errors import ConfigError, DomainError, ResourceBudgetError
-from .probability import FinitePmf, SequenceType, _validated_rows
+from .probability import FinitePmf, _validated_rows
 
 MAX_N = 200
 MAX_ALPHABET = 8
@@ -34,41 +35,14 @@ MAX_TYPES = 2_000_000
 _EDGE_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class TypicalSpec:
-    """The relative-deviation typical set of ``ref`` at block length ``n``."""
-
-    ref: FinitePmf
-    n: int
-    eps: float
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ConfigError("block length must be >= 1")
-        if not self.eps > 0:
-            raise ConfigError("eps must be > 0")
-
-    def count_windows(self) -> tuple[np.ndarray, np.ndarray]:
-        """Admissible per-symbol count ranges [lo, hi] (inclusive)."""
-        return _windows(self.ref.mass, self.n, self.eps)
-
-
-def _windows(mass: np.ndarray, n: int, eps: float):
+def count_windows(mass: np.ndarray, n: int, eps: float):
     """The counts c of every cell in a length-n type with
     |c - n mass| <= eps n mass, as inclusive ranges [lo, hi] clipped to
-    [0, n]; hi = 0 where mass = 0."""
+    [0, n]; hi = 0 where mass = 0.  A sequence is eps-typical for ``mass``
+    when its type's counts all lie in these windows."""
     lo = np.ceil(n * mass * (1.0 - eps) - _EDGE_TOL).astype(int)
     hi = np.floor(n * mass * (1.0 + eps) + _EDGE_TOL).astype(int)
     return np.maximum(lo, 0), np.where(mass == 0, 0, np.minimum(hi, n))
-
-
-def is_typical(x_seq, spec: TypicalSpec) -> bool:
-    """Membership test against the per-symbol relative-deviation condition."""
-    t = SequenceType.of_sequence(x_seq, spec.ref.alphabet_size)
-    if t.n != spec.n:
-        raise ConfigError(f"sequence length {t.n} != spec block length {spec.n}")
-    lo, hi = spec.count_windows()
-    return bool(np.all((t.counts >= lo) & (t.counts <= hi)))
 
 
 def _check_budget(n: int, alphabet: int):
@@ -86,7 +60,8 @@ def _block_log_probs(q: np.ndarray, lo: np.ndarray, hi: np.ndarray,
     That probability is k! times the coefficient of t^k in
     prod_x sum_{c = lo_x}^{hi_x} (q_x t)^c / c!, which is convolved in log
     space one symbol at a time, in O(|X| (n+1)^2).  The windows must be
-    clipped as ``_windows`` clips them: lo >= 0, hi <= n, hi = 0 where q = 0.
+    clipped as ``count_windows`` clips them: lo >= 0, hi <= n, hi = 0 where
+    q = 0.
     """
     log_fact = gammaln(np.arange(n + 1) + 1.0)
     log_q = np.log(np.where(q > 0, q, 1.0))      # only ever times c = 0 at q = 0
@@ -100,19 +75,11 @@ def _block_log_probs(q: np.ndarray, lo: np.ndarray, hi: np.ndarray,
     return acc + log_fact
 
 
-def typical_prob_exact(spec: TypicalSpec) -> float:
-    """Q^n of the typical set, as an exact sum of multinomial masses."""
-    _check_budget(spec.n, spec.ref.alphabet_size)
-    lo, hi = spec.count_windows()
-    log_p = _block_log_probs(spec.ref.mass, lo, hi, spec.n)[spec.n]
-    return float(min(np.exp(log_p), 1.0))
-
-
 def cond_count_windows(q_w: FinitePmf, q_cond, n: int, eps: float):
     """Per-(w, x) admissible count ranges for the joint-type condition
     |T(w,x) - Q_W(w)Q_{X|W}(x|w)| <= eps * Q_W(w)Q_{X|W}(x|w)."""
     cond = _validated_rows(q_cond, q_w.alphabet_size)
-    return _windows(q_w.mass[:, None] * cond, n, eps)
+    return count_windows(q_w.mass[:, None] * cond, n, eps)
 
 
 def cond_shell_log_masses(q_w: FinitePmf, q_cond, n: int,
@@ -123,13 +90,15 @@ def cond_shell_log_masses(q_w: FinitePmf, q_cond, n: int,
     of a length-n w^n of type k is prod_a z_a(k_a)."""
     cond = _validated_rows(q_cond, q_w.alphabet_size)
     _check_budget(n, max(cond.shape))
-    lo, hi = _windows(q_w.mass[:, None] * cond, n, eps)
+    lo, hi = count_windows(q_w.mass[:, None] * cond, n, eps)
     return np.stack([_block_log_probs(row, lo_a, hi_a, n)
                      for row, lo_a, hi_a in zip(cond, lo, hi)])
 
 
 def is_cond_typical(x_seq, w_seq, q_w: FinitePmf, q_cond, eps: float) -> bool:
-    """Conditional typicality of x^n given w^n (joint-type condition)."""
+    """Conditional typicality of x^n given w^n (joint-type condition).  No
+    program path runs it: it is the sequence-at-a-time reference that the
+    tests check ``synthesis._CondLaw``'s shell test and sampler against."""
     cond = _validated_rows(q_cond, q_w.alphabet_size)
     x_seq = np.asarray(x_seq, dtype=int)
     w_seq = np.asarray(w_seq, dtype=int)
@@ -139,7 +108,7 @@ def is_cond_typical(x_seq, w_seq, q_w: FinitePmf, q_cond, eps: float) -> bool:
     nw, nx = cond.shape
     counts = np.zeros((nw, nx), dtype=int)
     np.add.at(counts, (w_seq, x_seq), 1)
-    lo, hi = _windows(q_w.mass[:, None] * cond, n, eps)
+    lo, hi = count_windows(q_w.mass[:, None] * cond, n, eps)
     return bool(np.all((counts >= lo) & (counts <= hi)))
 
 
@@ -153,7 +122,7 @@ def cond_typical_defect_exact(q_w: FinitePmf, q_cond, w_seq, eps: float,
     of z_a(k_a) over the W-symbols (``cond_shell_log_masses``).  When
     ``eps_prime`` is given, ``w_seq`` is required to be eps_prime-typical
     for Q_W (the regime in which the uniform bound applies); non-typical
-    conditioning sequences are rejected.
+    conditioning sequences are rejected.  Acceptance criterion 7 runs it.
     """
     cond = _validated_rows(q_cond, q_w.alphabet_size)
     w_seq = np.asarray(w_seq, dtype=int)
@@ -168,7 +137,10 @@ def cond_typical_defect_exact(q_w: FinitePmf, q_cond, w_seq, eps: float,
     if eps_prime is not None:
         if not 0.0 < eps_prime < eps:
             raise ConfigError("need 0 < eps_prime < eps")
-        if not is_typical(w_seq, TypicalSpec(q_w, n, eps_prime)):
+        if n < 1:
+            raise ConfigError("block length must be >= 1")
+        lo, hi = count_windows(q_w.mass, n, eps_prime)
+        if np.any((w_counts < lo) | (w_counts > hi)):
             raise DomainError("w_seq is not eps_prime-typical for Q_W")
     table = cond_shell_log_masses(q_w, cond, n, eps)
     log_success = table[np.arange(nw), w_counts].sum()

@@ -105,6 +105,26 @@ def test_simulate_fewer_than_two_samples_is_config_error(capsys):
     assert "samples must be >= 2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["simulate", "dsbs01", "--rate", "0.5", "--n", "4", "--seed", "-1"],
+     "[plan] seed must be >= 0, got -1"),
+    (["simulate", "dsbs01", "--rate", "0.5", "--n", "4", "--seeds", "0", "-2"],
+     "[simulate] seeds must be >= 0, got -2"),
+    (["exponent", "dsbs01", "--rate=-0.5C"], "[exponent] rates = '-0.5C'"),
+    (["exponent", "dsbs01", "--rate", "-1"], "[exponent] rates = '-1'"),
+    (["exponent", "dsbs01", "--rate", "nan"], "[exponent] rates = 'nan'"),
+    (["exponent", "dsbs01", "--rate", "inf"], "[exponent] rates = 'inf'"),
+    (["sweep", os.path.join(os.path.dirname(commoninfo.__file__), "plans",
+                            "paper_suite.plan"), "--seed", "-1"],
+     "[plan] seed must be >= 0, got -1"),
+], ids=["seed", "seeds", "rate-multiple", "rate", "rate-nan", "rate-inf",
+        "sweep-seed"])
+def test_negative_seed_or_bad_rate_is_config_error(capsys, argv, message):
+    # each used to parse, fail every cell and exit 3
+    assert main(argv) == EXIT_CONFIG
+    assert message in capsys.readouterr().err
+
+
 def test_bad_plan_file_is_config_error(tmp_path, capsys):
     plan_path = tmp_path / "broken.plan"
     plan_path.write_text("[simulate]\ncouplings = product\n")

@@ -46,14 +46,33 @@ def test_rate_spec():
     assert RateSpec("1.2c").resolve(0.5) == pytest.approx(0.6)
     with pytest.raises(ConfigError, match="nonnegative"):
         RateSpec("-0.1").resolve(0.0)
+    # a factor that parses still meets the check on the C it multiplies
+    with pytest.raises(ConfigError, match="nonnegative"):
+        RateSpec("0.5C").resolve(math.nan)
 
 
-@pytest.mark.parametrize("rate", ["nan", "inf", "-inf", "nanC", "infC"])
-def test_non_finite_rates_fail_their_cells(rate):
-    text = f"[plan]\nname = x\n[exponent]\nsources = dsbs01\nrates = {rate}\n"
-    result = run_plan(parse_plan(text))
-    assert result.n_errors == 1
-    assert "rate must be nonnegative" in result.rows[0]["error"]
+@pytest.mark.parametrize("rate", ["nan", "inf", "-inf", "nanC", "infC",
+                                  "-0.5C", "-1"])
+@pytest.mark.parametrize("kind", ["exponent", "simulate"])
+def test_negative_or_non_finite_rates_are_config_errors(kind, rate):
+    # they used to parse and then fail every cell of the run
+    section = ("[exponent]\nsources = dsbs01\n" if kind == "exponent"
+               else "[simulate]\ncouplings = dsbs01\nn = 4\n")
+    with pytest.raises(ConfigError, match=rf"^\[{kind}\] rates = "
+                       r"'[^']*': rate must be nonnegative and finite"):
+        parse_plan(f"[plan]\nname = x\n{section}rates = 0.5 {rate}\n")
+
+
+@pytest.mark.parametrize("text, override, match", [
+    ("[plan]\nseed = -1\n", None, r"\[plan\] seed must be >= 0, got -1"),
+    ("[plan]\nseed = 4\n", -1, r"\[plan\] seed must be >= 0, got -1"),
+    ("[plan]\n[simulate]\ncouplings = dsbs01\nrates = 0.5\nn = 4\n"
+     "seeds = 0 -3\n", None, r"\[simulate\] seeds must be >= 0, got -3"),
+], ids=["plan-seed", "seed-override", "simulate-seeds"])
+def test_negative_seeds_are_config_errors(text, override, match):
+    # SeedSequence used to reject them in every simulate cell
+    with pytest.raises(ConfigError, match=match):
+        parse_plan(text, seed_override=override)
 
 
 def test_parse_plan_structure():
@@ -237,13 +256,16 @@ def test_f_rate_runs_once_per_source_and_rate(monkeypatch):
 
 
 def test_failing_exponent_cell_fails_soft(monkeypatch):
-    # a negative rate is rejected before any inner solve
+    # a multiple of C that overflows to inf (C = ln 3 here) is rejected in
+    # its row, before any inner solve
     def no_solve(pi, pt, **kw):
         raise AssertionError("an inner solve ran")
 
     monkeypatch.setattr(exponents, "big_omega_min", no_solve)
-    text = ("[plan]\nname = x\n[exponent]\nsources = product\n"
-            "rates = -0.1\n")
+    t = "0.3333333333333333"
+    text = ("[plan]\nname = x\n[source.three]\n"
+            f"pi =\n  {t} 0 0\n  0 {t} 0\n  0 0 {t}\n"
+            "[exponent]\nsources = three\nrates = 1.7e308C\n")
     result = run_plan(parse_plan(text))
     assert result.n_errors == 1
     assert "rate must be nonnegative" in result.rows[0]["error"]

@@ -1,5 +1,5 @@
 """Probability primitives: construction, marginals, information quantities,
-sequence types, and text serialization."""
+and the plain-text joint format."""
 
 import math
 
@@ -8,13 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from commoninfo.ci_solver import _copy_start
 from commoninfo.errors import ConfigError
 from commoninfo.probability import (FinitePmf, JointPmf, MarkovCoupling,
-                                    SequenceType, copy_coupling,
-                                    coupling_information, dump_text,
-                                    induced_joint, load_joint_text,
-                                    load_pmf_text, log_product_mass,
-                                    mutual_information)
+                                    coupling_information, induced_joint,
+                                    load_joint_text, mutual_information)
 from commoninfo import fixtures
 
 
@@ -45,23 +43,21 @@ def test_pmf_is_immutable():
 
 
 def test_point_mass_and_uniform():
-    p = FinitePmf.point_mass(1, 3)
-    assert p(1) == 1.0 and p(0) == 0.0
-    assert p.entropy() == 0.0
-    u = FinitePmf.uniform(4)
+    assert FinitePmf([0.0, 1.0, 0.0]).entropy() == 0.0
+    u = FinitePmf(np.full(4, 0.25))
     assert u.entropy() == pytest.approx(math.log(4), abs=1e-14)
-    assert list(p.support()) == [1]
 
 
 # ---------------------------------------------------------------------------
-# marginals and conditionals
+# marginals
 # ---------------------------------------------------------------------------
 
 def test_marginal_round_trip():
     rng = np.random.default_rng(0)
     j = random_joint(rng, 3, 4)
     px = j.marginal(0)
-    cond = j.conditional(target_axis=1, given_axis=0)   # (x, y) rows
+    cond = j.mass / px.mass[:, None]                   # (x, y) rows
+    assert np.allclose(cond.sum(axis=1), 1.0, atol=1e-14)
     rebuilt = px.mass[:, None] * cond
     assert np.allclose(rebuilt, j.mass, atol=1e-14)
 
@@ -77,13 +73,6 @@ def test_marginal_axis_order_preserved():
     rev = j.marginal((2, 0))
     assert rev.dims == (4, 2)
     assert np.allclose(rev.mass, kept.mass.T)
-
-
-def test_conditional_zero_row_uniform():
-    j = JointPmf(np.array([[0.5, 0.5], [0.0, 0.0]]))
-    cond = j.conditional(target_axis=1, given_axis=0)
-    assert np.allclose(cond[1], [0.5, 0.5])
-    assert np.allclose(cond.sum(axis=1), 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -106,7 +95,12 @@ def test_mutual_information_product_is_zero():
 
 
 def test_copy_coupling_mi_equals_joint_entropy(dsbs_pi):
-    c = copy_coupling(dsbs_pi)
+    # the Wyner solver's copy start on one full rectangle is W = (X, Y)
+    nx, ny = dsbs_pi.dims
+    q_w, q_x, q_y = _copy_start(
+        dsbs_pi.mass, np.ones((nx * ny, nx)), np.ones((nx * ny, ny)),
+        {(x, y): x * ny + y for x in range(nx) for y in range(ny)})
+    c = MarkovCoupling(FinitePmf(q_w), q_x, q_y)
     joint = induced_joint(c)
     assert np.allclose(joint.marginal((1, 2)).mass, dsbs_pi.mass, atol=1e-14)
     assert coupling_information(c) == pytest.approx(dsbs_pi.entropy(),
@@ -133,46 +127,14 @@ def test_mutual_information_nonnegative(weights):
     assert 0.0 <= mi <= min(j.marginal(0).entropy(), j.marginal(1).entropy()) + 1e-12
 
 
-def test_log_product_mass():
-    p = FinitePmf([0.25, 0.75])
-    seq = [0, 1, 1, 0]
-    assert log_product_mass(p, seq) == pytest.approx(
-        2 * math.log(0.25) + 2 * math.log(0.75), abs=1e-14)
-    assert log_product_mass(p, []) == 0.0
-    assert log_product_mass(FinitePmf([1.0, 0.0]), [0, 1]) == -math.inf
-    with pytest.raises(ConfigError):
-        log_product_mass(p, [0, 2])
-
-
-# ---------------------------------------------------------------------------
-# sequence types
-# ---------------------------------------------------------------------------
-
-def test_sequence_type_of_sequence():
-    t = SequenceType.of_sequence([0, 1, 1, 2, 1], 4)
-    assert t.n == 5
-    assert list(t.counts) == [1, 3, 1, 0]
-    assert np.allclose(t.empirical().mass, [0.2, 0.6, 0.2, 0.0])
-
-
-def test_sequence_type_rejects_bad_counts():
-    with pytest.raises(ConfigError):
-        SequenceType(3, [1, 1, 2])
-    with pytest.raises(ConfigError):
-        SequenceType(2, [3, -1])
-
-
 # ---------------------------------------------------------------------------
 # serialization
 # ---------------------------------------------------------------------------
 
-def test_pmf_text_round_trip():
-    p = FinitePmf([0.125, 0.375, 0.5])
-    assert np.allclose(load_pmf_text(dump_text(p)).mass, p.mass, atol=0)
-
-
 def test_joint_text_round_trip(dsbs_pi):
-    again = load_joint_text(dump_text(dsbs_pi))
+    text = "".join(" ".join(format(v, ".17g") for v in row) + "\n"
+                   for row in dsbs_pi.mass)
+    again = load_joint_text(text)
     assert np.allclose(again.mass, dsbs_pi.mass, atol=0)
 
 
@@ -187,7 +149,7 @@ def test_load_rejects_ragged_and_unnormalized():
     with pytest.raises(ConfigError):
         load_joint_text("0.5 0.5\n0.3\n")
     with pytest.raises(ConfigError):
-        load_pmf_text("0.5 0.6\n")
+        load_joint_text("0.5 0.6\n")
 
 
 def test_markov_coupling_validates_rows():

@@ -1,0 +1,124 @@
+"""The package surface: every public name is run by the program or kept as a
+named test reference, and the benchmark tracer's targets resolve."""
+
+import ast
+import os
+import pathlib
+import re
+
+from commoninfo import ci_solver, experiments, exponents, synthesis
+from commoninfo import typicality
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "commoninfo"
+PERFBENCH = ROOT / "perfbench"
+
+#: public names that no program path runs, each kept as the reference of the
+#: test file named
+REFERENCES = {
+    "exponents.omega": "tests/test_exponents.py",
+    "exponents.big_omega_q": "tests/test_exponents.py",
+    "exponents.r_alpha_q": "tests/test_exponents.py",
+    "typicality.is_cond_typical": "tests/test_typicality.py",
+}
+
+TINY_PLAN = """
+[plan]
+name = traced
+[ci]
+sources = dsbs01
+[exponent]
+sources = dsbs01
+rates = 0.5C
+[simulate]
+couplings = dsbs01
+rates = 0.5C
+n = 4
+measure = tv renyi
+"""
+
+
+def _public(tree):
+    """(qualified name, node) of the public top-level functions and classes
+    of a module, and of the public methods of its public classes."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) \
+                and not node.name.startswith("_"):
+            yield node.name, node
+            if isinstance(node, ast.ClassDef):
+                for sub in node.body:
+                    if isinstance(sub, ast.FunctionDef) \
+                            and not sub.name.startswith("_"):
+                        yield f"{node.name}.{sub.name}", sub
+
+
+def _references(node, skip=None, bound=frozenset()):
+    """The names ``node`` reads: free variables, attributes and string
+    constants (the tracer patches by attribute name), outside ``skip``."""
+    if node is skip:
+        return
+    if isinstance(node, (ast.FunctionDef, ast.Lambda)):
+        args = node.args
+        bound = bound | {a.arg for a in args.posonlyargs + args.args
+                         + args.kwonlyargs + [args.vararg, args.kwarg] if a}
+        bound = bound | {n.id for n in ast.walk(node)
+                         if isinstance(n, ast.Name)
+                         and isinstance(n.ctx, ast.Store)}
+    if isinstance(node, ast.Name) and node.id not in bound:
+        yield node.id
+    elif isinstance(node, ast.Attribute):
+        yield node.attr
+    elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+        yield node.value
+    for child in ast.iter_child_nodes(node):
+        yield from _references(child, skip, bound)
+
+
+def test_every_public_name_is_run_or_a_named_reference():
+    # __init__ only re-exports, so its imports run nothing
+    modules = {path: ast.parse(path.read_text())
+               for path in sorted(SRC.glob("*.py")) + sorted(
+                   PERFBENCH.glob("*.py"))
+               if path.name != "__init__.py"}
+    unused = {}
+    for path, tree in modules.items():
+        if path.parent != SRC:
+            continue
+        others = {name for other, t in modules.items() if other != path
+                  for name in _references(t)}
+        for qual, node in _public(tree):
+            name = qual.rsplit(".", 1)[-1]
+            if name not in others and name not in set(_references(tree,
+                                                                  node)):
+                unused[f"{path.stem}.{qual}"] = name
+    assert sorted(unused) == sorted(REFERENCES)
+    for qual, test_file in REFERENCES.items():
+        assert re.search(rf"\b{unused[qual]}\(",
+                         (ROOT / test_file).read_text()), (qual, test_file)
+
+
+def test_tracer_targets_resolve_and_are_restored(monkeypatch):
+    monkeypatch.syspath_prepend(os.fspath(PERFBENCH))
+    import tracing
+    targets = tracing.layer_targets(experiments, ci_solver, exponents,
+                                    synthesis, typicality)
+    originals = {}
+    for _, places, _ in targets:
+        for module, attr in places:
+            assert callable(getattr(module, attr, None)), (module, attr)
+            originals[module, attr] = getattr(module, attr)
+    tracer = tracing.Tracer()
+    tracer.install(targets)
+    try:
+        result = experiments.run_plan(experiments.parse_plan(TINY_PLAN),
+                                      threads=1)
+    finally:
+        tracer.uninstall()
+    assert result.n_errors == 0
+    for (module, attr), original in originals.items():
+        assert getattr(module, attr) is original, (module, attr)
+    # the program calls the wrapped names, so a plan reaches their spans
+    spans = {span[1] for span in tracer.spans}
+    assert {"experiments.run_plan", "ci_solver.wyner_ci", "exponents.f_rate",
+            "exponents.big_omega_min", "synthesis.build_code",
+            "synthesis.estimate_tv", "synthesis.estimate_renyi"} <= spans

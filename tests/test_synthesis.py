@@ -14,11 +14,11 @@ from scipy.special import logsumexp
 from commoninfo import acceptance, fixtures, synthesis
 from commoninfo.errors import (ConfigError, DomainError, ResourceBudgetError,
                                SamplingError)
-from commoninfo.probability import FinitePmf, MarkovCoupling, log_product_mass
+from commoninfo.probability import FinitePmf, MarkovCoupling
 from commoninfo.divergences import renyi
 from commoninfo.synthesis import (DivergenceEstimate, SynthesisCode,
                                   build_code, estimate_renyi, estimate_tv,
-                                  gamma_oneshot, induced_joint_exact,
+                                  induced_joint_exact,
                                   oneshot_bound_verify, rate_bound_check,
                                   truncation_check)
 from commoninfo import typicality as typ
@@ -109,17 +109,22 @@ def ternary_w_coupling():
                           rng.dirichlet(np.ones(2), size=3))
 
 
+def is_typical(w, q_w, eps_prime):
+    """Whether the counts of w lie in the eps'-windows of Q_W."""
+    lo, hi = typ.count_windows(q_w.mass, len(w), eps_prime)
+    counts = np.bincount(w, minlength=q_w.alphabet_size)
+    return bool(np.all((counts >= lo) & (counts <= hi)))
+
+
 def per_sequence_codebook(base, n, R, eps_prime, seed):
     """The codebook drawn one sequence at a time: ``Generator.choice`` from
     Q_W, kept when ``is_typical`` admits it, until m sequences are kept."""
     m = math.ceil(math.exp(n * R) - 1e-9)
     rng = synthesis._rng(seed, 0)
-    spec = None if eps_prime is None else typ.TypicalSpec(base.q_w, n,
-                                                          eps_prime)
     rows = []
     while len(rows) < m:
         seq = rng.choice(base.nw, size=n, p=base.q_w.mass)
-        if spec is None or typ.is_typical(seq, spec):
+        if eps_prime is None or is_typical(seq, base.q_w, eps_prime):
             rows.append(seq)
     return np.stack(rows)
 
@@ -134,8 +139,10 @@ def test_build_code_matches_per_sequence_draws(base, cases):
     checked = 0
     for n, eps_prime in itertools.product((4, 8, 10, 12, 16),
                                           (None, 0.5, 0.9)):
-        if eps_prime is not None and typ.typical_prob_exact(
-                typ.TypicalSpec(base.q_w, n, eps_prime)) < 0.02:
+        # Q_W^n of the eps'-typical set: entry n of the one-row shell table
+        if eps_prime is not None and np.exp(typ.cond_shell_log_masses(
+                FinitePmf([1.0]), base.q_w.mass[None, :], n,
+                eps_prime)[0, n]) < 0.02:
             continue
         checked += 1
         for seed in range(3):
@@ -157,10 +164,9 @@ def test_large_codebook_matches_per_sequence_draws():
 
 def test_build_code_respects_shell():
     base = fixtures.dsbs_optimal_coupling(0.1)
-    spec = typ.TypicalSpec(base.q_w, 10, 0.5)
     code = build_code(base, 10, 0.4, 1.0, 0.5, seed=99)
     assert code.m_count == 55
-    assert all(typ.is_typical(w, spec) for w in code.codebook)
+    assert all(is_typical(w, base.q_w, 0.5) for w in code.codebook)
 
 
 def test_cond_law_sample_respects_shell():
@@ -182,7 +188,7 @@ def test_cond_law_sample_matches_density():
     w = np.array([0, 1, 1, 0, 1, 0])
     seqs = synthesis._all_seqs(base.nx, n)
     p = law.density(w, seqs)[0]
-    assert 0.0 < law.normalizer(w) < 0.6
+    assert 0.0 < law._normalizers(w[None, :])[0] < 0.6
     xs = law.sample(synthesis._rng(0, 7), np.tile(w, (draws, 1)))
     freq = np.bincount(xs @ base.nx ** np.arange(n)[::-1],
                        minlength=seqs.shape[0]) / draws
@@ -257,9 +263,7 @@ def test_induced_joint_trivial_coupling_is_product():
     code = build_code(trivial_coupling(), 5, 0.0, None, None, seed=0)
     ex = induced_joint_exact(code)
     pi = trivial_coupling().xy_marginal()
-    pin = np.exp([[log_product_mass(FinitePmf(pi.mass.ravel()),
-                                    [2 * xi + yi for xi, yi in zip(x, y)])
-                   for y in ex.seqs_y] for x in ex.seqs_x])
+    pin = reference_pi_n_matrix(pi, ex.seqs_x, ex.seqs_y)
     assert np.allclose(ex.mass, pin, atol=1e-14)
     assert estimate_tv(code).point == pytest.approx(0.0, abs=1e-12)
     assert estimate_renyi(code, 1.0).point == pytest.approx(0.0, abs=1e-10)
@@ -519,16 +523,18 @@ def test_oneshot_bound_caps_the_codebook_types(monkeypatch):
 
 
 def test_gamma_oneshot_matches_components():
+    # 2 e^{s Gamma}, Gamma = max(D_cond - log m, D_marg)
     from commoninfo.divergences import conditional_renyi, glue, renyi
     p_w = FinitePmf([0.5, 0.5])
     cond = np.array([[0.9, 0.1], [0.2, 0.8]])
     pi_x = FinitePmf([0.55, 0.45])
-    s, R = 0.5, 0.7
+    s, m = 0.5, 2
     joint = glue(p_w, cond)
     cond_d = conditional_renyi(joint, np.tile(pi_x.mass, (2, 1)), s)
     marg_d = renyi(FinitePmf(joint.mass.sum(axis=0)), pi_x, s)
-    assert gamma_oneshot(p_w, cond, pi_x, R, s) == pytest.approx(
-        max(cond_d - R, marg_d), abs=1e-14)
+    rep = oneshot_bound_verify(p_w, cond, pi_x, s, m)
+    assert rep.gamma_rhs == pytest.approx(
+        2.0 * math.exp(s * max(cond_d - math.log(m), marg_d)), rel=1e-14)
 
 
 def test_oneshot_rejects_unsupported_mass():
@@ -550,8 +556,6 @@ def test_oneshot_functions_reject_a_non_stochastic_cond(cond):
     pi_x = FinitePmf([0.55, 0.45])
     with pytest.raises(ConfigError):
         oneshot_bound_verify(p_w, cond, pi_x, s=0.5, m_count=2)
-    with pytest.raises(ConfigError):
-        gamma_oneshot(p_w, cond, pi_x, 0.7, 0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -618,9 +622,8 @@ def brute_force_cond_law(base, cond, w, seqs, eps):
 
 
 def typical_ws(base, n, eps_prime):
-    spec = typ.TypicalSpec(base.q_w, n, eps_prime)
     return [np.array(w) for w in np.ndindex(*(base.nw,) * n)
-            if typ.is_typical(w, spec)]
+            if is_typical(np.array(w), base.q_w, eps_prime)]
 
 
 def test_cond_law_matches_brute_force():
@@ -632,16 +635,17 @@ def test_cond_law_matches_brute_force():
         for w in typical_ws(base, n, 0.5):
             ref, z = brute_force_cond_law(base, cond, w, seqs, eps)
             sizes.add(int(np.count_nonzero(ref)))
-            assert law.normalizer(w) == pytest.approx(z, abs=1e-12)
             if z == 0.0:
                 with pytest.raises(DomainError):
                     law.density(w, seqs)
                 continue
+            assert law._normalizers(w[None, :])[0] == pytest.approx(
+                z, abs=1e-12)
             assert np.allclose(law.density(w, seqs), ref / z,
                                rtol=0.0, atol=1e-12)
         untruncated = synthesis._CondLaw(base, None, axis)
         w = typical_ws(base, n, 0.5)[0]
-        assert untruncated.normalizer(w) == 1.0
+        assert untruncated._normalizers(w[None, :])[0] == 1.0
         assert np.allclose(untruncated.density(w, seqs),
                            [np.prod(cond[w, s]) for s in seqs],
                            rtol=0.0, atol=1e-15)

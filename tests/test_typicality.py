@@ -1,5 +1,6 @@
-"""Typical sets: exact window probabilities against brute-force and
-Monte-Carlo oracles, conditional typicality, and the uniform defect bound."""
+"""Typical sets: count windows, exact window probabilities against
+brute-force and Monte-Carlo oracles, conditional typicality, and the uniform
+defect bound."""
 
 import itertools
 import warnings
@@ -12,20 +13,32 @@ from scipy.special import gammaln
 from commoninfo import typicality as typ
 from commoninfo.errors import ConfigError, DomainError, ResourceBudgetError
 from commoninfo.probability import FinitePmf
-from commoninfo.typicality import (TypicalSpec, cond_count_windows,
-                                   cond_shell_log_masses,
+from commoninfo.typicality import (cond_count_windows, cond_shell_log_masses,
                                    cond_typical_defect_exact, contyplem_bound,
-                                   is_cond_typical, is_typical,
-                                   typical_prob_exact)
+                                   count_windows, is_cond_typical)
 
 
-def brute_force_typical_prob(spec: TypicalSpec) -> float:
-    k = spec.ref.alphabet_size
-    total = 0.0
-    for seq in itertools.product(range(k), repeat=spec.n):
-        if is_typical(seq, spec):
-            total += float(np.prod(spec.ref.mass[list(seq)]))
-    return total
+def typical_prob(mass, n, eps) -> float:
+    """Q^n of the eps-typical set of ``mass``: entry n of the one-row shell
+    table, Q given a constant sequence, as the codeword law reads it."""
+    table = cond_shell_log_masses(FinitePmf([1.0]), np.asarray(mass)[None, :],
+                                  n, eps)
+    return float(np.exp(table[0, n]))
+
+
+def in_windows(seqs, mass, eps) -> np.ndarray:
+    """Whether each row of ``seqs`` keeps its counts in the eps-windows."""
+    seqs = np.atleast_2d(seqs)
+    lo, hi = count_windows(np.asarray(mass), seqs.shape[1], eps)
+    counts = np.stack([(seqs == x).sum(axis=1) for x in range(len(mass))],
+                      axis=1)
+    return np.all((counts >= lo) & (counts <= hi), axis=1)
+
+
+def brute_force_typical_prob(mass, n, eps) -> float:
+    seqs = np.array(list(itertools.product(range(len(mass)), repeat=n)))
+    probs = np.prod(np.asarray(mass)[seqs], axis=1)
+    return float(probs[in_windows(seqs, mass, eps)].sum())
 
 
 def brute_force_block_probs(q, lo, hi, n) -> np.ndarray:
@@ -57,7 +70,7 @@ def test_block_log_probs_match_count_enumeration():
     for _ in range(60):
         n = int(rng.integers(1, 41))
         q = random_pmf(rng, int(rng.integers(1, 4)))
-        lo, hi = typ._windows(q, n, float(rng.uniform(0.05, 1.5)))
+        lo, hi = count_windows(q, n, float(rng.uniform(0.05, 1.5)))
         got = np.exp(typ._block_log_probs(q, lo, hi, n))
         ref = brute_force_block_probs(q, lo, hi, n)
         assert np.allclose(got, ref, rtol=0.0, atol=1e-12)
@@ -89,24 +102,13 @@ def test_cond_shell_log_masses_match_count_enumeration():
 
 
 def test_count_windows_hand_case():
-    spec = TypicalSpec(FinitePmf([0.5, 0.5]), n=10, eps=0.2)
-    lo, hi = spec.count_windows()
+    lo, hi = count_windows(np.array([0.5, 0.5]), n=10, eps=0.2)
     assert list(lo) == [4, 4] and list(hi) == [6, 6]
 
 
 def test_count_windows_zero_mass_symbol():
-    spec = TypicalSpec(FinitePmf([0.5, 0.5, 0.0]), n=8, eps=0.5)
-    lo, hi = spec.count_windows()
+    lo, hi = count_windows(np.array([0.5, 0.5, 0.0]), n=8, eps=0.5)
     assert lo[2] == 0 and hi[2] == 0          # forbidden symbol never appears
-
-
-def test_is_typical_membership():
-    spec = TypicalSpec(FinitePmf([0.5, 0.5]), n=10, eps=0.2)
-    assert is_typical([0] * 5 + [1] * 5, spec)
-    assert is_typical([0] * 6 + [1] * 4, spec)
-    assert not is_typical([0] * 7 + [1] * 3, spec)
-    with pytest.raises(ConfigError):
-        is_typical([0, 1], spec)              # wrong length
 
 
 def test_typical_prob_exact_brute_force():
@@ -114,38 +116,35 @@ def test_typical_prob_exact_brute_force():
     for mass, n, eps in (([0.5, 0.5], 8, 0.3),
                          ([0.2, 0.3, 0.5], 6, 0.6),
                          ([0.7, 0.3], 9, 0.15)):
-        spec = TypicalSpec(FinitePmf(mass), n=n, eps=eps)
-        assert typical_prob_exact(spec) == pytest.approx(
-            brute_force_typical_prob(spec), abs=1e-12)
+        assert typical_prob(mass, n, eps) == pytest.approx(
+            brute_force_typical_prob(mass, n, eps), abs=1e-12)
 
 
 def test_typical_prob_exact_monte_carlo():
-    spec = TypicalSpec(FinitePmf([0.25, 0.35, 0.4]), n=40, eps=0.4)
-    exact = typical_prob_exact(spec)
+    mass = [0.25, 0.35, 0.4]
+    exact = typical_prob(mass, 40, 0.4)
     rng = np.random.default_rng(9)
-    draws = rng.choice(3, size=(20_000, 40), p=[0.25, 0.35, 0.4])
-    hits = np.mean([is_typical(row, spec) for row in draws])
+    draws = rng.choice(3, size=(20_000, 40), p=mass)
+    hits = np.mean(in_windows(draws, mass, 0.4))
     se = np.sqrt(exact * (1 - exact) / 20_000)
     assert abs(hits - exact) < 4 * se + 1e-3
 
 
 def test_typical_prob_monotone_in_eps_and_to_one():
-    ref = FinitePmf([0.3, 0.7])
-    probs = [typical_prob_exact(TypicalSpec(ref, 30, e))
-             for e in (0.1, 0.2, 0.4, 0.8)]
+    ref = [0.3, 0.7]
+    probs = [typical_prob(ref, 30, e) for e in (0.1, 0.2, 0.4, 0.8)]
     assert all(a <= b + 1e-12 for a, b in zip(probs, probs[1:]))
     # law of large numbers: fixed eps, growing n
-    grow = [typical_prob_exact(TypicalSpec(ref, n, 0.3))
-            for n in (20, 80, 200)]
+    grow = [typical_prob(ref, n, 0.3) for n in (20, 80, 200)]
     assert all(a <= b + 1e-2 for a, b in zip(grow, grow[1:]))
     assert grow[-1] > 0.99
 
 
 def test_budget_guard():
     with pytest.raises(ResourceBudgetError):
-        typical_prob_exact(TypicalSpec(FinitePmf([0.5, 0.5]), 300, 0.1))
+        typical_prob([0.5, 0.5], 300, 0.1)
     with pytest.raises(ResourceBudgetError):
-        typical_prob_exact(TypicalSpec(FinitePmf(np.full(9, 1 / 9)), 10, 0.1))
+        typical_prob(np.full(9, 1 / 9), 10, 0.1)
 
 
 # ---------------------------------------------------------------------------
@@ -252,3 +251,14 @@ def test_contyplem_bound_validation_and_shape():
     b1 = contyplem_bound(0.9, 0.3, 50, 0.25, 2, 2)
     b2 = contyplem_bound(0.9, 0.3, 200, 0.25, 2, 2)
     assert b2 < b1                                 # decays with n
+
+
+def test_cond_defect_eps_prime_checks_keep_their_errors():
+    q_w = FinitePmf([0.5, 0.5])
+    cond = np.array([[0.75, 0.25], [0.3, 0.7]])
+    w = np.tile([0, 1], 8)
+    with pytest.raises(ConfigError, match="eps_prime"):
+        cond_typical_defect_exact(q_w, cond, w, eps=0.5, eps_prime=0.5)
+    with pytest.raises(ConfigError, match="block length"):
+        cond_typical_defect_exact(q_w, cond, np.zeros(0, dtype=int), eps=0.5,
+                                  eps_prime=0.2)
