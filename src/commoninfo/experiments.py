@@ -202,16 +202,21 @@ def parse_plan(text: str, seed_override: int | None = None,
                            fixtures.resolve_source), rates):
                 plan.exponent_cells.append({"source": label, "rate": rate})
         elif kind == "simulate":
-            fixed = {"eps": _value(sec, "eps", _eps, "1.0"),
-                     "eps_prime": _value(sec, "eps_prime", _eps, "0.5"),
-                     "samples": _value(sec, "samples", int, "4096",
-                                       minimum=2)}
+            eps = _value(sec, "eps", _eps, "1.0")
+            eps_prime = _value(sec, "eps_prime", _eps, "0.5")
+            if eps is not None and not 0.0 < eps <= 1.0:
+                raise ConfigError(f"[{sec.name}] eps = {eps} not in (0, 1]")
+            if eps_prime is not None and not 0.0 < eps_prime < (eps or 1.0):
+                raise ConfigError(f"[{sec.name}] eps_prime = {eps_prime} not "
+                                  f"in (0, {eps or 1.0})")
+            fixed = {"eps": eps, "eps_prime": eps_prime,
+                     "samples": _value(sec, "samples", int, "4096", minimum=2)}
             grid = itertools.product(
                 labels(sec, "couplings", plan.couplings,
                        fixtures.resolve_coupling),
                 _values(sec, "s", float, "1.0"),
                 _values(sec, "rates", RateSpec, ""),
-                _values(sec, "n", int, ""),
+                _values(sec, "n", int, "", minimum=1),
                 _values(sec, "seeds", int, "0", minimum=0),
                 _values(sec, "measure", _measure, "tv"))
             for label, s, rate, n, cell_seed, measure in grid:

@@ -374,24 +374,29 @@ def induced_joint_exact(code: SynthesisCode) -> InducedJointExact:
 _CHUNK_CELLS = 2 ** 20
 
 
-def _pointwise_p(code: SynthesisCode, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Induced P at sampled pairs (rows of x, y), one kernel over the u
-    distinct codewords w with multiplicities c_w.  Their one-hot block and
-    shell masses Z_X(w), Z_Y(w) are read once per call; the first codeword
-    in codebook order with an empty shell raises ``DomainError``.  Each
-    sample chunk of at most about ``_CHUNK_CELLS`` (distinct codeword x
-    sample) cells takes one product for log P(x|w) P(y|w), both laws sharing
-    the float32 one-hot, one exp, both laws' windows where they bind (exact
-    float32 count products), and one sum weighted by c_w / (m Z_X(w)
-    Z_Y(w)), so memory stays flat in m and the sample count.  When no
-    window binds, as for an untruncated law without structural zeros, no
-    mask is built and no masking pass runs."""
+def _induced_laws(code: SynthesisCode):
+    """(law X, law Y, the u distinct codewords w, c_w / (m Z_X(w) Z_Y(w)))
+    of ``code``, c_w the multiplicity of w; the first codeword in codebook
+    order with an empty shell, X's before Y's, raises ``DomainError``."""
     law_x = _CondLaw(code.base, code.eps, "X")
     law_y = _CondLaw(code.base, code.eps, "Y")
     ws, mult, _ = _distinct(code.codebook)
-    weight = mult / (code.m_count * law_x._normalizers(ws)
-                     * law_y._normalizers(ws))
-    block = _Block(ws, code.base.nw)
+    return law_x, law_y, ws, mult / (code.m_count * law_x._normalizers(ws)
+                                     * law_y._normalizers(ws))
+
+
+def _pointwise_p(laws, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Induced P at sampled pairs (rows of x, y), one kernel over the u
+    distinct codewords of ``laws`` (``_induced_laws``), whose one-hot block
+    is built once per call.  Each sample chunk of at most about
+    ``_CHUNK_CELLS`` (distinct codeword x sample) cells takes one product
+    for log P(x|w) P(y|w), both laws sharing the float32 one-hot, one exp,
+    both laws' windows where they bind (exact float32 count products), and
+    one sum weighted by c_w / (m Z_X(w) Z_Y(w)), so memory stays flat in m
+    and the sample count.  When no window binds, as for an untruncated law
+    without structural zeros, no mask is built and no masking pass runs."""
+    law_x, law_y, ws, weight = laws
+    block = _Block(ws, law_x.cond.shape[0])
     step = max(1, _CHUNK_CELLS // ws.shape[0])
     vals = np.empty(x.shape[0])
     for i in range(0, x.shape[0], step):
@@ -424,22 +429,15 @@ def _p_and_log_pi(code: SynthesisCode, exact: bool, samples: int, rng,
                         + log_pi[None, :, None, :]).reshape(
                 log_pi_n.shape[0] * pi.dims[0], -1)
         return ex.mass, log_pi_n
+    laws = _induced_laws(code)           # raises before any draw
     if from_p:
-        law_x = _CondLaw(code.base, code.eps, "X")
-        law_y = _CondLaw(code.base, code.eps, "Y")
-        # the first empty shell in codebook order, as on the other paths,
-        # not the first one drawn
-        distinct = _distinct(code.codebook)[0]
-        law_x._normalizers(distinct)
-        law_y._normalizers(distinct)
         ws = code.codebook[rng.integers(0, code.m_count, size=samples)]
-        xs = law_x.sample(rng, ws)
-        ys = law_y.sample(rng, ws)
+        xs, ys = (law.sample(rng, ws) for law in laws[:2])
     else:
         idx = rng.choice(pi.mass.size, size=(samples, code.n),
                          p=pi.mass.ravel())
         xs, ys = np.divmod(idx, pi.dims[1])
-    return _pointwise_p(code, xs, ys), log_pi[xs, ys].sum(axis=1)
+    return _pointwise_p(laws, xs, ys), log_pi[xs, ys].sum(axis=1)
 
 
 # ---------------------------------------------------------------------------

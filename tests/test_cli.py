@@ -117,8 +117,10 @@ def test_simulate_fewer_than_two_samples_is_config_error(capsys):
     (["sweep", os.path.join(os.path.dirname(commoninfo.__file__), "plans",
                             "paper_suite.plan"), "--seed", "-1"],
      "[plan] seed must be >= 0, got -1"),
+    (["simulate", "dsbs01", "--rate", "0.5C", "--n", "0"],
+     "[simulate] n must be >= 1, got 0"),
 ], ids=["seed", "seeds", "rate-multiple", "rate", "rate-nan", "rate-inf",
-        "sweep-seed"])
+        "sweep-seed", "block-length"])
 def test_negative_seed_or_bad_rate_is_config_error(capsys, argv, message):
     # each used to parse, fail every cell and exit 3
     assert main(argv) == EXIT_CONFIG

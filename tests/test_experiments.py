@@ -75,6 +75,26 @@ def test_negative_seeds_are_config_errors(text, override, match):
         parse_plan(text, seed_override=override)
 
 
+@pytest.mark.parametrize("keys, match", [
+    ("n = 0", r"\[simulate\] n must be >= 1, got 0"),
+    ("n = 4 -2", r"\[simulate\] n must be >= 1, got -2"),
+    ("n = 4\neps = -1", r"\[simulate\] eps = -1.0 not in \(0, 1\]"),
+    ("n = 4\neps_prime = 0",
+     r"\[simulate\] eps_prime = 0.0 not in \(0, 1.0\)"),
+    ("n = 4\neps = 0.3\neps_prime = 0.5",
+     r"\[simulate\] eps_prime = 0.5 not in \(0, 0.3\)"),
+    ("n = 4\neps = none\neps_prime = 1.0",
+     r"\[simulate\] eps_prime = 1.0 not in \(0, 1.0\)"),
+], ids=["n-zero", "n-negative", "eps-negative", "eps-prime-zero",
+        "eps-prime-above-eps", "eps-prime-one-untruncated"])
+def test_bad_block_length_or_eps_is_a_config_error(keys, match):
+    # each used to parse, fail every cell in build_code or SynthesisCode
+    # and exit 3
+    with pytest.raises(ConfigError, match=match):
+        parse_plan("[plan]\nname = x\n[simulate]\ncouplings = dsbs01\n"
+                   f"rates = 0.5C\n{keys}\n")
+
+
 def test_parse_plan_structure():
     plan = parse_plan(TINY_PLAN)
     assert plan.name == "tiny" and plan.seed == 5

@@ -1,5 +1,6 @@
 """The package surface: every public name is run by the program or kept as a
-named test reference, and the benchmark tracer's targets resolve."""
+named test reference, every module-private name is read by the program, and
+the benchmark tracer's targets resolve."""
 
 import ast
 import os
@@ -74,18 +75,41 @@ def _references(node, skip=None, bound=frozenset()):
         yield from _references(child, skip, bound)
 
 
-def test_every_public_name_is_run_or_a_named_reference():
-    # __init__ only re-exports, so its imports run nothing
+def _private(tree):
+    """(name, node) of the module-private top-level functions, classes and
+    constants of a module."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, ast.Assign):
+            names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign):
+            names = [node.target.id]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                yield name, node
+
+
+def _program():
+    """(path, parsed module, the names every other program module reads)
+    of each module of the package; __init__ only re-exports, so its imports
+    run nothing, and the benchmark's own tests are not the program."""
     modules = {path: ast.parse(path.read_text())
                for path in sorted(SRC.glob("*.py")) + sorted(
                    PERFBENCH.glob("*.py"))
-               if path.name != "__init__.py"}
-    unused = {}
+               if path.name != "__init__.py"
+               and not path.name.startswith("test_")}
     for path, tree in modules.items():
-        if path.parent != SRC:
-            continue
-        others = {name for other, t in modules.items() if other != path
-                  for name in _references(t)}
+        if path.parent == SRC:
+            yield path, tree, {name for other, t in modules.items()
+                               if other != path for name in _references(t)}
+
+
+def test_every_public_name_is_run_or_a_named_reference():
+    unused = {}
+    for path, tree, others in _program():
         for qual, node in _public(tree):
             name = qual.rsplit(".", 1)[-1]
             if name not in others and name not in set(_references(tree,
@@ -95,6 +119,15 @@ def test_every_public_name_is_run_or_a_named_reference():
     for qual, test_file in REFERENCES.items():
         assert re.search(rf"\b{unused[qual]}\(",
                          (ROOT / test_file).read_text()), (qual, test_file)
+
+
+def test_every_private_name_is_read_by_the_program():
+    # a read in its own module, outside its definition, counts
+    unread = [f"{path.stem}.{name}" for path, tree, others in _program()
+              for name, node in _private(tree)
+              if name not in others
+              and name not in set(_references(tree, node))]
+    assert unread == []
 
 
 def test_tracer_targets_resolve_and_are_restored(monkeypatch):

@@ -823,7 +823,8 @@ def test_pointwise_p_matches_induced_joint(monkeypatch):
                                     rng.choice(flat.size, 25)])
             ix, iy = np.divmod(cells, ex.mass.shape[1])
             x, y = ex.seqs_x[ix], ex.seqs_y[iy]
-            got = synthesis._pointwise_p(code, x, y)
+            got = synthesis._pointwise_p(synthesis._induced_laws(code), x,
+                                         y)
             assert np.count_nonzero(got) >= 25
             assert np.allclose(got, reference_pointwise_p(code, x, y),
                                rtol=1e-12, atol=0.0)
@@ -891,7 +892,8 @@ def test_empty_shell_error_names_the_first_bad_codeword(monkeypatch, path):
     if path == "monte_carlo":
         monkeypatch.setattr(synthesis, "MAX_JOINT_CELLS", 10)
         with pytest.raises(DomainError) as err:
-            synthesis._pointwise_p(code, seqs_y[:4, :] % 2, seqs_y[:4, :])
+            synthesis._pointwise_p(synthesis._induced_laws(code),
+                                   seqs_y[:4, :] % 2, seqs_y[:4, :])
     else:
         with pytest.raises(DomainError) as err:
             induced_joint_exact(code)
@@ -1110,7 +1112,7 @@ def reference_pi_n_draws(code, samples, rng):
     flat = pi.mass.ravel()
     idx = rng.choice(flat.size, size=(samples, code.n), p=flat)
     xs, ys = idx // pi.dims[1], idx % pi.dims[1]
-    return (synthesis._pointwise_p(code, xs, ys),
+    return (synthesis._pointwise_p(synthesis._induced_laws(code), xs, ys),
             np.exp(np.log(pi.mass[xs, ys]).sum(axis=1)))
 
 
@@ -1174,7 +1176,8 @@ def reference_estimate_renyi(code, s, samples, seed):
             ws = code.codebook[rng.integers(0, code.m_count, size=samples)]
             xs = law_x.sample(rng, ws)
             ys = law_y.sample(rng, ws)
-            p_vals = synthesis._pointwise_p(code, xs, ys)
+            p_vals = synthesis._pointwise_p(synthesis._induced_laws(code),
+                                            xs, ys)
         else:
             p_vals, pi_vals = reference_pi_n_draws(code, samples, rng)
     except DomainError as err:
