@@ -3,12 +3,9 @@ strong-converse exponents, and distributed source synthesis simulation."""
 
 from .errors import (CommonInfoError, ConfigError, DomainError,
                      ResourceBudgetError, SamplingError)
-from .probability import (FinitePmf, JointPmf, MarkovCoupling, marginal,
-                          induced_joint, coupling_information,
-                          mutual_information, load_joint_text)
-from .divergences import (renyi, tv, conditional_renyi, binary_renyi,
-                          pinsker_lb, sason_inf, sason_closed_lb,
-                          sason_basic_lb, ORDER_ABOVE_ONE, ORDER_BELOW_ONE)
+from .probability import (FinitePmf, JointPmf, MarkovCoupling, induced_joint,
+                          coupling_information, load_joint_text)
+from .divergences import renyi, tv, pinsker_lb, sason_inf, sason_closed_lb
 from .ci_solver import wyner_ci, CiSolution
 from .exponents import (ExponentPoint, omega, big_omega_q, big_omega_min,
                         r_alpha_q, r_alpha_min, r_sh, f_point, f_rate,

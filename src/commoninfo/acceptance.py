@@ -82,14 +82,7 @@ def divergence_axioms() -> tuple[bool, str]:
             inf_val = dv.sason_inf(eps, s)
             if d < inf_val - 1e-9:
                 return False, f"divergence below sason_inf at s={s}"
-            if s > 0:
-                closed = dv.sason_closed_lb(eps, s, dv.ORDER_ABOVE_ONE)
-            elif -1 < s < 0:
-                closed = max(dv.sason_closed_lb(eps, -s, dv.ORDER_BELOW_ONE),
-                             dv.sason_basic_lb(eps, -s))
-            else:
-                closed = 0.0
-            if inf_val < closed - 1e-9:
+            if inf_val < dv.sason_closed_lb(eps, s) - 1e-9:
                 return False, f"sason_inf below closed form at s={s}"
     return True, "1000 pairs x 5 orders, all chains hold"
 

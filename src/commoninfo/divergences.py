@@ -1,8 +1,8 @@
 """Discrepancy measures between finite distributions.
 
-KL and Renyi divergences of order 1+s (s >= -1), conditional versions, total
-variation distance, the binary Renyi divergence, and the family of closed-form
-lower bounds relating divergence to total variation.
+KL and Renyi divergences of order 1+s (s >= -1), total variation distance,
+and the lower bounds on divergence at fixed total variation: Pinsker's, the
+closed form of Sason, and the exact infimum over Bernoulli pairs.
 
 Order conventions: all functions take the shift ``s`` with order = 1+s.
 s = 0 dispatches to the exact KL formula and s = -1 to D_0 = -log Q(supp P);
@@ -38,7 +38,7 @@ def renyi(p, q, s: float) -> float:
     pm, qm = _as_mass(p).ravel(), _as_mass(q).ravel()
     if pm.shape != qm.shape:
         raise ConfigError("renyi: mismatched alphabets")
-    if s < -1:
+    if not s >= -1:
         raise ConfigError("renyi: order parameter s must be >= -1")
     supp = pm > 0
     ps, qs = pm[supp], qm[supp]
@@ -73,44 +73,12 @@ def renyi(p, q, s: float) -> float:
     return max(float(val), 0.0)
 
 
-def glue(p_x: FinitePmf, cond: np.ndarray) -> JointPmf:
-    """Joint p_x(x) * cond(x, .) as a 2-axis JointPmf."""
-    cond = np.asarray(cond, dtype=float)
-    if cond.ndim != 2 or cond.shape[0] != p_x.alphabet_size:
-        raise ConfigError("glue: conditional rows must match p_x alphabet")
-    return JointPmf(p_x.mass[:, None] * cond)
-
-
-def conditional_renyi(p_joint: JointPmf, q_cond: np.ndarray, s: float) -> float:
-    """D_{1+s}(P_{Y|X} || Q_{Y|X} | P_X) = D_{1+s}(P_X P_{Y|X} || P_X Q_{Y|X})."""
-    if p_joint.ndim != 2:
-        raise ConfigError("conditional_renyi needs a 2-axis joint")
-    q_cond = np.asarray(q_cond, dtype=float)
-    if q_cond.shape != p_joint.dims:
-        raise ConfigError("conditional_renyi: shape mismatch")
-    p_x = p_joint.marginal(0)
-    glued_q = p_x.mass[:, None] * q_cond
-    pm = p_joint.mass.ravel()
-    qm = glued_q.ravel()
-    # glued_q need not be exactly normalized if q rows are unnormalized; insist
-    if abs(qm.sum() - 1.0) > 1e-9:
-        raise ConfigError("conditional_renyi: q_cond rows are not normalized")
-    return renyi(pm / pm.sum(), qm / qm.sum(), s)
-
-
 def tv(p, q) -> float:
     """Total variation distance, (1/2) sum |p - q|, in [0, 1]."""
     pm, qm = _as_mass(p), _as_mass(q)
     if pm.shape != qm.shape:
         raise ConfigError("tv: shape mismatch")
     return float(0.5 * np.abs(pm - qm).sum())
-
-
-def binary_renyi(p: float, q: float, s: float) -> float:
-    """Renyi divergence of order 1+s between Bernoulli(p) and Bernoulli(q)."""
-    if not (0.0 <= p <= 1.0 and 0.0 <= q <= 1.0):
-        raise ConfigError("binary_renyi: p, q must lie in [0, 1]")
-    return renyi(np.array([p, 1.0 - p]), np.array([q, 1.0 - q]), s)
 
 
 def pinsker_lb(eps: float, s: float) -> float:
@@ -120,53 +88,36 @@ def pinsker_lb(eps: float, s: float) -> float:
     return (1.0 + s) * eps * eps / 2.0
 
 
-ORDER_BELOW_ONE = "order_below_one"
-ORDER_ABOVE_ONE = "order_above_one"
+def sason_closed_lb(eps: float, s: float) -> float:
+    """Closed-form lower bound on inf {D_{1+s}(P||Q) : |P-Q| >= eps}.
 
-
-def sason_closed_lb(eps: float, s: float, side: str) -> float:
-    """Closed-form lower bounds on inf {D || TV >= eps}.
-
-    side = ORDER_BELOW_ONE: bound for orders 1-s, s in (0, 1):
-        [log 1/(4(1-eps))]^+                                  for s in (0, 1/2]
-        [((1-s)/s) log 1/(1-eps) - (1/s) log 2]^+   for s in (1/2, 1), eps > 1/2
-        0                                          for s in (1/2, 1), eps <= 1/2
-    side = ORDER_ABOVE_ONE: bound for orders 1+s, s >= 0:
-        [log 1/(4(1-eps))]^+.
+    With order 1+s and [x]^+ = max(x, 0):
+        [log 1/(4(1-eps))]^+                                for s >= -1/2
+        [((1+s)/|s|) log 1/(1-eps) - (1/|s|) log 2]^+       for -1 < s < -1/2
+        0                                                   at s = -1.
+    Below order one this is the larger of Sason's closed form and the basic
+    bound [min{1, (1+s)/|s|} log 1/(1-eps) - (1/|s|) log 2]^+.  For
+    -1/2 <= s < 0 the basic bound is the smaller, since (1/|s|) log 2 >= log 4;
+    for s < -1/2 the two are the same expression (Sason's reads 0 at
+    eps <= 1/2, where the basic one is negative before clipping).
     """
     if not 0.0 <= eps <= 1.0:
         raise ConfigError("sason_closed_lb: eps must lie in [0, 1]")
-    if eps == 1.0:
-        return math.inf
-    log_inv = -math.log1p(-eps)
-    if side == ORDER_ABOVE_ONE:
-        if s < 0:
-            raise ConfigError("order_above_one side requires s >= 0")
-        return max(log_inv - math.log(4.0), 0.0)
-    if side == ORDER_BELOW_ONE:
-        if not 0.0 < s < 1.0:
-            raise ConfigError("order_below_one side requires s in (0, 1)")
-        if s <= 0.5:
-            return max(log_inv - math.log(4.0), 0.0)
-        if eps > 0.5:
-            return max((1.0 - s) / s * log_inv - math.log(2.0) / s, 0.0)
+    if not s >= -1:
+        raise ConfigError("sason_closed_lb: order parameter s must be >= -1")
+    if s == -1:
         return 0.0
-    raise ConfigError(f"unknown side {side!r}")
-
-
-def sason_basic_lb(eps: float, s: float) -> float:
-    """The un-optimized bound [min{1, (1-s)/s} log 1/(1-eps) - (1/s) log 2]^+
-    for orders 1-s, s in (0, 1)."""
-    if not 0.0 < s < 1.0:
-        raise ConfigError("sason_basic_lb requires s in (0, 1)")
     if eps == 1.0:
         return math.inf
     log_inv = -math.log1p(-eps)
-    return max(min(1.0, (1.0 - s) / s) * log_inv - math.log(2.0) / s, 0.0)
+    if s >= -0.5:
+        return max(log_inv - math.log(4.0), 0.0)
+    t = -s
+    return max((1.0 - t) / t * log_inv - math.log(2.0) / t, 0.0)
 
 
 def sason_inf(eps: float, s: float) -> float:
-    """inf over q in [0, 1-eps] of binary_renyi(q+eps, q, s).
+    """inf over q in [0, 1-eps] of D_{1+s}(Bern(q+eps) || Bern(q)).
 
     This equals inf {D_{1+s}(P||Q) : |P-Q| >= eps} over all finite alphabets.
     Renyi divergence is jointly quasi-convex in (P, Q) for every order (van
@@ -190,7 +141,8 @@ def sason_inf(eps: float, s: float) -> float:
 
     def obj(q: float) -> float:
         # q + eps may round past 1 at q = 1 - eps
-        return binary_renyi(min(q + eps, 1.0), q, s)
+        p = min(q + eps, 1.0)
+        return renyi(np.array([p, 1.0 - p]), np.array([q, 1.0 - q]), s)
 
     res = minimize_scalar(lambda u: obj((1.0 - eps) * math.sin(u) ** 2),
                           bounds=(0.0, math.pi / 2), method="bounded",

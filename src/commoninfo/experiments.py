@@ -128,12 +128,24 @@ def _value(sec, key: str, convert, default: str, minimum=None):
 
 
 def _values(sec, key: str, convert, default: str, minimum=None) -> list:
-    return _value(sec, key, lambda t: [convert(v) for v in _split(t)],
-                  default, minimum)
+    """A list key of a cell grid: one with no entry would sweep no cell."""
+    values = _value(sec, key, lambda t: [convert(v) for v in _split(t)],
+                    default, minimum)
+    if not values:
+        raise ConfigError(f"[{sec.name}] {key} is missing or empty, so the "
+                          f"section sweeps no cell")
+    return values
 
 
 def _eps(text: str) -> float | None:
     return None if text == "none" else float(text)
+
+
+def _order(text: str) -> float:
+    s = float(text)
+    if not -1.0 <= s <= 1.0:
+        raise ConfigError("s must lie in [-1, 1]")
+    return s
 
 
 def _measure(text: str) -> str:
@@ -181,7 +193,7 @@ def parse_plan(text: str, seed_override: int | None = None,
 
     def labels(sec, key, table, resolve):
         # a label that no section defines names a fixture
-        names = _split(sec.get(key, ""))
+        names = _values(sec, key, str, "")
         table.update({name: resolve(name) for name in names
                       if name not in table})
         return names
@@ -214,7 +226,7 @@ def parse_plan(text: str, seed_override: int | None = None,
             grid = itertools.product(
                 labels(sec, "couplings", plan.couplings,
                        fixtures.resolve_coupling),
-                _values(sec, "s", float, "1.0"),
+                _values(sec, "s", _order, "1.0"),
                 _values(sec, "rates", RateSpec, ""),
                 _values(sec, "n", int, "", minimum=1),
                 _values(sec, "seeds", int, "0", minimum=0),

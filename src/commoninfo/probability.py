@@ -76,38 +76,8 @@ class JointPmf:
     def ndim(self) -> int:
         return self.mass.ndim
 
-    def marginal(self, axes):
-        """Marginal over the given axis or axes (those axes are *kept*)."""
-        return marginal(self, axes)
-
     def entropy(self) -> float:
         return float(-xlogy(self.mass, self.mass).sum())
-
-
-def marginal(joint: JointPmf, axes):
-    """Sum out all axes not listed in ``axes``.
-
-    Returns a FinitePmf when a single axis is kept, else a JointPmf with the
-    kept axes in the requested order.
-    """
-    if isinstance(axes, (int, np.integer)):
-        axes = (int(axes),)
-    axes = tuple(int(a) for a in axes)
-    if len(axes) == 0:
-        raise ConfigError("axes must be nonempty")
-    if len(set(axes)) != len(axes):
-        raise ConfigError("axes must be distinct")
-    for a in axes:
-        if not 0 <= a < joint.ndim:
-            raise ConfigError(f"axis {a} out of range for {joint.ndim} axes")
-    drop = tuple(a for a in range(joint.ndim) if a not in axes)
-    m = joint.mass.sum(axis=drop) if drop else joint.mass
-    # restore original ordering of the kept axes
-    order = np.argsort(np.argsort(axes))
-    m = np.transpose(m, order) if m.ndim > 1 else m
-    if m.ndim == 1:
-        return FinitePmf(m)
-    return JointPmf(m)
 
 
 def _validated_rows(rows, n_rows=None) -> np.ndarray:
@@ -170,16 +140,9 @@ def coupling_information(c: MarkovCoupling) -> float:
     return mutual_information_mass(induced_joint(c).mass.reshape(c.nw, -1))
 
 
-def mutual_information(joint: JointPmf) -> float:
-    """I(A;B) in nats for a 2-axis joint, with 0 log 0 = 0."""
-    if joint.ndim != 2:
-        raise ConfigError("mutual_information needs a 2-axis joint")
-    return mutual_information_mass(joint.mass)
-
-
 def mutual_information_mass(p: np.ndarray) -> float:
-    """I(A;B) in nats of a 2-axis mass array taken as it is: unvalidated,
-    for callers that already hold a joint pmf's floats."""
+    """I(A;B) in nats of a 2-axis mass array, with 0 log 0 = 0.  The array
+    is taken as it is, unvalidated: callers hold a joint pmf's floats."""
     pa = p.sum(axis=1)
     pb = p.sum(axis=0)
     with np.errstate(divide="ignore", invalid="ignore"):

@@ -48,8 +48,8 @@ from scipy.special import gammaln, logsumexp
 
 from .errors import ConfigError, DomainError, ResourceBudgetError, SamplingError
 from .probability import (FinitePmf, JointPmf, MarkovCoupling, _validated_rows,
-                          coupling_information, induced_joint, marginal)
-from .divergences import renyi, conditional_renyi, glue, tv
+                          coupling_information, induced_joint)
+from .divergences import renyi, tv
 from . import typicality as typ
 
 MAX_JOINT_CELLS = 2 ** 22
@@ -548,10 +548,13 @@ def oneshot_bound_verify(p_w: FinitePmf, cond: np.ndarray, pi_x: FinitePmf,
     if cond.shape[1] != pi_x.alphabet_size:
         raise ConfigError(f"conditional rows have {cond.shape[1]} symbols, "
                           f"pi has {pi_x.alphabet_size}")
-    joint = glue(p_w, cond)
-    q_rows = np.tile(pi_x.mass, (p_w.alphabet_size, 1))
-    cond_d = conditional_renyi(joint, q_rows, s)
-    marg_d = renyi(FinitePmf(joint.mass.sum(axis=0)), pi_x, s)
+    # D_cond = D_{1+s}(P_W P_{X|W} || P_W pi), with P_W read back off the
+    # joint and both joints renormalized
+    joint = p_w.mass[:, None] * cond
+    pm = joint.ravel()
+    qm = (joint.sum(axis=1)[:, None] * pi_x.mass).ravel()
+    cond_d = renyi(pm / pm.sum(), qm / qm.sum(), s)
+    marg_d = renyi(joint.sum(axis=0), pi_x, s)
     if np.any((cond > 0) & (pi_x.mass[None, :] == 0)):
         raise DomainError("conditional rows put mass outside supp(pi)")
     supp = p_w.mass > 0
@@ -759,9 +762,8 @@ def rate_bound_check(base: MarkovCoupling, n: int, eps: float,
     lhs = float(log_total) / (n * s)
     delta_1 = 1.0 - float(types.z_x.min())
     delta_2 = 1.0 - float(types.z_y.min())
-    q_wxy = induced_joint(base)
     i_q = coupling_information(base)
-    h_q = marginal(q_wxy, (1, 2)).entropy()
+    h_q = JointPmf(induced_joint(base).mass.sum(axis=0)).entropy()
     rhs = ((1.0 - eps) ** 2 / (1.0 + eps_prime) * i_q
            + 4.0 * eps / (1.0 - eps_prime) * h_q
            - math.log((1.0 - delta_1) * (1.0 - delta_2)) / n)

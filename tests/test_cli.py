@@ -3,6 +3,9 @@
 import csv
 import json
 import os
+import pathlib
+import re
+import shlex
 import subprocess
 import sys
 
@@ -12,6 +15,8 @@ import pytest
 import commoninfo
 from commoninfo import cli
 from commoninfo.cli import EXIT_CELL_FAILURES, EXIT_CONFIG, EXIT_OK, main
+
+README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 
 TINY_PLAN = """
 [plan]
@@ -119,8 +124,10 @@ def test_simulate_fewer_than_two_samples_is_config_error(capsys):
      "[plan] seed must be >= 0, got -1"),
     (["simulate", "dsbs01", "--rate", "0.5C", "--n", "0"],
      "[simulate] n must be >= 1, got 0"),
+    (["simulate", "dsbs01", "--rate", "0.5C", "--n", "4", "--s", "2"],
+     "[simulate] s = '2.0': s must lie in [-1, 1]"),
 ], ids=["seed", "seeds", "rate-multiple", "rate", "rate-nan", "rate-inf",
-        "sweep-seed", "block-length"])
+        "sweep-seed", "block-length", "order"])
 def test_negative_seed_or_bad_rate_is_config_error(capsys, argv, message):
     # each used to parse, fail every cell and exit 3
     assert main(argv) == EXIT_CONFIG
@@ -217,3 +224,22 @@ def test_cli_runs_the_bundled_openblas_on_one_thread():
 def test_cli_leaves_a_set_openblas_thread_count(monkeypatch):
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
     assert cli._one_blas_thread() == []
+
+
+def test_readme_cli_lines_parse():
+    # parsed only, never run
+    text = README.read_text()
+    block = re.search(r"## CLI\n\n```sh\n(.*?)```", text, re.S).group(1)
+    lines = [line.split("#", 1)[0] for line in block.splitlines()
+             if line.startswith("commoninfo ")]
+    assert len(lines) >= 5
+    for line in lines:
+        args = cli.build_parser().parse_args(shlex.split(line)[1:])
+        assert callable(args.func), line
+
+
+def test_readme_module_map_lists_every_module():
+    listed = re.findall(r"^\| `(\w+)` \|", README.read_text(), re.M)
+    src = pathlib.Path(commoninfo.__file__).parent
+    assert sorted(listed) == sorted(path.stem for path in src.glob("*.py")
+                                    if path.name != "__init__.py")

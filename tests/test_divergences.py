@@ -9,16 +9,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import xlogy
 
-from commoninfo.divergences import (ORDER_ABOVE_ONE, ORDER_BELOW_ONE,
-                                    binary_renyi, conditional_renyi,
-                                    pinsker_lb, renyi, sason_basic_lb,
-                                    sason_closed_lb, sason_inf, tv)
+from commoninfo.divergences import (pinsker_lb, renyi, sason_closed_lb,
+                                    sason_inf, tv)
 from commoninfo.errors import ConfigError
-from commoninfo.probability import FinitePmf, JointPmf
+from commoninfo.probability import FinitePmf
 
 
 def pmf_pair(rng, k):
     return rng.dirichlet(np.ones(k)), rng.dirichlet(np.ones(k))
+
+
+def binary_renyi(p, q, s):
+    """D_{1+s}(Bern(p) || Bern(q))."""
+    return renyi([p, 1.0 - p], [q, 1.0 - q], s)
 
 
 # ---------------------------------------------------------------------------
@@ -73,6 +76,9 @@ def test_renyi_accepts_pmf_objects():
 def test_renyi_rejects_bad_order_and_shapes():
     with pytest.raises(ConfigError):
         renyi([1.0], [1.0], -1.5)
+    # every branch test is false at NaN, so it used to return nan
+    with pytest.raises(ConfigError, match="s must be >= -1"):
+        renyi([0.5, 0.5], [0.25, 0.75], math.nan)
     with pytest.raises(ConfigError):
         renyi([0.5, 0.5], [1.0], 0.0)
 
@@ -101,29 +107,6 @@ def test_kl_vs_pinsker(p, q):
     t = abs(p - q)
     assert d >= 2 * t * t / 2 * (1 + 0) - 1e-12
     assert d >= pinsker_lb(t, 0.0) - 1e-12
-
-
-# ---------------------------------------------------------------------------
-# conditional divergence
-# ---------------------------------------------------------------------------
-
-def test_conditional_renyi_matches_glued_joint():
-    rng = np.random.default_rng(4)
-    px = FinitePmf(rng.dirichlet(np.ones(3)))
-    p_cond = rng.dirichlet(np.ones(3), size=3)
-    q_cond = rng.dirichlet(np.ones(3), size=3)
-    joint = JointPmf(px.mass[:, None] * p_cond)
-    for s in (-0.5, 0.0, 1.0):
-        direct = conditional_renyi(joint, q_cond, s)
-        oracle = renyi(joint.mass.ravel(),
-                       (px.mass[:, None] * q_cond).ravel(), s)
-        assert direct == pytest.approx(oracle, abs=1e-13)
-
-
-def test_conditional_renyi_rejects_unnormalized_rows():
-    joint = JointPmf(np.full((2, 2), 0.25))
-    with pytest.raises(ConfigError):
-        conditional_renyi(joint, np.array([[0.6, 0.6], [0.5, 0.5]]), 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -248,38 +231,41 @@ def test_sason_inf_never_above_the_reference_near_eps_one():
 
 
 def test_sason_inf_dominates_closed_forms():
-    for eps in (0.2, 0.5, 0.7, 0.9):
-        for s in (0.1, 0.4, 0.8):
-            exact_below = sason_inf(eps, -s)     # order 1 - s
-            assert exact_below >= sason_closed_lb(eps, s, ORDER_BELOW_ONE) - 1e-9
-            assert exact_below >= sason_basic_lb(eps, s) - 1e-9
-        for s in (0.0, 0.5, 1.0):
-            exact_above = sason_inf(eps, s)      # order 1 + s
-            assert exact_above >= sason_closed_lb(eps, s, ORDER_ABOVE_ONE) - 1e-9
+    for eps in (0.2, 0.5, 0.7, 0.9, 0.99):
+        for s in (-0.9, -0.75, -0.5, -0.4, -0.1, 0.0, 0.5, 1.0):
+            assert sason_inf(eps, s) >= sason_closed_lb(eps, s) - 1e-9
 
 
 def test_sason_closed_lb_hand_values():
     # log 1/(4(1-eps)) at eps = 0.9 -> log(2.5)
-    assert sason_closed_lb(0.9, 1.0, ORDER_ABOVE_ONE) == pytest.approx(
-        math.log(2.5), abs=1e-14)
+    assert sason_closed_lb(0.9, 1.0) == pytest.approx(math.log(2.5),
+                                                      abs=1e-14)
+    # the same form from order 1/2 up, KL included
+    for s in (-0.5, -0.25, 0.0, 3.0):
+        assert sason_closed_lb(0.9, s) == sason_closed_lb(0.9, 1.0)
     # clipped to zero when 4(1-eps) >= 1
-    assert sason_closed_lb(0.5, 1.0, ORDER_ABOVE_ONE) == 0.0
-    # large-order branch below one, eps > 1/2 (positive part)
-    s, eps = 0.75, 0.99
-    oracle = (1 - s) / s * (-math.log1p(-eps)) - math.log(2.0) / s
+    assert sason_closed_lb(0.5, 1.0) == 0.0
+    # orders below 1/2, eps > 1/2 (positive part)
+    t, eps = 0.75, 0.99
+    oracle = (1 - t) / t * (-math.log1p(-eps)) - math.log(2.0) / t
     assert oracle > 0
-    assert sason_closed_lb(eps, s, ORDER_BELOW_ONE) == pytest.approx(
-        oracle, abs=1e-14)
+    assert sason_closed_lb(eps, -t) == pytest.approx(oracle, abs=1e-14)
+    # the basic bound min{1, (1-t)/t} log 1/(1-eps) - (1/t) log 2 is the same
+    # expression there, and below the order-1/2 form above it
+    assert sason_closed_lb(eps, -t) == max(
+        min(1.0, (1 - t) / t) * (-math.log1p(-eps)) - math.log(2.0) / t, 0.0)
+    assert sason_closed_lb(0.999, -0.25) > max(
+        -math.log1p(-0.999) - math.log(2.0) / 0.25, 0.0)
     # clipped at zero when the raw expression is negative
-    assert sason_closed_lb(0.9, 0.75, ORDER_BELOW_ONE) == 0.0
-    assert sason_closed_lb(0.4, 0.75, ORDER_BELOW_ONE) == 0.0
-    assert sason_closed_lb(1.0, 0.5, ORDER_ABOVE_ONE) == math.inf
+    assert sason_closed_lb(0.9, -0.75) == 0.0
+    assert sason_closed_lb(0.4, -0.75) == 0.0
+    assert sason_closed_lb(1.0, 0.5) == math.inf
+    assert sason_closed_lb(1.0, -0.9) == math.inf
+    # the D_0 infimum vanishes, at eps = 1 too
+    assert sason_closed_lb(0.9, -1.0) == sason_closed_lb(1.0, -1.0) == 0.0
 
 
-def test_sason_side_validation():
-    with pytest.raises(ConfigError):
-        sason_closed_lb(0.5, 0.5, "sideways")
-    with pytest.raises(ConfigError):
-        sason_closed_lb(0.5, 1.5, ORDER_BELOW_ONE)
-    with pytest.raises(ConfigError):
-        sason_closed_lb(1.5, 0.5, ORDER_ABOVE_ONE)
+def test_sason_closed_lb_validation():
+    for eps, s in ((0.5, -1.5), (0.5, math.nan), (1.5, 0.5), (-0.1, -0.5)):
+        with pytest.raises(ConfigError):
+            sason_closed_lb(eps, s)

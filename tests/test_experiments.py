@@ -85,14 +85,36 @@ def test_negative_seeds_are_config_errors(text, override, match):
      r"\[simulate\] eps_prime = 0.5 not in \(0, 0.3\)"),
     ("n = 4\neps = none\neps_prime = 1.0",
      r"\[simulate\] eps_prime = 1.0 not in \(0, 1.0\)"),
+    ("n = 4\ns = 2", r"\[simulate\] s = '2': s must lie in \[-1, 1\]"),
+    ("n = 4\ns = 1 -3", r"\[simulate\] s = '1 -3': s must lie in"),
+    ("n = 4\ns = nan", r"\[simulate\] s = 'nan': s must lie in"),
 ], ids=["n-zero", "n-negative", "eps-negative", "eps-prime-zero",
-        "eps-prime-above-eps", "eps-prime-one-untruncated"])
+        "eps-prime-above-eps", "eps-prime-one-untruncated", "s-above-one",
+        "s-below-minus-one", "s-nan"])
 def test_bad_block_length_or_eps_is_a_config_error(keys, match):
-    # each used to parse, fail every cell in build_code or SynthesisCode
-    # and exit 3
+    # each used to parse, fail every cell in build_code, SynthesisCode or
+    # the estimators and exit 3
     with pytest.raises(ConfigError, match=match):
         parse_plan("[plan]\nname = x\n[simulate]\ncouplings = dsbs01\n"
                    f"rates = 0.5C\n{keys}\n")
+
+
+@pytest.mark.parametrize("section, key", [
+    ("[simulate]\ncouplings = dsbs01\nrates = 0.5C\n", "n"),
+    ("[simulate]\nrates = 0.5C\nn = 4\n", "couplings"),
+    ("[simulate]\ncouplings = dsbs01\nrates = 0.5C\nn = 4\nmeasure =\n",
+     "measure"),
+    ("[exponent]\nsources = dsbs01\n", "rates"),
+    ("[exponent]\nrates = 0.5C\n", "sources"),
+    ("[ci]\n", "sources"),
+], ids=["simulate-n", "simulate-couplings", "simulate-measure",
+        "exponent-rates", "exponent-sources", "ci-sources"])
+def test_a_section_that_sweeps_no_cell_is_a_config_error(section, key):
+    # each used to parse and sweep 0 rows with exit 0
+    kind = section[1:section.index("]")]
+    with pytest.raises(ConfigError, match=rf"^\[{kind}\] {key} is missing "
+                       r"or empty"):
+        parse_plan("[plan]\nname = x\n" + section)
 
 
 def test_parse_plan_structure():

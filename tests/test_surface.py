@@ -1,6 +1,9 @@
 """The package surface: every public name is run by the program or kept as a
 named test reference, every module-private name is read by the program, and
-the benchmark tracer's targets resolve."""
+the benchmark tracer's targets resolve.  A top-level public name is read
+through a binding (its own module, an import of it from the package, an
+attribute of an imported package module, or a string the tracer's getattr
+takes); methods and private names are matched by name alone."""
 
 import ast
 import os
@@ -54,8 +57,9 @@ def _public(tree):
 
 
 def _references(node, skip=None, bound=frozenset()):
-    """The names ``node`` reads: free variables, attributes and string
-    constants (the tracer patches by attribute name), outside ``skip``."""
+    """(kind, name) of what ``node`` reads outside ``skip``: "name" for a
+    free variable, "attr" for an attribute and "str" for a string constant
+    (the tracer patches by attribute name)."""
     if node is skip:
         return
     if isinstance(node, (ast.FunctionDef, ast.Lambda)):
@@ -66,13 +70,17 @@ def _references(node, skip=None, bound=frozenset()):
                          if isinstance(n, ast.Name)
                          and isinstance(n.ctx, ast.Store)}
     if isinstance(node, ast.Name) and node.id not in bound:
-        yield node.id
+        yield "name", node.id
     elif isinstance(node, ast.Attribute):
-        yield node.attr
+        yield "attr", node.attr
     elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-        yield node.value
+        yield "str", node.value
     for child in ast.iter_child_nodes(node):
         yield from _references(child, skip, bound)
+
+
+def _names(tree, skip=None, kinds=("name", "attr", "str")):
+    return {name for kind, name in _references(tree, skip) if kind in kinds}
 
 
 def _private(tree):
@@ -92,28 +100,82 @@ def _private(tree):
                 yield name, node
 
 
+def _modules():
+    """path -> parsed module, for each module of the program: the package
+    and the benchmark, without __init__ (it only re-exports, so its imports
+    run nothing) and the benchmark's own tests."""
+    return {path: ast.parse(path.read_text())
+            for path in sorted(SRC.glob("*.py")) + sorted(
+                PERFBENCH.glob("*.py"))
+            if path.name != "__init__.py" and not path.name.startswith("test_")}
+
+
 def _program():
     """(path, parsed module, the names every other program module reads)
-    of each module of the package; __init__ only re-exports, so its imports
-    run nothing, and the benchmark's own tests are not the program."""
-    modules = {path: ast.parse(path.read_text())
-               for path in sorted(SRC.glob("*.py")) + sorted(
-                   PERFBENCH.glob("*.py"))
-               if path.name != "__init__.py"
-               and not path.name.startswith("test_")}
+    of each module of the package."""
+    modules = _modules()
     for path, tree in modules.items():
         if path.parent == SRC:
             yield path, tree, {name for other, t in modules.items()
-                               if other != path for name in _references(t)}
+                               if other != path for name in _names(t)}
+
+
+def _bound_reads(tree, defined):
+    """(module, name) of each package-level name that ``tree`` reads through
+    an import binding: a name taken by ``from commoninfo[.x] import name``
+    or ``from .x import name``, or an attribute of a package module taken
+    by ``from commoninfo import x`` or ``from . import x``.  ``defined``
+    maps a top-level name to its module, for the package's re-exports."""
+    modules, names = {}, {}     # local name -> module, -> (module, name)
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        if node.level:
+            base = node.module or ""
+        elif (node.module or "").split(".")[0] == "commoninfo":
+            base = node.module.partition(".")[2]
+        else:
+            continue
+        for alias in node.names:
+            local = alias.asname or alias.name
+            if not base and (SRC / f"{alias.name}.py").exists():
+                modules[local] = alias.name
+            else:
+                names[local] = (base or defined.get(alias.name), alias.name)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) \
+                and node.id in names:
+            yield names[node.id]
+        elif isinstance(node, ast.Attribute) \
+                and isinstance(node.value, ast.Name) \
+                and node.value.id in modules:
+            yield modules[node.value.id], node.attr
 
 
 def test_every_public_name_is_run_or_a_named_reference():
+    # a top-level function or class counts as read when its own module
+    # reads it by name, another module reads it through an import binding
+    # (a same-named function elsewhere does not count), or some module
+    # holds its name as a string (the tracer's getattr); a method counts
+    # when its name is read anywhere, as no binding says whose method it is
+    modules = _modules()
+    defined = {node.name: path.stem for path, tree in modules.items()
+               if path.parent == SRC for node in tree.body
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    bound = {read for path, tree in modules.items()
+             for read in _bound_reads(tree, defined)}
+    strings = {name for tree in modules.values()
+               for name in _names(tree, kinds=("str",))}
     unused = {}
     for path, tree, others in _program():
         for qual, node in _public(tree):
             name = qual.rsplit(".", 1)[-1]
-            if name not in others and name not in set(_references(tree,
-                                                                  node)):
+            if "." in qual:
+                read = name in others or name in _names(tree, node)
+            else:
+                read = ((path.stem, name) in bound or name in strings
+                        or name in _names(tree, node, kinds=("name",)))
+            if not read:
                 unused[f"{path.stem}.{qual}"] = name
     assert sorted(unused) == sorted(REFERENCES)
     for qual, test_file in REFERENCES.items():
@@ -125,8 +187,7 @@ def test_every_private_name_is_read_by_the_program():
     # a read in its own module, outside its definition, counts
     unread = [f"{path.stem}.{name}" for path, tree, others in _program()
               for name, node in _private(tree)
-              if name not in others
-              and name not in set(_references(tree, node))]
+              if name not in others and name not in _names(tree, node)]
     assert unread == []
 
 

@@ -523,15 +523,16 @@ def test_oneshot_bound_caps_the_codebook_types(monkeypatch):
 
 
 def test_gamma_oneshot_matches_components():
-    # 2 e^{s Gamma}, Gamma = max(D_cond - log m, D_marg)
-    from commoninfo.divergences import conditional_renyi, glue, renyi
-    p_w = FinitePmf([0.5, 0.5])
+    # 2 e^{s Gamma}, Gamma = max(D_cond - log m, D_marg), where D_cond is
+    # the divergence of the glued joints P_W P_{X|W} and P_W pi
+    from commoninfo.divergences import renyi
+    p_w = FinitePmf([0.3, 0.7])
     cond = np.array([[0.9, 0.1], [0.2, 0.8]])
     pi_x = FinitePmf([0.55, 0.45])
     s, m = 0.5, 2
-    joint = glue(p_w, cond)
-    cond_d = conditional_renyi(joint, np.tile(pi_x.mass, (2, 1)), s)
-    marg_d = renyi(FinitePmf(joint.mass.sum(axis=0)), pi_x, s)
+    joint = p_w.mass[:, None] * cond
+    cond_d = renyi(joint, np.outer(p_w.mass, pi_x.mass), s)
+    marg_d = renyi(joint.sum(axis=0), pi_x, s)
     rep = oneshot_bound_verify(p_w, cond, pi_x, s, m)
     assert rep.gamma_rhs == pytest.approx(
         2.0 * math.exp(s * max(cond_d - math.log(m), marg_d)), rel=1e-14)
