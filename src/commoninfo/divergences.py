@@ -83,7 +83,9 @@ def tv(p, q) -> float:
 
 def pinsker_lb(eps: float, s: float) -> float:
     """Pinsker-type lower bound (1+s) eps^2 / 2 on the divergence at TV >= eps."""
-    if s <= -1:
+    if not 0.0 <= eps <= 1.0:
+        raise ConfigError("pinsker_lb: eps must lie in [0, 1]")
+    if not s > -1:
         raise ConfigError("pinsker_lb requires s > -1")
     return (1.0 + s) * eps * eps / 2.0
 

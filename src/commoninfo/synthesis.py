@@ -24,7 +24,9 @@ The induced law P(x^n, y^n) = (1/m) sum_w c_w P(x^n|w) P(y^n|w) is
 evaluated over the distinct codewords w, in order of first occurrence,
 weighted by their multiplicities c_w; their one-hot block and shell masses
 are built once per call.  The dense induced joint is capped by
-``MAX_JOINT_CELLS``.  At sampled pairs, both conditional laws share the
+``MAX_JOINT_CELLS``; the exact order-2 divergence of an untruncated code
+builds none where the |W|^n tensor of codeword counts gives the same
+estimate.  At sampled pairs, both conditional laws share the
 block's one-hot, so each sample chunk of at most about ``_CHUNK_CELLS``
 (distinct codeword, sample) cells takes one product, one exp and one
 weighted sum.
@@ -80,7 +82,11 @@ class SynthesisCode:
         lo = self.eps_prime if self.eps_prime is not None else 0.0
         if not 0.0 <= lo < hi <= 1.0:
             raise ConfigError("need 0 < eps_prime < eps <= 1")
-        if self.m_count != int(math.ceil(math.exp(self.n * self.rate) - 1e-9)):
+        try:
+            m = int(math.ceil(math.exp(self.n * self.rate) - 1e-9))
+        except (OverflowError, ValueError):  # e^{nR} past a float, or NaN
+            m = None
+        if self.m_count != m:
             raise ConfigError("m_count must equal ceil(e^{nR})")
         book = np.asarray(self.codebook)
         if (book.shape != (self.m_count, self.n)
@@ -318,6 +324,9 @@ def build_code(base: MarkovCoupling, n: int, R: float, eps: float | None,
         raise ConfigError("block length must be >= 1")
     if eps_prime is not None and not eps_prime > 0:
         raise ConfigError("eps_prime must be > 0")
+    if n * R > math.log(MAX_CODEWORDS + 1):   # e^{nR} may overflow past it
+        raise ResourceBudgetError(f"m_count ceil(e^{n * R:.6g}) exceeds cap "
+                                  f"{MAX_CODEWORDS}")
     m = int(math.ceil(math.exp(n * R) - 1e-9))
     if m > MAX_CODEWORDS:
         raise ResourceBudgetError(f"m_count {m} exceeds cap {MAX_CODEWORDS}")
@@ -344,8 +353,9 @@ class InducedJointExact:
 
 
 def _dense_fits(code: SynthesisCode) -> bool:
-    """Whether ``induced_joint_exact`` stays within ``MAX_JOINT_CELLS`` and
-    ``MAX_CODEWORDS``."""
+    """Whether the estimators are exact: ``induced_joint_exact`` stays within
+    ``MAX_JOINT_CELLS`` and ``MAX_CODEWORDS``, and so does the |W|^n count
+    tensor of ``_renyi2_from_counts``, which needs |W| <= |X||Y|."""
     cells = float(code.base.nx) ** code.n * float(code.base.ny) ** code.n
     return cells <= MAX_JOINT_CELLS and code.m_count <= MAX_CODEWORDS
 
@@ -367,6 +377,33 @@ def induced_joint_exact(code: SynthesisCode) -> InducedJointExact:
     py *= mult[:, None]
     return InducedJointExact(n=n, mass=px.T @ py / code.m_count,
                              seqs_x=seqs_x, seqs_y=seqs_y)
+
+
+def _renyi2_from_counts(code: SynthesisCode) -> float | None:
+    """D_2(P || pi^n) of an untruncated code, log(c^T K^{(x)n} c / m^2): c the
+    |W|^n tensor of codeword counts, K(a, b) = sum_{x,y} Q(x|a) Q(y|a) Q(x|b)
+    Q(y|b) / pi(x, y), scaled to a largest entry of 1.  None (the dense path)
+    unless |W| <= |X||Y| and the rows of Q_{X|W} and Q_{Y|W} of each W-symbol
+    in supp Q_W are positive on supp pi_X and supp pi_Y: P > 0 on supp pi^n."""
+    base, n = code.base, code.n
+    qx, qy = base.q_x_given_w, base.q_y_given_w
+    pi = base.xy_marginal().mass
+    live = base.q_w.mass > 0
+    if (base.nw > base.nx * base.ny
+            or np.any((qx[live] == 0) & (pi.sum(axis=1) > 0))
+            or np.any((qy[live] == 0) & (pi.sum(axis=0) > 0))):
+        return None
+    f = (qx[:, :, None] * qy[:, None, :]).reshape(base.nw, -1)
+    kern = (f / np.where(pi > 0, pi, np.inf).ravel()) @ f.T
+    top = kern.max()
+    kern /= top
+    counts = np.zeros((base.nw,) * n)
+    np.add.at(counts, tuple(code.codebook.T), 1.0)
+    v = counts
+    for _ in range(n):                   # each step moves its axis last
+        v = np.tensordot(v, kern, axes=(0, 0))
+    return max(n * math.log(top) + math.log(float(np.vdot(counts, v)))
+               - 2.0 * math.log(code.m_count), 0.0)
 
 
 #: cells of one (distinct codeword x sample) block of induced-law values,
@@ -477,15 +514,21 @@ def estimate_renyi(code: SynthesisCode, s: float, samples: int = 4096,
                    seed: int = 0) -> DivergenceEstimate:
     """D_{1+s}(P_{X^nY^n} || pi^n): exact within budget, else Monte-Carlo with
     proposal P for s >= 0, E_P[(P/pi)^s] (the mean log-ratio at s = 0), and
-    proposal pi^n for s < 0, E_pi[(P/pi)^{1+s}] over supp(P).  A codeword
-    with an empty shell reads inf, with a ``structural_zero`` diagnostic, on
-    both paths."""
+    proposal pi^n for s < 0, E_pi[(P/pi)^{1+s}] over supp(P); an exact s = 1
+    value of an untruncated code comes from ``_renyi2_from_counts`` where it
+    serves.  A codeword with an empty shell reads inf, with a
+    ``structural_zero`` diagnostic, on both paths."""
     if not -1.0 <= s <= 1.0:
         raise ConfigError("s must lie in [-1, 1]")
     if samples < 2:
         raise ConfigError(f"samples must be >= 2, got {samples}")
     exact = _dense_fits(code)
     method = "exact" if exact else "monte_carlo"
+    if exact and s == 1.0 and code.eps is None:
+        val = _renyi2_from_counts(code)
+        if val is not None:
+            return DivergenceEstimate(val, 0.0, method, 0, seed,
+                                      per_symbol=val / code.n)
     try:
         p, log_pi = _p_and_log_pi(code, exact, samples, _rng(seed, 2), s >= 0)
     except DomainError as err:

@@ -265,6 +265,14 @@ def test_sason_closed_lb_hand_values():
     assert sason_closed_lb(0.9, -1.0) == sason_closed_lb(1.0, -1.0) == 0.0
 
 
+def test_pinsker_lb_validation():
+    assert pinsker_lb(0.0, -0.5) == 0.0 and pinsker_lb(1.0, 1.0) == 1.0
+    for eps, s in ((0.5, math.nan), (1.5, 0.0), (-0.5, 0.0), (math.nan, 0.0),
+                   (0.5, -1.0)):
+        with pytest.raises(ConfigError):
+            pinsker_lb(eps, s)
+
+
 def test_sason_closed_lb_validation():
     for eps, s in ((0.5, -1.5), (0.5, math.nan), (1.5, 0.5), (-0.1, -0.5)):
         with pytest.raises(ConfigError):

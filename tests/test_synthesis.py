@@ -2,9 +2,11 @@
 brute-force oracles, estimator agreement, and the finite-n bound checks."""
 
 import collections
+import dataclasses
 import itertools
 import math
 import time
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -40,6 +42,23 @@ def test_build_code_rejects_a_nan_or_negative_rate(rate):
     base = fixtures.dsbs_optimal_coupling(0.1)
     with pytest.raises(ConfigError, match="nonnegative"):
         build_code(base, 4, rate, 1.0, 0.5, seed=0)
+
+
+@pytest.mark.parametrize("rate", [2.0, 100.0, math.inf])
+def test_build_code_names_its_cap_past_a_float_exponential(rate):
+    # e^{10 * 100} overflows a float: the cap is named, not OverflowError
+    base = fixtures.dsbs_optimal_coupling(0.1)
+    with pytest.raises(ResourceBudgetError, match="exceeds cap 16384"):
+        build_code(base, 10, rate, None, 0.5, seed=0)
+
+
+@pytest.mark.parametrize("rate", [100.0, math.inf, math.nan])
+def test_code_rejects_a_rate_whose_count_is_no_float(rate):
+    base = fixtures.dsbs_optimal_coupling(0.1)
+    with pytest.raises(ConfigError, match="m_count"):
+        SynthesisCode(n=10, rate=rate, m_count=1,
+                      codebook=np.zeros((1, 10), dtype=int), base=base,
+                      eps=None, eps_prime=None, seed=0)
 
 
 def test_m_count_rule():
@@ -1215,13 +1234,30 @@ def reference_estimate_renyi(code, s, samples, seed):
 DIFFERENTIAL_ORDERS = (-1.0, -0.5, -1e-3, 0.0, 1e-5, 0.5, 1.0)
 
 
+def count_order2_kernel_uses(monkeypatch):
+    """Wraps ``synthesis._renyi2_from_counts``; the returned counter's
+    ``served`` counts the estimates it gave."""
+    counter = collections.Counter()
+    kernel = synthesis._renyi2_from_counts
+
+    def counted(code):
+        val = kernel(code)
+        counter["served"] += val is not None
+        return val
+    monkeypatch.setattr(synthesis, "_renyi2_from_counts", counted)
+    return counter
+
+
 @pytest.mark.parametrize("path", ["exact", "monte_carlo"])
 def test_estimators_equal_the_two_path_references(monkeypatch, path):
     # three couplings, the 2x3 one with empty Y-shells at n = 6 and
     # eps = 0.6; truncated and untruncated codes; every field compared
-    # with ==, on both paths
+    # with ==, on both paths, except the point and per-symbol values of the
+    # exact order-2 estimates of untruncated codes: the count-tensor kernel
+    # gives them, and they may differ from the dense sum in the last bits
     if path == "monte_carlo":
         monkeypatch.setattr(synthesis, "MAX_JOINT_CELLS", 10)
+    kernel = count_order2_kernel_uses(monkeypatch)
     couplings = ((fixtures.dsbs_optimal_coupling(0.1), (4, 6), 1.0, 0.5),
                  (seeded_coupling_2x3(), (4, 6), 0.6, 0.5),
                  (ternary_w_coupling(), (4, 5), 1.0, None))
@@ -1232,14 +1268,111 @@ def test_estimators_equal_the_two_path_references(monkeypatch, path):
                           eps_prime, seed=seed)
         got = [estimate_tv(code, samples=200, seed=seed)]
         want = [reference_estimate_tv(code, 200, seed)]
+        by_kernel = [False]
         for s in DIFFERENTIAL_ORDERS:
+            served = kernel["served"]
             got.append(estimate_renyi(code, s, samples=200, seed=seed))
             want.append(reference_estimate_renyi(code, s, 200, seed))
-        for g, w in zip(got, want):
+            by_kernel.append(kernel["served"] > served)
+        for g, w, k in zip(got, want, by_kernel):
+            if k:
+                assert g.point == pytest.approx(w.point, rel=0, abs=1e-13)
+                assert g.per_symbol == pytest.approx(w.per_symbol, rel=0,
+                                                     abs=1e-13)
+                g = dataclasses.replace(g, point=w.point,
+                                        per_symbol=w.per_symbol)
             assert g == w, (code.n, code.eps, seed, g, w)
             assert g.method == path
             diagnostics.update(g.diagnostics.keys())
             positive += math.isfinite(g.point) and g.point > 0
     assert diagnostics["structural_zero"] >= 64 and positive >= 150
+    # the untruncated s = 1 estimates: 3 couplings x 2 n x 3 seeds
+    assert kernel["served"] == (18 if path == "exact" else 0)
     if path == "exact":
         assert diagnostics["pi_support_uncovered"] >= 30
+
+
+# ---------------------------------------------------------------------------
+# the exact order-2 divergence from the codeword-count tensor
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("base", [fixtures.dsbs_optimal_coupling(0.1),
+                                  ternary_w_coupling(), seeded_coupling_2x3()],
+                         ids=["dsbs01", "ternary-w", "2x3"])
+def test_order_two_kernel_matches_the_dense_path(base):
+    for n in range(1, 9):
+        code = build_code(base, n, 0.3, None, None, seed=n)
+        val = synthesis._renyi2_from_counts(code)
+        dense = reference_estimate_renyi(code, 1.0, 200, 0)
+        assert val == pytest.approx(dense.point, rel=0, abs=1e-13), n
+
+
+def test_order_two_kernel_at_the_dense_budget_edge():
+    base = fixtures.dsbs_optimal_coupling(0.1)
+    code = build_code(base, 11, 0.5, None, 0.5, seed=3)
+    assert 4 ** 11 == synthesis.MAX_JOINT_CELLS and synthesis._dense_fits(code)
+    val = synthesis._renyi2_from_counts(code)
+    assert val == pytest.approx(closed_form_renyi2(code), rel=0, abs=1e-13)
+
+
+def test_order_two_kernel_builds_no_dense_joint(monkeypatch):
+    def refuse(code):
+        raise AssertionError("dense joint built")
+    monkeypatch.setattr(synthesis, "induced_joint_exact", refuse)
+    code = build_code(fixtures.dsbs_optimal_coupling(0.1), 8, 0.5, None, 0.5,
+                      seed=0)
+    est = estimate_renyi(code, 1.0, seed=4)
+    assert (est.method, est.std_error, est.samples, est.seed,
+            est.diagnostics) == ("exact", 0.0, 0, 4, {})
+    assert est.per_symbol == est.point / 8 and est.point > 0
+
+
+def test_order_two_kernel_peak_memory_stays_below_one_mib():
+    # the dense path's peak here is about 65 MiB: the 4^10 joint and the
+    # log pi^n table with their exp copies
+    code = build_code(fixtures.dsbs_optimal_coupling(0.1), 10,
+                      1.2 * acceptance.DSBS_CI_EXACT, None, 0.5, seed=3)
+    assert code.m_count == 1422
+    tracemalloc.start()
+    try:
+        est = estimate_renyi(code, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert est.method == "exact" and peak < 2 ** 20
+
+
+def wide_w_coupling():
+    """A seeded coupling with 5 W-symbols on binary X and Y, so that
+    |W| > |X||Y|."""
+    rng = np.random.default_rng(5)
+    return MarkovCoupling(FinitePmf(rng.dirichlet(np.ones(5))),
+                          rng.dirichlet(np.ones(2), size=5),
+                          rng.dirichlet(np.ones(2), size=5))
+
+
+@pytest.mark.parametrize("base, n, eps, s, diagnostics", [
+    # the copy code's m = 4 codewords cover at most 4 of the 16 diagonal
+    # pairs of supp pi^4
+    (fixtures.copy_coupling_binary(), 4, None, 1.0,
+     {"pi_support_uncovered": True}),
+    (fixtures.dsbs_optimal_coupling(0.1), 5, 1.0, 1.0,
+     {"pi_support_uncovered": True}),
+    (fixtures.dsbs_optimal_coupling(0.1), 4, None, 0.5, {}),
+    (wide_w_coupling(), 4, None, 1.0, {}),
+], ids=["point-mass-rows", "truncated", "s-half", "wide-w"])
+def test_cells_outside_the_order_two_kernel_take_the_dense_path(
+        monkeypatch, base, n, eps, s, diagnostics):
+    kernel = count_order2_kernel_uses(monkeypatch)
+    dense = collections.Counter()
+    joint = synthesis.induced_joint_exact
+
+    def counted(code):
+        dense["calls"] += 1
+        return joint(code)
+    monkeypatch.setattr(synthesis, "induced_joint_exact", counted)
+    code = build_code(base, n, 0.3, eps, None, seed=1)
+    est = estimate_renyi(code, s, seed=1)
+    assert est == reference_estimate_renyi(code, s, 4096, 1)
+    assert math.isfinite(est.point) and est.diagnostics == diagnostics
+    assert dense["calls"] == 1 and kernel["served"] == 0
