@@ -10,6 +10,17 @@ The augmented joint lives in the polytope of distributions on X x Y x U with
 is enforced structurally (parameters exist only on the support), which removes
 the region where omega is undefined.
 
+Every omega reader (the Omega and R^(alpha) objectives, the Danskin slope
+and the test references) runs one kernel on Q held flat over the S*U cells.
+`_SupportGrid` builds once an aggregation matrix, whose rows sum Q into its
+XY, U, XU and YU marginals, and an index that gathers each cell's four
+marginals from those sums.  Per evaluation one product, one gather, one clip
+at `_TINY` and one log give the logs of Q and its marginals at every cell;
+omega is one coefficient row against them (`_SupportGrid.omega`), and the
+gradient applies the same product and gather to the tilted law.  `_tilt`
+takes log E_Q[e^{-theta omega}] to relative precision, so (1/theta) Omega
+keeps its digits as theta -> 0.
+
 The inner minimization is non-convex.  Each solve runs quasi-Newton descent
 with analytic gradients from a fixed list of starts and draws none at random:
 the caller's warm logits, then the Wyner argmin lifted into the polytope, then
@@ -48,8 +59,8 @@ _THETA_GRID_POINTS = 65
 _THETA_GRID_MIN = 1e-4
 #: prune threshold: minimized Omega below this certifies F < 0 at all larger theta
 _OMEGA_PRUNE = -1e-6
-#: theta of the first solve on each ray of f_rate, the smallest grid theta
-_THETA_MIN = _THETA_GRID_MIN
+#: theta of the first solve on each ray of f_rate
+_THETA_MIN = 1e-4
 #: rays f_rate solves before its search over alpha, which comes no closer to
 #: a kink or an end of [0, 1] than its tolerance: the kink at 1/2 of the
 #: wall with no mates and the edge alpha = 1.  The edge alpha = 0 is left
@@ -69,6 +80,8 @@ _INNER_MAXITER = 300
 _INNER_FTOL = 1e-14
 #: r_sh's one alpha: the supremum over alpha is approached as alpha -> 0
 _R_SH_ALPHA = 1e-3
+#: softmax cells can underflow to exact 0; omega's logs are clipped here
+_TINY = 1e-300
 
 
 @dataclass(frozen=True)
@@ -86,7 +99,14 @@ class ExponentPoint:
 
 
 class _SupportGrid:
-    """Index bookkeeping for joints restricted to supp(pi) x U."""
+    """Index bookkeeping for joints restricted to supp(pi) x U, and the
+    marginal kernel every omega reader runs on.
+
+    Q is held flat: cell (s, u) is entry s*U + u.  ``agg`` is the
+    K x S*U 0/1 matrix whose rows sum Q into its XY, U, XU and YU marginals,
+    K = S + U + (|X| + |Y|) U, and ``gather`` (4, S*U) indexes, for each
+    cell, the row of each of its four marginals: one product and one gather
+    give all four at every cell."""
 
     def __init__(self, pi: JointPmf, nu: int | None = None):
         if pi.ndim != 2:
@@ -98,12 +118,13 @@ class _SupportGrid:
         self.x_of_s = supp[:, 0]
         self.y_of_s = supp[:, 1]
         self.n_supp = supp.shape[0]
-        self.log_pi_s = np.log(pi.mass[self.x_of_s, self.y_of_s])
-        # one-hot projectors for X- and Y-marginals over support points
-        self.proj_x = np.zeros((self.nx, self.n_supp))
-        self.proj_x[self.x_of_s, np.arange(self.n_supp)] = 1.0
-        self.proj_y = np.zeros((self.ny, self.n_supp))
-        self.proj_y[self.y_of_s, np.arange(self.n_supp)] = 1.0
+        S, U = self.n_supp, self.nu
+        s, u = np.divmod(np.arange(S * U), U)
+        self.log_pi = np.log(pi.mass[self.x_of_s, self.y_of_s])[s]
+        self.gather = np.stack([s, S + u, S + U + self.x_of_s[s] * U + u,
+                                S + U + (self.nx + self.y_of_s[s]) * U + u])
+        self.agg = np.zeros((S + U + (self.nx + self.ny) * U, S * U))
+        self.agg[self.gather, np.arange(S * U)] = 1.0
         # does some support cell share its row, its column, or both, with
         # another support cell?  That sets the wall of the domain of Omega.
         row_mate = np.bincount(self.x_of_s, minlength=self.nx)[self.x_of_s] > 1
@@ -111,18 +132,27 @@ class _SupportGrid:
         self.both_mates = bool(np.any(row_mate & col_mate))
         self.any_mate = bool(np.any(row_mate | col_mate))
 
+    def omega(self, q: np.ndarray, alpha: float):
+        """omega at every cell of the flat Q, and the (5, S*U) stack of Q
+        and its XY, U, XU and YU marginals there, clipped at _TINY.  The
+        clip keeps omega finite outside supp(Q), where Q weights it by 0."""
+        m = np.maximum(np.vstack((q, (self.agg @ q)[self.gather])), _TINY)
+        return _omega_row(alpha) @ np.log(m) - self.log_pi, m
+
     def theta_wall(self, alpha: float) -> float:
         """The largest theta at which Omega(alpha, theta) is finite; at most
         2, so below DEFAULT_THETA_MAX.
 
-        Drive one cell Q(s, u) = eps to 0 in the product form of
-        `_omega_objective`.  Its term scales as eps^(1 - a - b) times the
-        powers of the marginals that shrink with it: Q_XY(s) always, Q_XU
-        unless another cell of row x holds mass at u, Q_YU unless another cell
-        of column y does, and Q_U as the term prefers.  The exponent is
-        1 - theta(2 - alpha) with mates in both directions, 1 - theta with
-        mates on one side only, and 1 - theta*max(alpha, 1 - alpha) with
-        none.  Past the first wall some term diverges, so Omega = -inf."""
+        Drive one cell Q(s, u) = eps to 0 in the product form
+        Q e^{-theta omega} = Q^(1-a-b) Q_XY^-a Q_U^(b-a) Q_XU^a Q_YU^a
+        pi^(a+b), a = theta(1 - alpha), b = theta alpha.  Its term scales
+        as eps^(1 - a - b) times the powers of the marginals that shrink
+        with it: Q_XY(s) always, Q_XU unless another cell of row x holds mass
+        at u, Q_YU unless another cell of column y does, and Q_U as the term
+        prefers.  The exponent is 1 - theta(2 - alpha) with mates in both
+        directions, 1 - theta with mates on one side only, and
+        1 - theta*max(alpha, 1 - alpha) with none.  Past the first wall some
+        term diverges, so Omega = -inf."""
         if self.both_mates:
             rate = 2.0 - alpha
         elif self.any_mate:
@@ -145,18 +175,13 @@ class _SupportGrid:
         return q.mass[self.x_of_s, self.y_of_s, :]
 
 
-def _q_marginals(grid: _SupportGrid, q_su: np.ndarray):
-    q_xy = q_su.sum(axis=1)                      # (S,)
-    q_u = q_su.sum(axis=0)                       # (U,)
-    q_xu = grid.proj_x @ q_su                    # (nx, U)
-    q_yu = grid.proj_y @ q_su                    # (ny, U)
-    return q_xy, q_u, q_xu, q_yu
-
-
-def _omega_table(grid: _SupportGrid, q_su: np.ndarray, alpha: float) -> np.ndarray:
-    """omega at every (support point, u) from the clipped logs; outside
-    supp(Q) a finite value that Q weights by 0."""
-    return _omega_of_logs(grid, _clipped_logs(grid, q_su), alpha)
+def _omega_row(alpha: float) -> np.ndarray:
+    """omega's coefficients of the logs of the stack of `_SupportGrid.omega`:
+    omega = (1-alpha) log(Q_XY Q Q_U / (pi Q_XU Q_YU))
+            + alpha log(Q / (Q_U pi))
+          = row . (log Q, log Q_XY, log Q_U, log Q_XU, log Q_YU) - log pi."""
+    return np.array([1.0, 1.0 - alpha, 1.0 - 2.0 * alpha, alpha - 1.0,
+                     alpha - 1.0])
 
 
 def omega(q: JointPmf, pi: JointPmf, alpha: float, x: int, y: int, u: int) -> float:
@@ -168,8 +193,8 @@ def omega(q: JointPmf, pi: JointPmf, alpha: float, x: int, y: int, u: int) -> fl
     if q.mass[x, y, u] <= 0:
         raise DomainError(f"({x},{y},{u}) outside supp(Q)")
     s = int(np.flatnonzero((grid.x_of_s == x) & (grid.y_of_s == y))[0])
-    table = _omega_table(grid, q_su / q_su.sum(), alpha)
-    return float(table[s, u])
+    table = grid.omega(q_su.ravel() / q_su.sum(), alpha)[0]
+    return float(table[s * grid.nu + u])
 
 
 def big_omega_q(q: JointPmf, pi: JointPmf, pt: ExponentPoint) -> float:
@@ -177,14 +202,10 @@ def big_omega_q(q: JointPmf, pi: JointPmf, pt: ExponentPoint) -> float:
     A test reference that no program path runs: the tests read the domain
     walls of Omega and its Jensen bound off it."""
     grid = _SupportGrid(pi, nu=q.dims[2])
-    q_su = grid.from_full(q)
+    q_su = grid.from_full(q).ravel()
     q_su = q_su / q_su.sum()
-    table = _omega_table(grid, q_su, pt.alpha)
-    mask = q_su > 0
-    with np.errstate(divide="ignore"):
-        log_terms = np.where(mask, np.log(np.where(mask, q_su, 1.0))
-                             - pt.theta * np.where(mask, table, 0.0), -np.inf)
-    return -_log_normalize(log_terms)[0]
+    table = grid.omega(q_su, pt.alpha)[0]
+    return -_tilt(q_su, np.where(q_su > 0, -pt.theta * table, -np.inf))[0]
 
 
 def r_alpha_q(q: JointPmf, pi: JointPmf, alpha: float) -> float:
@@ -194,9 +215,9 @@ def r_alpha_q(q: JointPmf, pi: JointPmf, alpha: float) -> float:
     no program path runs: the tests check ``omega`` and the Jensen bound of
     ``big_omega_q`` against it."""
     grid = _SupportGrid(pi, nu=q.dims[2])
-    q_su = grid.from_full(q)
+    q_su = grid.from_full(q).ravel()
     q_su = q_su / q_su.sum()
-    table = _omega_table(grid, q_su, alpha)
+    table = grid.omega(q_su, alpha)[0]
     return float((q_su * np.where(q_su > 0, table, 0.0)).sum())
 
 
@@ -204,90 +225,45 @@ def r_alpha_q(q: JointPmf, pi: JointPmf, alpha: float) -> float:
 # inner minimizations over the support-restricted polytope
 # ---------------------------------------------------------------------------
 
-def _log_normalize(log_t: np.ndarray):
-    """log sum exp(log_t) and the weights exp(log_t) / sum exp(log_t),
-    by a shift to the largest entry, which then contributes exp(0) = 1."""
-    m = log_t.max()
-    e = np.exp(log_t - m)
-    total = e.sum()
-    return float(m + math.log(total)), e / total
+def _tilt(q, a):
+    """log E_Q[e^a] and the tilted law Q e^a / E_Q[e^a], for weights Q that
+    sum to 1 and exponents a, shifted by their largest c.
+
+    The log is c + log1p(E_Q[expm1(a - c)]).  It keeps its relative
+    precision as a -> 0, where c + log(sum) would be off by the rounding of
+    O(1) terms: 1e-12 in Omega / theta at theta = 1e-4.  When the tilt moves
+    most of the mass to light cells (the mean falls below 1/2), the log of
+    the sum is the precise form."""
+    c = a.max()
+    d = a - c
+    w = q * np.exp(d)
+    total = w.sum()
+    x = float(q @ np.expm1(d))
+    log_mean = math.log1p(x) if x > -0.5 else math.log(total)
+    return float(c + log_mean), w / total
 
 
-def _softmax_flat(z: np.ndarray, shape) -> np.ndarray:
+def _softmax_flat(z: np.ndarray) -> np.ndarray:
     z = z - z.max()
     e = np.exp(z)
-    return (e / e.sum()).reshape(shape)
-
-
-#: softmax cells can underflow to exact 0; the logs are clipped here
-_TINY = 1e-300
-
-
-def _clipped_marginals(grid: _SupportGrid, q):
-    """Q and its XY, U, XU and YU marginals, each at every (s, u) or
-    broadcast to it, clipped at _TINY."""
-    q_xy, q_u, q_xu, q_yu = _q_marginals(grid, q)
-    return (np.maximum(q, _TINY),
-            np.maximum(q_xy, _TINY)[:, None],
-            np.maximum(q_u, _TINY)[None, :],
-            np.maximum(q_xu, _TINY)[grid.x_of_s],
-            np.maximum(q_yu, _TINY)[grid.y_of_s])
-
-
-def _clipped_logs(grid: _SupportGrid, q):
-    """The logs of `_clipped_marginals`."""
-    return tuple(map(np.log, _clipped_marginals(grid, q)))
-
-
-def _omega_of_logs(grid: _SupportGrid, logs, alpha) -> np.ndarray:
-    """omega at every (s, u) from log Q and the logs of its XY, U, XU and YU
-    marginals, each at (s, u) or broadcast to it:
-    (1-alpha) log(Q_XY Q Q_U / (pi Q_XU Q_YU)) + alpha log(Q / (Q_U pi))."""
-    log_q, log_qxy, log_qu, log_qxu, log_qyu = logs
-    log_pi = grid.log_pi_s[:, None]
-    return ((1.0 - alpha) * (log_qxy - log_pi + log_q + log_qu
-                             - log_qxu - log_qyu)
-            + alpha * (log_q - log_qu - log_pi))
-
-
-def _log_tilt(grid: _SupportGrid, logs, alpha, theta) -> np.ndarray:
-    """log of Q e^{-theta omega} at every (s, u), by the product form
-    Q^{1-theta} Q_XY^{-a} Q_U^{b-a} Q_XU^{a} Q_YU^{a} pi^{a+b}
-    with a = theta*(1-alpha), b = theta*alpha."""
-    log_q, log_qxy, log_qu, log_qxu, log_qyu = logs
-    a = theta * (1.0 - alpha)
-    b = theta * alpha
-    return ((1.0 - a - b) * log_q
-            - a * log_qxy
-            + (b - a) * log_qu
-            + a * log_qxu
-            + a * log_qyu
-            + (a + b) * grid.log_pi_s[:, None])
+    return e / e.sum()
 
 
 def _omega_objective(z, grid: _SupportGrid, alpha, theta):
     """Omega_Q(alpha, theta) with analytic gradient in global softmax logits.
 
-    Uses the product form of `_log_tilt` and keeps all intermediate ratios
-    of the form Q/Q_marginal, which are bounded by 1.
+    Omega_Q = -log E_Q[e^{-theta omega}], from `_SupportGrid.omega`.  The
+    gradient keeps every ratio of the form Q/Q_marginal, which is bounded by
+    1: with the tilted law t summed into each cell's marginals T the same
+    way as Q, Q dOmega/dQ = theta sum_k row_k (Q / M_k) T_k - (1 - theta) t.
     """
-    S, U = grid.n_supp, grid.nu
-    q = _softmax_flat(z, (S, U))
-    a = theta * (1.0 - alpha)
-    b = theta * alpha
-    clipped = _clipped_marginals(grid, q)
-    log_t = _log_tilt(grid, tuple(map(np.log, clipped)), alpha, theta)
-    L, t_norm = _log_normalize(log_t)           # t_norm sums to 1
-    f = -L
-    # u1 = Q * dG/dQ, assembled from bounded ratios Q/Q_marginal <= 1
-    r_xy, r_u, r_xu, r_yu = (q / m for m in clipped[1:])
-    u1 = -((1.0 - a - b) * t_norm
-           - a * r_xy * t_norm.sum(axis=1, keepdims=True)
-           + (b - a) * r_u * t_norm.sum(axis=0, keepdims=True)
-           + a * r_xu * (grid.proj_x.T @ (grid.proj_x @ t_norm))
-           + a * r_yu * (grid.proj_y.T @ (grid.proj_y @ t_norm)))
-    grad = (u1 - q * u1.sum()).ravel()
-    return f, grad
+    q = _softmax_flat(z)
+    om, m = grid.omega(q, alpha)
+    L, t = _tilt(m[0], -theta * om)   # t sums to 1
+    tilted = (grid.agg @ t)[grid.gather]
+    u1 = (theta * (_omega_row(alpha)[1:] @ (q / m[1:] * tilted))
+          - (1.0 - theta) * t)
+    return -L, u1 - q * u1.sum()
 
 
 def _omega_ray_slope(z, grid: _SupportGrid, alpha, theta) -> float:
@@ -295,21 +271,17 @@ def _omega_ray_slope(z, grid: _SupportGrid, alpha, theta) -> float:
     of omega under the tilted law Q e^{-theta omega} / E_Q[e^{-theta omega}].
     At the inner minimizer this is the slope of Omega(alpha, .) itself
     (Danskin's theorem)."""
-    q = _softmax_flat(z, (grid.n_supp, grid.nu))
-    logs = _clipped_logs(grid, q)
-    _, t_norm = _log_normalize(_log_tilt(grid, logs, alpha, theta))
-    return float((t_norm * _omega_of_logs(grid, logs, alpha)).sum())
+    om, m = grid.omega(_softmax_flat(z), alpha)
+    _, t = _tilt(m[0], -theta * om)
+    return float((t * om).sum())
 
 
 def _r_alpha_objective(z, grid: _SupportGrid, alpha):
-    S, U = grid.n_supp, grid.nu
-    q = _softmax_flat(z, (S, U))
-    table = _omega_table(grid, q, alpha)
-    f = float((q * table).sum())
+    q = _softmax_flat(z)
+    om = grid.omega(q, alpha)[0]
+    f = float((q * om).sum())
     # dR/dQ = omega + (1 - alpha); the constant drops in the softmax chain
-    g = table
-    grad = (q * (g - (q * g).sum())).ravel()
-    return f, grad
+    return f, q * (om - f)
 
 
 #: largest TV distance between a CI argmin's XY marginal and the joint it is
@@ -436,6 +408,7 @@ def tabulate_omega(pi: JointPmf, ci: CiSolution,
     grid reference `f_rate` is tested against, and the benchmark's tracer
     wraps it by attribute for its ``tabulate_omega.*`` metrics."""
     grid = _SupportGrid(pi)
+    lifted = _ci_lift_logits(grid, ci)
     alphas = np.linspace(0.0, 1.0, n_alpha)
     thetas = np.geomspace(_THETA_GRID_MIN, DEFAULT_THETA_MAX, n_theta)
     values = np.full((n_alpha, n_theta), -np.inf)
@@ -444,7 +417,8 @@ def tabulate_omega(pi: JointPmf, ci: CiSolution,
         warm = []
         for j, theta in enumerate(thetas):
             pt = ExponentPoint(float(alpha), float(theta))
-            res = big_omega_min(pi, pt, warm_logits=warm, ci=ci, grid=grid)
+            res = big_omega_min(pi, pt, warm_logits=[*warm, lifted],
+                                grid=grid)
             values[i, j] = res.value
             logits[(i, j)] = res.logits
             warm = [res.logits]
@@ -467,10 +441,10 @@ def f_rate(pi: JointPmf, R: float, ci: CiSolution) -> float:
     point has F > 0 (theta = 0 always gives 0).
 
     ``ci`` is the Wyner solution of ``pi``: every inner solve starts from its
-    warm neighbour, the lifted argmin of ``ci`` and the product coupling.  The
-    lifted argmin is required because the other starts stall: on DSBS(0.1) at
-    R = 0.3 they give F = 0.031877 in place of 0.011679, and 0.054338 in place
-    of 0.049143 on the copy source.
+    warm neighbour, the argmin of ``ci`` (lifted once per call) and the
+    product coupling.  The lifted argmin is required because the other
+    starts stall: on DSBS(0.1) at R = 0.3 they give F = 0.031877 in place of
+    0.011679, and 0.054338 in place of 0.049143 on the copy source.
 
     Write beta = alpha*theta.  For fixed Q, omega is linear in alpha, so
     Omega_Q = -log E_Q[exp(-theta A - beta B)] is jointly concave in
@@ -505,6 +479,7 @@ def f_rate(pi: JointPmf, R: float, ci: CiSolution) -> float:
     if not R >= 0:
         raise ConfigError("rate must be nonnegative")
     grid = _SupportGrid(pi)
+    lifted = _ci_lift_logits(grid, ci)
     solved: dict[tuple, _RayPoint] = {}
 
     def point(alpha, theta) -> _RayPoint:
@@ -512,9 +487,9 @@ def f_rate(pi: JointPmf, R: float, ci: CiSolution) -> float:
             near = min(solved, default=None, key=lambda k: (
                 abs(k[0] - alpha) + abs(math.log(k[1] / theta))))
             pt = ExponentPoint(alpha, theta)
-            res = big_omega_min(
-                pi, pt, warm_logits=[solved[near].logits] if near else [],
-                ci=ci, grid=grid)
+            warm = [solved[near].logits] if near else []
+            res = big_omega_min(pi, pt, warm_logits=[*warm, lifted],
+                                grid=grid)
             slope = _omega_ray_slope(res.logits, grid, alpha, theta)
             d_slope = 5.0 - 3.0 * alpha
             n = res.value - theta * alpha * R
@@ -585,12 +560,13 @@ def theta_limit_check(pi: JointPmf, alpha: float, thetas,
     if any(t <= 0 for t in thetas):
         raise ConfigError("thetas must be positive")
     grid = _SupportGrid(pi)
-    ra = r_alpha_min(pi, alpha, ci=ci, grid=grid)
+    lifted = _ci_lift_logits(grid, ci)
+    ra = r_alpha_min(pi, alpha, warm_logits=[lifted], grid=grid)
     scaled = []
     warm = [ra.logits]
     for theta in sorted(thetas, reverse=True):
         pt = ExponentPoint(alpha, theta)
-        res = big_omega_min(pi, pt, warm_logits=warm, ci=ci, grid=grid)
+        res = big_omega_min(pi, pt, warm_logits=[*warm, lifted], grid=grid)
         warm = [res.logits, ra.logits]
         scaled.append((theta, res.value / theta))
     scaled.sort(key=lambda p: -p[0])

@@ -14,8 +14,8 @@ from commoninfo.ci_solver import wyner_ci
 from commoninfo.errors import ConfigError, DomainError
 from commoninfo.exponents import (ExponentPoint, _SupportGrid,
                                   _omega_objective, _omega_ray_slope,
-                                  _q_marginals, _r_alpha_objective,
-                                  _softmax_flat, big_omega_min, big_omega_q,
+                                  _r_alpha_objective, _softmax_flat,
+                                  big_omega_min, big_omega_q,
                                   f_point, f_rate, omega, r_alpha_min,
                                   r_alpha_q, r_sh, tabulate_omega,
                                   theta_limit_check)
@@ -99,53 +99,89 @@ def test_objective_gradients_match_finite_differences(dsbs_pi):
             assert g[i] == pytest.approx(fd, abs=5e-6)
 
 
-def _omega_objective_reference(z, grid, alpha, theta):
-    """The Omega objective and its gradient as first written, normalized by
-    scipy's logsumexp, then the largest terms the value and the gradient are
-    summed from.  At small theta those terms cancel down to a value and a
-    gradient of order theta, so rounding is measured against them."""
-    q = _softmax_flat(z, (grid.n_supp, grid.nu))
+def _omega_reference(z, grid, alpha, theta):
+    """omega, the Omega objective and its gradient as first written, on
+    marginals summed from the full |X| x |Y| x |U| array, normalized by
+    scipy's logsumexp.  Also the sizes of the terms each is summed from,
+    which rounding is measured against: at small theta the log-weights
+    cancel down to a value and a gradient of order theta, and omega is a
+    sum of logs that can reach log 1e-300; a log-weight off by d moves the
+    tilted law by the factor e^d."""
+    q = _softmax_flat(z).reshape(grid.n_supp, grid.nu)
+    full = grid.to_full(q).mass
+    xs, ys = grid.x_of_s, grid.y_of_s
+    tiny = 1e-300
+    q_xy = np.maximum(full.sum(axis=2)[xs, ys], tiny)[:, None]
+    q_u = np.maximum(full.sum(axis=(0, 1)), tiny)[None, :]
+    q_xu = np.maximum(full.sum(axis=1), tiny)[xs]
+    q_yu = np.maximum(full.sum(axis=0), tiny)[ys]
+    log_q = np.log(np.maximum(q, tiny))
+    log_xy, log_u, log_xu, log_yu = map(np.log, (q_xy, q_u, q_xu, q_yu))
+    log_pi = np.log(grid.pi.mass[xs, ys])[:, None]
+    om = ((1.0 - alpha) * (log_xy - log_pi + log_q + log_u - log_xu - log_yu)
+          + alpha * (log_q - log_u - log_pi))
+    om_scale = sum(np.abs(v) for v in (log_q, log_xy, log_u, log_xu, log_yu,
+                                       log_pi))
     a = theta * (1.0 - alpha)
     b = theta * alpha
-    q_xy, q_u, q_xu, q_yu = _q_marginals(grid, q)
-    tiny = 1e-300
-    log_t = ((1.0 - a - b) * np.log(np.maximum(q, tiny))
-             - a * np.log(np.maximum(q_xy, tiny))[:, None]
-             + (b - a) * np.log(np.maximum(q_u, tiny))[None, :]
-             + a * np.log(np.maximum(q_xu, tiny))[grid.x_of_s]
-             + a * np.log(np.maximum(q_yu, tiny))[grid.y_of_s]
-             + (a + b) * grid.log_pi_s[:, None])
+    terms = ((1.0 - a - b) * log_q, -a * log_xy, (b - a) * log_u,
+             a * log_xu, a * log_yu, (a + b) * log_pi)
+    log_t = sum(terms)
     L = logsumexp(log_t)
     t_norm = np.exp(log_t - L)
-    r_xy = q / np.maximum(q_xy, tiny)[:, None]
-    r_u = q / np.maximum(q_u, tiny)[None, :]
-    r_xu = q / np.maximum(q_xu, tiny)[grid.x_of_s]
-    r_yu = q / np.maximum(q_yu, tiny)[grid.y_of_s]
+    # 1 + the size of L and the mean size under t of the log-weight terms
+    t_scale = 1.0 + abs(L) + (t_norm * sum(np.abs(v) for v in terms)).sum()
+    t_full = np.zeros_like(full)
+    t_full[xs, ys, :] = t_norm
     u1 = -((1.0 - a - b) * t_norm
-           - a * r_xy * t_norm.sum(axis=1, keepdims=True)
-           + (b - a) * r_u * t_norm.sum(axis=0, keepdims=True)
-           + a * r_xu * (grid.proj_x.T @ (grid.proj_x @ t_norm))
-           + a * r_yu * (grid.proj_y.T @ (grid.proj_y @ t_norm)))
-    return (-float(L), (u1 - q * u1.sum()).ravel(), abs(log_t.max()),
-            np.abs(u1).max())
+           - a * q / q_xy * t_norm.sum(axis=1, keepdims=True)
+           + (b - a) * q / q_u * t_norm.sum(axis=0, keepdims=True)
+           + a * q / q_xu * t_full.sum(axis=1)[xs]
+           + a * q / q_yu * t_full.sum(axis=0)[ys])
+    return dict(q=q, omega=om, omega_scale=om_scale, t=t_norm, t_scale=t_scale,
+                f=-float(L), f_scale=abs(log_t.max()),
+                grad=(u1 - q * u1.sum()).ravel(), grad_scale=np.abs(u1).max())
 
 
-def test_omega_objective_matches_logsumexp_reference(dsbs_pi):
-    grid = _SupportGrid(dsbs_pi)
-    rng = np.random.default_rng(9)
-    k = grid.n_supp * grid.nu
-    logits = [rng.normal(size=k) for _ in range(4)]
-    # spread wide enough that some softmax cells underflow to exactly 0
-    wide = [30.0 * rng.normal(scale=10.0, size=k) for _ in range(4)]
-    assert any((_softmax_flat(z, (k,)) == 0.0).any() for z in wide)
-    for z in logits + wide:
-        for alpha in (0.0, 0.4, 1.0):
-            for theta in (1e-4, 0.6, 10.0):
-                f, g = _omega_objective(z, grid, alpha, theta)
-                f_ref, g_ref, f_scale, g_scale = _omega_objective_reference(
-                    z, grid, alpha, theta)
-                assert abs(f - f_ref) <= 1e-12 * max(abs(f_ref), f_scale)
-                assert np.max(np.abs(g - g_ref)) <= 1e-12 * g_scale
+KERNEL_GRIDS = [_SupportGrid(fixtures.dsbs(0.1)),
+                _SupportGrid(fixtures.dsbes(0.6)),     # 2x3, structural zeros
+                _SupportGrid(fixtures.common_part_source()),       # 3x3
+                _SupportGrid(fixtures.dsbs(0.1), nu=3)]    # |U| != |X||Y|
+
+
+def test_omega_objective_matches_logsumexp_reference():
+    for grid in KERNEL_GRIDS:
+        rng = np.random.default_rng(9)
+        k = grid.n_supp * grid.nu
+        logits = [rng.normal(size=k) for _ in range(4)]
+        # spread wide enough that some softmax cells underflow to exactly 0
+        wide = [30.0 * rng.normal(scale=10.0, size=k) for _ in range(4)]
+        assert any((_softmax_flat(z) == 0.0).any() for z in wide)
+        for z in logits + wide:
+            for alpha in (0.0, 0.4, 1.0):
+                _check_kernel(z, grid, alpha)
+
+
+def _check_kernel(z, grid, alpha):
+    """The three objectives at one point against `_omega_reference`, each
+    within 1e-12 of the terms it is summed from."""
+    ref = _omega_reference(z, grid, alpha, 0.0)
+    q, om = ref["q"], ref["omega"]
+    f, g = _r_alpha_objective(z, grid, alpha)
+    f_ref = (q * om).sum()
+    scale = (q * ref["omega_scale"]).sum()
+    assert abs(f - f_ref) <= 1e-12 * scale
+    assert np.max(np.abs(g - (q * (om - f_ref)).ravel())) <= (
+        1e-12 * np.max(q * (ref["omega_scale"] + scale)))
+    for theta in (1e-4, 0.6, 10.0):
+        ref = _omega_reference(z, grid, alpha, theta)
+        f, g = _omega_objective(z, grid, alpha, theta)
+        assert abs(f - ref["f"]) <= 1e-12 * max(abs(ref["f"]), ref["f_scale"])
+        assert np.max(np.abs(g - ref["grad"])) <= 1e-12 * ref["grad_scale"]
+        slope = _omega_ray_slope(z, grid, alpha, theta)
+        t = ref["t"]
+        assert abs(slope - (t * om).sum()) <= 1e-12 * (
+            t * (ref["omega_scale"] + ref["t_scale"] * np.abs(om))).sum()
 
 
 def test_r_alpha_min_frozen_values(dsbs_pi, dsbs_ci):
@@ -227,8 +263,33 @@ def test_f_rate_rejects_a_nan_or_negative_rate(dsbs_pi, dsbs_ci, rate):
 def test_f_rate_rejects_the_ci_of_another_joint(dsbs_pi, other):
     # a 2x3 argmin has the wrong shape; a DSBS(0.2) argmin is 0.1 from
     # DSBS(0.1) in TV.  Either would warm-start the solves on the wrong joint.
+    sol = wyner_ci(other)
     with pytest.raises(ConfigError, match="CI argmin"):
-        f_rate(dsbs_pi, 0.3, ci=wyner_ci(other))
+        f_rate(dsbs_pi, 0.3, ci=sol)
+    with pytest.raises(ConfigError, match="CI argmin"):
+        theta_limit_check(dsbs_pi, 0.5, (1e-2,), ci=sol)
+    with pytest.raises(ConfigError, match="CI argmin"):
+        tabulate_omega(dsbs_pi, ci=sol, n_alpha=2, n_theta=2)
+
+
+@pytest.fixture
+def lifts(monkeypatch):
+    calls = []
+    lift = exponents._ci_lift_logits
+
+    def counted(grid, ci):
+        calls.append(ci)
+        return lift(grid, ci)
+
+    monkeypatch.setattr(exponents, "_ci_lift_logits", counted)
+    return calls
+
+
+def test_the_ci_argmin_is_lifted_once_per_call(dsbs_pi, dsbs_ci, lifts):
+    theta_limit_check(dsbs_pi, 0.5, (1e-2, 1e-3, 1e-4), ci=dsbs_ci)
+    assert len(lifts) == 1
+    tabulate_omega(dsbs_pi, ci=dsbs_ci, n_alpha=3, n_theta=5)
+    assert len(lifts) == 2
 
 
 def test_the_exponent_engine_draws_no_random_numbers(dsbs_pi, dsbs_ci,
@@ -445,6 +506,26 @@ def test_f_rate_above_c_is_a_certified_zero(dsbs_pi, dsbs_ci, omega_solves):
     grid = _SupportGrid(dsbs_pi)
     assert all(0 < pt.theta <= grid.theta_wall(pt.alpha)
                for pt in omega_solves)
+
+
+def test_f_rate_work_is_pinned(dsbs_pi, dsbs_ci, omega_solves, lifts,
+                               monkeypatch):
+    # the exponent cells of paper_suite, counted where no clock can move
+    # them: one CI lift per f_rate call, 80 solves and at most 2 800
+    # objective evaluations (2 394 to 2 461, by the BLAS thread count)
+    evals = []                               # (alpha, theta) of each
+    objective = exponents._omega_objective
+
+    def counted(*args):
+        evals.append(args[2:])
+        return objective(*args)
+
+    monkeypatch.setattr(exponents, "_omega_objective", counted)
+    for mult in (0.5, 0.9, 1.1):
+        f_rate(dsbs_pi, mult * dsbs_ci.value, ci=dsbs_ci)
+    assert len(lifts) == 3
+    assert len(omega_solves) == 80
+    assert len(evals) <= 2800
 
 
 @pytest.mark.parametrize("pi", [fixtures.copy_source(), _dsbes(0.3)],
