@@ -23,11 +23,11 @@ keeps its digits as theta -> 0.
 
 The inner minimization is non-convex.  Each solve runs quasi-Newton descent
 with analytic gradients from a fixed list of starts and draws none at random:
-the caller's warm logits, then the Wyner argmin lifted into the polytope, then
-the product coupling.  The lifted argmin is the start that finds the minimum
-near theta = 0, so `f_rate`, `r_sh`, `theta_limit_check` and `tabulate_omega`
-require the `CiSolution` of their joint; one of another joint is a
-`ConfigError`.
+the caller's warm logits, then the product coupling.  The Wyner argmin lifted
+into the polytope is the start that finds the minimum near theta = 0, so
+`f_rate`, `r_sh`, `theta_limit_check` and `tabulate_omega` require the
+`CiSolution` of their joint (one of another joint is a `ConfigError`), lift
+it once per call, and pass it last among the warm logits of every solve.
 
 Omega is finite only on a polygon read off supp(pi): theta is at most
 `_SupportGrid.theta_wall`(alpha), and past that wall the infimum is -inf
@@ -323,13 +323,13 @@ class InnerMinResult:
     converged: bool
 
 
-def _multistart_min(objective, args, grid: _SupportGrid, warm_logits,
-                    ci: CiSolution | None) -> InnerMinResult:
+def _multistart_min(objective, args, grid: _SupportGrid,
+                    warm_logits) -> InnerMinResult:
     """The best of one `descent.lbfgsb` descent from each start, in order:
-    the warm logits, the lifted CI argmin when given, the product coupling.
-    ``converged`` is the flag of the descent whose answer is returned."""
-    lifted = [] if ci is None else [_ci_lift_logits(grid, ci)]
-    starts = [*warm_logits, *lifted, _product_logits(grid)]
+    the warm logits (callers put the lifted CI argmin last among them), then
+    the product coupling.  ``converged`` is the flag of the descent whose
+    answer is returned."""
+    starts = [*warm_logits, _product_logits(grid)]
     best = None
     for z0 in starts:
         z, f, ok = lbfgsb(objective, z0, args, maxiter=_INNER_MAXITER,
@@ -340,7 +340,6 @@ def _multistart_min(objective, args, grid: _SupportGrid, warm_logits,
 
 
 def big_omega_min(pi: JointPmf, pt: ExponentPoint, warm_logits=(),
-                  ci: CiSolution | None = None,
                   grid: _SupportGrid | None = None) -> InnerMinResult:
     """min over Q_XYU of Omega_Q(alpha, theta); exactly 0 at theta = 0, and
     exactly -inf, with no solve, past the wall of `_SupportGrid.theta_wall`."""
@@ -350,16 +349,15 @@ def big_omega_min(pi: JointPmf, pt: ExponentPoint, warm_logits=(),
     if pt.theta > grid.theta_wall(pt.alpha):
         return InnerMinResult(-math.inf, _product_logits(grid), True)
     return _multistart_min(_omega_objective, (grid, pt.alpha, pt.theta),
-                           grid, warm_logits, ci)
+                           grid, warm_logits)
 
 
-def r_alpha_min(pi: JointPmf, alpha: float, ci: CiSolution | None = None,
-                warm_logits=(), grid: _SupportGrid | None = None
-                ) -> InnerMinResult:
+def r_alpha_min(pi: JointPmf, alpha: float, warm_logits=(),
+                grid: _SupportGrid | None = None) -> InnerMinResult:
     """min over Q_XYU of the KL combination R^(alpha)(Q)."""
     grid = grid or _SupportGrid(pi)
     return _multistart_min(_r_alpha_objective, (grid, alpha), grid,
-                           warm_logits, ci)
+                           warm_logits)
 
 
 def r_sh(pi: JointPmf, ci: CiSolution) -> float:
@@ -372,7 +370,9 @@ def r_sh(pi: JointPmf, ci: CiSolution) -> float:
     is one solve there, reported as the solver found it: on a product source
     it can read a rounding error below 0.
     """
-    res = r_alpha_min(pi, _R_SH_ALPHA, ci=ci)
+    grid = _SupportGrid(pi)
+    res = r_alpha_min(pi, _R_SH_ALPHA,
+                      warm_logits=[_ci_lift_logits(grid, ci)], grid=grid)
     return res.value / _R_SH_ALPHA
 
 

@@ -202,7 +202,9 @@ def test_multistart_reports_the_flag_of_the_start_it_returns(dsbs_pi, dsbs_ci,
         return x, (f if first else f + 1.0), not first
 
     monkeypatch.setattr(exponents, "lbfgsb", rigged)
+    lifted = exponents._ci_lift_logits(exponents._SupportGrid(dsbs_pi),
+                                       dsbs_ci)
     res = exponents.big_omega_min(dsbs_pi, ExponentPoint(0.5, 0.3),
-                                  ci=dsbs_ci)
+                                  warm_logits=[lifted])
     assert len(order) == 2 and res.value == order[0]
     assert res.converged is False

@@ -31,6 +31,11 @@ def random_aug_joint(rng, pi, nu):
     return grid.to_full(q_su)
 
 
+def _lifted(pi, ci):
+    """The warm logits that start a solve from the lifted CI argmin."""
+    return [exponents._ci_lift_logits(_SupportGrid(pi), ci)]
+
+
 def test_exponent_point_validation():
     ExponentPoint(0.5, 0.0)
     ExponentPoint(1.0, 10.0)
@@ -186,9 +191,10 @@ def _check_kernel(z, grid, alpha):
 
 def test_r_alpha_min_frozen_values(dsbs_pi, dsbs_ci):
     # regression pins for the inner minimization on the standard source
-    res = r_alpha_min(dsbs_pi, 0.25, ci=dsbs_ci)
+    lifted = _lifted(dsbs_pi, dsbs_ci)
+    res = r_alpha_min(dsbs_pi, 0.25, warm_logits=lifted)
     assert res.value == pytest.approx(0.13799680636827233, abs=1e-7)
-    res = r_alpha_min(dsbs_pi, 0.5, ci=dsbs_ci)
+    res = r_alpha_min(dsbs_pi, 0.5, warm_logits=lifted)
     assert res.value == pytest.approx(0.14004710212025745, abs=1e-7)
 
 
@@ -233,10 +239,11 @@ def test_r_sh_is_the_max_of_the_old_alpha_sweep(dsbs_pi, dsbs_ci):
     # R^(alpha)(Q)/alpha does not increase in alpha, so the first point of
     # the old warm-started 25-point sweep was its maximum
     grid = _SupportGrid(dsbs_pi)
+    lifted = exponents._ci_lift_logits(grid, dsbs_ci)
     best, warm = 0.0, []
     for alpha in np.geomspace(1e-3, 1.0, 25):
-        res = r_alpha_min(dsbs_pi, float(alpha), ci=dsbs_ci,
-                          warm_logits=warm, grid=grid)
+        res = r_alpha_min(dsbs_pi, float(alpha),
+                          warm_logits=[*warm, lifted], grid=grid)
         warm = [res.logits]
         best = max(best, res.value / float(alpha))
     assert r_sh(dsbs_pi, ci=dsbs_ci) == best
@@ -245,7 +252,7 @@ def test_r_sh_is_the_max_of_the_old_alpha_sweep(dsbs_pi, dsbs_ci):
 def test_r_sh_reports_a_negative_solve_unclamped(dsbs_pi, dsbs_ci,
                                                 monkeypatch):
     # no clamp at 0: a solve that reads below 0 reaches the caller
-    def negative(pi, alpha, ci=None):
+    def negative(pi, alpha, **kwargs):
         return exponents.InnerMinResult(-3e-7, np.zeros(1), True)
 
     monkeypatch.setattr(exponents, "r_alpha_min", negative)
@@ -290,6 +297,8 @@ def test_the_ci_argmin_is_lifted_once_per_call(dsbs_pi, dsbs_ci, lifts):
     assert len(lifts) == 1
     tabulate_omega(dsbs_pi, ci=dsbs_ci, n_alpha=3, n_theta=5)
     assert len(lifts) == 2
+    r_sh(dsbs_pi, ci=dsbs_ci)
+    assert len(lifts) == 3
 
 
 def test_the_exponent_engine_draws_no_random_numbers(dsbs_pi, dsbs_ci,
@@ -339,11 +348,12 @@ def reference_f_rate(pi, R, omega_grid, ci, refine=True, refine_tol=1e-6):
         return max(best, 0.0)
     i, j = np.unravel_index(int(np.nanargmax(F)), F.shape)
     grid = _SupportGrid(pi)
+    lifted = exponents._ci_lift_logits(grid, ci)
     warm = [omega_grid.logits[i, j]]
 
     def f_at(alpha, theta):
         pt = ExponentPoint(float(alpha), float(theta))
-        res = big_omega_min(pi, pt, warm_logits=warm, ci=ci, grid=grid)
+        res = big_omega_min(pi, pt, warm_logits=[*warm, lifted], grid=grid)
         warm.append(res.logits)
         del warm[:-2]
         return f_point(R, pt, res.value)
@@ -379,7 +389,7 @@ def test_f_point_formula(dsbs_pi, dsbs_ci):
     # F at a specific (alpha, theta) equals (Omega - theta alpha R)/(1+(5-3a)t)
     pt = ExponentPoint(0.5, 0.2)
     R = 0.3
-    res = big_omega_min(dsbs_pi, pt, ci=dsbs_ci)
+    res = big_omega_min(dsbs_pi, pt, warm_logits=_lifted(dsbs_pi, dsbs_ci))
     expected = (res.value - pt.theta * pt.alpha * R) / \
         (1.0 + (5.0 - 3.0 * pt.alpha) * pt.theta)
     assert f_point(R, pt, res.value) == pytest.approx(expected, abs=1e-9)
@@ -511,8 +521,11 @@ def test_f_rate_above_c_is_a_certified_zero(dsbs_pi, dsbs_ci, omega_solves):
 def test_f_rate_work_is_pinned(dsbs_pi, dsbs_ci, omega_solves, lifts,
                                monkeypatch):
     # the exponent cells of paper_suite, counted where no clock can move
-    # them: one CI lift per f_rate call, 80 solves and at most 2 800
-    # objective evaluations (2 394 to 2 461, by the BLAS thread count)
+    # them: one CI lift per f_rate call, 79 or 80 solves and at most 2 800
+    # objective evaluations (2 394 to 2 461, by the BLAS thread count).
+    # The 80th solve is the probe a step inside the wall on the 0.5C
+    # round's alpha = 0.381966 ray; whether it runs rests on the sign of
+    # the slope at the wall, which is decided at rounding level.
     evals = []                               # (alpha, theta) of each
     objective = exponents._omega_objective
 
@@ -524,7 +537,7 @@ def test_f_rate_work_is_pinned(dsbs_pi, dsbs_ci, omega_solves, lifts,
     for mult in (0.5, 0.9, 1.1):
         f_rate(dsbs_pi, mult * dsbs_ci.value, ci=dsbs_ci)
     assert len(lifts) == 3
-    assert len(omega_solves) == 80
+    assert 79 <= len(omega_solves) <= 80
     assert len(evals) <= 2800
 
 
