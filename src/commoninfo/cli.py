@@ -8,9 +8,11 @@ Exit codes: 0 on success, 2 for configuration errors, 3 when some cells
 failed (fail-soft sweeps) or acceptance checks did not pass.  An option left
 unset writes no plan key, so the plan parser's default holds.
 
-Unless ``OPENBLAS_NUM_THREADS`` is set, the OpenBLAS builds bundled with
-numpy and scipy run on one thread: the solvers make many small BLAS calls,
-and a second OpenBLAS thread spins beside the first.
+The OpenBLAS builds bundled with numpy and scipy run on one thread, whatever
+``OPENBLAS_NUM_THREADS`` says: the solvers make many small BLAS calls, a
+second OpenBLAS thread spins beside the first, and on more than one thread
+scipy's copy moves the last digits of ``wyner_ci``'s SLSQP polish
+(``descent.slsqp``), so the output would depend on the thread count.
 """
 
 from __future__ import annotations
@@ -41,11 +43,8 @@ _BUNDLED_OPENBLAS = (
 
 
 def _one_blas_thread() -> list[str]:
-    """Set every bundled OpenBLAS to one thread unless the user has set
-    ``OPENBLAS_NUM_THREADS``; returns the libraries set.  A numpy or scipy
-    without a bundled OpenBLAS is left as it is."""
-    if "OPENBLAS_NUM_THREADS" in os.environ:
-        return []
+    """Set every bundled OpenBLAS to one thread; returns the libraries set.
+    A numpy or scipy without a bundled OpenBLAS is left as it is."""
     pinned = []
     for package, pattern, setter in _BUNDLED_OPENBLAS:
         site = os.path.dirname(os.path.dirname(

@@ -409,7 +409,8 @@ def to_json(result: SweepResult) -> str:
 
 
 def render_summary(result: SweepResult) -> str:
-    """Plain-text tables; series over n get a fitted log-linear slope."""
+    """Plain-text tables; a series with finite positive values at two or
+    more n gets a log-linear slope fitted to those values."""
     lines = [f"plan: {result.plan_name}", f"rows: {len(result.rows)}",
              f"errors: {result.n_errors}", ""]
     groups: dict = {}
@@ -442,7 +443,10 @@ def render_summary(result: SweepResult) -> str:
             lines.append(item)
         series: dict = {}
         for row in rows:
-            if row["n"] != "" and isinstance(row["value"], float) and row["value"] > 0:
+            # log(value) is fitted where it is finite: a structural-zero
+            # inf or a zero value joins no slope
+            if (row["n"] != "" and isinstance(row["value"], float)
+                    and 0.0 < row["value"] < math.inf):
                 series.setdefault(row["n"], []).append(row["value"])
         if len(series) >= 2:
             ns = np.array(sorted(series))

@@ -10,15 +10,16 @@ chain, and the single-letter rate bound.
 One object, ``_CondLaw``, is the truncated product law: the codeword law
 (Q_W^n truncated to the eps'-typical set, a one-row conditional given the
 constant sequence 0^n) and the conditional laws of X^n and Y^n given a
-codeword.  It is built afresh for each call.  It evaluates the law for a
-whole block of codewords at once, reading both the product law and the
-shell test off the joint count matrices N_ab(w^n, x^n) (exact float32
-products), and tests a count window only where it can bind, so a law where
-none binds builds no mask; its normalizers (the shell masses) are read
-exactly, in one gather, off the typicality module's table of per-symbol
-block masses.  It samples the law by rejection, in rounds that draw one
-candidate per pending row and test every candidate against the same count
-windows.
+codeword.  It is built afresh for each call, at that call's block length,
+and takes its count windows and shell-mass table from one typicality call
+when it is made.  It evaluates the law for a whole block of codewords at
+once, reading both the product law and the shell test off the joint count
+matrices N_ab(w^n, x^n) (exact float32 products), and tests a count window
+only where it can bind, so a law where none binds builds no mask; its
+normalizers (the shell masses) are read exactly, in one gather, off that
+table of per-symbol block masses.  It samples the law by rejection, in
+rounds that draw one candidate per pending row and test every candidate
+against the same count windows.
 
 The induced law P(x^n, y^n) = (1/m) sum_w c_w P(x^n|w) P(y^n|w) is
 evaluated over the distinct codewords w, in order of first occurrence,
@@ -164,21 +165,23 @@ def _distinct(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 class _CondLaw:
-    """Q_{X|W}^n(. | w^n) (axis "X") or Q_{Y|W}^n(. | w^n) (axis "Y"),
-    truncated to the conditional eps-typical shell of w^n and renormalised;
-    ``eps=None`` leaves it untruncated.  Axis "W" is the codeword law Q_W^n
-    truncated to the eps-typical set: a one-row conditional, Q_W given the
-    constant sequence 0^n, whose count windows are
-    ``typicality.count_windows(Q_W, n, eps)``.
+    """Q_{X|W}^n(. | w^n) (axis "X") or Q_{Y|W}^n(. | w^n) (axis "Y") at
+    block length n, truncated to the conditional eps-typical shell of w^n
+    and renormalised; ``eps=None`` leaves it untruncated.  Axis "W" is the
+    codeword law Q_W^n truncated to the eps-typical set: a one-row
+    conditional, Q_W given the constant sequence 0^n, whose count windows
+    are ``typicality.count_windows(Q_W, n, eps)``.
 
     The law is evaluated for a whole block of codewords at once from the
     joint counts N_ab(w^n, x^n), which give both log prod_i Q(x_i|w_i) and
     the shell test.  The shell mass factors over the W-symbols,
-    Z(w^n) = prod_a z_a(k_a) with k the type of w^n; the table of z_a(k),
-    k = 0..n, and the count windows are kept per n on the object, which
-    lives for one call."""
+    Z(w^n) = prod_a z_a(k_a) with k the type of w^n.  The per-(w, x) count
+    bounds ``lo``, ``hi`` and the (|W|, n+1) table ``log_z`` of log z_a(k),
+    k = 0..n, are built once, by one ``typicality.cond_shell`` call;
+    untruncated, only hi = 0 at structural zeros, and every z_a(k) = 1."""
 
-    def __init__(self, base: MarkovCoupling, eps: float | None, axis: str):
+    def __init__(self, base: MarkovCoupling, eps: float | None, axis: str,
+                 n: int):
         if axis == "W":
             self.q_w, self.cond = FinitePmf([1.0]), base.q_w.mass[None, :]
         elif axis in ("X", "Y"):
@@ -191,37 +194,21 @@ class _CondLaw:
         # past the alphabet is drawn when a row sums to just below 1
         self.cdf = self.cond.cumsum(axis=1)
         self.cdf /= self.cdf[:, -1:]
-        self.eps = eps
         self.axis = axis
-        self._shells = {}
-
-    def _shell(self, n: int):
-        """Per-(w, x) count bounds [lo, hi] at block length n, and the
-        (|W|, n+1) table of log z_a(k), the shell mass of a block of k uses
-        of W-symbol a (``typicality.cond_shell_log_masses``).  Untruncated,
-        only hi = 0 at structural zeros, and every z_a(k) = 1."""
-        if n not in self._shells:
-            if self.eps is None:
-                self._shells[n] = (np.zeros(self.cond.shape, dtype=int),
-                                   np.where(self.cond > 0, n, 0),
-                                   np.zeros((self.cond.shape[0], n + 1)))
-            else:
-                self._shells[n] = (
-                    *typ.cond_count_windows(self.q_w, self.cond, n, self.eps),
-                    typ.cond_shell_log_masses(self.q_w, self.cond, n, self.eps))
-        return self._shells[n]
-
-    def _shell_masses(self, ws: np.ndarray) -> np.ndarray:
-        """Z(w^n) = prod_a z_a(k_a) of every row of ``ws``, k its type: one
-        gather from the table."""
-        nw = self.cond.shape[0]
-        counts = np.stack([(ws == a).sum(axis=1) for a in range(nw)], axis=1)
-        log_z = self._shell(ws.shape[1])[2]
-        return np.exp(log_z[np.arange(nw), counts].sum(axis=1))
+        if eps is None:
+            self.lo = np.zeros(self.cond.shape, dtype=int)
+            self.hi = np.where(self.cond > 0, n, 0)
+            self.log_z = np.zeros((self.cond.shape[0], n + 1))
+        else:
+            self.lo, self.hi, self.log_z = typ.cond_shell(self.q_w, self.cond,
+                                                          n, eps)
 
     def _normalizers(self, ws: np.ndarray) -> np.ndarray:
-        """Z(w^n) of every row of ``ws``; raises if some shell is empty."""
-        z = self._shell_masses(ws)
+        """Z(w^n) = prod_a z_a(k_a) of every row of ``ws``, k its type: one
+        gather from the table; raises if some shell is empty."""
+        nw = self.cond.shape[0]
+        counts = np.stack([(ws == a).sum(axis=1) for a in range(nw)], axis=1)
+        z = np.exp(self.log_z[np.arange(nw), counts].sum(axis=1))
         empty = np.flatnonzero(z <= 0.0)
         if empty.size:
             if self.axis == "W":
@@ -247,8 +234,7 @@ class _CondLaw:
         becomes the mask; when no window binds, ``ok`` comes back as it
         came, so an untruncated law without structural zeros makes no mask
         and its callers no masking pass."""
-        n = block.n
-        lo, hi, _ = self._shell(n)
+        n, lo, hi = block.n, self.lo, self.hi
         for a, b in zip(*np.nonzero((lo > 0) | (hi < block.k_max[:, None]))):
             c = block.hot[:, a * n:(a + 1) * n] @ (seqs == b).T
             if lo[a, b] > 0:
@@ -283,10 +269,8 @@ class _CondLaw:
         ``MAX_REJECTION_TRIES`` rounds raises ``SamplingError``; a row whose
         shell is empty raises ``DomainError`` before the first round."""
         ws = np.asarray(w_seqs, dtype=int)
-        n = ws.shape[1]
         nw, nx = self.cond.shape
         z = self._normalizers(ws)
-        lo, hi, _ = self._shell(n)
         group = _distinct(ws)[2]
         out = np.empty_like(ws)
         pending = np.arange(ws.shape[0])
@@ -298,7 +282,7 @@ class _CondLaw:
             cells = (np.arange(pending.size)[:, None] * nw + w) * nx + cand
             counts = np.bincount(cells.ravel(), minlength=pending.size * nw * nx)
             counts = counts.reshape(-1, nw, nx)
-            ok = np.all((counts >= lo) & (counts <= hi), axis=(1, 2))
+            ok = np.all((counts >= self.lo) & (counts <= self.hi), axis=(1, 2))
             # pending rows by group, each group in draw order
             order = np.argsort(group[pending], kind="stable")
             g = group[pending][order]
@@ -330,7 +314,7 @@ def build_code(base: MarkovCoupling, n: int, R: float, eps: float | None,
     m = int(math.ceil(math.exp(n * R) - 1e-9))
     if m > MAX_CODEWORDS:
         raise ResourceBudgetError(f"m_count {m} exceeds cap {MAX_CODEWORDS}")
-    codebook = _CondLaw(base, eps_prime, "W").sample(
+    codebook = _CondLaw(base, eps_prime, "W", n).sample(
         _rng(seed, 0), np.zeros((m, n), dtype=int))
     return SynthesisCode(n=n, rate=R, m_count=m, codebook=codebook, base=base,
                          eps=eps, eps_prime=eps_prime, seed=seed)
@@ -372,8 +356,8 @@ def induced_joint_exact(code: SynthesisCode) -> InducedJointExact:
     seqs_x = _all_seqs(base.nx, n)
     seqs_y = _all_seqs(base.ny, n)
     ws, mult, _ = _distinct(code.codebook)
-    px = _CondLaw(base, code.eps, "X").density(ws, seqs_x)
-    py = _CondLaw(base, code.eps, "Y").density(ws, seqs_y)
+    px = _CondLaw(base, code.eps, "X", n).density(ws, seqs_x)
+    py = _CondLaw(base, code.eps, "Y", n).density(ws, seqs_y)
     py *= mult[:, None]
     return InducedJointExact(n=n, mass=px.T @ py / code.m_count,
                              seqs_x=seqs_x, seqs_y=seqs_y)
@@ -415,8 +399,8 @@ def _induced_laws(code: SynthesisCode):
     """(law X, law Y, the u distinct codewords w, c_w / (m Z_X(w) Z_Y(w)))
     of ``code``, c_w the multiplicity of w; the first codeword in codebook
     order with an empty shell, X's before Y's, raises ``DomainError``."""
-    law_x = _CondLaw(code.base, code.eps, "X")
-    law_y = _CondLaw(code.base, code.eps, "Y")
+    law_x = _CondLaw(code.base, code.eps, "X", code.n)
+    law_y = _CondLaw(code.base, code.eps, "Y", code.n)
     ws, mult, _ = _distinct(code.codebook)
     return law_x, law_y, ws, mult / (code.m_count * law_x._normalizers(ws)
                                      * law_y._normalizers(ws))
@@ -657,18 +641,17 @@ class _JointTypes:
         return self.counts.sum(axis=1).reshape(self.counts.shape[0], -1)
 
 
-def _cell_tables(k_a: int, windows, a: int, nx: int, ny: int) -> np.ndarray:
+def _cell_tables(k_a: int, laws, a: int, nx: int, ny: int) -> np.ndarray:
     """Every |X| x |Y| count table of W-symbol a that sums to k_a and keeps
-    its (w, x) and (w, y) margins in the conditional windows."""
+    its (w, x) and (w, y) margins in the windows of the X and Y ``laws``."""
     n_cand = math.comb(k_a + nx * ny - 1, nx * ny - 1)
     if n_cand > typ.MAX_TYPES:
         raise ResourceBudgetError(
             f"{n_cand} count tables of one W-symbol exceed cap {typ.MAX_TYPES}")
     cand = _compositions(k_a, nx * ny).reshape(-1, nx, ny)
     keep = np.ones(cand.shape[0], dtype=bool)
-    for margin, (c_lo, c_hi) in zip((cand.sum(axis=2), cand.sum(axis=1)),
-                                    windows):
-        keep &= np.all((margin >= c_lo[a]) & (margin <= c_hi[a]), axis=1)
+    for margin, law in zip((cand.sum(axis=2), cand.sum(axis=1)), laws):
+        keep &= np.all((margin >= law.lo[a]) & (margin <= law.hi[a]), axis=1)
     return cand[keep]
 
 
@@ -679,14 +662,13 @@ def _joint_types(base: MarkovCoupling, n: int, eps: float,
     crossed over a.  The kept joint types are counted before any is built,
     and capped by ``typicality.MAX_TYPES``."""
     nw, nx, ny = base.nw, base.nx, base.ny
-    w_law = _CondLaw(base, eps_prime, "W")
+    w_law = _CondLaw(base, eps_prime, "W", n)
     z_w = float(w_law._normalizers(np.zeros((1, n), dtype=int))[0])
-    lo, hi = (b[0] for b in w_law._shell(n)[:2])
     w_types = _compositions(n, nw)
-    w_types = w_types[np.all((w_types >= lo) & (w_types <= hi), axis=1)]
-    laws = (_CondLaw(base, eps, "X"), _CondLaw(base, eps, "Y"))
-    windows = [law._shell(n)[:2] for law in laws]
-    tables = [[_cell_tables(int(k[a]), windows, a, nx, ny) for a in range(nw)]
+    w_types = w_types[np.all((w_types >= w_law.lo[0])
+                             & (w_types <= w_law.hi[0]), axis=1)]
+    laws = (_CondLaw(base, eps, "X", n), _CondLaw(base, eps, "Y", n))
+    tables = [[_cell_tables(int(k[a]), laws, a, nx, ny) for a in range(nw)]
               for k in w_types]
     sizes = [math.prod(t.shape[0] for t in per_a) for per_a in tables]
     if sum(sizes) > typ.MAX_TYPES:

@@ -14,8 +14,8 @@ product over the W-symbols a of z_a(k_a), the probability that a block of
 k_a uses of a keeps its counts in the windows.  One convolution gives z_a(k)
 for every k = 0..n at once.  Unconditional typicality is the one-row case:
 Q_W given a constant sequence, whose windows are ``count_windows(Q_W, n, eps)``
-and whose typical-set mass Q_W^n(T) is entry n of the one-row
-``cond_shell_log_masses`` table.
+and whose typical-set mass Q_W^n(T) is entry n of the one-row table of
+``cond_shell``, which returns a shell's windows and its table together.
 """
 
 from __future__ import annotations
@@ -75,24 +75,18 @@ def _block_log_probs(q: np.ndarray, lo: np.ndarray, hi: np.ndarray,
     return acc + log_fact
 
 
-def cond_count_windows(q_w: FinitePmf, q_cond, n: int, eps: float):
-    """Per-(w, x) admissible count ranges for the joint-type condition
-    |T(w,x) - Q_W(w)Q_{X|W}(x|w)| <= eps * Q_W(w)Q_{X|W}(x|w)."""
-    cond = _validated_rows(q_cond, q_w.alphabet_size)
-    return count_windows(q_w.mass[:, None] * cond, n, eps)
-
-
-def cond_shell_log_masses(q_w: FinitePmf, q_cond, n: int,
-                          eps: float) -> np.ndarray:
-    """log z_a(k) for every W-symbol a and k = 0..n, as a (|W|, n+1) table:
-    the probability that k i.i.d. draws from Q_{X|W}(.|a) keep their (a, x)
-    counts in the conditional eps-windows of block length n.  The shell mass
+def cond_shell(q_w: FinitePmf, q_cond, n: int, eps: float):
+    """The conditional eps-shell at block length n: the per-(w, x) count
+    ranges [lo, hi] of the joint-type condition
+    |T(w,x) - Q_W(w)Q_{X|W}(x|w)| <= eps * Q_W(w)Q_{X|W}(x|w), and the
+    (|W|, n+1) table of log z_a(k), the probability that k i.i.d. draws from
+    Q_{X|W}(.|a) keep their (a, x) counts in those ranges.  The shell mass
     of a length-n w^n of type k is prod_a z_a(k_a)."""
     cond = _validated_rows(q_cond, q_w.alphabet_size)
     _check_budget(n, max(cond.shape))
     lo, hi = count_windows(q_w.mass[:, None] * cond, n, eps)
-    return np.stack([_block_log_probs(row, lo_a, hi_a, n)
-                     for row, lo_a, hi_a in zip(cond, lo, hi)])
+    return lo, hi, np.stack([_block_log_probs(row, lo_a, hi_a, n)
+                             for row, lo_a, hi_a in zip(cond, lo, hi)])
 
 
 def is_cond_typical(x_seq, w_seq, q_w: FinitePmf, q_cond, eps: float) -> bool:
@@ -119,13 +113,15 @@ def cond_typical_defect_exact(q_w: FinitePmf, q_cond, w_seq, eps: float,
 
     The joint-type condition constrains the counts within each per-w
     subsequence independently, so the success probability is the product
-    of z_a(k_a) over the W-symbols (``cond_shell_log_masses``).  When
+    of z_a(k_a) over the W-symbols (``cond_shell``).  When
     ``eps_prime`` is given, ``w_seq`` is required to be eps_prime-typical
     for Q_W (the regime in which the uniform bound applies); non-typical
     conditioning sequences are rejected.  Acceptance criterion 7 runs it.
     """
     cond = _validated_rows(q_cond, q_w.alphabet_size)
     w_seq = np.asarray(w_seq, dtype=int)
+    if w_seq.ndim != 1:
+        raise ConfigError("w_seq must be 1-D")
     n = w_seq.size
     nw, nx = cond.shape
     _check_budget(n, max(nw, nx))
@@ -142,7 +138,7 @@ def cond_typical_defect_exact(q_w: FinitePmf, q_cond, w_seq, eps: float,
         lo, hi = count_windows(q_w.mass, n, eps_prime)
         if np.any((w_counts < lo) | (w_counts > hi)):
             raise DomainError("w_seq is not eps_prime-typical for Q_W")
-    table = cond_shell_log_masses(q_w, cond, n, eps)
+    _, _, table = cond_shell(q_w, cond, n, eps)
     log_success = table[np.arange(nw), w_counts].sum()
     return float(min(max(1.0 - np.exp(log_success), 0.0), 1.0))
 

@@ -189,27 +189,34 @@ def test_verify_rejects_options_it_does_not_use(capsys):
     assert "unrecognized arguments: --seed" in capsys.readouterr().err
 
 
-#: pins every bundled OpenBLAS as cli.main does, then reads each thread
-#: count back through the getter that matches its setter
+#: pins every bundled OpenBLAS as cli.main does, then finds each library on
+#: its own and reads its thread count back through the getter that matches
+#: its setter, so a library the pin missed still reads its count
 _READ_BLAS_THREADS = """
-import ctypes, json, os
+import ctypes, glob, importlib, json, os
 from commoninfo import cli
+cli._one_blas_thread()
 counts = {}
-for path in cli._one_blas_thread():
-    name = os.path.basename(path)
-    getter = ("scipy_openblas_get_num_threads64_" if "openblas64_" in name
-              else "scipy_openblas_get_num_threads")
-    get_threads = getattr(ctypes.CDLL(path), getter)
-    get_threads.argtypes, get_threads.restype = [], ctypes.c_int
-    counts[name] = get_threads()
+for package, pattern, setter in cli._BUNDLED_OPENBLAS:
+    site = os.path.dirname(os.path.dirname(
+        importlib.import_module(package).__file__))
+    for path in glob.glob(os.path.join(site, package + ".libs", pattern)):
+        get_threads = getattr(ctypes.CDLL(path),
+                              setter.replace("_set_", "_get_"))
+        get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+        counts[os.path.basename(path)] = get_threads()
 print(json.dumps(counts))
 """
 
 
-def test_cli_runs_the_bundled_openblas_on_one_thread():
+def bundled_blas_threads(**env_set) -> dict:
+    """The thread count of each bundled OpenBLAS after ``cli._one_blas_thread``
+    in a fresh interpreter, with no thread-count variable set but
+    ``env_set``; skips where numpy and scipy bundle no OpenBLAS."""
     env = {k: v for k, v in os.environ.items()
            if k not in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS",
                         "OMP_NUM_THREADS")}
+    env.update(env_set)
     src = os.path.dirname(os.path.dirname(commoninfo.__file__))
     env["PYTHONPATH"] = os.pathsep.join(
         [src, *filter(None, [env.get("PYTHONPATH")])])
@@ -218,12 +225,19 @@ def test_cli_runs_the_bundled_openblas_on_one_thread():
     counts = json.loads(out)
     if not counts:
         pytest.skip("numpy and scipy bundle no OpenBLAS here")
+    return counts
+
+
+def test_cli_runs_the_bundled_openblas_on_one_thread():
+    counts = bundled_blas_threads()
     assert len(counts) == 2 and set(counts.values()) == {1}, counts
 
 
-def test_cli_leaves_a_set_openblas_thread_count(monkeypatch):
-    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
-    assert cli._one_blas_thread() == []
+def test_cli_pins_one_thread_over_a_set_openblas_thread_count():
+    # scipy's OpenBLAS on two threads moved the last digits of the SLSQP
+    # polish, and with them three rows of the paper_suite CSV
+    counts = bundled_blas_threads(OPENBLAS_NUM_THREADS="2")
+    assert len(counts) == 2 and set(counts.values()) == {1}, counts
 
 
 def test_readme_cli_lines_parse():

@@ -258,6 +258,21 @@ def test_render_summary_slope():
     assert "fitted slope" in summary
 
 
+def test_render_summary_fits_no_slope_to_infinite_values():
+    # at eps = 0.2 every codeword has an empty shell: each cell reads the
+    # structural-zero inf, once fitted as the slope nan
+    text = ("[plan]\nname = zeros\nseed = 3\n[simulate]\n"
+            "couplings = dsbs01\nrates = 1.2C\nn = 4 6 8\n"
+            "measure = renyi\neps = 0.2\neps_prime = 0.1\n")
+    result = run_plan(parse_plan(text))
+    assert result.n_errors == 0
+    assert result.rows and all(row["value"] == math.inf
+                               for row in result.rows)
+    summary = render_summary(result)
+    assert "value=inf" in summary
+    assert "slope" not in summary and "nan" not in summary
+
+
 MEMO_PLAN = """
 [plan]
 name = memo

@@ -159,9 +159,9 @@ def test_build_code_matches_per_sequence_draws(base, cases):
     for n, eps_prime in itertools.product((4, 8, 10, 12, 16),
                                           (None, 0.5, 0.9)):
         # Q_W^n of the eps'-typical set: entry n of the one-row shell table
-        if eps_prime is not None and np.exp(typ.cond_shell_log_masses(
+        if eps_prime is not None and np.exp(typ.cond_shell(
                 FinitePmf([1.0]), base.q_w.mass[None, :], n,
-                eps_prime)[0, n]) < 0.02:
+                eps_prime)[2][0, n]) < 0.02:
             continue
         checked += 1
         for seed in range(3):
@@ -193,8 +193,8 @@ def test_cond_law_sample_respects_shell():
     book = build_code(base, 8, 0.4, 1.0, 0.5, seed=1).codebook
     ws = book[np.arange(25) % book.shape[0]]
     for axis, cond in (("X", base.q_x_given_w), ("Y", base.q_y_given_w)):
-        xs = synthesis._CondLaw(base, 1.0, axis).sample(synthesis._rng(1, 99),
-                                                        ws)
+        xs = synthesis._CondLaw(base, 1.0, axis, 8).sample(
+            synthesis._rng(1, 99), ws)
         for x, w in zip(xs, ws):
             assert typ.is_cond_typical(x, w, base.q_w, cond, 1.0)
 
@@ -203,7 +203,7 @@ def test_cond_law_sample_matches_density():
     # X-draws given one codeword against the truncated law's probabilities;
     # at eps = 0.7 the shell keeps a third or so of the conditional mass
     base, n, draws = seeded_binary_coupling(), 6, 40_000
-    law = synthesis._CondLaw(base, 0.7, "X")
+    law = synthesis._CondLaw(base, 0.7, "X", n)
     w = np.array([0, 1, 1, 0, 1, 0])
     seqs = synthesis._all_seqs(base.nx, n)
     p = law.density(w, seqs)[0]
@@ -223,7 +223,7 @@ def test_sampling_error_after_max_tries(monkeypatch):
         build_code(base, 10, 0.4, 1.0, 0.01, seed=0)
     # the cross cells of a tight X-shell admit no count at n = 6: an empty
     # shell is read off the table before the first round
-    law = synthesis._CondLaw(base, 0.4, "X")
+    law = synthesis._CondLaw(base, 0.4, "X", 6)
     with pytest.raises(DomainError, match="empty conditional typical shell"):
         law.sample(synthesis._rng(0, 1), np.array([[0, 1, 0, 1, 0, 1]]))
     monkeypatch.setattr(synthesis, "MAX_REJECTION_TRIES", 50)
@@ -635,7 +635,7 @@ def brute_force_cond_law(base, cond, w, seqs, eps):
     counts = np.array([[(seqs[:, w == a] == b).sum(axis=1)
                         for b in range(cond.shape[1])]
                        for a in range(cond.shape[0])])
-    lo, hi = typ.cond_count_windows(base.q_w, cond, len(w), eps)
+    lo, hi, _ = typ.cond_shell(base.q_w, cond, len(w), eps)
     inside = np.all((counts >= lo[..., None]) & (counts <= hi[..., None]),
                     axis=(0, 1))
     return np.where(inside, p, 0.0), float(p[inside].sum())
@@ -650,7 +650,7 @@ def test_cond_law_matches_brute_force():
     base, n, eps = seeded_coupling_2x3(), 6, 0.6
     sizes = set()
     for axis, cond in (("X", base.q_x_given_w), ("Y", base.q_y_given_w)):
-        law = synthesis._CondLaw(base, eps, axis)
+        law = synthesis._CondLaw(base, eps, axis, n)
         seqs = synthesis._all_seqs(cond.shape[1], n)
         for w in typical_ws(base, n, 0.5):
             ref, z = brute_force_cond_law(base, cond, w, seqs, eps)
@@ -663,7 +663,7 @@ def test_cond_law_matches_brute_force():
                 z, abs=1e-12)
             assert np.allclose(law.density(w, seqs), ref / z,
                                rtol=0.0, atol=1e-12)
-        untruncated = synthesis._CondLaw(base, None, axis)
+        untruncated = synthesis._CondLaw(base, None, axis, n)
         w = typical_ws(base, n, 0.5)[0]
         assert untruncated._normalizers(w[None, :])[0] == 1.0
         assert np.allclose(untruncated.density(w, seqs),
@@ -672,11 +672,23 @@ def test_cond_law_matches_brute_force():
     assert {0, 8, 9, 36} <= sizes            # empty and nontrivial shells
 
 
-def oracle_shell_mask(law, ws, seqs):
-    """The conditional shell test of every (codeword, sequence) pair, one
-    ``typicality.is_cond_typical`` call per pair."""
-    return np.array([[typ.is_cond_typical(s, w, law.q_w, law.cond, law.eps)
+def oracle_shell_mask(law, eps, ws, seqs):
+    """The conditional eps-shell test of every (codeword, sequence) pair,
+    one ``typicality.is_cond_typical`` call per pair."""
+    return np.array([[typ.is_cond_typical(s, w, law.q_w, law.cond, eps)
                       for s in seqs] for w in ws])
+
+
+def shell_masses(law, ws):
+    """Z(w^n) of every row of ``ws``, one ``_normalizers`` call per row, and
+    0 where it raises for an empty shell."""
+    z = []
+    for w in ws:
+        try:
+            z.append(law._normalizers(w[None, :])[0])
+        except DomainError:
+            z.append(0.0)
+    return np.array(z)
 
 
 def shell_test_cases():
@@ -689,7 +701,8 @@ def shell_test_cases():
     # lo > 0 for every symbol; at n = 12 its typical set is not empty
     zeros = np.zeros((1, 12), dtype=int)
     tern_w = np.concatenate([
-        synthesis._CondLaw(tern, 0.5, "W").sample(rng, np.repeat(zeros, 100, 0)),
+        synthesis._CondLaw(tern, 0.5, "W", 12).sample(
+            rng, np.repeat(zeros, 100, 0)),
         rng.integers(0, 3, (300, 12))])
     # n = 20: the codewords of a code, and per law 100 draws from the shells
     # of random codewords next to 100 uniform sequences
@@ -698,7 +711,7 @@ def shell_test_cases():
     for axis, size in (("X", c23.nx), ("Y", c23.ny)):
         given = code.codebook[rng.integers(0, code.m_count, 100)]
         long_seqs[axis] = np.concatenate([
-            synthesis._CondLaw(c23, 0.6, axis).sample(rng, given),
+            synthesis._CondLaw(c23, 0.6, axis, 20).sample(rng, given),
             rng.integers(0, size, (100, 20))])
     return [("dsbs01 eps=1 n=6", dsbs, 1.0, seqs2_6, {"X": seqs2_6}),
             ("2x3 eps=0.6 n=6", c23, 0.6, np.stack(typical_ws(c23, 6, 0.5)),
@@ -711,16 +724,16 @@ def shell_test_cases():
 def test_shell_test_matches_the_per_pair_oracle(case):
     _, base, eps, ws, seqs_by_axis = case
     for axis, seqs in seqs_by_axis.items():
-        law = synthesis._CondLaw(base, eps, axis)
+        law = synthesis._CondLaw(base, eps, axis, ws.shape[1])
         block = synthesis._Block(ws, law.cond.shape[0])
         assert block.hot.dtype == np.float32
-        want = oracle_shell_mask(law, ws, seqs)
+        want = oracle_shell_mask(law, eps, ws, seqs)
         assert want.any() and not want.all()
         mask = law.window_mask(block, seqs)
         assert mask is not None and np.array_equal(mask, want)
         # the density: the product law inside the shell over the shell
         # mass, zero outside, for the codewords with a nonempty shell
-        z = law._shell_masses(ws)
+        z = shell_masses(law, ws)
         good = z > 0
         prod = np.array([[np.prod(law.cond[w, s]) for s in seqs] for w in ws])
         got = law.density(ws[good], seqs)
@@ -728,7 +741,7 @@ def test_shell_test_matches_the_per_pair_oracle(case):
         assert np.allclose(got, np.where(want, prod, 0.0)[good]
                            / z[good, None], rtol=1e-12, atol=0.0)
         # no pass for a window that cannot bind changes the mask
-        untruncated = synthesis._CondLaw(base, None, axis)
+        untruncated = synthesis._CondLaw(base, None, axis, ws.shape[1])
         assert untruncated.window_mask(block, seqs) is None
         assert untruncated.window_mask(block, seqs, mask) is mask
         assert np.allclose(untruncated.density(ws, seqs), prod,
@@ -740,15 +753,15 @@ def test_shell_test_cases_cover_every_window_kind():
     for name, base, eps, ws, seqs_by_axis in shell_test_cases():
         n = ws.shape[1]
         for axis in seqs_by_axis:
-            law = synthesis._CondLaw(base, eps, axis)
-            lo, hi, _ = law._shell(n)
+            law = synthesis._CondLaw(base, eps, axis, n)
+            lo, hi = law.lo, law.hi
             k_max = synthesis._Block(ws, law.cond.shape[0]).k_max[:, None]
             binds = (lo > 0) | (hi < k_max)
             if np.any(binds & (hi == 0)):
                 kinds["hi = 0"].add(name)
             if np.any(lo > 0):
                 kinds["lo > 0"].add(name)
-            if np.any(law._shell_masses(ws) == 0):
+            if np.any(shell_masses(law, ws) == 0):
                 kinds["empty shell"].add(name)
             kinds["n"].add(n)
     assert "dsbs01 eps=1 n=6" in kinds["hi = 0"]
@@ -763,13 +776,13 @@ def test_untruncated_full_support_law_builds_no_mask():
     seqs = np.random.default_rng(0).integers(0, 2, (50, 10))
     block = synthesis._Block(ws, base.nw)
     for axis in ("X", "Y"):
-        assert synthesis._CondLaw(base, None, axis).window_mask(
+        assert synthesis._CondLaw(base, None, axis, 10).window_mask(
             block, seqs) is None
     # a structural zero binds even untruncated: the zero cell's count <= 0
     zero = zero_cell_coupling(2, 3)
     ws = build_code(zero, 6, 0.3, None, None, seed=0).codebook
     seqs = synthesis._all_seqs(3, 6)
-    mask = synthesis._CondLaw(zero, None, "Y").window_mask(
+    mask = synthesis._CondLaw(zero, None, "Y", 6).window_mask(
         synthesis._Block(ws, zero.nw), seqs)
     want = np.array([[np.prod(zero.q_y_given_w[w, s]) > 0 for s in seqs]
                      for w in ws])
@@ -780,8 +793,10 @@ def reference_pointwise_p(code, x, y):
     """The induced P at sampled pairs as the product of the two per-law
     density matrices over the whole codebook, repeats included, summed over
     the codewords and divided by m."""
-    px = synthesis._CondLaw(code.base, code.eps, "X").density(code.codebook, x)
-    py = synthesis._CondLaw(code.base, code.eps, "Y").density(code.codebook, y)
+    px = synthesis._CondLaw(code.base, code.eps, "X", code.n).density(
+        code.codebook, x)
+    py = synthesis._CondLaw(code.base, code.eps, "Y", code.n).density(
+        code.codebook, y)
     return (px * py).sum(axis=0) / code.m_count
 
 
@@ -931,13 +946,13 @@ def test_empty_shell_error_names_the_first_bad_codeword(monkeypatch, path):
 
 def test_truncation_check_needs_one_shell_table_per_law(monkeypatch):
     calls = []
-    tables = typ.cond_shell_log_masses
+    shells = typ.cond_shell
 
     def counted(q_w, q_cond, n, eps):
         calls.append((q_w.alphabet_size, n, eps))
-        return tables(q_w, q_cond, n, eps)
+        return shells(q_w, q_cond, n, eps)
 
-    monkeypatch.setattr(typ, "cond_shell_log_masses", counted)
+    monkeypatch.setattr(typ, "cond_shell", counted)
     base = fixtures.dsbs_optimal_coupling(0.1)
     truncation_check(base, n=8, eps=1.0, eps_prime=0.5, s=1.0)
     # the X and Y shells, given W-sequences of any type, one table each;
@@ -1188,8 +1203,8 @@ def reference_estimate_renyi(code, s, samples, seed):
     try:
         if s >= 0:
             # an empty shell is named in codebook order, before any draw
-            law_x = synthesis._CondLaw(code.base, code.eps, "X")
-            law_y = synthesis._CondLaw(code.base, code.eps, "Y")
+            law_x = synthesis._CondLaw(code.base, code.eps, "X", code.n)
+            law_y = synthesis._CondLaw(code.base, code.eps, "Y", code.n)
             for law in (law_x, law_y):
                 for w in code.codebook:
                     law._normalizers(w[None, :])

@@ -13,16 +13,16 @@ from scipy.special import gammaln
 from commoninfo import typicality as typ
 from commoninfo.errors import ConfigError, DomainError, ResourceBudgetError
 from commoninfo.probability import FinitePmf
-from commoninfo.typicality import (cond_count_windows, cond_shell_log_masses,
-                                   cond_typical_defect_exact, contyplem_bound,
-                                   count_windows, is_cond_typical)
+from commoninfo.typicality import (cond_shell, cond_typical_defect_exact,
+                                   contyplem_bound, count_windows,
+                                   is_cond_typical)
 
 
 def typical_prob(mass, n, eps) -> float:
     """Q^n of the eps-typical set of ``mass``: entry n of the one-row shell
     table, Q given a constant sequence, as the codeword law reads it."""
-    table = cond_shell_log_masses(FinitePmf([1.0]), np.asarray(mass)[None, :],
-                                  n, eps)
+    _, _, table = cond_shell(FinitePmf([1.0]), np.asarray(mass)[None, :],
+                             n, eps)
     return float(np.exp(table[0, n]))
 
 
@@ -88,9 +88,8 @@ def test_cond_shell_log_masses_match_count_enumeration():
         q_w = FinitePmf(random_pmf(rng, nw))
         cond = np.stack([random_pmf(rng, nx) for _ in range(nw)])
         eps = float(rng.uniform(0.05, 1.5))
-        table = cond_shell_log_masses(q_w, cond, n, eps)
+        lo, hi, table = cond_shell(q_w, cond, n, eps)
         assert table.shape == (nw, n + 1)
-        lo, hi = cond_count_windows(q_w, cond, n, eps)
         ref = np.stack([brute_force_block_probs(cond[a], lo[a], hi[a], n)
                         for a in range(nw)])
         assert np.allclose(np.exp(table), ref, rtol=0.0, atol=1e-12)
@@ -151,10 +150,10 @@ def test_budget_guard():
 # conditional typicality
 # ---------------------------------------------------------------------------
 
-def test_cond_count_windows_joint_condition():
+def test_cond_shell_windows_joint_condition():
     q_w = FinitePmf([0.5, 0.5])
     cond = np.array([[0.8, 0.2], [0.2, 0.8]])
-    lo, hi = cond_count_windows(q_w, cond, n=20, eps=0.5)
+    lo, hi, _ = cond_shell(q_w, cond, n=20, eps=0.5)
     # cell mass 0.4 -> window [4, 12]; cell mass 0.1 -> [1, 3]
     assert lo[0, 0] == 4 and hi[0, 0] == 12
     assert lo[0, 1] == 1 and hi[0, 1] == 3
@@ -174,13 +173,22 @@ def test_conditional_functions_reject_rows_that_do_not_match_q_w(cond):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ConfigError):
-            cond_count_windows(q_w, cond, 8, 0.5)
-        with pytest.raises(ConfigError):
-            cond_shell_log_masses(q_w, cond, 8, 0.5)
+            cond_shell(q_w, cond, 8, 0.5)
         with pytest.raises(ConfigError):
             is_cond_typical(np.zeros(8, dtype=int), w, q_w, cond, 0.5)
         with pytest.raises(ConfigError):
             cond_typical_defect_exact(q_w, cond, w, 0.5)
+
+
+def test_cond_defect_rejects_a_conditioning_sequence_that_is_not_1d():
+    # a 2-D w_seq once reached np.bincount and raised its "object too deep"
+    q_w = FinitePmf([0.5, 0.5])
+    cond = np.array([[0.75, 0.25], [0.3, 0.7]])
+    for w in (np.array([[0, 1], [1, 0]]), np.array(0)):
+        with pytest.raises(ConfigError, match="1-D"):
+            cond_typical_defect_exact(q_w, cond, w, eps=0.5)
+        with pytest.raises(ConfigError, match="1-D"):
+            is_cond_typical(w, w, q_w, cond, 0.5)
 
 
 def test_is_cond_typical_matches_manual_counts():
