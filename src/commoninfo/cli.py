@@ -5,8 +5,9 @@ one or more rates), ``simulate`` (synthesis-code estimates on a coupling),
 ``verify`` (the acceptance suite), and ``sweep`` (run a plan file).
 
 Exit codes: 0 on success, 2 for configuration errors, 3 when some cells
-failed (fail-soft sweeps) or acceptance checks did not pass.  An option left
-unset writes no plan key, so the plan parser's default holds.
+failed (fail-soft sweeps) or acceptance checks did not pass.  Every
+subcommand but ``verify`` runs one plan: ``sweep`` reads it from a file, the
+others write it from their options, and the plan parser resolves each name.
 
 The OpenBLAS builds bundled with numpy and scipy run on one thread, whatever
 ``OPENBLAS_NUM_THREADS`` says: the solvers make many small BLAS calls, a
@@ -22,10 +23,10 @@ import ctypes
 import glob
 import importlib
 import os
+import re
 import sys
 
 from .errors import CommonInfoError, ConfigError
-from .probability import load_joint_text
 from . import experiments
 from . import fixtures
 
@@ -58,41 +59,17 @@ def _one_blas_thread() -> list[str]:
     return pinned
 
 
-def _source_section(label: str) -> str:
-    """Plan snippet resolving ``label`` as a named fixture or a pmf text file."""
-    if label in fixtures.NAMED_SOURCES:
-        return f"[source.{label}]\nfixture = {label}\n"
-    if os.path.exists(label):
-        with open(label) as fh:
-            text = fh.read()
-        body = "\n".join("  " + line for line in text.strip().splitlines())
-        load_joint_text(text)            # validate early
-        name = os.path.splitext(os.path.basename(label))[0]
-        return f"[source.{name}]\npi =\n{body}\n"
-    raise ConfigError(f"unknown source {label!r}: not a fixture "
-                      f"({sorted(fixtures.NAMED_SOURCES)}) or a readable file")
-
-
-def _source_name(label: str) -> str:
-    if label in fixtures.NAMED_SOURCES:
-        return label
-    return os.path.splitext(os.path.basename(label))[0]
-
-
-def _emit(result, out: str | None):
-    text = experiments.render_summary(result)
-    sys.stdout.write(text)
-    if out:
-        os.makedirs(out, exist_ok=True)
-        base = os.path.join(out, result.plan_name)
-        with open(base + ".csv", "w") as fh:
-            fh.write(experiments.to_csv(result))
-        with open(base + ".json", "w") as fh:
-            fh.write(experiments.to_json(result))
-        with open(base + ".txt", "w") as fh:
-            fh.write(text)
-        sys.stdout.write(f"wrote {base}.csv / .json / .txt\n")
-    return EXIT_CELL_FAILURES if result.n_errors else EXIT_OK
+def _source_section(label: str) -> tuple[str, str]:
+    """The plan lines and label of a source.  A readable file that is not a
+    fixture name is an inline section labelled by its stem, each run of plan
+    list separators (whitespace, commas) turned into ``_``; any other name
+    writes no section, so the plan parser resolves it as a fixture."""
+    if label in fixtures.NAMED_SOURCES or not os.path.exists(label):
+        return "", label
+    text = experiments.read_text(label)
+    body = "\n".join("  " + line for line in text.strip().splitlines())
+    name = re.sub(r"[\s,]+", "_", os.path.splitext(os.path.basename(label))[0])
+    return f"[source.{name}]\npi =\n{body}\n", name
 
 
 def _keys(**values) -> str:
@@ -103,30 +80,38 @@ def _keys(**values) -> str:
         for key, v in values.items() if v is not None)
 
 
-def _run(name: str, args, body: str) -> int:
-    plan = experiments.parse_plan(f"[plan]\nname = {name}\n" + body,
-                                  seed_override=args.seed)
-    return _emit(experiments.run_plan(plan, threads=args.threads), args.out)
+def _run(args, plan_text: str) -> int:
+    """Run a plan, print its summary and write its files under its ``out``."""
+    plan = experiments.parse_plan(plan_text, args.seed, args.out)
+    result = experiments.run_plan(plan, threads=args.threads)
+    text = experiments.render_summary(result)
+    sys.stdout.write(text)
+    if plan.out:
+        os.makedirs(plan.out, exist_ok=True)
+        base = os.path.join(plan.out, result.plan_name)
+        for ext, content in ((".csv", experiments.to_csv(result)),
+                             (".json", experiments.to_json(result)),
+                             (".txt", text)):
+            with open(base + ext, "w") as fh:
+                fh.write(content)
+        sys.stdout.write(f"wrote {base}.csv / .json / .txt\n")
+    return EXIT_CELL_FAILURES if result.n_errors else EXIT_OK
 
 
 def _cmd_ci(args) -> int:
-    return _run("ci", args, _source_section(args.source) + "[ci]\n"
-                + _keys(sources=_source_name(args.source)))
+    section, label = _source_section(args.source)
+    return _run(args, f"[plan]\nname = ci\n{section}[ci]\n"
+                + _keys(sources=label))
 
 
 def _cmd_exponent(args) -> int:
-    return _run("exponent", args, _source_section(args.source)
-                + "[exponent]\n"
-                + _keys(sources=_source_name(args.source), rates=args.rate))
+    section, label = _source_section(args.source)
+    return _run(args, f"[plan]\nname = exponent\n{section}[exponent]\n"
+                + _keys(sources=label, rates=args.rate))
 
 
 def _cmd_simulate(args) -> int:
-    if args.coupling not in fixtures.NAMED_COUPLINGS:
-        raise ConfigError(f"unknown coupling {args.coupling!r}; known: "
-                          f"{sorted(fixtures.NAMED_COUPLINGS)}")
-    return _run("simulate", args,
-                f"[coupling.{args.coupling}]\nfixture = {args.coupling}\n"
-                "[simulate]\n"
+    return _run(args, "[plan]\nname = simulate\n[simulate]\n"
                 + _keys(couplings=args.coupling, rates=args.rate, n=args.n,
                         s=args.s, seeds=args.seeds, measure=args.measure,
                         eps=args.eps, eps_prime=args.eps_prime,
@@ -145,10 +130,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    plan = experiments.load_plan(args.plan, seed_override=args.seed,
-                                 out_override=args.out)
-    result = experiments.run_plan(plan, threads=args.threads)
-    return _emit(result, plan.out)
+    return _run(args, experiments.read_text(args.plan))
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -156,7 +156,7 @@ def _measure(text: str) -> str:
 
 def parse_plan(text: str, seed_override: int | None = None,
                out_override: str | None = None) -> ExperimentPlan:
-    cp = configparser.ConfigParser()
+    cp = configparser.ConfigParser(interpolation=None)   # values are literal
     try:
         cp.read_string(text)
     except configparser.Error as exc:
@@ -238,9 +238,18 @@ def parse_plan(text: str, seed_override: int | None = None,
     return plan
 
 
+def read_text(path: str) -> str:
+    """A plan or pmf file's UTF-8 text, or a ConfigError naming ``path``."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeError) as exc:
+        raise ConfigError(f"cannot read {path!r}: "
+                          f"{getattr(exc, 'strerror', None) or exc}") from None
+
+
 def load_plan(path: str, seed_override=None, out_override=None) -> ExperimentPlan:
-    with open(path) as fh:
-        return parse_plan(fh.read(), seed_override, out_override)
+    return parse_plan(read_text(path), seed_override, out_override)
 
 
 # ---------------------------------------------------------------------------
@@ -359,6 +368,8 @@ def _run_simulate_cell(ctx: _PlanContext, cell_id: int, cell) -> dict:
 
 def run_plan(plan: ExperimentPlan, threads: int = 1) -> SweepResult:
     """Execute every cell; failures are recorded in-row and do not stop the run."""
+    if threads < 1:
+        raise ConfigError(f"threads must be >= 1, got {threads}")
     ctx = _PlanContext(plan)
     tasks = [(kind, cell) for kind in ("ci", "exponent", "simulate")
              for cell in getattr(plan, kind + "_cells")]
@@ -402,10 +413,13 @@ def to_csv(result: SweepResult) -> str:
 
 
 def to_json(result: SweepResult) -> str:
-    payload = {"plan": result.plan_name, "n_errors": result.n_errors,
-               "rows": [{c: row[c] for c in CSV_COLUMNS}
-                        for row in result.rows]}
-    return json.dumps(payload, indent=2, sort_keys=True, default=_fmt) + "\n"
+    # strict JSON: a non-finite float is written as the CSV writes it
+    rows = [{c: _fmt(row[c]) if isinstance(row[c], float)
+             and not math.isfinite(row[c]) else row[c] for c in CSV_COLUMNS}
+            for row in result.rows]
+    return json.dumps({"plan": result.plan_name, "n_errors": result.n_errors,
+                       "rows": rows}, indent=2, sort_keys=True, default=_fmt,
+                      allow_nan=False) + "\n"
 
 
 def render_summary(result: SweepResult) -> str:

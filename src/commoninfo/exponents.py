@@ -556,7 +556,7 @@ class ThetaLimitReport:
 def theta_limit_check(pi: JointPmf, alpha: float, thetas,
                       ci: CiSolution) -> ThetaLimitReport:
     """Track (1/theta) Omega(alpha, theta) against its theta -> 0 limit R^(alpha)."""
-    thetas = tuple(float(t) for t in thetas)
+    thetas = tuple(sorted((float(t) for t in thetas), reverse=True))
     if any(t <= 0 for t in thetas):
         raise ConfigError("thetas must be positive")
     grid = _SupportGrid(pi)
@@ -564,14 +564,11 @@ def theta_limit_check(pi: JointPmf, alpha: float, thetas,
     ra = r_alpha_min(pi, alpha, warm_logits=[lifted], grid=grid)
     scaled = []
     warm = [ra.logits]
-    for theta in sorted(thetas, reverse=True):
-        pt = ExponentPoint(alpha, theta)
-        res = big_omega_min(pi, pt, warm_logits=[*warm, lifted], grid=grid)
+    for theta in thetas:                 # descending, each warm from the last
+        res = big_omega_min(pi, ExponentPoint(alpha, theta),
+                            warm_logits=[*warm, lifted], grid=grid)
         warm = [res.logits, ra.logits]
-        scaled.append((theta, res.value / theta))
-    scaled.sort(key=lambda p: -p[0])
-    out_thetas = tuple(t for t, _ in scaled)
-    out_vals = tuple(v for _, v in scaled)
-    gaps = tuple(ra.value - v for v in out_vals)
-    return ThetaLimitReport(alpha=alpha, thetas=out_thetas,
-                            scaled_omegas=out_vals, r_alpha=ra.value, gaps=gaps)
+        scaled.append(res.value / theta)
+    return ThetaLimitReport(alpha=alpha, thetas=thetas,
+                            scaled_omegas=tuple(scaled), r_alpha=ra.value,
+                            gaps=tuple(ra.value - v for v in scaled))

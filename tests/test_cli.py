@@ -48,6 +48,38 @@ def test_ci_pmf_file_source(tmp_path, capsys):
     assert "uniform4" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("filename, label", [
+    ("my joint.txt", "my_joint"), ("a,b.txt", "a_b"), ("50%.txt", "50%")])
+def test_ci_labels_a_pmf_file_by_its_stem(tmp_path, filename, label):
+    # a plan list separator in the stem was once read as two fixture names,
+    # and a '%' as the start of a plan interpolation
+    path = tmp_path / filename
+    path.write_text("0.25 0.25\n0.25 0.25\n")
+    assert main(["ci", str(path), "--out", str(tmp_path / "out")]) == EXIT_OK
+    with open(tmp_path / "out" / "ci.csv", newline="") as fh:
+        assert [row["source"] for row in csv.DictReader(fh)] == [label]
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "missing"], ["sweep", "directory"], ["sweep", "not-utf8"],
+    ["ci", "directory"], ["ci", "not-utf8"]],
+    ids=["sweep-missing", "sweep-dir", "sweep-bytes", "ci-dir", "ci-bytes"])
+def test_an_unreadable_file_is_config_error(tmp_path, capsys, argv):
+    # each once escaped as an OSError or UnicodeDecodeError traceback
+    (tmp_path / "directory").mkdir()
+    (tmp_path / "not-utf8").write_bytes(b"[plan]\nname = \xff\n")
+    path = str(tmp_path / argv[1])
+    assert main([argv[0], path]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: cannot read {path!r}: ")
+
+
+def test_unknown_coupling_is_config_error(capsys):
+    assert main(["simulate", "nonexistent", "--rate", "0.5",
+                 "--n", "4"]) == EXIT_CONFIG
+    assert "unknown coupling fixture 'nonexistent'" in capsys.readouterr().err
+
+
 def test_ci_has_no_restarts_flag(capsys):
     # the solver takes no setting, so the flag is an unknown argument
     with pytest.raises(SystemExit) as exc:
@@ -71,6 +103,22 @@ def test_sweep_writes_outputs(tmp_path, capsys):
     csv_text = (out_dir / "tiny.csv").read_text()
     assert csv_text.splitlines()[0].startswith("cell_id,kind")
     assert len(csv_text.splitlines()) == 2
+
+
+def test_plan_values_are_literal(tmp_path):
+    # a '%' in a value was once read as the start of an interpolation
+    plan_path = tmp_path / "percent.plan"
+    plan_path.write_text(TINY_PLAN.replace("name = tiny", "name = run%1"))
+    assert main(["sweep", str(plan_path), "--out", str(tmp_path)]) == EXIT_OK
+    assert (tmp_path / "run%1.csv").exists()
+
+
+@pytest.mark.parametrize("threads", ["0", "-3"])
+def test_sweep_below_one_thread_is_config_error(tmp_path, capsys, threads):
+    plan_path = tmp_path / "tiny.plan"
+    plan_path.write_text(TINY_PLAN)
+    assert main(["sweep", str(plan_path), "--threads", threads]) == EXIT_CONFIG
+    assert f"threads must be >= 1, got {threads}" in capsys.readouterr().err
 
 
 def test_sweep_seed_override_changes_nothing_exact(tmp_path):

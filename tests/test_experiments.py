@@ -2,6 +2,7 @@
 
 import csv
 import io
+import json
 import math
 import os
 import sys
@@ -271,6 +272,27 @@ def test_render_summary_fits_no_slope_to_infinite_values():
     summary = render_summary(result)
     assert "value=inf" in summary
     assert "slope" not in summary and "nan" not in summary
+
+
+def test_to_json_writes_non_finite_values_as_the_csv_does():
+    # a structural-zero cell was once dumped as the bare token Infinity
+    text = ("[plan]\nname = zeros\nseed = 3\n[simulate]\n"
+            "couplings = dsbs01\nrates = 1.2C\nn = 4\n"
+            "measure = renyi\neps = 0.2\neps_prime = 0.1\n")
+    result = run_plan(parse_plan(text))
+    assert [row["value"] for row in result.rows] == [math.inf]
+
+    def reject(token):
+        raise ValueError(f"not strict JSON: {token}")
+
+    rows = json.loads(to_json(result), parse_constant=reject)["rows"]
+    assert [row["value"] for row in rows] == ["inf"]
+    assert to_csv(result).splitlines()[1].split(",")[10] == "inf"
+
+
+def test_run_plan_rejects_fewer_than_one_thread():
+    with pytest.raises(ConfigError, match="threads must be >= 1, got 0"):
+        run_plan(parse_plan(TINY_PLAN), threads=0)
 
 
 MEMO_PLAN = """
