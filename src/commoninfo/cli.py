@@ -43,10 +43,9 @@ _BUNDLED_OPENBLAS = (
 )
 
 
-def _one_blas_thread() -> list[str]:
-    """Set every bundled OpenBLAS to one thread; returns the libraries set.
-    A numpy or scipy without a bundled OpenBLAS is left as it is."""
-    pinned = []
+def _one_blas_thread() -> None:
+    """Set every bundled OpenBLAS to one thread.  A numpy or scipy without a
+    bundled OpenBLAS is left as it is."""
     for package, pattern, setter in _BUNDLED_OPENBLAS:
         site = os.path.dirname(os.path.dirname(
             importlib.import_module(package).__file__))
@@ -55,17 +54,20 @@ def _one_blas_thread() -> list[str]:
             if set_threads is not None:
                 set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
                 set_threads(1)
-                pinned.append(path)
-    return pinned
 
 
 def _source_section(label: str) -> tuple[str, str]:
-    """The plan lines and label of a source.  A readable file that is not a
+    """The plan lines and label of a source.  A fixture name writes no
+    section, so the plan parser resolves it; an existing path that is not a
     fixture name is an inline section labelled by its stem, each run of plan
     list separators (whitespace, commas) turned into ``_``; any other name
-    writes no section, so the plan parser resolves it as a fixture."""
-    if label in fixtures.NAMED_SOURCES or not os.path.exists(label):
+    is a ConfigError."""
+    if label in fixtures.NAMED_SOURCES:
         return "", label
+    if not os.path.exists(label):
+        raise ConfigError(f"source {label!r} is neither a known fixture nor "
+                          f"a readable file; known fixtures: "
+                          f"{sorted(fixtures.NAMED_SOURCES)}")
     text = experiments.read_text(label)
     body = "\n".join("  " + line for line in text.strip().splitlines())
     name = re.sub(r"[\s,]+", "_", os.path.splitext(os.path.basename(label))[0])

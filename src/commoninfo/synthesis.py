@@ -27,10 +27,12 @@ weighted by their multiplicities c_w; their one-hot block and shell masses
 are built once per call.  The dense induced joint is capped by
 ``MAX_JOINT_CELLS``; the exact order-2 divergence of an untruncated code
 builds none where the |W|^n tensor of codeword counts gives the same
-estimate.  At sampled pairs, both conditional laws share the
-block's one-hot, so each sample chunk of at most about ``_CHUNK_CELLS``
-(distinct codeword, sample) cells takes one product, one exp and one
-weighted sum.
+estimate.  At sampled pairs the shell test runs before the density: in
+each sample chunk of at most about ``_CHUNK_CELLS`` (distinct codeword,
+sample) cells, X's count windows and then Y's, on the codewords X left,
+narrow the chunk to the pairs inside both shells, and only those take the
+product (both laws sharing the block's one-hot), the exp and the weighted
+sum; every other sample reads 0.
 
 The truncation and rate-bound checks are exchangeable in (w^n, x^n, y^n), so
 they sum over the (w, x, y) joint types admitted by the windows, each
@@ -47,7 +49,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gammaln, logsumexp
+from scipy.special import gammaln
 
 from .errors import ConfigError, DomainError, ResourceBudgetError, SamplingError
 from .probability import (FinitePmf, JointPmf, MarkovCoupling, _validated_rows,
@@ -233,10 +235,14 @@ class _CondLaw:
         a-columns, exact since N_ab <= n < 2^24.  The first binding test
         becomes the mask; when no window binds, ``ok`` comes back as it
         came, so an untruncated law without structural zeros makes no mask
-        and its callers no masking pass."""
+        and its callers no masking pass.  Every window's counts go to one
+        buffer: a fresh (u, S) matrix per window cost page faults that took
+        longer than the product."""
         n, lo, hi = block.n, self.lo, self.hi
+        c = None
         for a, b in zip(*np.nonzero((lo > 0) | (hi < block.k_max[:, None]))):
-            c = block.hot[:, a * n:(a + 1) * n] @ (seqs == b).T
+            c = np.matmul(block.hot[:, a * n:(a + 1) * n], (seqs == b).T,
+                          out=c)
             if lo[a, b] > 0:
                 ok = _and_into(ok, c >= int(lo[a, b]))
             if hi[a, b] < block.k_max[a]:
@@ -410,24 +416,42 @@ def _pointwise_p(laws, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Induced P at sampled pairs (rows of x, y), one kernel over the u
     distinct codewords of ``laws`` (``_induced_laws``), whose one-hot block
     is built once per call.  Each sample chunk of at most about
-    ``_CHUNK_CELLS`` (distinct codeword x sample) cells takes one product
-    for log P(x|w) P(y|w), both laws sharing the float32 one-hot, one exp,
-    both laws' windows where they bind (exact float32 count products), and
-    one sum weighted by c_w / (m Z_X(w) Z_Y(w)), so memory stays flat in m
-    and the sample count.  When no window binds, as for an untruncated law
-    without structural zeros, no mask is built and no masking pass runs."""
+    ``_CHUNK_CELLS`` (distinct codeword x sample) cells takes the shell test
+    before the density: X's binding windows (exact float32 count products)
+    first, then the codewords and samples with no admitted pair are
+    dropped, then Y's windows run on a block of the surviving codewords,
+    which tests only the windows that bind on them, and the survivors are
+    narrowed again.  Only the pairs left take the product for
+    log P(x|w) P(y|w), both laws sharing the float32 one-hot, one exp, the
+    mask and one sum weighted by c_w / (m Z_X(w) Z_Y(w)); every other sample
+    reads 0, and a chunk with no survivor does no dense work.  Memory stays
+    flat in m and the sample count.  A law with no binding window, as an
+    untruncated law without structural zeros, builds no mask and narrows
+    nothing."""
     law_x, law_y, ws, weight = laws
-    block = _Block(ws, law_x.cond.shape[0])
-    step = max(1, _CHUNK_CELLS // ws.shape[0])
-    vals = np.empty(x.shape[0])
+    nw, u = law_x.cond.shape[0], ws.shape[0]
+    block = _Block(ws, nw)
+    step = max(1, _CHUNK_CELLS // u)
+    vals = np.zeros(x.shape[0])
     for i in range(0, x.shape[0], step):
-        xs, ys = x[i:i + step], y[i:i + step]
-        p = block.hot @ (law_x.log_terms(xs) + law_y.log_terms(ys))
-        np.exp(p, out=p)
-        ok = law_y.window_mask(block, ys, law_x.window_mask(block, xs))
-        if ok is not None:
-            p *= ok
-        vals[i:i + step] = weight @ p
+        at, rows = np.arange(i, min(i + step, x.shape[0])), np.arange(u)
+        sub, ok = block, None
+        for law, seqs in ((law_x, x), (law_y, y)):
+            ok = law.window_mask(sub, seqs[at], ok)
+            if ok is None:
+                continue
+            keep_w = np.flatnonzero(ok.any(axis=1))
+            if keep_w.size == 0:
+                break                    # no pair of the chunk is admitted
+            keep_s = np.flatnonzero(ok.any(axis=0))
+            ok, at, rows = ok[np.ix_(keep_w, keep_s)], at[keep_s], rows[keep_w]
+            sub = _Block(ws[rows], nw)
+        else:
+            p = sub.hot @ (law_x.log_terms(x[at]) + law_y.log_terms(y[at]))
+            np.exp(p, out=p)
+            if ok is not None:
+                p *= ok
+            vals[at] = weight[rows] @ p
     return vals
 
 
@@ -781,9 +805,9 @@ def rate_bound_check(base: MarkovCoupling, n: int, eps: float,
     log_pi = _log_pi_n(types.xy_counts, base.xy_marginal())
     if np.any(log_pi == -np.inf):
         raise DomainError("induced mass outside supp(pi^n)")
-    log_total = logsumexp(types.log_mult + types.log_p_w
-                          + (1.0 + s) * (types.log_p_x + types.log_p_y)
-                          - s * log_pi)
+    log_total = typ._logsumexp(types.log_mult + types.log_p_w
+                               + (1.0 + s) * (types.log_p_x + types.log_p_y)
+                               - s * log_pi)
     lhs = float(log_total) / (n * s)
     delta_1 = 1.0 - float(types.z_x.min())
     delta_2 = 1.0 - float(types.z_y.min())

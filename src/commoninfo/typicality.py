@@ -21,7 +21,7 @@ and whose typical-set mass Q_W^n(T) is entry n of the one-row table of
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import gammaln, logsumexp
+from scipy.special import gammaln
 
 from .errors import ConfigError, DomainError, ResourceBudgetError
 from .probability import FinitePmf, _validated_rows
@@ -52,6 +52,29 @@ def _check_budget(n: int, alphabet: int):
         raise ResourceBudgetError(f"alphabet size {alphabet} exceeds cap {MAX_ALPHABET}")
 
 
+def _logsumexp(a) -> np.ndarray:
+    """log sum exp(a) over the last axis, step for step as
+    ``scipy.special.logsumexp`` computes it for a real array without
+    weights, and equal to it bit for bit: the max is split off, with its
+    ties counted, the rest summed shifted by it and taken through log1p;
+    a non-finite result falls back to log(sum(exp(a))), and an empty
+    array gives -inf.  It skips scipy's array-API dispatch, which costs
+    more than the sum on the short rows summed here."""
+    a = np.asarray(a, dtype=float)
+    if a.size == 0:
+        return np.full(a.shape[:-1], -np.inf)[()]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        top = a.max(axis=-1, keepdims=True)
+        at_top = a == top
+        ties = at_top.sum(axis=-1, keepdims=True, dtype=float)
+        rest = np.exp(np.where(at_top, -np.inf, a) - top).sum(
+            axis=-1, keepdims=True)
+        rest = np.where(rest == 0, rest, rest / ties)
+        out = (np.log1p(rest) + np.log(ties) + top)[..., 0]
+        direct = np.log(np.exp(a).sum(axis=-1))
+    return np.where(np.isfinite(out), out, direct)[()]
+
+
 def _block_log_probs(q: np.ndarray, lo: np.ndarray, hi: np.ndarray,
                      n: int) -> np.ndarray:
     """log of the probability that an i.i.d.(q) block of length k keeps every
@@ -71,7 +94,7 @@ def _block_log_probs(q: np.ndarray, lo: np.ndarray, hi: np.ndarray,
         c = np.arange(lo[x], hi[x] + 1)
         shift = np.arange(n + 1)[:, None] - c    # k - c for every (k, c)
         terms = np.where(shift >= 0, acc[np.maximum(shift, 0)], -np.inf)
-        acc = logsumexp(terms + (c * log_q[x] - log_fact[c]), axis=1)
+        acc = _logsumexp(terms + (c * log_q[x] - log_fact[c]))
     return acc + log_fact
 
 

@@ -93,6 +93,18 @@ def test_unknown_source_is_config_error(capsys):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [["ci"], ["exponent", "--rate", "0.5C"]],
+                         ids=["ci", "exponent"])
+def test_a_source_neither_fixture_nor_file_is_named_as_both(tmp_path, capsys,
+                                                            argv):
+    # a missing pmf file was once reported as an unknown source fixture
+    path = str(tmp_path / "nope.txt")
+    assert main([argv[0], path, *argv[1:]]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: source {path!r} is neither a known "
+                          f"fixture nor a readable file")
+
+
 def test_sweep_writes_outputs(tmp_path, capsys):
     plan_path = tmp_path / "tiny.plan"
     plan_path.write_text(TINY_PLAN)

@@ -866,6 +866,110 @@ def test_pointwise_p_matches_induced_joint(monkeypatch):
             assert np.allclose(got, ex.mass[ix, iy], rtol=0.0, atol=1e-12)
 
 
+def record_dense_work(monkeypatch):
+    """Patch ``_CondLaw.log_terms`` and ``_Block`` to record the axis and
+    rows of every log-term matrix and the size of every codeword block that
+    ``_pointwise_p`` builds."""
+    seen, blocks = [], []
+    log_terms = synthesis._CondLaw.log_terms
+
+    def recorded(law, seqs):
+        seen.append((law.axis, seqs.copy()))
+        return log_terms(law, seqs)
+
+    class RecordedBlock(synthesis._Block):
+        def __init__(self, ws, nw):
+            blocks.append(ws.shape[0])
+            super().__init__(ws, nw)
+
+    monkeypatch.setattr(synthesis._CondLaw, "log_terms", recorded)
+    monkeypatch.setattr(synthesis, "_Block", RecordedBlock)
+    return seen, blocks
+
+
+def seen_rows(seen, axis):
+    return np.concatenate([s for a, s in seen if a == axis])
+
+
+def shell_test_code():
+    """A truncated 2x3 code at n = 6 with a repeated codeword, its distinct
+    codewords, and its X and Y laws."""
+    base, n, eps = seeded_coupling_2x3(), 6, 0.6
+    a, b, c = good_codewords(base, n, eps)[::2][:3]
+    code = SynthesisCode(n=n, rate=math.log(4) / n, m_count=4,
+                         codebook=np.stack([a, b, c, a]), base=base, eps=eps,
+                         eps_prime=0.5, seed=0)
+    laws = [synthesis._CondLaw(base, eps, axis, n) for axis in ("X", "Y")]
+    return code, np.stack([a, b, c]), laws
+
+
+def test_dense_product_sees_only_samples_inside_both_shells(monkeypatch):
+    code, ws, (law_x, law_y) = shell_test_code()
+    rng = np.random.default_rng(1)
+    ex = induced_joint_exact(code)
+    cells = rng.choice(ex.mass.size, 50, p=ex.mass.ravel())
+    ix, iy = np.divmod(cells, ex.mass.shape[1])
+    x = np.concatenate([ex.seqs_x[ix], rng.integers(0, 2, (150, code.n))])
+    y = np.concatenate([ex.seqs_y[iy], rng.integers(0, 3, (150, code.n))])
+    inside = (oracle_shell_mask(law_x, code.eps, ws, x)
+              & oracle_shell_mask(law_y, code.eps, ws, y)).any(axis=0)
+    assert inside[:50].all() and not inside.all()
+    for chunk_cells in (2 ** 20, 7):
+        monkeypatch.setattr(synthesis, "_CHUNK_CELLS", chunk_cells)
+        with monkeypatch.context() as patch:
+            seen, blocks = record_dense_work(patch)
+            got = synthesis._pointwise_p(synthesis._induced_laws(code), x, y)
+        assert np.array_equal(seen_rows(seen, "X"), x[inside])
+        assert np.array_equal(seen_rows(seen, "Y"), y[inside])
+        assert min(blocks) > 0
+        assert np.all(got[~inside] == 0.0) and np.all(got[inside] > 0.0)
+        assert np.allclose(got, reference_pointwise_p(code, x, y),
+                           rtol=1e-12, atol=0.0)
+
+
+def test_a_chunk_that_the_shells_reject_reads_zero(monkeypatch):
+    code, ws, (law_x, law_y) = shell_test_code()
+    seqs_x = synthesis._all_seqs(2, code.n)
+    seqs_y = synthesis._all_seqs(3, code.n)
+    in_x = oracle_shell_mask(law_x, code.eps, ws, seqs_x).any(axis=0)
+    in_y = oracle_shell_mask(law_y, code.eps, ws, seqs_y).any(axis=0)
+    ex = induced_joint_exact(code)
+    ix, iy = np.unravel_index(np.argsort(ex.mass, axis=None)[-2:],
+                              ex.mass.shape)
+    # chunks of two samples: X's windows reject every pair, then only Y's
+    # do, then two pairs of positive mass
+    x = np.concatenate([seqs_x[~in_x][:2], seqs_x[in_x][:2], ex.seqs_x[ix]])
+    y = np.concatenate([seqs_y[in_y][:2], seqs_y[~in_y][:2], ex.seqs_y[iy]])
+    monkeypatch.setattr(synthesis, "_CHUNK_CELLS", 2 * ws.shape[0])
+    with monkeypatch.context() as patch:
+        seen, blocks = record_dense_work(patch)
+        got = synthesis._pointwise_p(synthesis._induced_laws(code), x, y)
+    assert np.array_equal(got[:4], np.zeros(4))
+    assert np.allclose(got[4:], ex.mass[ix, iy], rtol=1e-12, atol=0.0)
+    assert np.array_equal(seen_rows(seen, "X"), x[4:])
+    assert np.array_equal(seen_rows(seen, "Y"), y[4:])
+    assert min(blocks) > 0
+
+
+def test_untruncated_code_narrows_nothing(monkeypatch):
+    base = fixtures.dsbs_optimal_coupling(0.1)
+    code = build_code(base, 12, 0.3, None, 0.5, seed=0)
+    u = synthesis._distinct(code.codebook)[0].shape[0]
+    rng = np.random.default_rng(2)
+    x, y = rng.integers(0, 2, (2, 100, 12))
+    monkeypatch.setattr(synthesis, "_CHUNK_CELLS", 30 * u)
+    with monkeypatch.context() as patch:
+        seen, blocks = record_dense_work(patch)
+        got = synthesis._pointwise_p(synthesis._induced_laws(code), x, y)
+    # one block of every distinct codeword, and every sample in the product
+    assert blocks == [u] and len(seen) == 2 * 4
+    assert np.array_equal(seen_rows(seen, "X"), x)
+    assert np.array_equal(seen_rows(seen, "Y"), y)
+    assert np.all(got > 0.0)
+    assert np.allclose(got, reference_pointwise_p(code, x, y),
+                       rtol=1e-12, atol=0.0)
+
+
 def test_distinct_rows_match_unique():
     rng = np.random.default_rng(0)
     for _ in range(50):

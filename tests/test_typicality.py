@@ -8,7 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
-from scipy.special import gammaln
+from scipy.special import gammaln, logsumexp
 
 from commoninfo import typicality as typ
 from commoninfo.errors import ConfigError, DomainError, ResourceBudgetError
@@ -62,6 +62,35 @@ def random_pmf(rng, size) -> np.ndarray:
     q = rng.dirichlet(np.ones(size))
     q[rng.permutation(size)[1:][rng.random(size - 1) < 0.25]] = 0.0
     return q / q.sum()
+
+
+def logsumexp_cases(rng):
+    """Arrays for the log-sum-exp: random rows at magnitudes up to 700, some
+    entries and whole rows at -inf, ties at the max, and zero-width
+    windows."""
+    for i in range(3000):
+        shape = (int(rng.integers(0, 6)), int(rng.integers(0, 9)))
+        if i % 3 == 0:
+            shape = shape[1:]
+        a = rng.normal(size=shape) * rng.choice([1.0, 10.0, 300.0, 700.0])
+        if i % 7 == 0:
+            a = np.round(a)              # ties at the max
+        a[rng.random(shape) < 0.2] = -np.inf
+        if a.ndim == 2 and a.size and i % 5 == 0:
+            a[0] = -np.inf
+        yield a
+    yield np.full((4, 0), 1.0)
+    yield np.array([700.0, 700.0, -700.0])
+    yield np.array([[-np.inf] * 3, [1.0, 1.0, 1.0]])
+
+
+def test_logsumexp_equals_scipys_bit_for_bit():
+    rng = np.random.default_rng(0)
+    for a in logsumexp_cases(rng):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            want = logsumexp(a, axis=-1)
+        assert np.array_equal(typ._logsumexp(a), want), a
 
 
 def test_block_log_probs_match_count_enumeration():
