@@ -111,30 +111,23 @@ def ci_correctness() -> tuple[bool, str]:
     v_copy = wyner_ci(copy_source()).value
     if abs(v_copy - math.log(2)) > 1e-3:
         return False, f"copy source gave {v_copy}"
+
+    def h(t):
+        return FinitePmf(np.array([t, 1 - t])).entropy()
+
     rng = np.random.default_rng(0)
-    worst = 0.0
-    for _ in range(20):
-        p = float(rng.uniform(0.02, 0.45))
-        got = wyner_ci(dsbs(p)).value
-        worst = max(worst, abs(got - _dsbs_ci(p)))
-        if worst > 1e-3:
-            return False, (f"solver vs closed form diff {worst:.2e} "
-                           f"at p={p:.4f}")
-    for e in CI_DSBES_ES:
-        got = wyner_ci(dsbes(e)).value
-        h_e = FinitePmf(np.array([e, 1 - e])).entropy()
-        exact = math.log(2) if e <= 0.5 else h_e
-        worst = max(worst, abs(got - exact))
-        if worst > 1e-3:
-            return False, (f"solver vs closed form diff {worst:.2e} on "
-                           f"DSBES at e={e:g}")
+    cases = [(f"at p={p:.4f}", dsbs(p), _dsbs_ci(p))
+             for p in (float(rng.uniform(0.02, 0.45)) for _ in range(20))]
+    cases += [(f"on DSBES at e={e:g}", dsbes(e),
+               math.log(2) if e <= 0.5 else h(e)) for e in CI_DSBES_ES]
     q, p = CI_COMMON_PART
-    got = wyner_ci(common_part_source(q, p)).value
-    h_q = FinitePmf(np.array([q, 1 - q])).entropy()
-    worst = max(worst, abs(got - (h_q + q * _dsbs_ci(p))))
-    if worst > 1e-3:
-        return False, (f"solver vs closed form diff {worst:.2e} on the "
-                       f"common-part joint at q={q:g}, p={p:g}")
+    cases.append((f"on the common-part joint at q={q:g}, p={p:g}",
+                  common_part_source(q, p), h(q) + q * _dsbs_ci(p)))
+    worst = 0.0
+    for where, pi, exact in cases:
+        worst = max(worst, abs(wyner_ci(pi).value - exact))
+        if worst > 1e-3:
+            return False, f"solver vs closed form diff {worst:.2e} {where}"
     return True, (f"product and copy hit; worst closed-form diff {worst:.2e} "
                   f"over 20 DSBS(p), 4 DSBES(e) and the 3x3 common part")
 

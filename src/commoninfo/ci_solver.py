@@ -261,6 +261,14 @@ def _coupling_value(qw, A, C) -> float:
     return mutual_information_mass(J.reshape(qw.shape[0], -1) / J.sum())
 
 
+def _normalized_rows(r, mask):
+    """Each row of ``r`` divided by its sum; a row that sums to 0 is
+    uniform on the same row of ``mask``."""
+    total = r.sum(axis=1, keepdims=True)
+    return np.where(total > 0, r / np.where(total > 0, total, 1.0),
+                    mask / mask.sum(axis=1, keepdims=True))
+
+
 def _copy_start(pi_mass, mask_x, mask_y, cell_symbol):
     """The copy coupling on the masks: each support cell's mass goes to its
     symbol, whose rows are the conditionals of the cells it holds; a symbol
@@ -274,25 +282,18 @@ def _copy_start(pi_mass, mask_x, mask_y, cell_symbol):
         qw[w] += m
         A[w, x] += m
         C[w, y] += m
-
-    def rows(r, mask):
-        total = r.sum(axis=1, keepdims=True)
-        return np.where(total > 0, r / np.where(total > 0, total, 1.0),
-                        mask / mask.sum(axis=1, keepdims=True))
-
-    return qw / pi_mass.sum(), rows(A, mask_x), rows(C, mask_y)
+    return (qw / pi_mass.sum(), _normalized_rows(A, mask_x),
+            _normalized_rows(C, mask_y))
 
 
 def _marginal_couplings(pi_mass: np.ndarray):
     """W = X and W = Y as (Q_W, Q_{X|W}, Q_{Y|W}): exactly feasible, with
     I(XY;W) = H(X) and H(Y).  Rows of a zero-mass W symbol are uniform."""
-    def given(rows, marg):
-        safe = np.where(marg > 0, marg, 1.0)[:, None]
-        return np.where(marg[:, None] > 0, rows / safe, 1.0 / rows.shape[1])
-
-    px, py = pi_mass.sum(axis=1), pi_mass.sum(axis=0)
-    yield px, np.eye(px.size), given(pi_mass, px)
-    yield py, given(pi_mass.T, py), np.eye(py.size)
+    everywhere = np.ones(pi_mass.shape, dtype=bool)
+    yield (pi_mass.sum(axis=1), np.eye(pi_mass.shape[0]),
+           _normalized_rows(pi_mass, everywhere))
+    yield (pi_mass.sum(axis=0), _normalized_rows(pi_mass.T, everywhere.T),
+           np.eye(pi_mass.shape[1]))
 
 
 def _mixed_starts(pi_mass, mask_x, mask_y, cell_symbol):
@@ -300,14 +301,10 @@ def _mixed_starts(pi_mass, mask_x, mask_y, cell_symbol):
     3/4, with U the uniform Q_W whose rows are p_X and p_Y restricted to
     each symbol's masks and renormalised; every symbol of a mixture has
     positive weight."""
-    def rows(marg, mask):
-        r = mask * marg
-        return r / r.sum(axis=1, keepdims=True)
-
     copy = _copy_start(pi_mass, mask_x, mask_y, cell_symbol)
     uniform = (np.full(mask_x.shape[0], 1.0 / mask_x.shape[0]),
-               rows(pi_mass.sum(axis=1), mask_x),
-               rows(pi_mass.sum(axis=0), mask_y))
+               _normalized_rows(mask_x * pi_mass.sum(axis=1), mask_x),
+               _normalized_rows(mask_y * pi_mass.sum(axis=0), mask_y))
     yield copy
     for t in _START_MIX:
         yield tuple((1.0 - t) * c + t * u for c, u in zip(copy, uniform))
@@ -333,21 +330,18 @@ def _polish(qw, A, C, pi_mass, mask_x, mask_y):
     target = pi_mass[sx, sy]
     na, nw, ns = aw.size, c0.shape[0], sx.size
     # the bilinear Jacobian entries: d/da_wx of sum_w a_wx c_wy at the cell
-    # (x, y) is c_wy and d/dc_wy is a_wx, each one variable v[src]; an entry
-    # whose partner is no variable is a structural zero.  The rows
+    # (x, y) is c_wy and d/dc_wy is a_wx, one pair for each symbol w that
+    # has both variables, each entry one variable v[src].  The rows
     # sum_y c_wy = 1 are constant.
     a_index = np.full(a0.shape, -1)
     a_index[aw, ax] = np.arange(na)
     c_index = np.full(c0.shape, -1)
     c_index[cw, cy] = na + np.arange(cw.size)
-    cell_a, j = np.nonzero(sx[:, None] == ax[None, :])
-    cell_c, k = np.nonzero(sy[:, None] == cy[None, :])
-    src = np.concatenate((c_index[aw[j], sy[cell_a]],
-                          a_index[cw[k], sx[cell_c]]))
-    kept = src >= 0
-    rows = np.concatenate((cell_a, cell_c))[kept]
-    cols = np.concatenate((j, na + k))[kept]
-    src = src[kept]
+    w, cell = np.nonzero((a_index[:, sx] >= 0) & (c_index[:, sy] >= 0))
+    ia, ic = a_index[w, sx[cell]], c_index[w, sy[cell]]
+    rows = np.concatenate((cell, cell))
+    cols = np.concatenate((ia, ic))
+    src = np.concatenate((ic, ia))
     J = np.zeros((ns + nw, na + cw.size))
     J[ns:, na:] = np.arange(nw)[:, None] == cw[None, :]
 

@@ -38,6 +38,7 @@ from . import fixtures
 from .ci_solver import wyner_ci
 from . import exponents
 from . import synthesis
+from . import typicality
 
 CSV_COLUMNS = ["cell_id", "kind", "source", "coupling", "quantity", "s", "n",
                "seed", "r_spec", "r_abs", "value", "std_error", "method",
@@ -216,11 +217,10 @@ def parse_plan(text: str, seed_override: int | None = None,
         elif kind == "simulate":
             eps = _value(sec, "eps", _eps, "1.0")
             eps_prime = _value(sec, "eps_prime", _eps, "0.5")
-            if eps is not None and not 0.0 < eps <= 1.0:
-                raise ConfigError(f"[{sec.name}] eps = {eps} not in (0, 1]")
-            if eps_prime is not None and not 0.0 < eps_prime < (eps or 1.0):
-                raise ConfigError(f"[{sec.name}] eps_prime = {eps_prime} not "
-                                  f"in (0, {eps or 1.0})")
+            try:
+                typicality.check_truncation(eps, eps_prime)
+            except ConfigError as exc:
+                raise ConfigError(f"[{sec.name}] {exc}") from None
             fixed = {"eps": eps, "eps_prime": eps_prime,
                      "samples": _value(sec, "samples", int, "4096", minimum=2)}
             grid = itertools.product(

@@ -161,11 +161,6 @@ class _SupportGrid:
             rate = max(alpha, 1.0 - alpha)
         return 1.0 / rate
 
-    def to_full(self, q_su: np.ndarray) -> JointPmf:
-        m = np.zeros((self.nx, self.ny, self.nu))
-        m[self.x_of_s, self.y_of_s, :] = q_su
-        return JointPmf(m / m.sum())
-
     def from_full(self, q: JointPmf) -> np.ndarray:
         if q.dims[:2] != (self.nx, self.ny) or q.dims[2] != self.nu:
             raise ConfigError("augmented joint has wrong shape")
@@ -354,7 +349,10 @@ def big_omega_min(pi: JointPmf, pt: ExponentPoint, warm_logits=(),
 
 def r_alpha_min(pi: JointPmf, alpha: float, warm_logits=(),
                 grid: _SupportGrid | None = None) -> InnerMinResult:
-    """min over Q_XYU of the KL combination R^(alpha)(Q)."""
+    """min over Q_XYU of the KL combination R^(alpha)(Q), the theta -> 0
+    limit of Omega(alpha, theta) / theta; alpha is checked as the
+    ExponentPoint (alpha, 0) checks it."""
+    ExponentPoint(alpha, 0.0)
     grid = grid or _SupportGrid(pi)
     return _multistart_min(_r_alpha_objective, (grid, alpha), grid,
                            warm_logits)
@@ -476,8 +474,8 @@ def f_rate(pi: JointPmf, R: float, ci: CiSolution) -> float:
     once and warm-starts from its nearest solved neighbour, so that repeated
     evaluations agree, as brentq's bracket needs.
     """
-    if not R >= 0:
-        raise ConfigError("rate must be nonnegative")
+    if not 0.0 <= R < math.inf:
+        raise ConfigError("rate must be nonnegative and finite")
     grid = _SupportGrid(pi)
     lifted = _ci_lift_logits(grid, ci)
     solved: dict[tuple, _RayPoint] = {}
@@ -557,8 +555,8 @@ def theta_limit_check(pi: JointPmf, alpha: float, thetas,
                       ci: CiSolution) -> ThetaLimitReport:
     """Track (1/theta) Omega(alpha, theta) against its theta -> 0 limit R^(alpha)."""
     thetas = tuple(sorted((float(t) for t in thetas), reverse=True))
-    if any(t <= 0 for t in thetas):
-        raise ConfigError("thetas must be positive")
+    if not thetas or any(t <= 0 for t in thetas):
+        raise ConfigError("thetas must be nonempty and positive")
     grid = _SupportGrid(pi)
     lifted = _ci_lift_logits(grid, ci)
     ra = r_alpha_min(pi, alpha, warm_logits=[lifted], grid=grid)

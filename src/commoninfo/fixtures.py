@@ -92,17 +92,16 @@ NAMED_COUPLINGS = {
 }
 
 
+def _resolve(kind: str, table: dict, name: str):
+    if name not in table:
+        raise ConfigError(f"unknown {kind} fixture {name!r}; "
+                          f"known: {sorted(table)}")
+    return table[name]()
+
+
 def resolve_source(name: str) -> JointPmf:
-    try:
-        return NAMED_SOURCES[name]()
-    except KeyError:
-        raise ConfigError(f"unknown source fixture {name!r}; "
-                          f"known: {sorted(NAMED_SOURCES)}") from None
+    return _resolve("source", NAMED_SOURCES, name)
 
 
 def resolve_coupling(name: str) -> MarkovCoupling:
-    try:
-        return NAMED_COUPLINGS[name]()
-    except KeyError:
-        raise ConfigError(f"unknown coupling fixture {name!r}; "
-                          f"known: {sorted(NAMED_COUPLINGS)}") from None
+    return _resolve("coupling", NAMED_COUPLINGS, name)

@@ -81,10 +81,7 @@ class SynthesisCode:
     seed: int
 
     def __post_init__(self):
-        hi = self.eps if self.eps is not None else 1.0
-        lo = self.eps_prime if self.eps_prime is not None else 0.0
-        if not 0.0 <= lo < hi <= 1.0:
-            raise ConfigError("need 0 < eps_prime < eps <= 1")
+        typ.check_truncation(self.eps, self.eps_prime)
         try:
             m = int(math.ceil(math.exp(self.n * self.rate) - 1e-9))
         except (OverflowError, ValueError):  # e^{nR} past a float, or NaN
@@ -312,8 +309,7 @@ def build_code(base: MarkovCoupling, n: int, R: float, eps: float | None,
         raise ConfigError("rate must be nonnegative")
     if n < 1:
         raise ConfigError("block length must be >= 1")
-    if eps_prime is not None and not eps_prime > 0:
-        raise ConfigError("eps_prime must be > 0")
+    typ.check_truncation(eps, eps_prime)
     if n * R > math.log(MAX_CODEWORDS + 1):   # e^{nR} may overflow past it
         raise ResourceBudgetError(f"m_count ceil(e^{n * R:.6g}) exceeds cap "
                                   f"{MAX_CODEWORDS}")
@@ -731,8 +727,7 @@ def _check_bound_args(n: int, eps: float, eps_prime: float, s: float):
     """The ranges the finite-n checks are stated for, shared by both."""
     if n < 1:
         raise ConfigError("block length must be >= 1")
-    if not 0.0 < eps_prime < eps <= 1.0:
-        raise ConfigError("need 0 < eps_prime < eps <= 1")
+    typ.check_truncation(eps, eps_prime, required=("eps", "eps_prime"))
     if not 0.0 < s <= 1.0:
         raise ConfigError("s must lie in (0, 1]")
 

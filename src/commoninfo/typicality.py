@@ -16,6 +16,12 @@ for every k = 0..n at once.  Unconditional typicality is the one-row case:
 Q_W given a constant sequence, whose windows are ``count_windows(Q_W, n, eps)``
 and whose typical-set mass Q_W^n(T) is entry n of the one-row table of
 ``cond_shell``, which returns a shell's windows and its table together.
+
+A truncated code takes two tolerances: eps for the conditional shells and
+eps' for the codeword law.  Each is None (no truncation) or satisfies
+0 < eps' < eps <= 1, a None eps counting as 1 in the bound on eps';
+``check_truncation`` is that rule, and every entry point that takes the pair
+runs it.
 """
 
 from __future__ import annotations
@@ -43,6 +49,18 @@ def count_windows(mass: np.ndarray, n: int, eps: float):
     lo = np.ceil(n * mass * (1.0 - eps) - _EDGE_TOL).astype(int)
     hi = np.floor(n * mass * (1.0 + eps) + _EDGE_TOL).astype(int)
     return np.maximum(lo, 0), np.where(mass == 0, 0, np.minimum(hi, n))
+
+
+def check_truncation(eps, eps_prime, required=()):
+    """The rule of the module docstring on the truncation pair (eps, eps'),
+    where the names in ``required`` ("eps", "eps_prime") may not be None;
+    a ConfigError names the value that breaks it and its range."""
+    if ("eps" in required if eps is None else not 0.0 < eps <= 1.0):
+        raise ConfigError(f"eps = {eps} not in (0, 1]")
+    top = 1.0 if eps is None else eps
+    if ("eps_prime" in required if eps_prime is None
+            else not 0.0 < eps_prime < top):
+        raise ConfigError(f"eps_prime = {eps_prime} not in (0, {top})")
 
 
 def _check_budget(n: int, alphabet: int):
@@ -141,6 +159,7 @@ def cond_typical_defect_exact(q_w: FinitePmf, q_cond, w_seq, eps: float,
     for Q_W (the regime in which the uniform bound applies); non-typical
     conditioning sequences are rejected.  Acceptance criterion 7 runs it.
     """
+    check_truncation(eps, eps_prime, required=("eps",))
     cond = _validated_rows(q_cond, q_w.alphabet_size)
     w_seq = np.asarray(w_seq, dtype=int)
     if w_seq.ndim != 1:
@@ -154,8 +173,6 @@ def cond_typical_defect_exact(q_w: FinitePmf, q_cond, w_seq, eps: float,
     if np.any((w_counts > 0) & (q_w.mass == 0)):
         raise DomainError("w_seq uses a symbol outside supp(Q_W)")
     if eps_prime is not None:
-        if not 0.0 < eps_prime < eps:
-            raise ConfigError("need 0 < eps_prime < eps")
         if n < 1:
             raise ConfigError("block length must be >= 1")
         lo, hi = count_windows(q_w.mass, n, eps_prime)
@@ -173,8 +190,7 @@ def contyplem_bound(eps: float, eps_prime: float, n: int, q_min: float,
           + exp(-(1/2)((eps-eps')/(1-eps'))^2 n q_min)),
     valid for every eps'-typical conditioning sequence, with q_min the least
     positive conditional probability."""
-    if not 0.0 < eps_prime < eps <= 1.0:
-        raise ConfigError("need 0 < eps_prime < eps <= 1")
+    check_truncation(eps, eps_prime, required=("eps", "eps_prime"))
     if not 0.0 < q_min <= 1.0:
         raise ConfigError("q_min must lie in (0, 1]")
     if n < 0:

@@ -194,6 +194,20 @@ def test_negative_seed_or_bad_rate_is_config_error(capsys, argv, message):
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--eps", "2"], "[simulate] eps = 2.0 not in (0, 1]"),
+    (["--eps", "nan"], "[simulate] eps = nan not in (0, 1]"),
+    (["--eps-prime", "0"], "[simulate] eps_prime = 0.0 not in (0, 1.0)"),
+    (["--eps", "none", "--eps-prime", "1"],
+     "[simulate] eps_prime = 1.0 not in (0, 1.0)"),
+], ids=["eps-above-one", "eps-nan", "eps-prime-zero", "eps-prime-one"])
+def test_a_truncation_pair_outside_the_rule_is_config_error(capsys, flags,
+                                                            message):
+    assert main(["simulate", "dsbs01", "--rate", "0.55", "--n", "16",
+                 *flags]) == EXIT_CONFIG
+    assert message in capsys.readouterr().err
+
+
 def test_bad_plan_file_is_config_error(tmp_path, capsys):
     plan_path = tmp_path / "broken.plan"
     plan_path.write_text("[simulate]\ncouplings = product\n")

@@ -10,12 +10,16 @@ import threading
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from commoninfo import acceptance, experiments, exponents
+from commoninfo import acceptance, experiments, exponents, fixtures
+from commoninfo import typicality
 from commoninfo.ci_solver import wyner_ci
 from commoninfo.errors import ConfigError
 from commoninfo.experiments import (RateSpec, parse_plan,
                                     render_summary, run_plan, to_csv, to_json)
+from commoninfo.synthesis import build_code
 
 TINY_PLAN = """
 [plan]
@@ -98,6 +102,50 @@ def test_bad_block_length_or_eps_is_a_config_error(keys, match):
     with pytest.raises(ConfigError, match=match):
         parse_plan("[plan]\nname = x\n[simulate]\ncouplings = dsbs01\n"
                    f"rates = 0.5C\n{keys}\n")
+
+
+#: a tolerance of a truncation pair: none, 0, negative, NaN, in (0, 1] or
+#: above it
+_TOLERANCES = st.one_of(
+    st.none(), st.sampled_from([0.0, -0.0, 1.0, math.nan]),
+    st.floats(-2.0, 0.0, exclude_max=True),
+    st.floats(0.0, 1.0, exclude_min=True),
+    st.floats(1.0, 3.0, exclude_min=True))
+
+
+def _rule_takes(eps, eps_prime) -> bool:
+    try:
+        typicality.check_truncation(eps, eps_prime)
+    except ConfigError:
+        return False
+    return True
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(eps=_TOLERANCES, eps_prime=_TOLERANCES)
+def test_the_parser_and_build_code_take_the_pairs_the_rule_takes(eps,
+                                                                 eps_prime):
+    # the parser, SynthesisCode and build_code each held a copy of the rule,
+    # and SynthesisCode took eps' = 0, which the other two rejected
+    takes = _rule_takes(eps, eps_prime)
+    text = ("[plan]\nname = x\n[simulate]\ncouplings = dsbs01\n"
+            "rates = 0.3\nn = 4\n"
+            + "".join(f"{key} = {'none' if v is None else repr(v)}\n"
+                      for key, v in (("eps", eps), ("eps_prime", eps_prime))))
+    try:
+        parse_plan(text)
+    except ConfigError:
+        assert not takes
+    else:
+        assert takes
+    # Q_W is uniform and n = 4, so every eps' window holds the type (2, 2)
+    base = fixtures.dsbs_optimal_coupling(0.1)
+    try:
+        build_code(base, 4, 0.3, eps, eps_prime, seed=0)
+    except ConfigError:
+        assert not takes
+    else:
+        assert takes
 
 
 @pytest.mark.parametrize("section, key", [

@@ -24,11 +24,19 @@ from commoninfo.probability import FinitePmf, JointPmf, MarkovCoupling
 DSBS01_CI = 0.6049515261814264
 
 
+def to_full(grid, q_su):
+    """The |X| x |Y| x |U| joint, normalized, of a (support cell, u) array
+    on ``grid``."""
+    m = np.zeros((grid.nx, grid.ny, grid.nu))
+    m[grid.x_of_s, grid.y_of_s, :] = q_su
+    return JointPmf(m / m.sum())
+
+
 def random_aug_joint(rng, pi, nu):
     """Random augmented joint supported on supp(pi) x U."""
     grid = _SupportGrid(pi, nu=nu)
     q_su = rng.dirichlet(np.ones(grid.n_supp * nu)).reshape(grid.n_supp, nu)
-    return grid.to_full(q_su)
+    return to_full(grid, q_su)
 
 
 def _lifted(pi, ci):
@@ -63,7 +71,7 @@ def test_omega_outside_support_raises(dsbs_pi):
     q_su = np.full((grid.n_supp, 2), 1.0 / (2 * grid.n_supp))
     q_su[0, 0] = 0.0
     q_su /= q_su.sum()
-    q = grid.to_full(q_su)
+    q = to_full(grid, q_su)
     with pytest.raises(DomainError):
         omega(q, dsbs_pi, 0.5, 0, 0, 0)
 
@@ -113,7 +121,7 @@ def _omega_reference(z, grid, alpha, theta):
     sum of logs that can reach log 1e-300; a log-weight off by d moves the
     tilted law by the factor e^d."""
     q = _softmax_flat(z).reshape(grid.n_supp, grid.nu)
-    full = grid.to_full(q).mass
+    full = to_full(grid, q).mass
     xs, ys = grid.x_of_s, grid.y_of_s
     tiny = 1e-300
     q_xy = np.maximum(full.sum(axis=2)[xs, ys], tiny)[:, None]
@@ -259,10 +267,24 @@ def test_r_sh_reports_a_negative_solve_unclamped(dsbs_pi, dsbs_ci,
     assert r_sh(dsbs_pi, ci=dsbs_ci) == -3e-7 / exponents._R_SH_ALPHA
 
 
-@pytest.mark.parametrize("rate", [math.nan, -0.1])
+@pytest.mark.parametrize("rate", [math.nan, -0.1, math.inf])
 def test_f_rate_rejects_a_nan_or_negative_rate(dsbs_pi, dsbs_ci, rate):
+    # R = inf read F = 0 after every ray formed inf - inf
     with pytest.raises(ConfigError, match="nonnegative"):
         f_rate(dsbs_pi, rate, ci=dsbs_ci)
+
+
+@pytest.mark.parametrize("alpha", [2.0, -1.0, math.nan])
+def test_r_alpha_min_takes_the_alphas_of_an_exponent_point(dsbs_pi, alpha):
+    # alpha = 2 read -0.5878 and alpha = -1 read 0.3140
+    with pytest.raises(ConfigError, match="alpha must lie in"):
+        r_alpha_min(dsbs_pi, alpha)
+
+
+def test_theta_limit_check_needs_a_theta(dsbs_pi, dsbs_ci):
+    # an empty grid built a report whose final_gap raised IndexError
+    with pytest.raises(ConfigError, match="thetas"):
+        theta_limit_check(dsbs_pi, 0.5, (), ci=dsbs_ci)
 
 
 @pytest.mark.parametrize("other", [fixtures.dsbes(0.3), fixtures.dsbs(0.2)],

@@ -44,16 +44,18 @@ measure = tv renyi
 
 def _public(tree):
     """(qualified name, node) of the public top-level functions and classes
-    of a module, and of the public methods of its public classes."""
+    of a module, and of the public methods of all its classes, private ones
+    included."""
     for node in tree.body:
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) \
-                and not node.name.startswith("_"):
+        if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            continue
+        if not node.name.startswith("_"):
             yield node.name, node
-            if isinstance(node, ast.ClassDef):
-                for sub in node.body:
-                    if isinstance(sub, ast.FunctionDef) \
-                            and not sub.name.startswith("_"):
-                        yield f"{node.name}.{sub.name}", sub
+        if isinstance(node, ast.ClassDef):
+            for sub in node.body:
+                if isinstance(sub, ast.FunctionDef) \
+                        and not sub.name.startswith("_"):
+                    yield f"{node.name}.{sub.name}", sub
 
 
 def _references(node, skip=None, bound=frozenset()):

@@ -78,6 +78,10 @@ def test_code_validation():
     with pytest.raises(ConfigError):
         SynthesisCode(n=4, rate=0.0, m_count=1, codebook=code.codebook,
                       base=base, eps=0.3, eps_prime=0.5, seed=0)
+    # eps' = 0 constructed, while build_code rejected the same pair
+    with pytest.raises(ConfigError, match=r"^eps_prime = 0.0 not in"):
+        SynthesisCode(n=4, rate=0.0, m_count=1, codebook=code.codebook,
+                      base=base, eps=1.0, eps_prime=0.0, seed=0)
 
 
 @pytest.mark.parametrize("codebook", [
@@ -266,6 +270,18 @@ def test_monte_carlo_tv_on_an_empty_shell_is_a_structural_zero():
     assert est.samples == 0
     assert "empty conditional typical shell" in \
         est.diagnostics["structural_zero"]
+
+
+def test_build_code_checks_eps_before_it_draws(monkeypatch):
+    # eps = 2 was rejected only after the whole codebook was drawn
+    drawn = []
+    monkeypatch.setattr(synthesis._CondLaw, "sample",
+                        lambda self, rng, ws: drawn.append(ws.shape) or ws)
+    base = fixtures.dsbs_optimal_coupling(0.1)
+    with pytest.raises(ConfigError, match=r"^eps = 2.0 not in \(0, 1\]$"):
+        build_code(base, 16, 0.55, eps=2.0, eps_prime=0.5, seed=0)
+    assert drawn == []
+
 
 def test_build_code_rejects_bad_block_length_and_eps_prime():
     base = fixtures.dsbs_optimal_coupling(0.1)
@@ -606,6 +622,8 @@ def test_rate_bound_check_holds():
     (1.0, 0.0, 1.0),                     # eps' = 0
     (1.0, 0.5, 0.0),                     # s = 0
     (1.0, 0.5, 1.5),                     # s > 1
+    (None, 0.5, 1.0),                    # no eps
+    (1.0, None, 1.0),                    # no eps'
 ])
 def test_finite_n_checks_reject_bad_arguments(check, eps, eps_prime, s):
     base = fixtures.dsbs_optimal_coupling(0.1)

@@ -3,6 +3,7 @@ brute-force and Monte-Carlo oracles, conditional typicality, and the uniform
 defect bound."""
 
 import itertools
+import math
 import warnings
 
 import numpy as np
@@ -122,11 +123,16 @@ def test_cond_shell_log_masses_match_count_enumeration():
         ref = np.stack([brute_force_block_probs(cond[a], lo[a], hi[a], n)
                         for a in range(nw)])
         assert np.allclose(np.exp(table), ref, rtol=0.0, atol=1e-12)
-        # the shell mass of a sequence is the product over its W-blocks
+        # the shell mass of a sequence is the product over its W-blocks;
+        # the defect takes only the eps of the truncation rule, eps <= 1
         w = rng.choice(nw, size=n, p=q_w.mass)
         k = np.bincount(w, minlength=nw)
-        assert cond_typical_defect_exact(q_w, cond, w, eps) == pytest.approx(
-            1.0 - ref[np.arange(nw), k].prod(), abs=1e-12)
+        if eps > 1.0:
+            with pytest.raises(ConfigError, match=r"^eps = .* not in"):
+                cond_typical_defect_exact(q_w, cond, w, eps)
+        else:
+            assert cond_typical_defect_exact(q_w, cond, w, eps) == \
+                pytest.approx(1.0 - ref[np.arange(nw), k].prod(), abs=1e-12)
 
 
 def test_count_windows_hand_case():
@@ -285,6 +291,10 @@ def test_contyplem_bound_validation_and_shape():
         contyplem_bound(0.3, 0.5, 10, 0.2, 2, 2)  # eps_prime >= eps
     with pytest.raises(ConfigError):
         contyplem_bound(0.5, 0.2, 10, 0.0, 2, 2)
+    with pytest.raises(ConfigError, match=r"^eps = None not in"):
+        contyplem_bound(None, 0.3, 10, 0.2, 2, 2)
+    with pytest.raises(ConfigError, match=r"^eps_prime = None not in"):
+        contyplem_bound(0.5, None, 10, 0.2, 2, 2)
     b1 = contyplem_bound(0.9, 0.3, 50, 0.25, 2, 2)
     b2 = contyplem_bound(0.9, 0.3, 200, 0.25, 2, 2)
     assert b2 < b1                                 # decays with n
@@ -299,3 +309,33 @@ def test_cond_defect_eps_prime_checks_keep_their_errors():
     with pytest.raises(ConfigError, match="block length"):
         cond_typical_defect_exact(q_w, cond, np.zeros(0, dtype=int), eps=0.5,
                                   eps_prime=0.2)
+
+
+@pytest.mark.parametrize("eps, eps_prime", [
+    (-0.5, None), (math.nan, None), (1.5, 0.2), (None, None)],
+    ids=["eps-negative", "eps-nan", "eps-above-one", "eps-none"])
+def test_cond_defect_checks_eps_always(eps, eps_prime):
+    # eps = -0.5 read 1.0 over empty windows, NaN warned in the windows'
+    # cast, and eps = 1.5 with eps' = 0.2 read 0.0351 where the codes and
+    # the uniform bound reject eps > 1
+    q_w = FinitePmf([0.5, 0.5])
+    cond = np.array([[0.8, 0.2], [0.3, 0.7]])
+    with pytest.raises(ConfigError, match=rf"^eps = {eps} not in \(0, 1\]$"):
+        cond_typical_defect_exact(q_w, cond, np.tile([0, 1], 4), eps=eps,
+                                  eps_prime=eps_prime)
+
+
+@pytest.mark.parametrize("eps, eps_prime, required, match", [
+    (-1.0, None, (), r"^eps = -1.0 not in \(0, 1\]$"),
+    (0.3, 0.5, (), r"^eps_prime = 0.5 not in \(0, 0.3\)$"),
+    (None, 1.0, (), r"^eps_prime = 1.0 not in \(0, 1.0\)$"),
+    (1.0, 0.0, (), r"^eps_prime = 0.0 not in \(0, 1.0\)$"),
+    (1.0, None, ("eps_prime",), r"^eps_prime = None not in \(0, 1.0\)$"),
+], ids=["eps-negative", "eps-prime-above-eps", "eps-prime-one-untruncated",
+        "eps-prime-zero", "eps-prime-required"])
+def test_truncation_rule_names_the_value_and_its_range(eps, eps_prime,
+                                                       required, match):
+    with pytest.raises(ConfigError, match=match):
+        typ.check_truncation(eps, eps_prime, required)
+    typ.check_truncation(None, None)
+    typ.check_truncation(1.0, 0.5, ("eps", "eps_prime"))
