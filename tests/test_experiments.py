@@ -269,6 +269,19 @@ def test_run_plan_values_and_rows():
         assert abs(row["value"]) < 1e-9
 
 
+def test_run_plan_writes_exact_order_two_rows_past_the_dense_cap():
+    # n = 12 is past the dense cap; the untruncated order-2 row comes from
+    # the count tensor, the s = 0.5 row still from samples
+    result = run_plan(parse_plan(
+        "[plan]\nname = x\n[simulate]\ncouplings = dsbs01\nrates = 1.2C\n"
+        "n = 12\nmeasure = renyi\ns = 1.0 0.5\neps = none\n"
+        "eps_prime = 0.5\nsamples = 200\n"))
+    assert result.n_errors == 0
+    got = {row["s"]: (row["method"], row["std_error"] == 0.0)
+           for row in result.rows}
+    assert got == {1.0: ("exact", True), 0.5: ("monte_carlo", False)}
+
+
 def test_run_plan_fail_soft():
     text = ("[plan]\nname = x\n[simulate]\ncouplings = product\n"
             "s = 1.0\nrates = 5.0\nn = 10\nmeasure = renyi\n"

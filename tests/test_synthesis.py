@@ -468,8 +468,10 @@ def test_estimate_renyi_order_validation():
 
 @pytest.mark.parametrize("samples", [0, 1])
 def test_estimators_reject_fewer_than_two_samples(samples):
-    # n = 12 is past the dense budget: one draw leaves no standard error,
-    # and none leaves no mean
+    # n = 12 is past the dense budget: the TV and s < 1 calls are
+    # Monte-Carlo-path calls and the s = 1 call of this untruncated code is
+    # an exact-path call, and both paths reject alike.  One draw leaves no
+    # standard error, and none leaves no mean
     code = build_code(fixtures.dsbs_optimal_coupling(0.1), 12, 0.2, None,
                       None, seed=0)
     with pytest.raises(ConfigError, match="samples must be >= 2"):
@@ -1373,12 +1375,13 @@ DIFFERENTIAL_ORDERS = (-1.0, -0.5, -1e-3, 0.0, 1e-5, 0.5, 1.0)
 
 def count_order2_kernel_uses(monkeypatch):
     """Wraps ``synthesis._renyi2_from_counts``; the returned counter's
-    ``served`` counts the estimates it gave."""
+    ``calls`` counts the calls and ``served`` the estimates it gave."""
     counter = collections.Counter()
     kernel = synthesis._renyi2_from_counts
 
     def counted(code):
         val = kernel(code)
+        counter["calls"] += 1
         counter["served"] += val is not None
         return val
     monkeypatch.setattr(synthesis, "_renyi2_from_counts", counted)
@@ -1450,6 +1453,64 @@ def test_order_two_kernel_at_the_dense_budget_edge():
     assert 4 ** 11 == synthesis.MAX_JOINT_CELLS and synthesis._dense_fits(code)
     val = synthesis._renyi2_from_counts(code)
     assert val == pytest.approx(closed_form_renyi2(code), rel=0, abs=1e-13)
+
+
+@pytest.mark.parametrize("base, n, rate, eps_prime", [
+    (fixtures.dsbs_optimal_coupling(0.1), 12, 0.5, 0.5),
+    (fixtures.dsbs_optimal_coupling(0.1), 13, 0.5, 0.5),
+    (fixtures.dsbs_optimal_coupling(0.1), 14, 0.5, 0.5),
+    (ternary_w_coupling(), 12, 0.4, None),
+    (seeded_coupling_2x3(), 9, 0.6, None),
+    # one W-symbol: a one-entry count tensor at an n past numpy's limit of
+    # 64 array axes
+    (trivial_coupling(), 70, 0.0, None),
+], ids=["dsbs01-12", "dsbs01-13", "dsbs01-14", "ternary-w-12", "2x3-9",
+        "one-w-symbol-70"])
+def test_order_two_kernel_serves_past_the_dense_cap(monkeypatch, base, n,
+                                                    rate, eps_prime):
+    code = build_code(base, n, rate, None, eps_prime, seed=n)
+    assert not synthesis._dense_fits(code)
+    assert code.m_count <= synthesis.MAX_CODEWORDS
+
+    def refuse(*args):
+        raise AssertionError("dense joint or sampled law evaluated")
+    monkeypatch.setattr(synthesis, "induced_joint_exact", refuse)
+    monkeypatch.setattr(synthesis, "_pointwise_p", refuse)
+    est = estimate_renyi(code, 1.0, samples=50, seed=2)
+    assert est.point == pytest.approx(closed_form_renyi2(code), rel=0,
+                                      abs=1e-12)
+    assert (est.method, est.samples, est.std_error, est.seed,
+            est.diagnostics) == ("exact", 0, 0.0, 2, {})
+    assert est.per_symbol == est.point / n
+
+
+def test_order_two_kernel_gate_is_the_count_tensor_size(monkeypatch):
+    # with the cell budget at 2^11 the dense joint fits at neither n; the
+    # 2^11-entry count tensor of a binary-W code fits at n = 11 only
+    monkeypatch.setattr(synthesis, "MAX_JOINT_CELLS", 2 ** 11)
+    kernel = count_order2_kernel_uses(monkeypatch)
+    base = fixtures.dsbs_optimal_coupling(0.1)
+    code = build_code(base, 11, 0.3, None, 0.5, seed=1)
+    est = estimate_renyi(code, 1.0, samples=50, seed=1)
+    assert (est.method, est.samples, kernel["served"]) == ("exact", 0, 1)
+    assert est.point == pytest.approx(closed_form_renyi2(code), rel=0,
+                                      abs=1e-12)
+    code = build_code(base, 12, 0.3, None, 0.5, seed=1)
+    est = estimate_renyi(code, 1.0, samples=50, seed=1)
+    assert (est.method, est.samples) == ("monte_carlo", 50)
+    assert (kernel["calls"], kernel["served"]) == (2, 1)
+
+
+def test_past_the_dense_cap_only_untruncated_order_two_asks_the_kernel(
+        monkeypatch):
+    kernel = count_order2_kernel_uses(monkeypatch)
+    base = fixtures.dsbs_optimal_coupling(0.1)
+    truncated = build_code(base, 12, 0.3, 1.0, 0.5, seed=1)
+    untruncated = build_code(base, 12, 0.3, None, 0.5, seed=1)
+    for code, s in ((truncated, 1.0), (untruncated, 0.5)):
+        est = estimate_renyi(code, s, samples=50, seed=1)
+        assert (est.method, est.samples) == ("monte_carlo", 50)
+    assert kernel["calls"] == 0
 
 
 def test_order_two_kernel_builds_no_dense_joint(monkeypatch):
