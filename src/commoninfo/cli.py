@@ -85,16 +85,21 @@ def _keys(**values) -> str:
 def _run(args, plan_text: str) -> int:
     """Run a plan, print its summary and write its files under its ``out``."""
     plan = experiments.parse_plan(plan_text, args.seed, args.out)
-    result = experiments.run_plan(plan, threads=args.threads)
+    if plan.out:            # before the sweep, so a bad --out costs no solve
+        try:
+            os.makedirs(plan.out, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot create output directory {plan.out!r}: "
+                              f"{exc.strerror or exc}") from None
+    result = experiments.run_plan(plan)
     text = experiments.render_summary(result)
     sys.stdout.write(text)
     if plan.out:
-        os.makedirs(plan.out, exist_ok=True)
         base = os.path.join(plan.out, result.plan_name)
         for ext, content in ((".csv", experiments.to_csv(result)),
                              (".json", experiments.to_json(result)),
                              (".txt", text)):
-            with open(base + ext, "w") as fh:
+            with open(base + ext, "w", encoding="utf-8") as fh:
                 fh.write(content)
         sys.stdout.write(f"wrote {base}.csv / .json / .txt\n")
     return EXIT_CELL_FAILURES if result.n_errors else EXIT_OK
@@ -144,7 +149,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--seed", type=int,
                        help="master seed (default: the plan's)")
-        p.add_argument("--threads", type=int, default=1)
         p.add_argument("--out", default=None,
                        help="directory for CSV/JSON/summary output")
 

@@ -7,14 +7,13 @@ common information, written like `0.5C`; multiples are resolved against the
 joint's one C, the value its [ci] rows report, and the absolute rate is
 recorded in every output row.
 
-All randomness flows from the plan's master seed; each cell draws its own
-counter-based stream keyed by (master seed, cell id), so results are
-independent of execution order and thread count.  Only the sampled cells
-draw: the common information, and with it every `kC` rate and F(R), is a
-function of the joint alone, and a [ci] section's `restarts` key is
-accepted for older plans but read by nothing.  Rows are emitted in cell-id
-order and the CSV is byte-identical across reruns.  Wall-clock times are kept
-on the in-memory result only — they would break CSV reproducibility.
+Cells run in cell-id order in one thread, and results do not depend on that
+order: all randomness flows from the plan's master seed, and each cell draws
+its own counter-based stream keyed by (master seed, cell id).  Only the
+sampled cells draw: the common information, and with it every `kC` rate and
+F(R), is a function of the joint alone, and a [ci] section's `restarts` key
+is accepted for older plans but read by nothing.  The CSV is byte-identical
+across reruns, so wall-clock times are kept on the in-memory result only.
 """
 
 from __future__ import annotations
@@ -25,9 +24,8 @@ import io
 import itertools
 import json
 import math
-import threading
+import os
 import time
-from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -94,10 +92,6 @@ class SweepResult:
     n_errors: int
 
 
-def _split(value: str) -> list[str]:
-    return value.replace(",", " ").split()
-
-
 #: the keys each kind of section takes; a [DEFAULT] key counts in every one
 _SECTION_KEYS = {
     "plan": {"name", "seed", "out"},
@@ -129,9 +123,10 @@ def _value(sec, key: str, convert, default: str, minimum=None):
 
 
 def _values(sec, key: str, convert, default: str, minimum=None) -> list:
-    """A list key of a cell grid: one with no entry would sweep no cell."""
-    values = _value(sec, key, lambda t: [convert(v) for v in _split(t)],
-                    default, minimum)
+    """A list key of a cell grid, split at commas and whitespace: one with
+    no entry would sweep no cell."""
+    values = _value(sec, key, lambda t: [
+        convert(v) for v in t.replace(",", " ").split()], default, minimum)
     if not values:
         raise ConfigError(f"[{sec.name}] {key} is missing or empty, so the "
                           f"section sweeps no cell")
@@ -147,6 +142,13 @@ def _order(text: str) -> float:
     if not -1.0 <= s <= 1.0:
         raise ConfigError("s must lie in [-1, 1]")
     return s
+
+
+def _file_name(text: str) -> str:
+    """A plan name, which names its output files: one plain file name."""
+    if text in ("", ".", "..") or os.path.basename(text) != text:
+        raise ConfigError("must be one plain file name")
+    return text
 
 
 def _measure(text: str) -> str:
@@ -168,7 +170,7 @@ def parse_plan(text: str, seed_override: int | None = None,
     if seed_override is not None:
         head["seed"] = str(seed_override)    # checked as the plan's own seed
     plan = ExperimentPlan(
-        name=head.get("name", "plan"),
+        name=_value(head, "name", _file_name, "plan"),
         seed=_value(head, "seed", int, "0", minimum=0),
         out=head.get("out", None) if out_override is None else out_override)
     for section in cp.sections():
@@ -271,8 +273,9 @@ _JOINT_ATOL = 1e-15
 class _PlanContext:
     """The values cells share: one common information per joint, so that
     its [ci] rows and its `kC` rates read the same C, and one F(R) per
-    (joint, absolute rate).  Each is computed once, by the first cell that asks for it, while
-    other threads wait; a failure is raised to every cell that asks.
+    (joint, absolute rate).  Cells run in cell-id order in one thread, and
+    results do not depend on that order: each value is computed by the first
+    cell that asks, and a failure is raised again to every later one.
 
     Joints are keyed by content, not by label, so a source and a coupling
     that share a label do not share values.  Every joint the plan names is
@@ -287,8 +290,7 @@ class _PlanContext:
         for pi in [*plan.sources.values(),
                    *(c.xy_marginal() for c in plan.couplings.values())]:
             self._key(pi)
-        self._lock = threading.Lock()
-        self._values: dict[tuple, Future] = {}
+        self._values: dict[tuple, object] = {}     # a value or its error
 
     def _key(self, pi: JointPmf) -> int:
         """Index of the first joint matching ``pi``, registered if new."""
@@ -300,16 +302,15 @@ class _PlanContext:
         return len(self._joints) - 1
 
     def _once(self, key: tuple, compute):
-        fresh = Future()
-        with self._lock:
-            future = self._values.setdefault(key, fresh)
-        if future is fresh:
+        if key not in self._values:
             try:
-                fresh.set_result(compute())
-            except BaseException as exc:
-                fresh.set_exception(exc)        # for the cells that wait
-                raise
-        return future.result()
+                self._values[key] = compute()
+            except Exception as exc:        # kept, so it is never recomputed
+                self._values[key] = exc
+        value = self._values[key]
+        if isinstance(value, Exception):
+            raise value
+        return value
 
     def ci(self, pi: JointPmf):
         return self._once(("ci", self._key(pi)), lambda: wyner_ci(pi))
@@ -367,17 +368,19 @@ def _run_simulate_cell(ctx: _PlanContext, cell_id: int, cell) -> dict:
 
 
 def run_plan(plan: ExperimentPlan, threads: int = 1) -> SweepResult:
-    """Execute every cell; failures are recorded in-row and do not stop the run."""
-    if threads < 1:
-        raise ConfigError(f"threads must be >= 1, got {threads}")
+    """Execute every cell in cell-id order; failures are recorded in-row and
+    do not stop the run.  ``threads`` must be 1: it is kept only because the
+    benchmark's workloads (``perfbench/workloads.py``) pass ``threads=1``."""
+    if threads != 1:
+        raise ConfigError(f"cells run in one thread; threads must be 1, "
+                          f"got {threads}")
     ctx = _PlanContext(plan)
-    tasks = [(kind, cell) for kind in ("ci", "exponent", "simulate")
-             for cell in getattr(plan, kind + "_cells")]
     runners = {"ci": _run_ci_cell, "exponent": _run_exponent_cell,
                "simulate": _run_simulate_cell}
-
-    def run_one(item):
-        idx, (kind, cell) = item
+    tasks = [(kind, cell) for kind in runners
+             for cell in getattr(plan, kind + "_cells")]
+    rows, wall_times = [], []
+    for idx, (kind, cell) in enumerate(tasks):
         t0 = time.perf_counter()
         try:
             row = runners[kind](ctx, idx, cell)
@@ -385,17 +388,9 @@ def run_plan(plan: ExperimentPlan, threads: int = 1) -> SweepResult:
             row = _row(idx, kind,
                        source=cell.get("source", cell.get("coupling", "")),
                        error=f"{type(exc).__name__}: {exc}")
-        return row, time.perf_counter() - t0
-
-    items = list(enumerate(tasks))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            outcomes = list(pool.map(run_one, items))
-    else:
-        outcomes = [run_one(it) for it in items]
-    rows = [r for r, _ in outcomes]
-    return SweepResult(plan_name=plan.name, rows=rows,
-                       wall_times=[t for _, t in outcomes],
+        rows.append(row)
+        wall_times.append(time.perf_counter() - t0)
+    return SweepResult(plan_name=plan.name, rows=rows, wall_times=wall_times,
                        n_errors=sum(1 for r in rows if r["error"]))
 
 

@@ -125,12 +125,49 @@ def test_plan_values_are_literal(tmp_path):
     assert (tmp_path / "run%1.csv").exists()
 
 
-@pytest.mark.parametrize("threads", ["0", "-3"])
-def test_sweep_below_one_thread_is_config_error(tmp_path, capsys, threads):
+def test_threads_is_an_unknown_option(tmp_path, capsys):
+    # cells run in one thread, so the flag is an unknown argument
     plan_path = tmp_path / "tiny.plan"
     plan_path.write_text(TINY_PLAN)
-    assert main(["sweep", str(plan_path), "--threads", threads]) == EXIT_CONFIG
-    assert f"threads must be >= 1, got {threads}" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", str(plan_path), "--threads", "2"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --threads" in capsys.readouterr().err
+
+
+def test_out_naming_an_existing_file_is_config_error(tmp_path, capsys,
+                                                     monkeypatch):
+    # it once ran the whole plan and then died in os.makedirs with a
+    # FileExistsError traceback; now it fails before any solve
+    def no_run(plan):
+        raise AssertionError("the plan ran")
+
+    monkeypatch.setattr(cli.experiments, "run_plan", no_run)
+    path = tmp_path / "taken"
+    path.write_text("")
+    assert main(["ci", "copy", "--out", str(path)]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith(
+        f"config error: cannot create output directory {str(path)!r}: ")
+
+
+def test_outputs_are_written_as_utf8(tmp_path):
+    # under an ASCII locale the files were once written in its encoding, and
+    # a non-ASCII label died in the write with a UnicodeEncodeError; stdout
+    # is set to UTF-8 here, so only the files' encoding is under test
+    plan_path = tmp_path / "cafe.plan"
+    plan_path.write_text("[plan]\nname = cafe\n[source.caf\u00e9]\n"
+                         "fixture = copy\n[ci]\nsources = caf\u00e9\n",
+                         encoding="utf-8")
+    env = {**os.environ, "LC_ALL": "C", "PYTHONUTF8": "0",
+           "PYTHONIOENCODING": "utf-8",
+           "PYTHONPATH": os.pathsep.join(
+               [os.path.dirname(os.path.dirname(commoninfo.__file__)),
+                *filter(None, [os.environ.get("PYTHONPATH")])])}
+    subprocess.run([sys.executable, "-m", "commoninfo.cli", "sweep",
+                    str(plan_path), "--out", str(tmp_path)], env=env,
+                   capture_output=True, check=True)
+    with open(tmp_path / "cafe.csv", encoding="utf-8", newline="") as fh:
+        assert [row["source"] for row in csv.DictReader(fh)] == ["caf\u00e9"]
 
 
 def test_sweep_seed_override_changes_nothing_exact(tmp_path):

@@ -5,9 +5,6 @@ import io
 import json
 import math
 import os
-import sys
-import threading
-import time
 
 import pytest
 from hypothesis import given, settings
@@ -182,6 +179,22 @@ def test_parse_plan_overrides():
     assert plan.seed == 99 and plan.out == "elsewhere"
 
 
+@pytest.mark.parametrize("name", ["", ".", "..", "a/b", "../x", "/abs"]
+                         + ([r"a\b"] if os.altsep else []))
+def test_a_plan_name_that_is_not_one_file_name_is_a_config_error(name):
+    # 'a/b' once ran the sweep and then died writing its files, '../x'
+    # wrote outside the output directory and '' wrote a hidden '.csv'
+    with pytest.raises(ConfigError, match=r"^\[plan\] name = .*: must be "
+                       r"one plain file name"):
+        parse_plan(f"[plan]\nname = {name}\n[ci]\nsources = copy\n")
+
+
+@pytest.mark.parametrize("name", ["paper_suite", "ci_sources", "ci",
+                                  "exponent", "simulate", "run%1", "plan"])
+def test_shipped_and_benchmark_plan_names_are_valid(name):
+    assert parse_plan(f"[plan]\nname = {name}\n").name == name
+
+
 def test_parse_plan_inline_source():
     text = ("[plan]\nname = x\n[source.half]\npi =\n  0.25 0.25\n"
             "  0.25 0.25\n[ci]\nsources = half\nrestarts = 2\n")
@@ -304,12 +317,6 @@ def test_csv_and_json_deterministic():
     assert header.startswith("cell_id,kind,source")
 
 
-def test_threaded_run_matches_serial():
-    serial = run_plan(parse_plan(TINY_PLAN), threads=1)
-    threaded = run_plan(parse_plan(TINY_PLAN), threads=4)
-    assert to_csv(serial) == to_csv(threaded)
-
-
 def test_render_summary_slope():
     text = ("[plan]\nname = decay\nseed = 3\n[simulate]\n"
             "couplings = dsbs01\ns = 1.0\nrates = 1.2C\nn = 4 6\nseeds = 0\n"
@@ -351,9 +358,11 @@ def test_to_json_writes_non_finite_values_as_the_csv_does():
     assert to_csv(result).splitlines()[1].split(",")[10] == "inf"
 
 
-def test_run_plan_rejects_fewer_than_one_thread():
-    with pytest.raises(ConfigError, match="threads must be >= 1, got 0"):
-        run_plan(parse_plan(TINY_PLAN), threads=0)
+@pytest.mark.parametrize("threads", [0, 2])
+def test_run_plan_rejects_threads_other_than_one(threads):
+    with pytest.raises(ConfigError, match=rf"cells run in one thread; "
+                       rf"threads must be 1, got {threads}"):
+        run_plan(parse_plan(TINY_PLAN), threads=threads)
 
 
 MEMO_PLAN = """
@@ -385,14 +394,12 @@ def test_f_rate_runs_once_per_source_and_rate(monkeypatch):
         return f_rate(pi, r_abs, **kw)
 
     monkeypatch.setattr(exponents, "f_rate", counted)
-    serial = run_plan(parse_plan(MEMO_PLAN), threads=1)
-    assert serial.n_errors == 0
+    result = run_plan(parse_plan(MEMO_PLAN))
+    assert result.n_errors == 0
     assert len(calls) == len(set(calls)) == 2
-    f_half, tv = serial.rows[0], serial.rows[2]
+    f_half, tv = result.rows[0], result.rows[2]
     assert tv["r_abs"] == f_half["r_abs"]
     assert tv["bound"] == 1.0 - 4.0 * math.exp(-tv["n"] * f_half["value"])
-    threaded = run_plan(parse_plan(MEMO_PLAN), threads=2)
-    assert to_csv(threaded) == to_csv(serial)
 
 
 def test_failing_exponent_cell_fails_soft(monkeypatch):
@@ -487,36 +494,21 @@ samples = 64
 """
 
 
-@pytest.mark.parametrize("threads", [1, 4])
-def test_shared_values_are_solved_once_per_joint_and_rate(monkeypatch,
-                                                          threads):
+def test_shared_values_are_solved_once_per_joint_and_rate(monkeypatch):
     ci_calls, f_calls = [], []
     solve_ci, solve_f = experiments.wyner_ci, exponents.f_rate
 
     def counted_ci(pi):
         ci_calls.append(pi.mass.tobytes())
-        time.sleep(0.01)                # widen the window for a second solve
         return solve_ci(pi)
 
     def counted_f(pi, r_abs, **kw):
         f_calls.append((pi.mass.tobytes(), r_abs))
-        time.sleep(0.01)
         return solve_f(pi, r_abs, **kw)
 
     monkeypatch.setattr(experiments, "wyner_ci", counted_ci)
     monkeypatch.setattr(exponents, "f_rate", counted_f)
-    results = []
-    sweep = threading.Thread(target=lambda: results.append(
-        run_plan(parse_plan(COUNT_PLAN), threads=threads)), daemon=True)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)         # switch threads as often as it can
-    try:
-        sweep.start()
-        sweep.join(timeout=120)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not sweep.is_alive()
-    result, = results
+    result = run_plan(parse_plan(COUNT_PLAN))
     assert result.n_errors == 0
     # one solve each for dsbs01 and product
     assert len(ci_calls) == len(set(ci_calls)) == 2
@@ -541,7 +533,7 @@ def test_a_failed_shared_solve_is_raised_to_every_cell(monkeypatch):
     monkeypatch.setattr(exponents, "f_rate", broken)
     text = ("[plan]\nname = x\n[ci]\nsources = product\nrestarts = 2\n"
             "[exponent]\nsources = product\nrates = 0.1 0.1\n")
-    result = run_plan(parse_plan(text), threads=2)
+    result = run_plan(parse_plan(text))
     assert result.n_errors == 2 and len(calls) == 1
     assert all(r["error"] == "ConfigError: no solve"
                for r in result.rows[1:])
@@ -580,7 +572,7 @@ def test_paper_suite_matches_its_golden_csv():
     # text fields exactly, numbers within 1e-9 (the CSV prints 12
     # significant digits; the slack covers last-bit libm and BLAS drift)
     plan = experiments.load_plan(acceptance.PLAN_PATH, seed_override=7)
-    got = list(csv.DictReader(io.StringIO(to_csv(run_plan(plan, threads=1)))))
+    got = list(csv.DictReader(io.StringIO(to_csv(run_plan(plan)))))
     with open(GOLDEN_CSV, newline="") as fh:
         want = list(csv.DictReader(fh))
     assert len(got) == len(want)

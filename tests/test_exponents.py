@@ -614,3 +614,33 @@ def test_f_rate_matches_the_grid_reference(name):
     r = 1.1 * sol.value
     assert f_rate(pi, r, ci=sol) == 0.0
     assert reference_f_rate(pi, r, og, ci=sol, refine=False) <= 1e-8
+
+
+@pytest.mark.parametrize("mult", [0.0, 0.1, 0.3, 0.5, 0.7, 0.9, 0.99])
+def test_f_rate_on_the_copy_source_is_a_closed_form(mult):
+    # observed, not yet derived: on the copy source, C = ln 2 and the solved
+    # F(R) reads (ln 2 - R) / 8 at every rate below C, residual -1.4e-17
+    pi = fixtures.copy_source()
+    sol = wyner_ci(pi)
+    r = mult * sol.value
+    assert f_rate(pi, r, ci=sol) == pytest.approx((math.log(2.0) - r) / 8.0,
+                                                  abs=1e-12)
+
+
+#: a 3 x 3 joint of full support and no common part, C = 0.3531663537
+DIRICHLET_3X3 = JointPmf(
+    np.random.default_rng(11).dirichlet(np.ones(9)).reshape(3, 3))
+
+
+@pytest.mark.parametrize("mult, solves", [(0.5, 22), (1.1, 28)])
+def test_f_rate_on_a_3x3_joint_within_a_solve_budget(mult, solves,
+                                                     omega_solves):
+    # the engine's only non-binary exponent check: F > 0 below C and a
+    # certified 0 above it, each within the inner solves counted when it
+    # was pinned (F(0.5C) read 0.0026246107 then); R = 0 is left out, as it
+    # takes 156 solves
+    sol = wyner_ci(DIRICHLET_3X3)
+    assert sol.value == pytest.approx(0.3531663537, abs=1e-9)
+    f = f_rate(DIRICHLET_3X3, mult * sol.value, ci=sol)
+    assert f > 0.0 if mult < 1.0 else f == 0.0
+    assert 0 < len(omega_solves) <= solves
