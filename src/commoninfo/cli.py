@@ -99,8 +99,12 @@ def _run(args, plan_text: str) -> int:
         for ext, content in ((".csv", experiments.to_csv(result)),
                              (".json", experiments.to_json(result)),
                              (".txt", text)):
-            with open(base + ext, "w", encoding="utf-8") as fh:
-                fh.write(content)
+            try:
+                with open(base + ext, "w", encoding="utf-8") as fh:
+                    fh.write(content)
+            except OSError as exc:
+                raise ConfigError(f"cannot write {base + ext!r}: "
+                                  f"{exc.strerror or exc}") from None
         sys.stdout.write(f"wrote {base}.csv / .json / .txt\n")
     return EXIT_CELL_FAILURES if result.n_errors else EXIT_OK
 

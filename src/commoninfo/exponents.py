@@ -10,7 +10,7 @@ The augmented joint lives in the polytope of distributions on X x Y x U with
 is enforced structurally (parameters exist only on the support), which removes
 the region where omega is undefined.
 
-Every omega reader (the Omega and R^(alpha) objectives, the Danskin slope
+Every omega reader (the Omega and R^(alpha) objectives, the Danskin slopes
 and the test references) runs one kernel on Q held flat over the S*U cells.
 `_SupportGrid` builds once an aggregation matrix, whose rows sum Q into its
 XY, U, XU and YU marginals, and an index that gathers each cell's four
@@ -35,7 +35,8 @@ Omega is finite only on a polygon read off supp(pi): theta is at most
 alpha*theta, Omega is jointly concave in (theta, beta) on the polygon, with
 value 0 at theta = 0, so F = (Omega - beta R) / (1 + 5 theta - 3 beta) is a
 concave-over-affine ratio there; `f_rate` maximizes it by a search over
-alpha of rays in theta, each placed by the sign of the Danskin slope.
+alpha of rays in theta, each placed by the sign of the Danskin slope, and at
+rates of at least C first tries to certify F(R) = 0 from one solve.
 `tabulate_omega` keeps the former (alpha, theta) grid as a test reference.
 """
 
@@ -63,9 +64,10 @@ _OMEGA_PRUNE = -1e-6
 _THETA_MIN = 1e-4
 #: rays f_rate solves before its search over alpha, which comes no closer to
 #: a kink or an end of [0, 1] than its tolerance: the kink at 1/2 of the
-#: wall with no mates and the edge alpha = 1.  The edge alpha = 0 is left
-#: out: there F = Omega / D <= 0 (U = X gives omega = 0), so a solve there
-#: can add only solver noise.
+#: wall with no mates and the edge alpha = 1.  The edge alpha = 0 is no ray
+#: of the search: there F = Omega / D <= 0 (U = X gives omega = 0), so a
+#: ray there can add only solver noise.  Its one solve, at theta_min, is
+#: f_rate's certificate of F = 0 at rates of at least C.
 _VERTEX_ALPHAS = (0.5, 1.0)
 #: f_rate's bounded Brent over alpha: its tolerance and its iteration cap
 _ALPHA_XTOL = 1e-5
@@ -271,6 +273,20 @@ def _omega_ray_slope(z, grid: _SupportGrid, alpha, theta) -> float:
     return float((t * om).sum())
 
 
+#: d omega / d alpha: omega's coefficients (`_omega_row`) are affine in alpha
+_OMEGA_ROW_ALPHA = _omega_row(1.0) - _omega_row(0.0)
+
+
+def _omega_alpha_slope(z, grid: _SupportGrid, alpha, theta) -> float:
+    """d/dalpha of Omega_Q(alpha, theta) at fixed theta and fixed Q: theta
+    times the mean of d omega / d alpha = `_OMEGA_ROW_ALPHA` . log(Q and its
+    marginals) under the tilted law.  Omega_Q is concave in alpha (omega is
+    affine in it), so Omega_Q at any alpha lies below this tangent."""
+    om, m = grid.omega(_softmax_flat(z), alpha)
+    _, t = _tilt(m[0], -theta * om)
+    return theta * float(t @ (_OMEGA_ROW_ALPHA @ np.log(m)))
+
+
 def _r_alpha_objective(z, grid: _SupportGrid, alpha):
     q = _softmax_flat(z)
     om = grid.omega(q, alpha)[0]
@@ -434,6 +450,25 @@ class _RayPoint(NamedTuple):
     logits: np.ndarray                       # the inner minimizer
 
 
+def _zero_certified(pi: JointPmf, R: float, grid: _SupportGrid,
+                    lifted: np.ndarray) -> bool:
+    """Whether one solve at (alpha, theta) = (0, theta_min) proves that no
+    ray of `f_rate` beats F = 0 by `_F_TOL`.
+
+    Let Q* be its minimizer, N0 = Omega_{Q*}(0, theta_min) and dN =
+    `_omega_alpha_slope` - theta_min R there.  Omega_{Q*} is concave in
+    alpha, so N(alpha, theta_min) <= N0 + alpha dN on [0, 1].  Each ray's
+    ceiling N(alpha, theta_min) / (theta_min (5 - 3 alpha)) is then at most
+    a linear-fractional function of alpha, whose maximum over [0, 1] is at
+    an end: max(N0 / 5, (N0 + dN) / 2) / theta_min."""
+    res = big_omega_min(pi, ExponentPoint(0.0, _THETA_MIN),
+                        warm_logits=[lifted], grid=grid)
+    n0 = res.value
+    dn = (_omega_alpha_slope(res.logits, grid, 0.0, _THETA_MIN)
+          - _THETA_MIN * R)
+    return max(n0 / 5.0, (n0 + dn) / 2.0) <= _THETA_MIN * _F_TOL
+
+
 def f_rate(pi: JointPmf, R: float, ci: CiSolution) -> float:
     """F(R) = sup over (alpha, theta) of F^(alpha,theta)(R), and 0 when no
     point has F > 0 (theta = 0 always gives 0).
@@ -473,11 +508,21 @@ def f_rate(pi: JointPmf, R: float, ci: CiSolution) -> float:
     concavity of N: certified, not clamped.  Every (alpha, theta) is solved
     once and warm-starts from its nearest solved neighbour, so that repeated
     evaluations agree, as brentq's bracket needs.
+
+    At R >= C = ``ci.value``, where F(R) = 0, one solve at (0, theta_min)
+    comes before the search: `_zero_certified` bounds every ray's ceiling
+    by the tangent in alpha of Omega at that solve's minimizer, and F(R) is
+    0 when no ceiling beats 0 by `_F_TOL`, the slack of the search's own
+    ceiling rule.  That solve is kept out of the warm starts, so where the
+    certificate refuses (R near C) and at every R below C the search runs
+    as it would without it.
     """
     if not 0.0 <= R < math.inf:
         raise ConfigError("rate must be nonnegative and finite")
     grid = _SupportGrid(pi)
     lifted = _ci_lift_logits(grid, ci)
+    if R >= ci.value and _zero_certified(pi, R, grid, lifted):
+        return 0.0
     solved: dict[tuple, _RayPoint] = {}
 
     def point(alpha, theta) -> _RayPoint:

@@ -150,6 +150,17 @@ def test_out_naming_an_existing_file_is_config_error(tmp_path, capsys,
         f"config error: cannot create output directory {str(path)!r}: ")
 
 
+def test_an_output_file_that_cannot_be_written_is_config_error(tmp_path,
+                                                               capsys):
+    # it once died with an IsADirectoryError traceback after the solve
+    (tmp_path / "ci.csv").mkdir()
+    assert main(["ci", "copy", "--out", str(tmp_path)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(
+        f"config error: cannot write {str(tmp_path / 'ci.csv')!r}: ")
+    assert err.count("\n") == 1
+
+
 def test_outputs_are_written_as_utf8(tmp_path):
     # under an ASCII locale the files were once written in its encoding, and
     # a non-ASCII label died in the write with a UnicodeEncodeError; stdout
