@@ -21,14 +21,18 @@ The feasible set is non-convex in this parameterization.  Each remaining
 block runs the same four starts, so C is a function of pi alone: the copy
 coupling on the masks and its mixtures with the uniform Q_W whose rows are
 p_X and p_Y on each symbol's masks, at weights 1/4, 1/2 and 3/4.  Each start
-takes a quasi-Newton descent (the L-BFGS-B loop ``descent.lbfgsb``) on an
-exact-penalty objective with an increasing weight schedule, an alternating
-feasibility restoration that drives the marginal residual below tolerance,
-one SLSQP polish (the SLSQP loop ``descent.slsqp``) on the exact feasible
-set in the bilinear parameters a_wx = Q_W(w) Q(x|w) and Q(y|w), whose
-constraint Jacobian is one fixed matrix with its bilinear entries written by
-one scatter per call, and a second restoration, whose coupling is the
-start's one candidate.  The lowest feasible candidate is kept, W = X and
+takes a quasi-Newton descent on an exact-penalty objective with an
+increasing weight schedule; the four run in lockstep
+(``descent.lbfgsb_lockstep``), and each step evaluates every start that
+asks as one row of one batched kernel call, at its own weight.  Then, one
+start after another: an alternating feasibility restoration that drives the
+marginal residual below tolerance, one SLSQP polish (the SLSQP loop
+``descent.slsqp``) on the exact feasible set in the bilinear parameters
+a_wx = Q_W(w) Q(x|w) and Q(y|w), and a second restoration, whose coupling
+is the start's one candidate.  The polish computes f and the constraint
+values at every SLSQP point, and g and the constraint Jacobian, one fixed
+matrix with its bilinear entries written by one scatter, only where the
+core asks for them.  The lowest feasible candidate is kept, W = X and
 W = Y are scored beside it, and the answer's symbols are canonical:
 negligible weights drop out and equal rows merge, so the argmin the
 exponent engine lifts has no duplicates.
@@ -42,9 +46,10 @@ coupling is no candidate: at a residual near 1e-10 it read up to 1.4e-10
 below Wyner's closed form on DSBS(p).
 
 The penalty objective and its gradient are one kernel per solved block,
-``_BlockKernel``, whose sums run in the order of the per-term einsum
-reference in tests/test_ci_solver.py, so the value and gradient match it
-bit for bit and the descent takes the same path.
+``_BlockKernel``, evaluated on a batch of logit rows.  Each row's sums run
+in the order of the per-term einsum reference in tests/test_ci_solver.py,
+whatever the other rows, so each start's value and gradient, and with them
+its descent, are those of a solve on that start alone.
 """
 
 from __future__ import annotations
@@ -53,7 +58,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .descent import lbfgsb, slsqp
+from .descent import lbfgsb_lockstep, slsqp
 from .errors import ConfigError
 from .probability import (FinitePmf, JointPmf, MarkovCoupling,
                           mutual_information_mass)
@@ -145,7 +150,8 @@ def _rectangle_layout(supp: np.ndarray):
 
 class _BlockKernel:
     """The penalty objective of one block on its logit layout, the only
-    place that knows that layout.
+    place that knows that layout, on a batch of logit rows (the lockstep
+    starts), each at its own penalty weight.
 
     The free logits are those of Q_W, then those of Q_{X|W} on ``mask_x``
     and of Q_{Y|W} on ``mask_y`` in row-major order.  The conditionals are
@@ -155,7 +161,11 @@ class _BlockKernel:
     that no row is padded past max(|X|, |Y|): numpy sums a row of 8 or more
     cells in another order, and the value and gradient would then differ
     in the last bits from those of the unpadded rows.  The contractions are
-    einsums, not BLAS products, for the same reason."""
+    einsums, not BLAS products, for the same reason.  The batch is a
+    leading axis on every array: each contraction and each reduction runs
+    within a row in the einsum reference's order, and the one dot product,
+    Q_W against the conditional entropies, is the per-row dot of a batched
+    matmul, so a row's floats are those of the one-row call."""
 
     def __init__(self, pi_mass, mask_x, mask_y):
         nw, nx = mask_x.shape
@@ -169,25 +179,25 @@ class _BlockKernel:
         self._blank = np.where(free, 0.0, -np.inf)
         self._shape = (nw, nx, ny)
 
-    def _softmax(self, z):
-        """Q_W and the row softmax of the conditional logit matrix, both
-        fresh arrays."""
+    def _softmax(self, Z):
+        """Q_W and the row softmax of the conditional logit matrix of each
+        row of ``Z``, both fresh arrays."""
         nw = self._shape[0]
-        zw = z[:nw]
-        qw = np.exp(zw - zw.max())
-        qw /= qw.sum()
-        P = self._blank.copy()
-        P.put(self._pos, z[nw:])
-        P -= P.max(axis=1, keepdims=True)
+        zw = Z[:, :nw]
+        qw = np.exp(zw - zw.max(axis=1, keepdims=True))
+        qw /= qw.sum(axis=1, keepdims=True)
+        P = np.repeat(self._blank[None], Z.shape[0], axis=0)
+        P.reshape(Z.shape[0], -1)[:, self._pos] = Z[:, nw:]
+        P -= P.max(axis=2, keepdims=True)
         np.exp(P, out=P)
-        P /= P.sum(axis=1, keepdims=True)
+        P /= P.sum(axis=2, keepdims=True)
         return qw, P
 
     def unpack(self, z):
         """(Q_W, Q_{X|W}, Q_{Y|W}) of the logits ``z``."""
         nw, nx, ny = self._shape
-        qw, P = self._softmax(z)
-        return qw, P[:nw, :nx], P[nw:, :ny]
+        qw, P = self._softmax(z[None])
+        return qw[0], P[0, :nw, :nx], P[0, nw:, :ny]
 
     def logits(self, qw, A, C):
         """The free logits of a coupling, floored at 1e-12."""
@@ -200,34 +210,43 @@ class _BlockKernel:
 
     def __call__(self, z, lam):
         """Penalized objective I(XY;W) + lam * ||Q_XY - pi||^2 with its
-        gradient in the free logits."""
+        gradient in the free logits ``z``: the one-row batch."""
+        f, grad = self.batch(z[None], np.array([lam]))
+        return float(f[0]), grad[0]
+
+    def batch(self, Z, lam):
+        """The penalized objective and gradient of each row of ``Z`` at its
+        own weight ``lam[i]``, as (f, grad) arrays of k and (k, n_logits)."""
         nw, nx, ny = self._shape
-        qw, P = self._softmax(z)
-        A, C = P[:nw, :nx], P[nw:, :ny]
-        Q = np.einsum("w,wx,wy->xy", qw, A, C)
+        k = Z.shape[0]
+        qw, P = self._softmax(Z)
+        A, C = P[:, :nw, :nx], P[:, nw:, :ny]
+        Q = np.einsum("kw,kwx,kwy->kxy", qw, A, C)
         logP = np.log(np.maximum(P, _LOG_FLOOR))
-        ent = (P * logP).sum(axis=1)
-        a_ent, c_ent = ent[:nw], ent[nw:]          # -H(X|W=w), -H(Y|W=w)
+        ent = (P * logP).sum(axis=2)
+        a_ent, c_ent = ent[:, :nw], ent[:, nw:]    # -H(X|W=w), -H(Y|W=w)
         logQ = np.log(np.maximum(Q, _LOG_FLOOR))
         diff = Q - self._pi_mass
-        f = float(-(Q * logQ).sum() + qw @ (a_ent + c_ent)
-                  + lam * (diff * diff).sum())
+        f = (-(Q * logQ).reshape(k, -1).sum(axis=1)
+             + np.matmul(qw[:, None], (a_ent + c_ent)[:, :, None])[:, 0, 0]
+             + lam * (diff * diff).reshape(k, -1).sum(axis=1))
 
         # G = df/dQ(x,y); df/dQ_W(w) = sum A C G - H(X|W=w) - H(Y|W=w) and
         # df/dQ(x|w) = qw (C G^T + log A + 1)(w, x), likewise for Y, then
         # the softmax chain rule p * (g - <p, g>) row by row
-        G = -(logQ + 1.0) + 2.0 * lam * diff
-        g_qw = np.einsum("xy,wx,wy->w", G, A, C) + a_ent + c_ent
+        G = -(logQ + 1.0) + (2.0 * lam)[:, None, None] * diff
+        g_qw = np.einsum("kxy,kwx,kwy->kw", G, A, C) + a_ent + c_ent
         D = logP                                   # in place, no longer read
-        D[:nw, :nx] += np.einsum("xy,wy->wx", G, C)
-        D[nw:, :ny] += np.einsum("xy,wx->wy", G, A)
+        D[:, :nw, :nx] += np.einsum("kxy,kwy->kwx", G, C)
+        D[:, nw:, :ny] += np.einsum("kxy,kwx->kwy", G, A)
         D += 1.0
-        cond_rows = D.reshape(2, nw, -1)
-        cond_rows *= qw[:, None]
-        D -= (P * D).sum(axis=1, keepdims=True)
+        cond_rows = D.reshape(k, 2, nw, -1)
+        cond_rows *= qw[:, None, :, None]
+        D -= (P * D).sum(axis=2, keepdims=True)
         D *= P
-        return f, np.concatenate((qw * (g_qw - (qw * g_qw).sum()),
-                                  D.take(self._pos)))
+        g_w = qw * (g_qw - (qw * g_qw).sum(axis=1, keepdims=True))
+        return f, np.concatenate((g_w, D.reshape(k, -1)[:, self._pos]),
+                                 axis=1)
 
 
 def _restore_feasibility(qw, A, C, pi_mass):
@@ -319,8 +338,10 @@ def _polish(qw, A, C, pi_mass, mask_x, mask_y):
     feasible set, it minimises -H(XY|W) = sum a log(a / q) + sum_w q_w
     sum_y c log c, q_w = sum_x a_wx, subject to sum_w a_wx c_wy = pi(x, y)
     on supp pi and sum_y c_wy = 1, with the analytic gradient and
-    constraint Jacobian.  Returns the coupling of the final iterate; its
-    residual is for the caller to check."""
+    constraint Jacobian.  A values pass at each SLSQP point computes f and
+    the constraints from one log over the variables; the gradients pass,
+    run where the core asks, reuses that pass's logs.  Returns the coupling
+    of the final iterate; its residual is for the caller to check."""
     live = qw > _LIVE_WEIGHT
     a0 = qw[live, None] * A[live]
     c0 = C[live]
@@ -345,36 +366,37 @@ def _polish(qw, A, C, pi_mass, mask_x, mask_y):
     J = np.zeros((ns + nw, na + cw.size))
     J[ns:, na:] = np.arange(nw)[:, None] == cw[None, :]
 
-    def dense(v):
-        a = np.zeros(a0.shape)
-        a[aw, ax] = v[:na]
-        c = np.zeros(c0.shape)
-        c[cw, cy] = v[na:]
-        return a, c
+    # the values pass writes the dense a and c in place and keeps q, the
+    # logs and the per-symbol sums for the gradients pass at its point
+    a, c = np.zeros(a0.shape), np.zeros(c0.shape)
+    point = None
 
-    def objective(v):
+    def dense(v):
+        a[aw, ax] = v[:na]
+        c[cw, cy] = v[na:]
+
+    def values(v):
+        nonlocal point
+        dense(v)
         q = np.bincount(aw, weights=v[:na], minlength=nw)
-        la = np.log(np.maximum(v[:na], _LOG_FLOOR))
-        lc = np.log(np.maximum(v[na:], _LOG_FLOOR))
+        lv = np.log(np.maximum(v, _LOG_FLOOR))
+        la, lc = lv[:na], lv[na:]
         lq = np.log(np.maximum(q, _LOG_FLOOR))
         hc = np.bincount(cw, weights=v[na:] * lc, minlength=nw)
+        point = q, la, lc, lq, hc
         f = v[:na] @ la - q @ lq + q @ hc
-        grad = np.concatenate((la - lq[aw] + hc[aw], q[cw] * (lc + 1.0)))
-        return float(f), grad
+        return float(f), np.concatenate(((a.T @ c)[sx, sy] - target,
+                                         c.sum(axis=1) - 1.0))
 
-    def constraints(v):
-        a, c = dense(v)
-        return np.concatenate(((a.T @ c)[sx, sy] - target,
-                               c.sum(axis=1) - 1.0))
-
-    def jacobian(v):
+    def gradients(v):
+        q, la, lc, lq, hc = point
         J[rows, cols] = v[src]
-        return J
+        return np.concatenate((la - lq[aw] + hc[aw], q[cw] * (lc + 1.0))), J
 
-    x, _, _, _ = slsqp(objective, np.concatenate((a0[aw, ax], c0[cw, cy])),
-                       constraints, jacobian, (0.0, 1.0),
+    x, _, _, _ = slsqp(values, gradients,
+                       np.concatenate((a0[aw, ax], c0[cw, cy])), (0.0, 1.0),
                        maxiter=_POLISH_MAXITER, ftol=_POLISH_FTOL)
-    a, c = dense(np.clip(x, 0.0, 1.0))
+    dense(np.clip(x, 0.0, 1.0))
     q, c_sum = a.sum(axis=1), c.sum(axis=1)
     keep = (q > 0) & (c_sum > 0)
     return (q[keep] / q[keep].sum(), a[keep] / q[keep, None],
@@ -413,13 +435,15 @@ def _solve_block(pi_mass: np.ndarray):
 
     mask_x, mask_y, cell_symbol = _rectangle_layout(pi_mass > 0)
     kernel = _BlockKernel(pi_mass, mask_x, mask_y)
+    lam = np.array(_PENALTY_SCHEDULE)
+    starts = [kernel.logits(*start) for start in
+              _mixed_starts(pi_mass, mask_x, mask_y, cell_symbol)]
+    chains = lbfgsb_lockstep(
+        lambda zs, stage: kernel.batch(np.array(zs), lam.take(stage)),
+        starts, lam.size, maxiter=_MAXITER, ftol=_OBJ_TOL)
     best = None
-    for descents, start in enumerate(
-            _mixed_starts(pi_mass, mask_x, mask_y, cell_symbol), 1):
-        z = kernel.logits(*start)
-        for lam in _PENALTY_SCHEDULE:
-            z, _, _ = lbfgsb(kernel, z, (lam,), maxiter=_MAXITER,
-                             ftol=_OBJ_TOL)
+    for stages in chains:
+        z = stages[-1][0]
         qw, A, C, _ = _restore_feasibility(*kernel.unpack(z), pi_mass)
         qw, A, C, residual = _restore_feasibility(
             *_polish(qw, A, C, pi_mass, mask_x, mask_y), pi_mass)
@@ -438,7 +462,8 @@ def _solve_block(pi_mass: np.ndarray):
 
     qw, A, C = _canonical(*best[1:])
     residual = 0.5 * np.abs(np.einsum("w,wx,wy->xy", qw, A, C) - pi_mass).sum()
-    return _coupling_value(qw, A, C), qw, A, C, residual, descents, converged
+    return (_coupling_value(qw, A, C), qw, A, C, residual, len(starts),
+            converged)
 
 
 def wyner_ci(pi: JointPmf) -> CiSolution:

@@ -1,14 +1,21 @@
 """The quasi-Newton loops of the solvers, on scipy's compiled cores.
 
-``lbfgsb``, one unbounded L-BFGS-B descent, is the loop of
+``lbfgsb_lockstep`` runs unbounded L-BFGS-B descents from several starts in
+lockstep, each start chained through a number of stages; ``lbfgsb``, one
+descent, is its one-start, one-stage case.  Each descent is the loop of
 ``scipy.optimize._lbfgsb_py._minimize_lbfgsb`` on the same compiled core,
 ``scipy.optimize._lbfgsb.setulb`` with its scipy >= 1.15 signature, at the
 settings ``minimize(fun, x0, args, method="L-BFGS-B", jac=True,
-options={"maxiter", "ftol", "gtol"})`` uses: no bounds (``nbd`` = 0),
-``m`` = 10, ``maxls`` = 20, ``factr`` = ftol / eps and ``maxfun`` = 15000.
-``maxfun`` is kept, one comparison per iteration: a failed line search
-restarts within its iteration, so an iteration can take up to 2 * maxls
-evaluations, and 500 of them could in principle pass 15000.
+options={"maxiter", "ftol", "gtol"})`` uses, with its own core state: no
+bounds (``nbd`` = 0), ``m`` = 10, ``maxls`` = 20, ``factr`` = ftol / eps and
+``maxfun`` = 15000.  ``maxfun`` is kept, one comparison per iteration: a
+failed line search restarts within its iteration, so an iteration can take
+up to 2 * maxls evaluations, and 500 of them could in principle pass 15000.
+A stage starts a fresh core state from the x where the one before stopped.
+At each step every descent that asks for f and g at a new x hands it to one
+call of the caller's function, so ``wyner_ci`` evaluates a block's four
+starts as the rows of one batch; a descent's floats do not depend on which
+others share its steps.
 
 ``slsqp``, one SLSQP solve under equality constraints and box bounds, is the
 loop of ``scipy.optimize._slsqp_py._minimize_slsqp`` on the same compiled
@@ -17,17 +24,23 @@ core, ``scipy.optimize._slsqplib.slsqp`` (scipy >= 1.16), at the settings
 "eq", "fun", "jac"}, options={"maxiter", "ftol"})`` uses: x0 clipped into the
 bounds, the same state dict (``acc`` = ftol, ``tol`` = 10 ftol), the same
 workspace sizes, f and the constraint values written on mode 1, g and the
-constraint Jacobian on mode -1.
+constraint Jacobian on mode -1.  The caller's problem comes split in two:
+``values`` gives f and the constraint values, and ``gradients`` g and the
+Jacobian, each called only where the core asks for it.  The core asks for
+gradients at the x of its last values request and never twice at one x, so
+``values`` runs as often as ``minimize`` counts ``nfev`` and ``gradients``
+as often as it counts ``njev``: 188 and 82 times on the first polish of
+DSBS(0.1), where one ``fun`` would compute g at all 188 points.
 
 Both hand their core the same f, g and x sequence as scipy does, so every
-iterate is the same float, and ``fun`` is called as often: a request at the x
-of the previous evaluation (compared by bytes) reuses its f and g, as scipy's
-``ScalarFunction`` does, and the core, which may write into g, gets a copy.
-Left out is what the callers never read: the rest of ``ScalarFunction`` (a
-copy, a type check and an ``array_equal`` per evaluation), ``MemoizeJac``,
-``OptimizeResult``, the inverse-Hessian operator of L-BFGS-B, and SLSQP's
-inequality constraints, callback, printing and ``atleast_1d``/``hstack``
-constraint plumbing.
+iterate is the same float.  An L-BFGS-B request at the x of the previous
+evaluation (compared by bytes) reuses its f and g, as scipy's
+``ScalarFunction`` does, so ``fun`` runs as often as ``nfev`` counts, and
+the core, which may write into g, gets a copy.  Left out is what the callers
+never read: the rest of ``ScalarFunction`` (a copy, a type check and an
+``array_equal`` per evaluation), ``MemoizeJac``, ``OptimizeResult``, the
+inverse-Hessian operator of L-BFGS-B, and SLSQP's inequality constraints,
+callback, printing and ``atleast_1d``/``hstack`` constraint plumbing.
 """
 
 from __future__ import annotations
@@ -42,10 +55,10 @@ _FG, _NEW_X, _CONVERGENCE, _STOP = 3, 1, 4, 5
 _STOP_MAXFUN, _STOP_MAXITER = 502, 504
 
 
-def lbfgsb(fun, x0, args, maxiter, ftol, gtol=1e-5):
-    """(x, f, converged) of one descent of ``fun(x, *args) -> (f, grad)``
-    from ``x0``; ``converged`` is scipy's ``success``.  ``gtol`` defaults to
-    scipy's value."""
+def _descent(x0, tag, maxiter, ftol, gtol):
+    """One descent from ``x0`` as a generator: it yields (tag, x) at each x
+    where the core asks for f and g, is sent (f, grad) back, and returns
+    (x, f, converged)."""
     x = np.array(x0, dtype=np.float64).ravel()
     n = x.size
     bound = np.zeros(n)                  # l and u, unread with nbd = 0
@@ -68,7 +81,7 @@ def lbfgsb(fun, x0, args, maxiter, ftol, gtol=1e-5):
             key = x.tobytes()
             if key != last:
                 last = key
-                f, g_at_last = fun(x, *args)
+                f, g_at_last = yield tag, x
                 nfev += 1
             g = g_at_last.copy()
         elif task[0] == _NEW_X:
@@ -81,23 +94,73 @@ def lbfgsb(fun, x0, args, maxiter, ftol, gtol=1e-5):
             return x, f, bool(task[0] == _CONVERGENCE)
 
 
-def slsqp(fun, x0, eq, eq_jac, bounds, maxiter, ftol):
-    """(x, f, nit, mode) of one SLSQP solve of ``fun(x) -> (f, grad)`` from
-    ``x0`` subject to ``eq(x) = 0`` (one or more values, Jacobian
-    ``eq_jac(x)``) and ``lo <= x <= hi`` for every variable, ``bounds`` =
-    (lo, hi); ``mode`` is scipy's exit mode, 0 on success and 9 when
-    ``maxiter`` iterations ran out."""
+def _chain(x0, stages, maxiter, ftol, gtol):
+    """The descents of one start through ``stages``, each from the last
+    one's x, as a generator: it yields (stage, x) for each evaluation and
+    returns the (x, f, converged) of every stage."""
+    x, done = x0, []
+    for stage in range(stages):
+        done.append((yield from _descent(x, stage, maxiter, ftol, gtol)))
+        x = done[-1][0]
+    return done
+
+
+def lbfgsb_lockstep(fun, starts, stages, maxiter, ftol, gtol=1e-5):
+    """The descents from every start in ``starts``, each chained through
+    ``stages`` descents that start where the one before ended, run in
+    lockstep: each step hands every start that asks for an evaluation to one
+    call ``fun(xs, stage) -> (fs, grads)``, with ``xs`` the list of their x
+    and ``stage`` the tuple of their stage indices.  Returns, per start, the
+    (x, f, converged) of each stage; ``converged`` is scipy's ``success``.
+    ``gtol`` defaults to scipy's value."""
+    chains = [_chain(x0, stages, maxiter, ftol, gtol) for x0 in starts]
+    done = [None] * len(chains)
+
+    def ask(i, sent):
+        """Chain i's next (i, stage, x) request, or None once it is done."""
+        try:
+            return (i, *chains[i].send(sent))
+        except StopIteration as stop:
+            done[i] = stop.value
+            return None
+
+    asks = [a for i in range(len(chains)) if (a := ask(i, None))]
+    while asks:
+        rows, stage, xs = zip(*asks)
+        fs, grads = fun(list(xs), stage)
+        asks = [a for i, f, g in zip(rows, fs, grads) if (a := ask(i, (f, g)))]
+    return done
+
+
+def lbfgsb(fun, x0, args, maxiter, ftol, gtol=1e-5):
+    """(x, f, converged) of one descent of ``fun(x, *args) -> (f, grad)``
+    from ``x0``: the one-start, one-stage case of ``lbfgsb_lockstep``."""
+    def one_row(xs, _):
+        f, g = fun(xs[0], *args)
+        return (f,), (g,)
+
+    [[result]] = lbfgsb_lockstep(one_row, [x0], 1, maxiter, ftol, gtol)
+    return result
+
+
+def slsqp(values, gradients, x0, bounds, maxiter, ftol):
+    """(x, f, nit, mode) of one SLSQP solve that minimizes f from ``x0``
+    subject to eq(x) = 0 (one or more values) and ``lo <= x <= hi`` for
+    every variable, ``bounds`` = (lo, hi); ``mode`` is scipy's exit mode, 0
+    on success and 9 when ``maxiter`` iterations ran out.  ``values(x) ->
+    (f, eq)`` is called where the core asks for f and the constraint values,
+    and ``gradients(x) -> (grad, eq_jac)``, a fresh grad and the Jacobian of
+    eq, where it asks for them, always at the x of the last values call."""
     lo, hi = bounds
     x = np.clip(np.array(x0, dtype=np.float64).ravel(), lo, hi)
     n = x.size
     xl, xu = np.full(n, float(lo)), np.full(n, float(hi))
-    f_at_last, g_at_last = fun(x)
-    f, g = f_at_last, g_at_last.copy()
-    last = x.tobytes()
-    d = np.array(eq(x), dtype=np.float64)
+    f, d = values(x)
+    d = np.array(d, dtype=np.float64)
+    g, jac = gradients(x)
     m = meq = d.size
     C = np.zeros((m, n), order="F")
-    C[:] = eq_jac(x)
+    C[:] = jac
     state = {"acc": ftol, "alpha": 0.0, "f0": 0.0, "gs": 0.0, "h1": 0.0,
              "h2": 0.0, "h3": 0.0, "h4": 0.0, "t": 0.0, "t0": 0.0,
              "tol": 10.0 * ftol, "exact": 0, "inconsistent": 0, "reset": 0,
@@ -112,15 +175,9 @@ def slsqp(fun, x0, eq, eq_jac, bounds, maxiter, ftol):
     while True:
         _slsqplib.slsqp(state, f, g, C, d, x, mult, xl, xu, buffer, indices)
         mode = state["mode"]
-        if abs(mode) != 1:
-            return x, f, state["iter"], mode
-        key = x.tobytes()
-        if key != last:
-            last = key
-            f_at_last, g_at_last = fun(x)
         if mode == 1:
-            f = f_at_last
-            d[:] = eq(x)
+            f, d[:] = values(x)
+        elif mode == -1:
+            g, C[:] = gradients(x)
         else:
-            g = g_at_last.copy()
-            C[:] = eq_jac(x)
+            return x, f, state["iter"], mode

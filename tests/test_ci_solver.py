@@ -1,16 +1,19 @@
 """Common-information solver against Wyner's closed form for the doubly
 symmetric binary source, the exact values of the product and copy sources,
-the common-part split and the rectangle masks on the support of pi, and its
-block kernel against the per-term einsum objective it replaced."""
+the common-part split and the rectangle masks on the support of pi, its
+block kernel against the per-term einsum objective it replaced, and the
+whole solve, bit for bit, against the sequential solve it replaced."""
 
 import itertools
 import math
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize
 
 from commoninfo import ci_solver, fixtures
 from commoninfo.ci_solver import wyner_ci
+from commoninfo.descent import lbfgsb
 from commoninfo.probability import (FinitePmf, JointPmf,
                                     coupling_information, induced_joint,
                                     mutual_information_mass)
@@ -77,7 +80,7 @@ def test_oracle_on_second_symmetric_source():
 def _forbid_solves(monkeypatch):
     def solve(*args, **kwargs):
         raise AssertionError("wyner_ci ran a solve on an exact block")
-    monkeypatch.setattr(ci_solver, "lbfgsb", solve)
+    monkeypatch.setattr(ci_solver, "lbfgsb_lockstep", solve)
 
 
 def _assert_argmin_reproduces(sol, pi):
@@ -219,8 +222,9 @@ def test_a_fallback_that_beats_a_feasible_descent_is_not_converged(
     # a feasible descent that W = Y beats: the answer is H(Y), and the flag
     # says it did not come from a descent
     monkeypatch.setattr(ci_solver, "_START_MIX", ())
-    monkeypatch.setattr(ci_solver, "lbfgsb",
-                        lambda fun, z, args, **kw: (z, 0.0, True))
+    monkeypatch.setattr(
+        ci_solver, "lbfgsb_lockstep",
+        lambda fun, starts, stages, **kw: [[(z, 0.0, True)] for z in starts])
     monkeypatch.setattr(ci_solver, "_polish",
                         lambda qw, A, C, *args: (qw, A, C))
     pi = JointPmf(np.random.default_rng(1).dirichlet(np.ones(9)).reshape(3, 3))
@@ -379,6 +383,23 @@ def test_block_kernel_matches_the_einsum_objective():
                     np.abs(g_ref)), (label, lam)
 
 
+def test_block_kernel_rows_match_one_row_calls_bit_for_bit():
+    # the lockstep starts are the rows of one batch, each at its own lam;
+    # every row's f and gradient are the bytes of the one-row call
+    rng = np.random.default_rng(12)
+    for label, mass, mask_x, mask_y in _kernel_layouts():
+        kernel = ci_solver._BlockKernel(mass, mask_x, mask_y)
+        for k in (2, 3, 4):
+            Z = rng.normal(scale=3.0, size=(k, kernel.n_logits))
+            lam = 10.0 ** rng.uniform(2.0, 8.0, size=k)
+            f, grad = kernel.batch(Z, lam)
+            assert f.shape == (k,) and grad.shape == Z.shape
+            for z, row_lam, row_f, row_grad in zip(Z, lam, f, grad):
+                one_f, one_grad = kernel(z, row_lam)
+                assert np.float64(one_f).tobytes() == row_f.tobytes(), label
+                assert one_grad.tobytes() == row_grad.tobytes(), label
+
+
 def test_block_kernel_logits_unpack_to_their_coupling():
     # masked entries are exactly 0, and a coupling above the 1e-12 logit
     # floor comes back from its logits
@@ -430,8 +451,8 @@ def test_polish_jacobian_scatter_matches_the_hstack_reference(monkeypatch):
     # symbol live), on full, thin and several rectangles
     captured = []
 
-    def capture(fun, x0, eq, eq_jac, bounds, **settings):
-        captured.append((x0, eq, eq_jac))
+    def capture(values, gradients, x0, bounds, **settings):
+        captured.append((x0, values, gradients))
         return x0, 0.0, 0, 0
 
     monkeypatch.setattr(ci_solver, "slsqp", capture)
@@ -447,7 +468,7 @@ def test_polish_jacobian_scatter_matches_the_hstack_reference(monkeypatch):
             mass, mask_x, mask_y, ci_solver._rectangle_layout(mass > 0)[2]))
         for qw, A, C in (starts[0], starts[2]):
             ci_solver._polish(qw, A, C, mass, mask_x, mask_y)
-            x0, eq, eq_jac = captured.pop()
+            x0, values, gradients = captured.pop()
             live = qw > ci_solver._LIVE_WEIGHT
             aw, ax = np.nonzero(mask_x[live])
             cw, cy = np.nonzero(mask_y[live])
@@ -455,11 +476,141 @@ def test_polish_jacobian_scatter_matches_the_hstack_reference(monkeypatch):
             shape = (live.sum(), *mass.shape)
             for _ in range(3):
                 v = rng.random(x0.size)
-                J = eq_jac(v).copy()
+                values(v)
+                J = gradients(v)[1].copy()
                 assert np.array_equal(
                     J, _hstack_jacobian(v, aw, ax, cw, cy, sx, sy, shape)), \
                     label
-                fd = np.array([(eq(v + e) - eq(v - e)) / (2 * h)
-                               for e in np.eye(v.size) * h]).T
+                fd = np.array([(values(v + e)[1] - values(v - e)[1])
+                               / (2 * h) for e in np.eye(v.size) * h]).T
                 assert np.max(np.abs(J - fd)) <= 1e-7, label
     assert kinds == {"one", "several", "thin", "full"}
+
+
+# ---------------------------------------------------------------------------
+# wyner_ci against the sequential solve it replaced
+# ---------------------------------------------------------------------------
+
+def _reference_polish(qw, A, C, pi_mass, mask_x, mask_y):
+    """``_polish`` as it ran with one ``fun(v) -> (f, grad)`` at every SLSQP
+    point, its constraints and their Jacobian, through ``minimize``."""
+    live = qw > ci_solver._LIVE_WEIGHT
+    a0 = qw[live, None] * A[live]
+    c0 = C[live]
+    aw, ax = np.nonzero(mask_x[live])
+    cw, cy = np.nonzero(mask_y[live])
+    sx, sy = np.nonzero(pi_mass > 0)
+    target = pi_mass[sx, sy]
+    na, nw = aw.size, c0.shape[0]
+
+    def dense(v):
+        a = np.zeros(a0.shape)
+        a[aw, ax] = v[:na]
+        c = np.zeros(c0.shape)
+        c[cw, cy] = v[na:]
+        return a, c
+
+    def objective(v):
+        q = np.bincount(aw, weights=v[:na], minlength=nw)
+        la = np.log(np.maximum(v[:na], 1e-300))
+        lc = np.log(np.maximum(v[na:], 1e-300))
+        lq = np.log(np.maximum(q, 1e-300))
+        hc = np.bincount(cw, weights=v[na:] * lc, minlength=nw)
+        f = v[:na] @ la - q @ lq + q @ hc
+        grad = np.concatenate((la - lq[aw] + hc[aw], q[cw] * (lc + 1.0)))
+        return float(f), grad
+
+    def constraints(v):
+        a, c = dense(v)
+        return np.concatenate(((a.T @ c)[sx, sy] - target,
+                               c.sum(axis=1) - 1.0))
+
+    def jacobian(v):
+        return _hstack_jacobian(v, aw, ax, cw, cy, sx, sy,
+                                (nw, *pi_mass.shape))
+
+    v0 = np.concatenate((a0[aw, ax], c0[cw, cy]))
+    res = minimize(objective, v0, jac=True, method="SLSQP",
+                   bounds=[(0.0, 1.0)] * v0.size,
+                   constraints={"type": "eq", "fun": constraints,
+                                "jac": jacobian},
+                   options={"maxiter": ci_solver._POLISH_MAXITER,
+                            "ftol": ci_solver._POLISH_FTOL})
+    a, c = dense(np.clip(res.x, 0.0, 1.0))
+    q, c_sum = a.sum(axis=1), c.sum(axis=1)
+    keep = (q > 0) & (c_sum > 0)
+    return (q[keep] / q[keep].sum(), a[keep] / q[keep, None],
+            c[keep] / c_sum[keep, None])
+
+
+def _reference_solve_block(pi_mass):
+    """``_solve_block`` as it ran one start after another: one ``lbfgsb``
+    call per stage on the one-row kernel, then the reference polish."""
+    px, py = pi_mass.sum(axis=1), pi_mass.sum(axis=0)
+    residual = 0.5 * np.abs(np.outer(px, py) - pi_mass).sum()
+    if residual <= ci_solver._FEAS_TOL:
+        return 0.0, np.ones(1), px[None], py[None], residual, 0, True
+
+    mask_x, mask_y, cell_symbol = ci_solver._rectangle_layout(pi_mass > 0)
+    kernel = ci_solver._BlockKernel(pi_mass, mask_x, mask_y)
+    restore = ci_solver._restore_feasibility
+    best = None
+    for descents, start in enumerate(ci_solver._mixed_starts(
+            pi_mass, mask_x, mask_y, cell_symbol), 1):
+        z = kernel.logits(*start)
+        for lam in ci_solver._PENALTY_SCHEDULE:
+            z, _, _ = lbfgsb(kernel, z, (lam,), maxiter=ci_solver._MAXITER,
+                             ftol=ci_solver._OBJ_TOL)
+        qw, A, C, _ = restore(*kernel.unpack(z), pi_mass)
+        qw, A, C, residual = restore(
+            *_reference_polish(qw, A, C, pi_mass, mask_x, mask_y), pi_mass)
+        if residual <= ci_solver._FEAS_TOL:
+            value = ci_solver._coupling_value(qw, A, C)
+            if best is None or value < best[0]:
+                best = (value, qw, A, C)
+    converged = best is not None
+
+    for qw, A, C in ci_solver._marginal_couplings(pi_mass):
+        value = ci_solver._coupling_value(qw, A, C)
+        if best is None or value < best[0] - ci_solver._OBJ_TOL:
+            best = (value, qw, A, C)
+            converged = False
+
+    qw, A, C = ci_solver._canonical(*best[1:])
+    residual = 0.5 * np.abs(np.einsum("w,wx,wy->xy", qw, A, C) - pi_mass).sum()
+    return (ci_solver._coupling_value(qw, A, C), qw, A, C, residual,
+            descents, converged)
+
+
+def _differential_joints():
+    joints = {f"dsbs_{p}": fixtures.dsbs(p) for p in (0.05, 0.2, 0.3, 0.45)}
+    joints.update((f"dsbes_{e}", fixtures.dsbes(e)) for e in (0.2, 0.4, 0.6,
+                                                              0.8))
+    joints["common_part_3x3"] = fixtures.common_part_source(0.6, 0.2)
+    joints.update((f"sparse_{i}", _sparse_joint(i)) for i in (7, 9, 16))
+    joints.update((f"dirichlet_{seed}", JointPmf(
+        np.random.default_rng(seed).dirichlet(np.ones(9)).reshape(3, 3)))
+        for seed in range(12))
+    return joints
+
+
+DIFFERENTIAL_JOINTS = _differential_joints()
+
+
+@pytest.mark.parametrize("label", sorted(DIFFERENTIAL_JOINTS))
+def test_wyner_ci_matches_the_sequential_solve_bit_for_bit(label,
+                                                          monkeypatch):
+    # the ci_sources joints, sparse joints and 3x3 Dirichlet(1) joints:
+    # lockstep starts and the values/gradients polish take the same path
+    pi = DIFFERENTIAL_JOINTS[label]
+    sol = wyner_ci(pi)
+    monkeypatch.setattr(ci_solver, "_solve_block", _reference_solve_block)
+    ref = wyner_ci(pi)
+    assert sol.value == ref.value
+    for got, want in ((sol.argmin.q_w.mass, ref.argmin.q_w.mass),
+                      (sol.argmin.q_x_given_w, ref.argmin.q_x_given_w),
+                      (sol.argmin.q_y_given_w, ref.argmin.q_y_given_w)):
+        assert got.tobytes() == want.tobytes()
+    assert sol.constraint_residual == ref.constraint_residual
+    assert sol.restarts_used == ref.restarts_used
+    assert sol.converged is ref.converged

@@ -3,13 +3,15 @@ for bit, on the objectives and settings of every solver that uses them.  The
 drivers run scipy's private ``setulb`` and ``slsqp`` loops, so this is the
 test that catches a change in those loops or in their signatures."""
 
+import collections
+
 import numpy as np
 import pytest
 from scipy.optimize import minimize
 
 from commoninfo import ci_solver, exponents, fixtures
 from commoninfo.ci_solver import wyner_ci
-from commoninfo.descent import lbfgsb, slsqp
+from commoninfo.descent import lbfgsb, lbfgsb_lockstep, slsqp
 from commoninfo.exponents import ExponentPoint, _SupportGrid
 from commoninfo.probability import JointPmf
 
@@ -72,6 +74,44 @@ def test_driver_matches_minimize_on_the_ci_kernel(name):
             z = _assert_same_descent(kernel, z, (lam,), CI_SETTINGS).x
 
 
+@pytest.mark.parametrize("maxiter", [ci_solver._MAXITER, 12])
+@pytest.mark.parametrize("name", sorted(CI_JOINTS))
+def test_lockstep_matches_sequential_descents(name, maxiter):
+    # the four starts of _solve_block through the penalty schedule and one
+    # stiffer stage, in lockstep, against one lbfgsb call per start and
+    # stage; each stage's x is the buffer its evaluations were asked at, so
+    # its id counts them.  At maxiter = 12 some stages are cut off; on the
+    # 3x3 joint one stage ends unconverged at any maxiter.
+    pi_mass = CI_JOINTS[name].mass
+    mask_x, mask_y, cell_symbol = ci_solver._rectangle_layout(pi_mass > 0)
+    kernel = ci_solver._BlockKernel(pi_mass, mask_x, mask_y)
+    starts = [kernel.logits(*start) for start in ci_solver._mixed_starts(
+        pi_mass, mask_x, mask_y, cell_symbol)]
+    lam = np.array((*ci_solver._PENALTY_SCHEDULE, 1e8))
+    asked = collections.Counter()
+
+    def batch(zs, stage):
+        asked.update(id(z) for z in zs)
+        return kernel.batch(np.array(zs), lam.take(stage))
+
+    settings = dict(CI_SETTINGS, maxiter=maxiter)
+    chains = lbfgsb_lockstep(batch, starts, lam.size, **settings)
+    flags, totals = set(), []
+    for z, chain in zip(starts, chains):
+        assert len(chain) == lam.size
+        for stage_lam, (x, f, converged) in zip(lam, chain):
+            fun, calls = _counted(kernel)
+            z, f_ref, converged_ref = lbfgsb(fun, z, (float(stage_lam),),
+                                             **settings)
+            assert x.tobytes() == z.tobytes()
+            assert f == f_ref and converged is converged_ref
+            assert asked[id(x)] == len(calls)
+            flags.add(converged)
+        totals.append(sum(asked[id(x)] for x, _, _ in chain))
+    assert len(set(totals)) > 1            # the starts finish at other steps
+    assert (False in flags) is (maxiter == 12 or name == "dirichlet3x3")
+
+
 POLISH_SETTINGS = {"maxiter": ci_solver._POLISH_MAXITER,
                    "ftol": ci_solver._POLISH_FTOL}
 POLISH_JOINTS = {
@@ -83,34 +123,49 @@ POLISH_JOINTS = {
 
 
 def _polish_problems(pi, monkeypatch):
-    """(fun, x0, eq, eq_jac, bounds) of every polish ``wyner_ci(pi)`` runs,
-    one per restored descent."""
+    """(values, gradients, x0, bounds) of every polish ``wyner_ci(pi)``
+    runs, one per restored descent."""
     problems = []
 
-    def recording(fun, x0, eq, eq_jac, bounds, **settings):
-        problems.append((fun, x0.copy(), eq, eq_jac, bounds))
-        return slsqp(fun, x0, eq, eq_jac, bounds, **settings)
+    def recording(values, gradients, x0, bounds, **settings):
+        problems.append((values, gradients, x0.copy(), bounds))
+        return slsqp(values, gradients, x0, bounds, **settings)
 
     monkeypatch.setattr(ci_solver, "slsqp", recording)
     wyner_ci(pi)
     return problems
 
 
-def _assert_same_polish(fun, x0, eq, eq_jac, bounds, settings):
-    """Driver and ``minimize(method="SLSQP")`` agree on x (bytes), f, the
-    iteration count, the exit mode and the number of evaluations; returns
-    the reference result."""
-    ref_fun, ref_calls = _counted(fun)
-    ref = minimize(ref_fun, x0, jac=True, method="SLSQP",
+def _assert_same_polish(values, gradients, x0, bounds, settings):
+    """Driver and ``minimize(method="SLSQP")``, on the problem's values and
+    gradients wrapped into one ``fun`` and a constraint, agree on x (bytes),
+    f, the iteration count and the exit mode; values run as often as
+    minimize evaluates f, and gradients as often as it evaluates g.
+    Returns the reference result."""
+    def fun(x):
+        f, _ = values(x)
+        return f, gradients(x)[0]
+
+    def eq(x):
+        return values(x)[1]
+
+    def eq_jac(x):
+        values(x)
+        return gradients(x)[1]
+
+    ref = minimize(fun, x0, jac=True, method="SLSQP",
                    bounds=[bounds] * x0.size,
                    constraints={"type": "eq", "fun": eq, "jac": eq_jac},
                    options=settings)
-    new_fun, new_calls = _counted(fun)
-    x, f, nit, mode = slsqp(new_fun, x0, eq, eq_jac, bounds, **settings)
+    counted_values, values_calls = _counted(values)
+    counted_gradients, gradients_calls = _counted(gradients)
+    x, f, nit, mode = slsqp(counted_values, counted_gradients, x0, bounds,
+                            **settings)
     assert x.tobytes() == ref.x.tobytes()
     assert f == ref.fun
     assert nit == ref.nit and mode == ref.status
-    assert len(new_calls) == len(ref_calls) == ref.nfev
+    assert len(values_calls) == ref.nfev
+    assert len(gradients_calls) == ref.njev
     return ref
 
 
@@ -119,7 +174,9 @@ def test_slsqp_matches_minimize_on_every_polish(name, monkeypatch):
     problems = _polish_problems(POLISH_JOINTS[name], monkeypatch)
     assert len(problems) == 4               # one solved block, four starts
     for problem in problems:
-        _assert_same_polish(*problem, POLISH_SETTINGS)
+        ref = _assert_same_polish(*problem, POLISH_SETTINGS)
+        # the core asks for g at fewer points than for f
+        assert ref.njev < ref.nfev
 
 
 def test_slsqp_matches_minimize_when_cut_off_by_maxiter(dsbs_pi, monkeypatch):
