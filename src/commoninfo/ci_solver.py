@@ -21,21 +21,21 @@ The feasible set is non-convex in this parameterization.  Each remaining
 block runs the same four starts, so C is a function of pi alone: the copy
 coupling on the masks and its mixtures with the uniform Q_W whose rows are
 p_X and p_Y on each symbol's masks, at weights 1/4, 1/2 and 3/4.  Each start
-takes a quasi-Newton descent on an exact-penalty objective with an
-increasing weight schedule; the four run in lockstep
-(``descent.lbfgsb_lockstep``), and each step evaluates every start that
-asks as one row of one batched kernel call, at its own weight.  Then, one
-start after another: an alternating feasibility restoration that drives the
-marginal residual below tolerance, one SLSQP polish (the SLSQP loop
-``descent.slsqp``) on the exact feasible set in the bilinear parameters
-a_wx = Q_W(w) Q(x|w) and Q(y|w), and a second restoration, whose coupling
-is the start's one candidate.  The polish computes f and the constraint
-values at every SLSQP point, and g and the constraint Jacobian, one fixed
-matrix with its bilinear entries written by one scatter, only where the
-core asks for them.  The lowest feasible candidate is kept, W = X and
-W = Y are scored beside it, and the answer's symbols are canonical:
-negligible weights drop out and equal rows merge, so the argmin the
-exponent engine lifts has no duplicates.
+takes a quasi-Newton descent on an exact-penalty objective at each weight
+of an increasing schedule, from where the one before ended; at each weight
+the four run in lockstep (one ``descent.lbfgsb`` call), and each step
+evaluates every start that asks as one row of one batched kernel call at
+that weight.  Then, one start after another: an alternating feasibility
+restoration that drives the marginal residual below tolerance, one SLSQP
+polish (the SLSQP loop ``descent.slsqp``) on the exact feasible set in the
+bilinear parameters a_wx = Q_W(w) Q(x|w) and Q(y|w), and a second
+restoration, whose coupling is the start's one candidate.  The polish
+computes f and the constraint values at every SLSQP point, and g and the
+constraint Jacobian, one fixed matrix with its bilinear entries written by
+one scatter, only where the core asks for them.  The lowest feasible
+candidate is kept, W = X and W = Y are scored beside it, and the answer's
+symbols are canonical: negligible weights drop out and equal rows merge, so
+the argmin the exponent engine lifts has no duplicates.
 
 Each stage changes some answer (tests/test_ci_solver.py pins them).  Without
 the penalty descent a sparse joint reads 1.6e-3 higher, and a 3x3 one 1.1e-5
@@ -58,7 +58,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .descent import lbfgsb_lockstep, slsqp
+from .descent import lbfgsb, slsqp
 from .errors import ConfigError
 from .probability import (FinitePmf, JointPmf, MarkovCoupling,
                           mutual_information_mass)
@@ -151,7 +151,7 @@ def _rectangle_layout(supp: np.ndarray):
 class _BlockKernel:
     """The penalty objective of one block on its logit layout, the only
     place that knows that layout, on a batch of logit rows (the lockstep
-    starts), each at its own penalty weight.
+    starts) at one penalty weight.
 
     The free logits are those of Q_W, then those of Q_{X|W} on ``mask_x``
     and of Q_{Y|W} on ``mask_y`` in row-major order.  The conditionals are
@@ -211,12 +211,12 @@ class _BlockKernel:
     def __call__(self, z, lam):
         """Penalized objective I(XY;W) + lam * ||Q_XY - pi||^2 with its
         gradient in the free logits ``z``: the one-row batch."""
-        f, grad = self.batch(z[None], np.array([lam]))
+        f, grad = self.batch(z[None], lam)
         return float(f[0]), grad[0]
 
     def batch(self, Z, lam):
-        """The penalized objective and gradient of each row of ``Z`` at its
-        own weight ``lam[i]``, as (f, grad) arrays of k and (k, n_logits)."""
+        """The penalized objective and gradient of each row of ``Z`` at the
+        weight ``lam``, as (f, grad) arrays of k and (k, n_logits)."""
         nw, nx, ny = self._shape
         k = Z.shape[0]
         qw, P = self._softmax(Z)
@@ -234,7 +234,7 @@ class _BlockKernel:
         # G = df/dQ(x,y); df/dQ_W(w) = sum A C G - H(X|W=w) - H(Y|W=w) and
         # df/dQ(x|w) = qw (C G^T + log A + 1)(w, x), likewise for Y, then
         # the softmax chain rule p * (g - <p, g>) row by row
-        G = -(logQ + 1.0) + (2.0 * lam)[:, None, None] * diff
+        G = -(logQ + 1.0) + 2.0 * lam * diff
         g_qw = np.einsum("kxy,kwx,kwy->kw", G, A, C) + a_ent + c_ent
         D = logP                                   # in place, no longer read
         D[:, :nw, :nx] += np.einsum("kxy,kwy->kwx", G, C)
@@ -435,15 +435,14 @@ def _solve_block(pi_mass: np.ndarray):
 
     mask_x, mask_y, cell_symbol = _rectangle_layout(pi_mass > 0)
     kernel = _BlockKernel(pi_mass, mask_x, mask_y)
-    lam = np.array(_PENALTY_SCHEDULE)
-    starts = [kernel.logits(*start) for start in
-              _mixed_starts(pi_mass, mask_x, mask_y, cell_symbol)]
-    chains = lbfgsb_lockstep(
-        lambda zs, stage: kernel.batch(np.array(zs), lam.take(stage)),
-        starts, lam.size, maxiter=_MAXITER, ftol=_OBJ_TOL)
+    zs = [kernel.logits(*start) for start in
+          _mixed_starts(pi_mass, mask_x, mask_y, cell_symbol)]
+    for lam in _PENALTY_SCHEDULE:
+        zs = [z for z, _, _ in lbfgsb(
+            lambda rows: kernel.batch(np.array(rows), lam), zs,
+            maxiter=_MAXITER, ftol=_OBJ_TOL)]
     best = None
-    for stages in chains:
-        z = stages[-1][0]
+    for z in zs:
         qw, A, C, _ = _restore_feasibility(*kernel.unpack(z), pi_mass)
         qw, A, C, residual = _restore_feasibility(
             *_polish(qw, A, C, pi_mass, mask_x, mask_y), pi_mass)
@@ -462,7 +461,7 @@ def _solve_block(pi_mass: np.ndarray):
 
     qw, A, C = _canonical(*best[1:])
     residual = 0.5 * np.abs(np.einsum("w,wx,wy->xy", qw, A, C) - pi_mass).sum()
-    return (_coupling_value(qw, A, C), qw, A, C, residual, len(starts),
+    return (_coupling_value(qw, A, C), qw, A, C, residual, len(zs),
             converged)
 
 

@@ -1,21 +1,19 @@
 """The quasi-Newton loops of the solvers, on scipy's compiled cores.
 
-``lbfgsb_lockstep`` runs unbounded L-BFGS-B descents from several starts in
-lockstep, each start chained through a number of stages; ``lbfgsb``, one
-descent, is its one-start, one-stage case.  Each descent is the loop of
+``lbfgsb`` runs unbounded L-BFGS-B descents from one or more starts in
+lockstep.  Each descent is the loop of
 ``scipy.optimize._lbfgsb_py._minimize_lbfgsb`` on the same compiled core,
 ``scipy.optimize._lbfgsb.setulb`` with its scipy >= 1.15 signature, at the
-settings ``minimize(fun, x0, args, method="L-BFGS-B", jac=True,
+settings ``minimize(fun, x0, method="L-BFGS-B", jac=True,
 options={"maxiter", "ftol", "gtol"})`` uses, with its own core state: no
 bounds (``nbd`` = 0), ``m`` = 10, ``maxls`` = 20, ``factr`` = ftol / eps and
 ``maxfun`` = 15000.  ``maxfun`` is kept, one comparison per iteration: a
 failed line search restarts within its iteration, so an iteration can take
 up to 2 * maxls evaluations, and 500 of them could in principle pass 15000.
-A stage starts a fresh core state from the x where the one before stopped.
 At each step every descent that asks for f and g at a new x hands it to one
 call of the caller's function, so ``wyner_ci`` evaluates a block's four
-starts as the rows of one batch; a descent's floats do not depend on which
-others share its steps.
+starts as the rows of one batch and the exponent engine its starts in one
+row loop; a descent's floats do not depend on which others share its steps.
 
 ``slsqp``, one SLSQP solve under equality constraints and box bounds, is the
 loop of ``scipy.optimize._slsqp_py._minimize_slsqp`` on the same compiled
@@ -35,12 +33,13 @@ DSBS(0.1), where one ``fun`` would compute g at all 188 points.
 Both hand their core the same f, g and x sequence as scipy does, so every
 iterate is the same float.  An L-BFGS-B request at the x of the previous
 evaluation (compared by bytes) reuses its f and g, as scipy's
-``ScalarFunction`` does, so ``fun`` runs as often as ``nfev`` counts, and
-the core, which may write into g, gets a copy.  Left out is what the callers
-never read: the rest of ``ScalarFunction`` (a copy, a type check and an
-``array_equal`` per evaluation), ``MemoizeJac``, ``OptimizeResult``, the
-inverse-Hessian operator of L-BFGS-B, and SLSQP's inequality constraints,
-callback, printing and ``atleast_1d``/``hstack`` constraint plumbing.
+``ScalarFunction`` does, so a descent hands ``fun`` as many x as ``nfev``
+counts, and the core, which may write into g, gets a copy.  Left out is
+what the callers never read: the rest of ``ScalarFunction`` (a copy, a type
+check and an ``array_equal`` per evaluation), ``MemoizeJac``,
+``OptimizeResult``, the inverse-Hessian operator of L-BFGS-B, and SLSQP's
+inequality constraints, callback, printing and ``atleast_1d``/``hstack``
+constraint plumbing.
 """
 
 from __future__ import annotations
@@ -55,10 +54,10 @@ _FG, _NEW_X, _CONVERGENCE, _STOP = 3, 1, 4, 5
 _STOP_MAXFUN, _STOP_MAXITER = 502, 504
 
 
-def _descent(x0, tag, maxiter, ftol, gtol):
-    """One descent from ``x0`` as a generator: it yields (tag, x) at each x
-    where the core asks for f and g, is sent (f, grad) back, and returns
-    (x, f, converged)."""
+def _descent(x0, maxiter, ftol, gtol):
+    """One descent from ``x0`` as a generator: it yields each x where the
+    core asks for f and g, is sent (f, grad) back, and returns (x, f,
+    converged)."""
     x = np.array(x0, dtype=np.float64).ravel()
     n = x.size
     bound = np.zeros(n)                  # l and u, unread with nbd = 0
@@ -81,7 +80,7 @@ def _descent(x0, tag, maxiter, ftol, gtol):
             key = x.tobytes()
             if key != last:
                 last = key
-                f, g_at_last = yield tag, x
+                f, g_at_last = yield x
                 nfev += 1
             g = g_at_last.copy()
         elif task[0] == _NEW_X:
@@ -94,53 +93,29 @@ def _descent(x0, tag, maxiter, ftol, gtol):
             return x, f, bool(task[0] == _CONVERGENCE)
 
 
-def _chain(x0, stages, maxiter, ftol, gtol):
-    """The descents of one start through ``stages``, each from the last
-    one's x, as a generator: it yields (stage, x) for each evaluation and
-    returns the (x, f, converged) of every stage."""
-    x, done = x0, []
-    for stage in range(stages):
-        done.append((yield from _descent(x, stage, maxiter, ftol, gtol)))
-        x = done[-1][0]
-    return done
-
-
-def lbfgsb_lockstep(fun, starts, stages, maxiter, ftol, gtol=1e-5):
-    """The descents from every start in ``starts``, each chained through
-    ``stages`` descents that start where the one before ended, run in
-    lockstep: each step hands every start that asks for an evaluation to one
-    call ``fun(xs, stage) -> (fs, grads)``, with ``xs`` the list of their x
-    and ``stage`` the tuple of their stage indices.  Returns, per start, the
-    (x, f, converged) of each stage; ``converged`` is scipy's ``success``.
+def lbfgsb(fun, starts, maxiter, ftol, gtol=1e-5):
+    """The descents from every start in ``starts``, run in lockstep: each
+    step hands every start that asks for an evaluation to one call
+    ``fun(xs) -> (fs, grads)``, with ``xs`` the list of their x.  Returns
+    each start's (x, f, converged); ``converged`` is scipy's ``success``.
     ``gtol`` defaults to scipy's value."""
-    chains = [_chain(x0, stages, maxiter, ftol, gtol) for x0 in starts]
-    done = [None] * len(chains)
+    descents = [_descent(x0, maxiter, ftol, gtol) for x0 in starts]
+    done = [None] * len(descents)
 
     def ask(i, sent):
-        """Chain i's next (i, stage, x) request, or None once it is done."""
+        """Descent i's next (i, x) request, or None once it is done."""
         try:
-            return (i, *chains[i].send(sent))
+            return i, descents[i].send(sent)
         except StopIteration as stop:
             done[i] = stop.value
             return None
 
-    asks = [a for i in range(len(chains)) if (a := ask(i, None))]
+    asks = [a for i in range(len(descents)) if (a := ask(i, None))]
     while asks:
-        rows, stage, xs = zip(*asks)
-        fs, grads = fun(list(xs), stage)
+        rows, xs = zip(*asks)
+        fs, grads = fun(list(xs))
         asks = [a for i, f, g in zip(rows, fs, grads) if (a := ask(i, (f, g)))]
     return done
-
-
-def lbfgsb(fun, x0, args, maxiter, ftol, gtol=1e-5):
-    """(x, f, converged) of one descent of ``fun(x, *args) -> (f, grad)``
-    from ``x0``: the one-start, one-stage case of ``lbfgsb_lockstep``."""
-    def one_row(xs, _):
-        f, g = fun(xs[0], *args)
-        return (f,), (g,)
-
-    [[result]] = lbfgsb_lockstep(one_row, [x0], 1, maxiter, ftol, gtol)
-    return result
 
 
 def slsqp(values, gradients, x0, bounds, maxiter, ftol):

@@ -336,15 +336,16 @@ class InnerMinResult:
 
 def _multistart_min(objective, args, grid: _SupportGrid,
                     warm_logits) -> InnerMinResult:
-    """The best of one `descent.lbfgsb` descent from each start, in order:
-    the warm logits (callers put the lifted CI argmin last among them), then
-    the product coupling.  ``converged`` is the flag of the descent whose
-    answer is returned."""
+    """The best of one `descent.lbfgsb` descent from each start, all in one
+    lockstep call that evaluates the starts that ask one after another: the
+    warm logits (callers put the lifted CI argmin last among them), then the
+    product coupling.  The first lowest start in that order is kept, and
+    ``converged`` is the flag of its descent."""
     starts = [*warm_logits, _product_logits(grid)]
     best = None
-    for z0 in starts:
-        z, f, ok = lbfgsb(objective, z0, args, maxiter=_INNER_MAXITER,
-                          ftol=_INNER_FTOL, gtol=1e-12)
+    for z, f, ok in lbfgsb(lambda zs: zip(*(objective(z, *args) for z in zs)),
+                           starts, maxiter=_INNER_MAXITER, ftol=_INNER_FTOL,
+                           gtol=1e-12):
         if best is None or f < best.value:
             best = InnerMinResult(float(f), z, ok)
     return best

@@ -80,7 +80,7 @@ def test_oracle_on_second_symmetric_source():
 def _forbid_solves(monkeypatch):
     def solve(*args, **kwargs):
         raise AssertionError("wyner_ci ran a solve on an exact block")
-    monkeypatch.setattr(ci_solver, "lbfgsb_lockstep", solve)
+    monkeypatch.setattr(ci_solver, "lbfgsb", solve)
 
 
 def _assert_argmin_reproduces(sol, pi):
@@ -222,9 +222,9 @@ def test_a_fallback_that_beats_a_feasible_descent_is_not_converged(
     # a feasible descent that W = Y beats: the answer is H(Y), and the flag
     # says it did not come from a descent
     monkeypatch.setattr(ci_solver, "_START_MIX", ())
-    monkeypatch.setattr(
-        ci_solver, "lbfgsb_lockstep",
-        lambda fun, starts, stages, **kw: [[(z, 0.0, True)] for z in starts])
+    monkeypatch.setattr(ci_solver, "lbfgsb",
+                        lambda fun, starts, **kw: [(z, 0.0, True)
+                                                   for z in starts])
     monkeypatch.setattr(ci_solver, "_polish",
                         lambda qw, A, C, *args: (qw, A, C))
     pi = JointPmf(np.random.default_rng(1).dirichlet(np.ones(9)).reshape(3, 3))
@@ -384,18 +384,18 @@ def test_block_kernel_matches_the_einsum_objective():
 
 
 def test_block_kernel_rows_match_one_row_calls_bit_for_bit():
-    # the lockstep starts are the rows of one batch, each at its own lam;
+    # the lockstep starts are the rows of one batch at one shared lam;
     # every row's f and gradient are the bytes of the one-row call
     rng = np.random.default_rng(12)
     for label, mass, mask_x, mask_y in _kernel_layouts():
         kernel = ci_solver._BlockKernel(mass, mask_x, mask_y)
-        for k in (2, 3, 4):
+        for lam, k in itertools.product(
+                (*ci_solver._PENALTY_SCHEDULE, 1e8, 3.7e3), (2, 3, 4)):
             Z = rng.normal(scale=3.0, size=(k, kernel.n_logits))
-            lam = 10.0 ** rng.uniform(2.0, 8.0, size=k)
             f, grad = kernel.batch(Z, lam)
             assert f.shape == (k,) and grad.shape == Z.shape
-            for z, row_lam, row_f, row_grad in zip(Z, lam, f, grad):
-                one_f, one_grad = kernel(z, row_lam)
+            for z, row_f, row_grad in zip(Z, f, grad):
+                one_f, one_grad = kernel(z, lam)
                 assert np.float64(one_f).tobytes() == row_f.tobytes(), label
                 assert one_grad.tobytes() == row_grad.tobytes(), label
 
@@ -544,8 +544,9 @@ def _reference_polish(qw, A, C, pi_mass, mask_x, mask_y):
 
 
 def _reference_solve_block(pi_mass):
-    """``_solve_block`` as it ran one start after another: one ``lbfgsb``
-    call per stage on the one-row kernel, then the reference polish."""
+    """``_solve_block`` as it ran one start after another: one one-start
+    ``lbfgsb`` call per weight on the one-row kernel, then the reference
+    polish."""
     px, py = pi_mass.sum(axis=1), pi_mass.sum(axis=0)
     residual = 0.5 * np.abs(np.outer(px, py) - pi_mass).sum()
     if residual <= ci_solver._FEAS_TOL:
@@ -559,8 +560,9 @@ def _reference_solve_block(pi_mass):
             pi_mass, mask_x, mask_y, cell_symbol), 1):
         z = kernel.logits(*start)
         for lam in ci_solver._PENALTY_SCHEDULE:
-            z, _, _ = lbfgsb(kernel, z, (lam,), maxiter=ci_solver._MAXITER,
-                             ftol=ci_solver._OBJ_TOL)
+            [(z, _, _)] = lbfgsb(
+                lambda rows: zip(*(kernel(r, lam) for r in rows)), [z],
+                maxiter=ci_solver._MAXITER, ftol=ci_solver._OBJ_TOL)
         qw, A, C, _ = restore(*kernel.unpack(z), pi_mass)
         qw, A, C, residual = restore(
             *_reference_polish(qw, A, C, pi_mass, mask_x, mask_y), pi_mass)

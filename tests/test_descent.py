@@ -11,7 +11,7 @@ from scipy.optimize import minimize
 
 from commoninfo import ci_solver, exponents, fixtures
 from commoninfo.ci_solver import wyner_ci
-from commoninfo.descent import lbfgsb, lbfgsb_lockstep, slsqp
+from commoninfo.descent import lbfgsb, slsqp
 from commoninfo.exponents import ExponentPoint, _SupportGrid
 from commoninfo.probability import JointPmf
 
@@ -29,6 +29,15 @@ def _counted(fun):
     return counted, calls
 
 
+def _one_descent(fun, x0, args, settings):
+    """(x, f, converged) of the driver's descent from ``x0`` alone, with
+    ``fun(x, *args) -> (f, grad)`` run on each row as the exponent engine
+    runs it."""
+    [result] = lbfgsb(lambda xs: zip(*(fun(x, *args) for x in xs)), [x0],
+                      **settings)
+    return result
+
+
 def _assert_same_descent(fun, x0, args, settings):
     """Driver and ``minimize`` agree on x (bytes), f, the success flag and
     the number of evaluations; returns the reference result."""
@@ -36,7 +45,7 @@ def _assert_same_descent(fun, x0, args, settings):
     ref = minimize(ref_fun, x0, args=args, jac=True, method="L-BFGS-B",
                    options=settings)
     new_fun, new_calls = _counted(fun)
-    x, f, converged = lbfgsb(new_fun, x0, args, **settings)
+    x, f, converged = _one_descent(new_fun, x0, args, settings)
     assert x.tobytes() == ref.x.tobytes()
     assert f == ref.fun
     assert converged is bool(ref.success)
@@ -54,9 +63,10 @@ CI_JOINTS = {
 
 @pytest.mark.parametrize("name", sorted(CI_JOINTS))
 def test_driver_matches_minimize_on_the_ci_kernel(name):
-    # the penalty schedule, chained as _solve_block chains it, from the copy
-    # start and from one random start; the extra lam = 1e8 descent is more
-    # coverage of the driver on a stiffer objective
+    # the penalty schedule, each weight from where the one before ended as
+    # in _solve_block, from the copy start and from one random start; the
+    # extra lam = 1e8 descent is more coverage of the driver on a stiffer
+    # objective
     pi_mass = CI_JOINTS[name].mass
     mask_x, mask_y, cell_symbol = ci_solver._rectangle_layout(pi_mass > 0)
     kernel = ci_solver._BlockKernel(pi_mass, mask_x, mask_y)
@@ -78,36 +88,38 @@ def test_driver_matches_minimize_on_the_ci_kernel(name):
 @pytest.mark.parametrize("name", sorted(CI_JOINTS))
 def test_lockstep_matches_sequential_descents(name, maxiter):
     # the four starts of _solve_block through the penalty schedule and one
-    # stiffer stage, in lockstep, against one lbfgsb call per start and
-    # stage; each stage's x is the buffer its evaluations were asked at, so
-    # its id counts them.  At maxiter = 12 some stages are cut off; on the
-    # 3x3 joint one stage ends unconverged at any maxiter.
+    # stiffer weight, one lockstep call per weight, against one one-start
+    # call per start and weight; each descent's x is the buffer its
+    # evaluations were asked at, so its id counts them.  At maxiter = 12
+    # some descents are cut off; on the 3x3 joint one descent ends
+    # unconverged at any maxiter.
     pi_mass = CI_JOINTS[name].mass
     mask_x, mask_y, cell_symbol = ci_solver._rectangle_layout(pi_mass > 0)
     kernel = ci_solver._BlockKernel(pi_mass, mask_x, mask_y)
-    starts = [kernel.logits(*start) for start in ci_solver._mixed_starts(
+    zs = [kernel.logits(*start) for start in ci_solver._mixed_starts(
         pi_mass, mask_x, mask_y, cell_symbol)]
-    lam = np.array((*ci_solver._PENALTY_SCHEDULE, 1e8))
-    asked = collections.Counter()
-
-    def batch(zs, stage):
-        asked.update(id(z) for z in zs)
-        return kernel.batch(np.array(zs), lam.take(stage))
-
+    refs = list(zs)
     settings = dict(CI_SETTINGS, maxiter=maxiter)
-    chains = lbfgsb_lockstep(batch, starts, lam.size, **settings)
-    flags, totals = set(), []
-    for z, chain in zip(starts, chains):
-        assert len(chain) == lam.size
-        for stage_lam, (x, f, converged) in zip(lam, chain):
+    flags, totals = set(), np.zeros(len(zs), dtype=int)
+    for lam in (*ci_solver._PENALTY_SCHEDULE, 1e8):
+        asked = collections.Counter()
+
+        def batch(rows):
+            asked.update(id(z) for z in rows)
+            return kernel.batch(np.array(rows), lam)
+
+        results = lbfgsb(batch, zs, **settings)
+        assert len(results) == len(zs)
+        for i, (x, f, converged) in enumerate(results):
             fun, calls = _counted(kernel)
-            z, f_ref, converged_ref = lbfgsb(fun, z, (float(stage_lam),),
-                                             **settings)
-            assert x.tobytes() == z.tobytes()
+            refs[i], f_ref, converged_ref = _one_descent(fun, refs[i], (lam,),
+                                                         settings)
+            assert x.tobytes() == refs[i].tobytes()
             assert f == f_ref and converged is converged_ref
             assert asked[id(x)] == len(calls)
+            totals[i] += len(calls)
             flags.add(converged)
-        totals.append(sum(asked[id(x)] for x, _, _ in chain))
+        zs = [x for x, _, _ in results]
     assert len(set(totals)) > 1            # the starts finish at other steps
     assert (False in flags) is (maxiter == 12 or name == "dirichlet3x3")
 
@@ -247,21 +259,25 @@ def test_driver_matches_minimize_off_the_smooth_path(fun):
 
 def test_multistart_reports_the_flag_of_the_start_it_returns(dsbs_pi, dsbs_ci,
                                                              monkeypatch):
-    # the lifted argmin's descent ends lowest but fails; the product start
-    # succeeds higher up
+    # the lifted argmin's descent ends lowest, or tied with the product
+    # start, but fails; the product start succeeds.  The first lowest start
+    # in order is returned, with its own flag.
     descent = exponents.lbfgsb
-    order = []
+    returned = []
 
-    def rigged(fun, x0, args, **settings):
-        x, f, _ = descent(fun, x0, args, **settings)
-        order.append(f)
-        first = len(order) == 1
-        return x, (f if first else f + 1.0), not first
+    def rigged(fun, starts, **settings):
+        results = descent(fun, starts, **settings)
+        first_f = results[0][1]
+        returned[:] = [(x, first_f + gap * i, i > 0)
+                       for i, (x, _, _) in enumerate(results)]
+        return returned
 
     monkeypatch.setattr(exponents, "lbfgsb", rigged)
     lifted = exponents._ci_lift_logits(exponents._SupportGrid(dsbs_pi),
                                        dsbs_ci)
-    res = exponents.big_omega_min(dsbs_pi, ExponentPoint(0.5, 0.3),
-                                  warm_logits=[lifted])
-    assert len(order) == 2 and res.value == order[0]
-    assert res.converged is False
+    for gap in (1.0, 0.0):
+        res = exponents.big_omega_min(dsbs_pi, ExponentPoint(0.5, 0.3),
+                                      warm_logits=[lifted])
+        assert len(returned) == 2 and res.value == returned[0][1]
+        assert res.logits.tobytes() == returned[0][0].tobytes()
+        assert res.converged is False

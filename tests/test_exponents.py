@@ -9,7 +9,7 @@ import pytest
 from scipy.optimize import brentq
 from scipy.special import logsumexp
 
-from commoninfo import exponents, fixtures
+from commoninfo import descent, exponents, fixtures
 from commoninfo.ci_solver import wyner_ci
 from commoninfo.errors import ConfigError, DomainError
 from commoninfo.exponents import (ExponentPoint, _SupportGrid,
@@ -208,6 +208,52 @@ def test_r_alpha_min_frozen_values(dsbs_pi, dsbs_ci):
     assert res.value == pytest.approx(0.13799680636827233, abs=1e-7)
     res = r_alpha_min(dsbs_pi, 0.5, warm_logits=lifted)
     assert res.value == pytest.approx(0.14004710212025745, abs=1e-7)
+
+
+def _one_call_per_start(fun, starts, **settings):
+    """``descent.lbfgsb`` on each start alone, one call per start."""
+    return [result for z0 in starts
+            for result in descent.lbfgsb(fun, [z0], **settings)]
+
+
+LOCKSTEP_JOINTS = {"dsbs01": fixtures.dsbs(0.1),
+                   "copy": fixtures.copy_source(),
+                   "dsbes06": fixtures.dsbes(0.6),
+                   "dirichlet3x3": DIRICHLET_3X3}
+
+
+@pytest.mark.parametrize("name", sorted(LOCKSTEP_JOINTS))
+def test_inner_solves_match_one_descent_call_per_start(name, monkeypatch):
+    # big_omega_min and r_alpha_min hand all their starts to one lbfgsb
+    # call; the value, the logits and the flag are those of one call per
+    # start, at both ends of alpha, at the wall and from a warm start
+    pi = LOCKSTEP_JOINTS[name]
+    grid = _SupportGrid(pi)
+    lifted = exponents._ci_lift_logits(grid, wyner_ci(pi))
+    wall = grid.theta_wall(0.5)
+
+    def solves():
+        out = []
+        for alpha, theta in ((0.0, 1e-4), (0.5, wall), (1.0, 1e-4)):
+            out.append(big_omega_min(pi, ExponentPoint(alpha, theta),
+                                     warm_logits=[lifted], grid=grid))
+            out.append(r_alpha_min(pi, alpha, warm_logits=[lifted],
+                                   grid=grid))
+        # warm from the solves at the wall and at alpha = 1
+        out.append(big_omega_min(pi, ExponentPoint(0.5, 0.5 * wall),
+                                 warm_logits=[out[2].logits, lifted],
+                                 grid=grid))
+        out.append(r_alpha_min(pi, 0.5, warm_logits=[out[5].logits, lifted],
+                               grid=grid))
+        return out
+
+    lockstep = solves()
+    monkeypatch.setattr(exponents, "lbfgsb", _one_call_per_start)
+    for got, want in zip(lockstep, solves(), strict=True):
+        assert np.float64(got.value).tobytes() == \
+            np.float64(want.value).tobytes()
+        assert got.logits.tobytes() == want.logits.tobytes()
+        assert got.converged is want.converged
 
 
 def test_r_alpha_min_product_source_is_zero():
