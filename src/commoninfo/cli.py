@@ -8,20 +8,11 @@ Exit codes: 0 on success, 2 for configuration errors, 3 when some cells
 failed (fail-soft sweeps) or acceptance checks did not pass.  Every
 subcommand but ``verify`` runs one plan: ``sweep`` reads it from a file, the
 others write it from their options, and the plan parser resolves each name.
-
-The OpenBLAS builds bundled with numpy and scipy run on one thread, whatever
-``OPENBLAS_NUM_THREADS`` says: the solvers make many small BLAS calls, a
-second OpenBLAS thread spins beside the first, and on more than one thread
-scipy's copy moves the last digits of ``wyner_ci``'s SLSQP polish
-(``descent.slsqp``), so the output would depend on the thread count.
 """
 
 from __future__ import annotations
 
 import argparse
-import ctypes
-import glob
-import importlib
 import os
 import re
 import sys
@@ -33,28 +24,6 @@ from . import fixtures
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_CELL_FAILURES = 3
-
-#: the OpenBLAS that each package's Linux wheel bundles in ``<package>.libs``
-#: and the symbol that sets its thread count; scipy's own BLAS and LAPACK
-#: calls go to its copy, numpy's to the 64-bit-index one
-_BUNDLED_OPENBLAS = (
-    ("numpy", "libscipy_openblas64_*.so", "scipy_openblas_set_num_threads64_"),
-    ("scipy", "libscipy_openblas-*.so", "scipy_openblas_set_num_threads"),
-)
-
-
-def _one_blas_thread() -> None:
-    """Set every bundled OpenBLAS to one thread.  A numpy or scipy without a
-    bundled OpenBLAS is left as it is."""
-    for package, pattern, setter in _BUNDLED_OPENBLAS:
-        site = os.path.dirname(os.path.dirname(
-            importlib.import_module(package).__file__))
-        for path in glob.glob(os.path.join(site, package + ".libs", pattern)):
-            set_threads = getattr(ctypes.CDLL(path), setter, None)
-            if set_threads is not None:
-                set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
-                set_threads(1)
-
 
 def _source_section(label: str) -> tuple[str, str]:
     """The plan lines and label of a source.  A fixture name writes no
@@ -194,7 +163,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    _one_blas_thread()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -40,9 +40,22 @@ check and an ``array_equal`` per evaluation), ``MemoizeJac``,
 ``OptimizeResult``, the inverse-Hessian operator of L-BFGS-B, and SLSQP's
 inequality constraints, callback, printing and ``atleast_1d``/``hstack``
 constraint plumbing.
+
+Importing this module sets the OpenBLAS builds bundled with numpy and scipy
+to one thread, whatever ``OPENBLAS_NUM_THREADS`` says, so every entry point
+(the CLI, ``import commoninfo``, a submodule import) solves on one thread:
+the solvers make many small BLAS calls, a second OpenBLAS thread spins
+beside the first, and on more than one thread scipy's copy moves the last
+digits of ``slsqp``, so ``wyner_ci``'s polish and the rows that read it
+would depend on the thread count.
 """
 
 from __future__ import annotations
+
+import ctypes
+import glob
+import importlib
+import os
 
 import numpy as np
 from scipy.optimize import _lbfgsb, _slsqplib
@@ -52,6 +65,30 @@ _MAXLS = 20                          # evaluations per line search
 _MAXFUN = 15000                      # scipy's default evaluation cap
 _FG, _NEW_X, _CONVERGENCE, _STOP = 3, 1, 4, 5
 _STOP_MAXFUN, _STOP_MAXITER = 502, 504
+
+#: the OpenBLAS that each package's Linux wheel bundles in ``<package>.libs``
+#: and the symbol that sets its thread count; scipy's own BLAS and LAPACK
+#: calls go to its copy, numpy's to the 64-bit-index one
+_BUNDLED_OPENBLAS = (
+    ("numpy", "libscipy_openblas64_*.so", "scipy_openblas_set_num_threads64_"),
+    ("scipy", "libscipy_openblas-*.so", "scipy_openblas_set_num_threads"),
+)
+
+
+def _one_blas_thread() -> None:
+    """Set every bundled OpenBLAS to one thread.  A numpy or scipy without a
+    bundled OpenBLAS is left as it is."""
+    for package, pattern, setter in _BUNDLED_OPENBLAS:
+        site = os.path.dirname(os.path.dirname(
+            importlib.import_module(package).__file__))
+        for path in glob.glob(os.path.join(site, package + ".libs", pattern)):
+            set_threads = getattr(ctypes.CDLL(path), setter, None)
+            if set_threads is not None:
+                set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+                set_threads(1)
+
+
+_one_blas_thread()
 
 
 def _descent(x0, maxiter, ftol, gtol):

@@ -246,6 +246,16 @@ def _softmax_flat(z: np.ndarray) -> np.ndarray:
     return e / e.sum()
 
 
+def _tilted(z, grid: _SupportGrid, alpha, theta):
+    """The Q of logits ``z``, omega and the stack of `_SupportGrid.omega`
+    at it, and log E_Q[e^{-theta omega}] with the tilted law t, which sums
+    to 1: (q, om, m, L, t)."""
+    q = _softmax_flat(z)
+    om, m = grid.omega(q, alpha)
+    L, t = _tilt(m[0], -theta * om)
+    return q, om, m, L, t
+
+
 def _omega_objective(z, grid: _SupportGrid, alpha, theta):
     """Omega_Q(alpha, theta) with analytic gradient in global softmax logits.
 
@@ -254,9 +264,7 @@ def _omega_objective(z, grid: _SupportGrid, alpha, theta):
     1: with the tilted law t summed into each cell's marginals T the same
     way as Q, Q dOmega/dQ = theta sum_k row_k (Q / M_k) T_k - (1 - theta) t.
     """
-    q = _softmax_flat(z)
-    om, m = grid.omega(q, alpha)
-    L, t = _tilt(m[0], -theta * om)   # t sums to 1
+    q, om, m, L, t = _tilted(z, grid, alpha, theta)
     tilted = (grid.agg @ t)[grid.gather]
     u1 = (theta * (_omega_row(alpha)[1:] @ (q / m[1:] * tilted))
           - (1.0 - theta) * t)
@@ -268,8 +276,7 @@ def _omega_ray_slope(z, grid: _SupportGrid, alpha, theta) -> float:
     of omega under the tilted law Q e^{-theta omega} / E_Q[e^{-theta omega}].
     At the inner minimizer this is the slope of Omega(alpha, .) itself
     (Danskin's theorem)."""
-    om, m = grid.omega(_softmax_flat(z), alpha)
-    _, t = _tilt(m[0], -theta * om)
+    _, om, _, _, t = _tilted(z, grid, alpha, theta)
     return float((t * om).sum())
 
 
@@ -282,8 +289,7 @@ def _omega_alpha_slope(z, grid: _SupportGrid, alpha, theta) -> float:
     times the mean of d omega / d alpha = `_OMEGA_ROW_ALPHA` . log(Q and its
     marginals) under the tilted law.  Omega_Q is concave in alpha (omega is
     affine in it), so Omega_Q at any alpha lies below this tangent."""
-    om, m = grid.omega(_softmax_flat(z), alpha)
-    _, t = _tilt(m[0], -theta * om)
+    _, _, m, _, t = _tilted(z, grid, alpha, theta)
     return theta * float(t @ (_OMEGA_ROW_ALPHA @ np.log(m)))
 
 

@@ -65,6 +65,15 @@ MAX_CODEWORDS = 2 ** 14
 MAX_REJECTION_TRIES = 200_000
 
 
+def _m_count(n: int, rate: float) -> int | None:
+    """ceil(e^{nR}), the codeword count of rate R at block length n, or None
+    when e^{nR} is past a float or NaN."""
+    try:
+        return int(math.ceil(math.exp(n * rate) - 1e-9))
+    except (OverflowError, ValueError):
+        return None
+
+
 def _rng(seed, *stream) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(
         np.random.SeedSequence([int(seed) & 0xFFFFFFFFFFFFFFFF, *stream])))
@@ -85,11 +94,7 @@ class SynthesisCode:
 
     def __post_init__(self):
         typ.check_truncation(self.eps, self.eps_prime)
-        try:
-            m = int(math.ceil(math.exp(self.n * self.rate) - 1e-9))
-        except (OverflowError, ValueError):  # e^{nR} past a float, or NaN
-            m = None
-        if self.m_count != m:
+        if self.m_count != _m_count(self.n, self.rate):
             raise ConfigError("m_count must equal ceil(e^{nR})")
         book = np.asarray(self.codebook)
         if (book.shape != (self.m_count, self.n)
@@ -313,12 +318,10 @@ def build_code(base: MarkovCoupling, n: int, R: float, eps: float | None,
     if n < 1:
         raise ConfigError("block length must be >= 1")
     typ.check_truncation(eps, eps_prime)
-    if n * R > math.log(MAX_CODEWORDS + 1):   # e^{nR} may overflow past it
+    m = _m_count(n, R)
+    if m is None or m > MAX_CODEWORDS:
         raise ResourceBudgetError(f"m_count ceil(e^{n * R:.6g}) exceeds cap "
                                   f"{MAX_CODEWORDS}")
-    m = int(math.ceil(math.exp(n * R) - 1e-9))
-    if m > MAX_CODEWORDS:
-        raise ResourceBudgetError(f"m_count {m} exceeds cap {MAX_CODEWORDS}")
     codebook = _CondLaw(base, eps_prime, "W", n).sample(
         _rng(seed, 0), np.zeros((m, n), dtype=int))
     return SynthesisCode(n=n, rate=R, m_count=m, codebook=codebook, base=base,

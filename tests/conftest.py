@@ -1,16 +1,9 @@
-"""Shared fixtures: expensive solver outputs computed once per session.
-
-The session runs the bundled OpenBLAS on one thread, as the CLI does: on
-more than one, the last digits of ``wyner_ci``'s polish move, and a 3x3
-joint's answer with them (see ``commoninfo.cli``)."""
+"""Shared fixtures: expensive solver outputs computed once per session."""
 
 import pytest
 
 from commoninfo import fixtures
 from commoninfo.ci_solver import wyner_ci
-from commoninfo.cli import _one_blas_thread
-
-_one_blas_thread()
 
 
 @pytest.fixture(scope="session")

@@ -14,6 +14,7 @@ import pytest
 
 import commoninfo
 from commoninfo import cli
+from commoninfo.acceptance import PLAN_PATH
 from commoninfo.cli import EXIT_CELL_FAILURES, EXIT_CONFIG, EXIT_OK, main
 
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
@@ -46,6 +47,15 @@ def test_ci_pmf_file_source(tmp_path, capsys):
     path.write_text("0.25 0.25\n0.25 0.25\n")
     assert main(["ci", str(path)]) == EXIT_OK
     assert "uniform4" in capsys.readouterr().out
+
+
+def test_ci_pmf_file_with_a_non_numeric_token_is_config_error(tmp_path,
+                                                             capsys):
+    path = tmp_path / "bad.txt"
+    path.write_text("0.25 0.25\n0.25 x\n")
+    assert main(["ci", str(path)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: line ") and "'x'" in err
 
 
 @pytest.mark.parametrize("filename, label", [
@@ -311,15 +321,28 @@ def test_verify_rejects_options_it_does_not_use(capsys):
     assert "unrecognized arguments: --seed" in capsys.readouterr().err
 
 
-#: pins every bundled OpenBLAS as cli.main does, then finds each library on
-#: its own and reads its thread count back through the getter that matches
-#: its setter, so a library the pin missed still reads its count
+def fresh_python(code: str, **env_set) -> str:
+    """The stdout of ``code`` run in a fresh interpreter on this checkout's
+    package, with no thread-count variable set but ``env_set``."""
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS",
+                        "OMP_NUM_THREADS")}
+    env.update(env_set)
+    src = os.path.dirname(os.path.dirname(commoninfo.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src, *filter(None, [env.get("PYTHONPATH")])])
+    return subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True).stdout
+
+
+#: a bare ``import commoninfo``, then each bundled OpenBLAS found on its own
+#: and its thread count read back through the getter that matches its
+#: setter, so a library the pin missed still reads its count
 _READ_BLAS_THREADS = """
 import ctypes, glob, importlib, json, os
-from commoninfo import cli
-cli._one_blas_thread()
+import commoninfo
 counts = {}
-for package, pattern, setter in cli._BUNDLED_OPENBLAS:
+for package, pattern, setter in commoninfo.descent._BUNDLED_OPENBLAS:
     site = os.path.dirname(os.path.dirname(
         importlib.import_module(package).__file__))
     for path in glob.glob(os.path.join(site, package + ".libs", pattern)):
@@ -332,34 +355,47 @@ print(json.dumps(counts))
 
 
 def bundled_blas_threads(**env_set) -> dict:
-    """The thread count of each bundled OpenBLAS after ``cli._one_blas_thread``
-    in a fresh interpreter, with no thread-count variable set but
-    ``env_set``; skips where numpy and scipy bundle no OpenBLAS."""
-    env = {k: v for k, v in os.environ.items()
-           if k not in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS",
-                        "OMP_NUM_THREADS")}
-    env.update(env_set)
-    src = os.path.dirname(os.path.dirname(commoninfo.__file__))
-    env["PYTHONPATH"] = os.pathsep.join(
-        [src, *filter(None, [env.get("PYTHONPATH")])])
-    out = subprocess.run([sys.executable, "-c", _READ_BLAS_THREADS], env=env,
-                         capture_output=True, text=True, check=True).stdout
-    counts = json.loads(out)
+    """The thread count of each bundled OpenBLAS after a bare ``import
+    commoninfo`` in a fresh interpreter; skips where numpy and scipy bundle
+    no OpenBLAS."""
+    counts = json.loads(fresh_python(_READ_BLAS_THREADS, **env_set))
     if not counts:
         pytest.skip("numpy and scipy bundle no OpenBLAS here")
     return counts
 
 
-def test_cli_runs_the_bundled_openblas_on_one_thread():
+def test_import_runs_the_bundled_openblas_on_one_thread():
     counts = bundled_blas_threads()
     assert len(counts) == 2 and set(counts.values()) == {1}, counts
 
 
-def test_cli_pins_one_thread_over_a_set_openblas_thread_count():
+def test_import_pins_one_thread_over_a_set_openblas_thread_count():
     # scipy's OpenBLAS on two threads moved the last digits of the SLSQP
     # polish, and with them three rows of the paper_suite CSV
     counts = bundled_blas_threads(OPENBLAS_NUM_THREADS="2")
     assert len(counts) == 2 and set(counts.values()) == {1}, counts
+
+
+GOLDEN_CSV = pathlib.Path(__file__).parent / "data" / "paper_suite_seed7.csv"
+
+
+def test_python_api_writes_the_golden_csv_over_two_openblas_threads(tmp_path):
+    # run_plan called from Python once left the thread count to the
+    # environment: on two threads rows 4, 6 and 7 of this CSV differed in
+    # their last digit, and wyner_ci on this 3x3 joint read 0.3531665496
+    out = tmp_path / "paper_suite.csv"
+    code = f"""
+import numpy as np
+from commoninfo import JointPmf, load_plan, run_plan, to_csv, wyner_ci
+plan = load_plan({str(PLAN_PATH)!r})
+with open({str(out)!r}, "w", encoding="utf-8") as fh:
+    fh.write(to_csv(run_plan(plan)))
+pi = JointPmf(np.random.default_rng(11).dirichlet(np.ones(9)).reshape(3, 3))
+print(repr(wyner_ci(pi).value))
+"""
+    ci = fresh_python(code, OPENBLAS_NUM_THREADS="2")
+    assert out.read_bytes() == GOLDEN_CSV.read_bytes()
+    assert float(ci) == 0.3531663536990494
 
 
 def test_readme_cli_lines_parse():

@@ -253,6 +253,21 @@ def test_parse_plan_rejects_unknown_keys_and_sections(text, match):
         parse_plan("[plan]\nname = x\n" + text)
 
 
+@pytest.mark.parametrize("text, match", [
+    ("[source.a]\npi =\n  0.5 abc\n  0.25 0.25\n",
+     "^line 2: could not convert string to float: 'abc'$"),
+    ("[source.a]\npi =\n  # no row\n", "^no numeric rows found$"),
+    ("[ci]\nsources = dsbs01\nnot a key and value\n", "^bad plan syntax: "),
+    ("[source.a]\n[ci]\nsources = a\n",
+     r"^\[source.a\] needs 'fixture' or 'pi'$"),
+    ("[coupling.a]\n", r"^\[coupling.a\] needs 'fixture'$"),
+], ids=["non-numeric-token", "no-numeric-row", "malformed-ini",
+        "source-without-fixture-or-pi", "coupling-without-fixture"])
+def test_parse_plan_rejects_malformed_outside_input(text, match):
+    with pytest.raises(ConfigError, match=match):
+        parse_plan("[plan]\nname = x\n" + text)
+
+
 @pytest.mark.parametrize("restarts", [0, -2])
 def test_parse_plan_rejects_non_positive_restarts(restarts):
     with pytest.raises(ConfigError, match="restarts must be >= 1"):

@@ -52,6 +52,13 @@ def test_build_code_names_its_cap_past_a_float_exponential(rate):
         build_code(base, 10, rate, None, 0.5, seed=0)
 
 
+def test_build_code_names_its_cap_one_codeword_past_it():
+    # e^{nR} = 16384.5 is a float: its ceiling, one past the cap, is named
+    base = fixtures.dsbs_optimal_coupling(0.1)
+    with pytest.raises(ResourceBudgetError, match="exceeds cap 16384"):
+        build_code(base, 1, math.log(16384.5), None, None, seed=0)
+
+
 @pytest.mark.parametrize("rate", [100.0, math.inf, math.nan])
 def test_code_rejects_a_rate_whose_count_is_no_float(rate):
     base = fixtures.dsbs_optimal_coupling(0.1)
@@ -1430,6 +1437,15 @@ def test_estimators_equal_the_two_path_references(monkeypatch, path):
     assert kernel["served"] == (18 if path == "exact" else 0)
     if path == "exact":
         assert diagnostics["pi_support_uncovered"] >= 30
+    else:
+        # past the dense cap at 0.5C, each of the 200 pi^n draws of seed 0
+        # misses supp(P): the mean of (P / pi^n)^(1+s) is 0
+        code = build_code(fixtures.dsbs_optimal_coupling(0.1), 12,
+                          0.5 * acceptance.DSBS_CI_EXACT, 1.0, 0.5, seed=0)
+        got = estimate_renyi(code, -0.5, samples=200, seed=0)
+        assert got == reference_estimate_renyi(code, -0.5, 200, 0)
+        assert got.method == "monte_carlo" and got.point == math.inf
+        assert got.diagnostics == {"zero_mean_estimate": True}
 
 
 # ---------------------------------------------------------------------------
