@@ -7,11 +7,10 @@ from .probability import (FinitePmf, JointPmf, MarkovCoupling, induced_joint,
                           coupling_information, load_joint_text)
 from .divergences import renyi, tv, pinsker_lb, sason_inf, sason_closed_lb
 from .ci_solver import wyner_ci, CiSolution
-from .exponents import (ExponentPoint, omega, big_omega_q, big_omega_min,
-                        r_alpha_q, r_alpha_min, r_sh, f_point, f_rate,
-                        tabulate_omega, theta_limit_check)
-from .typicality import (count_windows, is_cond_typical,
-                         cond_typical_defect_exact, contyplem_bound)
+from .exponents import (ExponentPoint, big_omega_min, r_alpha_min, r_sh,
+                        f_point, f_rate, tabulate_omega, theta_limit_check)
+from .typicality import (count_windows, cond_typical_defect_exact,
+                         contyplem_bound)
 from .synthesis import (SynthesisCode, DivergenceEstimate, build_code,
                         induced_joint_exact, estimate_tv, estimate_renyi,
                         oneshot_bound_verify,

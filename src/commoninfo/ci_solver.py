@@ -165,7 +165,7 @@ class _BlockKernel:
     leading axis on every array: each contraction and each reduction runs
     within a row in the einsum reference's order, and the one dot product,
     Q_W against the conditional entropies, is the per-row dot of a batched
-    matmul, so a row's floats are those of the one-row call."""
+    matmul, so a row's floats are those of a one-row batch."""
 
     def __init__(self, pi_mass, mask_x, mask_y):
         nw, nx = mask_x.shape
@@ -207,12 +207,6 @@ class _BlockKernel:
         M[nw:, :ny] = C
         return np.log(np.maximum(np.concatenate((qw, M.take(self._pos))),
                                  1e-12))
-
-    def __call__(self, z, lam):
-        """Penalized objective I(XY;W) + lam * ||Q_XY - pi||^2 with its
-        gradient in the free logits ``z``: the one-row batch."""
-        f, grad = self.batch(z[None], lam)
-        return float(f[0]), grad[0]
 
     def batch(self, Z, lam):
         """The penalized objective and gradient of each row of ``Z`` at the
@@ -269,8 +263,9 @@ def _restore_feasibility(qw, A, C, pi_mass):
         A /= A.sum(axis=1, keepdims=True)
         C /= C.sum(axis=1, keepdims=True)
         qw = qw_new / qw_new.sum()
-    J = np.einsum("w,wx,wy->wxy", qw, A, C)
-    residual = 0.5 * np.abs(J.sum(axis=0) - pi_mass).sum()
+    else:
+        J = np.einsum("w,wx,wy->wxy", qw, A, C)
+        residual = 0.5 * np.abs(J.sum(axis=0) - pi_mass).sum()
     return qw, A, C, residual
 
 

@@ -10,13 +10,13 @@ The augmented joint lives in the polytope of distributions on X x Y x U with
 is enforced structurally (parameters exist only on the support), which removes
 the region where omega is undefined.
 
-Every omega reader (the Omega and R^(alpha) objectives, the Danskin slopes
-and the test references) runs one kernel on Q held flat over the S*U cells.
-`_SupportGrid` builds once an aggregation matrix, whose rows sum Q into its
-XY, U, XU and YU marginals, and an index that gathers each cell's four
-marginals from those sums.  Per evaluation one product, one gather, one clip
-at `_TINY` and one log give the logs of Q and its marginals at every cell;
-omega is one coefficient row against them (`_SupportGrid.omega`), and the
+Every omega reader (the Omega and R^(alpha) objectives and the Danskin
+slopes) runs one kernel on Q held flat over the S*U cells.  `_SupportGrid`
+builds once an aggregation matrix, whose rows sum Q into its XY, U, XU and
+YU marginals, and an index that gathers each cell's four marginals from
+those sums.  Per evaluation one product, one gather, one clip at `_TINY`
+and one log give the logs of Q and its marginals at every cell; omega is
+one coefficient row against them (`_SupportGrid.omega_cells`), and the
 gradient applies the same product and gather to the tilted law.  `_tilt`
 takes log E_Q[e^{-theta omega}] to relative precision, so (1/theta) Omega
 keeps its digits as theta -> 0.
@@ -49,7 +49,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy.optimize import brentq, minimize_scalar
 
-from .errors import ConfigError, DomainError
+from .errors import ConfigError
 from .probability import JointPmf
 from .ci_solver import CiSolution
 from .descent import lbfgsb
@@ -101,8 +101,8 @@ class ExponentPoint:
 
 
 class _SupportGrid:
-    """Index bookkeeping for joints restricted to supp(pi) x U, and the
-    marginal kernel every omega reader runs on.
+    """Index bookkeeping for joints restricted to supp(pi) x U, with
+    |U| = |X||Y|, and the marginal kernel every omega reader runs on.
 
     Q is held flat: cell (s, u) is entry s*U + u.  ``agg`` is the
     K x S*U 0/1 matrix whose rows sum Q into its XY, U, XU and YU marginals,
@@ -110,12 +110,12 @@ class _SupportGrid:
     cell, the row of each of its four marginals: one product and one gather
     give all four at every cell."""
 
-    def __init__(self, pi: JointPmf, nu: int | None = None):
+    def __init__(self, pi: JointPmf):
         if pi.ndim != 2:
             raise ConfigError("target joint must have 2 axes")
         self.pi = pi
         self.nx, self.ny = pi.dims
-        self.nu = self.nx * self.ny if nu is None else nu
+        self.nu = self.nx * self.ny
         supp = np.argwhere(pi.mass > 0)
         self.x_of_s = supp[:, 0]
         self.y_of_s = supp[:, 1]
@@ -134,7 +134,7 @@ class _SupportGrid:
         self.both_mates = bool(np.any(row_mate & col_mate))
         self.any_mate = bool(np.any(row_mate | col_mate))
 
-    def omega(self, q: np.ndarray, alpha: float):
+    def omega_cells(self, q: np.ndarray, alpha: float):
         """omega at every cell of the flat Q, and the (5, S*U) stack of Q
         and its XY, U, XU and YU marginals there, clipped at _TINY.  The
         clip keeps omega finite outside supp(Q), where Q weights it by 0."""
@@ -163,59 +163,15 @@ class _SupportGrid:
             rate = max(alpha, 1.0 - alpha)
         return 1.0 / rate
 
-    def from_full(self, q: JointPmf) -> np.ndarray:
-        if q.dims[:2] != (self.nx, self.ny) or q.dims[2] != self.nu:
-            raise ConfigError("augmented joint has wrong shape")
-        off = q.mass.sum() - q.mass[self.x_of_s, self.y_of_s, :].sum()
-        if off > 1e-12:
-            raise DomainError("supp(Q_XY) not contained in supp(pi_XY)")
-        return q.mass[self.x_of_s, self.y_of_s, :]
-
 
 def _omega_row(alpha: float) -> np.ndarray:
-    """omega's coefficients of the logs of the stack of `_SupportGrid.omega`:
+    """omega's coefficients of the logs of the stack of
+    `_SupportGrid.omega_cells`:
     omega = (1-alpha) log(Q_XY Q Q_U / (pi Q_XU Q_YU))
             + alpha log(Q / (Q_U pi))
           = row . (log Q, log Q_XY, log Q_U, log Q_XU, log Q_YU) - log pi."""
     return np.array([1.0, 1.0 - alpha, 1.0 - 2.0 * alpha, alpha - 1.0,
                      alpha - 1.0])
-
-
-def omega(q: JointPmf, pi: JointPmf, alpha: float, x: int, y: int, u: int) -> float:
-    """The tilted log-likelihood-ratio statistic at a single (x, y, u).  A
-    test reference that no program path runs: the tests check it against
-    ``r_alpha_q`` through E_Q[omega]."""
-    grid = _SupportGrid(pi, nu=q.dims[2])
-    q_su = grid.from_full(q)
-    if q.mass[x, y, u] <= 0:
-        raise DomainError(f"({x},{y},{u}) outside supp(Q)")
-    s = int(np.flatnonzero((grid.x_of_s == x) & (grid.y_of_s == y))[0])
-    table = grid.omega(q_su.ravel() / q_su.sum(), alpha)[0]
-    return float(table[s * grid.nu + u])
-
-
-def big_omega_q(q: JointPmf, pi: JointPmf, pt: ExponentPoint) -> float:
-    """-log E_Q[exp(-theta * omega)], the expectation restricted to supp(Q).
-    A test reference that no program path runs: the tests read the domain
-    walls of Omega and its Jensen bound off it."""
-    grid = _SupportGrid(pi, nu=q.dims[2])
-    q_su = grid.from_full(q).ravel()
-    q_su = q_su / q_su.sum()
-    table = grid.omega(q_su, pt.alpha)[0]
-    return -_tilt(q_su, np.where(q_su > 0, -pt.theta * table, -np.inf))[0]
-
-
-def r_alpha_q(q: JointPmf, pi: JointPmf, alpha: float) -> float:
-    """The KL combination
-    (1-alpha)(D(Q_XY||pi) + D(Q_{XY|U}||Q_{X|U}Q_{Y|U}|Q_U)) +
-    alpha * D(Q_{XY|U}||pi|Q_U); equals E_Q[omega].  A test reference that
-    no program path runs: the tests check ``omega`` and the Jensen bound of
-    ``big_omega_q`` against it."""
-    grid = _SupportGrid(pi, nu=q.dims[2])
-    q_su = grid.from_full(q).ravel()
-    q_su = q_su / q_su.sum()
-    table = grid.omega(q_su, alpha)[0]
-    return float((q_su * np.where(q_su > 0, table, 0.0)).sum())
 
 
 # ---------------------------------------------------------------------------
@@ -247,11 +203,11 @@ def _softmax_flat(z: np.ndarray) -> np.ndarray:
 
 
 def _tilted(z, grid: _SupportGrid, alpha, theta):
-    """The Q of logits ``z``, omega and the stack of `_SupportGrid.omega`
-    at it, and log E_Q[e^{-theta omega}] with the tilted law t, which sums
-    to 1: (q, om, m, L, t)."""
+    """The Q of logits ``z``, omega and the stack of
+    `_SupportGrid.omega_cells` at it, and log E_Q[e^{-theta omega}] with
+    the tilted law t, which sums to 1: (q, om, m, L, t)."""
     q = _softmax_flat(z)
-    om, m = grid.omega(q, alpha)
+    om, m = grid.omega_cells(q, alpha)
     L, t = _tilt(m[0], -theta * om)
     return q, om, m, L, t
 
@@ -259,10 +215,11 @@ def _tilted(z, grid: _SupportGrid, alpha, theta):
 def _omega_objective(z, grid: _SupportGrid, alpha, theta):
     """Omega_Q(alpha, theta) with analytic gradient in global softmax logits.
 
-    Omega_Q = -log E_Q[e^{-theta omega}], from `_SupportGrid.omega`.  The
-    gradient keeps every ratio of the form Q/Q_marginal, which is bounded by
-    1: with the tilted law t summed into each cell's marginals T the same
-    way as Q, Q dOmega/dQ = theta sum_k row_k (Q / M_k) T_k - (1 - theta) t.
+    Omega_Q = -log E_Q[e^{-theta omega}], from `_SupportGrid.omega_cells`.
+    The gradient keeps every ratio of the form Q/Q_marginal, which is
+    bounded by 1: with the tilted law t summed into each cell's marginals T
+    the same way as Q,
+    Q dOmega/dQ = theta sum_k row_k (Q / M_k) T_k - (1 - theta) t.
     """
     q, om, m, L, t = _tilted(z, grid, alpha, theta)
     tilted = (grid.agg @ t)[grid.gather]
@@ -295,7 +252,7 @@ def _omega_alpha_slope(z, grid: _SupportGrid, alpha, theta) -> float:
 
 def _r_alpha_objective(z, grid: _SupportGrid, alpha):
     q = _softmax_flat(z)
-    om = grid.omega(q, alpha)[0]
+    om = grid.omega_cells(q, alpha)[0]
     f = float((q * om).sum())
     # dR/dQ = omega + (1 - alpha); the constant drops in the softmax chain
     return f, q * (om - f)

@@ -191,11 +191,9 @@ class _CondLaw:
                  n: int):
         if axis == "W":
             self.q_w, self.cond = FinitePmf([1.0]), base.q_w.mass[None, :]
-        elif axis in ("X", "Y"):
+        else:
             self.q_w = base.q_w
             self.cond = base.q_x_given_w if axis == "X" else base.q_y_given_w
-        else:
-            raise ConfigError("axis must be 'W', 'X' or 'Y'")
         self.log_cond = _masked_log(self.cond)
         # the cdf Generator.choice draws from: normalised, so no symbol
         # past the alphabet is drawn when a row sums to just below 1

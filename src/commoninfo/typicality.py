@@ -130,23 +130,6 @@ def cond_shell(q_w: FinitePmf, q_cond, n: int, eps: float):
                              for row, lo_a, hi_a in zip(cond, lo, hi)])
 
 
-def is_cond_typical(x_seq, w_seq, q_w: FinitePmf, q_cond, eps: float) -> bool:
-    """Conditional typicality of x^n given w^n (joint-type condition).  No
-    program path runs it: it is the sequence-at-a-time reference that the
-    tests check ``synthesis._CondLaw``'s shell test and sampler against."""
-    cond = _validated_rows(q_cond, q_w.alphabet_size)
-    x_seq = np.asarray(x_seq, dtype=int)
-    w_seq = np.asarray(w_seq, dtype=int)
-    if x_seq.shape != w_seq.shape or x_seq.ndim != 1:
-        raise ConfigError("x_seq and w_seq must be 1-D of equal length")
-    n = x_seq.size
-    nw, nx = cond.shape
-    counts = np.zeros((nw, nx), dtype=int)
-    np.add.at(counts, (w_seq, x_seq), 1)
-    lo, hi = count_windows(q_w.mass[:, None] * cond, n, eps)
-    return bool(np.all((counts >= lo) & (counts <= hi)))
-
-
 def cond_typical_defect_exact(q_w: FinitePmf, q_cond, w_seq, eps: float,
                               eps_prime: float | None = None) -> float:
     """Exact probability that X^n ~ prod Q_{X|W}(.|w_i) is NOT conditionally

@@ -376,7 +376,7 @@ def test_block_kernel_matches_the_einsum_objective():
             for lam in (1e2, 1e6, 1e8):
                 f_ref, g_ref = _reference_objective_and_grad(
                     z, mass, mask_x, mask_y, lam)
-                f, g = kernel(z, lam)
+                (f,), (g,) = kernel.batch(z[None], lam)
                 assert abs(f - f_ref) <= 1e-12 * abs(f_ref), (label, lam)
                 assert g.shape == g_ref.shape
                 assert np.max(np.abs(g - g_ref)) <= 1e-12 * np.max(
@@ -385,7 +385,7 @@ def test_block_kernel_matches_the_einsum_objective():
 
 def test_block_kernel_rows_match_one_row_calls_bit_for_bit():
     # the lockstep starts are the rows of one batch at one shared lam;
-    # every row's f and gradient are the bytes of the one-row call
+    # every row's f and gradient are the bytes of the one-row batch
     rng = np.random.default_rng(12)
     for label, mass, mask_x, mask_y in _kernel_layouts():
         kernel = ci_solver._BlockKernel(mass, mask_x, mask_y)
@@ -395,8 +395,8 @@ def test_block_kernel_rows_match_one_row_calls_bit_for_bit():
             f, grad = kernel.batch(Z, lam)
             assert f.shape == (k,) and grad.shape == Z.shape
             for z, row_f, row_grad in zip(Z, f, grad):
-                one_f, one_grad = kernel(z, lam)
-                assert np.float64(one_f).tobytes() == row_f.tobytes(), label
+                (one_f,), (one_grad,) = kernel.batch(z[None], lam)
+                assert one_f.tobytes() == row_f.tobytes(), label
                 assert one_grad.tobytes() == row_grad.tobytes(), label
 
 
@@ -419,10 +419,10 @@ def test_block_kernel_gradient_matches_central_differences():
     for label, mass, mask_x, mask_y in _kernel_layouts():
         kernel = ci_solver._BlockKernel(mass, mask_x, mask_y)
         z = rng.normal(size=kernel.n_logits)
-        _, g = kernel(z, 1e2)
+        _, (g,) = kernel.batch(z[None], 1e2)
         step = np.eye(z.size) * h
-        fd = np.array([(kernel(z + e, 1e2)[0] - kernel(z - e, 1e2)[0])
-                       / (2 * h) for e in step])
+        fd = (kernel.batch(z + step, 1e2)[0]
+              - kernel.batch(z - step, 1e2)[0]) / (2 * h)
         assert np.max(np.abs(g - fd)) <= 1e-6 * max(1.0, np.max(np.abs(g))), \
             label
 
@@ -545,7 +545,7 @@ def _reference_polish(qw, A, C, pi_mass, mask_x, mask_y):
 
 def _reference_solve_block(pi_mass):
     """``_solve_block`` as it ran one start after another: one one-start
-    ``lbfgsb`` call per weight on the one-row kernel, then the reference
+    ``lbfgsb`` call per weight on a one-row batch, then the reference
     polish."""
     px, py = pi_mass.sum(axis=1), pi_mass.sum(axis=0)
     residual = 0.5 * np.abs(np.outer(px, py) - pi_mass).sum()
@@ -561,7 +561,7 @@ def _reference_solve_block(pi_mass):
         z = kernel.logits(*start)
         for lam in ci_solver._PENALTY_SCHEDULE:
             [(z, _, _)] = lbfgsb(
-                lambda rows: zip(*(kernel(r, lam) for r in rows)), [z],
+                lambda rows: kernel.batch(np.array(rows), lam), [z],
                 maxiter=ci_solver._MAXITER, ftol=ci_solver._OBJ_TOL)
         qw, A, C, _ = restore(*kernel.unpack(z), pi_mass)
         qw, A, C, residual = restore(

@@ -376,7 +376,48 @@ def test_import_pins_one_thread_over_a_set_openblas_thread_count():
     assert len(counts) == 2 and set(counts.values()) == {1}, counts
 
 
-GOLDEN_CSV = pathlib.Path(__file__).parent / "data" / "paper_suite_seed7.csv"
+DATA = pathlib.Path(__file__).parent / "data"
+GOLDEN_CSV = DATA / "paper_suite_seed7.csv"
+
+#: (golden file, the command that writes it, the name it writes) for every
+#: file under tests/data
+GOLDEN_RUNS = [
+    ("paper_suite_seed7.csv", f"sweep {shlex.quote(PLAN_PATH)}",
+     "paper_suite.csv"),
+    ("exponent_dsbs01.csv", "exponent dsbs01 --rate 0.5C 0.9C 1.1C",
+     "exponent.csv"),
+    # the certified zero above C on a joint with structural zeros
+    ("exponent_copy_above_c.csv", "exponent copy --rate 1.01C 1.5C",
+     "exponent.csv"),
+    # the exact order-2 divergence from the count tensor at n = 11 and 12
+    ("simulate_renyi_s1.csv",
+     "simulate dsbs01 --rate 1.2C --n 4 8 11 12 --measure renyi --s 1 "
+     "--eps none --eps-prime 0.5 --seeds 0 1", "simulate.csv"),
+    # truncated Monte-Carlo TV
+    ("simulate_tv_n12.csv",
+     "simulate dsbs01 --rate 0.5C 1.2C --n 12 --measure tv --eps 1.0 "
+     "--eps-prime 0.5 --seeds 0 1", "simulate.csv"),
+    # a truncated Renyi estimate at s = 0.5, exact at n = 8 and
+    # Monte-Carlo at n = 12
+    ("simulate_renyi_s05.csv",
+     "simulate dsbs01 --rate 1.2C --n 8 12 --measure renyi --s 0.5 "
+     "--eps 1.0 --eps-prime 0.5 --seeds 0 1", "simulate.csv"),
+]
+
+
+def test_every_golden_file_has_its_command():
+    assert sorted(g[0] for g in GOLDEN_RUNS) == sorted(
+        path.name for path in DATA.iterdir())
+
+
+@pytest.mark.parametrize("golden, command, written", GOLDEN_RUNS,
+                         ids=[g[0].removesuffix(".csv") for g in GOLDEN_RUNS])
+def test_command_writes_its_golden_file_byte_for_byte(tmp_path, capsys,
+                                                      golden, command,
+                                                      written):
+    argv = [*shlex.split(command), "--out", str(tmp_path)]
+    assert main(argv) == EXIT_OK
+    assert (tmp_path / written).read_bytes() == (DATA / golden).read_bytes()
 
 
 def test_python_api_writes_the_golden_csv_over_two_openblas_threads(tmp_path):

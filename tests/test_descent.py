@@ -29,6 +29,15 @@ def _counted(fun):
     return counted, calls
 
 
+def _one_row(kernel):
+    """A ci_solver block kernel as ``fun(z, lam) -> (f, grad)``: its batch
+    of the one row ``z``."""
+    def fun(z, lam):
+        (f,), (grad,) = kernel.batch(z[None], lam)
+        return f, grad
+    return fun
+
+
 def _one_descent(fun, x0, args, settings):
     """(x, f, converged) of the driver's descent from ``x0`` alone, with
     ``fun(x, *args) -> (f, grad)`` run on each row as the exponent engine
@@ -81,7 +90,8 @@ def test_driver_matches_minimize_on_the_ci_kernel(name):
     ]
     for z in starts:
         for lam in (*ci_solver._PENALTY_SCHEDULE, 1e8):
-            z = _assert_same_descent(kernel, z, (lam,), CI_SETTINGS).x
+            z = _assert_same_descent(_one_row(kernel), z, (lam,),
+                                     CI_SETTINGS).x
 
 
 @pytest.mark.parametrize("maxiter", [ci_solver._MAXITER, 12])
@@ -111,7 +121,7 @@ def test_lockstep_matches_sequential_descents(name, maxiter):
         results = lbfgsb(batch, zs, **settings)
         assert len(results) == len(zs)
         for i, (x, f, converged) in enumerate(results):
-            fun, calls = _counted(kernel)
+            fun, calls = _counted(_one_row(kernel))
             refs[i], f_ref, converged_ref = _one_descent(fun, refs[i], (lam,),
                                                          settings)
             assert x.tobytes() == refs[i].tobytes()

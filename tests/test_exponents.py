@@ -9,16 +9,16 @@ import pytest
 from scipy.optimize import brentq
 from scipy.special import logsumexp
 
+import oracles
 from commoninfo import descent, exponents, fixtures
 from commoninfo.ci_solver import wyner_ci
-from commoninfo.errors import ConfigError, DomainError
+from commoninfo.errors import ConfigError
 from commoninfo.exponents import (ExponentPoint, _SupportGrid,
                                   _THETA_MIN, _omega_alpha_slope,
                                   _omega_objective, _omega_ray_slope,
                                   _r_alpha_objective, _softmax_flat,
-                                  big_omega_min, big_omega_q,
-                                  f_point, f_rate, omega, r_alpha_min,
-                                  r_alpha_q, r_sh, tabulate_omega,
+                                  big_omega_min, f_point, f_rate,
+                                  r_alpha_min, r_sh, tabulate_omega,
                                   theta_limit_check)
 from commoninfo.probability import FinitePmf, JointPmf, MarkovCoupling
 
@@ -28,19 +28,13 @@ DIRICHLET_3X3 = JointPmf(
     np.random.default_rng(11).dirichlet(np.ones(9)).reshape(3, 3))
 
 
-def to_full(grid, q_su):
-    """The |X| x |Y| x |U| joint, normalized, of a (support cell, u) array
-    on ``grid``."""
-    m = np.zeros((grid.nx, grid.ny, grid.nu))
-    m[grid.x_of_s, grid.y_of_s, :] = q_su
-    return JointPmf(m / m.sum())
-
-
 def random_aug_joint(rng, pi, nu):
-    """Random augmented joint supported on supp(pi) x U."""
-    grid = _SupportGrid(pi, nu=nu)
-    q_su = rng.dirichlet(np.ones(grid.n_supp * nu)).reshape(grid.n_supp, nu)
-    return to_full(grid, q_su)
+    """A random augmented joint on supp(pi) x U, as its |X| x |Y| x |U|
+    array."""
+    q = np.zeros(pi.dims + (nu,))
+    supp = pi.mass > 0
+    q[supp] = rng.dirichlet(np.ones(supp.sum() * nu)).reshape(-1, nu)
+    return q
 
 
 def _lifted(pi, ci):
@@ -60,24 +54,19 @@ def test_exponent_point_validation():
 
 
 def test_omega_expectation_equals_r_alpha(dsbs_pi):
-    # E_Q[omega] computed pointwise must match the KL-combination evaluator
+    # E_Q[omega] summed cell by cell matches the KL combination R^(alpha)(Q),
+    # at a |U| the kernel never uses and at the kernel's |U| = |X||Y|, where
+    # the kernel's R^(alpha) objective reads the same value
     rng = np.random.default_rng(5)
-    q = random_aug_joint(rng, dsbs_pi, nu=3)
     alpha = 0.4
-    acc = 0.0
-    for (x, y, u) in np.argwhere(q.mass > 0):
-        acc += q.mass[x, y, u] * omega(q, dsbs_pi, alpha, int(x), int(y), int(u))
-    assert acc == pytest.approx(r_alpha_q(q, dsbs_pi, alpha), abs=1e-10)
-
-
-def test_omega_outside_support_raises(dsbs_pi):
-    grid = _SupportGrid(dsbs_pi, nu=2)
-    q_su = np.full((grid.n_supp, 2), 1.0 / (2 * grid.n_supp))
-    q_su[0, 0] = 0.0
-    q_su /= q_su.sum()
-    q = to_full(grid, q_su)
-    with pytest.raises(DomainError):
-        omega(q, dsbs_pi, 0.5, 0, 0, 0)
+    for nu in (3, 4):
+        q = random_aug_joint(rng, dsbs_pi, nu)
+        om = oracles.omega(q, dsbs_pi, alpha)
+        r = oracles.r_alpha(q, dsbs_pi, alpha)
+        assert (q * om).sum() == pytest.approx(r, abs=1e-10)
+    z = np.log(q[dsbs_pi.mass > 0]).ravel()
+    f, _ = _r_alpha_objective(z, _SupportGrid(dsbs_pi), alpha)
+    assert f == pytest.approx(r, abs=1e-10)
 
 
 def test_big_omega_jensen_upper_bound(dsbs_pi):
@@ -87,24 +76,24 @@ def test_big_omega_jensen_upper_bound(dsbs_pi):
         q = random_aug_joint(rng, dsbs_pi, nu=4)
         alpha = rng.uniform(0.0, 1.0)
         theta = rng.uniform(0.0, 2.0)
-        lhs = big_omega_q(q, dsbs_pi, ExponentPoint(alpha, theta))
-        rhs = theta * r_alpha_q(q, dsbs_pi, alpha)
+        lhs = oracles.big_omega(q, dsbs_pi, alpha, theta)
+        rhs = theta * oracles.r_alpha(q, dsbs_pi, alpha)
         assert lhs <= rhs + 1e-10
 
 
 def test_big_omega_zero_theta(dsbs_pi):
     rng = np.random.default_rng(7)
     q = random_aug_joint(rng, dsbs_pi, nu=4)
-    assert big_omega_q(q, dsbs_pi, ExponentPoint(0.7, 0.0)) == pytest.approx(
+    assert oracles.big_omega(q, dsbs_pi, 0.7, 0.0) == pytest.approx(
         0.0, abs=1e-12)
     res = big_omega_min(dsbs_pi, ExponentPoint(0.7, 0.0))
     assert res.value == 0.0
 
 
 def test_objective_gradients_match_finite_differences(dsbs_pi):
-    grid = _SupportGrid(dsbs_pi, nu=3)
+    grid = _SupportGrid(dsbs_pi)
     rng = np.random.default_rng(8)
-    z = rng.normal(size=grid.n_supp * 3)
+    z = rng.normal(size=grid.n_supp * grid.nu)
     h = 1e-6
     for fn, args in ((_omega_objective, (grid, 0.4, 0.6)),
                      (_r_alpha_objective, (grid, 0.4))):
@@ -117,26 +106,23 @@ def test_objective_gradients_match_finite_differences(dsbs_pi):
 
 
 def _omega_reference(z, grid, alpha, theta):
-    """omega, the Omega objective and its gradient as first written, on
-    marginals summed from the full |X| x |Y| x |U| array, normalized by
-    scipy's logsumexp.  Also the sizes of the terms each is summed from,
-    which rounding is measured against: at small theta the log-weights
-    cancel down to a value and a gradient of order theta, and omega is a
-    sum of logs that can reach log 1e-300; a log-weight off by d moves the
-    tilted law by the factor e^d."""
+    """omega from `oracles.omega`, and the Omega objective and its gradient
+    as first written on the oracle's marginals, normalized by scipy's
+    logsumexp.  Every cell of supp(pi) x U is summed, each marginal clipped
+    at `oracles.TINY` as the kernel clips it.  Also the sizes of the terms
+    each is summed from, which rounding is measured against: at small theta
+    the log-weights cancel down to a value and a gradient of order theta,
+    and omega is a sum of logs that can reach log 1e-300; a log-weight off
+    by d moves the tilted law by the factor e^d."""
     q = _softmax_flat(z).reshape(grid.n_supp, grid.nu)
-    full = to_full(grid, q).mass
     xs, ys = grid.x_of_s, grid.y_of_s
-    tiny = 1e-300
-    q_xy = np.maximum(full.sum(axis=2)[xs, ys], tiny)[:, None]
-    q_u = np.maximum(full.sum(axis=(0, 1)), tiny)[None, :]
-    q_xu = np.maximum(full.sum(axis=1), tiny)[xs]
-    q_yu = np.maximum(full.sum(axis=0), tiny)[ys]
-    log_q = np.log(np.maximum(q, tiny))
-    log_xy, log_u, log_xu, log_yu = map(np.log, (q_xy, q_u, q_xu, q_yu))
+    full = np.zeros((grid.nx, grid.ny, grid.nu))
+    full[xs, ys, :] = q
+    m = oracles.marginals(full)[:, xs, ys, :]
+    q_xy, q_u, q_xu, q_yu = m[1:]
+    log_q, log_xy, log_u, log_xu, log_yu = np.log(m)
     log_pi = np.log(grid.pi.mass[xs, ys])[:, None]
-    om = ((1.0 - alpha) * (log_xy - log_pi + log_q + log_u - log_xu - log_yu)
-          + alpha * (log_q - log_u - log_pi))
+    om = oracles.omega(full, grid.pi, alpha)[xs, ys, :]
     om_scale = sum(np.abs(v) for v in (log_q, log_xy, log_u, log_xu, log_yu,
                                        log_pi))
     a = theta * (1.0 - alpha)
@@ -162,8 +148,7 @@ def _omega_reference(z, grid, alpha, theta):
 
 KERNEL_GRIDS = [_SupportGrid(fixtures.dsbs(0.1)),
                 _SupportGrid(fixtures.dsbes(0.6)),     # 2x3, structural zeros
-                _SupportGrid(fixtures.common_part_source()),       # 3x3
-                _SupportGrid(fixtures.dsbs(0.1), nu=3)]    # |U| != |X||Y|
+                _SupportGrid(fixtures.common_part_source())]       # 3x3
 
 
 def test_omega_objective_matches_logsumexp_reference():
@@ -492,7 +477,7 @@ def _q_family(pi, cells, eps):
     mass[cells[0]] = eps
     for cell in cells[1:]:
         mass[cell] = (1.0 - eps) / (len(cells) - 1)
-    return JointPmf(mass)
+    return mass
 
 
 # (name, joint, alpha, closed-form wall, cells of a diverging family): the
@@ -519,10 +504,10 @@ def test_omega_domain_walls(name, pi, alpha, wall, cells):
     assert _SupportGrid(pi).theta_wall(alpha) == pytest.approx(wall,
                                                                rel=1e-15)
     epss = (1e-4, 1e-8, 1e-12, 1e-16)
-    past = [big_omega_q(_q_family(pi, cells, e), pi,
-                        ExponentPoint(alpha, 1.05 * wall)) for e in epss]
-    inside = [big_omega_q(_q_family(pi, cells, e), pi,
-                          ExponentPoint(alpha, 0.95 * wall)) for e in epss]
+    past = [oracles.big_omega(_q_family(pi, cells, e), pi, alpha,
+                              1.05 * wall) for e in epss]
+    inside = [oracles.big_omega(_q_family(pi, cells, e), pi, alpha,
+                                0.95 * wall) for e in epss]
     # past the wall the shrinking cell's term grows like eps^(-0.05): Omega
     # falls by 0.05 ln(10^4) = 0.46 per four decades, without bound
     assert all(b < a for a, b in zip(past, past[1:]))
@@ -534,8 +519,8 @@ def test_omega_domain_walls(name, pi, alpha, wall, cells):
 def test_omega_past_the_wall_at_large_theta():
     # the point the grid read F(0.5C) on copy from: (alpha, theta) = (0.5, 10)
     pi = fixtures.copy_source()
-    vals = [big_omega_q(_q_family(pi, [(0, 0, 0), (1, 1, 1)], e), pi,
-                        ExponentPoint(0.5, 10.0)) for e in (1e-4, 1e-8)]
+    vals = [oracles.big_omega(_q_family(pi, [(0, 0, 0), (1, 1, 1)], e), pi,
+                              0.5, 10.0) for e in (1e-4, 1e-8)]
     assert vals[1] < -60 and vals[1] < vals[0]
 
 

@@ -24,6 +24,7 @@ from commoninfo.synthesis import (DivergenceEstimate, SynthesisCode,
                                   oneshot_bound_verify, rate_bound_check,
                                   truncation_check)
 from commoninfo import typicality as typ
+from oracles import is_cond_typical, is_typical
 
 
 def trivial_coupling():
@@ -139,13 +140,6 @@ def ternary_w_coupling():
                           rng.dirichlet(np.ones(2), size=3))
 
 
-def is_typical(w, q_w, eps_prime):
-    """Whether the counts of w lie in the eps'-windows of Q_W."""
-    lo, hi = typ.count_windows(q_w.mass, len(w), eps_prime)
-    counts = np.bincount(w, minlength=q_w.alphabet_size)
-    return bool(np.all((counts >= lo) & (counts <= hi)))
-
-
 def per_sequence_codebook(base, n, R, eps_prime, seed):
     """The codebook drawn one sequence at a time: ``Generator.choice`` from
     Q_W, kept when ``is_typical`` admits it, until m sequences are kept."""
@@ -154,7 +148,7 @@ def per_sequence_codebook(base, n, R, eps_prime, seed):
     rows = []
     while len(rows) < m:
         seq = rng.choice(base.nw, size=n, p=base.q_w.mass)
-        if eps_prime is None or is_typical(seq, base.q_w, eps_prime):
+        if eps_prime is None or is_typical(seq, base.q_w.mass, eps_prime):
             rows.append(seq)
     return np.stack(rows)
 
@@ -196,7 +190,7 @@ def test_build_code_respects_shell():
     base = fixtures.dsbs_optimal_coupling(0.1)
     code = build_code(base, 10, 0.4, 1.0, 0.5, seed=99)
     assert code.m_count == 55
-    assert all(is_typical(w, base.q_w, 0.5) for w in code.codebook)
+    assert is_typical(code.codebook, base.q_w.mass, 0.5).all()
 
 
 def test_cond_law_sample_respects_shell():
@@ -207,7 +201,7 @@ def test_cond_law_sample_respects_shell():
         xs = synthesis._CondLaw(base, 1.0, axis, 8).sample(
             synthesis._rng(1, 99), ws)
         for x, w in zip(xs, ws):
-            assert typ.is_cond_typical(x, w, base.q_w, cond, 1.0)
+            assert is_cond_typical(x, w, base.q_w, cond, 1.0)
 
 
 def test_cond_law_sample_matches_density():
@@ -337,10 +331,8 @@ def test_truncated_induced_joint_zero_outside_shell():
     pos = np.flatnonzero(ex.mass.sum(axis=1) > 0)
     ok_any = np.zeros(len(ex.seqs_x), dtype=bool)
     for w in code.codebook:
-        for i in pos:
-            if typ.is_cond_typical(ex.seqs_x[i], w, base.q_w,
-                                   base.q_x_given_w, 1.0):
-                ok_any[i] = True
+        ok_any |= is_cond_typical(ex.seqs_x, w, base.q_w, base.q_x_given_w,
+                                  1.0)
     assert np.all(ok_any[pos])
 
 
@@ -656,21 +648,16 @@ def seeded_coupling_2x3():
 
 def brute_force_cond_law(base, cond, w, seqs, eps):
     """The product law of every row of ``seqs`` given w, zeroed outside the
-    conditional eps-shell (each row's joint type with w against the count
-    windows), and the shell mass as its plain sum."""
+    conditional eps-shell (``oracles.is_cond_typical``), and the shell mass
+    as its plain sum."""
     p = np.prod(cond[w, seqs], axis=1)
-    counts = np.array([[(seqs[:, w == a] == b).sum(axis=1)
-                        for b in range(cond.shape[1])]
-                       for a in range(cond.shape[0])])
-    lo, hi, _ = typ.cond_shell(base.q_w, cond, len(w), eps)
-    inside = np.all((counts >= lo[..., None]) & (counts <= hi[..., None]),
-                    axis=(0, 1))
+    inside = is_cond_typical(seqs, w, base.q_w, cond, eps)
     return np.where(inside, p, 0.0), float(p[inside].sum())
 
 
 def typical_ws(base, n, eps_prime):
     return [np.array(w) for w in np.ndindex(*(base.nw,) * n)
-            if is_typical(np.array(w), base.q_w, eps_prime)]
+            if is_typical(np.array(w), base.q_w.mass, eps_prime)]
 
 
 def test_cond_law_matches_brute_force():
@@ -701,9 +688,9 @@ def test_cond_law_matches_brute_force():
 
 def oracle_shell_mask(law, eps, ws, seqs):
     """The conditional eps-shell test of every (codeword, sequence) pair,
-    one ``typicality.is_cond_typical`` call per pair."""
-    return np.array([[typ.is_cond_typical(s, w, law.q_w, law.cond, eps)
-                      for s in seqs] for w in ws])
+    one ``oracles.is_cond_typical`` call per codeword."""
+    return np.array([is_cond_typical(seqs, w, law.q_w, law.cond, eps)
+                     for w in ws])
 
 
 def shell_masses(law, ws):
