@@ -59,7 +59,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .descent import lbfgsb, slsqp
-from .errors import ConfigError
+from .divergences import tv
 from .probability import (FinitePmf, JointPmf, MarkovCoupling,
                           mutual_information_mass)
 
@@ -249,7 +249,7 @@ def _restore_feasibility(qw, A, C, pi_mass):
     for _ in range(_RESTORE_SWEEPS):
         J = np.einsum("w,wx,wy->wxy", qw, A, C)
         Q = J.sum(axis=0)
-        residual = 0.5 * np.abs(Q - pi_mass).sum()
+        residual = tv(Q, pi_mass)
         if residual <= _RESTORE_TOL:
             break
         safe_Q = np.where(Q > 0, Q, 1.0)
@@ -265,7 +265,7 @@ def _restore_feasibility(qw, A, C, pi_mass):
         qw = qw_new / qw_new.sum()
     else:
         J = np.einsum("w,wx,wy->wxy", qw, A, C)
-        residual = 0.5 * np.abs(J.sum(axis=0) - pi_mass).sum()
+        residual = tv(J.sum(axis=0), pi_mass)
     return qw, A, C, residual
 
 
@@ -424,7 +424,7 @@ def _solve_block(pi_mass: np.ndarray):
     one connected block.  A rank-1 block, a product coupling within
     ``_FEAS_TOL``, takes the one-symbol coupling with value 0 and no solve."""
     px, py = pi_mass.sum(axis=1), pi_mass.sum(axis=0)
-    residual = 0.5 * np.abs(np.outer(px, py) - pi_mass).sum()
+    residual = tv(np.outer(px, py), pi_mass)
     if residual <= _FEAS_TOL:
         return 0.0, np.ones(1), px[None], py[None], residual, 0, True
 
@@ -455,7 +455,7 @@ def _solve_block(pi_mass: np.ndarray):
             converged = False
 
     qw, A, C = _canonical(*best[1:])
-    residual = 0.5 * np.abs(np.einsum("w,wx,wy->xy", qw, A, C) - pi_mass).sum()
+    residual = tv(np.einsum("w,wx,wy->xy", qw, A, C), pi_mass)
     return (_coupling_value(qw, A, C), qw, A, C, residual, len(zs),
             converged)
 
@@ -472,8 +472,6 @@ def wyner_ci(pi: JointPmf) -> CiSolution:
     answer is never above min(H(X), H(Y)).  The argmin stacks the canonical
     symbols of all blocks.
     """
-    if pi.ndim != 2:
-        raise ConfigError("wyner_ci needs a 2-axis target joint")
     nx, ny = pi.dims
     blocks = _common_part_blocks(pi.mass > 0)
     masses = [pi.mass[np.ix_(r, c)] for r, c in blocks]

@@ -89,7 +89,10 @@ class SweepResult:
     plan_name: str
     rows: list                           # dicts with CSV_COLUMNS keys
     wall_times: list                     # seconds per row, same order
-    n_errors: int
+
+    @property
+    def n_errors(self) -> int:
+        return sum(1 for r in self.rows if r["error"])
 
 
 #: the keys each kind of section takes; a [DEFAULT] key counts in every one
@@ -250,8 +253,8 @@ def read_text(path: str) -> str:
                           f"{getattr(exc, 'strerror', None) or exc}") from None
 
 
-def load_plan(path: str, seed_override=None, out_override=None) -> ExperimentPlan:
-    return parse_plan(read_text(path), seed_override, out_override)
+def load_plan(path: str) -> ExperimentPlan:
+    return parse_plan(read_text(path))
 
 
 # ---------------------------------------------------------------------------
@@ -390,8 +393,7 @@ def run_plan(plan: ExperimentPlan, threads: int = 1) -> SweepResult:
                        error=f"{type(exc).__name__}: {exc}")
         rows.append(row)
         wall_times.append(time.perf_counter() - t0)
-    return SweepResult(plan_name=plan.name, rows=rows, wall_times=wall_times,
-                       n_errors=sum(1 for r in rows if r["error"]))
+    return SweepResult(plan_name=plan.name, rows=rows, wall_times=wall_times)
 
 
 # ---------------------------------------------------------------------------

@@ -53,6 +53,7 @@ from .errors import ConfigError
 from .probability import JointPmf
 from .ci_solver import CiSolution
 from .descent import lbfgsb
+from .divergences import tv
 
 DEFAULT_THETA_MAX = 10.0
 _ALPHA_GRID_POINTS = 33
@@ -111,8 +112,6 @@ class _SupportGrid:
     give all four at every cell."""
 
     def __init__(self, pi: JointPmf):
-        if pi.ndim != 2:
-            raise ConfigError("target joint must have 2 axes")
         self.pi = pi
         self.nx, self.ny = pi.dims
         self.nu = self.nx * self.ny
@@ -272,9 +271,9 @@ def _ci_lift_logits(grid: _SupportGrid, ci: CiSolution) -> np.ndarray:
         raise ConfigError(f"CI argmin is {c.nx}x{c.ny}, the joint "
                           f"{grid.nx}x{grid.ny}")
     m = np.einsum("w,wx,wy->xyw", c.q_w.mass, c.q_x_given_w, c.q_y_given_w)
-    tv = 0.5 * float(np.abs(m.sum(axis=2) - grid.pi.mass).sum())
-    if tv > _CI_MATCH_TOL:
-        raise ConfigError(f"CI argmin is {tv:.2e} in TV from the joint")
+    gap = tv(m.sum(axis=2), grid.pi.mass)
+    if gap > _CI_MATCH_TOL:
+        raise ConfigError(f"CI argmin is {gap:.2e} in TV from the joint")
     if c.nw > grid.nu:
         m = m[:, :, np.sort(np.argsort(-c.q_w.mass, kind="stable")[:grid.nu])]
     q_su = np.full((grid.n_supp, grid.nu), 1e-9)

@@ -23,10 +23,10 @@ from .errors import ConfigError
 NORM_TOL = 1e-12
 
 
-def _validated_mass(mass, ndim_allowed) -> np.ndarray:
+def _validated_mass(mass, ndim: int) -> np.ndarray:
     arr = np.asarray(mass, dtype=float)
-    if arr.ndim not in ndim_allowed:
-        raise ConfigError(f"mass must have {ndim_allowed} axes, got {arr.ndim}")
+    if arr.ndim != ndim:
+        raise ConfigError(f"mass must have {ndim} axes, got {arr.ndim}")
     if arr.size == 0:
         raise ConfigError("mass must be nonempty")
     if not np.all(np.isfinite(arr)):
@@ -48,7 +48,7 @@ class FinitePmf:
     mass: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "mass", _validated_mass(self.mass, (1,)))
+        object.__setattr__(self, "mass", _validated_mass(self.mass, 1))
 
     @property
     def alphabet_size(self) -> int:
@@ -61,20 +61,16 @@ class FinitePmf:
 
 @dataclass(frozen=True)
 class JointPmf:
-    """Dense joint pmf over 2 or 3 finite alphabets."""
+    """Dense joint pmf of a pair (X, Y): a 2-axis mass, axis 0 for X."""
 
     mass: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "mass", _validated_mass(self.mass, (2, 3)))
+        object.__setattr__(self, "mass", _validated_mass(self.mass, 2))
 
     @property
-    def dims(self) -> tuple[int, ...]:
+    def dims(self) -> tuple[int, int]:
         return self.mass.shape
-
-    @property
-    def ndim(self) -> int:
-        return self.mass.ndim
 
     def entropy(self) -> float:
         return float(-xlogy(self.mass, self.mass).sum())
@@ -128,16 +124,16 @@ class MarkovCoupling:
         return JointPmf(m / m.sum())
 
 
-def induced_joint(c: MarkovCoupling) -> JointPmf:
-    """Q(w,x,y) = Q_W(w) Q_{X|W}(x|w) Q_{Y|W}(y|w)."""
+def induced_joint(c: MarkovCoupling) -> np.ndarray:
+    """Q(w,x,y) = Q_W(w) Q_{X|W}(x|w) Q_{Y|W}(y|w), the (|W|, |X|, |Y|)
+    array normalized to sum 1; its (X, Y) marginal is ``c.xy_marginal()``."""
     m = np.einsum("w,wx,wy->wxy", c.q_w.mass, c.q_x_given_w, c.q_y_given_w)
-    total = m.sum()
-    return JointPmf(m / total)
+    return m / m.sum()
 
 
 def coupling_information(c: MarkovCoupling) -> float:
     """I(XY;W) in nats of the joint a coupling induces."""
-    return mutual_information_mass(induced_joint(c).mass.reshape(c.nw, -1))
+    return mutual_information_mass(induced_joint(c).reshape(c.nw, -1))
 
 
 def mutual_information_mass(p: np.ndarray) -> float:

@@ -81,11 +81,11 @@ def _rng(seed, *stream) -> np.random.Generator:
 
 @dataclass(frozen=True)
 class SynthesisCode:
-    """A sampled codebook of truncated-typical W-sequences."""
+    """A sampled codebook of truncated-typical W-sequences: ceil(e^{nR})
+    codewords of length n, so n and the codeword count m are read off the
+    codebook's shape."""
 
-    n: int
     rate: float
-    m_count: int
     codebook: np.ndarray                 # (m_count, n) int
     base: MarkovCoupling
     eps: float | None                    # None: untruncated conditionals
@@ -94,17 +94,26 @@ class SynthesisCode:
 
     def __post_init__(self):
         typ.check_truncation(self.eps, self.eps_prime)
-        if self.m_count != _m_count(self.n, self.rate):
-            raise ConfigError("m_count must equal ceil(e^{nR})")
+        if self.rate < 0:                # NaN fails the count rule below
+            raise ConfigError("rate must be nonnegative")
         book = np.asarray(self.codebook)
-        if (book.shape != (self.m_count, self.n)
-                or not np.issubdtype(book.dtype, np.integer)):
-            raise ConfigError(f"codebook must be an integer array of shape "
-                              f"({self.m_count}, {self.n})")
+        if (book.ndim != 2 or not np.issubdtype(book.dtype, np.integer)
+                or book.shape[1] < 1
+                or book.shape[0] != _m_count(book.shape[1], self.rate)):
+            raise ConfigError(f"codebook of shape {book.shape} is not an "
+                              f"integer array of ceil(e^(nR)) rows, n >= 1")
         if (np.any((book < 0) | (book >= self.base.nw))
                 or np.any(self.base.q_w.mass[book] == 0)):
             raise ConfigError("codebook uses a symbol outside supp(Q_W)")
         object.__setattr__(self, "codebook", book)
+
+    @property
+    def n(self) -> int:
+        return self.codebook.shape[1]
+
+    @property
+    def m_count(self) -> int:
+        return self.codebook.shape[0]
 
 
 @dataclass(frozen=True)
@@ -114,7 +123,6 @@ class DivergenceEstimate:
     method: str                          # "exact" | "monte_carlo"
     samples: int
     seed: int
-    per_symbol: float | None = None
     diagnostics: dict = field(default_factory=dict)
 
 
@@ -322,8 +330,8 @@ def build_code(base: MarkovCoupling, n: int, R: float, eps: float | None,
                                   f"{MAX_CODEWORDS}")
     codebook = _CondLaw(base, eps_prime, "W", n).sample(
         _rng(seed, 0), np.zeros((m, n), dtype=int))
-    return SynthesisCode(n=n, rate=R, m_count=m, codebook=codebook, base=base,
-                         eps=eps, eps_prime=eps_prime, seed=seed)
+    return SynthesisCode(rate=R, codebook=codebook, base=base, eps=eps,
+                         eps_prime=eps_prime, seed=seed)
 
 
 # ---------------------------------------------------------------------------
@@ -336,10 +344,10 @@ def _all_seqs(k: int, n: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class InducedJointExact:
-    n: int
+    """The dense induced joint P(x^n, y^n), its rows and columns the
+    X- and Y-sequences in the lexicographic order of ``_all_seqs``."""
+
     mass: np.ndarray                     # (|X|^n, |Y|^n)
-    seqs_x: np.ndarray
-    seqs_y: np.ndarray
 
 
 def _dense_fits(code: SynthesisCode) -> bool:
@@ -359,14 +367,11 @@ def induced_joint_exact(code: SynthesisCode) -> InducedJointExact:
         raise ResourceBudgetError(
             f"{float(base.nx * base.ny) ** n:.3g} cells or {code.m_count} "
             f"codewords exceed cap {MAX_JOINT_CELLS} or {MAX_CODEWORDS}")
-    seqs_x = _all_seqs(base.nx, n)
-    seqs_y = _all_seqs(base.ny, n)
     ws, mult, _ = _distinct(code.codebook)
-    px = _CondLaw(base, code.eps, "X", n).density(ws, seqs_x)
-    py = _CondLaw(base, code.eps, "Y", n).density(ws, seqs_y)
+    px = _CondLaw(base, code.eps, "X", n).density(ws, _all_seqs(base.nx, n))
+    py = _CondLaw(base, code.eps, "Y", n).density(ws, _all_seqs(base.ny, n))
     py *= mult[:, None]
-    return InducedJointExact(n=n, mass=px.T @ py / code.m_count,
-                             seqs_x=seqs_x, seqs_y=seqs_y)
+    return InducedJointExact(mass=px.T @ py / code.m_count)
 
 
 def _renyi2_from_counts(code: SynthesisCode) -> float | None:
@@ -541,8 +546,7 @@ def estimate_renyi(code: SynthesisCode, s: float, samples: int = 4096,
     if s == 1.0 and code.eps is None:
         val = _renyi2_from_counts(code)
         if val is not None:
-            return DivergenceEstimate(val, 0.0, "exact", 0, seed,
-                                      per_symbol=val / code.n)
+            return DivergenceEstimate(val, 0.0, "exact", 0, seed)
     exact = _dense_fits(code)
     method = "exact" if exact else "monte_carlo"
     try:
@@ -557,7 +561,7 @@ def estimate_renyi(code: SynthesisCode, s: float, samples: int = 4096,
         if np.any((pin > 0) & (p == 0)):
             diag["pi_support_uncovered"] = True
         return DivergenceEstimate(val, 0.0, method, 0, seed,
-                                  per_symbol=val / code.n, diagnostics=diag)
+                                  diagnostics=diag)
     if s == 0:
         g = np.log(p) - log_pi
     else:
@@ -573,8 +577,7 @@ def estimate_renyi(code: SynthesisCode, s: float, samples: int = 4096,
                                   diagnostics={"zero_mean_estimate": True})
     else:
         val, val_se = math.log(mean) / s, se / mean / abs(s)
-    return DivergenceEstimate(val, val_se, method, samples, seed,
-                              per_symbol=val / code.n)
+    return DivergenceEstimate(val, val_se, method, samples, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -819,7 +822,7 @@ def rate_bound_check(base: MarkovCoupling, n: int, eps: float,
     delta_1 = 1.0 - float(types.z_x.min())
     delta_2 = 1.0 - float(types.z_y.min())
     i_q = coupling_information(base)
-    h_q = JointPmf(induced_joint(base).mass.sum(axis=0)).entropy()
+    h_q = JointPmf(induced_joint(base).sum(axis=0)).entropy()
     rhs = ((1.0 - eps) ** 2 / (1.0 + eps_prime) * i_q
            + 4.0 * eps / (1.0 - eps_prime) * h_q
            - math.log((1.0 - delta_1) * (1.0 - delta_2)) / n)

@@ -53,7 +53,7 @@ def test_wyner_ci_dsbs(dsbs_pi, dsbs_ci):
     assert dsbs_ci.argmin.nw == 2           # the two optimal symbols
     # the reported coupling reproduces the source
     joint = induced_joint(dsbs_ci.argmin)
-    assert np.allclose(joint.mass.sum(axis=0), dsbs_pi.mass, atol=1e-8)
+    assert np.allclose(joint.sum(axis=0), dsbs_pi.mass, atol=1e-8)
     _assert_argmin_reproduces(dsbs_ci, dsbs_pi)
 
 
@@ -212,7 +212,7 @@ def test_wyner_ci_never_above_min_marginal_entropy(monkeypatch):
     assert not sol.converged
     assert sol.constraint_residual < 1e-12
     joint = induced_joint(sol.argmin)
-    assert np.allclose(joint.mass.sum(axis=0), pi.mass, rtol=0.0,
+    assert np.allclose(joint.sum(axis=0), pi.mass, rtol=0.0,
                        atol=1e-15)
 
 

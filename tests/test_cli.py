@@ -1,6 +1,7 @@
 """Command-line interface: argument handling, output files, exit codes."""
 
 import csv
+import itertools
 import json
 import os
 import pathlib
@@ -205,15 +206,6 @@ def test_sweep_seed_override_changes_nothing_exact(tmp_path):
     assert row_a[10] == row_b[10]                  # the value column
 
 
-def test_exponent_subcommand(tmp_path):
-    assert main(["exponent", "dsbs01", "--rate", "0.5C", "1.1C",
-                 "--out", str(tmp_path)]) == EXIT_OK
-    with open(tmp_path / "exponent.csv", newline="") as fh:
-        f = {row["r_spec"]: float(row["value"]) for row in csv.DictReader(fh)}
-    assert f["0.5C"] > 1e-3
-    assert f["1.1C"] == 0.0
-
-
 def test_simulate_subcommand(capsys):
     code = main(["simulate", "product", "--rate", "0.0", "--n", "3",
                  "--measure", "renyi", "--eps", "none", "--eps-prime", "none"])
@@ -405,6 +397,15 @@ GOLDEN_RUNS = [
 ]
 
 
+def first_differing_line(got: bytes, want: bytes) -> str:
+    """The first line on which two files differ, with both versions of it."""
+    pairs = itertools.zip_longest(got.splitlines(), want.splitlines())
+    for lineno, (g, w) in enumerate(pairs, 1):
+        if g != w:
+            return f"line {lineno}: got {g!r}, want {w!r}"
+    return "the files differ only in their line endings"
+
+
 def test_every_golden_file_has_its_command():
     assert sorted(g[0] for g in GOLDEN_RUNS) == sorted(
         path.name for path in DATA.iterdir())
@@ -417,7 +418,8 @@ def test_command_writes_its_golden_file_byte_for_byte(tmp_path, capsys,
                                                       written):
     argv = [*shlex.split(command), "--out", str(tmp_path)]
     assert main(argv) == EXIT_OK
-    assert (tmp_path / written).read_bytes() == (DATA / golden).read_bytes()
+    got, want = (tmp_path / written).read_bytes(), (DATA / golden).read_bytes()
+    assert got == want, first_differing_line(got, want)
 
 
 def test_python_api_writes_the_golden_csv_over_two_openblas_threads(tmp_path):

@@ -1,7 +1,5 @@
 """Plan parsing, sweep execution semantics, and output rendering."""
 
-import csv
-import io
 import json
 import math
 import os
@@ -10,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from commoninfo import acceptance, experiments, exponents, fixtures
+from commoninfo import experiments, exponents, fixtures
 from commoninfo import typicality
 from commoninfo.ci_solver import wyner_ci
 from commoninfo.errors import ConfigError
@@ -569,33 +567,3 @@ def test_run_plan_builds_no_omega_grid(monkeypatch):
     *product, copy = [row["value"] for row in result.rows]
     assert product == [0.0, 0.0, 0.0] and copy > 1e-3
 
-
-GOLDEN_CSV = os.path.join(os.path.dirname(__file__), "data",
-                          "paper_suite_seed7.csv")
-
-
-def _is_number(text: str) -> bool:
-    try:
-        float(text)
-    except ValueError:
-        return False
-    return True
-
-
-def test_paper_suite_matches_its_golden_csv():
-    # the shipped plan at seed 7 against the CSV it wrote when it was frozen:
-    # text fields exactly, numbers within 1e-9 (the CSV prints 12
-    # significant digits; the slack covers last-bit libm and BLAS drift)
-    plan = experiments.load_plan(acceptance.PLAN_PATH, seed_override=7)
-    got = list(csv.DictReader(io.StringIO(to_csv(run_plan(plan)))))
-    with open(GOLDEN_CSV, newline="") as fh:
-        want = list(csv.DictReader(fh))
-    assert len(got) == len(want)
-    for row, ref in zip(got, want):
-        assert row.keys() == ref.keys()
-        for key, text in ref.items():
-            if _is_number(text) and _is_number(row[key]):
-                assert abs(float(row[key]) - float(text)) <= 1e-9, \
-                    (ref["cell_id"], key)
-            else:
-                assert row[key] == text, (ref["cell_id"], key)

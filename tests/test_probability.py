@@ -34,6 +34,10 @@ def test_pmf_rejects_bad_mass():
         FinitePmf([np.nan, 1.0])                   # non-finite
     with pytest.raises(ConfigError):
         JointPmf(np.ones((2, 2)))                  # sums to 4
+    # wyner_ci and the exponent engine read a JointPmf as the (X, Y) joint
+    # with no axis check of their own
+    with pytest.raises(ConfigError, match="mass must have 2 axes, got 3"):
+        JointPmf(np.full((2, 2, 2), 0.125))
 
 
 def test_pmf_is_immutable():
@@ -76,7 +80,7 @@ def test_copy_coupling_mi_equals_joint_entropy(dsbs_pi):
         {(x, y): x * ny + y for x in range(nx) for y in range(ny)})
     c = MarkovCoupling(FinitePmf(q_w), q_x, q_y)
     joint = induced_joint(c)
-    assert np.allclose(joint.mass.sum(axis=0), dsbs_pi.mass, atol=1e-14)
+    assert np.allclose(joint.sum(axis=0), dsbs_pi.mass, atol=1e-14)
     assert coupling_information(c) == pytest.approx(dsbs_pi.entropy(),
                                                      abs=1e-12)
 
@@ -86,7 +90,8 @@ def test_induced_joint_matches_manual_product():
     j = induced_joint(c)
     manual = np.einsum("w,wx,wy->wxy", c.q_w.mass, c.q_x_given_w,
                        c.q_y_given_w)
-    assert np.allclose(j.mass, manual / manual.sum(), atol=1e-15)
+    assert j.shape == (c.nw, c.nx, c.ny)
+    assert np.allclose(j, manual / manual.sum(), atol=1e-15)
     # and the coupling really reproduces the DSBS source
     assert np.allclose(c.xy_marginal().mass, fixtures.dsbs(0.1).mass,
                        atol=1e-12)

@@ -63,33 +63,39 @@ def test_build_code_names_its_cap_one_codeword_past_it():
 @pytest.mark.parametrize("rate", [100.0, math.inf, math.nan])
 def test_code_rejects_a_rate_whose_count_is_no_float(rate):
     base = fixtures.dsbs_optimal_coupling(0.1)
-    with pytest.raises(ConfigError, match="m_count"):
-        SynthesisCode(n=10, rate=rate, m_count=1,
-                      codebook=np.zeros((1, 10), dtype=int), base=base,
-                      eps=None, eps_prime=None, seed=0)
+    with pytest.raises(ConfigError, match=r"ceil\(e\^\(nR\)\) rows"):
+        SynthesisCode(rate=rate, codebook=np.zeros((1, 10), dtype=int),
+                      base=base, eps=None, eps_prime=None, seed=0)
 
 
 def test_m_count_rule():
     base = fixtures.dsbs_optimal_coupling(0.1)
-    assert build_code(base, 4, 0.0, 1.0, 0.5, seed=0).m_count == 1
-    assert build_code(base, 4, math.log(2.0), 1.0, 0.5, seed=0).m_count == 16
-    assert build_code(base, 3, 0.5, 1.0, 0.5, seed=0).m_count == \
-        math.ceil(math.exp(1.5) - 1e-9)
+    for n, rate, m in [(4, 0.0, 1), (4, math.log(2.0), 16),
+                       (3, 0.5, math.ceil(math.exp(1.5) - 1e-9))]:
+        code = build_code(base, n, rate, 1.0, 0.5, seed=0)
+        assert code.codebook.shape == (m, n)
+        assert (code.m_count, code.n) == (m, n)
 
 
 def test_code_validation():
     base = fixtures.dsbs_optimal_coupling(0.1)
     code = build_code(base, 4, 0.0, 1.0, 0.5, seed=0)
-    with pytest.raises(ConfigError):
-        SynthesisCode(n=4, rate=0.0, m_count=2, codebook=code.codebook,
+    # one codeword of length 4 at a rate that asks for two
+    with pytest.raises(ConfigError, match=r"ceil\(e\^\(nR\)\) rows"):
+        SynthesisCode(rate=math.log(2.0) / 4, codebook=code.codebook,
                       base=base, eps=1.0, eps_prime=0.5, seed=0)
     with pytest.raises(ConfigError):
-        SynthesisCode(n=4, rate=0.0, m_count=1, codebook=code.codebook,
+        SynthesisCode(rate=0.0, codebook=code.codebook,
                       base=base, eps=0.3, eps_prime=0.5, seed=0)
     # eps' = 0 constructed, while build_code rejected the same pair
     with pytest.raises(ConfigError, match=r"^eps_prime = 0.0 not in"):
-        SynthesisCode(n=4, rate=0.0, m_count=1, codebook=code.codebook,
+        SynthesisCode(rate=0.0, codebook=code.codebook,
                       base=base, eps=1.0, eps_prime=0.0, seed=0)
+    # a negative rate constructed, with its one codeword, while build_code
+    # rejected it
+    with pytest.raises(ConfigError, match="rate must be nonnegative"):
+        SynthesisCode(rate=-1.0, codebook=code.codebook,
+                      base=base, eps=1.0, eps_prime=0.5, seed=0)
 
 
 @pytest.mark.parametrize("codebook", [
@@ -97,22 +103,23 @@ def test_code_validation():
     [[0, 1, -1, 0], [0, 0, 1, 1]],
     [[0.0, 1.0, 1.0, 0.0], [0.0, 0.0, 1.0, 1.0]],
     [[0, 1, 1, 0]],                      # one codeword, m_count = 2
-    [[0, 1, 1], [0, 0, 1]],              # length 3, n = 4
+    np.zeros((2, 0), dtype=int),         # codewords of length 0
+    [[0, 1, 1, 0, 1], [0, 0, 1, 1, 0]],  # length 5 asks for 3 codewords
     [0, 1, 1, 0, 0, 0, 1, 1],
-], ids=["symbol-past-w", "negative", "float", "too-few", "too-short", "flat"])
+], ids=["symbol-past-w", "negative", "float", "too-few", "too-short",
+        "too-long", "flat"])
 def test_code_rejects_a_malformed_codebook(codebook):
-    # the first codebook gave an exact TV of 1.474, above TV's maximum 1
+    # the first codebook gave an exact TV of 1.474, above TV's maximum 1;
+    # at rate log(2) / 4, a codebook of length n <= 4 needs 2 codewords
     base = fixtures.dsbs_optimal_coupling(0.1)
     with pytest.raises(ConfigError, match="codebook"):
-        SynthesisCode(n=4, rate=math.log(2.0) / 4, m_count=2,
-                      codebook=np.array(codebook), base=base, eps=1.0,
-                      eps_prime=0.5, seed=0)
+        SynthesisCode(rate=math.log(2.0) / 4, codebook=np.array(codebook),
+                      base=base, eps=1.0, eps_prime=0.5, seed=0)
 
 
 def test_code_rejects_a_codeword_symbol_outside_supp_q_w():
     base = MarkovCoupling(FinitePmf([1.0, 0.0]), np.eye(2), np.eye(2))
-    kwargs = dict(n=2, rate=0.0, m_count=1, base=base, eps=None,
-                  eps_prime=None, seed=0)
+    kwargs = dict(rate=0.0, base=base, eps=None, eps_prime=None, seed=0)
     SynthesisCode(codebook=np.array([[0, 0]]), **kwargs)
     with pytest.raises(ConfigError, match="supp"):
         SynthesisCode(codebook=np.array([[0, 1]]), **kwargs)
@@ -299,7 +306,7 @@ def test_induced_joint_trivial_coupling_is_product():
     code = build_code(trivial_coupling(), 5, 0.0, None, None, seed=0)
     ex = induced_joint_exact(code)
     pi = trivial_coupling().xy_marginal()
-    pin = reference_pi_n_matrix(pi, ex.seqs_x, ex.seqs_y)
+    pin = reference_pi_n_matrix(pi, *dense_seqs(code))
     assert np.allclose(ex.mass, pin, atol=1e-14)
     assert estimate_tv(code).point == pytest.approx(0.0, abs=1e-12)
     assert estimate_renyi(code, 1.0).point == pytest.approx(0.0, abs=1e-10)
@@ -310,9 +317,11 @@ def test_induced_joint_brute_force_oracle():
     base = fixtures.dsbs_optimal_coupling(0.1)
     code = build_code(base, 3, 0.3, None, None, seed=2)
     ex = induced_joint_exact(code)
+    seqs_x, seqs_y = dense_seqs(code)
+    assert ex.mass.shape == (len(seqs_x), len(seqs_y)) == (8, 8)
     for ix in (0, 3, 7):
         for iy in (1, 4, 6):
-            x, y = ex.seqs_x[ix], ex.seqs_y[iy]
+            x, y = seqs_x[ix], seqs_y[iy]
             acc = 0.0
             for w in code.codebook:
                 acc += (np.prod(base.q_x_given_w[w, x])
@@ -329,10 +338,10 @@ def test_truncated_induced_joint_zero_outside_shell():
     assert ex.mass.sum() == pytest.approx(1.0, abs=1e-10)
     # every positive-mass x must be conditionally typical for some codeword
     pos = np.flatnonzero(ex.mass.sum(axis=1) > 0)
-    ok_any = np.zeros(len(ex.seqs_x), dtype=bool)
+    seqs_x = dense_seqs(code)[0]
+    ok_any = np.zeros(len(seqs_x), dtype=bool)
     for w in code.codebook:
-        ok_any |= is_cond_typical(ex.seqs_x, w, base.q_w, base.q_x_given_w,
-                                  1.0)
+        ok_any |= is_cond_typical(seqs_x, w, base.q_w, base.q_x_given_w, 1.0)
     assert np.all(ok_any[pos])
 
 
@@ -372,7 +381,6 @@ def test_estimate_kl_mc_agrees_with_exact(monkeypatch):
     assert mc.method == "monte_carlo"
     assert 0.0 < mc.std_error < 0.05
     assert abs(mc.point - exact.point) < 4 * mc.std_error
-    assert mc.per_symbol == pytest.approx(mc.point / 5)
 
 
 def test_estimate_mc_deterministic(monkeypatch):
@@ -860,7 +868,7 @@ def test_pointwise_p_matches_induced_joint(monkeypatch):
                 books, (eps, None), (2 ** 20, 7, 1)):
             monkeypatch.setattr(synthesis, "_CHUNK_CELLS", chunk_cells)
             m = len(book)
-            code = SynthesisCode(n=n, rate=math.log(m) / n, m_count=m,
+            code = SynthesisCode(rate=math.log(m) / n,
                                  codebook=np.stack(book), base=base,
                                  eps=code_eps, eps_prime=0.5, seed=0)
             ex = induced_joint_exact(code)
@@ -871,7 +879,8 @@ def test_pointwise_p_matches_induced_joint(monkeypatch):
             cells = np.concatenate([rng.choice(flat.size, 25, p=flat),
                                     rng.choice(flat.size, 25)])
             ix, iy = np.divmod(cells, ex.mass.shape[1])
-            x, y = ex.seqs_x[ix], ex.seqs_y[iy]
+            seqs_x, seqs_y = dense_seqs(code)
+            x, y = seqs_x[ix], seqs_y[iy]
             got = synthesis._pointwise_p(synthesis._induced_laws(code), x,
                                          y)
             assert np.count_nonzero(got) >= 25
@@ -910,7 +919,7 @@ def shell_test_code():
     codewords, and its X and Y laws."""
     base, n, eps = seeded_coupling_2x3(), 6, 0.6
     a, b, c = good_codewords(base, n, eps)[::2][:3]
-    code = SynthesisCode(n=n, rate=math.log(4) / n, m_count=4,
+    code = SynthesisCode(rate=math.log(4) / n,
                          codebook=np.stack([a, b, c, a]), base=base, eps=eps,
                          eps_prime=0.5, seed=0)
     laws = [synthesis._CondLaw(base, eps, axis, n) for axis in ("X", "Y")]
@@ -923,8 +932,9 @@ def test_dense_product_sees_only_samples_inside_both_shells(monkeypatch):
     ex = induced_joint_exact(code)
     cells = rng.choice(ex.mass.size, 50, p=ex.mass.ravel())
     ix, iy = np.divmod(cells, ex.mass.shape[1])
-    x = np.concatenate([ex.seqs_x[ix], rng.integers(0, 2, (150, code.n))])
-    y = np.concatenate([ex.seqs_y[iy], rng.integers(0, 3, (150, code.n))])
+    seqs_x, seqs_y = dense_seqs(code)
+    x = np.concatenate([seqs_x[ix], rng.integers(0, 2, (150, code.n))])
+    y = np.concatenate([seqs_y[iy], rng.integers(0, 3, (150, code.n))])
     inside = (oracle_shell_mask(law_x, code.eps, ws, x)
               & oracle_shell_mask(law_y, code.eps, ws, y)).any(axis=0)
     assert inside[:50].all() and not inside.all()
@@ -943,8 +953,7 @@ def test_dense_product_sees_only_samples_inside_both_shells(monkeypatch):
 
 def test_a_chunk_that_the_shells_reject_reads_zero(monkeypatch):
     code, ws, (law_x, law_y) = shell_test_code()
-    seqs_x = synthesis._all_seqs(2, code.n)
-    seqs_y = synthesis._all_seqs(3, code.n)
+    seqs_x, seqs_y = dense_seqs(code)
     in_x = oracle_shell_mask(law_x, code.eps, ws, seqs_x).any(axis=0)
     in_y = oracle_shell_mask(law_y, code.eps, ws, seqs_y).any(axis=0)
     ex = induced_joint_exact(code)
@@ -952,8 +961,8 @@ def test_a_chunk_that_the_shells_reject_reads_zero(monkeypatch):
                               ex.mass.shape)
     # chunks of two samples: X's windows reject every pair, then only Y's
     # do, then two pairs of positive mass
-    x = np.concatenate([seqs_x[~in_x][:2], seqs_x[in_x][:2], ex.seqs_x[ix]])
-    y = np.concatenate([seqs_y[in_y][:2], seqs_y[~in_y][:2], ex.seqs_y[iy]])
+    x = np.concatenate([seqs_x[~in_x][:2], seqs_x[in_x][:2], seqs_x[ix]])
+    y = np.concatenate([seqs_y[in_y][:2], seqs_y[~in_y][:2], seqs_y[iy]])
     monkeypatch.setattr(synthesis, "_CHUNK_CELLS", 2 * ws.shape[0])
     with monkeypatch.context() as patch:
         seen, blocks = record_dense_work(patch)
@@ -1037,9 +1046,8 @@ def test_empty_shell_error_names_the_first_bad_codeword(monkeypatch, path):
     # a repeated good codeword first; the first bad one in codebook order
     # sorts after a later bad one
     book = np.stack([good[0], good[0], bad[-1], good[1], bad[0], bad[-1]])
-    code = SynthesisCode(n=n, rate=math.log(6) / n, m_count=6,
-                         codebook=book, base=base, eps=eps, eps_prime=0.5,
-                         seed=0)
+    code = SynthesisCode(rate=math.log(6) / n, codebook=book, base=base,
+                         eps=eps, eps_prime=0.5, seed=0)
     message = (f"empty conditional typical shell for Y given w^n = "
                f"{bad[-1].tolist()} (structural zero at this n)")
     if path == "monte_carlo":
@@ -1248,6 +1256,13 @@ def test_checks_raise_no_warnings_on_structural_zeros():
 # the estimators against two-path references
 # ---------------------------------------------------------------------------
 
+def dense_seqs(code):
+    """Every X^n and every Y^n of ``code``'s block length, in the row and
+    column order of ``induced_joint_exact(code).mass``."""
+    return (synthesis._all_seqs(code.base.nx, code.n),
+            synthesis._all_seqs(code.base.ny, code.n))
+
+
 def reference_pi_n_matrix(pi, seqs_x, seqs_y):
     """pi^n(x^n, y^n) as an (Nx, Ny) matrix."""
     with np.errstate(divide="ignore"):
@@ -1281,7 +1296,7 @@ def reference_estimate_tv(code, samples, seed):
         return DivergenceEstimate(1.0, 0.0, "exact", 0, seed,
                                   diagnostics={"structural_zero": str(err)})
     if ex is not None:
-        pin = reference_pi_n_matrix(pi, ex.seqs_x, ex.seqs_y)
+        pin = reference_pi_n_matrix(pi, *dense_seqs(code))
         val = 0.5 * float(np.abs(ex.mass - pin).sum())
         return DivergenceEstimate(val, 0.0, "exact", 0, seed)
     try:
@@ -1309,13 +1324,12 @@ def reference_estimate_renyi(code, s, samples, seed):
         return DivergenceEstimate(math.inf, 0.0, "exact", 0, seed,
                                   diagnostics={"structural_zero": str(err)})
     if ex is not None:
-        pin = reference_pi_n_matrix(pi, ex.seqs_x, ex.seqs_y)
+        pin = reference_pi_n_matrix(pi, *dense_seqs(code))
         val = renyi(ex.mass.ravel(), pin.ravel(), s)
         diag = {}
         if np.any((pin > 0) & (ex.mass == 0)):
             diag["pi_support_uncovered"] = True
         return DivergenceEstimate(float(val), 0.0, "exact", 0, seed,
-                                  per_symbol=float(val) / code.n,
                                   diagnostics=diag)
     rng = synthesis._rng(seed, 2)
     try:
@@ -1346,7 +1360,7 @@ def reference_estimate_renyi(code, s, samples, seed):
             val = float(g.mean())
             return DivergenceEstimate(
                 val, float(g.std(ddof=1) / math.sqrt(samples)), "monte_carlo",
-                samples, seed, per_symbol=val / code.n)
+                samples, seed)
         g = (p_vals / np.exp(log_pi)) ** s
     elif s == -1.0:
         g = (p_vals > 0).astype(float)
@@ -1361,7 +1375,7 @@ def reference_estimate_renyi(code, s, samples, seed):
     val = -math.log(mean) if s == -1.0 else math.log(mean) / s
     val_se = se / mean / abs(s if s != -1.0 else 1.0)
     return DivergenceEstimate(float(val), float(val_se), "monte_carlo",
-                              samples, seed, per_symbol=float(val) / code.n)
+                              samples, seed)
 
 
 DIFFERENTIAL_ORDERS = (-1.0, -0.5, -1e-3, 0.0, 1e-5, 0.5, 1.0)
@@ -1386,9 +1400,9 @@ def count_order2_kernel_uses(monkeypatch):
 def test_estimators_equal_the_two_path_references(monkeypatch, path):
     # three couplings, the 2x3 one with empty Y-shells at n = 6 and
     # eps = 0.6; truncated and untruncated codes; every field compared
-    # with ==, on both paths, except the point and per-symbol values of the
-    # exact order-2 estimates of untruncated codes: the count-tensor kernel
-    # gives them, and they may differ from the dense sum in the last bits
+    # with ==, on both paths, except the point values of the exact order-2
+    # estimates of untruncated codes: the count-tensor kernel gives them,
+    # and they may differ from the dense sum in the last bits
     if path == "monte_carlo":
         monkeypatch.setattr(synthesis, "MAX_JOINT_CELLS", 10)
     kernel = count_order2_kernel_uses(monkeypatch)
@@ -1411,10 +1425,7 @@ def test_estimators_equal_the_two_path_references(monkeypatch, path):
         for g, w, k in zip(got, want, by_kernel):
             if k:
                 assert g.point == pytest.approx(w.point, rel=0, abs=1e-13)
-                assert g.per_symbol == pytest.approx(w.per_symbol, rel=0,
-                                                     abs=1e-13)
-                g = dataclasses.replace(g, point=w.point,
-                                        per_symbol=w.per_symbol)
+                g = dataclasses.replace(g, point=w.point)
             assert g == w, (code.n, code.eps, seed, g, w)
             assert g.method == path
             diagnostics.update(g.diagnostics.keys())
@@ -1484,7 +1495,6 @@ def test_order_two_kernel_serves_past_the_dense_cap(monkeypatch, base, n,
                                       abs=1e-12)
     assert (est.method, est.samples, est.std_error, est.seed,
             est.diagnostics) == ("exact", 0, 0.0, 2, {})
-    assert est.per_symbol == est.point / n
 
 
 def test_order_two_kernel_gate_is_the_count_tensor_size(monkeypatch):
@@ -1525,7 +1535,7 @@ def test_order_two_kernel_builds_no_dense_joint(monkeypatch):
     est = estimate_renyi(code, 1.0, seed=4)
     assert (est.method, est.std_error, est.samples, est.seed,
             est.diagnostics) == ("exact", 0.0, 0, 4, {})
-    assert est.per_symbol == est.point / 8 and est.point > 0
+    assert est.point > 0
 
 
 def test_order_two_kernel_peak_memory_stays_below_one_mib():
