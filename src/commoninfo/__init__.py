@@ -8,7 +8,7 @@ from .probability import (FinitePmf, JointPmf, MarkovCoupling, induced_joint,
 from .divergences import renyi, tv, pinsker_lb, sason_inf, sason_closed_lb
 from .ci_solver import wyner_ci, CiSolution
 from .exponents import (ExponentPoint, big_omega_min, r_alpha_min, r_sh,
-                        f_point, f_rate, tabulate_omega, theta_limit_check)
+                        f_rate, tabulate_omega, theta_limit_check)
 from .typicality import (count_windows, cond_typical_defect_exact,
                          contyplem_bound)
 from .synthesis import (SynthesisCode, DivergenceEstimate, build_code,

@@ -200,7 +200,7 @@ def oneshot_bound() -> tuple[bool, str]:
     for i, args in enumerate(instances):
         rep = synthesis.oneshot_bound_verify(*args)
         if not (rep.holds and rep.holds_gamma):
-            return False, f"violation at instance {i}, M={rep.m_count}"
+            return False, f"violation at instance {i}, M={args[-1]}"
         slack = min(slack, rep.rhs - rep.lhs)
         gamma_slack = min(gamma_slack, rep.gamma_rhs - rep.lhs)
     return True, (f"exact on {len(instances)} instances, min rhs - lhs "

@@ -357,12 +357,6 @@ def r_sh(pi: JointPmf, ci: CiSolution) -> float:
 # F(R)
 # ---------------------------------------------------------------------------
 
-def f_point(R: float, pt: ExponentPoint, omega: float) -> float:
-    """F^(alpha,theta)(R) = (Omega(alpha,theta) - theta*alpha*R) /
-    (1 + (5 - 3*alpha)*theta), from the value ``omega`` of Omega at pt."""
-    return (omega - pt.theta * pt.alpha * R) / (1.0 + (5.0 - 3.0 * pt.alpha) * pt.theta)
-
-
 @dataclass
 class OmegaGrid:
     """Omega(alpha, theta) tabulated on the standard (alpha, theta) grid.
@@ -501,8 +495,7 @@ def f_rate(pi: JointPmf, R: float, ci: CiSolution) -> float:
             n = res.value - theta * alpha * R
             d = 1.0 + d_slope * theta
             solved[alpha, theta] = _RayPoint(
-                n, f_point(R, pt, res.value),
-                (slope - alpha * R) * d - n * d_slope, res.logits)
+                n, n / d, (slope - alpha * R) * d - n * d_slope, res.logits)
         return solved[alpha, theta]
 
     best = 0.0
@@ -548,11 +541,14 @@ def f_rate(pi: JointPmf, R: float, ci: CiSolution) -> float:
 
 @dataclass(frozen=True)
 class ThetaLimitReport:
-    alpha: float
     thetas: tuple
     scaled_omegas: tuple                     # (1/theta) * Omega(alpha, theta)
     r_alpha: float
-    gaps: tuple                              # r_alpha - scaled omega
+
+    @property
+    def gaps(self) -> tuple:
+        """r_alpha - (1/theta) Omega(alpha, theta), one per theta."""
+        return tuple(self.r_alpha - v for v in self.scaled_omegas)
 
     @property
     def final_gap(self) -> float:
@@ -575,6 +571,5 @@ def theta_limit_check(pi: JointPmf, alpha: float, thetas,
                             warm_logits=[*warm, lifted], grid=grid)
         warm = [res.logits, ra.logits]
         scaled.append(res.value / theta)
-    return ThetaLimitReport(alpha=alpha, thetas=thetas,
-                            scaled_omegas=tuple(scaled), r_alpha=ra.value,
-                            gaps=tuple(ra.value - v for v in scaled))
+    return ThetaLimitReport(thetas=thetas, scaled_omegas=tuple(scaled),
+                            r_alpha=ra.value)

@@ -81,27 +81,22 @@ def _rng(seed, *stream) -> np.random.Generator:
 
 @dataclass(frozen=True)
 class SynthesisCode:
-    """A sampled codebook of truncated-typical W-sequences: ceil(e^{nR})
-    codewords of length n, so n and the codeword count m are read off the
-    codebook's shape."""
+    """A sampled codebook of truncated-typical W-sequences, m codewords of
+    length n (both read off the codebook's shape), and the truncation eps of
+    the conditional laws of X^n and Y^n given a codeword."""
 
-    rate: float
     codebook: np.ndarray                 # (m_count, n) int
     base: MarkovCoupling
     eps: float | None                    # None: untruncated conditionals
-    eps_prime: float | None              # None: untruncated codeword law
-    seed: int
 
     def __post_init__(self):
-        typ.check_truncation(self.eps, self.eps_prime)
-        if self.rate < 0:                # NaN fails the count rule below
-            raise ConfigError("rate must be nonnegative")
+        typ.check_truncation(self.eps, None)
         book = np.asarray(self.codebook)
         if (book.ndim != 2 or not np.issubdtype(book.dtype, np.integer)
-                or book.shape[1] < 1
-                or book.shape[0] != _m_count(book.shape[1], self.rate)):
+                or book.shape[0] < 1 or book.shape[1] < 1):
             raise ConfigError(f"codebook of shape {book.shape} is not an "
-                              f"integer array of ceil(e^(nR)) rows, n >= 1")
+                              f"integer array of m >= 1 rows of length "
+                              f"n >= 1")
         if (np.any((book < 0) | (book >= self.base.nw))
                 or np.any(self.base.q_w.mass[book] == 0)):
             raise ConfigError("codebook uses a symbol outside supp(Q_W)")
@@ -122,7 +117,6 @@ class DivergenceEstimate:
     std_error: float
     method: str                          # "exact" | "monte_carlo"
     samples: int
-    seed: int
     diagnostics: dict = field(default_factory=dict)
 
 
@@ -318,7 +312,9 @@ class _CondLaw:
 def build_code(base: MarkovCoupling, n: int, R: float, eps: float | None,
                eps_prime: float | None, seed: int) -> SynthesisCode:
     """Sample ceil(e^{nR}) independent codewords from Q_W^n truncated to the
-    eps'-typical set (``eps_prime=None``: untruncated)."""
+    eps'-typical set (``eps_prime=None``: untruncated).  R and eps' are
+    checked here, before the seeded draw; the code keeps only the codebook,
+    ``base`` and ``eps``."""
     if not R >= 0:
         raise ConfigError("rate must be nonnegative")
     if n < 1:
@@ -330,8 +326,7 @@ def build_code(base: MarkovCoupling, n: int, R: float, eps: float | None,
                                   f"{MAX_CODEWORDS}")
     codebook = _CondLaw(base, eps_prime, "W", n).sample(
         _rng(seed, 0), np.zeros((m, n), dtype=int))
-    return SynthesisCode(rate=R, codebook=codebook, base=base, eps=eps,
-                         eps_prime=eps_prime, seed=seed)
+    return SynthesisCode(codebook=codebook, base=base, eps=eps)
 
 
 # ---------------------------------------------------------------------------
@@ -516,17 +511,17 @@ def estimate_tv(code: SynthesisCode, samples: int = 4096,
     try:
         p, log_pi = _p_and_log_pi(code, exact, samples, _rng(seed, 1), False)
     except DomainError as err:
-        return DivergenceEstimate(1.0, 0.0, method, 0, seed,
+        return DivergenceEstimate(1.0, 0.0, method, 0,
                                   diagnostics={"structural_zero": str(err)})
     if exact:
-        return DivergenceEstimate(tv(p, np.exp(log_pi)), 0.0, method, 0, seed)
+        return DivergenceEstimate(tv(p, np.exp(log_pi)), 0.0, method, 0)
     g = np.maximum(1.0 - p / np.exp(log_pi), 0.0)
     # every sample at TV's maximum: the mean reads 1 and the standard error
     # 0, although the exact TV may lie below 1
     diag = {"all_samples_at_max": True} if np.all(g == 1.0) else {}
     return DivergenceEstimate(float(g.mean()),
                               float(g.std(ddof=1) / math.sqrt(samples)),
-                              method, samples, seed, diagnostics=diag)
+                              method, samples, diagnostics=diag)
 
 
 def estimate_renyi(code: SynthesisCode, s: float, samples: int = 4096,
@@ -546,13 +541,13 @@ def estimate_renyi(code: SynthesisCode, s: float, samples: int = 4096,
     if s == 1.0 and code.eps is None:
         val = _renyi2_from_counts(code)
         if val is not None:
-            return DivergenceEstimate(val, 0.0, "exact", 0, seed)
+            return DivergenceEstimate(val, 0.0, "exact", 0)
     exact = _dense_fits(code)
     method = "exact" if exact else "monte_carlo"
     try:
         p, log_pi = _p_and_log_pi(code, exact, samples, _rng(seed, 2), s >= 0)
     except DomainError as err:
-        return DivergenceEstimate(math.inf, 0.0, method, 0, seed,
+        return DivergenceEstimate(math.inf, 0.0, method, 0,
                                   diagnostics={"structural_zero": str(err)})
     if exact:
         pin = np.exp(log_pi)
@@ -560,8 +555,7 @@ def estimate_renyi(code: SynthesisCode, s: float, samples: int = 4096,
         diag = {}
         if np.any((pin > 0) & (p == 0)):
             diag["pi_support_uncovered"] = True
-        return DivergenceEstimate(val, 0.0, method, 0, seed,
-                                  diagnostics=diag)
+        return DivergenceEstimate(val, 0.0, method, 0, diagnostics=diag)
     if s == 0:
         g = np.log(p) - log_pi
     else:
@@ -573,11 +567,11 @@ def estimate_renyi(code: SynthesisCode, s: float, samples: int = 4096,
     if s == 0:
         val, val_se = mean, se
     elif mean <= 0:
-        return DivergenceEstimate(math.inf, 0.0, method, samples, seed,
+        return DivergenceEstimate(math.inf, 0.0, method, samples,
                                   diagnostics={"zero_mean_estimate": True})
     else:
         val, val_se = math.log(mean) / s, se / mean / abs(s)
-    return DivergenceEstimate(val, val_se, method, samples, seed)
+    return DivergenceEstimate(val, val_se, method, samples)
 
 
 # ---------------------------------------------------------------------------
@@ -589,9 +583,14 @@ class OneShotReport:
     lhs: float                           # e^{s D_{1+s}(P_{X|U} || pi | P_U)}
     rhs: float                           # e^{s(cond - R)} + e^{s marg}
     gamma_rhs: float                     # 2 e^{s Gamma}
-    m_count: int
-    holds: bool
-    holds_gamma: bool
+
+    @property
+    def holds(self) -> bool:
+        return self.lhs <= self.rhs
+
+    @property
+    def holds_gamma(self) -> bool:
+        return self.lhs <= self.gamma_rhs
 
 
 def oneshot_bound_verify(p_w: FinitePmf, cond: np.ndarray, pi_x: FinitePmf,
@@ -635,9 +634,7 @@ def oneshot_bound_verify(p_w: FinitePmf, cond: np.ndarray, pi_x: FinitePmf,
     R = math.log(m_count)
     rhs = math.exp(s * (cond_d - R)) + math.exp(s * marg_d)
     gamma_rhs = 2.0 * math.exp(s * max(cond_d - R, marg_d))
-    return OneShotReport(lhs=lhs, rhs=rhs, gamma_rhs=gamma_rhs,
-                         m_count=m_count, holds=lhs <= rhs,
-                         holds_gamma=lhs <= gamma_rhs)
+    return OneShotReport(lhs=lhs, rhs=rhs, gamma_rhs=gamma_rhs)
 
 
 # ---------------------------------------------------------------------------
@@ -749,13 +746,18 @@ def _check_bound_args(n: int, eps: float, eps_prime: float, s: float):
 
 @dataclass(frozen=True)
 class TruncationReport:
-    n: int
     delta_n: float
     max_ratio: float                     # max over cells of P / (pi^n / (1-delta))
     divergence: float                    # D_{1+s}(P || pi^n)
     divergence_cap: float                # ((1+s)/s) log 1/(1-delta_n)
-    holds_pointwise: bool
-    holds_divergence: bool
+
+    @property
+    def holds_pointwise(self) -> bool:
+        return self.max_ratio <= 1.0 + 1e-9
+
+    @property
+    def holds_divergence(self) -> bool:
+        return self.divergence <= self.divergence_cap + 1e-9
 
 
 def truncation_check(base: MarkovCoupling, n: int, eps: float,
@@ -785,21 +787,25 @@ def truncation_check(base: MarkovCoupling, n: int, eps: float,
     # D_{1+s} is unchanged when each type is lumped into one cell
     div = renyi(np.exp(log_type_mass), np.exp(log_cells + log_pi_t), s)
     div_cap = (1.0 + s) / s * math.log(1.0 / (1.0 - delta))
-    return TruncationReport(n=n, delta_n=delta, max_ratio=max_ratio,
-                            divergence=float(div), divergence_cap=float(div_cap),
-                            holds_pointwise=max_ratio <= 1.0 + 1e-9,
-                            holds_divergence=div <= div_cap + 1e-9)
+    return TruncationReport(delta_n=delta, max_ratio=max_ratio,
+                            divergence=float(div),
+                            divergence_cap=float(div_cap))
 
 
 @dataclass(frozen=True)
 class RateBoundReport:
-    n: int
     lhs: float                           # (1/n) D_{1+s}(P_WXY || P_W pi^n)
     rhs: float
-    slack: float
     delta_1: float
     delta_2: float
-    holds: bool
+
+    @property
+    def slack(self) -> float:
+        return self.rhs - self.lhs
+
+    @property
+    def holds(self) -> bool:
+        return self.lhs <= self.rhs + 1e-9
 
 
 def rate_bound_check(base: MarkovCoupling, n: int, eps: float,
@@ -826,6 +832,4 @@ def rate_bound_check(base: MarkovCoupling, n: int, eps: float,
     rhs = ((1.0 - eps) ** 2 / (1.0 + eps_prime) * i_q
            + 4.0 * eps / (1.0 - eps_prime) * h_q
            - math.log((1.0 - delta_1) * (1.0 - delta_2)) / n)
-    return RateBoundReport(n=n, lhs=lhs, rhs=rhs, slack=rhs - lhs,
-                           delta_1=delta_1, delta_2=delta_2,
-                           holds=lhs <= rhs + 1e-9)
+    return RateBoundReport(lhs=lhs, rhs=rhs, delta_1=delta_1, delta_2=delta_2)

@@ -17,7 +17,7 @@ from commoninfo.exponents import (ExponentPoint, _SupportGrid,
                                   _THETA_MIN, _omega_alpha_slope,
                                   _omega_objective, _omega_ray_slope,
                                   _r_alpha_objective, _softmax_flat,
-                                  big_omega_min, f_point, f_rate,
+                                  big_omega_min, f_rate,
                                   r_alpha_min, r_sh, tabulate_omega,
                                   theta_limit_check)
 from commoninfo.probability import FinitePmf, JointPmf, MarkovCoupling
@@ -409,11 +409,13 @@ def reference_f_rate(pi, R, omega_grid, ci, refine=True, refine_tol=1e-6):
     warm = [omega_grid.logits[i, j]]
 
     def f_at(alpha, theta):
-        pt = ExponentPoint(float(alpha), float(theta))
-        res = big_omega_min(pi, pt, warm_logits=[*warm, lifted], grid=grid)
+        alpha, theta = float(alpha), float(theta)
+        res = big_omega_min(pi, ExponentPoint(alpha, theta),
+                            warm_logits=[*warm, lifted], grid=grid)
         warm.append(res.logits)
         del warm[:-2]
-        return f_point(R, pt, res.value)
+        return ((res.value - theta * alpha * R)
+                / (1.0 + (5.0 - 3.0 * alpha) * theta))
 
     alphas, thetas = omega_grid.alphas, omega_grid.thetas
     a_lo, a_hi = alphas[max(i - 1, 0)], alphas[min(i + 1, len(alphas) - 1)]
@@ -440,16 +442,6 @@ def test_f_rate_signs_coarse(dsbs_pi, dsbs_ci):
     assert 0.0 <= f_hi <= 1e-8
     # monotone: the exponent cannot increase with the rate
     assert f_hi <= f_lo + 1e-12
-
-
-def test_f_point_formula(dsbs_pi, dsbs_ci):
-    # F at a specific (alpha, theta) equals (Omega - theta alpha R)/(1+(5-3a)t)
-    pt = ExponentPoint(0.5, 0.2)
-    R = 0.3
-    res = big_omega_min(dsbs_pi, pt, warm_logits=_lifted(dsbs_pi, dsbs_ci))
-    expected = (res.value - pt.theta * pt.alpha * R) / \
-        (1.0 + (5.0 - 3.0 * pt.alpha) * pt.theta)
-    assert f_point(R, pt, res.value) == pytest.approx(expected, abs=1e-9)
 
 
 def test_theta_limit_gap_shrinks(dsbs_pi, dsbs_ci):
@@ -531,9 +523,7 @@ def test_no_solve_past_the_wall(dsbs_pi, monkeypatch):
     wall = _SupportGrid(dsbs_pi).theta_wall(0.5)
     monkeypatch.setattr(exponents, "_multistart_min", no_solve)
     pt = ExponentPoint(0.5, wall * (1 + 1e-9))
-    past = big_omega_min(dsbs_pi, pt).value
-    assert past == -math.inf
-    assert f_point(0.3, pt, past) == -math.inf
+    assert big_omega_min(dsbs_pi, pt).value == -math.inf
     monkeypatch.undo()
     on_wall = big_omega_min(dsbs_pi, ExponentPoint(0.5, wall))
     assert math.isfinite(on_wall.value)

@@ -60,14 +60,6 @@ def test_build_code_names_its_cap_one_codeword_past_it():
         build_code(base, 1, math.log(16384.5), None, None, seed=0)
 
 
-@pytest.mark.parametrize("rate", [100.0, math.inf, math.nan])
-def test_code_rejects_a_rate_whose_count_is_no_float(rate):
-    base = fixtures.dsbs_optimal_coupling(0.1)
-    with pytest.raises(ConfigError, match=r"ceil\(e\^\(nR\)\) rows"):
-        SynthesisCode(rate=rate, codebook=np.zeros((1, 10), dtype=int),
-                      base=base, eps=None, eps_prime=None, seed=0)
-
-
 def test_m_count_rule():
     base = fixtures.dsbs_optimal_coupling(0.1)
     for n, rate, m in [(4, 0.0, 1), (4, math.log(2.0), 16),
@@ -78,48 +70,36 @@ def test_m_count_rule():
 
 
 def test_code_validation():
+    # the code keeps the conditional truncation eps alone, in (0, 1] or
+    # None; the rate and eps' are build_code's to check before it draws
     base = fixtures.dsbs_optimal_coupling(0.1)
     code = build_code(base, 4, 0.0, 1.0, 0.5, seed=0)
-    # one codeword of length 4 at a rate that asks for two
-    with pytest.raises(ConfigError, match=r"ceil\(e\^\(nR\)\) rows"):
-        SynthesisCode(rate=math.log(2.0) / 4, codebook=code.codebook,
-                      base=base, eps=1.0, eps_prime=0.5, seed=0)
-    with pytest.raises(ConfigError):
-        SynthesisCode(rate=0.0, codebook=code.codebook,
-                      base=base, eps=0.3, eps_prime=0.5, seed=0)
-    # eps' = 0 constructed, while build_code rejected the same pair
-    with pytest.raises(ConfigError, match=r"^eps_prime = 0.0 not in"):
-        SynthesisCode(rate=0.0, codebook=code.codebook,
-                      base=base, eps=1.0, eps_prime=0.0, seed=0)
-    # a negative rate constructed, with its one codeword, while build_code
-    # rejected it
-    with pytest.raises(ConfigError, match="rate must be nonnegative"):
-        SynthesisCode(rate=-1.0, codebook=code.codebook,
-                      base=base, eps=1.0, eps_prime=0.5, seed=0)
+    for eps in (1.0, 0.3, None):
+        SynthesisCode(codebook=code.codebook, base=base, eps=eps)
+    for eps in (0.0, 1.5, math.nan):
+        with pytest.raises(ConfigError, match=r"^eps = .* not in \(0, 1\]$"):
+            SynthesisCode(codebook=code.codebook, base=base, eps=eps)
 
 
 @pytest.mark.parametrize("codebook", [
     [[0, 1, 2, 0], [0, 0, 1, 1]],        # symbol 2 past |W| = 2
     [[0, 1, -1, 0], [0, 0, 1, 1]],
     [[0.0, 1.0, 1.0, 0.0], [0.0, 0.0, 1.0, 1.0]],
-    [[0, 1, 1, 0]],                      # one codeword, m_count = 2
+    np.zeros((0, 4), dtype=int),         # no codeword
     np.zeros((2, 0), dtype=int),         # codewords of length 0
-    [[0, 1, 1, 0, 1], [0, 0, 1, 1, 0]],  # length 5 asks for 3 codewords
     [0, 1, 1, 0, 0, 0, 1, 1],
 ], ids=["symbol-past-w", "negative", "float", "too-few", "too-short",
-        "too-long", "flat"])
+        "flat"])
 def test_code_rejects_a_malformed_codebook(codebook):
-    # the first codebook gave an exact TV of 1.474, above TV's maximum 1;
-    # at rate log(2) / 4, a codebook of length n <= 4 needs 2 codewords
+    # the first codebook gave an exact TV of 1.474, above TV's maximum 1
     base = fixtures.dsbs_optimal_coupling(0.1)
     with pytest.raises(ConfigError, match="codebook"):
-        SynthesisCode(rate=math.log(2.0) / 4, codebook=np.array(codebook),
-                      base=base, eps=1.0, eps_prime=0.5, seed=0)
+        SynthesisCode(codebook=np.array(codebook), base=base, eps=1.0)
 
 
 def test_code_rejects_a_codeword_symbol_outside_supp_q_w():
     base = MarkovCoupling(FinitePmf([1.0, 0.0]), np.eye(2), np.eye(2))
-    kwargs = dict(rate=0.0, base=base, eps=None, eps_prime=None, seed=0)
+    kwargs = dict(base=base, eps=None)
     SynthesisCode(codebook=np.array([[0, 0]]), **kwargs)
     with pytest.raises(ConfigError, match="supp"):
         SynthesisCode(codebook=np.array([[0, 1]]), **kwargs)
@@ -293,7 +273,8 @@ def test_build_code_checks_eps_before_it_draws(monkeypatch):
 
 def test_build_code_rejects_bad_block_length_and_eps_prime():
     base = fixtures.dsbs_optimal_coupling(0.1)
-    for n, eps_prime in ((0, 0.5), (0, None), (4, 0.0), (4, -0.1)):
+    for n, eps_prime in ((0, 0.5), (0, None), (4, 0.0), (4, -0.1),
+                         (4, 1.0)):
         with pytest.raises(ConfigError):
             build_code(base, n, 0.1, 1.0, eps_prime, seed=0)
 
@@ -465,6 +446,29 @@ def test_exact_order_two_divergence_matches_the_codeword_pair_form():
         assert est.method == "exact"
         assert est.point == pytest.approx(closed_form_renyi2(code),
                                           abs=1e-12), code.n
+
+
+@pytest.mark.parametrize("mult", [0.1, 0.5, 1.2])
+def test_order_zero_is_the_alpha_zero_exception(mult):
+    # alpha = 1 + s = 0, where the minimum rate is not C: D_0 does not
+    # vanish above C for a truncated code, and reads 0 below it for an
+    # untruncated one, whose conditional rows are positive, so P > 0 on all
+    # of supp pi^n.  At eps = 1 each conditional shell of dsbs01 is the one
+    # point w^n for n <= 18, so P lives on the pairs (w^n, w^n) of the d
+    # distinct codewords, each of pi^n mass 0.45^n
+    base = fixtures.dsbs_optimal_coupling(0.1)
+    rate = mult * acceptance.DSBS_CI_EXACT
+    for n in (4, 8, 10):
+        est = estimate_renyi(build_code(base, n, rate, None, 0.5, seed=0),
+                             -1.0)
+        assert est.method == "exact"
+        assert est.point == pytest.approx(0.0, rel=0, abs=1e-12)
+        code = build_code(base, n, rate, 1.0, 0.5, seed=0)
+        d = np.unique(code.codebook, axis=0).shape[0]
+        est = estimate_renyi(code, -1.0)
+        assert est.method == "exact"
+        assert est.point == pytest.approx(-math.log(d * 0.45 ** n), rel=0,
+                                          abs=1e-12)
 
 
 def test_estimate_renyi_order_validation():
@@ -868,9 +872,8 @@ def test_pointwise_p_matches_induced_joint(monkeypatch):
                 books, (eps, None), (2 ** 20, 7, 1)):
             monkeypatch.setattr(synthesis, "_CHUNK_CELLS", chunk_cells)
             m = len(book)
-            code = SynthesisCode(rate=math.log(m) / n,
-                                 codebook=np.stack(book), base=base,
-                                 eps=code_eps, eps_prime=0.5, seed=0)
+            code = SynthesisCode(codebook=np.stack(book), base=base,
+                                 eps=code_eps)
             ex = induced_joint_exact(code)
             assert ex.mass.sum() == pytest.approx(1.0, abs=1e-12)
             assert np.allclose(ex.mass, brute_force_induced_joint(code),
@@ -919,9 +922,8 @@ def shell_test_code():
     codewords, and its X and Y laws."""
     base, n, eps = seeded_coupling_2x3(), 6, 0.6
     a, b, c = good_codewords(base, n, eps)[::2][:3]
-    code = SynthesisCode(rate=math.log(4) / n,
-                         codebook=np.stack([a, b, c, a]), base=base, eps=eps,
-                         eps_prime=0.5, seed=0)
+    code = SynthesisCode(codebook=np.stack([a, b, c, a]), base=base,
+                         eps=eps)
     laws = [synthesis._CondLaw(base, eps, axis, n) for axis in ("X", "Y")]
     return code, np.stack([a, b, c]), laws
 
@@ -1046,8 +1048,7 @@ def test_empty_shell_error_names_the_first_bad_codeword(monkeypatch, path):
     # a repeated good codeword first; the first bad one in codebook order
     # sorts after a later bad one
     book = np.stack([good[0], good[0], bad[-1], good[1], bad[0], bad[-1]])
-    code = SynthesisCode(rate=math.log(6) / n, codebook=book, base=base,
-                         eps=eps, eps_prime=0.5, seed=0)
+    code = SynthesisCode(codebook=book, base=base, eps=eps)
     message = (f"empty conditional typical shell for Y given w^n = "
                f"{bad[-1].tolist()} (structural zero at this n)")
     if path == "monte_carlo":
@@ -1293,23 +1294,23 @@ def reference_estimate_tv(code, samples, seed):
     except ResourceBudgetError:
         ex = None
     except DomainError as err:
-        return DivergenceEstimate(1.0, 0.0, "exact", 0, seed,
+        return DivergenceEstimate(1.0, 0.0, "exact", 0,
                                   diagnostics={"structural_zero": str(err)})
     if ex is not None:
         pin = reference_pi_n_matrix(pi, *dense_seqs(code))
         val = 0.5 * float(np.abs(ex.mass - pin).sum())
-        return DivergenceEstimate(val, 0.0, "exact", 0, seed)
+        return DivergenceEstimate(val, 0.0, "exact", 0)
     try:
         p_vals, pi_vals = reference_pi_n_draws(code, samples,
                                                synthesis._rng(seed, 1))
     except DomainError as err:
-        return DivergenceEstimate(1.0, 0.0, "monte_carlo", 0, seed,
+        return DivergenceEstimate(1.0, 0.0, "monte_carlo", 0,
                                   diagnostics={"structural_zero": str(err)})
     g = np.maximum(1.0 - p_vals / pi_vals, 0.0)
     diag = {"all_samples_at_max": True} if np.all(g == 1.0) else {}
     return DivergenceEstimate(float(g.mean()),
                               float(g.std(ddof=1) / math.sqrt(samples)),
-                              "monte_carlo", samples, seed, diagnostics=diag)
+                              "monte_carlo", samples, diagnostics=diag)
 
 
 def reference_estimate_renyi(code, s, samples, seed):
@@ -1321,7 +1322,7 @@ def reference_estimate_renyi(code, s, samples, seed):
     except ResourceBudgetError:
         ex = None
     except DomainError as err:
-        return DivergenceEstimate(math.inf, 0.0, "exact", 0, seed,
+        return DivergenceEstimate(math.inf, 0.0, "exact", 0,
                                   diagnostics={"structural_zero": str(err)})
     if ex is not None:
         pin = reference_pi_n_matrix(pi, *dense_seqs(code))
@@ -1329,7 +1330,7 @@ def reference_estimate_renyi(code, s, samples, seed):
         diag = {}
         if np.any((pin > 0) & (ex.mass == 0)):
             diag["pi_support_uncovered"] = True
-        return DivergenceEstimate(float(val), 0.0, "exact", 0, seed,
+        return DivergenceEstimate(float(val), 0.0, "exact", 0,
                                   diagnostics=diag)
     rng = synthesis._rng(seed, 2)
     try:
@@ -1348,19 +1349,19 @@ def reference_estimate_renyi(code, s, samples, seed):
         else:
             p_vals, pi_vals = reference_pi_n_draws(code, samples, rng)
     except DomainError as err:
-        return DivergenceEstimate(math.inf, 0.0, "monte_carlo", 0, seed,
+        return DivergenceEstimate(math.inf, 0.0, "monte_carlo", 0,
                                   diagnostics={"structural_zero": str(err)})
     if s >= 0:
         log_pi = np.log(pi.mass[xs, ys]).sum(axis=1)
         if np.any(log_pi == -np.inf):
             return DivergenceEstimate(math.inf, 0.0, "monte_carlo", samples,
-                                      seed, diagnostics={"off_pi_support": True})
+                                      diagnostics={"off_pi_support": True})
         if s == 0:
             g = np.log(p_vals) - log_pi
             val = float(g.mean())
             return DivergenceEstimate(
                 val, float(g.std(ddof=1) / math.sqrt(samples)), "monte_carlo",
-                samples, seed)
+                samples)
         g = (p_vals / np.exp(log_pi)) ** s
     elif s == -1.0:
         g = (p_vals > 0).astype(float)
@@ -1370,12 +1371,12 @@ def reference_estimate_renyi(code, s, samples, seed):
     mean = float(g.mean())
     se = float(g.std(ddof=1) / math.sqrt(samples))
     if mean <= 0:
-        return DivergenceEstimate(math.inf, 0.0, "monte_carlo", samples, seed,
+        return DivergenceEstimate(math.inf, 0.0, "monte_carlo", samples,
                                   diagnostics={"zero_mean_estimate": True})
     val = -math.log(mean) if s == -1.0 else math.log(mean) / s
     val_se = se / mean / abs(s if s != -1.0 else 1.0)
     return DivergenceEstimate(float(val), float(val_se), "monte_carlo",
-                              samples, seed)
+                              samples)
 
 
 DIFFERENTIAL_ORDERS = (-1.0, -0.5, -1e-3, 0.0, 1e-5, 0.5, 1.0)
@@ -1493,8 +1494,8 @@ def test_order_two_kernel_serves_past_the_dense_cap(monkeypatch, base, n,
     est = estimate_renyi(code, 1.0, samples=50, seed=2)
     assert est.point == pytest.approx(closed_form_renyi2(code), rel=0,
                                       abs=1e-12)
-    assert (est.method, est.samples, est.std_error, est.seed,
-            est.diagnostics) == ("exact", 0, 0.0, 2, {})
+    assert (est.method, est.samples, est.std_error,
+            est.diagnostics) == ("exact", 0, 0.0, {})
 
 
 def test_order_two_kernel_gate_is_the_count_tensor_size(monkeypatch):
@@ -1533,8 +1534,8 @@ def test_order_two_kernel_builds_no_dense_joint(monkeypatch):
     code = build_code(fixtures.dsbs_optimal_coupling(0.1), 8, 0.5, None, 0.5,
                       seed=0)
     est = estimate_renyi(code, 1.0, seed=4)
-    assert (est.method, est.std_error, est.samples, est.seed,
-            est.diagnostics) == ("exact", 0.0, 0, 4, {})
+    assert (est.method, est.std_error, est.samples,
+            est.diagnostics) == ("exact", 0.0, 0, {})
     assert est.point > 0
 
 
